@@ -36,5 +36,6 @@ from .optimizer import (
     gradient,
     hessian,
     objective,
+    water_fill,
 )
 from .harness import ExperimentConfig, ResultTable, emit_results, run_drop, run_monte_carlo

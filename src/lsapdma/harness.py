@@ -2,11 +2,18 @@
 
 One drop runs the full link: user geometry, channels, pattern construction,
 user selection, ZF precoding, MMSE filtering and gain extraction, the power
-policy (equal split, fixed-ratio ladder, or the interior-point optimum), and
-the resulting sum rate.  Equivalent gains are computed once per drop from an
-equal-power allocation and held fixed while the policy sets the powers.  The
-equal and fixed-ratio policies leave unpowered the covered pairs that the ZF
-anchors null by construction.
+policy (equal split, fixed-ratio ladder, or the optimum), and the resulting
+sum rate.  Equivalent gains are computed once per drop from an equal-power
+allocation and held fixed while the policy sets the powers.  The equal and
+fixed-ratio policies leave unpowered the covered pairs that the ZF anchors
+null by construction.
+
+The optimal policy is the water-filling closed form
+(``optimizer.water_fill``): the anchors keep their ZF power floors, and the
+rest of the budget is water-filled across beams onto each beam's strongest
+user.  Unless ``strict_pattern`` restricts it to the pattern's pairs, that
+user is the beam's strongest whatever the pattern covers, so the policy
+then ignores the pattern.
 
 Baselines run through the same evaluator: the orthogonal scheme is the
 identity pattern with equal power, and the power-domain scheme is the
@@ -20,7 +27,7 @@ from __future__ import annotations
 import configparser
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +35,9 @@ import numpy as np
 from . import __version__
 from .beamforming import SingularChannelError, compute_zfbf, select_users
 from .channel import CellConfig, drop_users, user_channels
-from .optimizer import BarrierParams, OptProblem, barrier_solve
+from .optimizer import OptProblem, objective, water_fill
 from .pattern import (
     PatternMatrix,
-    correlation_matrix,
     equal_power,
     fixed_ratio_power,
     format_pattern_text,
@@ -40,7 +46,7 @@ from .pattern import (
     pnoma_pattern,
     simple_beam_allocation,
 )
-from .receiver import build_link_state, mmse_filter, normalized_gains, sinr, sum_rate
+from .receiver import build_link_state, sinr, sum_rate
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -59,6 +65,12 @@ class ExperimentConfig:
     list is the sweep axis of the emitted table.  For the baselines the user
     count is forced (N for oma, 2N for pnoma); ``users`` applies to the
     pattern-mapped scheme.
+
+    The ``optimal`` policy is the water-filling closed form: with the
+    default (non-strict) support it serves each beam's strongest user
+    whatever the pattern; ``strict_pattern`` restricts it to the pattern's
+    pairs.  It has no per-link minimum rate; the optimizer's log-barrier
+    solver (``lsapdma solve --rmin``) handles those.
     """
 
     cell: CellConfig = field(default_factory=CellConfig)
@@ -74,10 +86,8 @@ class ExperimentConfig:
     mu: tuple[float, ...] = (2.0,)
     p0_ratio: float = 1.0
     pnoma_mu: float = 0.25
-    r_min: float = 0.0
     epsilon_ratio: float = 1e-6
     strict_pattern: bool = False
-    relinearize: bool = False
     drops: int = 1000
     seed: int = 1
     workers: int = 1
@@ -114,10 +124,6 @@ class ExperimentConfig:
                 raise ConfigError("fixed pattern must have one row per beam")
             if tuple(self.users) != (self.fixed_pattern.n_users,):
                 raise ConfigError("users must match the fixed pattern's column count")
-        if self.strict_pattern and self.r_min > 0:
-            raise ConfigError(
-                "a strict pattern support with a positive minimum rate is inconsistent"
-            )
 
     @property
     def sweep_axis(self) -> str:
@@ -169,10 +175,8 @@ class ExperimentConfig:
             f"mu = {', '.join(f'{v:g}' for v in self.mu)}",
             f"p0_ratio = {self.p0_ratio}",
             f"pnoma_mu = {self.pnoma_mu}",
-            f"r_min = {self.r_min}",
             f"epsilon_ratio = {self.epsilon_ratio}",
             f"strict_pattern = {self.strict_pattern}",
-            f"relinearize = {self.relinearize}",
             "",
             "[pattern]",
             f"policy = {self.pattern_policy}",
@@ -184,58 +188,51 @@ class ExperimentConfig:
         return "\n".join(lines)
 
 
-def _split(value: str) -> list[str]:
-    return [tok for tok in value.replace(",", " ").split() if tok]
+def _listed(parse):
+    return lambda value: tuple(parse(tok) for tok in value.replace(",", " ").split())
+
+
+def _boolean(value: str) -> bool:
+    if value.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ConfigError(f"not a boolean: {value!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+
+
+# section -> {key: (field, parser)}; [cell] keys are CellConfig fields, the
+# rest ExperimentConfig fields
+_CONFIG_KEYS = {
+    "cell": {f.name: (f.name, float) for f in fields(CellConfig)},
+    "array": {key: (key, int) for key in ("n_tx", "n_rx", "n_beams")},
+    "experiment": {
+        "schemes": ("schemes", _listed(str)),
+        "users": ("users", _listed(int)),
+        **{key: (key, int) for key in ("drops", "seed", "workers", "max_redraws")},
+    },
+    "power": {
+        "policies": ("policies", _listed(str)),
+        **{key: (key, _listed(float)) for key in ("p_sum_db", "mu")},
+        **{key: (key, float) for key in ("p0_ratio", "pnoma_mu", "epsilon_ratio")},
+        "strict_pattern": ("strict_pattern", _boolean),
+    },
+    "pattern": {"policy": ("pattern_policy", str.strip), "matrix": ("fixed_pattern", parse_pattern_text)},
+    "output": {"path": ("output_path", str.strip)},
+}
 
 
 def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
-    kwargs = {}
-    if cp.has_section("cell"):
-        cell_kwargs = {}
-        for key in (
-            "radius_m",
-            "path_loss_factor",
-            "path_loss_exponent",
-            "shadow_std_db",
-            "noise_variance",
-            "min_distance_m",
-            "reference_distance_m",
-        ):
-            if cp.has_option("cell", key):
-                cell_kwargs[key] = cp.getfloat("cell", key)
-        kwargs["cell"] = CellConfig(**cell_kwargs)
-    if cp.has_section("array"):
-        for key in ("n_tx", "n_rx", "n_beams"):
-            if cp.has_option("array", key):
-                kwargs[key] = cp.getint("array", key)
-    if cp.has_section("experiment"):
-        if cp.has_option("experiment", "schemes"):
-            kwargs["schemes"] = tuple(_split(cp.get("experiment", "schemes")))
-        if cp.has_option("experiment", "users"):
-            kwargs["users"] = tuple(int(v) for v in _split(cp.get("experiment", "users")))
-        for key in ("drops", "seed", "workers", "max_redraws"):
-            if cp.has_option("experiment", key):
-                kwargs[key] = cp.getint("experiment", key)
-    if cp.has_section("power"):
-        if cp.has_option("power", "policies"):
-            kwargs["policies"] = tuple(_split(cp.get("power", "policies")))
-        for key in ("p_sum_db", "mu"):
-            if cp.has_option("power", key):
-                kwargs[key] = tuple(float(v) for v in _split(cp.get("power", key)))
-        for key in ("p0_ratio", "pnoma_mu", "r_min", "epsilon_ratio"):
-            if cp.has_option("power", key):
-                kwargs[key] = cp.getfloat("power", key)
-        for key in ("strict_pattern", "relinearize"):
-            if cp.has_option("power", key):
-                kwargs[key] = cp.getboolean("power", key)
-    if cp.has_section("pattern"):
-        if cp.has_option("pattern", "policy"):
-            kwargs["pattern_policy"] = cp.get("pattern", "policy").strip()
-        if cp.has_option("pattern", "matrix"):
-            kwargs["fixed_pattern"] = parse_pattern_text(cp.get("pattern", "matrix"))
-    if cp.has_section("output") and cp.has_option("output", "path"):
-        kwargs["output_path"] = cp.get("output", "path").strip()
-    return ExperimentConfig(**kwargs)
+    """Build the config from the parsed sections, rejecting any unknown
+    section or key (a typo must not fall back to a default silently)."""
+    kwargs, cell_kwargs = {}, {}
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        known = _CONFIG_KEYS[section]
+        for key, value in cp.items(section):
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in config section [{section}]")
+            name, parse = known[key]
+            (cell_kwargs if section == "cell" else kwargs)[name] = parse(value)
+    return ExperimentConfig(cell=CellConfig(**cell_kwargs), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -293,14 +290,6 @@ def _build_pattern(cfg: ExperimentConfig, pattern_policy: str, k: int, weakest_f
     return simple_beam_allocation(cfg.n_beams, k, weakest_first)
 
 
-def _gains_matrix(channels, beams, a_matrix, sigma2) -> np.ndarray:
-    gains = np.zeros((beams.n_beams, len(channels)))
-    for idx, ch in enumerate(channels):
-        filt = mmse_filter(ch, beams, a_matrix, sigma2)
-        gains[:, idx] = normalized_gains(filt, ch, beams, sigma2)
-    return gains
-
-
 def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state):
     """Users, channels, pattern, anchors and ZF beams of one drop.
 
@@ -330,7 +319,8 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
     """One scheme evaluation on one drop, across the configured sweep points.
 
     The equal-split and fixed-ratio policies power only the pattern's pairs
-    that the anchors do not null (``SelectedUserSet.nulled``).
+    that the anchors do not null (``SelectedUserSet.nulled``); the optimal
+    policy is ``water_fill`` with the anchors' floors.
     """
     sigma2 = cfg.cell.noise_variance
     channels, pattern, omega, beams, redraws = _draw_drop(cfg, k, pattern_policy, state)
@@ -375,31 +365,9 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
         else:  # optimal
             support = pattern.entries.astype(bool) if cfg.strict_pattern else None
             prob = OptProblem.build(
-                link.gains,
-                p_sum,
-                selected=omega,
-                epsilon=cfg.epsilon_ratio * p_sum,
-                r_min=cfg.r_min,
-                support=support,
+                link.gains, p_sum, selected=omega, epsilon=cfg.epsilon_ratio * p_sum, support=support
             )
-            sol = barrier_solve(prob)
-            if sol.status == "infeasible":
-                raise ConfigError("the optimal-policy problem is infeasible as configured")
-            rate = sol.objective_value
-            if cfg.relinearize and sol.p_matrix is not None:
-                gains2 = _gains_matrix(channels, beams, correlation_matrix(sol.p_matrix), sigma2)
-                prob2 = OptProblem.build(
-                    gains2,
-                    p_sum,
-                    selected=omega,
-                    epsilon=cfg.epsilon_ratio * p_sum,
-                    r_min=cfg.r_min,
-                    support=support,
-                )
-                sol2 = barrier_solve(prob2)
-                if sol2.status != "infeasible":
-                    rate = sol2.objective_value
-            emit(rate, None)
+            emit(-objective(prob, water_fill(prob)), None)
     return records
 
 

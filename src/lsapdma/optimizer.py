@@ -4,10 +4,11 @@ For fixed equivalent gains, the negative sum rate is convex in the merged
 power matrix: within each beam, writing the rates against the ascending-gain
 decoding order turns the objective into a telescoping sum of logs of suffix
 power sums, whose Hessian has a nested nonnegative structure (rank-one
-blocks accumulating down the order).  A standard log-barrier method with
-damped Newton centering therefore finds the global optimum subject to the
-per-entry power floors, the total power budget, and (optionally) per-link
-minimum rates.
+blocks accumulating down the order).  Without per-link minimum rates the
+optimum has a closed form (``water_fill``).  With them, a standard
+log-barrier method with damped Newton centering (``barrier_solve``) finds
+the global optimum subject to the per-entry power floors, the total power
+budget and the minimum rates.
 
 Conventions: the gain matrix is (beams x users); each beam's entries are
 internally reindexed by SIC position (ascending gain, index tie-break,
@@ -141,21 +142,6 @@ class OptProblem:
 
 
 @dataclass(frozen=True)
-class BeamObjectiveWorkspace:
-    """Per-beam building blocks of the objective derivatives, position space.
-
-    ``w[n, k]`` is the power of the users decoded after position k in beam n
-    (zero at the last position); ``alpha0`` and ``beta`` are the Hessian
-    blocks: entry (i, j) of beam n's Hessian is alpha0[n] when min(i, j) is
-    the first position and alpha0[n] + beta[n, min(i, j) - 1] otherwise.
-    """
-
-    w: np.ndarray  # (N, K)
-    alpha0: np.ndarray  # (N,)
-    beta: np.ndarray  # (N, K-1)
-
-
-@dataclass(frozen=True)
 class OptSolution:
     """Solver output; ``p_matrix`` is in user-index space (beams x users)."""
 
@@ -232,16 +218,6 @@ def _rates_pos(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + p_pos / (prob._a_pos + w))
 
 
-def beam_workspace(prob: OptProblem, p: np.ndarray) -> BeamObjectiveWorkspace:
-    """Suffix sums and Hessian building blocks at the given power matrix."""
-    p_pos = _to_pos(prob, p)
-    _, w, u, z = _suffix_terms(prob, p_pos)
-    alpha0 = u[:, 0] ** 2 / LN2
-    # beta_m accumulates (u_{l+1}^2 - z_l^2)/ln2 over l = 1..m (1-based positions)
-    beta = np.cumsum(u[:, 1:] ** 2 - z[:, :-1] ** 2, axis=1) / LN2
-    return BeamObjectiveWorkspace(w=w, alpha0=alpha0, beta=beta)
-
-
 def objective(prob: OptProblem, p: np.ndarray) -> float:
     """Negative sum rate of the mapping matrix (the minimization objective).
 
@@ -288,8 +264,7 @@ def _hessian_blocks(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
     """All per-beam Hessians, (N, K, K), position space.
 
     Entry (i, j) equals c[min(i, j)] with the nondecreasing accumulator
-    c[m] = (sum_{l<=m} u_l^2 - sum_{l<=m-1} z_l^2)/ln2, which is exactly the
-    alpha0 / alpha0+beta nested pattern.
+    c[m] = (sum_{l<=m} u_l^2 - sum_{l<=m-1} z_l^2)/ln2.
     """
     _, _, u, z = _suffix_terms(prob, p_pos)
     u2 = u * u
@@ -305,15 +280,64 @@ def _hessian_blocks(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
 def hessian(prob: OptProblem, p: np.ndarray, beam: int) -> np.ndarray:
     """One beam's objective Hessian in SIC-position space (ascending gain).
 
-    Built from the alpha0 / beta blocks: the first row and column hold
-    alpha0, and entry (i, j) away from them holds alpha0 + beta_{min(i,j)-1}.
-    Symmetric positive semidefinite for ascending gains.
+    Entry (i, j) is the accumulator c[min(i, j)] of ``_hessian_blocks``.
+    For ascending gains c[0] >= 0 and c is nondecreasing along the order, so
+    the matrix is a sum of nonnegative multiples of all-ones trailing blocks:
+    symmetric positive semidefinite.
     """
-    ws = beam_workspace(prob, p)
-    k = prob.n_users
-    beta_ext = np.concatenate([[0.0], ws.beta[beam]])
-    idx = np.minimum.outer(np.arange(k), np.arange(k))
-    return ws.alpha0[beam] + beta_ext[idx]
+    p = np.asarray(p, dtype=float)
+    if p.shape != prob.gains.shape:
+        raise ValueError("power matrix must match the gain shape")
+    return _hessian_blocks(prob, _to_pos(prob, p))[beam]
+
+
+def water_fill(prob: OptProblem) -> np.ndarray:
+    """Sum-rate-optimal power matrix without rate floors, in closed form.
+
+    Within one beam the sum rate's marginal with respect to the power at SIC
+    position m is g_m = (sum_{j<=m} u_j - sum_{j<m} z_j)/ln2 (the negated
+    ``_gradient_pos``), so g_{m+1} - g_m = (1/(a_{m+1} + T_{m+1}) -
+    1/(a_m + T_{m+1}))/ln2 >= 0, because the ascending order gives
+    a_{m+1} <= a_m.  The marginal never decreases along the decoding order,
+    so every free entry sits at its floor except the beam's last-decoded
+    (strongest) free user; between equal gains the beam rate depends only
+    on their total, so the index rule of the order may pick.  That user gets
+    s_n = max(floor, W - L_n), where L_n is 1/h^2 plus the power pinned
+    after it in the order, and the water level W makes the matrix sum to
+    ``p_sum`` (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3).
+
+    Without floors on earlier-decoded users (so always without floors) this
+    is the exact optimum, sum_n log2(1 + s_n/L_n).  Such floors take s_n as
+    interference, which moves the beam's marginal by a term of the floors'
+    order that W ignores; the rate lost is of second order in the floors.
+    Beams with no free entry are skipped, and with none at all the floors
+    are returned.
+    """
+    if prob.r_min > 0:
+        raise ValueError("water_fill has no rate floors; use barrier_solve for r_min > 0")
+    p = prob.delta.copy()
+    picks = []  # (beam, user, level L_n)
+    for n, order in enumerate(prob.orders):
+        free = np.flatnonzero(prob._var[n, order])
+        if free.size:
+            last = free[-1]
+            k = order[last]
+            picks.append((n, k, 1.0 / prob.gains[n, k] ** 2 + prob.delta[n, order[last + 1 :]].sum()))
+    if not picks:
+        return p
+    beams, users, levels = (np.array(col) for col in zip(*picks))
+    floors = prob.delta[beams, users]
+    budget = prob.p_sum - prob.delta.sum() + floors.sum()
+    # sum_n max(floor_n, W - L_n) grows with W and bends at L_n + floor_n:
+    # the level lies on the segment where the m lowest bends are passed
+    bends = levels + floors
+    rank = np.argsort(bends, kind="stable")
+    for m in range(len(rank), 0, -1):
+        water = (budget - floors[rank[m:]].sum() + levels[rank[:m]].sum()) / m
+        if water >= bends[rank[m - 1]]:
+            break
+    p[beams, users] = np.maximum(floors, water - levels)
+    return p
 
 
 def check_constraints(prob: OptProblem, p: np.ndarray) -> ConstraintSlacks:
@@ -334,7 +358,7 @@ def _rate_constraint_parts(prob: OptProblem, p_pos: np.ndarray):
     (u_j [m >= j] - z_j [m >= j+1])/ln2 and its Hessian is
     -(u_j^2 [m,q >= j] - z_j^2 [m,q >= j+1])/ln2.
     """
-    t_suf, w, u, z = _suffix_terms(prob, p_pos)
+    _, w, u, z = _suffix_terms(prob, p_pos)
     rates = np.log2(1.0 + p_pos / (prob._a_pos + w))
     return rates, u, z
 
@@ -381,7 +405,10 @@ def feasible_start(prob: OptProblem) -> PhaseOneResult:
     ]
     for cand in candidates:
         s1 = float((cand - prob.delta)[var].min())
-        s2 = prob.p_sum - float(cand.sum())
+        # the budget slack summed as barrier_solve sums it, in SIC-position
+        # order: a candidate on the budget to round-off can have a positive
+        # slack in user order and a zero one there
+        s2 = prob.p_sum - float(_to_pos(prob, cand).sum())
         s3 = min_rate_slack(cand)
         best_slack = max(best_slack, s3)
         if s1 > 0 and s2 > 0 and s3 > 0:
@@ -466,11 +493,11 @@ def barrier_solve(
     Minimizes t*f + phi for increasing t, where phi collects -log of the
     power-floor slacks, the budget slack, and (when a minimum rate is set)
     the rate slacks; stops once the duality-gap bound m/t drops below the
-    tolerance.  The Newton matrix is the per-beam objective blocks plus the
-    diagonal floor curvature, corrected for the budget's rank-one coupling
-    via the Sherman-Morrison identity; the minimum-rate path assembles the
-    dense system instead.  ``log`` receives one structured text line per
-    outer iteration.
+    tolerance.  The Newton matrix (the per-beam objective blocks, the
+    diagonal floor curvature, the budget's rank-one coupling and, with a
+    minimum rate, the rate-slack curvature) is assembled and solved as one
+    dense system.  ``log`` receives one structured text line per outer
+    iteration.
     """
     if params is None:
         params = BarrierParams()
@@ -619,7 +646,7 @@ def barrier_solve(
 
 
 def _dense_direction(prob, pp, t, g, blocks, diag, sigma):
-    """Assemble and solve the full Newton system (minimum-rate / fallback path)."""
+    """Assemble and solve the full Newton system over the free entries."""
     var = prob._var_pos
     n, k = var.shape
     live_idx = np.flatnonzero(var.ravel())

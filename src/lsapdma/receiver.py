@@ -155,14 +155,11 @@ def build_link_state(
     beams: BeamformerSet,
     power: PowerAllocation,
     sigma2: float,
-    *,
-    order_support: np.ndarray | None = None,
 ) -> LinkState:
     """Full receive chain for one drop: filters, gains, SIC orders, SINRs, rates.
 
-    The filters are matched to the supplied allocation's signal statistics.
-    ``order_support`` widens the per-beam SIC orders beyond the pattern
-    support (boolean (N, K)); by default only covered users are ordered.
+    The filters are matched to the supplied allocation's signal statistics;
+    each beam's SIC order covers the users its pattern row covers.
     """
     a = correlation_matrix(power)
     n_beams = power.pattern.n_beams
@@ -171,7 +168,7 @@ def build_link_state(
     for k, ch in enumerate(channels):
         filt = mmse_filter(ch, beams, a, sigma2)
         gains[:, k] = normalized_gains(filt, ch, beams, sigma2)
-    support = power.pattern.entries.astype(bool) if order_support is None else order_support
+    support = power.pattern.entries.astype(bool)
     orders = tuple(sic_order(gains[n], support[n]) for n in range(n_beams))
     sinrs = np.vstack([sinr(gains[n], power.entries[n], orders[n]) for n in range(n_beams)])
     rates = np.log2(1.0 + sinrs)

@@ -48,8 +48,15 @@ def test_config_validation():
         _cfg(p_sum_db=(0.0, 10.0), mu=(1.0, 2.0))
     with pytest.raises(ConfigError):
         _cfg(pattern_policy="fixed")
-    with pytest.raises(ConfigError):
-        _cfg(strict_pattern=True, r_min=0.5)
+    # a removed or misspelt key, or an unknown section, is named, not ignored
+    for text, names in (
+        ("[power]\nr_min = 0.5\n", ("[power]", "r_min")),
+        ("[experiment]\ndorps = 5\n", ("[experiment]", "dorps")),
+        ("[powr]\nmu = 2\n", ("[powr]",)),
+    ):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_text(text)
+        assert all(name in str(err.value) for name in names)
 
 
 def test_config_file_round_trip(tmp_path):

@@ -1,19 +1,21 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from lsapdma.optimizer import (
     LN2,
     BarrierParams,
     OptProblem,
     barrier_solve,
-    beam_workspace,
     check_constraints,
     feasible_start,
     gradient,
     hessian,
     objective,
+    water_fill,
 )
 from lsapdma.receiver import sic_order, sinr, sum_rate
 from lsapdma.rng import make_rng
@@ -159,12 +161,11 @@ def test_hessian_blocks_nonnegative_and_psd():
     for _ in range(30):
         prob = _random_problem(rng)
         p = rng.uniform(0.05, 2.0, prob.gains.shape)
-        ws = beam_workspace(prob, p)
-        assert (ws.alpha0 > 0).all()
-        if prob.n_users > 1:
-            assert (ws.beta >= -1e-15).all()
         for n in range(prob.n_beams):
-            assert np.linalg.eigvalsh(hessian(prob, p, n)).min() >= -1e-10
+            hess = hessian(prob, p, n)
+            assert hess[0, 0] > 0
+            assert (np.diff(np.diag(hess)) >= -1e-15).all()
+            assert np.linalg.eigvalsh(hess).min() >= -1e-10
 
 
 def test_hessian_matches_finite_differences():
@@ -199,16 +200,6 @@ def test_cross_beam_second_derivatives_vanish():
                 + objective(prob, p - e1 - e2)
             ) / (4 * step * step)
             assert abs(mixed) < 1e-8
-
-
-def test_workspace_suffix_sums():
-    rng = make_rng(6)
-    prob = _random_problem(rng, n=2, k=5)
-    p = rng.uniform(0.0, 1.0, (2, 5))
-    ws = beam_workspace(prob, p)
-    assert ws.w.shape == (2, 5)
-    assert np.all(ws.w[:, -1] == 0.0)
-    assert (np.diff(ws.w, axis=1) <= 1e-15).all()
 
 
 def test_objective_convexity_probe():
@@ -347,6 +338,56 @@ def test_barrier_trace_lines():
     assert sol.status == "converged"
 
 
+def _sic_rates(gains, p):
+    """Per-pair SIC rates, weakest decoded first, computed apart from the package."""
+    out = np.zeros(gains.shape)
+    for b in range(gains.shape[0]):
+        order = np.lexsort((np.arange(gains.shape[1]), gains[b]))
+        h2, pp = gains[b, order] ** 2, p[b, order]
+        later = np.cumsum(pp[::-1])[::-1] - pp
+        out[b, order] = np.log2(1.0 + h2 * pp / (1.0 + h2 * later))
+    return out
+
+
+def test_barrier_phase_one_start_has_budget_slack_in_solver_order():
+    # Pinned rate-floor instance (log-normal gains, N = 4, a 0-20 dB budget,
+    # anchor floors, a rate floor at 0.5-0.95 of the smallest rate of a
+    # weak-first ladder) whose SLSQP phase-I point sits on the budget: its
+    # slack is positive summed in user order and zero in SIC-position order,
+    # where a start once divided by it and ended after 0 Newton steps.
+    rng = np.random.default_rng(74)
+    n, k = 4, int(rng.choice([8, 10, 11, 13]))
+    gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
+    p_sum = 10.0 ** (rng.uniform(0.0, 20.0) / 10.0)
+    anchors = [(b, int(u)) for b, u in enumerate(rng.permutation(k)[:n])]
+    delta = OptProblem.build(gains, p_sum, selected=anchors).delta
+    orders = [sic_order(gains[b], np.ones(k, dtype=bool)) for b in range(n)]
+    ladder = np.zeros((n, k))
+    for b in range(n):
+        ladder[b, orders[b]] = 0.5 ** np.arange(k)
+    ladder = delta + ladder * (p_sum - delta.sum()) / ladder.sum() * 0.999
+    rates = np.concatenate([np.log2(1.0 + sinr(gains[b], ladder[b], orders[b])) for b in range(n)])
+    r_min = rng.uniform(0.5, 0.95) * float(rates.min())
+    prob = OptProblem.build(gains, p_sum, selected=anchors, r_min=r_min)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = barrier_solve(prob)
+    assert sol.iterations > 0
+    ref = minimize(
+        lambda x: -_sic_rates(gains, x.reshape(n, k)).sum(),
+        ladder.ravel(),
+        method="SLSQP",
+        bounds=[(d, None) for d in delta.ravel()],
+        constraints=[
+            {"type": "ineq", "fun": lambda x: _sic_rates(gains, x.reshape(n, k)).ravel() - r_min},
+            {"type": "ineq", "fun": lambda x: p_sum - x.sum()},
+        ],
+        options={"maxiter": 1000, "ftol": 1e-14},
+    )
+    assert ref.success
+    assert abs(sol.objective_value - -ref.fun) <= 1e-6
+
+
 def test_strict_support_pins_excluded_entries():
     h = np.ones((2, 3))
     support = np.array([[True, True, False], [True, False, True]])
@@ -370,3 +411,88 @@ def test_problem_validation():
         OptProblem.build(np.ones((1, 1)), 0.0)
     with pytest.raises(ValueError):
         OptProblem(gains=np.ones((1, 2)), p_sum=1.0, delta=np.full((1, 2), 0.6))
+
+
+def _anchored_problem(rng, strict, zero_row):
+    """N <= 4, K in [1, 2^N - 1], log-normal gains, a 0-40 dB budget and
+    floors of 1e-6 of it on one distinct anchor per beam (while users last).
+    ``strict`` restricts the support to a random pattern holding the anchors;
+    ``zero_row`` zeroes the last beam's gains when there are two or more."""
+    n = int(rng.integers(1, 5))
+    k = int(rng.integers(1, 2**n))
+    gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
+    if zero_row and n > 1:
+        gains[-1] = 0.0
+    p_sum = 10.0 ** (rng.uniform(0.0, 40.0) / 10.0)
+    users = rng.permutation(k)
+    anchors = [(b, int(users[b])) for b in range(min(n, k))]
+    support = None
+    if strict:
+        support = rng.random((n, k)) < 0.5
+        for pair in anchors:
+            support[pair] = True
+    return OptProblem.build(gains, p_sum, selected=anchors, support=support)
+
+
+def test_water_fill_never_below_the_barrier():
+    rng = make_rng(11)
+    for i in range(210):
+        prob = _anchored_problem(rng, strict=i % 3 == 0, zero_row=i % 7 == 0)
+        p = water_fill(prob)
+        slacks = check_constraints(prob, p)
+        assert slacks.g1.max() <= 0.0
+        assert abs(slacks.g2) <= 1e-12 * prob.p_sum
+        if prob.support is not None:
+            assert (p[~prob.support] == 0.0).all()
+        sol = barrier_solve(prob)
+        assert -objective(prob, p) >= sol.objective_value - 1e-9
+
+
+def test_water_fill_without_floors_is_waterfilling_over_the_strongest_users():
+    # oracle: bisection on the water level W of sum_n max(0, W - 1/h_max,n^2) = P
+    rng = make_rng(12)
+    for i in range(100):
+        n = int(rng.integers(1, 5))
+        gains = np.exp(rng.normal(0.0, 1.0, (n, int(rng.integers(1, 2**n)))))
+        if i % 5 == 0 and n > 1:
+            gains[0] = 0.0
+        p_sum = 10.0 ** (rng.uniform(0.0, 40.0) / 10.0)
+        prob = OptProblem(gains=gains, p_sum=p_sum, delta=np.zeros_like(gains))
+        h2 = gains.max(axis=1) ** 2
+        levels = 1.0 / h2[h2 > 0]
+        lo, hi = 0.0, p_sum + levels.max()
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.maximum(0.0, mid - levels).sum() < p_sum else (lo, mid)
+        want = float(np.log2(1.0 + np.maximum(0.0, lo - levels) / levels).sum())
+        assert -objective(prob, water_fill(prob)) == pytest.approx(want, rel=1e-12)
+
+
+def test_water_fill_matches_grid_search_on_the_solver_shapes():
+    # the instances of acceptance criterion 3
+    from test_acceptance import _grid_best
+
+    rng = make_rng(103)
+    shapes = [(1, 1)] * 10 + [(1, 2)] * 16 + [(2, 1)] * 8 + [(1, 3)] * 10 + [(3, 1)] * 6
+    for n, k in shapes:
+        h = np.sort(rng.uniform(0.3, 3.0, (n, k)), axis=1)
+        if n * k == 3:
+            p_sum = round(float(rng.uniform(0.15, 0.25)), 3)
+        else:
+            p_sum = round(float(rng.uniform(0.5, 1.5)), 3)
+        prob = OptProblem.build(h, p_sum)
+        assert abs(-objective(prob, water_fill(prob)) - _grid_best(h, p_sum)) <= 1e-3
+
+
+def test_water_fill_hand_values_support_and_rate_floor():
+    h = np.array([[1.0, 3.0, 2.0], [2.0, 1.0, 0.5]])
+    support = np.array([[True, False, True], [False, True, True]])
+    prob = OptProblem.build(h, 6.0, selected=[(0, 0), (1, 1)], epsilon=1e-6, support=support)
+    p = water_fill(prob)
+    # beam 0 serves user 2 (level 1/4), beam 1 its anchor, user 1 (level 1);
+    # 2W - 5/4 = 6 - 1e-6 sets the water level W
+    water = (6.0 - 1e-6 + 1.25) / 2.0
+    want = np.array([[1e-6, 0.0, water - 0.25], [0.0, water - 1.0, 0.0]])
+    assert np.allclose(p, want, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        water_fill(OptProblem.build(h, 6.0, r_min=0.1))
