@@ -25,7 +25,7 @@ from .pattern import (
     superpose,
     validate_pattern,
 )
-from .receiver import LinkState, SpatialFilter, mmse_filter, normalized_gain, sic_order, sinr, sum_rate
+from .receiver import LinkState, mmse_gains, sic_order, sinr, sum_rate
 from .optimizer import (
     BarrierParams,
     OptProblem,

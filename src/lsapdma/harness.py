@@ -46,7 +46,7 @@ from .pattern import (
     pnoma_pattern,
     simple_beam_allocation,
 )
-from .receiver import build_link_state, sinr, sum_rate
+from .receiver import link_states, sinr, sum_rate
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -258,7 +258,11 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ResultTable:
+    """The result rows, and the singular-channel redraws the run made, summed
+    over every drop and scheme evaluation."""
+
     rows: tuple[ResultRow, ...]
+    redraws: int = 0
 
 
 def _scheme_runs(cfg: ExperimentConfig):
@@ -320,7 +324,9 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
 
     The equal-split and fixed-ratio policies power only the pattern's pairs
     that the anchors do not null (``SelectedUserSet.nulled``); the optimal
-    policy is ``water_fill`` with the anchors' floors.
+    policy is ``water_fill`` with the anchors' floors.  One ``link_states``
+    call gives the links of every budget's equal split, and a mu sweep's
+    ladders are evaluated as one stack.
     """
     sigma2 = cfg.cell.noise_variance
     channels, pattern, omega, beams, redraws = _draw_drop(cfg, k, pattern_policy, state)
@@ -328,11 +334,9 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
 
     records = []
     mu_axis = cfg.sweep_axis == "mu"
-    for db in cfg.p_sum_db:
-        p_sum = 10.0 ** (db / 10.0)
-        p_init = equal_power(pattern, p_sum, nulled)
-        link = build_link_state(channels, beams, p_init, sigma2)
-
+    budgets = [10.0 ** (db / 10.0) for db in cfg.p_sum_db]
+    links = link_states(channels, beams, [equal_power(pattern, p_sum, nulled) for p_sum in budgets], sigma2)
+    for db, p_sum, link in zip(cfg.p_sum_db, budgets, links):
         def emit(rate, mu_value):
             if mu_axis:
                 # mu-independent runs (equal power, the power-domain baseline's
@@ -355,12 +359,18 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
         if power_policy == "equal":
             emit(sum_rate(link), None)
         elif power_policy == "fixed-ratio":
-            for mu in mus:
-                alloc = fixed_ratio_power(pattern, cfg.p0_ratio, mu, link.sic_orders, p_sum, nulled)
-                rate = sum(
-                    float(np.log2(1.0 + sinr(link.gains[n], alloc.entries[n], link.sic_orders[n])).sum())
-                    for n in range(cfg.n_beams)
-                )
+            ladders = np.stack(  # (M, N, K)
+                [
+                    fixed_ratio_power(pattern, cfg.p0_ratio, mu, link.sic_orders, p_sum, nulled).entries
+                    for mu in mus
+                ]
+            )
+            # each beam's rates summed over its users, then over the beams in order
+            rates = sum(
+                np.log2(1.0 + sinr(link.gains[n], ladders[:, n], link.sic_orders[n])).sum(axis=-1)
+                for n in range(cfg.n_beams)
+            )
+            for mu, rate in zip(mus, rates):
                 emit(rate, mu)
         else:  # optimal
             support = pattern.entries.astype(bool) if cfg.strict_pattern else None
@@ -407,9 +417,12 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False):
         per_drop = [_mc_task(task) for task in tasks]
 
     samples: dict[tuple[str, int, float], list[float]] = {}
+    redraws = 0
     for drop_records in per_drop:  # ordered by drop index
         for rec in drop_records:
             samples.setdefault((rec.scheme, rec.k_users, rec.sweep_value), []).append(rec.sum_rate)
+        # one scheme evaluation emits a record per sweep point, all with its redraws
+        redraws += sum({(rec.scheme, rec.k_users): rec.redraws for rec in drop_records}.values())
 
     rows = []
     for (scheme, k, sweep), values in samples.items():
@@ -426,7 +439,7 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False):
             )
         )
     rows.sort(key=lambda r: (r.sweep_value, r.scheme, r.k_users))
-    table = ResultTable(rows=tuple(rows))
+    table = ResultTable(rows=tuple(rows), redraws=redraws)
     if collect_samples:
         return table, {key: np.asarray(vals) for key, vals in samples.items()}
     return table
@@ -452,8 +465,8 @@ def emit_results(table: ResultTable, path, config_text: str | None = None):
     """Write the result table (CSV) and a run summary under ``path``.
 
     The CSV carries one row per (sweep, scheme, K) point with decimals at six
-    significant digits; the summary echoes the resolved configuration and a
-    version string.
+    significant digits; the summary records a version string, the row count
+    and the singular-channel redraws, and echoes the resolved configuration.
     """
     if not table.rows:
         raise ValueError("result table is empty")
@@ -469,7 +482,12 @@ def emit_results(table: ResultTable, path, config_text: str | None = None):
     csv_path.write_text("\n".join(lines) + "\n")
 
     summary_path = out_dir / "summary.txt"
-    parts = [f"version = {_version_string()}", f"rows = {len(table.rows)}", ""]
+    parts = [
+        f"version = {_version_string()}",
+        f"rows = {len(table.rows)}",
+        f"redraws = {table.redraws}",
+        "",
+    ]
     if config_text:
         parts += ["[config]", config_text]
     summary_path.write_text("\n".join(parts) + "\n")

@@ -87,7 +87,6 @@ class OptProblem:
         a_pos = np.full_like(h_pos, np.inf)
         live = h_pos > 0
         a_pos[live] = 1.0 / h_pos[live] ** 2
-        object.__setattr__(self, "_h_pos", h_pos)
         object.__setattr__(self, "_a_pos", a_pos)
         object.__setattr__(self, "_var_pos", np.take_along_axis(var, ord_mat, axis=1))
         object.__setattr__(self, "_delta_pos", np.take_along_axis(d, ord_mat, axis=1))

@@ -6,6 +6,15 @@ with an equivalent normalized amplitude gain h.  Within a beam, covered users
 are decoded in ascending order of h: a user at SIC position k sees only the
 powers of later-ordered (higher-gain) users as interference, and the
 last-ordered user decodes interference-free.
+
+The filters and gains of a drop come from one batched kernel,
+``mmse_gains``: the K users' channels stacked to (K, N_R, N_T), the D
+signal statistics (one per allocation, e.g. one equal split per budget)
+stacked to (D, N, N), one batched Cholesky solve for the (D, K, N_R, N)
+filters, and stacked products for the (D, N, K) gains.  ``link_states``
+adds the SIC orders and rates per allocation; ``build_link_state`` is its
+one-allocation case.  ``sinr`` takes one beam and a stack of power rows, so
+a sweep of power ladders costs one call per beam.
 """
 
 from __future__ import annotations
@@ -18,13 +27,6 @@ import scipy.linalg
 from .beamforming import BeamformerSet
 from .channel import ChannelMatrix
 from .pattern import PowerAllocation, correlation_matrix
-
-
-@dataclass(frozen=True)
-class SpatialFilter:
-    """Per-user MMSE receive matrix; column n estimates beam n's signal."""
-
-    matrix: np.ndarray  # (N_R, N)
 
 
 @dataclass(frozen=True)
@@ -42,66 +44,50 @@ class LinkState:
     rates: np.ndarray
 
 
-def mmse_filter(
-    channel: ChannelMatrix, beams: BeamformerSet, a_matrix: np.ndarray, sigma2: float
-) -> SpatialFilter:
-    """Linear MMSE estimate of the beam signal vector from one user's observation.
+def mmse_gains(
+    channels: list[ChannelMatrix], beams: BeamformerSet, a: np.ndarray, sigma2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE filters and equivalent gains of every user at every signal statistic.
 
-    V = (G F A F^H G^H + sigma2 I)^(-1) G F A, where A is the second moment
-    of the superposed beam signal.  The regularized matrix is Hermitian
-    positive definite, so a Cholesky-based solve always succeeds.
+    ``a`` stacks D second moments of the superposed beam signal, shape
+    (D, N, N).  For user k with channel G_k and statistic A_d the filter is
+
+        V = (G F A F^H G^H + sigma2 I)^(-1) G F A,
+
+    one batched Cholesky-based solve for all (d, k); the regularized matrix
+    is Hermitian positive definite, so the solve always succeeds.  Column n
+    of V estimates beam n's signal, and the (beam n, user k) link collapses
+    to the amplitude gain
+
+        h = sqrt(|v^H G f_n|^2 / (sum_{i != n} |v^H G f_i|^2 + sigma2 ||v||^2))
+
+    with v that column.  A zero filter column (a beam carrying nothing
+    toward the user) yields h = 0.  Returns the filters, shape
+    (D, K, N_R, N), and the gains, shape (D, N, K).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    g = channel.entries
-    f = beams.beam_matrix
-    a = np.asarray(a_matrix, dtype=float)
+    g = np.stack([ch.entries for ch in channels])  # (K, N_R, N_T)
+    f = beams.beam_matrix  # (N_T, N)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3:
+        raise ValueError("a must stack the second moments, shape (D, N, N)")
     if not (np.isfinite(g).all() and np.isfinite(a).all()):
         raise ValueError("non-finite inputs")
-    gfa = g @ f @ a
-    cov = gfa @ f.conj().T @ g.conj().T
-    cov = cov + sigma2 * np.eye(g.shape[0])
+    gfa = (g @ f)[None] @ a[:, None]  # (D, K, N_R, N)
+    cov = gfa @ f.conj().T @ g.conj().swapaxes(-1, -2)
+    cov = cov + sigma2 * np.eye(g.shape[1])
     v = scipy.linalg.solve(cov, gfa, assume_a="pos")
-    return SpatialFilter(matrix=v)
-
-
-def normalized_gain(
-    filt: SpatialFilter,
-    channel: ChannelMatrix,
-    beams: BeamformerSet,
-    sigma2: float,
-    beam: int,
-) -> float:
-    """Equivalent scalar amplitude gain of one (beam, user) link after filtering.
-
-    h = sqrt(|v^H G f_n|^2 / (sum_{i != n} |v^H G f_i|^2 + sigma2 ||v||^2))
-    with v the beam's filter column.  A zero filter column yields h = 0
-    (a beam carrying nothing toward this user contributes zero rate).
-    """
-    v = filt.matrix[:, beam]
-    if not np.any(v):
-        return 0.0
-    proj = v.conj() @ channel.entries @ beams.beam_matrix  # (N,)
+    proj = v.conj().swapaxes(-1, -2) @ g @ f  # (D, K, N, N): row n is v_n^H G F
     powers = np.abs(proj) ** 2
-    desired = powers[beam]
-    inter = powers.sum() - desired
-    return float(np.sqrt(desired / (inter + sigma2 * np.linalg.norm(v) ** 2)))
-
-
-def normalized_gains(
-    filt: SpatialFilter, channel: ChannelMatrix, beams: BeamformerSet, sigma2: float
-) -> np.ndarray:
-    """All beams' equivalent gains for one user (vectorized normalized_gain)."""
-    proj = filt.matrix.conj().T @ channel.entries @ beams.beam_matrix  # (N, N)
-    powers = np.abs(proj) ** 2
-    desired = np.diag(powers).copy()
-    inter = powers.sum(axis=1) - desired
-    vnorm2 = np.sum(np.abs(filt.matrix) ** 2, axis=0)
+    desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
+    inter = powers.sum(axis=-1) - desired
+    vnorm2 = np.sum(np.abs(v) ** 2, axis=-2)
     denom = inter + sigma2 * vnorm2
     h = np.zeros_like(desired)
     live = denom > 0  # only a zero filter column gives denom == 0
     h[live] = np.sqrt(desired[live] / denom[live])
-    return h
+    return v, np.ascontiguousarray(h.swapaxes(-1, -2))
 
 
 def sic_order(gains_row: np.ndarray, covered: np.ndarray) -> np.ndarray:
@@ -121,21 +107,23 @@ def sinr(gains_row: np.ndarray, power_row: np.ndarray, order: np.ndarray) -> np.
         gamma = h^2 p / (1 + h^2 * sum of later users' powers)
 
     and the last-ordered user sees no intra-beam interference.  Users not in
-    the order get gamma = 0.
+    the order get gamma = 0.  ``power_row`` may stack several power rows of
+    the beam, shape (..., K); the SINRs then have that shape.
     """
     h = np.asarray(gains_row, dtype=float)
     p = np.asarray(power_row, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be nonnegative")
     order = np.asarray(order, dtype=int)
-    out = np.zeros_like(h)
+    out = np.zeros(p.shape)
     if order.size == 0:
         return out
-    p_ord = p[order]
-    # suffix[k] = sum of powers at positions k+1..end
-    suffix = np.concatenate([np.cumsum(p_ord[::-1])[::-1][1:], [0.0]])
+    p_ord = p[..., order]
+    # suffix[..., k] = sum of powers at positions k+1..end, summed from the end
+    suffix = np.zeros_like(p_ord)
+    suffix[..., :-1] = np.cumsum(p_ord[..., ::-1], axis=-1)[..., -2::-1]
     h2 = h[order] ** 2
-    out[order] = h2 * p_ord / (1.0 + h2 * suffix)
+    out[..., order] = h2 * p_ord / (1.0 + h2 * suffix)
     return out
 
 
@@ -150,26 +138,34 @@ def sum_rate(link) -> float:
     return float(np.log2(1.0 + gammas).sum())
 
 
+def link_states(
+    channels: list[ChannelMatrix],
+    beams: BeamformerSet,
+    powers: list[PowerAllocation],
+    sigma2: float,
+) -> list[LinkState]:
+    """Full receive chain for one drop at each allocation: filters, gains,
+    SIC orders, SINRs, rates.
+
+    The filters are matched to each allocation's signal statistics, all in
+    one ``mmse_gains`` call; each beam's SIC order covers the users its
+    pattern row covers.
+    """
+    _, gains = mmse_gains(channels, beams, np.stack([correlation_matrix(p) for p in powers]), sigma2)
+    links = []
+    for h, power in zip(gains, powers):
+        support = power.pattern.entries.astype(bool)
+        orders = tuple(sic_order(row, covered) for row, covered in zip(h, support))
+        sinrs = np.vstack([sinr(row, p, order) for row, p, order in zip(h, power.entries, orders)])
+        links.append(LinkState(gains=h, sic_orders=orders, sinrs=sinrs, rates=np.log2(1.0 + sinrs)))
+    return links
+
+
 def build_link_state(
     channels: list[ChannelMatrix],
     beams: BeamformerSet,
     power: PowerAllocation,
     sigma2: float,
 ) -> LinkState:
-    """Full receive chain for one drop: filters, gains, SIC orders, SINRs, rates.
-
-    The filters are matched to the supplied allocation's signal statistics;
-    each beam's SIC order covers the users its pattern row covers.
-    """
-    a = correlation_matrix(power)
-    n_beams = power.pattern.n_beams
-    n_users = power.pattern.n_users
-    gains = np.zeros((n_beams, n_users))
-    for k, ch in enumerate(channels):
-        filt = mmse_filter(ch, beams, a, sigma2)
-        gains[:, k] = normalized_gains(filt, ch, beams, sigma2)
-    support = power.pattern.entries.astype(bool)
-    orders = tuple(sic_order(gains[n], support[n]) for n in range(n_beams))
-    sinrs = np.vstack([sinr(gains[n], power.entries[n], orders[n]) for n in range(n_beams)])
-    rates = np.log2(1.0 + sinrs)
-    return LinkState(gains=gains, sic_orders=orders, sinrs=sinrs, rates=rates)
+    """Full receive chain for one drop at one allocation (see ``link_states``)."""
+    return link_states(channels, beams, [power], sigma2)[0]

@@ -9,12 +9,13 @@ from lsapdma.harness import (
     ResultRow,
     ResultTable,
     _draw_drop,
+    _evaluate_scheme_drop,
     emit_results,
     run_drop,
     run_monte_carlo,
 )
 from lsapdma.pattern import equal_power, fixed_ratio_power, oma_pattern
-from lsapdma.receiver import build_link_state
+from lsapdma.receiver import build_link_state, sinr
 
 FAST_CELL = CellConfig()
 
@@ -185,6 +186,26 @@ def test_redraw_limit_raises_config_error(monkeypatch):
         run_drop(cfg, 0)
 
 
+def test_redraws_reach_the_table_and_the_summary(monkeypatch, tmp_path):
+    import lsapdma.harness as harness
+
+    real = harness.compute_zfbf
+    calls = []
+
+    def singular_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise harness.SingularChannelError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_zfbf", singular_once)
+    # a mu sweep replicates the records of one evaluation; its redraw counts once
+    table = run_monte_carlo(_cfg(schemes=("oma", "lsa-pdma"), mu=(1.0, 2.0), drops=2))
+    assert table.redraws == 1
+    _, summary_path = emit_results(table, tmp_path / "out")
+    assert "redraws = 1" in summary_path.read_text().splitlines()
+
+
 def test_monte_carlo_single_drop_zero_stderr():
     cfg = _cfg(drops=1)
     table = run_monte_carlo(cfg)
@@ -292,17 +313,23 @@ def test_mu_sweep_emits_horizontal_references():
 
 def test_power_policies_skip_pairs_the_anchors_null():
     # G_C F_C = I leaves round-off gains (~1e-13 of the user's large-scale
-    # amplitude) on the nulled pairs and real gains (>~1e-3) everywhere else
-    mus = (0.25, 1.0, 8.0)
+    # amplitude) on the nulled pairs and real gains (>~1e-3) everywhere else.
+    # The harness's rates for the whole mu sweep must equal, bit for bit,
+    # one sinr call per (mu, beam) summed over users, then over beams.
+    mus = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    budgets_db = (0.0, 20.0, 40.0)
     for n in (2, 3, 4):
         for k in range(n, 2**n):
-            cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), mu=mus)
+            cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), p_sum_db=budgets_db)
             for d in range(3):
                 state = np.random.SeedSequence(11, spawn_key=(n, k, d))
                 channels, pattern, omega, beams, _ = _draw_drop(cfg, k, "simple", state)
                 nulled = omega.nulled(pattern)
                 scale = np.sqrt([ch.large_scale_gain for ch in channels])
-                for db in (0.0, 20.0, 40.0):
+                records = iter(
+                    _evaluate_scheme_drop(cfg, "lsa-pdma-simple", k, "simple", "fixed-ratio", mus, state)
+                )
+                for db in budgets_db:
                     p_sum = 10.0 ** (db / 10.0)
                     equal = equal_power(pattern, p_sum, nulled)
                     link = build_link_state(channels, beams, equal, 1.0)
@@ -316,6 +343,14 @@ def test_power_policies_skip_pairs_the_anchors_null():
                         assert live[powered].all()
                         assert np.array_equal(powered, (pattern.entries == 1) & ~nulled)
                     assert not live[nulled].any()
+                    for alloc in allocs[1:]:
+                        rate = sum(
+                            float(np.log2(1.0 + sinr(link.gains[b], alloc.entries[b], order)).sum())
+                            for b, order in enumerate(link.sic_orders)
+                        )
+                        record = next(records)
+                        assert record.sweep_value == db
+                        assert record.sum_rate == rate
                 if k == 2**n - 1:
                     # every beam anchors its own diversity-1 user
                     assert not nulled.any()

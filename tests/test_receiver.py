@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lsapdma.beamforming import compute_zfbf, select_users
+from lsapdma.beamforming import BeamformerSet, SelectedUserSet, compute_zfbf, select_users
 from lsapdma.channel import ChannelMatrix, sample_channel
 from lsapdma.pattern import (
     PatternMatrix,
@@ -13,9 +16,8 @@ from lsapdma.pattern import (
 from lsapdma.receiver import (
     LinkState,
     build_link_state,
-    mmse_filter,
-    normalized_gain,
-    normalized_gains,
+    link_states,
+    mmse_gains,
     sic_order,
     sinr,
     sum_rate,
@@ -31,10 +33,35 @@ def _setup(k=5, seed=0, n_rx=4, n_tx=16):
     return chans, pattern, beams
 
 
+def _scalar_beams(n):
+    # n beams on an identity channel: g = f = I
+    eye = np.eye(n, dtype=complex)
+    return ChannelMatrix(entries=eye, large_scale_gain=1.0), BeamformerSet(
+        composite=eye,
+        beam_matrix=eye,
+        selected=SelectedUserSet(pairs=tuple((i, 0) for i in range(n))),
+        normalized=True,
+    )
+
+
 def test_mmse_zero_signal_zero_filter():
+    # the zero allocation: every filter and every gain is zero, with no
+    # division by the zero denominator
     chans, pattern, beams = _setup()
-    filt = mmse_filter(chans[0], beams, np.zeros((3, 3)), 1.0)
-    assert np.allclose(filt.matrix, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters, gains = mmse_gains(chans, beams, np.zeros((2, 3, 3)), 1.0)
+    assert np.allclose(filters, 0.0)
+    assert gains.shape == (2, 3, 5)
+    assert (gains == 0.0).all()
+
+
+def test_mmse_gains_rejects_bad_inputs():
+    chans, pattern, beams = _setup()
+    a = correlation_matrix(equal_power(pattern, 10.0))
+    for bad_a, sigma2 in ((a[None], 0.0), (np.full((1, 3, 3), np.nan), 1.0), (a, 1.0)):
+        with pytest.raises(ValueError):
+            mmse_gains(chans, beams, bad_a, sigma2)
 
 
 def test_mmse_high_noise_limit():
@@ -44,9 +71,9 @@ def test_mmse_high_noise_limit():
     g = chans[1].entries
     cov = g @ beams.beam_matrix @ a @ beams.beam_matrix.conj().T @ g.conj().T
     sigma2 = 1e6 * np.linalg.norm(cov, 2)
-    filt = mmse_filter(chans[1], beams, a, sigma2)
+    v = mmse_gains(chans, beams, a[None], sigma2)[0][0, 1]
     approx = g @ beams.beam_matrix @ a / sigma2
-    rel = np.linalg.norm(filt.matrix - approx) / np.linalg.norm(filt.matrix)
+    rel = np.linalg.norm(v - approx) / np.linalg.norm(v)
     assert rel < 0.01
 
 
@@ -66,60 +93,47 @@ def test_mmse_minimizes_analytic_mse():
             + np.trace(v.conj().T @ cov @ v).real
         )
 
-    filt = mmse_filter(chans[2], beams, a, 1.0)
-    base = mse(filt.matrix)
+    v = mmse_gains(chans, beams, a[None], 1.0)[0][0, 2]
+    base = mse(v)
     rng = make_rng(3)
-    scale = 1e-3 * np.linalg.norm(filt.matrix)
+    scale = 1e-3 * np.linalg.norm(v)
     for _ in range(100):
-        delta = rng.standard_normal(filt.matrix.shape) + 1j * rng.standard_normal(filt.matrix.shape)
+        delta = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
         delta *= scale / np.linalg.norm(delta)
-        assert mse(filt.matrix + delta) >= base - 1e-12
+        assert mse(v + delta) >= base - 1e-12
 
 
 def test_normalized_gain_scalar_case():
-    # one beam, scalar v = g = f = 1, unit noise: h = 1
-    ch = ChannelMatrix(entries=np.array([[1.0 + 0j]]), large_scale_gain=1.0)
-    from lsapdma.beamforming import BeamformerSet, SelectedUserSet
-
-    beams = BeamformerSet(
-        composite=np.array([[1.0 + 0j]]),
-        beam_matrix=np.array([[1.0 + 0j]]),
-        selected=SelectedUserSet(pairs=((0, 0),)),
-        normalized=True,
-    )
-    from lsapdma.receiver import SpatialFilter
-
-    filt = SpatialFilter(matrix=np.array([[1.0 + 0j]]))
-    assert normalized_gain(filt, ch, beams, 1.0, 0) == pytest.approx(1.0)
-    # h scales as 1/sigma in the single-beam case
-    assert normalized_gain(filt, ch, beams, 4.0, 0) == pytest.approx(0.5)
+    # one beam, g = f = 1: v = a / (a + sigma2) is nonzero, and h = 1/sigma
+    # whatever the signal power
+    ch, beams = _scalar_beams(1)
+    a = np.array([1e-2, 1.0, 1e2]).reshape(3, 1, 1)
+    for sigma2, h in ((1.0, 1.0), (4.0, 0.5)):
+        gains = mmse_gains([ch], beams, a, sigma2)[1]
+        assert gains == pytest.approx(np.full((3, 1, 1), h))
 
 
 def test_normalized_gain_zero_filter_column():
-    ch = ChannelMatrix(entries=np.array([[1.0 + 0j]]), large_scale_gain=1.0)
-    from lsapdma.beamforming import BeamformerSet, SelectedUserSet
-    from lsapdma.receiver import SpatialFilter
-
-    beams = BeamformerSet(
-        composite=np.array([[1.0 + 0j]]),
-        beam_matrix=np.array([[1.0 + 0j]]),
-        selected=SelectedUserSet(pairs=((0, 0),)),
-        normalized=True,
-    )
-    filt = SpatialFilter(matrix=np.array([[0.0 + 0j]]))
-    assert normalized_gain(filt, ch, beams, 1.0, 0) == 0.0
+    # a beam carrying nothing gets a zero filter column and h = 0; the
+    # other beam keeps h = 1/sigma
+    ch, beams = _scalar_beams(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters, gains = mmse_gains([ch], beams, np.diag([1.0, 0.0])[None], 1.0)
+    assert not filters[0, 0, :, 1].any()
+    assert gains[0, 1, 0] == 0.0
+    assert gains[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_normalized_gain_matches_independent_accumulation():
     chans, pattern, beams = _setup(seed=4)
     a = correlation_matrix(equal_power(pattern, 10.0))
     sigma2 = 1.0
+    filters, gains = mmse_gains(chans, beams, a[None], sigma2)
     for k in (0, 2, 4):
-        filt = mmse_filter(chans[k], beams, a, sigma2)
-        fast = normalized_gains(filt, chans[k], beams, sigma2)
         for n in range(3):
             # separately written numerator/denominator accumulation
-            v = filt.matrix[:, n]
+            v = filters[0, k, :, n]
             num = 0.0 + 0.0j
             for rx in range(4):
                 for tx in range(16):
@@ -134,8 +148,57 @@ def test_normalized_gain_matches_independent_accumulation():
                         term += np.conj(v[rx]) * chans[k].entries[rx, tx] * beams.beam_matrix[tx, i]
                 denom += abs(term) ** 2
             expected = np.sqrt(abs(num) ** 2 / denom)
-            assert normalized_gain(filt, chans[k], beams, sigma2, n) == pytest.approx(expected, rel=1e-10)
-            assert fast[n] == pytest.approx(expected, rel=1e-10)
+            assert gains[0, n, k] == pytest.approx(expected, rel=1e-10)
+
+
+def _per_user_gains(channels, beams, a, sigma2):
+    """One user and one beam at a time: a 2-D solve per user, then each
+    beam's projections, interference and noise summed term by term."""
+    f = beams.beam_matrix
+    n_beams = f.shape[1]
+    h = np.zeros((n_beams, len(channels)))
+    for k, ch in enumerate(channels):
+        g = ch.entries
+        gfa = g @ f @ a
+        cov = gfa @ f.conj().T @ g.conj().T + sigma2 * np.eye(g.shape[0])
+        v = scipy.linalg.solve(cov, gfa, assume_a="pos")
+        proj = v.conj().T @ g @ f
+        for n in range(n_beams):
+            if not v[:, n].any():
+                continue
+            desired = abs(proj[n, n]) ** 2
+            inter = sum(abs(proj[n, i]) ** 2 for i in range(n_beams) if i != n)
+            noise = sigma2 * sum(abs(x) ** 2 for x in v[:, n])
+            h[n, k] = np.sqrt(desired / (inter + noise))
+    return h
+
+
+def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
+    # every shape N <= K <= 2^N - 1, budgets 0-40 dB, nulled pairs present:
+    # the batched kernel against a per-user loop, and a D-budget stack
+    # against D one-allocation chains bit for bit
+    saw_nulled = False
+    for n in (2, 3, 4):
+        for k in range(n, 2**n):
+            chans = [sample_channel(4, 16, 1.0, make_rng(n, k, i)) for i in range(k)]
+            pattern = simple_beam_allocation(n, k, range(k))
+            omega = select_users(chans, pattern, np.arange(1.0, k + 1.0))
+            beams = compute_zfbf(chans, omega)
+            nulled = omega.nulled(pattern)
+            saw_nulled |= nulled.any()
+            allocs = [equal_power(pattern, 10.0 ** (db / 10.0), nulled) for db in (0.0, 20.0, 40.0)]
+            a = np.stack([correlation_matrix(p) for p in allocs])
+            _, gains = mmse_gains(chans, beams, a, 1.0)
+            links = link_states(chans, beams, allocs, 1.0)
+            for d, alloc in enumerate(allocs):
+                ref = _per_user_gains(chans, beams, a[d], 1.0)
+                assert np.all(np.abs(gains[d] - ref) <= 1e-13 * ref)
+                single = build_link_state(chans, beams, alloc, 1.0)
+                for link in (single, links[d]):
+                    assert np.array_equal(link.gains, gains[d])
+                assert np.array_equal(single.sinrs, links[d].sinrs)
+                assert all(map(np.array_equal, single.sic_orders, links[d].sic_orders))
+    assert saw_nulled
 
 
 def test_sic_order_sorts_ascending_with_ties():
@@ -185,11 +248,11 @@ def test_mimo_and_scalar_models_agree():
     chans, pattern, beams = _setup(seed=6)
     sigma2 = 1.0
     alloc = equal_power(pattern, 10.0)
-    a = correlation_matrix(alloc)
+    filters, _ = mmse_gains(chans, beams, correlation_matrix(alloc)[None], sigma2)
     link = build_link_state(chans, beams, alloc, sigma2)
     for k in range(5):
-        filt = mmse_filter(chans[k], beams, a, sigma2)
-        proj = filt.matrix.conj().T @ chans[k].entries @ beams.beam_matrix
+        v = filters[0, k]
+        proj = v.conj().T @ chans[k].entries @ beams.beam_matrix
         powers = np.abs(proj) ** 2
         for n in range(3):
             if alloc.entries[n, k] == 0:
@@ -199,7 +262,7 @@ def test_mimo_and_scalar_models_agree():
             later = order[pos + 1 :]
             desired = powers[n, n] * alloc.entries[n, k]
             inter_beam = powers[n].sum() - powers[n, n]
-            noise = sigma2 * np.linalg.norm(filt.matrix[:, n]) ** 2
+            noise = sigma2 * np.linalg.norm(v[:, n]) ** 2
             intra = powers[n, n] * alloc.entries[n, later].sum()
             direct = desired / (inter_beam + noise + intra)
             rel = abs(direct - link.sinrs[n, k]) / direct
