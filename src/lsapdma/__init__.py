@@ -17,6 +17,7 @@ from .pattern import (
     PowerAllocation,
     SuperposedSignal,
     correlation_matrix,
+    fixed_ratio_ladders,
     fixed_ratio_power,
     oma_pattern,
     overload_ratio,

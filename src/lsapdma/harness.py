@@ -39,7 +39,7 @@ from .optimizer import OptProblem, objective, water_fill
 from .pattern import (
     PatternMatrix,
     equal_power,
-    fixed_ratio_power,
+    fixed_ratio_ladders,
     format_pattern_text,
     oma_pattern,
     parse_pattern_text,
@@ -62,7 +62,8 @@ class ExperimentConfig:
     """One experiment: cell, array, schemes, sweeps, and output destination.
 
     Exactly one of ``p_sum_db`` / ``mu`` may hold more than one value; that
-    list is the sweep axis of the emitted table.  For the baselines the user
+    list is the sweep axis of the emitted table.  The values of ``users``,
+    ``p_sum_db`` and ``mu`` must be distinct.  For the baselines the user
     count is forced (N for oma, 2N for pnoma); ``users`` applies to the
     pattern-mapped scheme.
 
@@ -115,6 +116,11 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"lsa-pdma needs N <= K <= 2^N - 1, got K={k} for N={self.n_beams}"
                     )
+        for name in ("users", "p_sum_db", "mu"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                # two evaluations of one drop would land in one result row
+                raise ConfigError(f"{name} repeats a value: {', '.join(f'{v:g}' for v in values)}")
         if len(self.p_sum_db) > 1 and len(self.mu) > 1:
             raise ConfigError("only one of p_sum_db and mu may sweep")
         if self.pattern_policy == "fixed":
@@ -326,7 +332,7 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
     that the anchors do not null (``SelectedUserSet.nulled``); the optimal
     policy is ``water_fill`` with the anchors' floors.  One ``link_states``
     call gives the links of every budget's equal split, and a mu sweep's
-    ladders are evaluated as one stack.
+    ladders are built, validated and evaluated as one (M, N, K) stack.
     """
     sigma2 = cfg.cell.noise_variance
     channels, pattern, omega, beams, redraws = _draw_drop(cfg, k, pattern_policy, state)
@@ -359,12 +365,7 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
         if power_policy == "equal":
             emit(sum_rate(link), None)
         elif power_policy == "fixed-ratio":
-            ladders = np.stack(  # (M, N, K)
-                [
-                    fixed_ratio_power(pattern, cfg.p0_ratio, mu, link.sic_orders, p_sum, nulled).entries
-                    for mu in mus
-                ]
-            )
+            ladders = fixed_ratio_ladders(pattern, cfg.p0_ratio, mus, link.sic_orders, p_sum, nulled)
             # each beam's rates summed over its users, then over the beams in order
             rates = sum(
                 np.log2(1.0 + sinr(link.gains[n], ladders[:, n], link.sic_orders[n])).sum(axis=-1)

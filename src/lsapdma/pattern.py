@@ -5,10 +5,18 @@ one means the beam carries that user's symbol.  A user's diversity is its
 column weight, a beam's overlap is its row weight, and the overload ratio is
 K/N.  The power matrix shares the pattern's support; merging both gives the
 mapping the transmitter applies to the symbol vector.
+
+The simple policy's column sequence depends only on (N, K), so it is built
+once per process and each drop only assigns it to users by weakness.  Power
+matrices are checked by one routine, ``_check_powers``, which takes a stack
+of shape (..., N, K): ``PowerAllocation`` runs it on one matrix, and
+``fixed_ratio_ladders`` fills the ladders of a whole gain-factor sweep in
+one pass over the beams and runs it once on the (M, N, K) stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -175,13 +183,31 @@ def _diversity_profile(n: int, k: int) -> dict[int, int]:
     return counts
 
 
+@functools.lru_cache(maxsize=32)
+def _simple_columns(n_beams: int, n_users: int) -> np.ndarray:
+    """The simple policy's column sequence, read-only, shape (N, K).
+
+    Column r goes to the user of weakness rank r: nonincreasing weight (the
+    all-ones column first), class sizes from the balanced profile, and
+    load-evening picks within a class.
+    """
+    groups = _columns_by_weight(n_beams)
+    counts = _diversity_profile(n_beams, n_users)
+    loads = np.zeros(n_beams, dtype=int)
+    cols: list[tuple[int, ...]] = []
+    for w in range(n_beams, 0, -1):
+        cols.extend(_pick_class_columns(groups[w], counts[w], loads))
+    out = np.array(cols, dtype=int).T
+    out.setflags(write=False)
+    return out
+
+
 def simple_beam_allocation(n_beams: int, n_users: int, weakest_first) -> PatternMatrix:
     """Deterministic diversity-to-weakness beam allocation.
 
-    Builds a column sequence of nonincreasing weight (the all-ones column
-    first, class sizes from the balanced profile, load-evening picks within
-    a class) and assigns it to users in the given weakest-first order, so
-    weaker users get at least the diversity of stronger ones.
+    Assigns the column sequence of ``_simple_columns`` to users in the given
+    weakest-first order, so weaker users get at least the diversity of
+    stronger ones.
 
     ``weakest_first`` is a permutation of user indices, weakest user first.
     """
@@ -192,15 +218,8 @@ def simple_beam_allocation(n_beams: int, n_users: int, weakest_first) -> Pattern
     order = list(weakest_first)
     if sorted(order) != list(range(n_users)):
         raise ValueError("weakest_first must be a permutation of range(n_users)")
-    groups = _columns_by_weight(n_beams)
-    counts = _diversity_profile(n_beams, n_users)
-    loads = np.zeros(n_beams, dtype=int)
-    cols: list[tuple[int, ...]] = []
-    for w in range(n_beams, 0, -1):
-        cols.extend(_pick_class_columns(groups[w], counts[w], loads))
     entries = np.zeros((n_beams, n_users), dtype=int)
-    for rank, user in enumerate(order):
-        entries[:, user] = cols[rank]
+    entries[:, order] = _simple_columns(n_beams, n_users)
     return PatternMatrix(entries)
 
 
@@ -253,18 +272,32 @@ class PowerAllocation:
             if nulled.shape != p.shape:
                 raise ValueError("nulled mask must match the pattern shape")
             object.__setattr__(self, "nulled", nulled)
-        if (p < 0).any():
-            raise ValueError("powers must be nonnegative")
-        if ((p > 0) != _powered_support(self.pattern, self.nulled)).any():
-            raise ValueError("power support must match the pattern support less its nulled pairs")
-        if self.p_sum is not None and p.sum() > self.p_sum + 1e-9:
-            raise ValueError("total power exceeds the budget")
+        _check_powers(p, _powered_support(self.pattern, self.nulled), self.p_sum)
 
 
 def _powered_support(pattern: PatternMatrix, nulled) -> np.ndarray:
     """The pattern's covered pairs less the nulled ones."""
     covered = pattern.entries == 1
     return covered if nulled is None else covered & ~np.asarray(nulled, dtype=bool)
+
+
+def _check_powers(p: np.ndarray, support: np.ndarray, p_sum: float | None) -> None:
+    """Raise unless every matrix of the stack ``p``, shape (..., N, K), is
+    nonnegative, positive exactly on ``support`` and, when ``p_sum`` is
+    given, within the budget.
+
+    A matrix scaled to sum to ``p_sum`` carries rounding of up to about one
+    ulp of ``p_sum`` per entry, so the budget allows that much and no more:
+    the slack scales with the budget.
+    """
+    if (p < 0).any():
+        raise ValueError("powers must be nonnegative")
+    if ((p > 0) != support).any():
+        raise ValueError("power support must match the pattern support less its nulled pairs")
+    if p_sum is not None:
+        slack = (p.shape[-2] * p.shape[-1] + 2) * np.spacing(p_sum)
+        if (p.sum(axis=(-2, -1)) > p_sum + slack).any():
+            raise ValueError("total power exceeds the budget")
 
 
 @dataclass(frozen=True)
@@ -280,6 +313,45 @@ class SuperposedSignal:
             raise ValueError("signal must be a finite vector")
 
 
+def fixed_ratio_ladders(
+    pattern: PatternMatrix,
+    p0: float,
+    mus,
+    sic_orders,
+    p_sum: float,
+    nulled: np.ndarray | None = None,
+) -> np.ndarray:
+    """Geometric power ladders within each beam, one per gain factor, shape (M, N, K).
+
+    For ``mus[m]`` = mu, within beam n the powered users (covered and not
+    ``nulled``), taken in the supplied ascending-gain order, get powers p0,
+    mu*p0, mu^2*p0, ...; one constant per ladder then scales the whole
+    matrix so its total equals ``p_sum``.  ``sic_orders[n]`` must list each
+    user covered by beam n exactly once; nulled users keep their place in it
+    but get no power.  Every ladder passes the checks a ``PowerAllocation``
+    makes, run once on the stack.
+    """
+    mus = np.asarray(mus, dtype=float)
+    if mus.ndim != 1:
+        raise ValueError("mus must be a sequence of gain factors")
+    if p0 <= 0 or (mus <= 0).any():
+        raise ValueError("p0 and mu must be positive")
+    if p_sum <= 0:
+        raise ValueError("p_sum must be positive")
+    b = pattern.entries
+    support = _powered_support(pattern, nulled)
+    ladders = np.zeros((len(mus), *b.shape))
+    for n in range(pattern.n_beams):
+        order = np.asarray(sic_orders[n], dtype=int)
+        if not np.array_equal(np.sort(order), np.flatnonzero(b[n])):
+            raise ValueError(f"sic_orders[{n}] must list each user covered by beam {n} once")
+        powered = order[support[n, order]]
+        ladders[:, n, powered] = p0 * mus[:, None] ** np.arange(len(powered))
+    ladders *= (p_sum / ladders.sum(axis=(1, 2)))[:, None, None]
+    _check_powers(ladders, support, p_sum)
+    return ladders
+
+
 def fixed_ratio_power(
     pattern: PatternMatrix,
     p0: float,
@@ -288,29 +360,8 @@ def fixed_ratio_power(
     p_sum: float,
     nulled: np.ndarray | None = None,
 ) -> PowerAllocation:
-    """Geometric power ladder within each beam, rescaled to the total budget.
-
-    Within beam n the powered users (covered and not ``nulled``), taken in
-    the supplied ascending-gain order, get powers p0, mu*p0, mu^2*p0, ...;
-    one global constant then scales the whole matrix so the total equals
-    ``p_sum`` exactly.  ``sic_orders[n]`` must enumerate every user covered
-    by beam n; nulled users keep their place in it but get no power.
-    """
-    if p0 <= 0 or mu <= 0:
-        raise ValueError("p0 and mu must be positive")
-    if p_sum <= 0:
-        raise ValueError("p_sum must be positive")
-    b = pattern.entries
-    support = _powered_support(pattern, nulled)
-    entries = np.zeros(b.shape, dtype=float)
-    for n in range(pattern.n_beams):
-        order = np.asarray(sic_orders[n], dtype=int)
-        covered = set(np.flatnonzero(b[n]).tolist())
-        if set(order.tolist()) != covered:
-            raise ValueError(f"sic_orders[{n}] must enumerate the users covered by beam {n}")
-        powered = order[support[n, order]]
-        entries[n, powered] = p0 * mu ** np.arange(len(powered))
-    entries *= p_sum / entries.sum()
+    """The ladder of one gain factor ``mu`` (see ``fixed_ratio_ladders``)."""
+    entries = fixed_ratio_ladders(pattern, p0, [mu], sic_orders, p_sum, nulled)[0]
     return PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum, nulled=nulled)
 
 

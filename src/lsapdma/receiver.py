@@ -12,14 +12,18 @@ The filters and gains of a drop come from one batched kernel,
 signal statistics (one per allocation, e.g. one equal split per budget)
 stacked to (D, N, N), one batched Cholesky solve for the (D, K, N_R, N)
 filters, and stacked products for the (D, N, K) gains.  ``link_states``
-adds the SIC orders and rates per allocation; ``build_link_state`` is its
-one-allocation case.  ``sinr`` takes one beam and a stack of power rows, so
-a sweep of power ladders costs one call per beam.
+pairs each allocation with its gains as a ``LinkState``, whose SIC orders,
+SINRs and rates are worked out on first read, so a caller that reads only
+the gains (the optimal policy) or the orders (the fixed-ratio ladders)
+pays for nothing else; ``build_link_state`` is its one-allocation case.
+``sinr`` takes one beam and a stack of power rows, so a sweep of power
+ladders costs one call per beam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -31,17 +35,31 @@ from .pattern import PowerAllocation, correlation_matrix
 
 @dataclass(frozen=True)
 class LinkState:
-    """Scalarized link quantities for one drop.
+    """Scalarized link quantities for one drop at one allocation.
 
-    ``gains`` holds the noise-normalized amplitude gains h (beams x users),
-    ``sic_orders`` the per-beam decoding orders (ascending gain, covered
-    users only), and ``sinrs``/``rates`` the per-pair results.
+    ``gains`` holds the noise-normalized amplitude gains h (beams x users)
+    and ``power`` the allocation they serve.  ``sic_orders`` (the per-beam
+    decoding orders: ascending gain, covered users only), ``sinrs`` and
+    ``rates`` (the per-pair results) are computed from those two on first
+    read and kept.
     """
 
     gains: np.ndarray
-    sic_orders: tuple[np.ndarray, ...]
-    sinrs: np.ndarray
-    rates: np.ndarray
+    power: PowerAllocation
+
+    @cached_property
+    def sic_orders(self) -> tuple[np.ndarray, ...]:
+        support = self.power.pattern.entries.astype(bool)
+        return tuple(sic_order(row, covered) for row, covered in zip(self.gains, support))
+
+    @cached_property
+    def sinrs(self) -> np.ndarray:
+        rows = zip(self.gains, self.power.entries, self.sic_orders)
+        return np.vstack([sinr(h, p, order) for h, p, order in rows])
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        return np.log2(1.0 + self.sinrs)
 
 
 def mmse_gains(
@@ -144,21 +162,13 @@ def link_states(
     powers: list[PowerAllocation],
     sigma2: float,
 ) -> list[LinkState]:
-    """Full receive chain for one drop at each allocation: filters, gains,
-    SIC orders, SINRs, rates.
-
-    The filters are matched to each allocation's signal statistics, all in
-    one ``mmse_gains`` call; each beam's SIC order covers the users its
-    pattern row covers.
+    """Receive chain for one drop at each allocation: the filters matched to
+    each allocation's signal statistics, all in one ``mmse_gains`` call, and
+    the gains they give.  The SIC orders, SINRs and rates follow on first
+    read (see ``LinkState``).
     """
     _, gains = mmse_gains(channels, beams, np.stack([correlation_matrix(p) for p in powers]), sigma2)
-    links = []
-    for h, power in zip(gains, powers):
-        support = power.pattern.entries.astype(bool)
-        orders = tuple(sic_order(row, covered) for row, covered in zip(h, support))
-        sinrs = np.vstack([sinr(row, p, order) for row, p, order in zip(h, power.entries, orders)])
-        links.append(LinkState(gains=h, sic_orders=orders, sinrs=sinrs, rates=np.log2(1.0 + sinrs)))
-    return links
+    return [LinkState(gains=h, power=power) for h, power in zip(gains, powers)]
 
 
 def build_link_state(

@@ -1,5 +1,10 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from lsapdma import receiver
 
 from lsapdma.channel import CellConfig
 from lsapdma.harness import (
@@ -58,6 +63,15 @@ def test_config_validation():
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_text(text)
         assert all(name in str(err.value) for name in names)
+
+
+def test_config_rejects_repeated_sweep_values():
+    # a repeat would put two evaluations of each drop into one result row
+    for field, values in (("users", (5, 5)), ("p_sum_db", (10.0, 10.0)), ("mu", (1.0, 1.0, 2.0))):
+        with pytest.raises(ConfigError, match=field):
+            _cfg(schemes=("lsa-pdma",), **{field: values})
+    with pytest.raises(ConfigError, match="users"):
+        ExperimentConfig.from_text("[experiment]\nusers = 5, 5\n")
 
 
 def test_config_file_round_trip(tmp_path):
@@ -369,3 +383,28 @@ def test_k_equals_n_fixed_ratio_matches_oma():
             assert set(pdma) == set(mus)
             for mu in mus:
                 assert abs(pdma[mu] - oma[mu]) <= 1e-9 * oma[mu]
+
+
+def test_only_the_equal_policy_computes_sinrs_in_the_receiver(monkeypatch):
+    # the optimal policy reads only the gains of its links, so a run of it
+    # alone makes no receiver-side sinr call; the equal policy's sum rate does
+    calls = []
+    real = receiver.sinr
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(receiver, "sinr", counted)
+    run_drop(_cfg(schemes=("lsa-pdma",), users=(6,), policies=("optimal",), p_sum_db=(0.0, 20.0)), 4)
+    assert calls == []
+    run_drop(_cfg(schemes=("oma",)), 4)
+    assert len(calls) == 3  # one per beam
+
+
+def test_fig4_runs_at_high_budgets():
+    # the budget check scales with p_sum: at 80 dB a fixed budget slack of
+    # 1e-9 rejected the ladders' rounding
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
+    table = run_monte_carlo(dataclasses.replace(cfg, p_sum_db=(80.0,), drops=2, workers=1))
+    assert all(row.drops == 2 and row.mean_sum_rate > 0 for row in table.rows)

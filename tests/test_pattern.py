@@ -1,13 +1,19 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lsapdma.beamforming import select_users
+from lsapdma.channel import sample_channel
+from lsapdma.harness import ExperimentConfig
 from lsapdma.pattern import (
     PatternMatrix,
     PowerAllocation,
+    _simple_columns,
     correlation_matrix,
     equal_power,
+    fixed_ratio_ladders,
     fixed_ratio_power,
     format_pattern_text,
     oma_pattern,
@@ -19,6 +25,8 @@ from lsapdma.pattern import (
     validate_pattern,
 )
 from lsapdma.rng import make_rng
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 B35 = np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]])
 
@@ -54,6 +62,15 @@ def test_simple_allocation_exhaustive_validity():
             assert validate_pattern(got.entries) is None
             d = got.diversity()
             assert all(d[i] >= d[i + 1] for i in range(k - 1))
+
+
+def test_simple_columns_are_shared_and_read_only():
+    cols = _simple_columns(3, 5)
+    assert _simple_columns(3, 5) is cols
+    assert not cols.flags.writeable
+    got = simple_beam_allocation(3, 5, [4, 3, 2, 1, 0])
+    got.entries[:] = 0  # a drop's pattern is its own copy
+    assert np.array_equal(simple_beam_allocation(3, 5, range(5)).entries, B35)
 
 
 def test_simple_allocation_bounds():
@@ -138,6 +155,80 @@ def test_fixed_ratio_rejects_bad_order():
     orders[1] = orders[1][:-1]
     with pytest.raises(ValueError):
         fixed_ratio_power(pattern, 1.0, 2.0, orders, 5.0)
+
+
+def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
+    # [0, 0, 1] names both covered users, but would give user 0 mu*p0 and
+    # user 1 mu^2*p0
+    pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
+    with pytest.raises(ValueError, match="once"):
+        fixed_ratio_power(pattern, 1.0, 2.0, [np.array([0, 0, 1])], 3.0)
+    orders = [np.flatnonzero(row) for row in B35]
+    orders[0] = np.array([0, 1, 3, 3])
+    with pytest.raises(ValueError, match="once"):
+        fixed_ratio_ladders(PatternMatrix(B35), 1.0, [0.5, 2.0], orders, 5.0)
+
+
+def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
+    """One gain factor at a time, beam by beam, scaled by the matrix's sum."""
+    b = pattern.entries
+    support = (b == 1) & ~nulled
+    entries = np.zeros(b.shape, dtype=float)
+    for n in range(b.shape[0]):
+        order = np.asarray(sic_orders[n], dtype=int)
+        powered = order[support[n, order]]
+        entries[n, powered] = p0 * mu ** np.arange(len(powered))
+    entries *= p_sum / entries.sum()
+    return entries
+
+
+def test_fixed_ratio_ladders_match_a_per_mu_reference():
+    # every shape N <= K <= 2^N - 1, fig4's gain factors and the power-domain
+    # baseline's, budgets 0-40 dB, nulled pairs present: the stack equals the
+    # per-mu ladders bit for bit, and so does fixed_ratio_power.  fig4's
+    # factors are powers of two, whose ladders sum exactly in any order, so
+    # two that are not join them.
+    fig4 = ExperimentConfig.from_file(CONFIGS / "fig4.cfg")
+    mus = fig4.mu + (fig4.pnoma_mu, 0.3, 1.7)
+    saw_nulled = False
+    for n in (2, 3, 4):
+        for k in range(n, 2**n):
+            rng = make_rng(n, k)
+            chans = [sample_channel(4, 16, 1.0, make_rng(n, k, i)) for i in range(k)]
+            pattern = simple_beam_allocation(n, k, rng.permutation(k))
+            nulled = select_users(chans, pattern, rng.uniform(0.1, 1.0, k)).nulled(pattern)
+            saw_nulled |= nulled.any()
+            orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
+            for db in (0.0, 20.0, 40.0):
+                p_sum = 10.0 ** (db / 10.0)
+                for p0 in (fig4.p0_ratio, 0.37):
+                    ladders = fixed_ratio_ladders(pattern, p0, mus, orders, p_sum, nulled)
+                    assert ladders.shape == (len(mus), n, k)
+                    for mu, ladder in zip(mus, ladders):
+                        ref = _ladder_reference(pattern, p0, mu, orders, p_sum, nulled)
+                        assert np.array_equal(ladder, ref)
+                        one = fixed_ratio_power(pattern, p0, mu, orders, p_sum, nulled)
+                        assert np.array_equal(one.entries, ref)
+    assert saw_nulled
+
+
+def test_budget_check_scales_with_the_budget():
+    # ladders and equal splits scaled to 40-120 dB pass; 1 % over fails
+    rng = make_rng(12)
+    for db in (40.0, 60.0, 80.0, 90.0, 100.0, 120.0):
+        p_sum = 10.0 ** (db / 10.0)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            k = int(rng.integers(n, 2**n))
+            pattern = simple_beam_allocation(n, k, rng.permutation(k))
+            orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
+            mus = rng.uniform(0.1, 10.0, 4)
+            ladders = fixed_ratio_ladders(pattern, rng.uniform(0.1, 2.0), mus, orders, p_sum)
+            fixed_ratio_power(pattern, 1.0, float(mus[0]), orders, p_sum)
+            for entries in (ladders[0], equal_power(pattern, p_sum).entries):
+                PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum)
+                with pytest.raises(ValueError, match="budget"):
+                    PowerAllocation(entries=1.01 * entries, pattern=pattern, p_sum=p_sum)
 
 
 def test_power_allocation_support_must_match():

@@ -201,6 +201,21 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
     assert saw_nulled
 
 
+def test_link_state_outputs_are_worked_out_on_first_read():
+    # link_states leaves the orders, SINRs and rates unset; read, they equal
+    # sic_order and sinr called beam by beam on the gains and the powers
+    chans, pattern, beams = _setup(seed=13)
+    allocs = [equal_power(pattern, p_sum) for p_sum in (1.0, 10.0, 100.0)]
+    for link, alloc in zip(link_states(chans, beams, allocs, 1.0), allocs):
+        assert not {"sic_orders", "sinrs", "rates"} & set(vars(link))
+        for n in range(3):
+            order = sic_order(link.gains[n], pattern.entries[n] == 1)
+            assert np.array_equal(link.sic_orders[n], order)
+            assert np.array_equal(link.sinrs[n], sinr(link.gains[n], alloc.entries[n], order))
+        assert np.array_equal(link.rates, np.log2(1.0 + link.sinrs))
+        assert link.sinrs is link.sinrs  # kept after the first read
+
+
 def test_sic_order_sorts_ascending_with_ties():
     assert np.array_equal(sic_order([3.0, 1.0, 2.0], [True] * 3), [1, 2, 0])
     assert np.array_equal(sic_order([1.0, 1.0, 1.0], [True] * 3), [0, 1, 2])
