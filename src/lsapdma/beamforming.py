@@ -14,6 +14,12 @@ its own.  Each beam therefore anchors the covered user whose nulling costs
 the least coverage (lowest diversity first, then the weakest, then the
 lowest index), and ``SelectedUserSet.nulled`` names the covered pairs that
 are lost anyway, so power policies can leave them unpowered.
+
+``zf_beamformers`` computes the precoders of a stack of units (one unit is
+one scheme evaluation of a drop: its channels and its anchors) in one pass
+over the (E, N*N_R, N_T) anchor stack, and reports each singular unit as
+None so the caller can redraw that unit alone.  ``compute_zfbf`` is its
+one-unit case, which raises ``SingularChannelError`` instead.
 """
 
 from __future__ import annotations
@@ -141,6 +147,69 @@ def select_users(
     return SelectedUserSet(pairs=tuple((n, chosen[n]) for n in range(n_beams)))
 
 
+def zf_beamformers(
+    channel_sets,
+    omegas,
+    *,
+    normalize: bool = True,
+    cond_limit: float = 1e8,
+) -> list[BeamformerSet | None]:
+    """Composite ZF precoders of a stack of units, in one pass.
+
+    A unit is one (channels, anchors) pair: ``channel_sets[e]`` holds a
+    unit's user channels and ``omegas[e]`` its anchors, one per beam; every
+    unit has the same beam count and channel shape.  For each unit,
+    F_C = G_C^H (G_C G_C^H)^(-1) for the stacked (N*N_R, N_T) anchor channel
+    G_C; each (N_T, N_R) block of F_C is collapsed against the all-ones
+    vector to get the per-beam vectors, which ``normalize`` scales to unit
+    norm so beam powers are radiated powers.  The equilibration, the Gram,
+    the condition test, the solve, the collapse and the normalisation each
+    run once over the (E, N*N_R, N_T) stack, and a unit's result equals, bit
+    for bit, that of a stack holding it alone.
+
+    A unit is singular, and gets None, when an anchor's channel is zero or
+    cond(G_C G_C^H) exceeds ``cond_limit`` (i.i.d. Gaussian draws are almost
+    surely fine; the guard catches pathological draws so the caller can
+    redraw).
+    """
+    anchors = [[channels[u].entries for _, u in omega.pairs] for channels, omega in zip(channel_sets, omegas)]
+    shapes = {b.shape for unit in anchors for b in unit}
+    if len(shapes) != 1 or len({len(unit) for unit in anchors}) != 1:
+        raise ValueError("selected-user channels must share one shape and one beam count")
+    [(n_rx, n_tx)] = shapes
+    n_units, n_beams = len(anchors), len(anchors[0])
+    if n_beams * n_rx > n_tx:
+        raise ValueError(
+            f"need n_beams*n_rx <= n_tx for zero forcing, got {n_beams}*{n_rx} > {n_tx}"
+        )
+    # Equilibrate per-user block scales before inverting: path-loss spreads of
+    # many orders of magnitude would otherwise dominate the Gram's condition
+    # number without any directional degeneracy.  The pseudo-inverse of the
+    # raw stack is recovered exactly by rescaling columns afterwards.  Each
+    # scale is its own norm call: a stacked norm sums in another order.
+    scales = np.array([[np.linalg.norm(b) for b in unit] for unit in anchors]) / np.sqrt(n_rx * n_tx)
+    singular = (scales == 0).any(axis=1)
+    row_scale = np.repeat(np.where(scales == 0, 1.0, scales), n_rx, axis=1)  # (E, N*N_R)
+    g_eq = np.array(anchors).reshape(n_units, n_beams * n_rx, n_tx) / row_scale[..., None]
+    gram = g_eq @ g_eq.conj().swapaxes(-1, -2)
+    singular |= np.linalg.cond(gram) > cond_limit
+    live = np.flatnonzero(~singular)
+    out: list[BeamformerSet | None] = [None] * n_units
+    if live.size == 0:
+        return out
+    # F_C = G^H gram^{-1}; gram is Hermitian PD for full-row-rank G.  The
+    # conjugate transpose leaves each composite column-major.
+    composite = np.linalg.solve(gram[live], g_eq[live]).conj().swapaxes(-1, -2) / row_scale[live, None, :]
+    # (E', N, N_T, N_R) views of the blocks, each collapsed by one matrix-vector product
+    blocks = composite.reshape(len(live), n_tx, n_beams, n_rx).transpose(0, 2, 1, 3)
+    beam_matrix = np.ascontiguousarray((blocks @ np.ones(n_rx)).swapaxes(-1, -2))  # (E', N_T, N)
+    if normalize:
+        beam_matrix = beam_matrix / np.linalg.norm(beam_matrix, axis=-2, keepdims=True)
+    for e, f_c, f in zip(live, composite, beam_matrix):
+        out[e] = BeamformerSet(composite=f_c, beam_matrix=f, selected=omegas[e], normalized=normalize)
+    return out
+
+
 def compute_zfbf(
     channels: list[ChannelMatrix],
     omega: SelectedUserSet,
@@ -148,54 +217,16 @@ def compute_zfbf(
     normalize: bool = True,
     cond_limit: float = 1e8,
 ) -> BeamformerSet:
-    """Composite ZF precoder from the selected users' stacked channels.
+    """Composite ZF precoder from the selected users' stacked channels: the
+    one-unit case of ``zf_beamformers``.
 
-    Computes F_C = G_C^H (G_C G_C^H)^(-1) for the stacked composite channel
-    G_C, then collapses each (N_T, N_R) block against the all-ones vector to
-    get the per-beam vectors.  With ``normalize`` each beam vector is scaled
-    to unit norm so beam powers are radiated powers.
-
-    Raises SingularChannelError when cond(G_C G_C^H) exceeds ``cond_limit``
-    (i.i.d. Gaussian draws are almost surely fine; the guard catches
-    pathological draws so the caller can redraw).
+    Raises SingularChannelError when an anchor's channel is zero or
+    cond(G_C G_C^H) exceeds ``cond_limit``.
     """
-    n_beams = len(omega.pairs)
-    blocks = [channels[u].entries for _, u in omega.pairs]
-    n_rx = blocks[0].shape[0]
-    n_tx = blocks[0].shape[1]
-    if any(b.shape != (n_rx, n_tx) for b in blocks):
-        raise ValueError("selected-user channels must share one shape")
-    if n_beams * n_rx > n_tx:
-        raise ValueError(
-            f"need n_beams*n_rx <= n_tx for zero forcing, got {n_beams}*{n_rx} > {n_tx}"
-        )
-    g_c = np.vstack(blocks)  # (N*N_R, N_T)
-    # Equilibrate per-user block scales before inverting: path-loss spreads of
-    # many orders of magnitude would otherwise dominate the Gram's condition
-    # number without any directional degeneracy.  The pseudo-inverse of the
-    # raw stack is recovered exactly by rescaling columns afterwards.
-    scales = np.array([np.linalg.norm(b) / np.sqrt(b.size) for b in blocks])
-    if (scales == 0).any():
-        raise SingularChannelError("zero channel block for a selected user")
-    row_scale = np.repeat(scales, n_rx)
-    g_eq = g_c / row_scale[:, None]
-    gram = g_eq @ g_eq.conj().T
-    if np.linalg.cond(gram) > cond_limit:
-        raise SingularChannelError("composite channel is near rank-deficient")
-    # F_C = G^H gram^{-1}; gram is Hermitian PD for full-row-rank G.
-    composite = np.linalg.solve(gram, g_eq).conj().T / row_scale[None, :]  # (N_T, N*N_R)
-    ones = np.ones(n_rx)
-    beam_matrix = np.column_stack(
-        [composite[:, n * n_rx : (n + 1) * n_rx] @ ones for n in range(n_beams)]
-    )
-    if normalize:
-        beam_matrix = beam_matrix / np.linalg.norm(beam_matrix, axis=0, keepdims=True)
-    return BeamformerSet(
-        composite=composite,
-        beam_matrix=beam_matrix,
-        selected=omega,
-        normalized=normalize,
-    )
+    (beams,) = zf_beamformers([channels], [omega], normalize=normalize, cond_limit=cond_limit)
+    if beams is None:
+        raise SingularChannelError("composite channel is zero or near rank-deficient")
+    return beams
 
 
 def transmit(beams: BeamformerSet, t: np.ndarray) -> np.ndarray:

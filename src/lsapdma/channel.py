@@ -107,7 +107,10 @@ def large_scale_gain(cfg: CellConfig, distance_m: float, seed) -> float:
     if distance_m <= 0:
         raise ValueError("distance_m must be positive")
     rng = as_rng(seed)
-    shadow_db = rng.normal(0.0, cfg.shadow_std_db)
+    return _shadowed_gain(cfg, distance_m, rng.normal(0.0, cfg.shadow_std_db))
+
+
+def _shadowed_gain(cfg: CellConfig, distance_m: float, shadow_db: float) -> float:
     ratio = distance_m / cfg.reference_distance_m
     return float(
         cfg.path_loss_factor * ratio ** (-cfg.path_loss_exponent) * 10.0 ** (shadow_db / 10.0)
@@ -130,12 +133,26 @@ def sample_channel(n_rx: int, n_tx: int, large_scale: float, seed) -> ChannelMat
 def user_channels(cfg: CellConfig, drop: UserDrop, n_rx: int, n_tx: int, seed) -> list[ChannelMatrix]:
     """Per-user channels for one drop: shadowed large-scale gain + small-scale draw.
 
-    Draws are consumed in user order from the one generator, so results are
-    bit-reproducible for a fixed drop and seed.
+    One call draws every normal of the drop; user by user, in user order,
+    it holds the shadowing draw, then the real and the imaginary block of
+    the small-scale entries.  That is the order in which ``large_scale_gain``
+    and ``sample_channel`` called per user consume the generator, and the
+    results and the generator's state equal theirs bit for bit.
     """
+    if n_rx < 1 or n_tx < 1:
+        raise ValueError("n_rx and n_tx must be at least 1")
+    if (drop.distances <= 0).any():
+        raise ValueError("distance_m must be positive")
     rng = as_rng(seed)
-    channels = []
-    for d in drop.distances:
-        gain = large_scale_gain(cfg, float(d), rng)
-        channels.append(sample_channel(n_rx, n_tx, gain, rng))
-    return channels
+    size = n_rx * n_tx
+    z = rng.standard_normal((drop.n_users, 1 + 2 * size))
+    # per user, as large_scale_gain computes it: a vectorised power differs
+    # from the scalar one in the last ulp on some draws
+    gains = np.array([
+        _shadowed_gain(cfg, float(d), 0.0 + cfg.shadow_std_db * float(x))
+        for d, x in zip(drop.distances, z[:, 0])
+    ])
+    shape = (drop.n_users, n_rx, n_tx)
+    small = z[:, 1 : 1 + size].reshape(shape) + 1j * z[:, 1 + size :].reshape(shape)
+    entries = np.sqrt(gains / 2.0)[:, None, None] * small
+    return [ChannelMatrix(entries=e, large_scale_gain=float(g)) for e, g in zip(entries, gains)]

@@ -8,6 +8,16 @@ allocation and held fixed while the policy sets the powers.  The equal and
 fixed-ratio policies leave unpowered the covered pairs that the ZF anchors
 null by construction.
 
+A drop evaluates its units, one per configured (scheme, K, policy), as one
+stack.  Every unit restarts the drop's stream and the draw does not depend
+on the pattern, so the users and channels of each distinct K are drawn once
+and shared.  The units' ZF precoders come from one ``zf_beamformers`` pass
+and their receive chains from one ``drop_link_states`` solve.  A unit whose
+first draw is singular falls back to ``_draw_drop``, which redraws that
+unit alone from the restarted stream, so its redraw count and its channels
+are those it would have run by itself.  The power policies and rates run
+unit by unit.
+
 The optimal policy is the water-filling closed form
 (``optimizer.water_fill``): the anchors keep their ZF power floors, and the
 rest of the budget is water-filled across beams onto each beam's strongest
@@ -33,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamforming import SingularChannelError, compute_zfbf, select_users
+from .beamforming import select_users, zf_beamformers
 from .channel import CellConfig, drop_users, user_channels
 from .optimizer import OptProblem, objective, water_fill
 from .pattern import (
@@ -46,7 +56,7 @@ from .pattern import (
     pnoma_pattern,
     simple_beam_allocation,
 )
-from .receiver import link_states, sinr, sum_rate
+from .receiver import drop_link_states, sinr, sum_rate
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -272,7 +282,8 @@ class ResultTable:
 
 
 def _scheme_runs(cfg: ExperimentConfig):
-    """Expand the config into per-(scheme, K, policy) evaluation bundles."""
+    """Expand the config into its units: one (label, K, pattern policy,
+    power policy, mus) per (scheme, K, policy) evaluation of a drop."""
     runs = []
     for scheme in cfg.schemes:
         if scheme == "oma":
@@ -300,8 +311,20 @@ def _build_pattern(cfg: ExperimentConfig, pattern_policy: str, k: int, weakest_f
     return simple_beam_allocation(cfg.n_beams, k, weakest_first)
 
 
+def _channels(cfg: ExperimentConfig, k, rng):
+    """Users and channels of one draw from ``rng``."""
+    return user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
+
+
+def _anchored(cfg: ExperimentConfig, pattern_policy, k, channels):
+    """Pattern and anchors of one unit on a draw's channels."""
+    hints = np.array([ch.large_scale_gain for ch in channels])
+    pattern = _build_pattern(cfg, pattern_policy, k, np.argsort(hints, kind="stable"))
+    return pattern, select_users(channels, pattern, hints)
+
+
 def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state):
-    """Users, channels, pattern, anchors and ZF beams of one drop.
+    """Users, channels, pattern, anchors and ZF beams of one unit's drop.
 
     Redraws users and channels while the anchors' stacked channel is
     singular.  Returns (channels, pattern, omega, beams, redraws).
@@ -309,40 +332,31 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state):
     rng = np.random.Generator(np.random.Philox(state))
     redraws = 0
     while True:
-        drop = drop_users(cfg.cell, k, rng)
-        channels = user_channels(cfg.cell, drop, cfg.n_rx, cfg.n_tx, rng)
-        hints = np.array([ch.large_scale_gain for ch in channels])
-        weakest_first = np.argsort(hints, kind="stable")
-        pattern = _build_pattern(cfg, pattern_policy, k, weakest_first)
-        omega = select_users(channels, pattern, hints)
-        try:
-            return channels, pattern, omega, compute_zfbf(channels, omega), redraws
-        except SingularChannelError:
-            redraws += 1
-            if redraws > cfg.max_redraws:
-                raise ConfigError(
-                    f"more than {cfg.max_redraws} consecutive singular-channel redraws"
-                )
+        channels = _channels(cfg, k, rng)
+        pattern, omega = _anchored(cfg, pattern_policy, k, channels)
+        (beams,) = zf_beamformers([channels], [omega])
+        if beams is not None:
+            return channels, pattern, omega, beams, redraws
+        redraws += 1
+        if redraws > cfg.max_redraws:
+            raise ConfigError(f"more than {cfg.max_redraws} consecutive singular-channel redraws")
 
 
-def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power_policy, mus, state):
-    """One scheme evaluation on one drop, across the configured sweep points.
+def _unit_records(cfg: ExperimentConfig, unit, pattern, omega, nulled, links, redraws):
+    """The records of one unit (one scheme evaluation) across the sweep points.
 
-    The equal-split and fixed-ratio policies power only the pattern's pairs
-    that the anchors do not null (``SelectedUserSet.nulled``); the optimal
-    policy is ``water_fill`` with the anchors' floors.  One ``link_states``
-    call gives the links of every budget's equal split, and a mu sweep's
-    ladders are built, validated and evaluated as one (M, N, K) stack.
+    ``links`` holds the unit's equal-split link of each budget.  The
+    equal-split and fixed-ratio policies power only the pattern's pairs
+    that the anchors do not null (``nulled``); the optimal policy is
+    ``water_fill`` with the anchors' floors.  A mu sweep's ladders are
+    built, validated and evaluated as one (M, N, K) stack.
     """
-    sigma2 = cfg.cell.noise_variance
-    channels, pattern, omega, beams, redraws = _draw_drop(cfg, k, pattern_policy, state)
-    nulled = omega.nulled(pattern)
-
+    label, k, _, power_policy, mus = unit
     records = []
     mu_axis = cfg.sweep_axis == "mu"
-    budgets = [10.0 ** (db / 10.0) for db in cfg.p_sum_db]
-    links = link_states(channels, beams, [equal_power(pattern, p_sum, nulled) for p_sum in budgets], sigma2)
-    for db, p_sum, link in zip(cfg.p_sum_db, budgets, links):
+    for db, link in zip(cfg.p_sum_db, links):
+        p_sum = link.power.p_sum
+
         def emit(rate, mu_value):
             if mu_axis:
                 # mu-independent runs (equal power, the power-domain baseline's
@@ -383,18 +397,38 @@ def _evaluate_scheme_drop(cfg: ExperimentConfig, label, k, pattern_policy, power
 
 
 def run_drop(cfg: ExperimentConfig, seed) -> list[DropRecord]:
-    """Evaluate every configured scheme on one drop.
+    """Evaluate every configured unit (scheme, K, policy) on one drop, as
+    one stack (see the module docstring).
 
-    ``seed`` is an int or a SeedSequence identifying the drop.  Each scheme
-    evaluation restarts the drop's stream, so schemes with the same user
-    count see identical channels (paired comparisons, exact reductions).
+    ``seed`` is an int or a SeedSequence identifying the drop.  Each unit
+    restarts the drop's stream, so units with the same user count see
+    identical channels (paired comparisons, exact reductions).
     """
     state = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    units = _scheme_runs(cfg)
+    first: dict[int, list] = {}  # user count -> channels of the stream's first draw
+    draws = []  # (channels, pattern, omega) per unit
+    for _, k, pattern_policy, _, _ in units:
+        if k not in first:
+            first[k] = _channels(cfg, k, np.random.Generator(np.random.Philox(state)))
+        draws.append((first[k], *_anchored(cfg, pattern_policy, k, first[k])))
+    channel_sets, _, omegas = zip(*draws)
+    setups = [
+        _draw_drop(cfg, k, pattern_policy, state) if beams is None else (*draw, beams, 0)
+        for (_, k, pattern_policy, _, _), draw, beams in zip(units, draws, zf_beamformers(channel_sets, omegas))
+    ]
+    budgets = [10.0 ** (db / 10.0) for db in cfg.p_sum_db]
+    nulls = [omega.nulled(pattern) for _, pattern, omega, _, _ in setups]
+    links = drop_link_states(
+        [
+            (channels, unit_beams, [equal_power(pattern, p_sum, nulled) for p_sum in budgets])
+            for (channels, pattern, _, unit_beams, _), nulled in zip(setups, nulls)
+        ],
+        cfg.cell.noise_variance,
+    )
     records = []
-    for label, k, pattern_policy, power_policy, mus in _scheme_runs(cfg):
-        records.extend(
-            _evaluate_scheme_drop(cfg, label, k, pattern_policy, power_policy, mus, state)
-        )
+    for unit, (_, pattern, omega, _, redraws), nulled, unit_links in zip(units, setups, nulls, links):
+        records.extend(_unit_records(cfg, unit, pattern, omega, nulled, unit_links, redraws))
     return records
 
 

@@ -36,7 +36,7 @@ def validate_pattern(entries: np.ndarray) -> str | None:
     if b.ndim != 2:
         return "pattern must be a 2-D matrix"
     n, k = b.shape
-    if not np.isin(b, (0, 1)).all():
+    if not ((b == 0) | (b == 1)).all():
         return "entries must be 0 or 1"
     if k < n:
         return f"K={k} is below the beam count N={n}"
@@ -58,7 +58,7 @@ def _validate_coverage(entries: np.ndarray) -> str | None:
     b = np.asarray(entries)
     if b.ndim != 2:
         return "pattern must be a 2-D matrix"
-    if not np.isin(b, (0, 1)).all():
+    if not ((b == 0) | (b == 1)).all():
         return "entries must be 0 or 1"
     if (b.sum(axis=0) == 0).any():
         return "uncovered user"
@@ -82,14 +82,15 @@ class PatternMatrix:
     strict: bool = True
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=int)
-        object.__setattr__(self, "entries", entries)
+        # validate the values as given: casting first would truncate 0.7 to 0
+        entries = np.asarray(self.entries)
         if self.strict:
             violation = validate_pattern(entries)
         else:
             violation = _validate_coverage(entries)
         if violation is not None:
             raise ValueError(f"invalid pattern: {violation}")
+        object.__setattr__(self, "entries", np.asarray(entries, dtype=int))
 
     @property
     def n_beams(self) -> int:

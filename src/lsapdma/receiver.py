@@ -7,15 +7,19 @@ are decoded in ascending order of h: a user at SIC position k sees only the
 powers of later-ordered (higher-gain) users as interference, and the
 last-ordered user decodes interference-free.
 
-The filters and gains of a drop come from one batched kernel,
-``mmse_gains``: the K users' channels stacked to (K, N_R, N_T), the D
-signal statistics (one per allocation, e.g. one equal split per budget)
-stacked to (D, N, N), one batched Cholesky solve for the (D, K, N_R, N)
-filters, and stacked products for the (D, N, K) gains.  ``link_states``
-pairs each allocation with its gains as a ``LinkState``, whose SIC orders,
-SINRs and rates are worked out on first read, so a caller that reads only
-the gains (the optimal policy) or the orders (the fixed-ratio ladders)
-pays for nothing else; ``build_link_state`` is its one-allocation case.
+The filters and gains of a drop come from one batched kernel over users:
+every unit's users (a unit is one scheme evaluation of the drop, with its
+own channels and ZF beams) are concatenated to a (U, N_R, N_T) stack, each
+with its unit's beam matrix and its D signal statistics (one per
+allocation, e.g. one equal split per budget), and one batched Cholesky
+solve gives the (D, U, N_R, N) filters, stacked products the gains.
+``drop_link_states`` runs it over a drop's units and pairs each allocation
+with its gains as a ``LinkState``, whose SIC orders, SINRs and rates are
+worked out on first read, so a caller that reads only the gains (the
+optimal policy) or the orders (the fixed-ratio ladders) pays for nothing
+else.  ``mmse_gains`` and ``link_states`` are its one-unit cases and
+``build_link_state`` the one-allocation case of ``link_states``; a user's
+outputs do not depend on the users stacked beside it.
 ``sinr`` takes one beam and a stack of power rows, so a sweep of power
 ladders costs one call per beam.
 """
@@ -62,6 +66,36 @@ class LinkState:
         return np.log2(1.0 + self.sinrs)
 
 
+def _mmse_kernel(g, f, a, sigma2):
+    """Filters and gains of U users, each at D second moments.
+
+    ``g`` (U, N_R, N_T) are the users' channels, ``f`` their beam matrices,
+    (U, N_T, N) or one (N_T, N) for all, and ``a`` the second moments,
+    (D, U, N, N) or (D, 1, N, N) for all.  Returns the filters
+    (D, U, N_R, N) and the gains (D, U, N), user u's row n being beam n's
+    gain.  Every product and the solve run slice by slice, so a user's
+    outputs do not depend on the users stacked beside it.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    if not (np.isfinite(g).all() and np.isfinite(a).all()):
+        raise ValueError("non-finite inputs")
+    gfa = (g @ f)[None] @ a  # (D, U, N_R, N)
+    cov = gfa @ f.conj().swapaxes(-1, -2) @ g.conj().swapaxes(-1, -2)
+    cov = cov + sigma2 * np.eye(g.shape[1])
+    v = scipy.linalg.solve(cov, gfa, assume_a="pos")
+    proj = v.conj().swapaxes(-1, -2) @ g @ f  # (D, U, N, N): row n is v_n^H G F
+    powers = np.abs(proj) ** 2
+    desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
+    inter = powers.sum(axis=-1) - desired
+    vnorm2 = np.sum(np.abs(v) ** 2, axis=-2)
+    denom = inter + sigma2 * vnorm2
+    h = np.zeros_like(desired)
+    live = denom > 0  # only a zero filter column gives denom == 0
+    h[live] = np.sqrt(desired[live] / denom[live])
+    return v, h
+
+
 def mmse_gains(
     channels: list[ChannelMatrix], beams: BeamformerSet, a: np.ndarray, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,30 +115,14 @@ def mmse_gains(
 
     with v that column.  A zero filter column (a beam carrying nothing
     toward the user) yields h = 0.  Returns the filters, shape
-    (D, K, N_R, N), and the gains, shape (D, N, K).
+    (D, K, N_R, N), and the gains, shape (D, N, K).  This is the one-unit
+    case of the kernel ``drop_link_states`` runs over a drop's units.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    g = np.stack([ch.entries for ch in channels])  # (K, N_R, N_T)
-    f = beams.beam_matrix  # (N_T, N)
     a = np.asarray(a, dtype=float)
     if a.ndim != 3:
         raise ValueError("a must stack the second moments, shape (D, N, N)")
-    if not (np.isfinite(g).all() and np.isfinite(a).all()):
-        raise ValueError("non-finite inputs")
-    gfa = (g @ f)[None] @ a[:, None]  # (D, K, N_R, N)
-    cov = gfa @ f.conj().T @ g.conj().swapaxes(-1, -2)
-    cov = cov + sigma2 * np.eye(g.shape[1])
-    v = scipy.linalg.solve(cov, gfa, assume_a="pos")
-    proj = v.conj().swapaxes(-1, -2) @ g @ f  # (D, K, N, N): row n is v_n^H G F
-    powers = np.abs(proj) ** 2
-    desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
-    inter = powers.sum(axis=-1) - desired
-    vnorm2 = np.sum(np.abs(v) ** 2, axis=-2)
-    denom = inter + sigma2 * vnorm2
-    h = np.zeros_like(desired)
-    live = denom > 0  # only a zero filter column gives denom == 0
-    h[live] = np.sqrt(desired[live] / denom[live])
+    g = np.stack([ch.entries for ch in channels])  # (K, N_R, N_T)
+    v, h = _mmse_kernel(g, beams.beam_matrix, a[:, None], sigma2)
     return v, np.ascontiguousarray(h.swapaxes(-1, -2))
 
 
@@ -156,6 +174,33 @@ def sum_rate(link) -> float:
     return float(np.log2(1.0 + gammas).sum())
 
 
+def drop_link_states(units, sigma2: float) -> list[list[LinkState]]:
+    """Receive chains of every unit of a drop from one MMSE kernel call.
+
+    ``units`` lists (channels, beams, powers) triples, one per unit (one
+    scheme evaluation), each with its own channels, ZF beams and D
+    allocations; D must be the same for every unit.  Every unit's users are
+    concatenated to one (U, N_R, N_T) stack, each with its unit's beam
+    matrix and second moments, so the drop makes one batched solve.  Returns
+    each unit's ``LinkState`` per allocation, equal bit for bit to a
+    ``link_states`` call on that unit alone.
+    """
+    moments = [np.stack([correlation_matrix(p) for p in powers]) for _, _, powers in units]
+    if len({m.shape[0] for m in moments}) != 1:
+        raise ValueError("every unit needs the same number of allocations")
+    sizes = [len(channels) for channels, _, _ in units]
+    owner = np.repeat(np.arange(len(units)), sizes)  # the unit of each stacked user
+    g = np.stack([ch.entries for channels, _, _ in units for ch in channels])
+    f = np.stack([beams.beam_matrix for _, beams, _ in units])[owner]
+    _, h = _mmse_kernel(g, f, np.stack(moments, axis=1)[:, owner], sigma2)
+    out, start = [], 0
+    for k, (_, _, powers) in zip(sizes, units):
+        gains = np.ascontiguousarray(h[:, start : start + k].swapaxes(-1, -2))  # (D, N, K)
+        out.append([LinkState(gains=h_d, power=power) for h_d, power in zip(gains, powers)])
+        start += k
+    return out
+
+
 def link_states(
     channels: list[ChannelMatrix],
     beams: BeamformerSet,
@@ -163,12 +208,11 @@ def link_states(
     sigma2: float,
 ) -> list[LinkState]:
     """Receive chain for one drop at each allocation: the filters matched to
-    each allocation's signal statistics, all in one ``mmse_gains`` call, and
-    the gains they give.  The SIC orders, SINRs and rates follow on first
-    read (see ``LinkState``).
+    each allocation's signal statistics, all in one batched solve, and the
+    gains they give.  The SIC orders, SINRs and rates follow on first read
+    (see ``LinkState``).  The one-unit case of ``drop_link_states``.
     """
-    _, gains = mmse_gains(channels, beams, np.stack([correlation_matrix(p) for p in powers]), sigma2)
-    return [LinkState(gains=h, power=power) for h, power in zip(gains, powers)]
+    return drop_link_states([(channels, beams, powers)], sigma2)[0]
 
 
 def build_link_state(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from lsapdma.beamforming import (
     compute_zfbf,
     select_users,
     transmit,
+    zf_beamformers,
 )
-from lsapdma.channel import ChannelMatrix, sample_channel
+from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
 from lsapdma.pattern import PatternMatrix, simple_beam_allocation
 from lsapdma.rng import make_rng
 
@@ -177,3 +180,74 @@ def test_zf_identity_survives_user_scale_spread():
     beams = compute_zfbf(chans, omega)
     g_c = np.vstack([chans[u].entries for u in omega.users])
     assert np.abs(g_c @ beams.composite - np.eye(12)).max() < 1e-8
+
+
+def _per_unit_zf(channels, omega, normalize):
+    """One unit's ZF, written out: the reference the stacked pass must match
+    bit for bit."""
+    blocks = [channels[u].entries for _, u in omega.pairs]
+    n_rx = blocks[0].shape[0]
+    scales = np.array([np.linalg.norm(b) / np.sqrt(b.size) for b in blocks])
+    row_scale = np.repeat(scales, n_rx)
+    g_eq = np.vstack(blocks) / row_scale[:, None]
+    gram = g_eq @ g_eq.conj().T
+    composite = np.linalg.solve(gram, g_eq).conj().T / row_scale[None, :]
+    ones = np.ones(n_rx)
+    beam_matrix = np.column_stack(
+        [composite[:, n * n_rx : (n + 1) * n_rx] @ ones for n in range(len(blocks))]
+    )
+    if normalize:
+        beam_matrix = beam_matrix / np.linalg.norm(beam_matrix, axis=0, keepdims=True)
+    return composite, beam_matrix
+
+
+def _mixed_units(n, seed):
+    """(channels, anchors) of six units: K = N and K = 2^N - 1, three cell
+    drops each, with the simulator's path-loss and shadowing spread."""
+    cell = CellConfig()
+    units = []
+    for k in (n, 2**n - 1):
+        for d in range(3):
+            rng = make_rng(seed, n, k, d)
+            chans = user_channels(cell, drop_users(cell, k, rng), 4, 16, rng)
+            hints = np.array([ch.large_scale_gain for ch in chans])
+            pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
+            units.append((chans, select_users(chans, pattern, hints)))
+    return units
+
+
+def test_stacked_zf_matches_each_unit_alone():
+    for n in (2, 3, 4):
+        units = _mixed_units(n, 0)
+        for normalize in (True, False):
+            stacked = zf_beamformers(*zip(*units), normalize=normalize)
+            assert len(stacked) == len(units)
+            for (chans, omega), beams in zip(units, stacked):
+                composite, beam_matrix = _per_unit_zf(chans, omega, normalize)
+                for got in (beams, compute_zfbf(chans, omega, normalize=normalize)):
+                    assert got.selected is omega and got.normalized == normalize
+                    assert np.array_equal(got.composite, composite)
+                    assert np.array_equal(got.beam_matrix, beam_matrix)
+
+
+def test_stacked_zf_flags_only_the_singular_units():
+    units = _mixed_units(3, 1)
+    # unit 1 anchors one channel twice, unit 4 has a zero anchor channel
+    chans, omega = units[1]
+    twin = list(chans)
+    twin[omega.users[1]] = chans[omega.users[0]]
+    units[1] = (twin, omega)
+    chans, omega = units[4]
+    zero = list(chans)
+    zero[omega.users[2]] = ChannelMatrix(entries=np.zeros((4, 16), dtype=complex), large_scale_gain=0.0)
+    units[4] = (zero, omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = zf_beamformers(*zip(*units))
+    assert [beams is None for beams in stacked] == [e in (1, 4) for e in range(len(units))]
+    for e, ((chans, omega), beams) in enumerate(zip(units, stacked)):
+        if beams is None:
+            with pytest.raises(SingularChannelError):
+                compute_zfbf(chans, omega)
+        else:
+            assert np.array_equal(beams.beam_matrix, compute_zfbf(chans, omega).beam_matrix)

@@ -125,3 +125,33 @@ def test_streams_are_independent():
     a = sample_channel(4, 4, 1.0, make_rng(5, 0))
     b = sample_channel(4, 4, 1.0, make_rng(5, 1))
     assert not np.array_equal(a.entries, b.entries)
+
+
+def test_user_channels_match_the_per_user_draws():
+    # one standard_normal call for the drop against large_scale_gain then
+    # sample_channel per user: equal bit for bit, generator left in the
+    # same state
+    cells = (
+        CellConfig(),
+        CellConfig(radius_m=300.0, path_loss_exponent=2.9, shadow_std_db=6.0, reference_distance_m=50.0),
+        CellConfig(shadow_std_db=0.0, path_loss_factor=3.5e-3),
+    )
+    for c, cell in enumerate(cells):
+        for k in range(9):
+            for n_rx, n_tx in ((4, 16), (1, 3)):
+                for s in range(10):
+                    rng, ref_rng = make_rng(c, k, s), make_rng(c, k, s)
+                    drop = drop_users(cell, k, rng)
+                    drop_users(cell, k, ref_rng)
+                    got = user_channels(cell, drop, n_rx, n_tx, rng)
+                    want = []
+                    for d in drop.distances:
+                        gain = large_scale_gain(cell, float(d), ref_rng)
+                        want.append(sample_channel(n_rx, n_tx, gain, ref_rng))
+                    assert len(got) == k
+                    for g, w in zip(got, want):
+                        assert g.large_scale_gain == w.large_scale_gain
+                        assert type(g.large_scale_gain) is float
+                        assert g.entries.shape == (n_rx, n_tx)
+                        assert np.array_equal(g.entries, w.entries)
+                    assert np.array_equal(rng.integers(0, 2**63, 4), ref_rng.integers(0, 2**63, 4))

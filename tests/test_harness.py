@@ -13,8 +13,9 @@ from lsapdma.harness import (
     ExperimentConfig,
     ResultRow,
     ResultTable,
+    _anchored,
+    _channels,
     _draw_drop,
-    _evaluate_scheme_drop,
     emit_results,
     run_drop,
     run_monte_carlo,
@@ -188,36 +189,92 @@ def test_pnoma_reduction_is_exact():
         assert a == b
 
 
+def _singular_on_first_draw(monkeypatch, first=None, pick=None):
+    """Make ``harness.zf_beamformers`` report singular every unit whose
+    channels are the draw ``first`` (and, with ``pick``, whose anchors
+    ``pick`` accepts).  The mark follows the channels, so the redraw loop's
+    fresh start sees that draw singular again and redraws once.  Without
+    ``first`` the marked draw is the first unit's in the first call."""
+    import lsapdma.harness as harness
+
+    real = harness.zf_beamformers
+    marked = [] if first is None else [first[0].entries]
+
+    def fake(channel_sets, omegas, **kwargs):
+        if not marked:
+            marked.append(channel_sets[0][0].entries.copy())
+        out = real(channel_sets, omegas, **kwargs)
+        return [
+            None if np.array_equal(chans[0].entries, marked[0]) and (pick is None or pick(omega)) else beams
+            for chans, omega, beams in zip(channel_sets, omegas, out)
+        ]
+
+    monkeypatch.setattr(harness, "zf_beamformers", fake)
+
+
 def test_redraw_limit_raises_config_error(monkeypatch):
     import lsapdma.harness as harness
 
-    def always_singular(*args, **kwargs):
-        raise harness.SingularChannelError("forced")
-
-    monkeypatch.setattr(harness, "compute_zfbf", always_singular)
+    monkeypatch.setattr(harness, "zf_beamformers", lambda channel_sets, omegas: [None] * len(omegas))
     cfg = _cfg(max_redraws=5)
     with pytest.raises(ConfigError, match="redraws"):
         run_drop(cfg, 0)
 
 
 def test_redraws_reach_the_table_and_the_summary(monkeypatch, tmp_path):
-    import lsapdma.harness as harness
-
-    real = harness.compute_zfbf
-    calls = []
-
-    def singular_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise harness.SingularChannelError("forced")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "compute_zfbf", singular_once)
+    # drop 0's first unit (OMA, the only K = 3 unit) is singular on its
+    # first draw
+    _singular_on_first_draw(monkeypatch)
     # a mu sweep replicates the records of one evaluation; its redraw counts once
     table = run_monte_carlo(_cfg(schemes=("oma", "lsa-pdma"), mu=(1.0, 2.0), drops=2))
     assert table.redraws == 1
     _, summary_path = emit_results(table, tmp_path / "out")
     assert "redraws = 1" in summary_path.read_text().splitlines()
+
+
+def test_a_singular_unit_is_redrawn_alone(monkeypatch):
+    # the power-domain unit (K = 6) is singular on its first draw; the
+    # lsa-pdma unit with K = 6 shares that draw but not its anchors, and
+    # must keep it
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
+    for seed in range(3):
+        state = np.random.SeedSequence(seed)
+        first = _channels(cfg, 6, np.random.Generator(np.random.Philox(state)))
+        target = _anchored(cfg, "pnoma", 6, first)[1].pairs
+        assert _anchored(cfg, "simple", 6, first)[1].pairs != target
+        plain = run_drop(cfg, state)
+        with monkeypatch.context() as m:
+            _singular_on_first_draw(m, first, lambda omega: omega.pairs == target)
+            redrawn = run_drop(cfg, state)
+            channels, pattern, omega, beams, redraws = _draw_drop(cfg, 6, "pnoma", state)
+        assert redraws == 1
+        assert [r.scheme for r in redrawn] == [r.scheme for r in plain]
+        for got, was in zip(redrawn, plain):
+            if got.scheme != "pnoma":
+                assert got == was and got.redraws == 0
+                continue
+            # the per-unit reference on the redrawn channels
+            assert got.redraws == 1 and got.sum_rate != was.sum_rate
+            p_sum = 10.0 ** (got.sweep_value / 10.0)
+            nulled = omega.nulled(pattern)
+            link = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), 1.0)
+            alloc = fixed_ratio_power(pattern, 1.0, cfg.pnoma_mu, link.sic_orders, p_sum, nulled)
+            assert got.sum_rate == sum(
+                float(np.log2(1.0 + sinr(link.gains[b], alloc.entries[b], order)).sum())
+                for b, order in enumerate(link.sic_orders)
+            )
+
+
+def test_records_do_not_depend_on_the_scheme_order():
+    # units with the same K share one first draw; listing the schemes in
+    # another order must give each scheme the same records
+    for users in ((3, 6), (4, 5, 7)):
+        forward = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=users)
+        backward = dataclasses.replace(forward, schemes=("lsa-pdma", "pnoma", "oma"))
+        for seed in range(4):
+            a, b = run_drop(forward, seed), run_drop(backward, seed)
+            assert sorted(a, key=repr) == sorted(b, key=repr)
+            assert len(a) == len(set(map(repr, a)))
 
 
 def test_monte_carlo_single_drop_zero_stderr():
@@ -328,8 +385,8 @@ def test_mu_sweep_emits_horizontal_references():
 def test_power_policies_skip_pairs_the_anchors_null():
     # G_C F_C = I leaves round-off gains (~1e-13 of the user's large-scale
     # amplitude) on the nulled pairs and real gains (>~1e-3) everywhere else.
-    # The harness's rates for the whole mu sweep must equal, bit for bit,
-    # one sinr call per (mu, beam) summed over users, then over beams.
+    # The harness's rate at each mu must equal, bit for bit, one sinr call
+    # per beam summed over users, then over beams.
     mus = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     budgets_db = (0.0, 20.0, 40.0)
     for n in (2, 3, 4):
@@ -340,9 +397,8 @@ def test_power_policies_skip_pairs_the_anchors_null():
                 channels, pattern, omega, beams, _ = _draw_drop(cfg, k, "simple", state)
                 nulled = omega.nulled(pattern)
                 scale = np.sqrt([ch.large_scale_gain for ch in channels])
-                records = iter(
-                    _evaluate_scheme_drop(cfg, "lsa-pdma-simple", k, "simple", "fixed-ratio", mus, state)
-                )
+                # one run per mu: a config sweeps either the budget or mu
+                records = {mu: iter(run_drop(dataclasses.replace(cfg, mu=(mu,)), state)) for mu in mus}
                 for db in budgets_db:
                     p_sum = 10.0 ** (db / 10.0)
                     equal = equal_power(pattern, p_sum, nulled)
@@ -357,12 +413,12 @@ def test_power_policies_skip_pairs_the_anchors_null():
                         assert live[powered].all()
                         assert np.array_equal(powered, (pattern.entries == 1) & ~nulled)
                     assert not live[nulled].any()
-                    for alloc in allocs[1:]:
+                    for mu, alloc in zip(mus, allocs[1:]):
                         rate = sum(
                             float(np.log2(1.0 + sinr(link.gains[b], alloc.entries[b], order)).sum())
                             for b, order in enumerate(link.sic_orders)
                         )
-                        record = next(records)
+                        record = next(records[mu])
                         assert record.sweep_value == db
                         assert record.sum_rate == rate
                 if k == 2**n - 1:

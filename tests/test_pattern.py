@@ -122,6 +122,23 @@ def test_pattern_matrix_raises_on_violation():
         PatternMatrix(np.zeros((2, 2), dtype=int))
 
 
+def test_pattern_entries_are_validated_before_the_cast():
+    # cast first, 0.7 and 1.9 truncate to 0 and 1 and the matrix below
+    # passes as the identity
+    for bad in (0.7, 1.9, -1.0, np.nan):
+        entries = np.eye(3)
+        entries[0, 2] = bad
+        for strict in (True, False):
+            with pytest.raises(ValueError, match="0 or 1"):
+                PatternMatrix(entries, strict=strict)
+        assert validate_pattern(entries) == "entries must be 0 or 1"
+    for good in (B35.astype(bool), B35.astype(float)):
+        pattern = PatternMatrix(good)
+        assert pattern.entries.dtype == int
+        assert np.array_equal(pattern.entries, B35)
+    assert np.array_equal(PatternMatrix(np.eye(3, dtype=bool), strict=False).entries, np.eye(3))
+
+
 def test_fixed_ratio_equal_split_at_unit_mu():
     pattern = PatternMatrix(B35)
     orders = [np.flatnonzero(row) for row in B35]

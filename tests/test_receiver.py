@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from lsapdma.beamforming import BeamformerSet, SelectedUserSet, compute_zfbf, select_users
-from lsapdma.channel import ChannelMatrix, sample_channel
+from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
 from lsapdma.pattern import (
     PatternMatrix,
     PowerAllocation,
@@ -16,6 +16,7 @@ from lsapdma.pattern import (
 from lsapdma.receiver import (
     LinkState,
     build_link_state,
+    drop_link_states,
     link_states,
     mmse_gains,
     sic_order,
@@ -353,3 +354,33 @@ def test_build_link_state_invariants():
     for n in range(3):
         hs = link.gains[n, link.sic_orders[n]]
         assert (np.diff(hs) >= 0).all()
+
+
+def test_drop_link_states_match_each_unit_alone():
+    # mixed-K stacks, K = N and K = 2^N - 1 with the simulator's path-loss
+    # spread, budgets 0-40 dB: every user's gains in the one stacked solve
+    # equal its unit's one-unit mmse_gains call bit for bit
+    cell = CellConfig()
+    budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
+    for n in (2, 3, 4):
+        units = []
+        for k in (n, 2**n - 1, n):
+            rng = make_rng(3, n, k, len(units))
+            chans = user_channels(cell, drop_users(cell, k, rng), 4, 16, rng)
+            hints = np.array([ch.large_scale_gain for ch in chans])
+            pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
+            omega = select_users(chans, pattern, hints)
+            allocs = [equal_power(pattern, p_sum, omega.nulled(pattern)) for p_sum in budgets]
+            units.append((chans, compute_zfbf(chans, omega), allocs))
+        stacked = drop_link_states(units, 1.0)
+        assert len(stacked) == len(units)
+        for (chans, beams, allocs), links in zip(units, stacked):
+            a = np.stack([correlation_matrix(p) for p in allocs])
+            _, gains = mmse_gains(chans, beams, a, 1.0)
+            alone = link_states(chans, beams, allocs, 1.0)
+            for d, alloc in enumerate(allocs):
+                for link in (links[d], alone[d]):
+                    assert link.power is alloc
+                    assert np.array_equal(link.gains, gains[d])
+    with pytest.raises(ValueError, match="same number"):
+        drop_link_states([units[0], (units[1][0], units[1][1], units[1][2][:2])], 1.0)
