@@ -10,20 +10,16 @@ from .beamforming import (
     SingularChannelError,
     compute_zfbf,
     select_users,
-    transmit,
 )
 from .pattern import (
     PatternMatrix,
     PowerAllocation,
-    SuperposedSignal,
     correlation_matrix,
     fixed_ratio_ladders,
     fixed_ratio_power,
     oma_pattern,
-    overload_ratio,
     pnoma_pattern,
     simple_beam_allocation,
-    superpose,
     validate_pattern,
 )
 from .receiver import LinkState, mmse_gains, sic_order, sinr, sum_rate

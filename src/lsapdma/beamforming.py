@@ -228,10 +228,3 @@ def compute_zfbf(
         raise SingularChannelError("composite channel is zero or near rank-deficient")
     return beams
 
-
-def transmit(beams: BeamformerSet, t: np.ndarray) -> np.ndarray:
-    """Antenna-domain transmit vector x = F t for a superposed beam signal t."""
-    t = np.asarray(t)
-    if t.shape != (beams.n_beams,):
-        raise ValueError(f"t must have length {beams.n_beams}, got shape {t.shape}")
-    return beams.beam_matrix @ t

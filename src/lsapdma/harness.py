@@ -11,15 +11,19 @@ null by construction.
 A drop evaluates its units, one per configured (scheme, K, policy), as one
 stack.  Every unit restarts the drop's stream and the draw does not depend
 on the pattern, so the users and channels of each distinct K are drawn once
-and shared.  The units' ZF precoders come from one ``zf_beamformers`` pass
-and their receive chains from one ``drop_link_states`` solve.  A unit whose
-first draw is singular falls back to ``_draw_drop``, which redraws that
-unit alone from the restarted stream, so its redraw count and its channels
-are those it would have run by itself.  The power policies and rates run
-unit by unit.
+and shared, and units that also share the pattern policy share the whole
+set-up: pattern, anchors, ZF beams, equal splits and gains.  The set-ups'
+ZF precoders come from one ``zf_beamformers`` pass and their receive chains
+from one ``drop_link_states`` solve.  A set-up whose first draw is singular
+falls back to ``_draw_drop``, which redraws it alone from the restarted
+stream, so its redraw count and its channels are those it would have run
+by itself.  Each unit's power policy then runs over all D budgets as one
+array operation: the equal splits (D, N, K), the mu sweep's ladders
+(D, M, N, K) and the water-fill (D, N, K) are each one stack, and so are
+their SIC orders, SINRs and rates.
 
 The optimal policy is the water-filling closed form
-(``optimizer.water_fill``): the anchors keep their ZF power floors, and the
+(``optimizer.water_fills``): the anchors keep their ZF power floors, and the
 rest of the budget is water-filled across beams onto each beam's strongest
 user.  Unless ``strict_pattern`` restricts it to the pattern's pairs, that
 user is the beam's strongest whatever the pattern covers, so the policy
@@ -45,10 +49,10 @@ import numpy as np
 from . import __version__
 from .beamforming import select_users, zf_beamformers
 from .channel import CellConfig, drop_users, user_channels
-from .optimizer import OptProblem, objective, water_fill
+from .optimizer import anchor_floors, water_fills
 from .pattern import (
     PatternMatrix,
-    equal_power,
+    equal_splits,
     fixed_ratio_ladders,
     format_pattern_text,
     oma_pattern,
@@ -56,7 +60,7 @@ from .pattern import (
     pnoma_pattern,
     simple_beam_allocation,
 )
-from .receiver import drop_link_states, sinr, sum_rate
+from .receiver import beam_sum_rates, drop_link_states, pair_rates, sic_orders, sic_sinrs
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -108,6 +112,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.drops < 1:
             raise ConfigError("drops must be at least 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1")
+        if self.max_redraws < 0:
+            raise ConfigError("max_redraws must be nonnegative")
+        for name in ("p0_ratio", "pnoma_mu"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if not all(mu > 0 for mu in self.mu):
+            raise ConfigError("mu values must be positive")
+        if not (self.epsilon_ratio >= 0 and self.n_beams * self.epsilon_ratio < 1):
+            # one anchor per beam sits on the floor, so n_beams floors must
+            # leave part of the budget free
+            raise ConfigError("epsilon_ratio must lie in [0, 1/n_beams)")
         if self.n_tx < self.n_beams:
             raise ConfigError("need n_tx >= n_beams")
         if self.n_beams * self.n_rx > self.n_tx:
@@ -342,57 +359,50 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state):
             raise ConfigError(f"more than {cfg.max_redraws} consecutive singular-channel redraws")
 
 
-def _unit_records(cfg: ExperimentConfig, unit, pattern, omega, nulled, links, redraws):
+def _unit_records(cfg: ExperimentConfig, unit, setup, splits, gains, budgets):
     """The records of one unit (one scheme evaluation) across the sweep points.
 
-    ``links`` holds the unit's equal-split link of each budget.  The
-    equal-split and fixed-ratio policies power only the pattern's pairs
-    that the anchors do not null (``nulled``); the optimal policy is
-    ``water_fill`` with the anchors' floors.  A mu sweep's ladders are
-    built, validated and evaluated as one (M, N, K) stack.
+    ``setup`` is the unit's (channels, pattern, omega, beams, redraws),
+    ``splits`` its (D, N, K) equal splits of the D ``budgets`` and ``gains``
+    the (D, N, K) gains they give.  The equal-split and fixed-ratio
+    policies power only the pattern's pairs that the anchors do not null;
+    the optimal policy is the water-fill with the anchors' floors.  Each
+    policy's powers, SINRs and rates are one stack over the budgets (and
+    the mu sweep): a (D, M) table of sum rates, M = 1 but for the ladders.
     """
     label, k, _, power_policy, mus = unit
-    records = []
-    mu_axis = cfg.sweep_axis == "mu"
-    for db, link in zip(cfg.p_sum_db, links):
-        p_sum = link.power.p_sum
+    _, pattern, omega, _, redraws = setup
+    covered = pattern.entries == 1
+    if power_policy == "equal":
+        sinrs = sic_sinrs(gains, splits, sic_orders(gains, covered))
+        rates = pair_rates(sinrs).reshape(len(budgets), -1).sum(axis=-1)[:, None]
+    elif power_policy == "fixed-ratio":
+        orders = sic_orders(gains, covered)
+        nulled = omega.nulled(pattern)
+        ladders = fixed_ratio_ladders(pattern, cfg.p0_ratio, mus, orders, budgets, nulled)
+        rates = beam_sum_rates(gains[:, None], ladders, orders[:, None])
+    else:  # optimal
+        delta = anchor_floors(gains, omega, cfg.epsilon_ratio * budgets)
+        powers = water_fills(gains, budgets, delta, covered if cfg.strict_pattern else None)
+        rates = beam_sum_rates(gains, powers, sic_orders(gains))[:, None]
 
-        def emit(rate, mu_value):
+    mu_axis = cfg.sweep_axis == "mu"
+    # mu-independent runs (equal power, the power-domain baseline's fixed
+    # ratio, the optimal policy) replicate as horizontal rows on a mu sweep
+    own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
+    records = []
+    for db, row in zip(cfg.p_sum_db, rates):
+        for mu_value, rate in zip(mus, row):
             if mu_axis:
-                # mu-independent runs (equal power, the power-domain baseline's
-                # fixed ratio, the optimal policy) replicate as horizontal rows
-                own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
                 sweeps = [mu_value] if own_mu else list(cfg.mu)
             else:
                 sweeps = [db]
-            for sweep in sweeps:
-                records.append(
-                    DropRecord(
-                        scheme=label,
-                        k_users=k,
-                        sweep_value=float(sweep),
-                        sum_rate=float(rate),
-                        redraws=redraws,
-                    )
+            records.extend(
+                DropRecord(
+                    scheme=label, k_users=k, sweep_value=float(sweep), sum_rate=float(rate), redraws=redraws
                 )
-
-        if power_policy == "equal":
-            emit(sum_rate(link), None)
-        elif power_policy == "fixed-ratio":
-            ladders = fixed_ratio_ladders(pattern, cfg.p0_ratio, mus, link.sic_orders, p_sum, nulled)
-            # each beam's rates summed over its users, then over the beams in order
-            rates = sum(
-                np.log2(1.0 + sinr(link.gains[n], ladders[:, n], link.sic_orders[n])).sum(axis=-1)
-                for n in range(cfg.n_beams)
+                for sweep in sweeps
             )
-            for mu, rate in zip(mus, rates):
-                emit(rate, mu)
-        else:  # optimal
-            support = pattern.entries.astype(bool) if cfg.strict_pattern else None
-            prob = OptProblem.build(
-                link.gains, p_sum, selected=omega, epsilon=cfg.epsilon_ratio * p_sum, support=support
-            )
-            emit(-objective(prob, water_fill(prob)), None)
     return records
 
 
@@ -406,29 +416,31 @@ def run_drop(cfg: ExperimentConfig, seed) -> list[DropRecord]:
     """
     state = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     units = _scheme_runs(cfg)
+    # one set-up per distinct (K, pattern policy), in order of first use
+    keys = list(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
     first: dict[int, list] = {}  # user count -> channels of the stream's first draw
-    draws = []  # (channels, pattern, omega) per unit
-    for _, k, pattern_policy, _, _ in units:
+    draws = []  # (channels, pattern, omega) per set-up
+    for k, pattern_policy in keys:
         if k not in first:
             first[k] = _channels(cfg, k, np.random.Generator(np.random.Philox(state)))
         draws.append((first[k], *_anchored(cfg, pattern_policy, k, first[k])))
     channel_sets, _, omegas = zip(*draws)
     setups = [
         _draw_drop(cfg, k, pattern_policy, state) if beams is None else (*draw, beams, 0)
-        for (_, k, pattern_policy, _, _), draw, beams in zip(units, draws, zf_beamformers(channel_sets, omegas))
+        for (k, pattern_policy), draw, beams in zip(keys, draws, zf_beamformers(channel_sets, omegas))
     ]
-    budgets = [10.0 ** (db / 10.0) for db in cfg.p_sum_db]
-    nulls = [omega.nulled(pattern) for _, pattern, omega, _, _ in setups]
-    links = drop_link_states(
-        [
-            (channels, unit_beams, [equal_power(pattern, p_sum, nulled) for p_sum in budgets])
-            for (channels, pattern, _, unit_beams, _), nulled in zip(setups, nulls)
-        ],
+    budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+    splits = [
+        equal_splits(pattern, budgets, omega.nulled(pattern)) for _, pattern, omega, _, _ in setups
+    ]
+    gains = drop_link_states(
+        [(channels, beams, split) for (channels, _, _, beams, _), split in zip(setups, splits)],
         cfg.cell.noise_variance,
     )
     records = []
-    for unit, (_, pattern, omega, _, redraws), nulled, unit_links in zip(units, setups, nulls, links):
-        records.extend(_unit_records(cfg, unit, pattern, omega, nulled, unit_links, redraws))
+    for unit in units:
+        s = keys.index(unit[1:3])
+        records.extend(_unit_records(cfg, unit, setups[s], splits[s], gains[s], budgets))
     return records
 
 

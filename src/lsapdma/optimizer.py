@@ -5,7 +5,10 @@ power matrix: within each beam, writing the rates against the ascending-gain
 decoding order turns the objective into a telescoping sum of logs of suffix
 power sums, whose Hessian has a nested nonnegative structure (rank-one
 blocks accumulating down the order).  Without per-link minimum rates the
-optimum has a closed form (``water_fill``).  With them, a standard
+optimum has a closed form, water-filling over the beams' strongest users.
+``water_fills`` computes it for a whole (D, N, K) stack of gain matrices
+and budgets at once, the bend-point search included, and ``water_fill`` is
+its one-problem case for an ``OptProblem``.  With minimum rates, a standard
 log-barrier method with damped Newton centering (``barrier_solve``) finds
 the global optimum subject to the per-entry power floors, the total power
 budget and the minimum rates.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import sic_order, sinr as _link_sinr
+from .receiver import beam_sum_rates, sic_orders
 
 LN2 = float(np.log(2.0))
 
@@ -52,14 +55,7 @@ class OptProblem:
         object.__setattr__(self, "delta", d)
         if h.ndim != 2:
             raise ValueError("gains must be a 2-D matrix")
-        if (h < 0).any():
-            raise ValueError("gains must be nonnegative")
-        if d.shape != h.shape or (d < 0).any():
-            raise ValueError("delta must be a nonnegative matrix matching gains")
-        if self.p_sum <= 0:
-            raise ValueError("p_sum must be positive")
-        if d.sum() >= self.p_sum:
-            raise ValueError("sum of power floors must stay below the budget")
+        _check_instances(h[None], d[None], np.array([self.p_sum]))
         if self.r_min < 0:
             raise ValueError("r_min must be nonnegative")
         if self.support is not None:
@@ -72,23 +68,16 @@ class OptProblem:
                     "a minimum rate over all links is inconsistent with a "
                     "restricted pattern support"
                 )
-        n, k = h.shape
-        all_users = np.ones(k, dtype=bool)
-        orders = tuple(sic_order(h[row], all_users) for row in range(n))
-        object.__setattr__(self, "_orders", orders)
-        var = h > 0
-        if self.support is not None:
-            var = var & self.support
-        object.__setattr__(self, "_var", var)
-        # position-space views used by the objective machinery
-        ord_mat = np.vstack(orders)
+        ord_mat = sic_orders(h)
         object.__setattr__(self, "_ord", ord_mat)
+        object.__setattr__(self, "_var", _free_entries(h, self.support))
+        # position-space views used by the objective machinery
         h_pos = np.take_along_axis(h, ord_mat, axis=1)
         a_pos = np.full_like(h_pos, np.inf)
         live = h_pos > 0
         a_pos[live] = 1.0 / h_pos[live] ** 2
         object.__setattr__(self, "_a_pos", a_pos)
-        object.__setattr__(self, "_var_pos", np.take_along_axis(var, ord_mat, axis=1))
+        object.__setattr__(self, "_var_pos", np.take_along_axis(self._var, ord_mat, axis=1))
         object.__setattr__(self, "_delta_pos", np.take_along_axis(d, ord_mat, axis=1))
 
     @classmethod
@@ -112,15 +101,10 @@ class OptProblem:
         gains = np.asarray(gains, dtype=float)
         if epsilon is None:
             epsilon = 1e-6 * p_sum
-        delta = np.zeros_like(gains)
-        if selected is not None:
-            pairs = getattr(selected, "pairs", selected)
-            for n, k in pairs:
-                delta[n, k] = epsilon
         return cls(
             gains=gains,
             p_sum=float(p_sum),
-            delta=delta,
+            delta=anchor_floors(gains, () if selected is None else selected, epsilon),
             epsilon=float(epsilon),
             r_min=float(r_min),
             support=support,
@@ -137,7 +121,43 @@ class OptProblem:
     @property
     def orders(self) -> tuple:
         """Per-beam decoding orders (ascending gain), shared with the receiver."""
-        return self._orders
+        return tuple(self._ord)
+
+
+def _check_instances(gains: np.ndarray, delta: np.ndarray, p_sum: np.ndarray) -> None:
+    """Raise unless a stack of instances (gains and floors (D, N, K), budgets
+    (D,)) has nonnegative gains, nonnegative floors of the gains' shape, and
+    positive budgets that exceed each instance's floor sum."""
+    if (gains < 0).any():
+        raise ValueError("gains must be nonnegative")
+    if delta.shape != gains.shape or (delta < 0).any():
+        raise ValueError("delta must be a nonnegative matrix matching gains")
+    if (p_sum <= 0).any():
+        raise ValueError("p_sum must be positive")
+    if (delta.reshape(len(delta), -1).sum(axis=-1) >= p_sum).any():
+        raise ValueError("sum of power floors must stay below the budget")
+
+
+def _free_entries(gains: np.ndarray, support) -> np.ndarray:
+    """The optimization variables: positive gains, within ``support`` if given."""
+    free = gains > 0
+    return free if support is None else free & support
+
+
+def anchor_floors(gains: np.ndarray, selected, epsilon) -> np.ndarray:
+    """Power floors matching a gain matrix or stack (..., N, K): ``epsilon``
+    on each selected (beam, user) pair, zero elsewhere.
+
+    ``selected`` is an iterable of (beam, user) pairs or an object with a
+    ``pairs`` attribute (the ZF anchors); ``epsilon`` is one floor, or one
+    per matrix of the stack, shaped like ``gains.shape[:-2]``.
+    """
+    delta = np.zeros(np.shape(gains))
+    pairs = list(getattr(selected, "pairs", selected))
+    if pairs:
+        beams, users = zip(*pairs)
+        delta[..., beams, users] = np.asarray(epsilon, dtype=float)[..., None]
+    return delta
 
 
 @dataclass(frozen=True)
@@ -225,11 +245,7 @@ def objective(prob: OptProblem, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != prob.gains.shape:
         raise ValueError("power matrix must match the gain shape")
-    total = 0.0
-    for n in range(prob.n_beams):
-        gam = _link_sinr(prob.gains[n], p[n], prob._orders[n])
-        total += float(np.log2(1.0 + gam).sum())
-    return -total
+    return -float(beam_sum_rates(prob.gains, p, prob._ord))
 
 
 def _objective_pos(prob: OptProblem, p_pos: np.ndarray) -> float:
@@ -310,32 +326,80 @@ def water_fill(prob: OptProblem) -> np.ndarray:
     interference, which moves the beam's marginal by a term of the floors'
     order that W ignores; the rate lost is of second order in the floors.
     Beams with no free entry are skipped, and with none at all the floors
-    are returned.
+    are returned.  This is the one-problem case of ``water_fills``.
     """
     if prob.r_min > 0:
         raise ValueError("water_fill has no rate floors; use barrier_solve for r_min > 0")
-    p = prob.delta.copy()
-    picks = []  # (beam, user, level L_n)
-    for n, order in enumerate(prob.orders):
-        free = np.flatnonzero(prob._var[n, order])
-        if free.size:
-            last = free[-1]
-            k = order[last]
-            picks.append((n, k, 1.0 / prob.gains[n, k] ** 2 + prob.delta[n, order[last + 1 :]].sum()))
-    if not picks:
-        return p
-    beams, users, levels = (np.array(col) for col in zip(*picks))
-    floors = prob.delta[beams, users]
-    budget = prob.p_sum - prob.delta.sum() + floors.sum()
+    stack = (prob.gains[None], prob.delta[None], prob._var[None], prob._ord[None])
+    return _water_fill(*stack, np.array([prob.p_sum]))[0]
+
+
+def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None):
+    """``water_fill`` over a stack of D instances at once, shape (D, N, K).
+
+    Instance d has the gains ``gains[d]``, the budget ``p_sum[d]`` and the
+    floors ``delta[d]``; ``support`` (N, K), if given, restricts every
+    instance's variables to the pattern's pairs (strict mode).  The checks
+    are those of ``OptProblem``, run once on the stack.
+    """
+    gains = np.asarray(gains, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    p_sum = np.asarray(p_sum, dtype=float)
+    if gains.ndim != 3 or p_sum.shape != gains.shape[:1]:
+        raise ValueError("gains must stack (N, K) matrices, one per budget")
+    _check_instances(gains, delta, p_sum)
+    support = None if support is None else np.asarray(support, dtype=bool)
+    return _water_fill(gains, delta, _free_entries(gains, support), sic_orders(gains), p_sum)
+
+
+def _water_fill(gains, delta, free, orders, p_sum) -> np.ndarray:
+    """The closed form of ``water_fill`` on D instances: gains, floors, free
+    entries and decoding orders (D, N, K), budgets (D,).
+
+    Each beam's strongest free user and its level L_n come from the orders
+    at once; a (budget, beam) with no free entry is masked out.  The bend
+    point search then evaluates the level W of every candidate segment of
+    every budget and keeps, per budget, the one the sequential search
+    would stop at: the largest count m whose W reaches its m-th lowest
+    bend, or m = 1 when none does.  Every sum over beams or positions runs
+    left to right (a masked cumulative sum), as numpy sums fewer than 8
+    terms, so a problem gives the same powers stacked as alone.
+    """
+    n_budgets, n_beams, n_users = gains.shape
+    # flat positions of each beam's users in decoding order, and of each
+    # beam's strongest free user (the last free position)
+    rows = n_budgets * n_beams
+    at = orders.reshape(rows, n_users) + n_users * np.arange(rows)[:, None]
+    free_pos = free.reshape(-1)[at]
+    picked = free_pos.any(axis=-1)  # per (budget, beam): a free entry exists
+    last = n_users - 1 - np.argmax(free_pos[:, ::-1], axis=-1)
+    served = at[np.arange(len(at)), last]
+    after = np.arange(n_users) > last[:, None]
+    pinned = np.cumsum(np.where(after, delta.reshape(-1)[at], 0.0), axis=-1)[:, -1]
+    h = np.where(picked, gains.reshape(-1)[served], 1.0)
+    own = delta.reshape(-1)[served]
+    shape = (n_budgets, n_beams)
+    levels = (1.0 / h**2 + pinned).reshape(shape)
+    floors = np.where(picked, own, 0.0).reshape(shape)
+    picked = picked.reshape(shape)
+    budget = p_sum - delta.reshape(n_budgets, -1).sum(axis=-1) + np.cumsum(floors, axis=-1)[:, -1]
     # sum_n max(floor_n, W - L_n) grows with W and bends at L_n + floor_n:
     # the level lies on the segment where the m lowest bends are passed
-    bends = levels + floors
-    rank = np.argsort(bends, kind="stable")
-    for m in range(len(rank), 0, -1):
-        water = (budget - floors[rank[m:]].sum() + levels[rank[:m]].sum()) / m
-        if water >= bends[rank[m - 1]]:
-            break
-    p[beams, users] = np.maximum(floors, water - levels)
+    bends = np.where(picked, levels + floors, np.inf)
+    rank = np.argsort(bends, axis=-1, kind="stable")  # beams with no free entry last
+    ranked = np.arange(n_budgets)[:, None], rank
+    m = np.arange(1, n_beams + 1)
+    below = np.cumsum(levels[ranked], axis=-1)  # levels of the m lowest bends
+    # floors of the bends above the m lowest (beams with no free entry add 0)
+    beyond = np.arange(n_beams) >= m[:, None]
+    above = np.cumsum(np.where(beyond, floors[ranked][:, None], 0.0), axis=-1)[..., -1]
+    water = (budget[:, None] - above + below) / m  # (D, m)
+    reached = water >= bends[ranked]  # never at an infinite bend
+    pick = np.where(reached.any(axis=-1), n_beams - 1 - np.argmax(reached[:, ::-1], axis=-1), 0)
+    level = water[np.arange(n_budgets), pick][:, None]
+    p = delta.copy()
+    filled = np.where(picked, np.maximum(floors, level - levels), own.reshape(shape))
+    p.reshape(-1)[served] = filled.reshape(-1)
     return p
 
 

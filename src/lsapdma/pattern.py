@@ -1,17 +1,20 @@
-"""Beam-allocation patterns, power allocation, and signal superposition.
+"""Beam-allocation patterns and power allocation.
 
 A pattern is a binary N x K matrix: rows are beams, columns are users, and a
 one means the beam carries that user's symbol.  A user's diversity is its
-column weight, a beam's overlap is its row weight, and the overload ratio is
-K/N.  The power matrix shares the pattern's support; merging both gives the
-mapping the transmitter applies to the symbol vector.
+column weight and a beam's overlap is its row weight.  The power matrix
+shares the pattern's support; merging both gives the mapping the
+transmitter applies to the symbol vector.
 
 The simple policy's column sequence depends only on (N, K), so it is built
 once per process and each drop only assigns it to users by weakness.  Power
 matrices are checked by one routine, ``_check_powers``, which takes a stack
-of shape (..., N, K): ``PowerAllocation`` runs it on one matrix, and
-``fixed_ratio_ladders`` fills the ladders of a whole gain-factor sweep in
-one pass over the beams and runs it once on the (M, N, K) stack.
+of shape (..., N, K).  The power policies build a unit's matrices for all D
+budgets at once and run it once on the stack: ``equal_splits`` gives the
+(D, N, K) equal splits and ``fixed_ratio_ladders`` the (D, M, N, K) ladders
+of a gain-factor sweep, from per-budget SIC orders.  ``equal_power`` and
+``fixed_ratio_power`` are their one-matrix cases, as checked
+``PowerAllocation`` objects.
 """
 
 from __future__ import annotations
@@ -282,10 +285,11 @@ def _powered_support(pattern: PatternMatrix, nulled) -> np.ndarray:
     return covered if nulled is None else covered & ~np.asarray(nulled, dtype=bool)
 
 
-def _check_powers(p: np.ndarray, support: np.ndarray, p_sum: float | None) -> None:
+def _check_powers(p: np.ndarray, support: np.ndarray, p_sum) -> None:
     """Raise unless every matrix of the stack ``p``, shape (..., N, K), is
     nonnegative, positive exactly on ``support`` and, when ``p_sum`` is
-    given, within the budget.
+    given, within the budget.  ``p_sum`` is one budget for the whole stack
+    or one per matrix, shaped like ``p.shape[:-2]`` or broadcasting to it.
 
     A matrix scaled to sum to ``p_sum`` carries rounding of up to about one
     ulp of ``p_sum`` per entry, so the budget allows that much and no more:
@@ -301,17 +305,14 @@ def _check_powers(p: np.ndarray, support: np.ndarray, p_sum: float | None) -> No
             raise ValueError("total power exceeds the budget")
 
 
-@dataclass(frozen=True)
-class SuperposedSignal:
-    """Per-beam superposed signal after pattern mapping."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or not np.isfinite(v).all():
-            raise ValueError("signal must be a finite vector")
+def _budgets(p_sum) -> np.ndarray:
+    """The budgets of a stack as a checked 1-D array."""
+    p_sum = np.asarray(p_sum, dtype=float)
+    if p_sum.ndim != 1:
+        raise ValueError("p_sum must list one budget per matrix of the stack")
+    if (p_sum <= 0).any():
+        raise ValueError("p_sum must be positive")
+    return p_sum
 
 
 def fixed_ratio_ladders(
@@ -319,17 +320,20 @@ def fixed_ratio_ladders(
     p0: float,
     mus,
     sic_orders,
-    p_sum: float,
+    p_sum,
     nulled: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Geometric power ladders within each beam, one per gain factor, shape (M, N, K).
+    """Geometric power ladders within each beam, one per (budget, gain
+    factor), shape (D, M, N, K).
 
-    For ``mus[m]`` = mu, within beam n the powered users (covered and not
-    ``nulled``), taken in the supplied ascending-gain order, get powers p0,
-    mu*p0, mu^2*p0, ...; one constant per ladder then scales the whole
-    matrix so its total equals ``p_sum``.  ``sic_orders[n]`` must list each
-    user covered by beam n exactly once; nulled users keep their place in it
-    but get no power.  Every ladder passes the checks a ``PowerAllocation``
+    For budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n the powered
+    users (covered and not ``nulled``), taken in the ascending-gain order
+    ``sic_orders[d, n]``, get powers p0, mu*p0, mu^2*p0, ...; one constant
+    per ladder then scales the whole matrix so its total equals the budget.
+    ``sic_orders`` has shape (D, N, K): each row is a permutation of the
+    users that lists the users covered by its beam first, each once (as
+    ``receiver.sic_orders`` gives them); nulled users keep their place but
+    get no power.  Every ladder passes the checks a ``PowerAllocation``
     makes, run once on the stack.
     """
     mus = np.asarray(mus, dtype=float)
@@ -337,19 +341,29 @@ def fixed_ratio_ladders(
         raise ValueError("mus must be a sequence of gain factors")
     if p0 <= 0 or (mus <= 0).any():
         raise ValueError("p0 and mu must be positive")
-    if p_sum <= 0:
-        raise ValueError("p_sum must be positive")
+    p_sum = _budgets(p_sum)
     b = pattern.entries
+    n_beams, n_users = b.shape
+    orders = np.asarray(sic_orders)
+    if orders.shape != (len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
+        raise ValueError("sic_orders must hold one (N, K) integer order stack per budget")
+    # flat positions in an (N, K) matrix of each beam's users, in order
+    at = orders + n_users * np.arange(n_beams)[:, None]
+    covered_first = np.arange(n_users) < b.sum(axis=1)[:, None]  # (N, K)
+    permutes = np.sort(orders, axis=-1) == np.arange(n_users)
+    valid = (permutes & ((b.reshape(-1)[at] == 1) == covered_first)).all(axis=-1)
+    if not valid.all():
+        n = int(np.flatnonzero(~valid.all(axis=0))[0])
+        raise ValueError(f"sic_orders[:, {n}] must list each user covered by beam {n} once, first")
     support = _powered_support(pattern, nulled)
-    ladders = np.zeros((len(mus), *b.shape))
-    for n in range(pattern.n_beams):
-        order = np.asarray(sic_orders[n], dtype=int)
-        if not np.array_equal(np.sort(order), np.flatnonzero(b[n])):
-            raise ValueError(f"sic_orders[{n}] must list each user covered by beam {n} once")
-        powered = order[support[n, order]]
-        ladders[:, n, powered] = p0 * mus[:, None] ** np.arange(len(powered))
-    ladders *= (p_sum / ladders.sum(axis=(1, 2)))[:, None, None]
-    _check_powers(ladders, support, p_sum)
+    # each powered user's place among its beam's powered users, in user space
+    place = np.empty(orders.shape, dtype=int)
+    ranks = np.cumsum(support.reshape(-1)[at], axis=-1) - 1
+    place.reshape(-1)[at + n_beams * n_users * np.arange(len(p_sum))[:, None, None]] = ranks
+    steps = p0 * mus[:, None] ** np.arange(n_users)  # (M, K)
+    ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, None]], 0.0)
+    ladders *= (p_sum[:, None] / ladders.sum(axis=(-2, -1)))[..., None, None]
+    _check_powers(ladders, support, p_sum[:, None])
     return ladders
 
 
@@ -361,53 +375,52 @@ def fixed_ratio_power(
     p_sum: float,
     nulled: np.ndarray | None = None,
 ) -> PowerAllocation:
-    """The ladder of one gain factor ``mu`` (see ``fixed_ratio_ladders``)."""
-    entries = fixed_ratio_ladders(pattern, p0, [mu], sic_orders, p_sum, nulled)[0]
+    """The ladder of one gain factor ``mu`` at one budget (see
+    ``fixed_ratio_ladders``); ``sic_orders[n]`` lists beam n's covered
+    users only."""
+    uncovered = [np.flatnonzero(row == 0) for row in pattern.entries]
+    full = [np.concatenate([np.asarray(order, dtype=int), rest]) for order, rest in zip(sic_orders, uncovered)]
+    for n, order in enumerate(full):
+        if len(order) != pattern.n_users:
+            raise ValueError(f"sic_orders[{n}] must list each user covered by beam {n} once")
+    entries = fixed_ratio_ladders(pattern, p0, [mu], np.array(full)[None], [p_sum], nulled)[0, 0]
     return PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum, nulled=nulled)
+
+
+def equal_splits(pattern: PatternMatrix, p_sum, nulled: np.ndarray | None = None) -> np.ndarray:
+    """Equal split of each budget ``p_sum[d]`` across the powered (beam,
+    user) pairs, shape (D, N, K), checked once as a stack.
+
+    The powered pairs are the pattern's covered pairs less the ``nulled``
+    ones (none by default).
+    """
+    p_sum = _budgets(p_sum)
+    support = _powered_support(pattern, nulled)
+    splits = support * (p_sum / support.sum())[:, None, None]
+    _check_powers(splits, support, p_sum)
+    return splits
 
 
 def equal_power(
     pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None
 ) -> PowerAllocation:
-    """Equal split of the budget across the powered (beam, user) pairs.
-
-    The powered pairs are the pattern's covered pairs less the ``nulled``
-    ones (none by default).
-    """
-    if p_sum <= 0:
-        raise ValueError("p_sum must be positive")
-    support = _powered_support(pattern, nulled)
-    entries = support * (p_sum / support.sum())
+    """The equal split of one budget (see ``equal_splits``)."""
+    entries = equal_splits(pattern, [p_sum], nulled)[0]
     return PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum, nulled=nulled)
-
-
-def superpose(power: PowerAllocation, symbols: np.ndarray) -> SuperposedSignal:
-    """Per-beam signal t_n = sum_k sqrt(p_nk) s_k over the covered users."""
-    s = np.asarray(symbols)
-    if s.shape != (power.pattern.n_users,):
-        raise ValueError(f"symbols must have length {power.pattern.n_users}")
-    return SuperposedSignal(values=np.sqrt(power.entries) @ s)
-
-
-def overload_ratio(n_beams: int, n_users: int) -> float:
-    """Users per beam resource, K/N."""
-    if n_beams < 1 or n_users < 1:
-        raise ValueError("counts must be positive")
-    return n_users / n_beams
 
 
 def correlation_matrix(power) -> np.ndarray:
     """Second moment of the superposed signal: A_ij = sum_k sqrt(p_ik p_jk).
 
-    Accepts a PowerAllocation or a raw nonnegative (N, K) matrix.  A is
-    symmetric positive semidefinite (it is M M^T for M = sqrt of the power
-    matrix).
+    Accepts a PowerAllocation or a raw nonnegative power matrix, or a stack
+    of them, shape (..., N, K), giving (..., N, N).  A is symmetric positive
+    semidefinite (it is M M^T for M = sqrt of the power matrix).
     """
     p = power.entries if isinstance(power, PowerAllocation) else np.asarray(power, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be nonnegative")
     m = np.sqrt(p)
-    return m @ m.T
+    return m @ m.swapaxes(-1, -2)
 
 
 def parse_pattern_text(text: str) -> PatternMatrix:

@@ -10,18 +10,22 @@ last-ordered user decodes interference-free.
 The filters and gains of a drop come from one batched kernel over users:
 every unit's users (a unit is one scheme evaluation of the drop, with its
 own channels and ZF beams) are concatenated to a (U, N_R, N_T) stack, each
-with its unit's beam matrix and its D signal statistics (one per
-allocation, e.g. one equal split per budget), and one batched Cholesky
-solve gives the (D, U, N_R, N) filters, stacked products the gains.
-``drop_link_states`` runs it over a drop's units and pairs each allocation
-with its gains as a ``LinkState``, whose SIC orders, SINRs and rates are
-worked out on first read, so a caller that reads only the gains (the
-optimal policy) or the orders (the fixed-ratio ladders) pays for nothing
-else.  ``mmse_gains`` and ``link_states`` are its one-unit cases and
-``build_link_state`` the one-allocation case of ``link_states``; a user's
+with its unit's beam matrix and its D signal statistics (one per power
+matrix of the unit's (D, N, K) stack, e.g. one equal split per budget), and
+one batched Cholesky solve gives the (D, U, N_R, N) filters, stacked
+products the gains.  ``drop_link_states`` runs it over a drop's units and
+hands back each unit's (D, N, K) gains.  ``mmse_gains`` and ``link_states``
+are its one-unit cases; ``link_states`` pairs each allocation with its gains
+as a ``LinkState``, whose SIC orders, SINRs and rates are worked out on
+first read, and ``build_link_state`` is its one-allocation case.  A user's
 outputs do not depend on the users stacked beside it.
-``sinr`` takes one beam and a stack of power rows, so a sweep of power
-ladders costs one call per beam.
+
+The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
+a (..., N, K) gain stack with one stable argsort, uncovered users masked to
+sort last, and ``sic_sinrs`` computes the SINRs of a power stack under
+such orders.  ``_sic_sinr`` is the one SINR formula: ``sinr`` (one beam,
+partial order), ``sic_sinrs``, ``LinkState.sinrs`` and the optimizer's
+objective all reach it.
 """
 
 from __future__ import annotations
@@ -52,18 +56,21 @@ class LinkState:
     power: PowerAllocation
 
     @cached_property
+    def _orders(self) -> np.ndarray:
+        return sic_orders(self.gains, self.power.pattern.entries == 1)
+
+    @cached_property
     def sic_orders(self) -> tuple[np.ndarray, ...]:
-        support = self.power.pattern.entries.astype(bool)
-        return tuple(sic_order(row, covered) for row, covered in zip(self.gains, support))
+        counts = self.power.pattern.entries.sum(axis=1)
+        return tuple(order[:count] for order, count in zip(self._orders, counts))
 
     @cached_property
     def sinrs(self) -> np.ndarray:
-        rows = zip(self.gains, self.power.entries, self.sic_orders)
-        return np.vstack([sinr(h, p, order) for h, p, order in rows])
+        return sic_sinrs(self.gains, self.power.entries, self._orders)
 
     @cached_property
     def rates(self) -> np.ndarray:
-        return np.log2(1.0 + self.sinrs)
+        return pair_rates(self.sinrs)
 
 
 def _mmse_kernel(g, f, a, sigma2):
@@ -126,11 +133,34 @@ def mmse_gains(
     return v, np.ascontiguousarray(h.swapaxes(-1, -2))
 
 
+def sic_orders(gains: np.ndarray, covered: np.ndarray | None = None) -> np.ndarray:
+    """Decoding orders of every row of a gain stack (..., K): ascending gain,
+    ties by ascending user index, from one stable argsort over the stack.
+
+    With ``covered`` (broadcasting to the gains), each row lists its
+    covered users first, in that order, and the uncovered ones after them.
+    """
+    h = np.asarray(gains, dtype=float)
+    if covered is not None:
+        h = np.where(covered, h, np.inf)
+    return np.argsort(h, axis=-1, kind="stable")
+
+
 def sic_order(gains_row: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Covered users sorted by ascending gain, ties by ascending user index."""
-    h = np.asarray(gains_row, dtype=float)
-    idx = np.flatnonzero(np.asarray(covered, dtype=bool))
-    return idx[np.argsort(h[idx], kind="stable")]
+    """Covered users sorted by ascending gain, ties by ascending user index
+    (one row of ``sic_orders``, uncovered users dropped)."""
+    covered = np.asarray(covered, dtype=bool)
+    return sic_orders(gains_row, covered)[: int(covered.sum())]
+
+
+def _sic_sinr(h2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """SINRs along decoding orders: ``h2`` and ``p`` hold the squared gains
+    and the powers of each order's users, position by position, shape
+    (..., L).  The user at position k sees the powers at positions k+1 ...
+    as interference, summed from the end."""
+    suffix = np.zeros_like(p)
+    suffix[..., :-1] = np.cumsum(p[..., ::-1], axis=-1)[..., -2::-1]
+    return h2 * p / (1.0 + h2 * suffix)
 
 
 def sinr(gains_row: np.ndarray, power_row: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -154,13 +184,45 @@ def sinr(gains_row: np.ndarray, power_row: np.ndarray, order: np.ndarray) -> np.
     out = np.zeros(p.shape)
     if order.size == 0:
         return out
-    p_ord = p[..., order]
-    # suffix[..., k] = sum of powers at positions k+1..end, summed from the end
-    suffix = np.zeros_like(p_ord)
-    suffix[..., :-1] = np.cumsum(p_ord[..., ::-1], axis=-1)[..., -2::-1]
-    h2 = h[order] ** 2
-    out[..., order] = h2 * p_ord / (1.0 + h2 * suffix)
+    out[..., order] = _sic_sinr(h[order] ** 2, p[..., order])
     return out
+
+
+def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """SINRs of a power stack under SIC, in user space.
+
+    ``gains`` and ``orders`` are stacks (..., K) of one shape: gain rows and
+    their decoding orders, each order a permutation of the users (see
+    ``sic_orders``).  ``powers`` holds the power rows, in a shape the other
+    two broadcast to (a sweep of ladders adds an axis); the SINRs have that
+    shape.  Users with no power sorted last contribute nothing, so an order
+    that lists a beam's uncovered users last gives those users gamma = 0 and
+    the covered ones what ``sinr`` gives them.
+    """
+    p = np.ascontiguousarray(powers, dtype=float)
+    if (p < 0).any():
+        raise ValueError("powers must be nonnegative")
+    h = np.asarray(gains, dtype=float)
+    orders = np.asarray(orders)
+    if h.shape != orders.shape:
+        raise ValueError("gains and orders must share one shape")
+    k = p.shape[-1]
+    # flat positions of each row's users, in decoding order
+    own = orders + k * np.arange(orders.size // k).reshape(orders.shape[:-1] + (1,))
+    at = orders + k * np.arange(p.size // k).reshape(p.shape[:-1] + (1,))
+    if at.shape != p.shape:
+        raise ValueError("gains and orders must broadcast to the powers' shape")
+    out = np.empty(p.size)
+    out[at] = _sic_sinr(h.reshape(-1)[own] ** 2, p.reshape(-1)[at])
+    return out.reshape(p.shape)
+
+
+def pair_rates(sinrs) -> np.ndarray:
+    """Per-pair rates log2(1 + gamma) of an SINR array of any shape."""
+    gammas = np.asarray(sinrs, dtype=float)
+    if (gammas < 0).any():
+        raise ValueError("SINRs must be nonnegative")
+    return np.log2(1.0 + gammas)
 
 
 def sum_rate(link) -> float:
@@ -168,24 +230,36 @@ def sum_rate(link) -> float:
 
     Accepts a LinkState or a raw matrix/vector of SINRs.
     """
-    gammas = link.sinrs if isinstance(link, LinkState) else np.asarray(link, dtype=float)
-    if (gammas < 0).any():
-        raise ValueError("SINRs must be nonnegative")
-    return float(np.log2(1.0 + gammas).sum())
+    gammas = link.sinrs if isinstance(link, LinkState) else link
+    return float(pair_rates(gammas).sum())
 
 
-def drop_link_states(units, sigma2: float) -> list[list[LinkState]]:
-    """Receive chains of every unit of a drop from one MMSE kernel call.
+def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Sum rate of each power matrix of a stack (..., N, K) under SIC with
+    the given orders (see ``sic_sinrs``), shape (...): each beam's rates
+    summed over its users, then the beams added in beam order."""
+    per_beam = pair_rates(sic_sinrs(gains, powers, orders)).sum(axis=-1)
+    # numpy sums 8 or more terms pairwise; this order holds for any beam count
+    total = 0.0
+    for n in range(per_beam.shape[-1]):
+        total = total + per_beam[..., n]
+    return total
+
+
+def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
+    """Gains of every unit of a drop from one MMSE kernel call.
 
     ``units`` lists (channels, beams, powers) triples, one per unit (one
-    scheme evaluation), each with its own channels, ZF beams and D
-    allocations; D must be the same for every unit.  Every unit's users are
-    concatenated to one (U, N_R, N_T) stack, each with its unit's beam
-    matrix and second moments, so the drop makes one batched solve.  Returns
-    each unit's ``LinkState`` per allocation, equal bit for bit to a
-    ``link_states`` call on that unit alone.
+    scheme evaluation), each with its own channels, ZF beams and a (D, N, K)
+    stack of power matrices; D must be the same for every unit.  Every
+    unit's users are concatenated to one (U, N_R, N_T) stack, each with its
+    unit's beam matrix and second moments, so the drop makes one batched
+    solve.  Returns each unit's (D, N, K) gains, equal bit for bit to a
+    ``mmse_gains`` call on that unit alone.
     """
-    moments = [np.stack([correlation_matrix(p) for p in powers]) for _, _, powers in units]
+    moments = [correlation_matrix(powers) for _, _, powers in units]
+    if any(m.ndim != 3 for m in moments):
+        raise ValueError("each unit's powers must stack its D matrices, shape (D, N, K)")
     if len({m.shape[0] for m in moments}) != 1:
         raise ValueError("every unit needs the same number of allocations")
     sizes = [len(channels) for channels, _, _ in units]
@@ -193,12 +267,8 @@ def drop_link_states(units, sigma2: float) -> list[list[LinkState]]:
     g = np.stack([ch.entries for channels, _, _ in units for ch in channels])
     f = np.stack([beams.beam_matrix for _, beams, _ in units])[owner]
     _, h = _mmse_kernel(g, f, np.stack(moments, axis=1)[:, owner], sigma2)
-    out, start = [], 0
-    for k, (_, _, powers) in zip(sizes, units):
-        gains = np.ascontiguousarray(h[:, start : start + k].swapaxes(-1, -2))  # (D, N, K)
-        out.append([LinkState(gains=h_d, power=power) for h_d, power in zip(gains, powers)])
-        start += k
-    return out
+    bounds = np.cumsum([0] + sizes)
+    return [np.ascontiguousarray(h[:, a:b].swapaxes(-1, -2)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def link_states(
@@ -212,7 +282,8 @@ def link_states(
     gains they give.  The SIC orders, SINRs and rates follow on first read
     (see ``LinkState``).  The one-unit case of ``drop_link_states``.
     """
-    return drop_link_states([(channels, beams, powers)], sigma2)[0]
+    (gains,) = drop_link_states([(channels, beams, np.stack([p.entries for p in powers]))], sigma2)
+    return [LinkState(gains=h, power=power) for h, power in zip(gains, powers)]
 
 
 def build_link_state(

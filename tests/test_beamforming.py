@@ -7,7 +7,6 @@ from lsapdma.beamforming import (
     SingularChannelError,
     compute_zfbf,
     select_users,
-    transmit,
     zf_beamformers,
 )
 from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
@@ -144,29 +143,6 @@ def test_zfbf_rejects_too_many_streams():
     omega = select_users(chans, B35, np.arange(5.0))
     with pytest.raises(ValueError):
         compute_zfbf(chans, omega)
-
-
-def test_transmit_zero_and_passthrough():
-    chans = _channels(5, seed=7)
-    omega = select_users(chans, B35, np.arange(5.0))
-    beams = compute_zfbf(chans, omega)
-    assert np.array_equal(transmit(beams, np.zeros(3)), np.zeros(16))
-    with pytest.raises(ValueError):
-        transmit(beams, np.zeros(4))
-
-
-def test_transmit_matches_naive_sum():
-    chans = _channels(5, seed=8)
-    omega = select_users(chans, B35, np.arange(5.0))
-    beams = compute_zfbf(chans, omega)
-    rng = make_rng(9)
-    t = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    x = transmit(beams, t)
-    naive = np.zeros(16, dtype=complex)
-    for n in range(3):
-        for a in range(16):
-            naive[a] += beams.beam_matrix[a, n] * t[n]
-    assert np.allclose(x, naive, rtol=0, atol=1e-15)
 
 
 def test_zf_identity_survives_user_scale_spread():

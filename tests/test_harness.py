@@ -16,12 +16,15 @@ from lsapdma.harness import (
     _anchored,
     _channels,
     _draw_drop,
+    _unit_records,
     emit_results,
     run_drop,
     run_monte_carlo,
 )
-from lsapdma.pattern import equal_power, fixed_ratio_power, oma_pattern
-from lsapdma.receiver import build_link_state, sinr
+from lsapdma.optimizer import OptProblem, water_fill
+from lsapdma.pattern import equal_power, equal_splits, fixed_ratio_power, oma_pattern
+from lsapdma.receiver import build_link_state, drop_link_states, sinr
+from test_optimizer import _water_fill_reference
 
 FAST_CELL = CellConfig()
 
@@ -73,6 +76,29 @@ def test_config_rejects_repeated_sweep_values():
             _cfg(schemes=("lsa-pdma",), **{field: values})
     with pytest.raises(ConfigError, match="users"):
         ExperimentConfig.from_text("[experiment]\nusers = 5, 5\n")
+
+
+def test_config_rejects_bad_power_and_run_parameters():
+    # each used to pass the config and fail inside the first drop (or run
+    # without complaint); the error names the field
+    cases = (
+        ("mu", dict(mu=(-1.0,))),
+        ("p0_ratio", dict(p0_ratio=0.0)),
+        ("pnoma_mu", dict(pnoma_mu=-2.0)),
+        ("epsilon_ratio", dict(epsilon_ratio=-1e-6)),
+        # one anchor per beam sits on the floor: n_beams floors reach the budget
+        ("epsilon_ratio", dict(epsilon_ratio=1.0 / 3.0)),
+        ("workers", dict(workers=0)),
+        ("max_redraws", dict(max_redraws=-1)),
+    )
+    for name, kwargs in cases:
+        with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+            _cfg(schemes=("oma", "pnoma", "lsa-pdma"), policies=("fixed-ratio", "optimal"), **kwargs)
+    with pytest.raises(ConfigError, match="epsilon_ratio"):
+        ExperimentConfig.from_text("[power]\npolicies = optimal\nepsilon_ratio = 0.5\n")
+    # the edges that make sense still pass
+    _cfg(epsilon_ratio=0.0, max_redraws=0, n_beams=2, n_rx=4)
+    _cfg(epsilon_ratio=0.49, n_beams=2)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -426,6 +452,82 @@ def test_power_policies_skip_pairs_the_anchors_null():
                     assert not nulled.any()
 
 
+def _per_budget_rates(cfg, unit, pattern, omega, gains):
+    """A unit's sum rates, one budget (and one mu) at a time: the per-budget
+    path the stacked tail replaced.  Equal split: ``equal_power`` and every
+    pair's rate summed over the N x K matrix; ladders: ``fixed_ratio_power``
+    and one ``sinr`` call per beam; optimal: ``OptProblem.build`` and the
+    per-beam water-fill loop, its rate one ``sinr`` call per beam in the
+    all-user order.  ``gains[d]`` stands for budget d's equal-split link."""
+    _, _, _, policy, mus = unit
+    nulled = omega.nulled(pattern)
+    covered = pattern.entries == 1
+    out = []
+    for db, h in zip(cfg.p_sum_db, gains):
+        p_sum = 10.0 ** (db / 10.0)
+        cov = [np.flatnonzero(row) for row in covered]
+        orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(h, cov)]
+        if policy == "equal":
+            p = equal_power(pattern, p_sum, nulled).entries
+            rates = np.vstack([sinr(h[n], p[n], orders[n]) for n in range(len(h))])
+            out.append([float(np.log2(1.0 + rates).sum())])
+        elif policy == "fixed-ratio":
+            row = []
+            for mu in mus:
+                p = fixed_ratio_power(pattern, cfg.p0_ratio, mu, orders, p_sum, nulled).entries
+                row.append(sum(float(np.log2(1.0 + sinr(h[n], p[n], orders[n])).sum()) for n in range(len(h))))
+            out.append(row)
+        else:
+            support = covered if cfg.strict_pattern else None
+            prob = OptProblem.build(h, p_sum, selected=omega, epsilon=cfg.epsilon_ratio * p_sum, support=support)
+            p = _water_fill_reference(prob)
+            every = [np.argsort(row, kind="stable") for row in h]
+            out.append([sum(float(np.log2(1.0 + sinr(h[n], p[n], every[n])).sum()) for n in range(len(h)))])
+            assert np.array_equal(water_fill(prob), p)
+    return out
+
+
+def test_stacked_tail_matches_the_per_budget_path():
+    # every shape N <= K <= 2^N - 1, budgets 0, 20 and 40 dB, strict and
+    # non-strict support, nulled pairs present, and the gains as given or
+    # with beam 0's row zeroed (so the optimal policy finds no free entry
+    # there), fig4's gain factors with 0.3 and 1.7, and p0 = 1 and 0.37:
+    # every policy's rates equal the per-budget path's bit for bit.  Every
+    # sum over beams runs in beam order on both sides, and every sum over
+    # users (or over the N x K pairs of the equal split) is numpy's sum over
+    # one contiguous row of the same length and order on both sides, so the
+    # agreement is exact even where K >= 8.
+    fig4 = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
+    mus = fig4.mu + (0.3, 1.7)
+    saw_nulled = False
+    for n in (2, 3, 4):
+        for k in range(n, 2**n):
+            for strict in (False, True):
+                cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), p_sum_db=(0.0, 20.0, 40.0), strict_pattern=strict)
+                setup = _draw_drop(cfg, k, "simple", np.random.SeedSequence(17, spawn_key=(n, k, strict)))
+                channels, pattern, omega, beams, _ = setup
+                nulled = omega.nulled(pattern)
+                saw_nulled |= nulled.any()
+                budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+                splits = equal_splits(pattern, budgets, nulled)
+                (gains,) = drop_link_states([(channels, beams, splits)], 1.0)
+                zeroed = gains.copy()
+                zeroed[:, 0] = 0.0
+                for h in (gains, zeroed):
+                    for p0 in (1.0, 0.37):
+                        run = dataclasses.replace(cfg, p0_ratio=p0)
+                        units = [
+                            ("equal", k, "simple", "equal", (None,)),
+                            ("ladders", k, "simple", "fixed-ratio", mus),
+                            ("optimal", k, "simple", "optimal", (None,)),
+                        ]
+                        for unit in units[1:2] if p0 != 1.0 else units:
+                            got = [r.sum_rate for r in _unit_records(run, unit, setup, splits, h, budgets)]
+                            want = [rate for row in _per_budget_rates(run, unit, pattern, omega, h) for rate in row]
+                            assert got == want, (n, k, strict, unit[0], p0)
+    assert saw_nulled
+
+
 def test_k_equals_n_fixed_ratio_matches_oma():
     # at K = N each user anchors a distinct beam and hears only that beam,
     # so the fixed-ratio ladder reduces to OMA's equal split for every mu
@@ -441,21 +543,83 @@ def test_k_equals_n_fixed_ratio_matches_oma():
                 assert abs(pdma[mu] - oma[mu]) <= 1e-9 * oma[mu]
 
 
-def test_only_the_equal_policy_computes_sinrs_in_the_receiver(monkeypatch):
-    # the optimal policy reads only the gains of its links, so a run of it
-    # alone makes no receiver-side sinr call; the equal policy's sum rate does
+def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
+    # every unit computes its SINRs in one call of the receiver's SINR
+    # formula over all its budgets (and its mu sweep), so the call count
+    # does not grow with the budgets.  The optimal policy reads only the
+    # gains of the equal splits: its one call carries the water-fill, whose
+    # beams each hold at most one entry above the anchors' 1e-6 floor.
     calls = []
-    real = receiver.sinr
+    real = receiver._sic_sinr
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(h2, p):
+        calls.append(p)
+        return real(h2, p)
 
-    monkeypatch.setattr(receiver, "sinr", counted)
+    monkeypatch.setattr(receiver, "_sic_sinr", counted)
+    budgets = 10.0 ** (np.array([0.0, 20.0]) / 10.0)
     run_drop(_cfg(schemes=("lsa-pdma",), users=(6,), policies=("optimal",), p_sum_db=(0.0, 20.0)), 4)
-    assert calls == []
+    assert [p.shape for p in calls] == [(2, 3, 6)]
+    assert ((calls[0] > 2e-6 * budgets[:, None, None]).sum(axis=-1) <= 1).all()
+    calls.clear()
     run_drop(_cfg(schemes=("oma",)), 4)
-    assert len(calls) == 3  # one per beam
+    assert [p.shape for p in calls] == [(1, 3, 3)]
+    calls.clear()
+    run_drop(_cfg(schemes=("lsa-pdma",), users=(6,), mu=(0.5, 1.0, 2.0)), 4)
+    assert [p.shape for p in calls] == [(1, 3, 3, 6)]
+
+
+def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
+    # fig3's two units (the simple and the optimal policy, both K = 7 on the
+    # simple pattern) share the draw, the pattern and the anchors, so a drop
+    # puts one unit in the ZF stack and 7 users in the MMSE solve; each
+    # unit's records equal those of a run of it alone
+    import lsapdma.harness as harness
+
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig3.cfg")
+    stacks = []
+    real_zf, real_links = harness.zf_beamformers, harness.drop_link_states
+
+    def zf(channel_sets, omegas, **kwargs):
+        stacks.append(("zf", len(omegas)))
+        return real_zf(channel_sets, omegas, **kwargs)
+
+    def links(units, sigma2):
+        stacks.append(("mmse", sum(len(channels) for channels, _, _ in units)))
+        return real_links(units, sigma2)
+
+    for seed in range(3):
+        state = np.random.SeedSequence(cfg.seed, spawn_key=(seed,))
+        with monkeypatch.context() as m:
+            m.setattr(harness, "zf_beamformers", zf)
+            m.setattr(harness, "drop_link_states", links)
+            both = run_drop(cfg, state)
+        assert stacks == [("zf", 1), ("mmse", 7)]
+        stacks.clear()
+        alone = [r for policy in cfg.policies for r in run_drop(dataclasses.replace(cfg, policies=(policy,)), state)]
+        assert both == alone
+
+
+def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch):
+    # the simulation path runs each policy on the unit's budget stack:
+    # neither an OptProblem nor a PowerAllocation is built
+    from lsapdma.optimizer import OptProblem
+    from lsapdma.pattern import PowerAllocation
+
+    built = []
+    for cls in (OptProblem, PowerAllocation):
+        real = cls.__post_init__
+
+        def counted(self, real=real):
+            built.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
+    assert run_drop(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    assert built == []
+    equal_power(oma_pattern(3), 1.0)  # the counter sees what it should
+    assert built == ["PowerAllocation"]
 
 
 def test_fig4_runs_at_high_budgets():

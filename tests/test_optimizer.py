@@ -16,6 +16,7 @@ from lsapdma.optimizer import (
     hessian,
     objective,
     water_fill,
+    water_fills,
 )
 from lsapdma.receiver import sic_order, sinr, sum_rate
 from lsapdma.rng import make_rng
@@ -432,6 +433,67 @@ def _anchored_problem(rng, strict, zero_row):
         for pair in anchors:
             support[pair] = True
     return OptProblem.build(gains, p_sum, selected=anchors, support=support)
+
+
+def _water_fill_reference(prob):
+    """The water-fill as a loop over the beams and the bend points, one
+    problem at a time: the per-budget form the stacked kernel replaced."""
+    p = prob.delta.copy()
+    picks = []  # (beam, user, level L_n)
+    for n, order in enumerate(prob.orders):
+        free = np.flatnonzero(prob._var[n, order])
+        if free.size:
+            last = free[-1]
+            k = order[last]
+            picks.append((n, k, 1.0 / prob.gains[n, k] ** 2 + prob.delta[n, order[last + 1 :]].sum()))
+    if not picks:
+        return p
+    beams, users, levels = (np.array(col) for col in zip(*picks))
+    floors = prob.delta[beams, users]
+    budget = prob.p_sum - prob.delta.sum() + floors.sum()
+    bends = levels + floors
+    rank = np.argsort(bends, kind="stable")
+    for m in range(len(rank), 0, -1):
+        water = (budget - floors[rank[m:]].sum() + levels[rank[:m]].sum()) / m
+        if water >= bends[rank[m - 1]]:
+            break
+    p[beams, users] = np.maximum(floors, water - levels)
+    return p
+
+
+def test_water_fill_matches_the_per_beam_loop_and_its_stack():
+    # anchor floors, strict supports and zero-gain rows (a beam with no
+    # free entry), and general floor matrices: water_fill equals the loop
+    # above, and a stack of D budgets equals water_fill on each.  The
+    # kernel sums left to right, as numpy sums fewer than 8 terms; a
+    # general floor matrix with K >= 9 can pin 8 or more floors after a
+    # beam's served user, which numpy sums pairwise, so there the level
+    # (and the powers) agree to 1e-12 relative instead of bit for bit.
+    rng = make_rng(14)
+    for i in range(300):
+        prob = _anchored_problem(rng, strict=i % 3 == 0, zero_row=i % 4 == 0)
+        n, k = prob.gains.shape
+        if i % 2:
+            delta = rng.uniform(0.0, 0.4 / (n * k), (n, k)) * prob.p_sum * (rng.random((n, k)) < 0.7)
+            prob = OptProblem(gains=prob.gains, p_sum=prob.p_sum, delta=delta, support=prob.support)
+        p = water_fill(prob)
+        want = _water_fill_reference(prob)
+        pinned = [int(np.flatnonzero(prob._var_pos[b])[-1:].sum()) for b in range(n)]
+        if all(k - 1 - last < 8 for last in pinned):
+            assert np.array_equal(p, want)
+        else:
+            assert np.allclose(p, want, rtol=1e-12, atol=0.0)
+        if i % 4 == 0 and n > 1:
+            assert np.array_equal(p[-1], prob.delta[-1])  # the zero row keeps its floors
+        budgets = prob.p_sum * np.array([1.0, 10.0, 0.1])
+        gains = np.stack([prob.gains, 2.0 * prob.gains, prob.gains[:, ::-1].copy()])
+        delta = prob.delta * (budgets / prob.p_sum)[:, None, None]
+        stacked = water_fills(gains, budgets, delta, prob.support)
+        for d in range(3):
+            one = OptProblem(gains=gains[d], p_sum=budgets[d], delta=delta[d], support=prob.support)
+            assert np.array_equal(stacked[d], water_fill(one))
+    with pytest.raises(ValueError, match="floors"):
+        water_fills(np.ones((2, 1, 2)), [1.0, 1.0], np.full((2, 1, 2), [[[0.1, 0.1]], [[0.6, 0.6]]]))
 
 
 def test_water_fill_never_below_the_barrier():

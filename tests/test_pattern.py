@@ -17,11 +17,9 @@ from lsapdma.pattern import (
     fixed_ratio_power,
     format_pattern_text,
     oma_pattern,
-    overload_ratio,
     parse_pattern_text,
     pnoma_pattern,
     simple_beam_allocation,
-    superpose,
     validate_pattern,
 )
 from lsapdma.rng import make_rng
@@ -180,10 +178,24 @@ def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
     with pytest.raises(ValueError, match="once"):
         fixed_ratio_power(pattern, 1.0, 2.0, [np.array([0, 0, 1])], 3.0)
-    orders = [np.flatnonzero(row) for row in B35]
-    orders[0] = np.array([0, 1, 3, 3])
+    # a stacked order that lists beam 0's covered users first but repeats
+    # user 3 in place of the uncovered user 2
+    orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None]
+    orders[0, 0] = [0, 1, 3, 3, 4]
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(PatternMatrix(B35), 1.0, [0.5, 2.0], orders, 5.0)
+        fixed_ratio_ladders(PatternMatrix(B35), 1.0, [0.5, 2.0], orders, [5.0])
+    # an uncovered user listed ahead of a covered one
+    orders[0, 0] = [0, 2, 1, 3, 4]
+    with pytest.raises(ValueError, match="once"):
+        fixed_ratio_ladders(PatternMatrix(B35), 1.0, [0.5, 2.0], orders, [5.0])
+
+
+def _full_orders(pattern, sic_orders):
+    """Per-beam orders of the covered users, each followed by the beam's
+    uncovered users: the (N, K) form ``fixed_ratio_ladders`` takes per budget."""
+    return np.array(
+        [np.concatenate([order, np.flatnonzero(row == 0)]) for order, row in zip(sic_orders, pattern.entries)]
+    )
 
 
 def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
@@ -201,12 +213,14 @@ def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
 
 def test_fixed_ratio_ladders_match_a_per_mu_reference():
     # every shape N <= K <= 2^N - 1, fig4's gain factors and the power-domain
-    # baseline's, budgets 0-40 dB, nulled pairs present: the stack equals the
-    # per-mu ladders bit for bit, and so does fixed_ratio_power.  fig4's
-    # factors are powers of two, whose ladders sum exactly in any order, so
-    # two that are not join them.
+    # baseline's, budgets 0-40 dB with an order of their own each, nulled
+    # pairs present: the (D, M, N, K) stack equals the per-budget, per-mu
+    # ladders bit for bit, and so does fixed_ratio_power.  fig4's factors
+    # are powers of two, whose ladders sum exactly in any order, so two that
+    # are not join them.
     fig4 = ExperimentConfig.from_file(CONFIGS / "fig4.cfg")
     mus = fig4.mu + (fig4.pnoma_mu, 0.3, 1.7)
+    budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     saw_nulled = False
     for n in (2, 3, 4):
         for k in range(n, 2**n):
@@ -215,16 +229,16 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
             pattern = simple_beam_allocation(n, k, rng.permutation(k))
             nulled = select_users(chans, pattern, rng.uniform(0.1, 1.0, k)).nulled(pattern)
             saw_nulled |= nulled.any()
-            orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
-            for db in (0.0, 20.0, 40.0):
-                p_sum = 10.0 ** (db / 10.0)
-                for p0 in (fig4.p0_ratio, 0.37):
-                    ladders = fixed_ratio_ladders(pattern, p0, mus, orders, p_sum, nulled)
-                    assert ladders.shape == (len(mus), n, k)
-                    for mu, ladder in zip(mus, ladders):
-                        ref = _ladder_reference(pattern, p0, mu, orders, p_sum, nulled)
+            orders = [[rng.permutation(np.flatnonzero(row)) for row in pattern.entries] for _ in budgets]
+            stacked = np.array([_full_orders(pattern, per_beam) for per_beam in orders])
+            for p0 in (fig4.p0_ratio, 0.37):
+                ladders = fixed_ratio_ladders(pattern, p0, mus, stacked, budgets, nulled)
+                assert ladders.shape == (len(budgets), len(mus), n, k)
+                for p_sum, per_beam, per_budget in zip(budgets, orders, ladders):
+                    for mu, ladder in zip(mus, per_budget):
+                        ref = _ladder_reference(pattern, p0, mu, per_beam, p_sum, nulled)
                         assert np.array_equal(ladder, ref)
-                        one = fixed_ratio_power(pattern, p0, mu, orders, p_sum, nulled)
+                        one = fixed_ratio_power(pattern, p0, mu, per_beam, p_sum, nulled)
                         assert np.array_equal(one.entries, ref)
     assert saw_nulled
 
@@ -240,7 +254,8 @@ def test_budget_check_scales_with_the_budget():
             pattern = simple_beam_allocation(n, k, rng.permutation(k))
             orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
             mus = rng.uniform(0.1, 10.0, 4)
-            ladders = fixed_ratio_ladders(pattern, rng.uniform(0.1, 2.0), mus, orders, p_sum)
+            stacked = _full_orders(pattern, orders)[None]
+            ladders = fixed_ratio_ladders(pattern, rng.uniform(0.1, 2.0), mus, stacked, [p_sum])[0]
             fixed_ratio_power(pattern, 1.0, float(mus[0]), orders, p_sum)
             for entries in (ladders[0], equal_power(pattern, p_sum).entries):
                 PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum)
@@ -253,42 +268,6 @@ def test_power_allocation_support_must_match():
     entries = np.ones_like(B35, dtype=float)
     with pytest.raises(ValueError):
         PowerAllocation(entries=entries, pattern=pattern)
-
-
-def test_superpose_zero_and_identity():
-    pattern = oma_pattern(3)
-    alloc = equal_power(pattern, 3.0)
-    assert np.allclose(superpose(alloc, np.zeros(3)).values, 0.0)
-    s = np.array([1.0 + 1j, -2.0, 0.5j])
-    assert np.allclose(superpose(alloc, s).values, s)
-
-
-def test_superpose_canonical_column_support():
-    # third user is carried by beams 1 and 2 only
-    pattern = PatternMatrix(B35)
-    alloc = PowerAllocation(entries=B35.astype(float), pattern=pattern)
-    t = superpose(alloc, np.eye(5)[2])
-    assert np.allclose(t.values, [0.0, 1.0, 1.0])
-
-
-def test_superpose_matches_double_sum():
-    pattern = simple_beam_allocation(3, 5, range(5))
-    rng = make_rng(6)
-    p = pattern.entries * rng.uniform(0.1, 2.0, pattern.entries.shape)
-    alloc = PowerAllocation(entries=p, pattern=pattern)
-    s = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    t = superpose(alloc, s)
-    naive = np.zeros(3, dtype=complex)
-    for n in range(3):
-        for k in range(5):
-            naive[n] += pattern.entries[n, k] * np.sqrt(p[n, k]) * s[k]
-    assert np.allclose(t.values, naive, atol=1e-14)
-
-
-def test_overload_ratio_values():
-    assert overload_ratio(3, 3) == pytest.approx(1.0)
-    assert overload_ratio(3, 7) == pytest.approx(7.0 / 3.0)
-    assert overload_ratio(3, 2**3 - 1) == pytest.approx((2**3 - 1) / 3)
 
 
 def test_correlation_matrix_diagonal_for_disjoint_support():

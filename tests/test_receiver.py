@@ -372,15 +372,16 @@ def test_drop_link_states_match_each_unit_alone():
             omega = select_users(chans, pattern, hints)
             allocs = [equal_power(pattern, p_sum, omega.nulled(pattern)) for p_sum in budgets]
             units.append((chans, compute_zfbf(chans, omega), allocs))
-        stacked = drop_link_states(units, 1.0)
+        stacked = drop_link_states([(c, b, np.stack([p.entries for p in allocs])) for c, b, allocs in units], 1.0)
         assert len(stacked) == len(units)
-        for (chans, beams, allocs), links in zip(units, stacked):
+        for (chans, beams, allocs), unit_gains in zip(units, stacked):
             a = np.stack([correlation_matrix(p) for p in allocs])
             _, gains = mmse_gains(chans, beams, a, 1.0)
-            alone = link_states(chans, beams, allocs, 1.0)
-            for d, alloc in enumerate(allocs):
-                for link in (links[d], alone[d]):
-                    assert link.power is alloc
-                    assert np.array_equal(link.gains, gains[d])
+            assert unit_gains.shape == (len(budgets), n, len(chans))
+            assert np.array_equal(unit_gains, gains)
+            for d, (alloc, link) in enumerate(zip(allocs, link_states(chans, beams, allocs, 1.0))):
+                assert link.power is alloc
+                assert np.array_equal(link.gains, gains[d])
+    short = [(c, b, np.stack([p.entries for p in allocs])) for c, b, allocs in units[:2]]
     with pytest.raises(ValueError, match="same number"):
-        drop_link_states([units[0], (units[1][0], units[1][1], units[1][2][:2])], 1.0)
+        drop_link_states([short[0], (*short[1][:2], short[1][2][:2])], 1.0)
