@@ -10,19 +10,19 @@ from .beamforming import (
     SingularChannelError,
     compute_zfbf,
     select_users,
+    zf_beamformers,
 )
 from .pattern import (
     PatternMatrix,
-    PowerAllocation,
     correlation_matrix,
+    equal_splits,
     fixed_ratio_ladders,
-    fixed_ratio_power,
     oma_pattern,
     pnoma_pattern,
     simple_beam_allocation,
     validate_pattern,
 )
-from .receiver import LinkState, mmse_gains, sic_order, sinr, sum_rate
+from .receiver import beam_sum_rates, drop_link_states, pair_rates, sic_orders, sic_sinrs
 from .optimizer import (
     BarrierParams,
     OptProblem,
@@ -34,5 +34,6 @@ from .optimizer import (
     hessian,
     objective,
     water_fill,
+    water_fills,
 )
 from .harness import ExperimentConfig, ResultTable, emit_results, run_drop, run_monte_carlo

@@ -18,8 +18,9 @@ are lost anyway, so power policies can leave them unpowered.
 ``zf_beamformers`` computes the precoders of a stack of units (one unit is
 one scheme evaluation of a drop: its channels and its anchors) in one pass
 over the (E, N*N_R, N_T) anchor stack, and reports each singular unit as
-None so the caller can redraw that unit alone.  ``compute_zfbf`` is its
-one-unit case, which raises ``SingularChannelError`` instead.
+None so the caller can redraw that unit alone.  ``compute_zfbf`` is a
+thin seam over it for a caller holding a single unit: it raises
+``SingularChannelError`` where the stack reports None.
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ class BeamformerSet:
     @property
     def n_beams(self) -> int:
         return self.beam_matrix.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.beam_matrix.shape[0]
-
-    def beam_vector(self, n: int) -> np.ndarray:
-        return self.beam_matrix[:, n]
 
 
 def select_users(
@@ -217,8 +211,8 @@ def compute_zfbf(
     normalize: bool = True,
     cond_limit: float = 1e8,
 ) -> BeamformerSet:
-    """Composite ZF precoder from the selected users' stacked channels: the
-    one-unit case of ``zf_beamformers``.
+    """Composite ZF precoder from the selected users' stacked channels: a
+    ``zf_beamformers`` call on this unit alone.
 
     Raises SingularChannelError when an anchor's channel is zero or
     cond(G_C G_C^H) exceeds ``cond_limit``.

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import SCHEMES, ConfigError, ExperimentConfig, emit_results, run_monte_carlo
-from .optimizer import OptProblem, barrier_solve
+from .optimizer import OptProblem, barrier_solve, objective, water_fill
 from .pattern import parse_pattern_text, validate_pattern
 
 
@@ -42,9 +42,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _print_powers(p_matrix) -> None:
+    print("p_matrix =")
+    for row in p_matrix:
+        print("  " + " ".join(f"{v:.6g}" for v in row))
+
+
 def _cmd_solve(args) -> int:
     gains = np.loadtxt(args.gains, ndmin=2)
     prob = OptProblem.build(gains, args.psum, r_min=args.rmin)
+    if prob.r_min == 0:
+        # without rate (or power) floors the water-fill is the exact optimum
+        p = water_fill(prob)
+        print("status = optimal")
+        print(f"sum_rate = {-objective(prob, p):.6g}")
+        _print_powers(p)
+        return 0
     log = sys.stderr if args.verbose else None
     sol = barrier_solve(prob, log=log)
     print(f"status = {sol.status}")
@@ -54,9 +67,7 @@ def _cmd_solve(args) -> int:
     print(f"sum_rate = {sol.objective_value:.6g}")
     print(f"kkt_residual = {sol.kkt_residual:.3g}")
     print(f"newton_iterations = {sol.iterations}")
-    print("p_matrix =")
-    for row in sol.p_matrix:
-        print("  " + " ".join(f"{v:.6g}" for v in row))
+    _print_powers(sol.p_matrix)
     return 0 if sol.status == "converged" else 2
 
 
@@ -93,8 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="optimize a power mapping for a gain matrix file")
     solve.add_argument("--gains", required=True, help="plain-text gain matrix (beams x users)")
     solve.add_argument("--psum", type=float, required=True, help="total power budget (linear)")
-    solve.add_argument("--rmin", type=float, default=0.0, help="per-link minimum rate")
-    solve.add_argument("--verbose", action="store_true", help="trace the barrier outer iterations")
+    solve.add_argument(
+        "--rmin", type=float, default=0.0, help="per-link minimum rate (0: the closed-form water-fill)"
+    )
+    solve.add_argument("--verbose", action="store_true", help="trace the barrier outer iterations (rmin > 0)")
     solve.set_defaults(func=_cmd_solve)
 
     val = sub.add_parser("validate-pattern", help="check a pattern matrix file")

@@ -110,10 +110,16 @@ class ExperimentConfig:
     output_path: str = "results"
 
     def __post_init__(self):
-        if self.drops < 1:
-            raise ConfigError("drops must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        for name in ("schemes", "users", "policies", "p_sum_db", "mu"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one value")
+        for name in ("n_tx", "n_rx", "n_beams", "drops", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if not np.isfinite(self.p_sum_db).all():
+            raise ConfigError("p_sum_db values must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.max_redraws < 0:
             raise ConfigError("max_redraws must be nonnegative")
         for name in ("p0_ratio", "pnoma_mu"):
@@ -177,48 +183,31 @@ class ExperimentConfig:
         return _config_from_parser(cp)
 
     def to_text(self) -> str:
-        """Canonical key = value echo of the resolved configuration."""
-        lines = ["[cell]"]
-        cell = self.cell
-        lines += [
-            f"radius_m = {cell.radius_m}",
-            f"path_loss_factor = {cell.path_loss_factor}",
-            f"path_loss_exponent = {cell.path_loss_exponent}",
-            f"shadow_std_db = {cell.shadow_std_db}",
-            f"noise_variance = {cell.noise_variance}",
-            f"min_distance_m = {cell.min_distance_m}",
-            f"reference_distance_m = {cell.reference_distance_m}",
-            "",
-            "[array]",
-            f"n_tx = {self.n_tx}",
-            f"n_rx = {self.n_rx}",
-            f"n_beams = {self.n_beams}",
-            "",
-            "[experiment]",
-            f"schemes = {', '.join(self.schemes)}",
-            f"users = {', '.join(str(k) for k in self.users)}",
-            f"drops = {self.drops}",
-            f"seed = {self.seed}",
-            f"workers = {self.workers}",
-            f"max_redraws = {self.max_redraws}",
-            "",
-            "[power]",
-            f"policies = {', '.join(self.policies)}",
-            f"p_sum_db = {', '.join(f'{v:g}' for v in self.p_sum_db)}",
-            f"mu = {', '.join(f'{v:g}' for v in self.mu)}",
-            f"p0_ratio = {self.p0_ratio}",
-            f"pnoma_mu = {self.pnoma_mu}",
-            f"epsilon_ratio = {self.epsilon_ratio}",
-            f"strict_pattern = {self.strict_pattern}",
-            "",
-            "[pattern]",
-            f"policy = {self.pattern_policy}",
-        ]
-        if self.fixed_pattern is not None:
-            block = format_pattern_text(self.fixed_pattern).replace("\n", "\n  ")
-            lines.append(f"matrix = {block}")
-        lines += ["", "[output]", f"path = {self.output_path}", ""]
+        """Canonical key = value echo of the resolved configuration, one
+        line per key of ``_CONFIG_KEYS``; ``from_text`` reads it back to an
+        equal config."""
+        lines = []
+        for section, keys in _CONFIG_KEYS.items():
+            owner = self.cell if section == "cell" else self
+            lines.append(f"[{section}]")
+            for key, (name, _) in keys.items():
+                value = getattr(owner, name)
+                if value is not None:
+                    lines.append(f"{key} = {_echo(value)}")
+            lines.append("")
         return "\n".join(lines)
+
+
+def _echo(value) -> str:
+    """A config value as its parser reads it back: floats by ``repr``, so
+    they return exactly, and a pattern as an indented block."""
+    if isinstance(value, PatternMatrix):
+        return format_pattern_text(value).replace("\n", "\n  ")
+    if isinstance(value, tuple):
+        return ", ".join(_echo(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
 def _listed(parse):

@@ -7,11 +7,13 @@ power sums, whose Hessian has a nested nonnegative structure (rank-one
 blocks accumulating down the order).  Without per-link minimum rates the
 optimum has a closed form, water-filling over the beams' strongest users.
 ``water_fills`` computes it for a whole (D, N, K) stack of gain matrices
-and budgets at once, the bend-point search included, and ``water_fill`` is
-its one-problem case for an ``OptProblem``.  With minimum rates, a standard
-log-barrier method with damped Newton centering (``barrier_solve``) finds
-the global optimum subject to the per-entry power floors, the total power
-budget and the minimum rates.
+and budgets at once, the bend-point search included; ``water_fill`` runs
+the same kernel on the one instance of an ``OptProblem``.  With minimum
+rates, a standard log-barrier method with damped Newton centering
+(``barrier_solve``) finds the global optimum subject to the per-entry power
+floors, the total power budget and the minimum rates.  Every rate it
+evaluates, the objective's and the rate constraints', goes through the
+receiver's SIC SINR formula.
 
 Conventions: the gain matrix is (beams x users); each beam's entries are
 internally reindexed by SIC position (ascending gain, index tie-break,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import beam_sum_rates, sic_orders
+from .receiver import _sic_sinr, beam_sum_rates, sic_orders
 
 LN2 = float(np.log(2.0))
 
@@ -72,10 +74,11 @@ class OptProblem:
         object.__setattr__(self, "_ord", ord_mat)
         object.__setattr__(self, "_var", _free_entries(h, self.support))
         # position-space views used by the objective machinery
-        h_pos = np.take_along_axis(h, ord_mat, axis=1)
-        a_pos = np.full_like(h_pos, np.inf)
-        live = h_pos > 0
-        a_pos[live] = 1.0 / h_pos[live] ** 2
+        h2_pos = np.take_along_axis(h, ord_mat, axis=1) ** 2
+        a_pos = np.full_like(h2_pos, np.inf)
+        live = h2_pos > 0
+        a_pos[live] = 1.0 / h2_pos[live]
+        object.__setattr__(self, "_h2_pos", h2_pos)
         object.__setattr__(self, "_a_pos", a_pos)
         object.__setattr__(self, "_var_pos", np.take_along_axis(self._var, ord_mat, axis=1))
         object.__setattr__(self, "_delta_pos", np.take_along_axis(d, ord_mat, axis=1))
@@ -218,23 +221,22 @@ def _to_user(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
 
 
 def _suffix_terms(prob: OptProblem, p_pos: np.ndarray):
-    """Suffix power sums and the reciprocal terms the derivatives are built from.
+    """The reciprocal terms the derivatives are built from.
 
-    Returns (T, w, u, z): T[k] sums powers at positions >= k, w = T - p,
-    u = 1/(a + T), z = 1/(a + w) with a the squared inverse gain (dead
+    Returns (u, z): u = 1/(a + T), z = 1/(a + T - p), where T[k] sums the
+    powers at positions >= k and a is the squared inverse gain (dead
     entries have a = inf, so their terms vanish).
     """
     t_suf = np.cumsum(p_pos[:, ::-1], axis=1)[:, ::-1]
-    w = t_suf - p_pos
     u = 1.0 / (prob._a_pos + t_suf)
-    z = 1.0 / (prob._a_pos + w)
-    return t_suf, w, u, z
+    z = 1.0 / (prob._a_pos + (t_suf - p_pos))
+    return u, z
 
 
 def _rates_pos(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
-    """Per-position rates log2(1 + p/(a + w)); zero for dead entries."""
-    _, w, _, _ = _suffix_terms(prob, p_pos)
-    return np.log2(1.0 + p_pos / (prob._a_pos + w))
+    """Per-position rates log2(1 + gamma), gamma the receiver's SIC SINR;
+    zero for dead entries."""
+    return np.log2(1.0 + _sic_sinr(prob._h2_pos, p_pos))
 
 
 def objective(prob: OptProblem, p: np.ndarray) -> float:
@@ -260,7 +262,7 @@ def _gradient_pos(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
     user's power helps its own log term through every suffix sum it enters
     and hurts every earlier-decoded user through their interference terms.
     """
-    _, _, u, z = _suffix_terms(prob, p_pos)
+    u, z = _suffix_terms(prob, p_pos)
     cu = np.cumsum(u, axis=1)
     cz = np.cumsum(z, axis=1)
     shifted = np.concatenate([np.zeros((z.shape[0], 1)), cz[:, :-1]], axis=1)
@@ -281,7 +283,7 @@ def _hessian_blocks(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
     Entry (i, j) equals c[min(i, j)] with the nondecreasing accumulator
     c[m] = (sum_{l<=m} u_l^2 - sum_{l<=m-1} z_l^2)/ln2.
     """
-    _, _, u, z = _suffix_terms(prob, p_pos)
+    u, z = _suffix_terms(prob, p_pos)
     u2 = u * u
     z2 = z * z
     c = np.cumsum(u2, axis=1)
@@ -326,7 +328,8 @@ def water_fill(prob: OptProblem) -> np.ndarray:
     interference, which moves the beam's marginal by a term of the floors'
     order that W ignores; the rate lost is of second order in the floors.
     Beams with no free entry are skipped, and with none at all the floors
-    are returned.  This is the one-problem case of ``water_fills``.
+    are returned.  The kernel is that of ``water_fills``, run on a stack of
+    one.
     """
     if prob.r_min > 0:
         raise ValueError("water_fill has no rate floors; use barrier_solve for r_min > 0")
@@ -421,9 +424,8 @@ def _rate_constraint_parts(prob: OptProblem, p_pos: np.ndarray):
     (u_j [m >= j] - z_j [m >= j+1])/ln2 and its Hessian is
     -(u_j^2 [m,q >= j] - z_j^2 [m,q >= j+1])/ln2.
     """
-    _, w, u, z = _suffix_terms(prob, p_pos)
-    rates = np.log2(1.0 + p_pos / (prob._a_pos + w))
-    return rates, u, z
+    u, z = _suffix_terms(prob, p_pos)
+    return _rates_pos(prob, p_pos), u, z
 
 
 def feasible_start(prob: OptProblem) -> PhaseOneResult:

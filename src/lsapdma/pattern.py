@@ -12,9 +12,8 @@ matrices are checked by one routine, ``_check_powers``, which takes a stack
 of shape (..., N, K).  The power policies build a unit's matrices for all D
 budgets at once and run it once on the stack: ``equal_splits`` gives the
 (D, N, K) equal splits and ``fixed_ratio_ladders`` the (D, M, N, K) ladders
-of a gain-factor sweep, from per-budget SIC orders.  ``equal_power`` and
-``fixed_ratio_power`` are their one-matrix cases, as checked
-``PowerAllocation`` objects.
+of a gain-factor sweep, from per-budget SIC orders.  ``equal_power`` is
+the equal split of one budget, a checked (N, K) matrix.
 """
 
 from __future__ import annotations
@@ -249,36 +248,6 @@ def pnoma_pattern(n_beams: int, weakest_first) -> PatternMatrix:
     return PatternMatrix(entries, strict=False)
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Nonnegative power matrix whose support is the pattern's powered support.
-
-    Entries are linear, noise-normalized powers.  ``nulled`` (boolean, the
-    pattern's shape) marks covered pairs that the zero-forcing anchors null
-    by construction (see ``SelectedUserSet.nulled``); they carry nothing, so
-    they get no power.  Entry (n, k) is positive exactly when beam n covers
-    user k and the pair is not nulled; power outside the pattern is
-    rejected.
-    """
-
-    entries: np.ndarray
-    pattern: PatternMatrix
-    p_sum: float | None = None
-    nulled: np.ndarray | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", p)
-        if p.shape != self.pattern.entries.shape:
-            raise ValueError("power matrix must match the pattern shape")
-        if self.nulled is not None:
-            nulled = np.asarray(self.nulled, dtype=bool)
-            if nulled.shape != p.shape:
-                raise ValueError("nulled mask must match the pattern shape")
-            object.__setattr__(self, "nulled", nulled)
-        _check_powers(p, _powered_support(self.pattern, self.nulled), self.p_sum)
-
-
 def _powered_support(pattern: PatternMatrix, nulled) -> np.ndarray:
     """The pattern's covered pairs less the nulled ones."""
     covered = pattern.entries == 1
@@ -333,8 +302,8 @@ def fixed_ratio_ladders(
     ``sic_orders`` has shape (D, N, K): each row is a permutation of the
     users that lists the users covered by its beam first, each once (as
     ``receiver.sic_orders`` gives them); nulled users keep their place but
-    get no power.  Every ladder passes the checks a ``PowerAllocation``
-    makes, run once on the stack.
+    get no power.  Every ladder passes ``_check_powers``, run once on the
+    stack.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1:
@@ -367,26 +336,6 @@ def fixed_ratio_ladders(
     return ladders
 
 
-def fixed_ratio_power(
-    pattern: PatternMatrix,
-    p0: float,
-    mu: float,
-    sic_orders,
-    p_sum: float,
-    nulled: np.ndarray | None = None,
-) -> PowerAllocation:
-    """The ladder of one gain factor ``mu`` at one budget (see
-    ``fixed_ratio_ladders``); ``sic_orders[n]`` lists beam n's covered
-    users only."""
-    uncovered = [np.flatnonzero(row == 0) for row in pattern.entries]
-    full = [np.concatenate([np.asarray(order, dtype=int), rest]) for order, rest in zip(sic_orders, uncovered)]
-    for n, order in enumerate(full):
-        if len(order) != pattern.n_users:
-            raise ValueError(f"sic_orders[{n}] must list each user covered by beam {n} once")
-    entries = fixed_ratio_ladders(pattern, p0, [mu], np.array(full)[None], [p_sum], nulled)[0, 0]
-    return PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum, nulled=nulled)
-
-
 def equal_splits(pattern: PatternMatrix, p_sum, nulled: np.ndarray | None = None) -> np.ndarray:
     """Equal split of each budget ``p_sum[d]`` across the powered (beam,
     user) pairs, shape (D, N, K), checked once as a stack.
@@ -401,22 +350,19 @@ def equal_splits(pattern: PatternMatrix, p_sum, nulled: np.ndarray | None = None
     return splits
 
 
-def equal_power(
-    pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None
-) -> PowerAllocation:
-    """The equal split of one budget (see ``equal_splits``)."""
-    entries = equal_splits(pattern, [p_sum], nulled)[0]
-    return PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum, nulled=nulled)
+def equal_power(pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None) -> np.ndarray:
+    """The equal split of one budget, shape (N, K) (see ``equal_splits``)."""
+    return equal_splits(pattern, [p_sum], nulled)[0]
 
 
 def correlation_matrix(power) -> np.ndarray:
     """Second moment of the superposed signal: A_ij = sum_k sqrt(p_ik p_jk).
 
-    Accepts a PowerAllocation or a raw nonnegative power matrix, or a stack
-    of them, shape (..., N, K), giving (..., N, N).  A is symmetric positive
-    semidefinite (it is M M^T for M = sqrt of the power matrix).
+    Accepts a nonnegative power matrix or a stack of them, shape
+    (..., N, K), giving (..., N, N).  A is symmetric positive semidefinite
+    (it is M M^T for M = sqrt of the power matrix).
     """
-    p = power.entries if isinstance(power, PowerAllocation) else np.asarray(power, dtype=float)
+    p = np.asarray(power, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be nonnegative")
     m = np.sqrt(p)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from lsapdma.cli import main
+from lsapdma.optimizer import OptProblem, objective, water_fill
 
 
 def test_validate_pattern_ok(tmp_path, capsys):
@@ -28,9 +30,32 @@ def test_solve_subcommand(tmp_path, capsys):
     code = main(["solve", "--gains", str(path), "--psum", "10.0"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "status = converged" in out
+    assert "status = optimal" in out
     assert "sum_rate" in out
     assert "p_matrix" in out
+
+
+def test_solve_without_rate_floor_answers_with_the_water_fill(tmp_path, capsys):
+    # the first instance of a random recipe (N <= 4 beams, K < 2^N users,
+    # log-normal gains, 0-40 dB budgets); the barrier stops it at
+    # max-iterations within 1e-9 bits of the optimum, the closed form is exact
+    rng = np.random.default_rng(5)
+    n = rng.integers(1, 5)
+    k = rng.integers(1, 2**n)
+    gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
+    p_sum = 10 ** (rng.uniform(0.0, 40.0) / 10)
+    path = tmp_path / "h.txt"
+    np.savetxt(path, gains, fmt="%.17g")
+    assert main(["solve", "--gains", str(path), "--psum", repr(float(p_sum))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "status = optimal"
+    prob = OptProblem.build(gains, p_sum)
+    p = water_fill(prob)
+    assert out[1] == f"sum_rate = {-objective(prob, p):.6g}"
+    printed = np.array([[float(v) for v in line.split()] for line in out[3:]])
+    assert printed.shape == (n, k)
+    assert np.allclose(printed, p, rtol=1e-5, atol=0.0)
+    assert printed.sum() == pytest.approx(p_sum, rel=1e-5)
 
 
 def test_solve_infeasible(tmp_path, capsys):
@@ -44,7 +69,8 @@ def test_solve_infeasible(tmp_path, capsys):
 def test_solve_verbose_traces(tmp_path, capsys):
     path = tmp_path / "h.txt"
     path.write_text("1.0 2.0\n")
-    assert main(["solve", "--gains", str(path), "--psum", "5.0", "--verbose"]) == 0
+    # a feasible rate floor: the barrier runs and traces its outer iterations
+    assert main(["solve", "--gains", str(path), "--psum", "5.0", "--rmin", "0.5", "--verbose"]) == 0
     err = capsys.readouterr().err
     assert "gap=" in err and "newton=" in err
 

@@ -22,11 +22,23 @@ from lsapdma.harness import (
     run_monte_carlo,
 )
 from lsapdma.optimizer import OptProblem, water_fill
-from lsapdma.pattern import equal_power, equal_splits, fixed_ratio_power, oma_pattern
-from lsapdma.receiver import build_link_state, drop_link_states, sinr
+from lsapdma.pattern import PatternMatrix, equal_power, equal_splits, fixed_ratio_ladders, oma_pattern
+from lsapdma.receiver import build_link_state, drop_link_states, pair_rates, sic_orders
 from test_optimizer import _water_fill_reference
+from test_receiver import _beam_sinrs
 
 FAST_CELL = CellConfig()
+
+
+def _beam_rates(h, p, order):
+    """A beam's per-user rates under SIC, ``order`` listing the powered
+    users weakest first (see ``_beam_sinrs``)."""
+    return pair_rates(_beam_sinrs(h, p, order))
+
+
+def _ladder(pattern, p0, mu, orders, p_sum, nulled):
+    """The ladder of one gain factor at one budget, from (N, K) orders."""
+    return fixed_ratio_ladders(pattern, p0, [mu], orders[None], [p_sum], nulled)[0, 0]
 
 
 def _cfg(**kwargs):
@@ -90,10 +102,22 @@ def test_config_rejects_bad_power_and_run_parameters():
         ("epsilon_ratio", dict(epsilon_ratio=1.0 / 3.0)),
         ("workers", dict(workers=0)),
         ("max_redraws", dict(max_redraws=-1)),
+        # an empty list crashed the drop or ran it to an empty table
+        ("schemes", dict(schemes=())),
+        ("users", dict(users=())),
+        ("policies", dict(policies=())),
+        ("p_sum_db", dict(p_sum_db=())),
+        ("mu", dict(mu=())),
+        ("n_tx", dict(n_tx=0)),
+        ("n_rx", dict(n_rx=0)),
+        ("n_beams", dict(n_beams=0)),
+        ("p_sum_db", dict(p_sum_db=(float("nan"),))),
+        ("p_sum_db", dict(p_sum_db=(10.0, float("inf")))),
+        ("seed", dict(seed=-1)),
     )
     for name, kwargs in cases:
         with pytest.raises(ConfigError, match=rf"\b{name}\b"):
-            _cfg(schemes=("oma", "pnoma", "lsa-pdma"), policies=("fixed-ratio", "optimal"), **kwargs)
+            _cfg(**{"schemes": ("oma", "pnoma", "lsa-pdma"), "policies": ("fixed-ratio", "optimal"), **kwargs})
     with pytest.raises(ConfigError, match="epsilon_ratio"):
         ExperimentConfig.from_text("[power]\npolicies = optimal\nepsilon_ratio = 0.5\n")
     # the edges that make sense still pass
@@ -102,19 +126,39 @@ def test_config_rejects_bad_power_and_run_parameters():
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = _cfg(
-        schemes=("oma", "lsa-pdma"),
-        users=(5, 7),
-        policies=("fixed-ratio", "optimal"),
-        p_sum_db=(0.0, 10.0),
-        mu=(2.0,),
-        drops=12,
-        seed=99,
-    )
-    path = tmp_path / "exp.cfg"
-    path.write_text(cfg.to_text())
-    back = ExperimentConfig.from_file(path)
-    assert back == cfg
+    # the echo reads back to an equal config: the presets, a fixed pattern,
+    # strict support, and sweep values of 9 significant digits
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    presets = [ExperimentConfig.from_file(configs / f"fig{i}.cfg") for i in (3, 4, 5)]
+    fixed = PatternMatrix(np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]))
+    cases = presets + [
+        _cfg(
+            schemes=("oma", "lsa-pdma"),
+            users=(5, 7),
+            policies=("fixed-ratio", "optimal"),
+            p_sum_db=(0.0, 10.0),
+            mu=(2.0,),
+            drops=12,
+            seed=99,
+        ),
+        _cfg(schemes=("lsa-pdma",), pattern_policy="fixed", fixed_pattern=fixed, strict_pattern=True),
+        _cfg(p_sum_db=(12.3456789, -3.14159265), mu=(0.123456789,)),
+        _cfg(p_sum_db=(7.5,), mu=(0.25, 1.00000001, 2.71828183)),
+    ]
+    for i, cfg in enumerate(cases):
+        path = tmp_path / f"exp{i}.cfg"
+        path.write_text(cfg.to_text())
+        back = ExperimentConfig.from_file(path)
+        assert back.to_text() == cfg.to_text()
+        if cfg.fixed_pattern is None:
+            assert back == cfg
+        else:  # a pattern's entries are an array, which == compares elementwise
+            assert np.array_equal(back.fixed_pattern.entries, cfg.fixed_pattern.entries)
+            assert dataclasses.replace(back, fixed_pattern=None, pattern_policy="simple") == dataclasses.replace(
+                cfg, fixed_pattern=None, pattern_policy="simple"
+            )
+    assert "p_sum_db = 12.3456789, -3.14159265" in cases[-2].to_text()
+    assert "strict_pattern = True" in cases[-3].to_text()
 
 
 def test_config_file_with_pattern_block(tmp_path):
@@ -284,10 +328,10 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             p_sum = 10.0 ** (got.sweep_value / 10.0)
             nulled = omega.nulled(pattern)
             link = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), 1.0)
-            alloc = fixed_ratio_power(pattern, 1.0, cfg.pnoma_mu, link.sic_orders, p_sum, nulled)
+            orders = sic_orders(link.gains, pattern.entries == 1)
+            alloc = _ladder(pattern, 1.0, cfg.pnoma_mu, orders, p_sum, nulled)
             assert got.sum_rate == sum(
-                float(np.log2(1.0 + sinr(link.gains[b], alloc.entries[b], order)).sum())
-                for b, order in enumerate(link.sic_orders)
+                float(_beam_rates(link.gains[b], alloc[b], order).sum()) for b, order in enumerate(orders)
             )
 
 
@@ -411,8 +455,8 @@ def test_mu_sweep_emits_horizontal_references():
 def test_power_policies_skip_pairs_the_anchors_null():
     # G_C F_C = I leaves round-off gains (~1e-13 of the user's large-scale
     # amplitude) on the nulled pairs and real gains (>~1e-3) everywhere else.
-    # The harness's rate at each mu must equal, bit for bit, one sinr call
-    # per beam summed over users, then over beams.
+    # The harness's rate at each mu must equal, bit for bit, one beam's
+    # SINR row at a time summed over users, then over beams.
     mus = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     budgets_db = (0.0, 20.0, 40.0)
     for n in (2, 3, 4):
@@ -430,19 +474,17 @@ def test_power_policies_skip_pairs_the_anchors_null():
                     equal = equal_power(pattern, p_sum, nulled)
                     link = build_link_state(channels, beams, equal, 1.0)
                     live = link.gains > 1e-8 * scale
-                    allocs = [equal] + [
-                        fixed_ratio_power(pattern, 1.0, mu, link.sic_orders, p_sum, nulled)
-                        for mu in mus
-                    ]
+                    orders = sic_orders(link.gains, pattern.entries == 1)
+                    allocs = [equal] + [_ladder(pattern, 1.0, mu, orders, p_sum, nulled) for mu in mus]
                     for alloc in allocs:
-                        powered = alloc.entries > 0
+                        powered = alloc > 0
                         assert live[powered].all()
                         assert np.array_equal(powered, (pattern.entries == 1) & ~nulled)
                     assert not live[nulled].any()
                     for mu, alloc in zip(mus, allocs[1:]):
                         rate = sum(
-                            float(np.log2(1.0 + sinr(link.gains[b], alloc.entries[b], order)).sum())
-                            for b, order in enumerate(link.sic_orders)
+                            float(_beam_rates(link.gains[b], alloc[b], order).sum())
+                            for b, order in enumerate(orders)
                         )
                         record = next(records[mu])
                         assert record.sweep_value == db
@@ -455,9 +497,9 @@ def test_power_policies_skip_pairs_the_anchors_null():
 def _per_budget_rates(cfg, unit, pattern, omega, gains):
     """A unit's sum rates, one budget (and one mu) at a time: the per-budget
     path the stacked tail replaced.  Equal split: ``equal_power`` and every
-    pair's rate summed over the N x K matrix; ladders: ``fixed_ratio_power``
-    and one ``sinr`` call per beam; optimal: ``OptProblem.build`` and the
-    per-beam water-fill loop, its rate one ``sinr`` call per beam in the
+    pair's rate summed over the N x K matrix; ladders: a one-mu ladder and
+    one beam's SINR row at a time; optimal: ``OptProblem.build`` and the
+    per-beam water-fill loop, its rate one beam's row at a time in the
     all-user order.  ``gains[d]`` stands for budget d's equal-split link."""
     _, _, _, policy, mus = unit
     nulled = omega.nulled(pattern)
@@ -468,21 +510,22 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
         cov = [np.flatnonzero(row) for row in covered]
         orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(h, cov)]
         if policy == "equal":
-            p = equal_power(pattern, p_sum, nulled).entries
-            rates = np.vstack([sinr(h[n], p[n], orders[n]) for n in range(len(h))])
-            out.append([float(np.log2(1.0 + rates).sum())])
+            p = equal_power(pattern, p_sum, nulled)
+            rates = np.vstack([_beam_rates(h[n], p[n], orders[n]) for n in range(len(h))])
+            out.append([float(rates.sum())])
         elif policy == "fixed-ratio":
+            full = np.array([np.concatenate([o, np.flatnonzero(~c)]) for o, c in zip(orders, covered)])
             row = []
             for mu in mus:
-                p = fixed_ratio_power(pattern, cfg.p0_ratio, mu, orders, p_sum, nulled).entries
-                row.append(sum(float(np.log2(1.0 + sinr(h[n], p[n], orders[n])).sum()) for n in range(len(h))))
+                p = _ladder(pattern, cfg.p0_ratio, mu, full, p_sum, nulled)
+                row.append(sum(float(_beam_rates(h[n], p[n], orders[n]).sum()) for n in range(len(h))))
             out.append(row)
         else:
             support = covered if cfg.strict_pattern else None
             prob = OptProblem.build(h, p_sum, selected=omega, epsilon=cfg.epsilon_ratio * p_sum, support=support)
             p = _water_fill_reference(prob)
             every = [np.argsort(row, kind="stable") for row in h]
-            out.append([sum(float(np.log2(1.0 + sinr(h[n], p[n], every[n])).sum()) for n in range(len(h)))])
+            out.append([sum(float(_beam_rates(h[n], p[n], every[n]).sum()) for n in range(len(h)))])
             assert np.array_equal(water_fill(prob), p)
     return out
 
@@ -601,25 +644,32 @@ def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
 
 
 def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch):
-    # the simulation path runs each policy on the unit's budget stack:
-    # neither an OptProblem nor a PowerAllocation is built
-    from lsapdma.optimizer import OptProblem
-    from lsapdma.pattern import PowerAllocation
+    # the simulation path runs each policy on the unit's budget stack: no
+    # OptProblem is built, and every power check covers all the budgets
+    from lsapdma import pattern as pattern_module
 
-    built = []
-    for cls in (OptProblem, PowerAllocation):
-        real = cls.__post_init__
+    built, checked = [], []
+    real_init, real_check = OptProblem.__post_init__, pattern_module._check_powers
 
-        def counted(self, real=real):
-            built.append(type(self).__name__)
-            real(self)
+    def counted(self):
+        built.append(type(self).__name__)
+        real_init(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    def check(p, support, p_sum):
+        checked.append(p.shape)
+        real_check(p, support, p_sum)
+
+    monkeypatch.setattr(OptProblem, "__post_init__", counted)
+    monkeypatch.setattr(pattern_module, "_check_powers", check)
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
     assert run_drop(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     assert built == []
-    equal_power(oma_pattern(3), 1.0)  # the counter sees what it should
-    assert built == ["PowerAllocation"]
+    assert checked and all(shape[0] == len(cfg.p_sum_db) for shape in checked)
+    # the counters see what they should
+    checked.clear()
+    equal_power(oma_pattern(3), 1.0)
+    OptProblem.build(np.ones((1, 1)), 1.0)
+    assert checked == [(1, 3, 3)] and built == ["OptProblem"]
 
 
 def test_fig4_runs_at_high_budgets():

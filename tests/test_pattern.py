@@ -9,12 +9,11 @@ from lsapdma.channel import sample_channel
 from lsapdma.harness import ExperimentConfig
 from lsapdma.pattern import (
     PatternMatrix,
-    PowerAllocation,
+    _check_powers,
     _simple_columns,
     correlation_matrix,
     equal_power,
     fixed_ratio_ladders,
-    fixed_ratio_power,
     format_pattern_text,
     oma_pattern,
     parse_pattern_text,
@@ -137,19 +136,25 @@ def test_pattern_entries_are_validated_before_the_cast():
     assert np.array_equal(PatternMatrix(np.eye(3, dtype=bool), strict=False).entries, np.eye(3))
 
 
+def _ladder(pattern, p0, mu, sic_orders, p_sum, nulled=None):
+    """The ladder of one gain factor at one budget: a one-budget, one-mu
+    ``fixed_ratio_ladders`` stack, from per-beam orders of the covered users."""
+    return fixed_ratio_ladders(pattern, p0, [mu], _full_orders(pattern, sic_orders)[None], [p_sum], nulled)[0, 0]
+
+
 def test_fixed_ratio_equal_split_at_unit_mu():
     pattern = PatternMatrix(B35)
     orders = [np.flatnonzero(row) for row in B35]
-    alloc = fixed_ratio_power(pattern, 1.0, 1.0, orders, 9.0)
-    assert np.allclose(alloc.entries[B35 == 1], 1.0)
-    assert alloc.entries.sum() == pytest.approx(9.0, rel=1e-15)
+    alloc = _ladder(pattern, 1.0, 1.0, orders, 9.0)
+    assert np.allclose(alloc[B35 == 1], 1.0)
+    assert alloc.sum() == pytest.approx(9.0, rel=1e-15)
 
 
 def test_fixed_ratio_two_user_ladder():
     # single beam, two users, ratio 1:2 rescaled to total 3
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
-    alloc = fixed_ratio_power(pattern, 1.0, 2.0, [np.array([0, 1])], 3.0)
-    assert np.allclose(alloc.entries, [[1.0, 2.0]])
+    alloc = _ladder(pattern, 1.0, 2.0, [np.array([0, 1])], 3.0)
+    assert np.allclose(alloc, [[1.0, 2.0]])
 
 
 def test_fixed_ratio_budget_and_ratios_exact():
@@ -157,27 +162,32 @@ def test_fixed_ratio_budget_and_ratios_exact():
     rng = make_rng(5)
     orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
     for mu in (0.25, 1.7, 8.0):
-        alloc = fixed_ratio_power(pattern, 0.37, mu, orders, 12.5)
-        assert abs(alloc.entries.sum() - 12.5) / 12.5 < 1e-12
+        alloc = _ladder(pattern, 0.37, mu, orders, 12.5)
+        assert abs(alloc.sum() - 12.5) / 12.5 < 1e-12
         for n, order in enumerate(orders):
-            ladder = alloc.entries[n, order]
+            ladder = alloc[n, order]
             assert np.allclose(ladder[1:] / ladder[:-1], mu, rtol=1e-12)
 
 
 def test_fixed_ratio_rejects_bad_order():
     pattern = PatternMatrix(B35)
-    orders = [np.flatnonzero(row) for row in B35]
-    orders[1] = orders[1][:-1]
+    orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None]
+    # beam 1's covered user 2 is left out of its covered prefix
+    bad = orders.copy()
+    bad[0, 1] = [0, 1, 3, 4, 2]
+    with pytest.raises(ValueError, match="once"):
+        fixed_ratio_ladders(pattern, 1.0, [2.0], bad, [5.0])
+    # an order row one user short
     with pytest.raises(ValueError):
-        fixed_ratio_power(pattern, 1.0, 2.0, orders, 5.0)
+        fixed_ratio_ladders(pattern, 1.0, [2.0], orders[..., :-1], [5.0])
 
 
 def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
-    # [0, 0, 1] names both covered users, but would give user 0 mu*p0 and
-    # user 1 mu^2*p0
+    # [0, 0] names user 0 twice and user 1 never, which would give user 0
+    # two rungs of the ladder
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_power(pattern, 1.0, 2.0, [np.array([0, 0, 1])], 3.0)
+        fixed_ratio_ladders(pattern, 1.0, [2.0], np.array([[[0, 0]]]), [3.0])
     # a stacked order that lists beam 0's covered users first but repeats
     # user 3 in place of the uncovered user 2
     orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None]
@@ -215,7 +225,7 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
     # every shape N <= K <= 2^N - 1, fig4's gain factors and the power-domain
     # baseline's, budgets 0-40 dB with an order of their own each, nulled
     # pairs present: the (D, M, N, K) stack equals the per-budget, per-mu
-    # ladders bit for bit, and so does fixed_ratio_power.  fig4's factors
+    # ladders bit for bit, and so does a one-mu stack.  fig4's factors
     # are powers of two, whose ladders sum exactly in any order, so two that
     # are not join them.
     fig4 = ExperimentConfig.from_file(CONFIGS / "fig4.cfg")
@@ -238,8 +248,8 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
                     for mu, ladder in zip(mus, per_budget):
                         ref = _ladder_reference(pattern, p0, mu, per_beam, p_sum, nulled)
                         assert np.array_equal(ladder, ref)
-                        one = fixed_ratio_power(pattern, p0, mu, per_beam, p_sum, nulled)
-                        assert np.array_equal(one.entries, ref)
+                        one = _ladder(pattern, p0, mu, per_beam, p_sum, nulled)
+                        assert np.array_equal(one, ref)
     assert saw_nulled
 
 
@@ -256,29 +266,31 @@ def test_budget_check_scales_with_the_budget():
             mus = rng.uniform(0.1, 10.0, 4)
             stacked = _full_orders(pattern, orders)[None]
             ladders = fixed_ratio_ladders(pattern, rng.uniform(0.1, 2.0), mus, stacked, [p_sum])[0]
-            fixed_ratio_power(pattern, 1.0, float(mus[0]), orders, p_sum)
-            for entries in (ladders[0], equal_power(pattern, p_sum).entries):
-                PowerAllocation(entries=entries, pattern=pattern, p_sum=p_sum)
+            _ladder(pattern, 1.0, float(mus[0]), orders, p_sum)
+            support = pattern.entries == 1
+            for entries in (ladders[0], equal_power(pattern, p_sum)):
+                _check_powers(entries, support, p_sum)
                 with pytest.raises(ValueError, match="budget"):
-                    PowerAllocation(entries=1.01 * entries, pattern=pattern, p_sum=p_sum)
+                    _check_powers(1.01 * entries, support, p_sum)
 
 
 def test_power_allocation_support_must_match():
-    pattern = PatternMatrix(B35)
-    entries = np.ones_like(B35, dtype=float)
-    with pytest.raises(ValueError):
-        PowerAllocation(entries=entries, pattern=pattern)
+    # power on an uncovered pair, or none on a covered one, is refused
+    support = PatternMatrix(B35).entries == 1
+    with pytest.raises(ValueError, match="support"):
+        _check_powers(np.ones_like(B35, dtype=float), support, None)
+    with pytest.raises(ValueError, match="support"):
+        _check_powers(np.where(support, 1.0, 0.0) * (np.arange(5) > 0), support, None)
+    _check_powers(np.where(support, 1.0, 0.0), support, None)
 
 
 def test_correlation_matrix_diagonal_for_disjoint_support():
-    pattern = oma_pattern(3)
-    alloc = PowerAllocation(entries=np.diag([1.0, 2.0, 3.0]), pattern=pattern)
+    alloc = np.diag([1.0, 2.0, 3.0])  # the identity pattern's support
     assert np.allclose(correlation_matrix(alloc), np.diag([1.0, 2.0, 3.0]))
 
 
 def test_correlation_matrix_shared_user_rank_one():
-    pattern = PatternMatrix(np.array([[1], [1]]), strict=False)
-    alloc = PowerAllocation(entries=np.array([[1.0], [1.0]]), pattern=pattern)
+    alloc = np.array([[1.0], [1.0]])  # one user on two beams
     assert np.allclose(correlation_matrix(alloc), np.ones((2, 2)))
 
 
@@ -287,8 +299,7 @@ def test_correlation_matrix_monte_carlo_oracle():
     pattern = simple_beam_allocation(3, 5, range(5))
     rng = make_rng(7)
     p = pattern.entries * rng.uniform(0.2, 3.0, pattern.entries.shape)
-    alloc = PowerAllocation(entries=p, pattern=pattern)
-    a = correlation_matrix(alloc)
+    a = correlation_matrix(p)
     n_draws = 100_000
     s = (rng.standard_normal((n_draws, 5)) + 1j * rng.standard_normal((n_draws, 5))) / np.sqrt(2)
     t = s @ np.sqrt(p).T

@@ -7,21 +7,19 @@ import scipy.linalg
 from lsapdma.beamforming import BeamformerSet, SelectedUserSet, compute_zfbf, select_users
 from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
 from lsapdma.pattern import (
-    PatternMatrix,
-    PowerAllocation,
     correlation_matrix,
     equal_power,
+    equal_splits,
     simple_beam_allocation,
 )
 from lsapdma.receiver import (
     LinkState,
+    _mmse_kernel,
     build_link_state,
     drop_link_states,
-    link_states,
-    mmse_gains,
-    sic_order,
-    sinr,
-    sum_rate,
+    pair_rates,
+    sic_orders,
+    sic_sinrs,
 )
 from lsapdma.rng import make_rng
 
@@ -32,6 +30,24 @@ def _setup(k=5, seed=0, n_rx=4, n_tx=16):
     omega = select_users(chans, pattern, np.arange(1.0, k + 1.0))
     beams = compute_zfbf(chans, omega)
     return chans, pattern, beams
+
+
+def _kernel(chans, beams, a, sigma2):
+    """Filters (D, K, N_R, N) and gains (D, N, K) of one unit's users at the
+    D second moments ``a``, read from the MMSE kernel."""
+    g = np.stack([ch.entries for ch in chans])
+    v, h = _mmse_kernel(g, beams.beam_matrix, np.asarray(a, dtype=float)[:, None], sigma2)
+    return v, h.swapaxes(-1, -2)
+
+
+def _beam_sinrs(h, p, order):
+    """One beam's SINRs under a decoding order of some of its users, as a
+    one-row stack: the users left out are ordered last and carry no power."""
+    h, p = np.asarray(h, dtype=float), np.asarray(p, dtype=float)
+    order = np.asarray(order, dtype=int)
+    rest = np.setdiff1d(np.arange(len(h)), order)
+    assert not p[rest].any()
+    return sic_sinrs(h[None], p[None], np.concatenate([order, rest])[None])[0]
 
 
 def _scalar_beams(n):
@@ -51,18 +67,31 @@ def test_mmse_zero_signal_zero_filter():
     chans, pattern, beams = _setup()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filters, gains = mmse_gains(chans, beams, np.zeros((2, 3, 3)), 1.0)
+        filters, gains = _kernel(chans, beams, np.zeros((2, 3, 3)), 1.0)
     assert np.allclose(filters, 0.0)
     assert gains.shape == (2, 3, 5)
     assert (gains == 0.0).all()
 
 
 def test_mmse_gains_rejects_bad_inputs():
+    # a zero noise variance, non-finite powers, an unstacked power matrix
     chans, pattern, beams = _setup()
-    a = correlation_matrix(equal_power(pattern, 10.0))
-    for bad_a, sigma2 in ((a[None], 0.0), (np.full((1, 3, 3), np.nan), 1.0), (a, 1.0)):
+    p = equal_power(pattern, 10.0)
+    for bad_p, sigma2 in ((p[None], 0.0), (np.full((1, 3, 5), np.nan), 1.0), (p, 1.0)):
         with pytest.raises(ValueError):
-            mmse_gains(chans, beams, bad_a, sigma2)
+            drop_link_states([(chans, beams, bad_p)], sigma2)
+
+
+def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
+    # the filters must be matched to the unit's own powers: a 7-user unit
+    # given another pattern's (D, 3, 5) split, or a split over too few
+    # beams, is refused rather than filtered with foreign statistics
+    chans, pattern, beams = _setup(k=7)
+    other = simple_beam_allocation(3, 5, range(5))
+    for bad in (equal_splits(other, [10.0]), equal_splits(pattern, [10.0])[:, :2]):
+        with pytest.raises(ValueError, match=r"\(D, N, K\)"):
+            drop_link_states([(chans, beams, bad)], 1.0)
+    assert drop_link_states([(chans, beams, equal_splits(pattern, [10.0]))], 1.0)[0].shape == (1, 3, 7)
 
 
 def test_mmse_high_noise_limit():
@@ -72,7 +101,7 @@ def test_mmse_high_noise_limit():
     g = chans[1].entries
     cov = g @ beams.beam_matrix @ a @ beams.beam_matrix.conj().T @ g.conj().T
     sigma2 = 1e6 * np.linalg.norm(cov, 2)
-    v = mmse_gains(chans, beams, a[None], sigma2)[0][0, 1]
+    v = _kernel(chans, beams, a[None], sigma2)[0][0, 1]
     approx = g @ beams.beam_matrix @ a / sigma2
     rel = np.linalg.norm(v - approx) / np.linalg.norm(v)
     assert rel < 0.01
@@ -94,7 +123,7 @@ def test_mmse_minimizes_analytic_mse():
             + np.trace(v.conj().T @ cov @ v).real
         )
 
-    v = mmse_gains(chans, beams, a[None], 1.0)[0][0, 2]
+    v = _kernel(chans, beams, a[None], 1.0)[0][0, 2]
     base = mse(v)
     rng = make_rng(3)
     scale = 1e-3 * np.linalg.norm(v)
@@ -110,7 +139,7 @@ def test_normalized_gain_scalar_case():
     ch, beams = _scalar_beams(1)
     a = np.array([1e-2, 1.0, 1e2]).reshape(3, 1, 1)
     for sigma2, h in ((1.0, 1.0), (4.0, 0.5)):
-        gains = mmse_gains([ch], beams, a, sigma2)[1]
+        gains = _kernel([ch], beams, a, sigma2)[1]
         assert gains == pytest.approx(np.full((3, 1, 1), h))
 
 
@@ -120,7 +149,7 @@ def test_normalized_gain_zero_filter_column():
     ch, beams = _scalar_beams(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filters, gains = mmse_gains([ch], beams, np.diag([1.0, 0.0])[None], 1.0)
+        filters, gains = _kernel([ch], beams, np.diag([1.0, 0.0])[None], 1.0)
     assert not filters[0, 0, :, 1].any()
     assert gains[0, 1, 0] == 0.0
     assert gains[0, 0, 0] == pytest.approx(1.0)
@@ -130,7 +159,7 @@ def test_normalized_gain_matches_independent_accumulation():
     chans, pattern, beams = _setup(seed=4)
     a = correlation_matrix(equal_power(pattern, 10.0))
     sigma2 = 1.0
-    filters, gains = mmse_gains(chans, beams, a[None], sigma2)
+    filters, gains = _kernel(chans, beams, a[None], sigma2)
     for k in (0, 2, 4):
         for n in range(3):
             # separately written numerator/denominator accumulation
@@ -187,65 +216,87 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             beams = compute_zfbf(chans, omega)
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
-            allocs = [equal_power(pattern, 10.0 ** (db / 10.0), nulled) for db in (0.0, 20.0, 40.0)]
-            a = np.stack([correlation_matrix(p) for p in allocs])
-            _, gains = mmse_gains(chans, beams, a, 1.0)
-            links = link_states(chans, beams, allocs, 1.0)
-            for d, alloc in enumerate(allocs):
-                ref = _per_user_gains(chans, beams, a[d], 1.0)
+            splits = equal_splits(pattern, [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)], nulled)
+            (gains,) = drop_link_states([(chans, beams, splits)], 1.0)
+            covered = pattern.entries == 1
+            for d, split in enumerate(splits):
+                ref = _per_user_gains(chans, beams, correlation_matrix(split), 1.0)
                 assert np.all(np.abs(gains[d] - ref) <= 1e-13 * ref)
-                single = build_link_state(chans, beams, alloc, 1.0)
-                for link in (single, links[d]):
-                    assert np.array_equal(link.gains, gains[d])
-                assert np.array_equal(single.sinrs, links[d].sinrs)
-                assert all(map(np.array_equal, single.sic_orders, links[d].sic_orders))
+                single = build_link_state(chans, beams, split, 1.0)
+                assert np.array_equal(single.gains, gains[d])
+                orders = sic_orders(single.gains, covered)
+                assert np.array_equal(orders, sic_orders(gains[d], covered))
+                assert np.array_equal(
+                    sic_sinrs(single.gains, split, orders), sic_sinrs(gains, splits, sic_orders(gains, covered))[d]
+                )
     assert saw_nulled
 
 
-def test_link_state_outputs_are_worked_out_on_first_read():
-    # link_states leaves the orders, SINRs and rates unset; read, they equal
-    # sic_order and sinr called beam by beam on the gains and the powers
-    chans, pattern, beams = _setup(seed=13)
-    allocs = [equal_power(pattern, p_sum) for p_sum in (1.0, 10.0, 100.0)]
-    for link, alloc in zip(link_states(chans, beams, allocs, 1.0), allocs):
-        assert not {"sic_orders", "sinrs", "rates"} & set(vars(link))
-        for n in range(3):
-            order = sic_order(link.gains[n], pattern.entries[n] == 1)
-            assert np.array_equal(link.sic_orders[n], order)
-            assert np.array_equal(link.sinrs[n], sinr(link.gains[n], alloc.entries[n], order))
-        assert np.array_equal(link.rates, np.log2(1.0 + link.sinrs))
-        assert link.sinrs is link.sinrs  # kept after the first read
+def test_one_matrix_seams_equal_their_stack_slices():
+    # equal_power and build_link_state, which a caller holding one budget
+    # uses, give the (N, K) slices of equal_splits and drop_link_states
+    # bit for bit, at every shape N <= K <= 2^N - 1 and 0, 20 and 40 dB
+    cell = CellConfig()
+    budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
+    for n in (2, 3, 4):
+        units = []
+        for k in range(n, 2**n):
+            rng = make_rng(11, n, k)
+            chans = user_channels(cell, drop_users(cell, k, rng), 4, 16, rng)
+            hints = np.array([ch.large_scale_gain for ch in chans])
+            pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
+            omega = select_users(chans, pattern, hints)
+            nulled = omega.nulled(pattern)
+            splits = equal_splits(pattern, budgets, nulled)
+            for d, p_sum in enumerate(budgets):
+                one = equal_power(pattern, p_sum, nulled)
+                assert one.shape == (n, k)
+                assert np.array_equal(one, splits[d])
+            units.append((chans, compute_zfbf(chans, omega), splits))
+        for (chans, beams, splits), gains in zip(units, drop_link_states(units, 1.0)):
+            for d, split in enumerate(splits):
+                link = build_link_state(chans, beams, split, 1.0)
+                assert isinstance(link, LinkState)
+                assert np.array_equal(link.power, split)
+                assert np.array_equal(link.gains, gains[d])
 
 
 def test_sic_order_sorts_ascending_with_ties():
-    assert np.array_equal(sic_order([3.0, 1.0, 2.0], [True] * 3), [1, 2, 0])
-    assert np.array_equal(sic_order([1.0, 1.0, 1.0], [True] * 3), [0, 1, 2])
-    assert np.array_equal(sic_order([0.1, 0.2, 0.3], [True, False, True]), [0, 2])
+    def order(gains, covered):
+        return sic_orders(gains, covered)[: sum(covered)]
+
+    assert np.array_equal(order([3.0, 1.0, 2.0], [True] * 3), [1, 2, 0])
+    assert np.array_equal(order([1.0, 1.0, 1.0], [True] * 3), [0, 1, 2])
+    assert np.array_equal(order([0.1, 0.2, 0.3], [True, False, True]), [0, 2])
     # already ascending stays put
-    assert np.array_equal(sic_order([0.1, 0.2, 0.3], [True] * 3), [0, 1, 2])
+    assert np.array_equal(order([0.1, 0.2, 0.3], [True] * 3), [0, 1, 2])
+    # the uncovered users follow the covered ones; a stack orders row by row
+    assert np.array_equal(sic_orders([0.3, 0.1, 0.2], [False, True, True]), [1, 2, 0])
+    stack = sic_orders(np.array([[[3.0, 1.0, 2.0], [0.1, 0.2, 0.3]]]))
+    assert np.array_equal(stack, [[[1, 2, 0], [0, 1, 2]]])
 
 
 def test_sinr_single_user():
-    gamma = sinr(np.array([1.0]), np.array([10.0]), np.array([0]))
+    gamma = _beam_sinrs(np.array([1.0]), np.array([10.0]), np.array([0]))
     assert gamma[0] == pytest.approx(10.0)
 
 
 def test_sinr_two_user_ladder():
     # h = (1, 1), powers (4, 2) in decode order: 4/(1+2) and 2
-    gamma = sinr(np.array([1.0, 1.0]), np.array([4.0, 2.0]), np.array([0, 1]))
+    gamma = _beam_sinrs(np.array([1.0, 1.0]), np.array([4.0, 2.0]), np.array([0, 1]))
     assert gamma[0] == pytest.approx(4.0 / 3.0)
     assert gamma[1] == pytest.approx(2.0)
 
 
 def test_sinr_zero_power():
-    gamma = sinr(np.array([1.0, 2.0]), np.zeros(2), np.array([0, 1]))
+    gamma = _beam_sinrs(np.array([1.0, 2.0]), np.zeros(2), np.array([0, 1]))
     assert np.all(gamma == 0.0)
     with pytest.raises(ValueError):
-        sinr(np.array([1.0]), np.array([-1.0]), np.array([0]))
+        _beam_sinrs(np.array([1.0]), np.array([-1.0]), np.array([0]))
 
 
 def test_sinr_uncovered_users_get_zero():
-    gamma = sinr(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0]), np.array([0, 2]))
+    gamma = _beam_sinrs(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0]), np.array([0, 2]))
     assert gamma[1] == 0.0
 
 
@@ -254,9 +305,9 @@ def test_merged_and_separate_powers_agree_exactly():
     h = rng.uniform(0.1, 3.0, 5)
     b = np.array([1, 0, 1, 1, 0])
     p = rng.uniform(0.5, 2.0, 5)
-    order = sic_order(h, b.astype(bool))
+    order = sic_orders(h, b.astype(bool))
     merged = b * p
-    assert np.array_equal(sinr(h, merged, order), sinr(h, b * p, order))
+    assert np.array_equal(sic_sinrs(h, merged, order), sic_sinrs(h, b * p, order))
 
 
 def test_mimo_and_scalar_models_agree():
@@ -264,24 +315,27 @@ def test_mimo_and_scalar_models_agree():
     chans, pattern, beams = _setup(seed=6)
     sigma2 = 1.0
     alloc = equal_power(pattern, 10.0)
-    filters, _ = mmse_gains(chans, beams, correlation_matrix(alloc)[None], sigma2)
+    filters, _ = _kernel(chans, beams, correlation_matrix(alloc)[None], sigma2)
     link = build_link_state(chans, beams, alloc, sigma2)
+    covered = pattern.entries == 1
+    orders = sic_orders(link.gains, covered)
+    sinrs = sic_sinrs(link.gains, alloc, orders)
     for k in range(5):
         v = filters[0, k]
         proj = v.conj().T @ chans[k].entries @ beams.beam_matrix
         powers = np.abs(proj) ** 2
         for n in range(3):
-            if alloc.entries[n, k] == 0:
+            if alloc[n, k] == 0:
                 continue
-            order = link.sic_orders[n]
+            order = orders[n, : covered[n].sum()]
             pos = int(np.flatnonzero(order == k)[0])
             later = order[pos + 1 :]
-            desired = powers[n, n] * alloc.entries[n, k]
+            desired = powers[n, n] * alloc[n, k]
             inter_beam = powers[n].sum() - powers[n, n]
             noise = sigma2 * np.linalg.norm(v[:, n]) ** 2
-            intra = powers[n, n] * alloc.entries[n, later].sum()
+            intra = powers[n, n] * alloc[n, later].sum()
             direct = desired / (inter_beam + noise + intra)
-            rel = abs(direct - link.sinrs[n, k]) / direct
+            rel = abs(direct - sinrs[n, k]) / direct
             assert rel < 1e-9
 
 
@@ -289,13 +343,10 @@ def test_relabeling_invariance():
     rng = make_rng(7)
     h = rng.uniform(0.1, 5.0, (3, 6))
     p = rng.uniform(0.0, 2.0, (3, 6))
-    covered = p > 0
-    orders = [sic_order(h[n], covered[n]) for n in range(3)]
-    base = sum(np.log2(1 + sinr(h[n], p[n], orders[n])).sum() for n in range(3))
+    base = pair_rates(sic_sinrs(h, p, sic_orders(h, p > 0))).sum()
     perm = rng.permutation(6)
     h2, p2 = h[:, perm], p[:, perm]
-    orders2 = [sic_order(h2[n], (p2[n] > 0)) for n in range(3)]
-    new = sum(np.log2(1 + sinr(h2[n], p2[n], orders2[n])).sum() for n in range(3))
+    new = pair_rates(sic_sinrs(h2, p2, sic_orders(h2, p2 > 0))).sum()
     assert new == pytest.approx(base, rel=1e-12)
 
 
@@ -308,39 +359,41 @@ def test_two_user_power_domain_oracle():
     for n, (a, b) in enumerate(pairs):
         p[n, a] = rng.uniform(0.5, 2.0)
         p[n, b] = rng.uniform(0.5, 2.0)
+    gamma = sic_sinrs(h, p, sic_orders(h, p > 0))
     for n, (a, b) in enumerate(pairs):
-        order = sic_order(h[n], p[n] > 0)
-        gamma = sinr(h[n], p[n], order)
         weak, strong = (a, b) if h[n, a] <= h[n, b] else (b, a)
         expected_weak = h[n, weak] ** 2 * p[n, weak] / (1 + h[n, weak] ** 2 * p[n, strong])
         expected_strong = h[n, strong] ** 2 * p[n, strong]
-        assert gamma[weak] == pytest.approx(expected_weak, rel=1e-14)
-        assert gamma[strong] == pytest.approx(expected_strong, rel=1e-14)
+        assert gamma[n, weak] == pytest.approx(expected_weak, rel=1e-14)
+        assert gamma[n, strong] == pytest.approx(expected_strong, rel=1e-14)
 
 
 def test_last_user_rate_monotone_in_power():
     h = np.array([0.5, 1.0, 2.0])
     order = np.array([0, 1, 2])
     base = np.array([1.0, 1.0, 1.0])
-    r0 = np.log2(1 + sinr(h, base, order))[2]
+    r0 = np.log2(1 + sic_sinrs(h, base, order))[2]
     bigger = base.copy()
     bigger[2] = 2.0
-    r1 = np.log2(1 + sinr(h, bigger, order))[2]
+    r1 = np.log2(1 + sic_sinrs(h, bigger, order))[2]
     assert r1 > r0
 
 
 def test_sum_rate_values():
-    assert sum_rate(np.zeros((3, 5))) == 0.0
-    assert sum_rate(np.ones((3, 5))) == pytest.approx(15.0)
+    def sum_of_rates(gammas):
+        return float(pair_rates(gammas).sum())
+
+    assert sum_of_rates(np.zeros((3, 5))) == 0.0
+    assert sum_of_rates(np.ones((3, 5))) == pytest.approx(15.0)
     rng = make_rng(9)
     gammas = rng.uniform(0.0, 8.0, (3, 5))
     naive = 0.0
     for n in range(3):
         for k in range(5):
             naive += np.log2(1 + gammas[n, k])
-    assert sum_rate(gammas) == pytest.approx(naive, rel=1e-14)
+    assert sum_of_rates(gammas) == pytest.approx(naive, rel=1e-14)
     with pytest.raises(ValueError):
-        sum_rate(np.array([[-0.1]]))
+        sum_of_rates(np.array([[-0.1]]))
 
 
 def test_build_link_state_invariants():
@@ -349,17 +402,20 @@ def test_build_link_state_invariants():
     link = build_link_state(chans, beams, alloc, 1.0)
     assert isinstance(link, LinkState)
     assert (link.gains >= 0).all()
-    assert np.array_equal(link.rates, np.log2(1 + link.sinrs))
-    assert (link.sinrs[alloc.entries == 0] == 0).all()
+    covered = pattern.entries == 1
+    orders = sic_orders(link.gains, covered)
+    sinrs = sic_sinrs(link.gains, link.power, orders)
+    assert np.array_equal(pair_rates(sinrs), np.log2(1 + sinrs))
+    assert (sinrs[alloc == 0] == 0).all()
     for n in range(3):
-        hs = link.gains[n, link.sic_orders[n]]
+        hs = link.gains[n, orders[n, : covered[n].sum()]]
         assert (np.diff(hs) >= 0).all()
 
 
 def test_drop_link_states_match_each_unit_alone():
     # mixed-K stacks, K = N and K = 2^N - 1 with the simulator's path-loss
     # spread, budgets 0-40 dB: every user's gains in the one stacked solve
-    # equal its unit's one-unit mmse_gains call bit for bit
+    # equal its unit's gains from a call on that unit alone bit for bit
     cell = CellConfig()
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     for n in (2, 3, 4):
@@ -370,18 +426,15 @@ def test_drop_link_states_match_each_unit_alone():
             hints = np.array([ch.large_scale_gain for ch in chans])
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
-            allocs = [equal_power(pattern, p_sum, omega.nulled(pattern)) for p_sum in budgets]
-            units.append((chans, compute_zfbf(chans, omega), allocs))
-        stacked = drop_link_states([(c, b, np.stack([p.entries for p in allocs])) for c, b, allocs in units], 1.0)
+            units.append((chans, compute_zfbf(chans, omega), equal_splits(pattern, budgets, omega.nulled(pattern))))
+        stacked = drop_link_states(units, 1.0)
         assert len(stacked) == len(units)
-        for (chans, beams, allocs), unit_gains in zip(units, stacked):
-            a = np.stack([correlation_matrix(p) for p in allocs])
-            _, gains = mmse_gains(chans, beams, a, 1.0)
-            assert unit_gains.shape == (len(budgets), n, len(chans))
+        for unit, unit_gains in zip(units, stacked):
+            (gains,) = drop_link_states([unit], 1.0)
+            assert unit_gains.shape == (len(budgets), n, len(unit[0]))
             assert np.array_equal(unit_gains, gains)
-            for d, (alloc, link) in enumerate(zip(allocs, link_states(chans, beams, allocs, 1.0))):
-                assert link.power is alloc
-                assert np.array_equal(link.gains, gains[d])
-    short = [(c, b, np.stack([p.entries for p in allocs])) for c, b, allocs in units[:2]]
+            _, reference = _kernel(unit[0], unit[1], correlation_matrix(unit[2]), 1.0)
+            assert np.array_equal(gains, reference)
+    short = units[:2]
     with pytest.raises(ValueError, match="same number"):
         drop_link_states([short[0], (*short[1][:2], short[1][2][:2])], 1.0)
