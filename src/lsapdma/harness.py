@@ -116,8 +116,6 @@ class ExperimentConfig:
         for name in ("n_tx", "n_rx", "n_beams", "drops", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if not np.isfinite(self.p_sum_db).all():
-            raise ConfigError("p_sum_db values must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.max_redraws < 0:
@@ -163,6 +161,7 @@ class ExperimentConfig:
                 raise ConfigError("fixed pattern must have one row per beam")
             if tuple(self.users) != (self.fixed_pattern.n_users,):
                 raise ConfigError("users must match the fixed pattern's column count")
+        _check_float_range(self)
 
     @property
     def sweep_axis(self) -> str:
@@ -196,6 +195,33 @@ class ExperimentConfig:
                     lines.append(f"{key} = {_echo(value)}")
             lines.append("")
         return "\n".join(lines)
+
+
+def _check_float_range(cfg: ExperimentConfig) -> None:
+    """Raise unless every budget 10^(dB/10), every step p0*mu^j of a ladder
+    the drop runs (j below its user count) and every such step scaled to a
+    budget is a finite positive float, computed as the drop computes them.
+    An infinite or zero step makes its scaled steps NaN or zero, so the
+    scaled steps are the ones checked."""
+    ladders = []  # (field, gain factors, user count)
+    if "pnoma" in cfg.schemes:
+        ladders.append(("pnoma_mu", (cfg.pnoma_mu,), 2 * cfg.n_beams))
+    if "lsa-pdma" in cfg.schemes and "fixed-ratio" in cfg.policies:
+        ladders.append(("mu", cfg.mu, max(cfg.users)))
+    with np.errstate(all="ignore"):
+        budgets = np.power(10.0, np.asarray(cfg.p_sum_db, dtype=float) / 10.0)
+        for db, budget in zip(cfg.p_sum_db, budgets):
+            if not 0 < budget < np.inf:
+                raise ConfigError(f"p_sum_db = {db:g} gives a budget that is not a finite positive float")
+        for name, mus, n_users in ladders:
+            for mu in mus:
+                steps = cfg.p0_ratio * mu ** np.arange(n_users)
+                scaled = steps * (budgets[:, None] / steps.sum())
+                if not ((0 < scaled) & (scaled < np.inf)).all():
+                    raise ConfigError(
+                        f"{name} = {mu:g} with p0_ratio = {cfg.p0_ratio:g} gives a power ladder "
+                        "step that is not a finite positive float"
+                    )
 
 
 def _echo(value) -> str:

@@ -15,6 +15,13 @@ floors, the total power budget and the minimum rates.  Every rate it
 evaluates, the objective's and the rate constraints', goes through the
 receiver's SIC SINR formula.
 
+One kernel, ``_rate_terms``, gives the gradient and Hessian of any
+weighted sum of the rates: the objective is the sum at weights -1, the
+rate barrier the sum at weights -1/slack plus a Gauss-Newton term from the
+rate Jacobians.  Phase I is exact: the least-power SIC allocation
+(``_min_powers``) meets every rate floor and no feasible point spends less,
+so it certifies infeasibility and, raised slightly, gives the start.
+
 Conventions: the gain matrix is (beams x users); each beam's entries are
 internally reindexed by SIC position (ascending gain, index tie-break,
 sharing the receiver's ordering rule).  Entries with zero gain, or excluded
@@ -176,16 +183,11 @@ class OptSolution:
 
 @dataclass(frozen=True)
 class PhaseOneResult:
-    """Strictly feasible start, or an infeasibility certificate.
-
-    ``min_slack`` is the minimum rate-constraint slack at the returned point
-    (feasible case) or the best slack found / a valid upper bound on it
-    (infeasible case).
-    """
+    """Strictly feasible start (``p0``, user-index space), or ``None`` with
+    ``feasible`` false when no strictly feasible point exists."""
 
     feasible: bool
     p0: np.ndarray | None
-    min_slack: float
 
 
 @dataclass
@@ -255,18 +257,42 @@ def _objective_pos(prob: OptProblem, p_pos: np.ndarray) -> float:
     return -float(_rates_pos(prob, p_pos).sum())
 
 
-def _gradient_pos(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
-    """Analytic objective gradient in position space.
+def _rate_terms(prob: OptProblem, p_pos: np.ndarray, w):
+    """Gradient (N, K) and per-beam Hessian blocks (N, K, K) of the rate
+    sum sum_j w_j rate_j, position space; ``w`` is a scalar or (N, K).
 
-    d f / d p_m = -(1/ln2) (sum_{j<=m} u_j - sum_{j<=m-1} z_j): raising a
-    user's power helps its own log term through every suffix sum it enters
-    and hurts every earlier-decoded user through their interference terms.
+    rate_j = log2((a_j + T_j)/(a_j + T_{j+1})) has the gradient
+    (u_j [m >= j] - z_j [m >= j+1])/ln2 in p_m and the Hessian
+    -(u_j^2 [m,q >= j] - z_j^2 [m,q >= j+1])/ln2, so the weighted sum's are
+    prefix sums of w u and w z up to m and m - 1, and of w u^2 and w z^2 up
+    to min(m, q) and one less.
     """
     u, z = _suffix_terms(prob, p_pos)
-    cu = np.cumsum(u, axis=1)
-    cz = np.cumsum(z, axis=1)
-    shifted = np.concatenate([np.zeros((z.shape[0], 1)), cz[:, :-1]], axis=1)
-    return -(cu - shifted) / LN2
+    wu = w * u
+    wz = w * z
+    grad = np.cumsum(wu, axis=1)
+    grad[:, 1:] -= np.cumsum(wz[:, :-1], axis=1)
+    grad /= LN2
+    acc = np.cumsum(wu * u, axis=1)
+    acc[:, 1:] -= np.cumsum((wz * z)[:, :-1], axis=1)
+    acc /= -LN2
+    k = p_pos.shape[1]
+    return grad, acc[:, np.minimum.outer(np.arange(k), np.arange(k))]
+
+
+def _rate_jacobians(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
+    """Per-beam rate Jacobians (N, K, K), position space: entry [n, j, m] is
+    d rate_j / d p_m = (u_j [m >= j] - z_j [m >= j+1])/ln2 on beam n."""
+    u, z = _suffix_terms(prob, p_pos)
+    m = np.arange(p_pos.shape[1])
+    return (u[:, :, None] * (m >= m[:, None]) - z[:, :, None] * (m > m[:, None])) / LN2
+
+
+def _gradient_pos(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
+    """Objective gradient in position space (the rate sum's at weights -1):
+    a user's power helps its own log term through every suffix sum it enters
+    and hurts every earlier-decoded user's through their interference."""
+    return _rate_terms(prob, p_pos, -1.0)[0]
 
 
 def gradient(prob: OptProblem, p: np.ndarray) -> np.ndarray:
@@ -283,15 +309,7 @@ def _hessian_blocks(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
     Entry (i, j) equals c[min(i, j)] with the nondecreasing accumulator
     c[m] = (sum_{l<=m} u_l^2 - sum_{l<=m-1} z_l^2)/ln2.
     """
-    u, z = _suffix_terms(prob, p_pos)
-    u2 = u * u
-    z2 = z * z
-    c = np.cumsum(u2, axis=1)
-    c[:, 1:] -= np.cumsum(z2[:, :-1], axis=1)
-    c /= LN2
-    k = p_pos.shape[1]
-    idx = np.minimum.outer(np.arange(k), np.arange(k))
-    return c[:, idx]
+    return _rate_terms(prob, p_pos, -1.0)[1]
 
 
 def hessian(prob: OptProblem, p: np.ndarray, beam: int) -> np.ndarray:
@@ -417,137 +435,62 @@ def check_constraints(prob: OptProblem, p: np.ndarray) -> ConstraintSlacks:
     )
 
 
-def _rate_constraint_parts(prob: OptProblem, p_pos: np.ndarray):
-    """Rates plus the pieces of their gradients/Hessians, position space.
+def _min_powers(prob: OptProblem, c: float, tau) -> np.ndarray:
+    """Least SIC powers giving every link the SINR ``c``, raised by ``tau``
+    (a scalar or (N, K)), position space (N, K).
 
-    rate_j = log2((a_j + T_j)/(a_j + T_{j+1})); its gradient w.r.t. p_m is
-    (u_j [m >= j] - z_j [m >= j+1])/ln2 and its Hessian is
-    -(u_j^2 [m,q >= j] - z_j^2 [m,q >= j+1])/ln2.
+    Backward over the SIC positions, p_j = max(delta_j, c*(a_j + T_{j+1}))
+    + tau_j, T_{j+1} the powers already set after position j (Zhu et al., "On
+    Optimal Power Allocation for Downlink Non-Orthogonal Multiple Access
+    Systems", IEEE JSAC 2017).  Each lower bound grows with the power
+    decoded after it, so at tau = 0 no point meeting the floors spends less.
+    A zero gain (a = inf) gives infinite power.
     """
-    u, z = _suffix_terms(prob, p_pos)
-    return _rates_pos(prob, p_pos), u, z
+    p_pos = np.empty_like(prob._a_pos)
+    tau = np.broadcast_to(tau, p_pos.shape)
+    after = np.zeros(len(p_pos))
+    for j in reversed(range(p_pos.shape[1])):
+        p_pos[:, j] = np.maximum(prob._delta_pos[:, j], c * (prob._a_pos[:, j] + after)) + tau[:, j]
+        after = after + p_pos[:, j]
+    return p_pos
 
 
 def feasible_start(prob: OptProblem) -> PhaseOneResult:
     """Strictly feasible starting point, or an infeasibility certificate.
 
-    Construction: the floors plus an equal split of half the remaining
-    budget over the free entries.  When a minimum rate is active and the
-    construction violates it, a phase-I pass maximizes the minimum rate
-    slack; a nonpositive optimum certifies infeasibility.
+    Without a minimum rate: the floors plus an equal split of half the
+    remaining budget over the free entries.  With one, c = 2^r_min - 1 is
+    the SINR floor, and no point meeting the floors spends less than the
+    least-power allocation ``_min_powers(prob, c, 0)``: the problem is
+    infeasible exactly when that total reaches the budget (a zero gain
+    makes it infinite).  Otherwise the start is the recursion at c*(1 +
+    theta), each power raised by theta times its floor plus the spare
+    budget over 2NK, so every margin is relative to what it must clear,
+    with theta halved until every slack is positive as ``barrier_solve``
+    sums it: the budget's in SIC-position order, where a point on the
+    budget to round-off can have a zero slack that is positive in user order.
     """
-    var = prob._var
-    n_var = int(var.sum())
-    p0 = prob.delta.copy()
-    if n_var:
-        p0[var] += 0.5 * (prob.p_sum - prob.delta.sum()) / n_var
-
-    def min_rate_slack(p):
-        rates = _to_user(prob, _rates_pos(prob, _to_pos(prob, p)))
-        return float((rates - prob.r_min).min())
-
     if prob.r_min == 0:
-        return PhaseOneResult(feasible=True, p0=p0, min_slack=min_rate_slack(p0))
-
-    if not var.all():
-        # some link can never reach a positive rate
-        return PhaseOneResult(feasible=False, p0=None, min_slack=-prob.r_min)
-
-    # cheap certificate: even the whole budget on one link caps its rate
-    upper = np.log2(1.0 + prob.gains**2 * prob.p_sum)
-    if float(upper.min()) < prob.r_min:
-        return PhaseOneResult(
-            feasible=False, p0=None, min_slack=float(upper.min() - prob.r_min)
-        )
-
-    slack0 = min_rate_slack(p0)
-    if slack0 > 0:
-        return PhaseOneResult(feasible=True, p0=p0, min_slack=slack0)
-
-    p_cand, best_slack = _phase_one_max_min_slack(prob, p0)
-    candidates = [p_cand] + [
-        (1.0 - theta) * p_cand + theta * p0 for theta in (0.01, 0.05, 0.2)
-    ]
-    for cand in candidates:
-        s1 = float((cand - prob.delta)[var].min())
-        # the budget slack summed as barrier_solve sums it, in SIC-position
-        # order: a candidate on the budget to round-off can have a positive
-        # slack in user order and a zero one there
-        s2 = prob.p_sum - float(_to_pos(prob, cand).sum())
-        s3 = min_rate_slack(cand)
-        best_slack = max(best_slack, s3)
-        if s1 > 0 and s2 > 0 and s3 > 0:
-            return PhaseOneResult(feasible=True, p0=cand, min_slack=s3)
-    return PhaseOneResult(feasible=False, p0=None, min_slack=best_slack)
-
-
-def _phase_one_max_min_slack(prob: OptProblem, p0: np.ndarray):
-    """Maximize the minimum rate slack over the feasible power set (phase I)."""
-    from scipy.optimize import minimize
-
-    n, k = prob.gains.shape
-    n_var = n * k
-
-    def unpack(x):
-        return x[:n_var].reshape(n, k), x[n_var]
-
-    def objective_fn(x):
-        return -x[n_var]
-
-    def objective_jac(x):
-        g = np.zeros(n_var + 1)
-        g[n_var] = -1.0
-        return g
-
-    def rate_slack(x):
-        p, s = unpack(x)
-        rates = _to_user(prob, _rates_pos(prob, _to_pos(prob, p)))
-        return (rates - prob.r_min - s).ravel()
-
-    def rate_slack_jac(x):
-        p, s = unpack(x)
-        p_pos = _to_pos(prob, p)
-        rates, u, z = _rate_constraint_parts(prob, p_pos)
-        jac = np.zeros((n * k, n_var + 1))
-        for row in range(n):
-            order = prob._ord[row]
-            for j in range(k):
-                grad_pos = np.zeros(k)
-                grad_pos[j:] += u[row, j]
-                grad_pos[j + 1 :] -= z[row, j]
-                grad_user = np.zeros(k)
-                grad_user[order] = grad_pos / LN2
-                jac[row * k + order[j], row * k : (row + 1) * k] = grad_user
-        jac[:, n_var] = -1.0
-        return jac
-
-    def budget(x):
-        p, _ = unpack(x)
-        return prob.p_sum - p.sum()
-
-    def budget_jac(x):
-        g = np.full(n_var + 1, -1.0)
-        g[n_var] = 0.0
-        return g
-
-    rates0 = _to_user(prob, _rates_pos(prob, _to_pos(prob, p0)))
-    slack0 = float((rates0 - prob.r_min).min())
-    x0 = np.concatenate([p0.ravel(), [slack0 - 0.1 * (1.0 + abs(slack0))]])
-    bounds = [(float(d), None) for d in prob.delta.ravel()] + [(None, None)]
-    res = minimize(
-        objective_fn,
-        x0,
-        jac=objective_jac,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=[
-            {"type": "ineq", "fun": rate_slack, "jac": rate_slack_jac},
-            {"type": "ineq", "fun": budget, "jac": budget_jac},
-        ],
-        options={"maxiter": 200, "ftol": 1e-10},
-    )
-    p_cand, s_cand = unpack(res.x)
-    return np.clip(p_cand, prob.delta, None), float(s_cand)
+        var = prob._var
+        p0 = prob.delta.copy()
+        if var.any():
+            p0[var] += 0.5 * (prob.p_sum - prob.delta.sum()) / int(var.sum())
+        return PhaseOneResult(feasible=True, p0=p0)
+    c = float(np.expm1(prob.r_min * LN2))  # 2^r_min - 1, accurate at small r_min
+    spare = prob.p_sum - float(_min_powers(prob, c, 0.0).sum())
+    theta = 1.0
+    # a budget within round-off of the least total leaves no strictly
+    # feasible float point; theta stops once it cannot move the target
+    while spare > 0 and c * theta > np.spacing(c):
+        p_pos = _min_powers(prob, c * (1.0 + theta), theta * (prob._delta_pos + spare / (2 * prob.gains.size)))
+        if (
+            prob.p_sum - p_pos.sum() > 0
+            and (p_pos > prob._delta_pos).all()
+            and (_rates_pos(prob, p_pos) > prob.r_min).all()
+        ):
+            return PhaseOneResult(feasible=True, p0=_to_user(prob, p_pos))
+        theta /= 2.0
+    return PhaseOneResult(feasible=False, p0=None)
 
 
 def barrier_solve(
@@ -579,11 +522,9 @@ def barrier_solve(
     var = prob._var_pos
     delta_pos = prob._delta_pos
     p_pos = _to_pos(prob, start.p0)
-    p_pos[~var] = delta_pos[~var]
-    n, k = var.shape
     n_var = int(var.sum())
     with_rate = prob.r_min > 0
-    m_constraints = n_var + 1 + (n * k if with_rate else 0)
+    m_constraints = n_var + 1 + (var.size if with_rate else 0)
 
     def slacks(pp):
         s1 = pp - delta_pos
@@ -602,36 +543,28 @@ def barrier_solve(
             val -= np.log(s3).sum()
         return float(val)
 
-    def barrier_grad(pp, t):
-        """Gradient of the barrier objective over the free entries (zeros elsewhere)."""
+    def newton_direction(pp, t):
+        """Newton step, decrement and gradient of the barrier objective; the
+        gradient is zero off the free entries."""
         s1, s2 = slacks(pp)
-        g = t * _gradient_pos(prob, pp)
+        grad, blocks = _rate_terms(prob, pp, -1.0)
+        g = t * grad
+        blocks = t * blocks
         g[var] -= 1.0 / s1[var]
         g += 1.0 / s2
         if with_rate:
-            rates, u, z = _rate_constraint_parts(prob, pp)
-            s3 = rates - prob.r_min
-            # d(-log s3_j)/dp_m = -(u_j [m>=j] - z_j [m>=j+1]) / (ln2 * s3_j),
-            # so summing over j gives prefix sums up to m (and m-1 for z)
-            cu = np.cumsum(u / s3, axis=1)
-            cz = np.cumsum(z / s3, axis=1)
-            extra = cu.copy()
-            extra[:, 1:] -= cz[:, :-1]
-            g -= extra / LN2
+            # -log s3_j has gradient -grad(rate_j)/s3_j and Hessian
+            # -hess(rate_j)/s3_j + grad(rate_j) grad(rate_j)^T/s3_j^2
+            s3 = _rates_pos(prob, pp) - prob.r_min
+            rate_grad, rate_blocks = _rate_terms(prob, pp, -1.0 / s3)
+            jac = _rate_jacobians(prob, pp) / s3[:, :, None]
+            g += rate_grad
+            blocks += rate_blocks + np.swapaxes(jac, 1, 2) @ jac
         g[~var] = 0.0
-        return g
-
-    def newton_direction(pp, t):
-        # the budget's rank-one coupling goes straight into the dense system;
-        # eliminating it by a low-rank update cancels catastrophically once
-        # the budget constraint is strongly active
-        s1, s2 = slacks(pp)
-        g = barrier_grad(pp, t)
-        blocks = t * _hessian_blocks(prob, pp)
         diag = np.zeros_like(pp)
         diag[var] = 1.0 / s1[var] ** 2
-        sigma = 1.0 / s2**2
-        return _dense_direction(prob, pp, t, g, blocks, diag, sigma)
+        dx = _dense_direction(prob, g, blocks, diag, 1.0 / s2**2)
+        return dx, float(-(g * dx).sum()), g
 
     def center(pp, t, max_steps, tol=None):
         tol = params.newton_tol if tol is None else tol
@@ -687,7 +620,7 @@ def barrier_solve(
             converged_gap = True
             break
         t *= params.mu
-    residual = _kkt_residual(prob, p_pos, t, with_rate)
+    residual = _kkt_residual(prob, p_pos, t)
     # polish the final centering until the stationarity certificate is met
     polish = 0
     while converged_gap and residual > 1e-7 and polish < 30:
@@ -697,7 +630,7 @@ def barrier_solve(
         if not ok or steps == 0:
             break
         p_pos = p_try
-        residual = _kkt_residual(prob, p_pos, t, with_rate)
+        residual = _kkt_residual(prob, p_pos, t)
 
     p_user = _to_user(prob, p_pos)
     status = "converged" if converged_gap and residual < 1e-6 else "max-iterations"
@@ -710,36 +643,20 @@ def barrier_solve(
     )
 
 
-def _dense_direction(prob, pp, t, g, blocks, diag, sigma):
-    """Assemble and solve the full Newton system over the free entries."""
+def _dense_direction(prob, g, blocks, diag, sigma):
+    """Solve the Newton system over the free entries: the per-beam blocks
+    (N, K, K) on the block diagonal, plus ``diag`` (N, K) on the diagonal and
+    the budget's rank-one coupling ``sigma`` everywhere, against the
+    gradient ``g``."""
     var = prob._var_pos
     n, k = var.shape
     live_idx = np.flatnonzero(var.ravel())
-    size = live_idx.size
-    h_full = np.zeros((n * k, n * k))
-    for row in range(n):
-        sl = slice(row * k, (row + 1) * k)
-        h_full[sl, sl] = blocks[row]
-    h_full[np.arange(n * k), np.arange(n * k)] += diag.ravel()
-    if prob.r_min > 0:
-        rates, u, z = _rate_constraint_parts(prob, pp)
-        s3 = rates - prob.r_min
-        for row in range(n):
-            base = row * k
-            for j in range(k):
-                grad = np.zeros(k)
-                grad[j:] += u[row, j]
-                grad[j + 1 :] -= z[row, j]
-                grad /= LN2
-                curv = np.zeros((k, k))
-                curv[j:, j:] += u[row, j] ** 2
-                curv[j + 1 :, j + 1 :] -= z[row, j] ** 2
-                curv /= -LN2  # Hessian of the rate itself
-                sl = slice(base, base + k)
-                h_full[sl, sl] += np.outer(grad, grad) / s3[row, j] ** 2
-                h_full[sl, sl] -= curv / s3[row, j]
-    h_full += sigma
-    h_live = h_full[np.ix_(live_idx, live_idx)]
+    h_full = np.zeros((n, k, n, k))
+    h_full[np.arange(n), :, np.arange(n), :] = blocks + diag[:, :, None] * np.eye(k)
+    # the budget's coupling goes straight into the dense system; eliminating
+    # it by a low-rank update cancels catastrophically once the budget
+    # constraint is strongly active
+    h_live = (h_full.reshape(n * k, n * k) + sigma)[np.ix_(live_idx, live_idx)]
     rhs = -g.ravel()[live_idx]
     # Jacobi scaling keeps the solve usable when near-active constraints
     # drive the barrier curvature many orders above the objective's
@@ -750,7 +667,7 @@ def _dense_direction(prob, pp, t, g, blocks, diag, sigma):
     ridge = 0.0
     for _ in range(6):
         try:
-            sol = np.linalg.solve(h_scaled + ridge * np.eye(size), rhs_scaled) / scale
+            sol = np.linalg.solve(h_scaled + ridge * np.eye(live_idx.size), rhs_scaled) / scale
             break
         except np.linalg.LinAlgError:
             ridge = max(1e-10, ridge * 100 if ridge else 1e-10)
@@ -758,12 +675,10 @@ def _dense_direction(prob, pp, t, g, blocks, diag, sigma):
         sol = np.linalg.lstsq(h_scaled, rhs_scaled, rcond=None)[0] / scale
     dx = np.zeros(n * k)
     dx[live_idx] = sol
-    dx = dx.reshape(n, k)
-    lam2 = float(-(g * dx).sum())
-    return dx, lam2, g
+    return dx.reshape(n, k)
 
 
-def _kkt_residual(prob: OptProblem, p_pos: np.ndarray, t: float, with_rate: bool) -> float:
+def _kkt_residual(prob: OptProblem, p_pos: np.ndarray, t: float) -> float:
     """Stationarity residual with multipliers reconstructed from the barrier.
 
     lambda_i = 1/(t * slack_i); the residual is the max-norm of
@@ -772,15 +687,10 @@ def _kkt_residual(prob: OptProblem, p_pos: np.ndarray, t: float, with_rate: bool
     var = prob._var_pos
     s1 = p_pos - prob._delta_pos
     s2 = prob.p_sum - p_pos.sum()
-    res = _gradient_pos(prob, p_pos).copy()
+    res = _gradient_pos(prob, p_pos)
     res[var] -= 1.0 / (t * s1[var])
     res += 1.0 / (t * s2)
-    if with_rate:
-        rates, u, z = _rate_constraint_parts(prob, p_pos)
-        s3 = rates - prob.r_min
-        cu = np.cumsum(u / s3, axis=1)
-        cz = np.cumsum(z / s3, axis=1)
-        extra = cu.copy()
-        extra[:, 1:] -= cz[:, :-1]
-        res -= extra / (LN2 * t)
+    if prob.r_min > 0:
+        s3 = _rates_pos(prob, p_pos) - prob.r_min
+        res += _rate_terms(prob, p_pos, -1.0 / (t * s3))[0]
     return float(np.abs(res[var]).max()) if var.any() else 0.0

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per exit criterion, at the stated tolerances.
 
 Each test prints one pass/fail line (visible with ``pytest -s``).  The trend
-criteria run the shipped experiment presets at full scale, so this module
-takes several minutes; run it as
+criteria run the shipped experiment presets at full scale; run the module as
 
     pytest tests/test_acceptance.py -v -s
 """

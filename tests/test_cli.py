@@ -66,6 +66,25 @@ def test_solve_infeasible(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+def test_solve_rate_floor_near_the_least_power_boundary(tmp_path, capsys):
+    # feasible, though an iterative phase I once reported no strictly
+    # feasible point there
+    from test_optimizer import _near_boundary_rate_floor_instance
+
+    gains, p_sum, r_min = _near_boundary_rate_floor_instance()
+    path = tmp_path / "h.txt"
+    np.savetxt(path, gains, fmt="%.17g")
+    main(["solve", "--gains", str(path), "--psum", repr(p_sum), "--rmin", repr(r_min)])
+    captured = capsys.readouterr()
+    assert "no strictly feasible" not in captured.err
+    out = captured.out.splitlines()
+    assert out[0] != "status = infeasible"
+    assert "p_matrix =" in out
+    printed = np.array([[float(v) for v in line.split()] for line in out[out.index("p_matrix =") + 1 :]])
+    assert printed.shape == (2, 3)
+    assert printed.sum() <= p_sum * (1 + 1e-5)
+
+
 def test_solve_verbose_traces(tmp_path, capsys):
     path = tmp_path / "h.txt"
     path.write_text("1.0 2.0\n")

@@ -114,6 +114,17 @@ def test_config_rejects_bad_power_and_run_parameters():
         ("p_sum_db", dict(p_sum_db=(float("nan"),))),
         ("p_sum_db", dict(p_sum_db=(10.0, float("inf")))),
         ("seed", dict(seed=-1)),
+        # values that are not floats the drop can compute with: a ladder
+        # step or a budget overflows, or underflows to zero
+        ("mu", dict(mu=(float("inf"),))),
+        ("mu", dict(mu=(1e300,))),
+        ("mu", dict(mu=(1e60,), users=(7,))),  # mu^6 overflows at K = 7
+        ("mu", dict(mu=(1e-300,))),
+        ("p0_ratio", dict(p0_ratio=float("inf"))),
+        ("p0_ratio", dict(p0_ratio=1e-320)),
+        ("pnoma_mu", dict(pnoma_mu=float("inf"))),
+        ("p_sum_db", dict(p_sum_db=(4000.0,))),
+        ("p_sum_db", dict(p_sum_db=(-4000.0,))),
     )
     for name, kwargs in cases:
         with pytest.raises(ConfigError, match=rf"\b{name}\b"):
@@ -122,6 +133,8 @@ def test_config_rejects_bad_power_and_run_parameters():
         ExperimentConfig.from_text("[power]\npolicies = optimal\nepsilon_ratio = 0.5\n")
     # the edges that make sense still pass
     _cfg(epsilon_ratio=0.0, max_redraws=0, n_beams=2, n_rx=4)
+    _cfg(schemes=("pnoma", "lsa-pdma"), users=(7,), mu=(1e50, 1e-50))
+    _cfg(schemes=("pnoma", "lsa-pdma"), p0_ratio=1e-300, p_sum_db=(-3000.0, 30.0))
     _cfg(epsilon_ratio=0.49, n_beams=2)
 
 

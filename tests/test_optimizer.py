@@ -17,6 +17,10 @@ from lsapdma.optimizer import (
     objective,
     water_fill,
     water_fills,
+    _min_powers,
+    _rate_jacobians,
+    _rate_terms,
+    _rates_pos,
 )
 from lsapdma.receiver import sic_orders, sic_sinrs
 from lsapdma.rng import make_rng
@@ -246,8 +250,9 @@ def test_feasible_start_with_selected_floors():
 def test_feasible_start_detects_impossible_rate_floor():
     prob = OptProblem.build(np.array([[0.5, 1.0]]), 1e-3, r_min=100.0)
     res = feasible_start(prob)
-    assert not res.feasible
-    assert res.min_slack < 0  # certificate: even the full budget falls short
+    assert not res.feasible and res.p0 is None
+    # certificate: the least powers that meet the rate floor exceed the budget
+    assert _min_powers(prob, 2.0**100 - 1.0, 0.0).sum() > prob.p_sum
 
 
 def test_check_constraints_boundaries():
@@ -353,9 +358,10 @@ def _sic_rates(gains, p):
 def test_barrier_phase_one_start_has_budget_slack_in_solver_order():
     # Pinned rate-floor instance (log-normal gains, N = 4, a 0-20 dB budget,
     # anchor floors, a rate floor at 0.5-0.95 of the smallest rate of a
-    # weak-first ladder) whose SLSQP phase-I point sits on the budget: its
-    # slack is positive summed in user order and zero in SIC-position order,
-    # where a start once divided by it and ended after 0 Newton steps.
+    # weak-first ladder) on which an iterative (SLSQP) phase I once put its
+    # point on the budget: the slack was positive summed in user order and
+    # zero in SIC-position order, where the solver divided by it and ended
+    # after 0 Newton steps.  The start must have slack in solver order.
     rng = np.random.default_rng(74)
     n, k = 4, int(rng.choice([8, 10, 11, 13]))
     gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
@@ -558,3 +564,152 @@ def test_water_fill_hand_values_support_and_rate_floor():
     assert np.allclose(p, want, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
         water_fill(OptProblem.build(h, 6.0, r_min=0.1))
+
+
+def _least_power_total(gains, delta, r_min):
+    """The least total power meeting the floors and a rate floor, beam by
+    beam from the last-decoded user back, apart from the package."""
+    c = 2.0**r_min - 1.0
+    total = 0.0
+    for b in range(gains.shape[0]):
+        later = 0.0
+        for u in np.lexsort((np.arange(gains.shape[1]), gains[b]))[::-1]:
+            p = max(delta[b, u], c * (1.0 / gains[b, u] ** 2 + later))
+            later += p
+        total += later
+    return total
+
+
+def _assert_strict_start(prob, p0):
+    """``p0`` is strictly feasible, rates recomputed apart from the package
+    and the budget slack summed in SIC-position order, as the barrier does."""
+    assert (p0 > prob.delta).all()
+    assert (_sic_rates(prob.gains, p0) > prob.r_min).all()
+    assert prob.p_sum - np.take_along_axis(p0, sic_orders(prob.gains), axis=1).sum() > 0
+
+
+def test_feasible_start_at_the_least_power_boundary():
+    # a budget a hair above the least total has a strictly feasible start,
+    # a hair below has none, with and without power floors that bind
+    rng = make_rng(15)
+    for i in range(60):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 6))
+        gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
+        r_min = float(rng.uniform(0.05, 3.0))
+        delta = np.zeros((n, k))
+        if i % 2:
+            delta = rng.uniform(0.0, 2.0, (n, k)) * (rng.random((n, k)) < 0.5)
+        least = _least_power_total(gains, delta, r_min)
+        above = OptProblem(gains=gains, p_sum=least * (1 + 1e-9), delta=delta, r_min=r_min)
+        res = feasible_start(above)
+        assert res.feasible
+        _assert_strict_start(above, res.p0)
+        below = OptProblem(gains=gains, p_sum=least * (1 - 1e-9), delta=delta, r_min=r_min)
+        assert not feasible_start(below).feasible
+        assert barrier_solve(below).status == "infeasible"
+
+
+def test_feasible_start_rejects_a_zero_gain_under_a_rate_floor():
+    prob = OptProblem.build(np.array([[0.0, 1.0], [1.0, 2.0]]), 100.0, r_min=0.1)
+    assert not feasible_start(prob).feasible
+    assert barrier_solve(prob).status == "infeasible"
+
+
+def _near_boundary_rate_floor_instance():
+    """Instance 51 of a random recipe (N < 4, K < min(6, 2^N), log-normal
+    gains, 0-20 dB budgets, rate floors of 0.05-3 bits), as (gains, p_sum,
+    r_min).  Its least total is below the budget, but an iterative
+    max-min-slack phase I stopped short of a strictly feasible point there
+    and reported it infeasible."""
+    rng = np.random.default_rng(77)
+    for _ in range(52):
+        n = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(6, 2**n)))
+        gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
+        p_sum = 10 ** (rng.uniform(0.0, 20.0) / 10)
+        r_min = rng.uniform(0.05, 3.0)
+    assert (n, k) == (2, 3) and round(p_sum, 2) == 65.29 and round(r_min, 3) == 1.104
+    return gains, float(p_sum), float(r_min)
+
+
+def test_rate_floor_instance_an_iterative_phase_one_called_infeasible():
+    gains, p_sum, r_min = _near_boundary_rate_floor_instance()
+    prob = OptProblem.build(gains, p_sum, r_min=r_min)
+    res = feasible_start(prob)
+    assert res.feasible
+    _assert_strict_start(prob, res.p0)
+    sol = barrier_solve(prob)
+    assert sol.status != "infeasible"
+    slacks = check_constraints(prob, sol.p_matrix)
+    assert slacks.g1.max() <= 0 and slacks.g2 <= 1e-9 * p_sum and slacks.g3.max() <= 1e-9
+
+
+def _weighted_rates(gains, p, w):
+    return float((w * _sic_rates(gains, p)).sum())
+
+
+def test_rate_terms_match_finite_differences():
+    # the barrier's own derivatives: the weighted rate sum's gradient and
+    # Hessian, weights of both signs, against central differences with the
+    # bounds of acceptance criteria 2 and 1 (ascending gains, so SIC
+    # positions are user indices).  The gradient takes criterion 2's steps;
+    # the Hessian criterion 1's, at 1/25 of the curvature length: a single
+    # rate's Hessian cancels its u^2 and z^2 terms more than the sum rate's,
+    # so its truncation error at criterion 1's 0.005 reached 7e-3
+    rng = make_rng(16)
+    worst_grad = worst_hess = 0.0
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 8))
+        gains = np.sort(rng.uniform(0.1, 10.0, (n, k)), axis=1)
+        p = rng.uniform(0.05, 1.5, (n, k))
+        w = rng.uniform(0.5, 2.0, (n, k)) * rng.choice([-1.0, 1.0], (n, k))
+        prob = OptProblem.build(gains, 1e6)
+        grad, blocks = _rate_terms(prob, p, w)
+        f = lambda q: _weighted_rates(gains, q, w)  # noqa: E731
+        fd = np.zeros((n, k))
+        for i in range(n):
+            for j in range(k):
+                e = np.zeros((n, k))
+                e[i, j] = 1e-6 * (1.0 + p[i, j])
+                fd[i, j] = (f(p + e) - f(p - e)) / (2 * e[i, j])
+        worst_grad = max(worst_grad, float((np.abs(grad - fd) / np.maximum(np.abs(fd), np.abs(grad))).max()))
+        for b in range(n):
+            scale = 1.0 / gains[b] ** 2 + np.cumsum(p[b, ::-1])[::-1]
+            steps = np.minimum(0.0002 * scale, 0.4 * p[b])
+            fd = np.zeros((k, k))
+            for x in range(k):
+                for y in range(k):
+                    ex = np.zeros((n, k))
+                    ey = np.zeros((n, k))
+                    ex[b, x] = steps[x]
+                    ey[b, y] = steps[y]
+                    fd[x, y] = (f(p + ex + ey) - f(p + ex - ey) - f(p - ex + ey) + f(p - ex - ey)) / (
+                        4 * steps[x] * steps[y]
+                    )
+            rel = np.abs(blocks[b] - fd) / np.maximum(np.abs(fd), np.abs(blocks[b]))
+            worst_hess = max(worst_hess, float(rel.max()))
+    assert worst_grad < 1e-5
+    assert worst_hess < 1e-4
+
+
+def test_rate_jacobians_match_finite_differences():
+    rng = make_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 8))
+        gains = np.sort(rng.uniform(0.1, 10.0, (n, k)), axis=1)
+        p = rng.uniform(0.05, 1.5, (n, k))
+        prob = OptProblem.build(gains, 1e6)
+        jac = _rate_jacobians(prob, p)
+        fd = np.zeros((n, k, k))
+        for m in range(k):
+            e = np.zeros((n, k))
+            e[:, m] = 1e-6 * (1.0 + p[:, m])
+            fd[:, :, m] = (_rates_pos(prob, p + e) - _rates_pos(prob, p - e)) / (2 * e[:, m, None])
+        # a rate does not depend on the powers decoded before it
+        earlier = np.arange(k)[None, :] < np.arange(k)[:, None]
+        assert (jac[:, earlier] == 0).all() and (fd[:, earlier] == 0).all()
+        ana, num = jac[:, ~earlier], fd[:, ~earlier]
+        assert (np.abs(ana - num) / np.maximum(np.abs(num), np.abs(ana))).max() < 1e-5
