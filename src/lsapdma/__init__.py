@@ -36,4 +36,4 @@ from .optimizer import (
     water_fill,
     water_fills,
 )
-from .harness import ExperimentConfig, ResultTable, emit_results, run_drop, run_monte_carlo
+from .harness import ExperimentConfig, ResultTable, emit_results, run_chunk, run_drop, run_monte_carlo

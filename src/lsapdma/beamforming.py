@@ -107,15 +107,15 @@ def select_users(
         raise ValueError("need one channel per user")
     b = pattern.entries
     n_beams = pattern.n_beams
-    overlaps = b.sum(axis=1)
-    if (overlaps == 0).any():
-        raise ValueError(f"beam {int(np.flatnonzero(overlaps == 0)[0])} covers no user")
-    diversity = b.sum(axis=0)
+    # Python scalars sort in the same order as numpy's, and faster
+    overlaps, diversity, weakness = b.sum(axis=1).tolist(), b.sum(axis=0).tolist(), hints.tolist()
+    if 0 in overlaps:
+        raise ValueError(f"beam {overlaps.index(0)} covers no user")
     beam_order = sorted(range(n_beams), key=lambda n: (overlaps[n], n))
     # covered users by ascending (diversity, hint, index) per beam
     prefer = {
-        n: sorted(np.flatnonzero(b[n]).tolist(), key=lambda u: (diversity[u], hints[u], u))
-        for n in range(n_beams)
+        n: sorted((u for u, on in enumerate(row) if on), key=lambda u: (diversity[u], weakness[u], u))
+        for n, row in enumerate(b.tolist())
     }
     owner: dict[int, int] = {}  # user -> beam
 

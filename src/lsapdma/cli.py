@@ -29,7 +29,7 @@ def _cmd_simulate(args) -> int:
         cfg = replace(cfg, **overrides)
     if args.verbose:
         print(f"running {cfg.drops} drops for schemes {', '.join(cfg.schemes)}", file=sys.stderr)
-    table = run_monte_carlo(cfg)
+    table = run_monte_carlo(cfg, log=sys.stderr if args.verbose else None)
     csv_path, summary_path = emit_results(table, cfg.output_path, config_text=cfg.to_text())
     if args.verbose:
         for row in table.rows:
@@ -98,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override the root seed")
     sim.add_argument("--scheme", choices=SCHEMES, default=None, help="run a single scheme")
     sim.add_argument("--out", default=None, help="output directory")
-    sim.add_argument("--verbose", action="store_true")
+    sim.add_argument(
+        "--verbose", action="store_true", help="report progress after each chunk of drops, and the rows, on stderr"
+    )
     sim.set_defaults(func=_cmd_simulate)
 
     solve = sub.add_parser("solve", help="optimize a power mapping for a gain matrix file")

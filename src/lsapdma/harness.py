@@ -8,19 +8,27 @@ allocation and held fixed while the policy sets the powers.  The equal and
 fixed-ratio policies leave unpowered the covered pairs that the ZF anchors
 null by construction.
 
-A drop evaluates its units, one per configured (scheme, K, policy), as one
-stack.  Every unit restarts the drop's stream and the draw does not depend
-on the pattern, so the users and channels of each distinct K are drawn once
-and shared, and units that also share the pattern policy share the whole
-set-up: pattern, anchors, ZF beams, equal splits and gains.  The set-ups'
-ZF precoders come from one ``zf_beamformers`` pass and their receive chains
-from one ``drop_link_states`` solve.  A set-up whose first draw is singular
-falls back to ``_draw_drop``, which redraws it alone from the restarted
-stream, so its redraw count and its channels are those it would have run
-by itself.  Each unit's power policy then runs over all D budgets as one
-array operation: the equal splits (D, N, K), the mu sweep's ladders
-(D, M, N, K) and the water-fill (D, N, K) are each one stack, and so are
-their SIC orders, SINRs and rates.
+A drop evaluates its units, one per configured (scheme, K, policy), and a
+chunk of drops (``run_chunk``) evaluates them as one stack.  Every unit
+restarts its drop's stream and the draw does not depend on the pattern, so
+the users and channels of each distinct K are drawn once per drop and
+shared, and units that also share the pattern policy share the whole
+set-up: pattern, anchors, ZF beams, equal splits and gains.  Each drop
+draws from its own stream and builds its patterns and anchors in turn;
+everything after that runs once per chunk.  The ZF precoders of every
+(drop, set-up) come from one ``zf_beamformers`` pass, each set-up's equal
+splits over the chunk are one (C, D, N, K) stack, and every receive chain
+comes from one ``drop_link_states`` solve.  A set-up whose first draw is
+singular falls back to ``_draw_drop``, which redraws it alone from the
+restarted stream, so its redraw count and its channels are those it would
+have run by itself.  Each unit's power policy then runs over all C drops
+and D budgets as one array operation: the equal splits (C, D, N, K), the mu
+sweep's ladders (C, D, M, N, K) and the water-fill (C, D, N, K) are each
+one stack, and so are their SIC orders, SINRs and rates.  Every kernel
+computes a slice of its stack as it would alone, so a drop's records do
+not depend on the chunk that holds it; ``run_drop`` is the chunk of one.
+``run_monte_carlo`` runs the drops as contiguous chunks spread over the
+workers and puts their records back in drop order.
 
 The optimal policy is the water-filling closed form
 (``optimizer.water_fills``): the anchors keep their ZF power floors, and the
@@ -39,8 +47,9 @@ code path.
 from __future__ import annotations
 
 import configparser
+import itertools
 import subprocess
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -374,113 +383,173 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state):
             raise ConfigError(f"more than {cfg.max_redraws} consecutive singular-channel redraws")
 
 
-def _unit_records(cfg: ExperimentConfig, unit, setup, splits, gains, budgets):
-    """The records of one unit (one scheme evaluation) across the sweep points.
+def _unit_records(cfg: ExperimentConfig, unit, setups, splits, gains, budgets):
+    """The records of one unit (one scheme evaluation) on each drop of a
+    chunk, across the sweep points: one list per drop.
 
-    ``setup`` is the unit's (channels, pattern, omega, beams, redraws),
-    ``splits`` its (D, N, K) equal splits of the D ``budgets`` and ``gains``
-    the (D, N, K) gains they give.  The equal-split and fixed-ratio
-    policies power only the pattern's pairs that the anchors do not null;
-    the optimal policy is the water-fill with the anchors' floors.  Each
-    policy's powers, SINRs and rates are one stack over the budgets (and
-    the mu sweep): a (D, M) table of sum rates, M = 1 but for the ladders.
+    ``setups`` lists the unit's (channels, pattern, omega, beams, redraws)
+    on each of the C drops, ``splits`` holds their (C, D, N, K) equal
+    splits of the D ``budgets`` and ``gains`` the (C, D, N, K) gains they
+    give.  The equal-split and fixed-ratio policies power only the
+    pattern's pairs that the anchors do not null; the optimal policy is the
+    water-fill with the anchors' floors.  Each policy's powers, SINRs and
+    rates are one stack over the drops and budgets (and the mu sweep): a
+    (C, D, M) table of sum rates, M = 1 but for the ladders.
     """
     label, k, _, power_policy, mus = unit
-    _, pattern, omega, _, redraws = setup
-    covered = pattern.entries == 1
+    patterns = [pattern for _, pattern, _, _, _ in setups]
+    covered = np.array([pattern.entries == 1 for pattern in patterns])[:, None]  # (C, 1, N, K)
     if power_policy == "equal":
         sinrs = sic_sinrs(gains, splits, sic_orders(gains, covered))
-        rates = pair_rates(sinrs).reshape(len(budgets), -1).sum(axis=-1)[:, None]
+        rates = pair_rates(sinrs).reshape(*gains.shape[:2], -1).sum(axis=-1)[..., None]
     elif power_policy == "fixed-ratio":
         orders = sic_orders(gains, covered)
-        nulled = omega.nulled(pattern)
-        ladders = fixed_ratio_ladders(pattern, cfg.p0_ratio, mus, orders, budgets, nulled)
-        rates = beam_sum_rates(gains[:, None], ladders, orders[:, None])
+        # the equal split powers exactly the covered pairs the anchors do not null
+        nulled = covered[:, 0] & (splits[:, 0] == 0)
+        ladders = fixed_ratio_ladders(patterns, cfg.p0_ratio, mus, orders, budgets, nulled)
+        rates = beam_sum_rates(gains[:, :, None], ladders, orders[:, :, None])
     else:  # optimal
-        delta = anchor_floors(gains, omega, cfg.epsilon_ratio * budgets)
-        powers = water_fills(gains, budgets, delta, covered if cfg.strict_pattern else None)
-        rates = beam_sum_rates(gains, powers, sic_orders(gains))[:, None]
+        omegas = [omega for _, _, omega, _, _ in setups]
+        delta = anchor_floors(gains, omegas, cfg.epsilon_ratio * budgets)
+        matrices = (-1,) + gains.shape[2:]
+        support = np.broadcast_to(covered, gains.shape).reshape(matrices) if cfg.strict_pattern else None
+        powers = water_fills(
+            gains.reshape(matrices), np.tile(budgets, len(setups)), delta.reshape(matrices), support
+        )
+        rates = beam_sum_rates(gains, powers.reshape(gains.shape), sic_orders(gains))[..., None]
 
     mu_axis = cfg.sweep_axis == "mu"
     # mu-independent runs (equal power, the power-domain baseline's fixed
     # ratio, the optimal policy) replicate as horizontal rows on a mu sweep
     own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
-    records = []
-    for db, row in zip(cfg.p_sum_db, rates):
-        for mu_value, rate in zip(mus, row):
-            if mu_axis:
-                sweeps = [mu_value] if own_mu else list(cfg.mu)
-            else:
-                sweeps = [db]
-            records.extend(
-                DropRecord(
-                    scheme=label, k_users=k, sweep_value=float(sweep), sum_rate=float(rate), redraws=redraws
-                )
-                for sweep in sweeps
-            )
+    # (place in a drop's flattened (D, M) rates, sweep value) of each record
+    slots = [
+        (d * len(mus) + m, float(sweep))
+        for d, db in enumerate(cfg.p_sum_db)
+        for m, mu in enumerate(mus)
+        for sweep in (((mu,) if own_mu else cfg.mu) if mu_axis else (db,))
+    ]
+    return [
+        [DropRecord(scheme=label, k_users=k, sweep_value=sweep, sum_rate=row[i], redraws=redraws) for i, sweep in slots]
+        for (_, _, _, _, redraws), row in zip(setups, rates.reshape(len(setups), -1).tolist())
+    ]
+
+
+def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
+    """Evaluate every configured unit (scheme, K, policy) on each drop of a
+    chunk, as one stack (see the module docstring); one record list per
+    drop, in the order of ``states``.
+
+    Each of ``states`` is an int or a SeedSequence identifying a drop.
+    Each unit restarts its drop's stream, so units with the same user count
+    see identical channels (paired comparisons, exact reductions), and a
+    drop's records do not depend on the chunk that holds it.
+    """
+    states = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in states]
+    units = _scheme_runs(cfg)
+    # one set-up per distinct (K, pattern policy), in order of first use
+    keys = list(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
+    draws = []  # (channels, pattern, omega) per (drop, set-up), drop major
+    for state in states:
+        first: dict[int, list] = {}  # user count -> channels of the stream's first draw
+        for k, pattern_policy in keys:
+            if k not in first:
+                first[k] = _channels(cfg, k, np.random.Generator(np.random.Philox(state)))
+            draws.append((first[k], *_anchored(cfg, pattern_policy, k, first[k])))
+    channel_sets, _, omegas = zip(*draws)
+    setups = [
+        _draw_drop(cfg, k, pattern_policy, state) if beams is None else (*draw, beams, 0)
+        for (state, (k, pattern_policy)), draw, beams in zip(
+            itertools.product(states, keys), draws, zf_beamformers(channel_sets, omegas)
+        )
+    ]
+    columns = [setups[s :: len(keys)] for s in range(len(keys))]  # each set-up on every drop
+    budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+    splits = [
+        equal_splits(
+            [pattern for _, pattern, _, _, _ in column],
+            budgets,
+            np.array([omega.nulled(pattern) for _, pattern, omega, _, _ in column]),
+        )
+        for column in columns
+    ]
+    flat = drop_link_states(
+        [
+            (channels, beams, split)
+            for column, stack in zip(columns, splits)
+            for (channels, _, _, beams, _), split in zip(column, stack)
+        ],
+        cfg.cell.noise_variance,
+    )
+    gains = [np.array(flat[s * len(states) : (s + 1) * len(states)]) for s in range(len(keys))]
+    records: list[list[DropRecord]] = [[] for _ in states]
+    for unit in units:
+        s = keys.index(unit[1:3])
+        for drop, unit_records in zip(records, _unit_records(cfg, unit, columns[s], splits[s], gains[s], budgets)):
+            drop.extend(unit_records)
     return records
 
 
 def run_drop(cfg: ExperimentConfig, seed) -> list[DropRecord]:
-    """Evaluate every configured unit (scheme, K, policy) on one drop, as
-    one stack (see the module docstring).
+    """Evaluate every configured unit on one drop: a chunk of one.
 
-    ``seed`` is an int or a SeedSequence identifying the drop.  Each unit
-    restarts the drop's stream, so units with the same user count see
-    identical channels (paired comparisons, exact reductions).
+    ``seed`` is an int or a SeedSequence identifying the drop.
     """
-    state = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    units = _scheme_runs(cfg)
-    # one set-up per distinct (K, pattern policy), in order of first use
-    keys = list(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
-    first: dict[int, list] = {}  # user count -> channels of the stream's first draw
-    draws = []  # (channels, pattern, omega) per set-up
-    for k, pattern_policy in keys:
-        if k not in first:
-            first[k] = _channels(cfg, k, np.random.Generator(np.random.Philox(state)))
-        draws.append((first[k], *_anchored(cfg, pattern_policy, k, first[k])))
-    channel_sets, _, omegas = zip(*draws)
-    setups = [
-        _draw_drop(cfg, k, pattern_policy, state) if beams is None else (*draw, beams, 0)
-        for (k, pattern_policy), draw, beams in zip(keys, draws, zf_beamformers(channel_sets, omegas))
-    ]
-    budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
-    splits = [
-        equal_splits(pattern, budgets, omega.nulled(pattern)) for _, pattern, omega, _, _ in setups
-    ]
-    gains = drop_link_states(
-        [(channels, beams, split) for (channels, _, _, beams, _), split in zip(setups, splits)],
-        cfg.cell.noise_variance,
-    )
-    records = []
-    for unit in units:
-        s = keys.index(unit[1:3])
-        records.extend(_unit_records(cfg, unit, setups[s], splits[s], gains[s], budgets))
-    return records
+    return run_chunk(cfg, [seed])[0]
 
 
-def _mc_task(args):
-    cfg, index = args
-    return run_drop(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+# a chunk of about this many drops amortises the per-call cost of the
+# stacked kernels; larger chunks gain little
+CHUNK_DROPS = 64
 
 
-def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False):
-    """Average run_drop over independent per-drop streams.
+def _chunks(cfg: ExperimentConfig) -> list[range]:
+    """Contiguous drop-index ranges, at least one per worker, of at most
+    about ``CHUNK_DROPS`` drops and differing in size by at most one."""
+    count = min(cfg.drops, max(cfg.workers, -(-cfg.drops // CHUNK_DROPS)))
+    bounds = [cfg.drops * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _finished_chunks(cfg: ExperimentConfig, chunks):
+    """(chunk index, per-drop records) of each chunk as it finishes, on
+    min(workers, chunks) processes."""
+    states = [[np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in chunk] for chunk in chunks]
+    workers = min(cfg.workers, len(chunks))
+    if workers == 1:
+        for index, chunk_states in enumerate(states):
+            yield index, run_chunk(cfg, chunk_states)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(run_chunk, cfg, chunk_states): index for index, chunk_states in enumerate(states)}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
+
+
+def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=None):
+    """Average the drops' records over independent per-drop streams.
+
+    The drops run in contiguous chunks, each one ``run_chunk`` call; the
+    chunks are spread over ``cfg.workers`` processes and their records put
+    back in drop order, so results are identical for any worker count.
+    With a text stream ``log``, each finished chunk reports the drops done.
 
     Returns a ResultTable; with ``collect_samples`` also returns the raw
     per-drop sum rates keyed by (scheme, K, sweep_value), ordered by drop
-    index, so results are identical for any worker count.
+    index.
     """
-    tasks = [(cfg, idx) for idx in range(cfg.drops)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_drop = list(pool.map(_mc_task, tasks, chunksize=max(1, cfg.drops // (8 * cfg.workers))))
-    else:
-        per_drop = [_mc_task(task) for task in tasks]
+    chunks = _chunks(cfg)
+    per_chunk: list = [None] * len(chunks)
+    done = 0
+    for index, chunk_records in _finished_chunks(cfg, chunks):
+        per_chunk[index] = chunk_records
+        done += len(chunk_records)
+        if log is not None:
+            print(f"drops {done}/{cfg.drops}", file=log, flush=True)
 
     samples: dict[tuple[str, int, float], list[float]] = {}
     redraws = 0
-    for drop_records in per_drop:  # ordered by drop index
+    for drop_records in itertools.chain.from_iterable(per_chunk):  # ordered by drop index
         for rec in drop_records:
             samples.setdefault((rec.scheme, rec.k_users, rec.sweep_value), []).append(rec.sum_rate)
         # one scheme evaluation emits a record per sweep point, all with its redraws

@@ -159,14 +159,21 @@ def anchor_floors(gains: np.ndarray, selected, epsilon) -> np.ndarray:
     on each selected (beam, user) pair, zero elsewhere.
 
     ``selected`` is an iterable of (beam, user) pairs or an object with a
-    ``pairs`` attribute (the ZF anchors); ``epsilon`` is one floor, or one
-    per matrix of the stack, shaped like ``gains.shape[:-2]``.
+    ``pairs`` attribute (the ZF anchors), or a sequence of C such sets for
+    a stack (C, ..., N, K), set c marking the matrices ``gains[c]``.
+    ``epsilon`` is one floor, or one per matrix of the stack, broadcasting
+    to ``gains.shape[:-2]``.
     """
-    delta = np.zeros(np.shape(gains))
-    pairs = list(getattr(selected, "pairs", selected))
-    if pairs:
-        beams, users = zip(*pairs)
-        delta[..., beams, users] = np.asarray(epsilon, dtype=float)[..., None]
+    shape = np.shape(gains)
+    pairs = np.array([getattr(s, "pairs", s) for s in getattr(selected, "pairs", selected)], dtype=int)
+    marked = np.zeros(pairs.shape[:-2] + shape[-2:], dtype=bool)
+    if pairs.size:
+        sets = (np.arange(len(pairs))[:, None],) if pairs.ndim == 3 else ()
+        marked[(*sets, pairs[..., 0], pairs[..., 1])] = True
+    # a stack of sets runs along the gains' first axis
+    marked = marked.reshape(marked.shape[:-2] + (1,) * (len(shape) - marked.ndim) + shape[-2:])
+    delta = np.zeros(shape)
+    np.copyto(delta, np.asarray(epsilon, dtype=float)[..., None, None], where=marked)
     return delta
 
 
@@ -359,9 +366,10 @@ def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray
     """``water_fill`` over a stack of D instances at once, shape (D, N, K).
 
     Instance d has the gains ``gains[d]``, the budget ``p_sum[d]`` and the
-    floors ``delta[d]``; ``support`` (N, K), if given, restricts every
-    instance's variables to the pattern's pairs (strict mode).  The checks
-    are those of ``OptProblem``, run once on the stack.
+    floors ``delta[d]``; ``support``, if given, restricts the variables to
+    the pattern's pairs (strict mode): one (N, K) mask for every instance,
+    or one per instance, (D, N, K).  The checks are those of
+    ``OptProblem``, run once on the stack.
     """
     gains = np.asarray(gains, dtype=float)
     delta = np.asarray(delta, dtype=float)

@@ -12,8 +12,10 @@ matrices are checked by one routine, ``_check_powers``, which takes a stack
 of shape (..., N, K).  The power policies build a unit's matrices for all D
 budgets at once and run it once on the stack: ``equal_splits`` gives the
 (D, N, K) equal splits and ``fixed_ratio_ladders`` the (D, M, N, K) ladders
-of a gain-factor sweep, from per-budget SIC orders.  ``equal_power`` is
-the equal split of one budget, a checked (N, K) matrix.
+of a gain-factor sweep, from per-budget SIC orders.  Given a sequence of C
+patterns (one per drop of a chunk) instead of one, each builds the C
+stacks at once, with a leading C axis; one pattern is the case C = 1.
+``equal_power`` is the equal split of one budget, a checked (N, K) matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +53,7 @@ def validate_pattern(entries: np.ndarray) -> str | None:
     if (b.sum(axis=1) == 0).any():
         m = int(np.flatnonzero(b.sum(axis=1) == 0)[0])
         return f"unused beam {m}"
-    if len({tuple(col) for col in b.T}) != k:
+    if len(set(map(tuple, b.T.tolist()))) != k:
         return "duplicate columns"
     return None
 
@@ -248,9 +251,18 @@ def pnoma_pattern(n_beams: int, weakest_first) -> PatternMatrix:
     return PatternMatrix(entries, strict=False)
 
 
-def _powered_support(pattern: PatternMatrix, nulled) -> np.ndarray:
-    """The pattern's covered pairs less the nulled ones."""
-    covered = pattern.entries == 1
+def _pattern_stack(pattern: PatternMatrix | Sequence[PatternMatrix]) -> tuple[np.ndarray, bool]:
+    """The entries of one pattern, or of a sequence of C patterns, as a
+    (C, N, K) stack, and whether one pattern was given (C = 1)."""
+    if isinstance(pattern, PatternMatrix):
+        return pattern.entries[None], True
+    return np.array([p.entries for p in pattern]), False
+
+
+def _powered_support(entries: np.ndarray, nulled) -> np.ndarray:
+    """The covered pairs of a pattern stack (C, N, K) less the nulled ones
+    (one (N, K) mask or one per pattern)."""
+    covered = entries == 1
     return covered if nulled is None else covered & ~np.asarray(nulled, dtype=bool)
 
 
@@ -264,13 +276,14 @@ def _check_powers(p: np.ndarray, support: np.ndarray, p_sum) -> None:
     ulp of ``p_sum`` per entry, so the budget allows that much and no more:
     the slack scales with the budget.
     """
-    if (p < 0).any():
+    # count_nonzero: the checks run on every stack, and ``any`` costs more per call
+    if np.count_nonzero(p < 0):
         raise ValueError("powers must be nonnegative")
-    if ((p > 0) != support).any():
+    if np.count_nonzero((p > 0) != support):
         raise ValueError("power support must match the pattern support less its nulled pairs")
     if p_sum is not None:
         slack = (p.shape[-2] * p.shape[-1] + 2) * np.spacing(p_sum)
-        if (p.sum(axis=(-2, -1)) > p_sum + slack).any():
+        if np.count_nonzero(p.sum(axis=(-2, -1)) > p_sum + slack):
             raise ValueError("total power exceeds the budget")
 
 
@@ -285,7 +298,7 @@ def _budgets(p_sum) -> np.ndarray:
 
 
 def fixed_ratio_ladders(
-    pattern: PatternMatrix,
+    pattern: PatternMatrix | Sequence[PatternMatrix],
     p0: float,
     mus,
     sic_orders,
@@ -293,17 +306,19 @@ def fixed_ratio_ladders(
     nulled: np.ndarray | None = None,
 ) -> np.ndarray:
     """Geometric power ladders within each beam, one per (budget, gain
-    factor), shape (D, M, N, K).
+    factor), shape (D, M, N, K); for a sequence of C patterns, one such
+    stack per pattern, shape (C, D, M, N, K).
 
     For budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n the powered
     users (covered and not ``nulled``), taken in the ascending-gain order
     ``sic_orders[d, n]``, get powers p0, mu*p0, mu^2*p0, ...; one constant
     per ladder then scales the whole matrix so its total equals the budget.
-    ``sic_orders`` has shape (D, N, K): each row is a permutation of the
-    users that lists the users covered by its beam first, each once (as
-    ``receiver.sic_orders`` gives them); nulled users keep their place but
-    get no power.  Every ladder passes ``_check_powers``, run once on the
-    stack.
+    ``sic_orders`` has shape (D, N, K), or (C, D, N, K) with C patterns:
+    each row is a permutation of the users that lists the users covered by
+    its beam first, each once (as ``receiver.sic_orders`` gives them);
+    nulled users keep their place but get no power.  ``nulled`` is one
+    (N, K) mask, or one per pattern.  Every ladder passes
+    ``_check_powers``, run once on the stack.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1:
@@ -311,43 +326,52 @@ def fixed_ratio_ladders(
     if p0 <= 0 or (mus <= 0).any():
         raise ValueError("p0 and mu must be positive")
     p_sum = _budgets(p_sum)
-    b = pattern.entries
-    n_beams, n_users = b.shape
+    b, single = _pattern_stack(pattern)
+    n_stack, n_beams, n_users = b.shape
     orders = np.asarray(sic_orders)
-    if orders.shape != (len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
-        raise ValueError("sic_orders must hold one (N, K) integer order stack per budget")
-    # flat positions in an (N, K) matrix of each beam's users, in order
-    at = orders + n_users * np.arange(n_beams)[:, None]
-    covered_first = np.arange(n_users) < b.sum(axis=1)[:, None]  # (N, K)
+    if single:
+        orders = orders[None]
+    if orders.shape != (n_stack, len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
+        raise ValueError("sic_orders must hold one (N, K) integer order stack per pattern and budget")
+    # (C, 1, N, K): one pattern and one powered support for all budgets
+    b, support = b[:, None], _powered_support(b, nulled)[:, None]
+    # flat positions of each beam's users, in order, in the (C, N, K)
+    # pattern stack and in a (C, D, N, K) stack
+    in_pattern = orders + n_users * np.arange(n_stack * n_beams).reshape(n_stack, 1, n_beams, 1)
+    at = orders + n_users * np.arange(orders.size // n_users).reshape(orders.shape[:-1] + (1,))
+    covered_first = np.arange(n_users) < b.sum(axis=-1, keepdims=True)
     permutes = np.sort(orders, axis=-1) == np.arange(n_users)
-    valid = (permutes & ((b.reshape(-1)[at] == 1) == covered_first)).all(axis=-1)
+    valid = (permutes & ((b.reshape(-1)[in_pattern] == 1) == covered_first)).all(axis=-1)
     if not valid.all():
-        n = int(np.flatnonzero(~valid.all(axis=0))[0])
-        raise ValueError(f"sic_orders[:, {n}] must list each user covered by beam {n} once, first")
-    support = _powered_support(pattern, nulled)
+        n = int(np.flatnonzero(~valid.reshape(-1, n_beams).all(axis=0))[0])
+        raise ValueError(f"sic_orders[..., {n}, :] must list each user covered by beam {n} once, first")
     # each powered user's place among its beam's powered users, in user space
     place = np.empty(orders.shape, dtype=int)
-    ranks = np.cumsum(support.reshape(-1)[at], axis=-1) - 1
-    place.reshape(-1)[at + n_beams * n_users * np.arange(len(p_sum))[:, None, None]] = ranks
+    place.reshape(-1)[at] = np.cumsum(support.reshape(-1)[in_pattern], axis=-1) - 1
     steps = p0 * mus[:, None] ** np.arange(n_users)  # (M, K)
-    ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, None]], 0.0)
+    support = support[:, :, None]  # (C, 1, 1, N, K)
+    ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
     ladders *= (p_sum[:, None] / ladders.sum(axis=(-2, -1)))[..., None, None]
     _check_powers(ladders, support, p_sum[:, None])
-    return ladders
+    return ladders[0] if single else ladders
 
 
-def equal_splits(pattern: PatternMatrix, p_sum, nulled: np.ndarray | None = None) -> np.ndarray:
+def equal_splits(
+    pattern: PatternMatrix | Sequence[PatternMatrix], p_sum, nulled: np.ndarray | None = None
+) -> np.ndarray:
     """Equal split of each budget ``p_sum[d]`` across the powered (beam,
-    user) pairs, shape (D, N, K), checked once as a stack.
+    user) pairs, shape (D, N, K); for a sequence of C patterns, one such
+    stack per pattern, shape (C, D, N, K).  Checked once as a stack.
 
     The powered pairs are the pattern's covered pairs less the ``nulled``
-    ones (none by default).
+    ones (none by default): one (N, K) mask, or one per pattern.
     """
     p_sum = _budgets(p_sum)
-    support = _powered_support(pattern, nulled)
-    splits = support * (p_sum / support.sum())[:, None, None]
+    b, single = _pattern_stack(pattern)
+    support = _powered_support(b, nulled)[:, None]  # (C, 1, N, K)
+    splits = support * (p_sum / support.sum(axis=(-2, -1)))[..., None, None]
     _check_powers(splits, support, p_sum)
-    return splits
+    return splits[0] if single else splits
 
 
 def equal_power(pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None) -> np.ndarray:

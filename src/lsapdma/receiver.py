@@ -13,10 +13,11 @@ own channels and ZF beams) are concatenated to a (U, N_R, N_T) stack, each
 with its unit's beam matrix and its D signal statistics (one per power
 matrix of the unit's (D, N, K) stack, e.g. one equal split per budget), and
 one batched Cholesky solve gives the (D, U, N_R, N) filters, stacked
-products the gains.  ``drop_link_states`` runs it over a drop's units and
-hands back each unit's (D, N, K) gains; ``build_link_state`` pairs one
-power matrix with its gains as a ``LinkState``.  A user's outputs do not
-depend on the users stacked beside it.
+products the gains.  ``drop_link_states`` runs it over the units of a drop,
+or of a chunk of drops, and hands back each unit's (D, N, K) gains;
+``build_link_state`` pairs one power matrix with its gains as a
+``LinkState``.  A user's outputs do not depend on the users stacked beside
+it.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, uncovered users masked to
@@ -132,7 +133,7 @@ def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.n
     covered ones' SINRs as if the uncovered were absent.
     """
     p = np.ascontiguousarray(powers, dtype=float)
-    if (p < 0).any():
+    if np.count_nonzero(p < 0):
         raise ValueError("powers must be nonnegative")
     h = np.asarray(gains, dtype=float)
     orders = np.asarray(orders)
@@ -152,7 +153,7 @@ def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.n
 def pair_rates(sinrs) -> np.ndarray:
     """Per-pair rates log2(1 + gamma) of an SINR array of any shape."""
     gammas = np.asarray(sinrs, dtype=float)
-    if (gammas < 0).any():
+    if np.count_nonzero(gammas < 0):
         raise ValueError("SINRs must be nonnegative")
     return np.log2(1.0 + gammas)
 
@@ -170,15 +171,16 @@ def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) ->
 
 
 def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
-    """Gains of every unit of a drop from one MMSE kernel call.
+    """Gains of every unit of a drop, or of a chunk of drops, from one MMSE
+    kernel call.
 
     ``units`` lists (channels, beams, powers) triples, one per unit (one
     scheme evaluation), each with its own channels, ZF beams and a (D, N, K)
     stack of power matrices; D must be the same for every unit.  Every
     unit's users are concatenated to one (U, N_R, N_T) stack, each with its
-    unit's beam matrix and second moments, so the drop makes one batched
-    solve.  Returns each unit's (D, N, K) gains, equal bit for bit to a
-    call on that unit alone.
+    unit's beam matrix and second moments, so the drop (or the chunk) makes
+    one batched solve.  Returns each unit's (D, N, K) gains, equal bit for
+    bit to a call on that unit alone.
     """
     for channels, beams, powers in units:
         if np.ndim(powers) != 3 or np.shape(powers)[1:] != (beams.n_beams, len(channels)):
@@ -188,8 +190,8 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
         raise ValueError("every unit needs the same number of allocations")
     sizes = [len(channels) for channels, _, _ in units]
     owner = np.repeat(np.arange(len(units)), sizes)  # the unit of each stacked user
-    g = np.stack([ch.entries for channels, _, _ in units for ch in channels])
-    f = np.stack([beams.beam_matrix for _, beams, _ in units])[owner]
+    g = np.array([ch.entries for channels, _, _ in units for ch in channels])
+    f = np.array([beams.beam_matrix for _, beams, _ in units])[owner]
     _, h = _mmse_kernel(g, f, np.stack(moments, axis=1)[:, owner], sigma2)
     bounds = np.cumsum([0] + sizes)
     return [np.ascontiguousarray(h[:, a:b].swapaxes(-1, -2)) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -112,11 +112,21 @@ path = {out}
     )
     code = main(["simulate", "--config", str(cfg)])
     assert code == 0
+    assert capsys.readouterr().err == ""
     csv = (tmp_path / "results" / "results.csv").read_text().splitlines()
     assert csv[0] == "sweep,scheme,K,mean_sum_rate,stderr,drops"
     assert len(csv) == 2
     summary = (tmp_path / "results" / "summary.txt").read_text()
     assert "schemes = oma" in summary
+
+
+def test_simulate_verbose_reports_each_chunk(tmp_path, capsys):
+    # 130 drops on one worker run as three chunks (43, 43, 44 drops)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\nschemes = oma\ndrops = 130\n\n[output]\npath = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg), "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("drops ")] == ["drops 43/130", "drops 86/130", "drops 130/130"]
 
 
 def test_simulate_overrides(tmp_path):

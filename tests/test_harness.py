@@ -18,6 +18,7 @@ from lsapdma.harness import (
     _draw_drop,
     _unit_records,
     emit_results,
+    run_chunk,
     run_drop,
     run_monte_carlo,
 )
@@ -348,6 +349,46 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             )
 
 
+def _hexed(drops):
+    """Each drop's records with the floats as ``float.hex``, so equal means
+    equal bit for bit."""
+    return [[(r.scheme, r.k_users, r.sweep_value.hex(), r.sum_rate.hex(), r.redraws) for r in recs] for recs in drops]
+
+
+def test_drop_records_do_not_depend_on_the_chunk(monkeypatch):
+    # each drop's records equal those of the drop run alone, bit for bit,
+    # whatever chunk holds it and wherever the chunk boundaries fall
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for preset in ("fig3", "fig4", "fig5"):
+        cfg = ExperimentConfig.from_file(configs / f"{preset}.cfg")
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(9)]
+        alone = _hexed(run_drop(cfg, state) for state in states)
+        for sizes in ((9,), (4, 5), (1, 7, 1), (3, 3, 3)):
+            bounds = np.cumsum((0,) + sizes)
+            chunked = [recs for a, b in zip(bounds[:-1], bounds[1:]) for recs in run_chunk(cfg, states[a:b])]
+            assert _hexed(chunked) == alone, (preset, sizes)
+    # the K = 6 set-ups (the power-domain baseline's and lsa-pdma's) of the
+    # middle drop of a chunk are singular on their first draw: they redraw
+    # once, alone, as in a chunk of that drop only, and every other record
+    # of the chunk stays as it was
+    cfg = ExperimentConfig.from_file(configs / "fig4.cfg")
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(5)]
+    plain = _hexed(run_chunk(cfg, states))
+    first = _channels(cfg, 6, np.random.Generator(np.random.Philox(states[2])))
+    with monkeypatch.context() as m:
+        _singular_on_first_draw(m, first)
+        redrawn = _hexed(run_chunk(cfg, states))
+        alone = _hexed(run_chunk(cfg, states[2:3]))
+    assert redrawn[:2] + redrawn[3:] == plain[:2] + plain[3:]
+    assert redrawn[2] == alone[0]
+    assert {got[0] for got in redrawn[2] if got[1] == 6} == {"pnoma", "lsa-pdma-simple"}
+    for got, was in zip(redrawn[2], plain[2]):
+        if got[1] == 6:
+            assert got[4] == 1 and got[3] != was[3]
+        else:
+            assert got == was
+
+
 def test_records_do_not_depend_on_the_scheme_order():
     # units with the same K share one first draw; listing the schemes in
     # another order must give each scheme the same records
@@ -378,11 +419,47 @@ def test_monte_carlo_reproducible():
 
 
 def test_monte_carlo_worker_count_invariant():
-    cfg1 = _cfg(drops=6, workers=1)
-    cfg2 = _cfg(drops=6, workers=2)
-    a = run_monte_carlo(cfg1)
-    b = run_monte_carlo(cfg2)
-    assert a == b
+    # 7 drops split into uneven chunks (2, 2, 3 at three workers)
+    for drops in (6, 7):
+        runs = [run_monte_carlo(_cfg(drops=drops, workers=w), collect_samples=True) for w in (1, 2, 3)]
+        (table, samples), *others = runs
+        for other_table, other_samples in others:
+            assert other_table == table
+            assert other_samples.keys() == samples.keys()
+            for key, values in samples.items():
+                assert [v.hex() for v in other_samples[key]] == [v.hex() for v in values]
+
+
+def test_monte_carlo_starts_no_more_workers_than_chunks(monkeypatch):
+    # a pool process per chunk at most, and none for a single chunk; the
+    # recording executor runs each chunk in this process
+    from concurrent.futures import Future
+
+    import lsapdma.harness as harness
+
+    started = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    for drops, workers, pool in ((1, 2, []), (3, 4, [3]), (5, 2, [2])):
+        started.clear()
+        table = run_monte_carlo(_cfg(drops=drops, workers=workers))
+        assert started == pool
+        assert table == run_monte_carlo(_cfg(drops=drops, workers=1))
 
 
 def test_monte_carlo_stderr_scaling():
@@ -548,11 +625,12 @@ def test_stacked_tail_matches_the_per_budget_path():
     # non-strict support, nulled pairs present, and the gains as given or
     # with beam 0's row zeroed (so the optimal policy finds no free entry
     # there), fig4's gain factors with 0.3 and 1.7, and p0 = 1 and 0.37:
-    # every policy's rates equal the per-budget path's bit for bit.  Every
-    # sum over beams runs in beam order on both sides, and every sum over
-    # users (or over the N x K pairs of the equal split) is numpy's sum over
-    # one contiguous row of the same length and order on both sides, so the
-    # agreement is exact even where K >= 8.
+    # every policy's rates on a chunk of two drops equal, drop by drop, the
+    # per-budget path's bit for bit.  Every sum over beams runs in beam
+    # order on both sides, and every sum over users (or over the N x K
+    # pairs of the equal split) is numpy's sum over one contiguous row of
+    # the same length and order on both sides, so the agreement is exact
+    # even where K >= 8.
     fig4 = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
     mus = fig4.mu + (0.3, 1.7)
     saw_nulled = False
@@ -560,15 +638,18 @@ def test_stacked_tail_matches_the_per_budget_path():
         for k in range(n, 2**n):
             for strict in (False, True):
                 cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), p_sum_db=(0.0, 20.0, 40.0), strict_pattern=strict)
-                setup = _draw_drop(cfg, k, "simple", np.random.SeedSequence(17, spawn_key=(n, k, strict)))
-                channels, pattern, omega, beams, _ = setup
-                nulled = omega.nulled(pattern)
-                saw_nulled |= nulled.any()
+                keys = [(n, k, strict), (n, k, strict, 1)]
+                setups = [_draw_drop(cfg, k, "simple", np.random.SeedSequence(17, spawn_key=key)) for key in keys]
                 budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
-                splits = equal_splits(pattern, budgets, nulled)
-                (gains,) = drop_link_states([(channels, beams, splits)], 1.0)
+                splits, gains = [], []
+                for channels, pattern, omega, beams, _ in setups:
+                    nulled = omega.nulled(pattern)
+                    saw_nulled |= nulled.any()
+                    splits.append(equal_splits(pattern, budgets, nulled))
+                    gains.extend(drop_link_states([(channels, beams, splits[-1])], 1.0))
+                splits, gains = np.array(splits), np.array(gains)
                 zeroed = gains.copy()
-                zeroed[:, 0] = 0.0
+                zeroed[:, :, 0] = 0.0
                 for h in (gains, zeroed):
                     for p0 in (1.0, 0.37):
                         run = dataclasses.replace(cfg, p0_ratio=p0)
@@ -578,9 +659,16 @@ def test_stacked_tail_matches_the_per_budget_path():
                             ("optimal", k, "simple", "optimal", (None,)),
                         ]
                         for unit in units[1:2] if p0 != 1.0 else units:
-                            got = [r.sum_rate for r in _unit_records(run, unit, setup, splits, h, budgets)]
-                            want = [rate for row in _per_budget_rates(run, unit, pattern, omega, h) for rate in row]
-                            assert got == want, (n, k, strict, unit[0], p0)
+                            chunk = _unit_records(run, unit, setups, splits, h, budgets)
+                            assert len(chunk) == len(setups)
+                            for records, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
+                                got = [r.sum_rate for r in records]
+                                want = [
+                                    rate
+                                    for row in _per_budget_rates(run, unit, pattern, omega, drop_gains)
+                                    for rate in row
+                                ]
+                                assert got == want, (n, k, strict, unit[0], p0)
     assert saw_nulled
 
 
@@ -601,10 +689,11 @@ def test_k_equals_n_fixed_ratio_matches_oma():
 
 def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
     # every unit computes its SINRs in one call of the receiver's SINR
-    # formula over all its budgets (and its mu sweep), so the call count
-    # does not grow with the budgets.  The optimal policy reads only the
-    # gains of the equal splits: its one call carries the water-fill, whose
-    # beams each hold at most one entry above the anchors' 1e-6 floor.
+    # formula over all the drops of a chunk and all its budgets (and its
+    # mu sweep), so the call count grows with neither the drops nor the
+    # budgets.  The optimal policy reads only the gains of the equal
+    # splits: its one call carries the water-fill, whose beams each hold at
+    # most one entry above the anchors' 1e-6 floor.
     calls = []
     real = receiver._sic_sinr
 
@@ -614,22 +703,27 @@ def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
 
     monkeypatch.setattr(receiver, "_sic_sinr", counted)
     budgets = 10.0 ** (np.array([0.0, 20.0]) / 10.0)
-    run_drop(_cfg(schemes=("lsa-pdma",), users=(6,), policies=("optimal",), p_sum_db=(0.0, 20.0)), 4)
-    assert [p.shape for p in calls] == [(2, 3, 6)]
+    drops = [4, 5, 6]
+    run_chunk(_cfg(schemes=("lsa-pdma",), users=(6,), policies=("optimal",), p_sum_db=(0.0, 20.0)), drops)
+    assert [p.shape for p in calls] == [(3, 2, 3, 6)]
     assert ((calls[0] > 2e-6 * budgets[:, None, None]).sum(axis=-1) <= 1).all()
     calls.clear()
-    run_drop(_cfg(schemes=("oma",)), 4)
-    assert [p.shape for p in calls] == [(1, 3, 3)]
+    run_chunk(_cfg(schemes=("oma",)), drops)
+    assert [p.shape for p in calls] == [(3, 1, 3, 3)]
     calls.clear()
-    run_drop(_cfg(schemes=("lsa-pdma",), users=(6,), mu=(0.5, 1.0, 2.0)), 4)
-    assert [p.shape for p in calls] == [(1, 3, 3, 6)]
+    run_chunk(_cfg(schemes=("lsa-pdma",), users=(6,), mu=(0.5, 1.0, 2.0)), drops)
+    assert [p.shape for p in calls] == [(3, 1, 3, 3, 6)]
+    calls.clear()
+    run_drop(_cfg(schemes=("oma", "lsa-pdma"), users=(6,), mu=(0.5, 1.0, 2.0)), 4)
+    assert [p.shape for p in calls] == [(1, 1, 3, 3), (1, 1, 3, 3, 6)]
 
 
 def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
     # fig3's two units (the simple and the optimal policy, both K = 7 on the
-    # simple pattern) share the draw, the pattern and the anchors, so a drop
-    # puts one unit in the ZF stack and 7 users in the MMSE solve; each
-    # unit's records equal those of a run of it alone
+    # simple pattern) share the draw, the pattern and the anchors, so a
+    # chunk of three drops puts one set-up per drop in one ZF stack and 7
+    # users per drop in one MMSE solve; each unit's records equal those of
+    # a run of it alone
     import lsapdma.harness as harness
 
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig3.cfg")
@@ -644,21 +738,20 @@ def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
         stacks.append(("mmse", sum(len(channels) for channels, _, _ in units)))
         return real_links(units, sigma2)
 
-    for seed in range(3):
-        state = np.random.SeedSequence(cfg.seed, spawn_key=(seed,))
-        with monkeypatch.context() as m:
-            m.setattr(harness, "zf_beamformers", zf)
-            m.setattr(harness, "drop_link_states", links)
-            both = run_drop(cfg, state)
-        assert stacks == [("zf", 1), ("mmse", 7)]
-        stacks.clear()
-        alone = [r for policy in cfg.policies for r in run_drop(dataclasses.replace(cfg, policies=(policy,)), state)]
-        assert both == alone
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
+    with monkeypatch.context() as m:
+        m.setattr(harness, "zf_beamformers", zf)
+        m.setattr(harness, "drop_link_states", links)
+        both = run_chunk(cfg, states)
+    assert stacks == [("zf", 3), ("mmse", 21)]
+    alone = [run_chunk(dataclasses.replace(cfg, policies=(policy,)), states) for policy in cfg.policies]
+    assert both == [[r for per_policy in alone for r in per_policy[i]] for i in range(len(states))]
 
 
 def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch):
-    # the simulation path runs each policy on the unit's budget stack: no
-    # OptProblem is built, and every power check covers all the budgets
+    # the simulation path runs each policy on the unit's stack over a
+    # chunk's drops and budgets: no OptProblem is built, and every power
+    # check covers all the drops and all the budgets
     from lsapdma import pattern as pattern_module
 
     built, checked = [], []
@@ -675,14 +768,16 @@ def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch)
     monkeypatch.setattr(OptProblem, "__post_init__", counted)
     monkeypatch.setattr(pattern_module, "_check_powers", check)
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
-    assert run_drop(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    assert all(run_chunk(cfg, [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]))
     assert built == []
-    assert checked and all(shape[0] == len(cfg.p_sum_db) for shape in checked)
+    # one equal-split check per set-up (oma, pnoma, K = 6 and 7) and one
+    # ladder check (pnoma), each over every drop and budget
+    assert len(checked) == 5 and all(shape[:2] == (3, len(cfg.p_sum_db)) for shape in checked)
     # the counters see what they should
     checked.clear()
     equal_power(oma_pattern(3), 1.0)
     OptProblem.build(np.ones((1, 1)), 1.0)
-    assert checked == [(1, 3, 3)] and built == ["OptProblem"]
+    assert checked == [(1, 1, 3, 3)] and built == ["OptProblem"]
 
 
 def test_fig4_runs_at_high_budgets():

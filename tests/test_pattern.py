@@ -7,12 +7,14 @@ import pytest
 from lsapdma.beamforming import select_users
 from lsapdma.channel import sample_channel
 from lsapdma.harness import ExperimentConfig
+from lsapdma.optimizer import anchor_floors
 from lsapdma.pattern import (
     PatternMatrix,
     _check_powers,
     _simple_columns,
     correlation_matrix,
     equal_power,
+    equal_splits,
     fixed_ratio_ladders,
     format_pattern_text,
     oma_pattern,
@@ -251,6 +253,40 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
                         one = _ladder(pattern, p0, mu, per_beam, p_sum, nulled)
                         assert np.array_equal(one, ref)
     assert saw_nulled
+
+
+def test_power_stacks_over_patterns_equal_each_pattern_alone():
+    # a sequence of C patterns, with one nulled mask, one order stack and
+    # one anchor set each, gives the C stacks of the patterns run one at a
+    # time, bit for bit: equal splits (C, D, N, K), ladders (C, D, M, N, K)
+    # and anchor floors (C, D, N, K)
+    mus = (0.25, 0.3, 1.7, 8.0)
+    budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
+    for n in (2, 3, 4):
+        for k in range(n, 2**n):
+            rng = make_rng(n, k, 7)
+            patterns, nulled, orders, anchors = [], [], [], []
+            for _ in range(3):
+                chans = [sample_channel(4, 16, 1.0, rng) for _ in range(k)]
+                patterns.append(simple_beam_allocation(n, k, rng.permutation(k)))
+                anchors.append(select_users(chans, patterns[-1], rng.uniform(0.1, 1.0, k)))
+                nulled.append(anchors[-1].nulled(patterns[-1]))
+                orders.append(
+                    [_full_orders(patterns[-1], [rng.permutation(np.flatnonzero(row)) for row in patterns[-1].entries]) for _ in budgets]
+                )
+            nulled, orders = np.array(nulled), np.array(orders)
+            splits = equal_splits(patterns, budgets, nulled)
+            ladders = fixed_ratio_ladders(patterns, 0.37, mus, orders, budgets, nulled)
+            gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
+            floors = anchor_floors(gains, anchors, 1e-6 * np.array(budgets))
+            assert splits.shape == gains.shape and ladders.shape == (3, len(budgets), len(mus), n, k)
+            for c, pattern in enumerate(patterns):
+                assert np.array_equal(splits[c], equal_splits(pattern, budgets, nulled[c]))
+                assert np.array_equal(ladders[c], fixed_ratio_ladders(pattern, 0.37, mus, orders[c], budgets, nulled[c]))
+                assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c], 1e-6 * np.array(budgets)))
+    # a stack must list one order stack per pattern
+    with pytest.raises(ValueError, match="per pattern"):
+        fixed_ratio_ladders(patterns, 0.37, mus, orders[:2], budgets, nulled)
 
 
 def test_budget_check_scales_with_the_budget():
