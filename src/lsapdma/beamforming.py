@@ -15,22 +15,26 @@ the least coverage (lowest diversity first, then the weakest, then the
 lowest index), and ``SelectedUserSet.nulled`` names the covered pairs that
 are lost anyway, so power policies can leave them unpowered.
 
+``rank_anchors`` gives a rank-assigned policy's pattern, anchors and
+nulled pairs in weakness-rank space, once per (policy, N, K).
+
 ``zf_beamformers`` computes the precoders of a stack of units (one unit is
-one scheme evaluation of a drop: its channels and its anchors) in one pass
-over the (E, N*N_R, N_T) anchor stack, and reports each singular unit as
-None so the caller can redraw that unit alone.  ``compute_zfbf`` is a
-thin seam over it for a caller holding a single unit: it raises
-``SingularChannelError`` where the stack reports None.
+one set-up of a drop: its anchors' channels) in one pass over the
+(E, N*N_R, N_T) anchor stack, and flags each singular unit so the caller
+can redraw that unit alone.  ``compute_zfbf`` is a thin seam over it for a
+caller holding a single unit: it raises ``SingularChannelError`` where the
+stack flags the unit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelMatrix
-from .pattern import PatternMatrix
+from .pattern import PatternMatrix, oma_pattern, pnoma_pattern, simple_beam_allocation
 
 
 class SingularChannelError(RuntimeError):
@@ -99,6 +103,12 @@ def select_users(
     exactly rank-deficient), so beams are processed most-constrained first
     and each takes its most preferred not-yet-taken covered user, with an
     augmenting-path fallback when a beam's covered set is exhausted.
+
+    The choice depends on the hints only through the weakness ranks (their
+    stable argsort): the key (diversity, hint, index) orders users as
+    (column weight, rank) does.  Moving columns leaves the overlaps as they
+    are, so a pattern whose column r goes to the user of rank r gets the
+    anchors of its rank-space pattern (hints 0, 1, ...) moved the same way.
     """
     hints = np.asarray(gains_hint, dtype=float)
     if hints.shape != (pattern.n_users,):
@@ -141,37 +151,54 @@ def select_users(
     return SelectedUserSet(pairs=tuple((n, chosen[n]) for n in range(n_beams)))
 
 
+@functools.lru_cache(maxsize=64)
+def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated (N, K) pattern of ``simple``, ``pnoma`` or ``oma``, its
+    (N,) anchors and (N, K) ``nulled`` mask, read-only, column r belonging
+    to the user of weakness rank r.  A drop whose users sorted weakest first
+    are ``order`` has the pattern and mask with column r moved to user
+    ``order[r]`` and the anchors ``order[anchors]`` (see ``select_users``);
+    ``oma`` is the identity pattern whatever the ranks.
+    """
+    ranks = range(n_users)
+    pattern = {
+        "simple": lambda: simple_beam_allocation(n_beams, n_users, ranks),
+        "pnoma": lambda: pnoma_pattern(n_beams, ranks),
+        "oma": lambda: oma_pattern(n_beams),
+    }[policy]()
+    # the channels enter the selection only through their count
+    omega = select_users([None] * n_users, pattern, np.arange(n_users))
+    triple = (pattern.entries, np.array(omega.users), omega.nulled(pattern))
+    for array in triple:
+        array.setflags(write=False)
+    return triple
+
+
 def zf_beamformers(
-    channel_sets,
-    omegas,
+    anchors,
     *,
     normalize: bool = True,
     cond_limit: float = 1e8,
-) -> list[BeamformerSet | None]:
-    """Composite ZF precoders of a stack of units, in one pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite ZF precoders of E units in one pass: ``anchors[e, n]``,
+    shape (E, N, N_R, N_T), is the channel of unit e's anchor of beam n.
+    For each unit, F_C = G_C^H (G_C G_C^H)^(-1) for the stacked
+    (N*N_R, N_T) anchor channel G_C; each (N_T, N_R) block of F_C is
+    collapsed against the all-ones vector to get the per-beam vectors,
+    which ``normalize`` scales to unit norm so beam powers are radiated
+    powers.  The equilibration, the Gram, the condition test, the solve,
+    the collapse and the normalisation each run once over the
+    (E, N*N_R, N_T) stack, and a unit's result equals, bit for bit, that of
+    a stack holding it alone.
 
-    A unit is one (channels, anchors) pair: ``channel_sets[e]`` holds a
-    unit's user channels and ``omegas[e]`` its anchors, one per beam; every
-    unit has the same beam count and channel shape.  For each unit,
-    F_C = G_C^H (G_C G_C^H)^(-1) for the stacked (N*N_R, N_T) anchor channel
-    G_C; each (N_T, N_R) block of F_C is collapsed against the all-ones
-    vector to get the per-beam vectors, which ``normalize`` scales to unit
-    norm so beam powers are radiated powers.  The equilibration, the Gram,
-    the condition test, the solve, the collapse and the normalisation each
-    run once over the (E, N*N_R, N_T) stack, and a unit's result equals, bit
-    for bit, that of a stack holding it alone.
-
-    A unit is singular, and gets None, when an anchor's channel is zero or
+    Returns the composites (E, N_T, N*N_R), the beam matrices (E, N_T, N)
+    and whether each unit is singular: an anchor's channel is zero or
     cond(G_C G_C^H) exceeds ``cond_limit`` (i.i.d. Gaussian draws are almost
     surely fine; the guard catches pathological draws so the caller can
-    redraw).
+    redraw).  A singular unit's composite and beams are NaN.
     """
-    anchors = [[channels[u].entries for _, u in omega.pairs] for channels, omega in zip(channel_sets, omegas)]
-    shapes = {b.shape for unit in anchors for b in unit}
-    if len(shapes) != 1 or len({len(unit) for unit in anchors}) != 1:
-        raise ValueError("selected-user channels must share one shape and one beam count")
-    [(n_rx, n_tx)] = shapes
-    n_units, n_beams = len(anchors), len(anchors[0])
+    anchors = np.asarray(anchors)
+    n_units, n_beams, n_rx, n_tx = anchors.shape
     if n_beams * n_rx > n_tx:
         raise ValueError(
             f"need n_beams*n_rx <= n_tx for zero forcing, got {n_beams}*{n_rx} > {n_tx}"
@@ -184,24 +211,23 @@ def zf_beamformers(
     scales = np.array([[np.linalg.norm(b) for b in unit] for unit in anchors]) / np.sqrt(n_rx * n_tx)
     singular = (scales == 0).any(axis=1)
     row_scale = np.repeat(np.where(scales == 0, 1.0, scales), n_rx, axis=1)  # (E, N*N_R)
-    g_eq = np.array(anchors).reshape(n_units, n_beams * n_rx, n_tx) / row_scale[..., None]
+    g_eq = anchors.reshape(n_units, n_beams * n_rx, n_tx) / row_scale[..., None]
     gram = g_eq @ g_eq.conj().swapaxes(-1, -2)
     singular |= np.linalg.cond(gram) > cond_limit
     live = np.flatnonzero(~singular)
-    out: list[BeamformerSet | None] = [None] * n_units
-    if live.size == 0:
-        return out
-    # F_C = G^H gram^{-1}; gram is Hermitian PD for full-row-rank G.  The
-    # conjugate transpose leaves each composite column-major.
-    composite = np.linalg.solve(gram[live], g_eq[live]).conj().swapaxes(-1, -2) / row_scale[live, None, :]
-    # (E', N, N_T, N_R) views of the blocks, each collapsed by one matrix-vector product
-    blocks = composite.reshape(len(live), n_tx, n_beams, n_rx).transpose(0, 2, 1, 3)
-    beam_matrix = np.ascontiguousarray((blocks @ np.ones(n_rx)).swapaxes(-1, -2))  # (E', N_T, N)
-    if normalize:
-        beam_matrix = beam_matrix / np.linalg.norm(beam_matrix, axis=-2, keepdims=True)
-    for e, f_c, f in zip(live, composite, beam_matrix):
-        out[e] = BeamformerSet(composite=f_c, beam_matrix=f, selected=omegas[e], normalized=normalize)
-    return out
+    # column-major composites, the layout the conjugate transpose gives
+    composite = np.full((n_units, n_beams * n_rx, n_tx), np.nan, dtype=complex).swapaxes(-1, -2)
+    beam_matrix = np.full((n_units, n_tx, n_beams), np.nan, dtype=complex)
+    if live.size:
+        # F_C = G^H gram^{-1}; gram is Hermitian PD for full-row-rank G.  The
+        # collapse reads each composite in its column-major layout.
+        f_c = np.linalg.solve(gram[live], g_eq[live]).conj().swapaxes(-1, -2) / row_scale[live, None, :]
+        composite[live] = f_c
+        # (E', N, N_T, N_R) views of the blocks, each collapsed by one matrix-vector product
+        blocks = f_c.reshape(len(live), n_tx, n_beams, n_rx).transpose(0, 2, 1, 3)
+        beams = np.ascontiguousarray((blocks @ np.ones(n_rx)).swapaxes(-1, -2))  # (E', N_T, N)
+        beam_matrix[live] = beams / np.linalg.norm(beams, axis=-2, keepdims=True) if normalize else beams
+    return composite, beam_matrix, singular
 
 
 def compute_zfbf(
@@ -217,8 +243,8 @@ def compute_zfbf(
     Raises SingularChannelError when an anchor's channel is zero or
     cond(G_C G_C^H) exceeds ``cond_limit``.
     """
-    (beams,) = zf_beamformers([channels], [omega], normalize=normalize, cond_limit=cond_limit)
-    if beams is None:
+    anchors = np.array([[channels[u].entries for u in omega.users]])
+    composite, beam_matrix, singular = zf_beamformers(anchors, normalize=normalize, cond_limit=cond_limit)
+    if singular[0]:
         raise SingularChannelError("composite channel is zero or near rank-deficient")
-    return beams
-
+    return BeamformerSet(composite=composite[0], beam_matrix=beam_matrix[0], selected=omega, normalized=normalize)

@@ -14,19 +14,22 @@ restarts its drop's stream and the draw does not depend on the pattern, so
 the users and channels of each distinct K are drawn once per drop and
 shared, and units that also share the pattern policy share the whole
 set-up: pattern, anchors, ZF beams, equal splits and gains.  Each drop
-draws from its own stream and builds its patterns and anchors in turn;
-everything after that runs once per chunk.  The ZF precoders of every
-(drop, set-up) come from one ``zf_beamformers`` pass, each set-up's equal
-splits over the chunk are one (C, D, N, K) stack, and every receive chain
-comes from one ``drop_link_states`` solve.  A set-up whose first draw is
-singular falls back to ``_draw_drop``, which redraws it alone from the
-restarted stream, so its redraw count and its channels are those it would
-have run by itself.  Each unit's power policy then runs over all C drops
-and D budgets as one array operation: the equal splits (C, D, N, K), the mu
-sweep's ladders (C, D, M, N, K) and the water-fill (C, D, N, K) are each
-one stack, and so are their SIC orders, SINRs and rates.  Every kernel
-computes a slice of its stack as it would alone, so a drop's records do
-not depend on the chunk that holds it; ``run_drop`` is the chunk of one.
+draws from its own stream; everything after that runs once per chunk.  A
+set-up's patterns, anchors and nulled pairs are one gather of its
+rank-space triple (``beamforming.rank_anchors``) through one stable argsort
+of the chunk's (C, K) hints; only a fixed pattern selects anchors drop by
+drop.  The ZF precoders of every (drop, set-up) come from one
+``zf_beamformers`` pass, each set-up's equal splits over the chunk are one
+(C, D, N, K) stack, and every receive chain comes from one
+``drop_link_states`` solve.  A set-up whose first draw is singular falls
+back to ``_draw_drop``, which redraws it alone from the restarted stream,
+so its redraw count and its channels are those it would have run by
+itself.  Each unit's power policy then runs over all C drops and D budgets
+as one array operation: the equal splits (C, D, N, K), the mu sweep's
+ladders (C, D, M, N, K) and the water-fill (C, D, N, K) are each one stack,
+and so are their SIC orders, SINRs and rates.  Every kernel computes a
+slice of its stack as it would alone, so a drop's records do not depend on
+the chunk that holds it; ``run_drop`` is the chunk of one.
 ``run_monte_carlo`` runs the drops as contiguous chunks spread over the
 workers and puts their records back in drop order.
 
@@ -52,23 +55,15 @@ import subprocess
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .beamforming import select_users, zf_beamformers
+from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, drop_users, user_channels
 from .optimizer import anchor_floors, water_fills
-from .pattern import (
-    PatternMatrix,
-    equal_splits,
-    fixed_ratio_ladders,
-    format_pattern_text,
-    oma_pattern,
-    parse_pattern_text,
-    pnoma_pattern,
-    simple_beam_allocation,
-)
+from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
 from .receiver import beam_sum_rates, drop_link_states, pair_rates, sic_orders, sic_sinrs
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
@@ -342,79 +337,96 @@ def _scheme_runs(cfg: ExperimentConfig):
     return runs
 
 
-def _build_pattern(cfg: ExperimentConfig, pattern_policy: str, k: int, weakest_first) -> PatternMatrix:
-    if pattern_policy == "oma":
-        return oma_pattern(cfg.n_beams)
-    if pattern_policy == "pnoma":
-        return pnoma_pattern(cfg.n_beams, weakest_first)
-    if pattern_policy == "fixed":
-        return cfg.fixed_pattern
-    return simple_beam_allocation(cfg.n_beams, k, weakest_first)
-
-
 def _channels(cfg: ExperimentConfig, k, rng):
     """Users and channels of one draw from ``rng``."""
     return user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
 
 
-def _anchored(cfg: ExperimentConfig, pattern_policy, k, channels):
-    """Pattern and anchors of one unit on a draw's channels."""
-    hints = np.array([ch.large_scale_gain for ch in channels])
-    pattern = _build_pattern(cfg, pattern_policy, k, np.argsort(hints, kind="stable"))
-    return pattern, select_users(channels, pattern, hints)
+class _SetUps(NamedTuple):
+    """One set-up, a (K, pattern policy), on each of the C drops of a chunk."""
+
+    channels: np.ndarray  # (C, K, N_R, N_T)
+    entries: np.ndarray  # (C, N, K) pattern
+    anchors: np.ndarray  # (C, N) anchor user of each beam
+    nulled: np.ndarray  # (C, N, K) covered pairs the ZF beams null
+    beams: np.ndarray | None = None  # (C, N_T, N) ZF beam matrices
+    redraws: np.ndarray | None = None  # (C,) singular draws before these
 
 
-def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state):
-    """Users, channels, pattern, anchors and ZF beams of one unit's drop.
+def _anchored(cfg: ExperimentConfig, pattern_policy, draws) -> _SetUps:
+    """Pattern and anchors of one set-up on C draws (lists of channels): a
+    gather of ``rank_anchors`` through the draws' ranks, or for a fixed
+    pattern a selection per draw."""
+    channels = np.array([[ch.entries for ch in draw] for draw in draws])
+    hints = np.array([[ch.large_scale_gain for ch in draw] for draw in draws])
+    n_draws, k = hints.shape
+    if pattern_policy == "fixed":
+        pattern = cfg.fixed_pattern
+        omegas = [select_users(draw, pattern, h) for draw, h in zip(draws, hints)]
+        entries = np.repeat(pattern.entries[None], n_draws, axis=0)
+        nulled = np.array([omega.nulled(pattern) for omega in omegas])
+        return _SetUps(channels, entries, np.array([omega.users for omega in omegas]), nulled)
+    base, anchor_ranks, base_nulled = rank_anchors(pattern_policy, cfg.n_beams, k)
+    # users weakest first; the identity pattern of oma ignores the ranks
+    order = np.argsort(hints, axis=1, kind="stable") if pattern_policy != "oma" else np.tile(np.arange(k), (n_draws, 1))
+    # each user's column; stable like the chain's other argsorts (a process's
+    # first default-kind argsort of integers costs about 0.3 MB of memory)
+    rank = np.argsort(order, axis=1, kind="stable")
+    return _SetUps(channels, base[:, rank].swapaxes(0, 1), order[:, anchor_ranks], base_nulled[:, rank].swapaxes(0, 1))
 
-    Redraws users and channels while the anchors' stacked channel is
-    singular.  Returns (channels, pattern, omega, beams, redraws).
+
+def _anchor_channels(setups: _SetUps) -> np.ndarray:
+    """The anchors' channels of each drop, (C, N, N_R, N_T)."""
+    return setups.channels[np.arange(len(setups.anchors))[:, None], setups.anchors]
+
+
+def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
+    """One set-up on one drop (C = 1), ZF beams included.
+
+    Redraws users and channels from the restarted stream while the anchors'
+    stacked channel is singular, counting the redraws.
     """
     rng = np.random.Generator(np.random.Philox(state))
     redraws = 0
     while True:
-        channels = _channels(cfg, k, rng)
-        pattern, omega = _anchored(cfg, pattern_policy, k, channels)
-        (beams,) = zf_beamformers([channels], [omega])
-        if beams is not None:
-            return channels, pattern, omega, beams, redraws
+        setups = _anchored(cfg, pattern_policy, [_channels(cfg, k, rng)])
+        _, beams, singular = zf_beamformers(_anchor_channels(setups))
+        if not singular[0]:
+            return setups._replace(beams=beams, redraws=np.array([redraws]))
         redraws += 1
         if redraws > cfg.max_redraws:
             raise ConfigError(f"more than {cfg.max_redraws} consecutive singular-channel redraws")
 
 
-def _unit_records(cfg: ExperimentConfig, unit, setups, splits, gains, budgets):
+def _unit_records(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, budgets):
     """The records of one unit (one scheme evaluation) on each drop of a
     chunk, across the sweep points: one list per drop.
 
-    ``setups`` lists the unit's (channels, pattern, omega, beams, redraws)
-    on each of the C drops, ``splits`` holds their (C, D, N, K) equal
-    splits of the D ``budgets`` and ``gains`` the (C, D, N, K) gains they
-    give.  The equal-split and fixed-ratio policies power only the
-    pattern's pairs that the anchors do not null; the optimal policy is the
-    water-fill with the anchors' floors.  Each policy's powers, SINRs and
-    rates are one stack over the drops and budgets (and the mu sweep): a
-    (C, D, M) table of sum rates, M = 1 but for the ladders.
+    ``setups`` is the unit's set-up on each of the C drops, ``splits`` holds
+    their (C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
+    (C, D, N, K) gains they give.  The equal-split and fixed-ratio policies
+    power only the pattern's pairs that the anchors do not null; the optimal
+    policy is the water-fill with the anchors' floors.  Each policy's
+    powers, SINRs and rates are one stack over the drops and budgets (and
+    the mu sweep): a (C, D, M) table of sum rates, M = 1 but for the
+    ladders.
     """
     label, k, _, power_policy, mus = unit
-    patterns = [pattern for _, pattern, _, _, _ in setups]
-    covered = np.array([pattern.entries == 1 for pattern in patterns])[:, None]  # (C, 1, N, K)
+    covered = (setups.entries == 1)[:, None]  # (C, 1, N, K)
     if power_policy == "equal":
         sinrs = sic_sinrs(gains, splits, sic_orders(gains, covered))
         rates = pair_rates(sinrs).reshape(*gains.shape[:2], -1).sum(axis=-1)[..., None]
     elif power_policy == "fixed-ratio":
         orders = sic_orders(gains, covered)
-        # the equal split powers exactly the covered pairs the anchors do not null
-        nulled = covered[:, 0] & (splits[:, 0] == 0)
-        ladders = fixed_ratio_ladders(patterns, cfg.p0_ratio, mus, orders, budgets, nulled)
+        ladders = fixed_ratio_ladders(setups.entries, cfg.p0_ratio, mus, orders, budgets, setups.nulled)
         rates = beam_sum_rates(gains[:, :, None], ladders, orders[:, :, None])
     else:  # optimal
-        omegas = [omega for _, _, omega, _, _ in setups]
-        delta = anchor_floors(gains, omegas, cfg.epsilon_ratio * budgets)
+        beam_of = np.broadcast_to(np.arange(setups.anchors.shape[1]), setups.anchors.shape)
+        delta = anchor_floors(gains, np.stack([beam_of, setups.anchors], axis=-1), cfg.epsilon_ratio * budgets)
         matrices = (-1,) + gains.shape[2:]
         support = np.broadcast_to(covered, gains.shape).reshape(matrices) if cfg.strict_pattern else None
         powers = water_fills(
-            gains.reshape(matrices), np.tile(budgets, len(setups)), delta.reshape(matrices), support
+            gains.reshape(matrices), np.tile(budgets, len(gains)), delta.reshape(matrices), support
         )
         rates = beam_sum_rates(gains, powers.reshape(gains.shape), sic_orders(gains))[..., None]
 
@@ -431,7 +443,7 @@ def _unit_records(cfg: ExperimentConfig, unit, setups, splits, gains, budgets):
     ]
     return [
         [DropRecord(scheme=label, k_users=k, sweep_value=sweep, sum_rate=row[i], redraws=redraws) for i, sweep in slots]
-        for (_, _, _, _, redraws), row in zip(setups, rates.reshape(len(setups), -1).tolist())
+        for redraws, row in zip(setups.redraws.tolist(), rates.reshape(len(gains), -1).tolist())
     ]
 
 
@@ -449,39 +461,27 @@ def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
     units = _scheme_runs(cfg)
     # one set-up per distinct (K, pattern policy), in order of first use
     keys = list(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
-    draws = []  # (channels, pattern, omega) per (drop, set-up), drop major
-    for state in states:
-        first: dict[int, list] = {}  # user count -> channels of the stream's first draw
-        for k, pattern_policy in keys:
-            if k not in first:
-                first[k] = _channels(cfg, k, np.random.Generator(np.random.Philox(state)))
-            draws.append((first[k], *_anchored(cfg, pattern_policy, k, first[k])))
-    channel_sets, _, omegas = zip(*draws)
-    setups = [
-        _draw_drop(cfg, k, pattern_policy, state) if beams is None else (*draw, beams, 0)
-        for (state, (k, pattern_policy)), draw, beams in zip(
-            itertools.product(states, keys), draws, zf_beamformers(channel_sets, omegas)
-        )
+    # each user count's first draw on every drop, shared by its set-ups
+    draws = {
+        k: [_channels(cfg, k, np.random.Generator(np.random.Philox(state))) for state in states]
+        for k in dict.fromkeys(k for k, _ in keys)
+    }
+    columns = [_anchored(cfg, pattern_policy, draws[k]) for k, pattern_policy in keys]
+    _, beams, singular = zf_beamformers(np.concatenate([_anchor_channels(setups) for setups in columns]))
+    n = len(states)
+    columns = [
+        setups._replace(beams=beams[s * n : (s + 1) * n], redraws=np.zeros(n, dtype=int))
+        for s, setups in enumerate(columns)
     ]
-    columns = [setups[s :: len(keys)] for s in range(len(keys))]  # each set-up on every drop
+    for s, c in zip(*np.nonzero(singular.reshape(len(keys), n))):
+        # redrawn alone, from the restarted stream, as in a chunk of one
+        redrawn = _draw_drop(cfg, *keys[s], states[c])
+        columns[s] = _SetUps(*(np.concatenate([a[:c], b, a[c + 1 :]]) for a, b in zip(columns[s], redrawn)))
     budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
-    splits = [
-        equal_splits(
-            [pattern for _, pattern, _, _, _ in column],
-            budgets,
-            np.array([omega.nulled(pattern) for _, pattern, omega, _, _ in column]),
-        )
-        for column in columns
-    ]
-    flat = drop_link_states(
-        [
-            (channels, beams, split)
-            for column, stack in zip(columns, splits)
-            for (channels, _, _, beams, _), split in zip(column, stack)
-        ],
-        cfg.cell.noise_variance,
+    splits = [equal_splits(setups.entries, budgets, setups.nulled) for setups in columns]
+    gains = drop_link_states(
+        [(setups.channels, setups.beams, split) for setups, split in zip(columns, splits)], cfg.cell.noise_variance
     )
-    gains = [np.array(flat[s * len(states) : (s + 1) * len(states)]) for s in range(len(keys))]
     records: list[list[DropRecord]] = [[] for _ in states]
     for unit in units:
         s = keys.index(unit[1:3])

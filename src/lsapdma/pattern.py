@@ -6,16 +6,18 @@ column weight and a beam's overlap is its row weight.  The power matrix
 shares the pattern's support; merging both gives the mapping the
 transmitter applies to the symbol vector.
 
-The simple policy's column sequence depends only on (N, K), so it is built
-once per process and each drop only assigns it to users by weakness.  Power
+The simple and power-domain policies assign their columns by weakness
+rank, so a drop's pattern is one (N, K) matrix per policy with its columns
+permuted by the drop's ranks (see ``beamforming.rank_anchors``).  Power
 matrices are checked by one routine, ``_check_powers``, which takes a stack
 of shape (..., N, K).  The power policies build a unit's matrices for all D
 budgets at once and run it once on the stack: ``equal_splits`` gives the
 (D, N, K) equal splits and ``fixed_ratio_ladders`` the (D, M, N, K) ladders
-of a gain-factor sweep, from per-budget SIC orders.  Given a sequence of C
-patterns (one per drop of a chunk) instead of one, each builds the C
-stacks at once, with a leading C axis; one pattern is the case C = 1.
-``equal_power`` is the equal split of one budget, a checked (N, K) matrix.
+of a gain-factor sweep, from per-budget SIC orders.  Given a (C, N, K)
+stack of pattern entries (one per drop of a chunk) instead of one pattern,
+each builds the C stacks at once, with a leading C axis; one pattern is the
+case C = 1.  ``equal_power`` is the equal split of one budget, a checked
+(N, K) matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +217,10 @@ def simple_beam_allocation(n_beams: int, n_users: int, weakest_first) -> Pattern
     stronger ones.
 
     ``weakest_first`` is a permutation of user indices, weakest user first.
+    Column r goes to user ``weakest_first[r]``, so the pattern is that of
+    ``range(K)`` with each column moved to the user of its rank.  Moving
+    columns keeps the overlaps and carries each diversity with its user, so
+    the anchors ``select_users`` picks move the same way.
     """
     if not n_beams <= n_users <= 2**n_beams - 1:
         raise ValueError(
@@ -240,6 +245,8 @@ def pnoma_pattern(n_beams: int, weakest_first) -> PatternMatrix:
     Users are far-near paired: the weakest is grouped with the strongest,
     the second weakest with the second strongest, and so on; pair j goes to
     beam j.  ``weakest_first`` is a permutation of the 2N user indices.
+    As in ``simple_beam_allocation``, column r goes to the user of rank r,
+    so the pattern and its anchors are those of ``range(2N)`` moved.
     """
     order = list(weakest_first)
     if sorted(order) != list(range(2 * n_beams)):
@@ -251,12 +258,15 @@ def pnoma_pattern(n_beams: int, weakest_first) -> PatternMatrix:
     return PatternMatrix(entries, strict=False)
 
 
-def _pattern_stack(pattern: PatternMatrix | Sequence[PatternMatrix]) -> tuple[np.ndarray, bool]:
-    """The entries of one pattern, or of a sequence of C patterns, as a
-    (C, N, K) stack, and whether one pattern was given (C = 1)."""
+def _pattern_stack(pattern: PatternMatrix | np.ndarray) -> tuple[np.ndarray, bool]:
+    """The entries of one pattern, or a (C, N, K) stack of pattern entries,
+    as a (C, N, K) stack, and whether one pattern was given (C = 1)."""
     if isinstance(pattern, PatternMatrix):
         return pattern.entries[None], True
-    return np.array([p.entries for p in pattern]), False
+    entries = np.asarray(pattern)
+    if entries.ndim != 3:
+        raise ValueError("a pattern stack holds (C, N, K) entries")
+    return entries, False
 
 
 def _powered_support(entries: np.ndarray, nulled) -> np.ndarray:
@@ -298,7 +308,7 @@ def _budgets(p_sum) -> np.ndarray:
 
 
 def fixed_ratio_ladders(
-    pattern: PatternMatrix | Sequence[PatternMatrix],
+    pattern: PatternMatrix | np.ndarray,
     p0: float,
     mus,
     sic_orders,
@@ -306,8 +316,8 @@ def fixed_ratio_ladders(
     nulled: np.ndarray | None = None,
 ) -> np.ndarray:
     """Geometric power ladders within each beam, one per (budget, gain
-    factor), shape (D, M, N, K); for a sequence of C patterns, one such
-    stack per pattern, shape (C, D, M, N, K).
+    factor), shape (D, M, N, K); for a (C, N, K) stack of patterns, one
+    such stack per pattern, shape (C, D, M, N, K).
 
     For budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n the powered
     users (covered and not ``nulled``), taken in the ascending-gain order
@@ -357,11 +367,11 @@ def fixed_ratio_ladders(
 
 
 def equal_splits(
-    pattern: PatternMatrix | Sequence[PatternMatrix], p_sum, nulled: np.ndarray | None = None
+    pattern: PatternMatrix | np.ndarray, p_sum, nulled: np.ndarray | None = None
 ) -> np.ndarray:
     """Equal split of each budget ``p_sum[d]`` across the powered (beam,
-    user) pairs, shape (D, N, K); for a sequence of C patterns, one such
-    stack per pattern, shape (C, D, N, K).  Checked once as a stack.
+    user) pairs, shape (D, N, K); for a (C, N, K) stack of patterns, one
+    such stack per pattern, shape (C, D, N, K).  Checked once as a stack.
 
     The powered pairs are the pattern's covered pairs less the ``nulled``
     ones (none by default): one (N, K) mask, or one per pattern.

@@ -7,17 +7,17 @@ are decoded in ascending order of h: a user at SIC position k sees only the
 powers of later-ordered (higher-gain) users as interference, and the
 last-ordered user decodes interference-free.
 
-The filters and gains of a drop come from one batched kernel over users:
-every unit's users (a unit is one scheme evaluation of the drop, with its
-own channels and ZF beams) are concatenated to a (U, N_R, N_T) stack, each
-with its unit's beam matrix and its D signal statistics (one per power
-matrix of the unit's (D, N, K) stack, e.g. one equal split per budget), and
-one batched Cholesky solve gives the (D, U, N_R, N) filters, stacked
-products the gains.  ``drop_link_states`` runs it over the units of a drop,
-or of a chunk of drops, and hands back each unit's (D, N, K) gains;
-``build_link_state`` pairs one power matrix with its gains as a
-``LinkState``.  A user's outputs do not depend on the users stacked beside
-it.
+The filters and gains of a chunk of drops come from one batched kernel
+over users: every unit's users (a unit is one scheme evaluation of a drop,
+with its own channels and ZF beams) are concatenated to a (U, N_R, N_T)
+stack, each with its unit's beam matrix and its D signal statistics (one
+per power matrix of the unit's (D, N, K) stack, e.g. one equal split per
+budget), and one batched Cholesky solve gives the (D, U, N_R, N) filters,
+stacked products the gains.  ``drop_link_states`` takes the units as
+stacks, one set-up on every drop of a chunk, and hands back each stack's
+(C, D, N, K) gains; ``build_link_state`` pairs one power matrix of one
+drop with its gains as a ``LinkState``.  A user's outputs do not depend on
+the users stacked beside it.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, uncovered users masked to
@@ -171,30 +171,37 @@ def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) ->
 
 
 def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
-    """Gains of every unit of a drop, or of a chunk of drops, from one MMSE
-    kernel call.
+    """Gains of stacks of units, from one MMSE kernel call.
 
-    ``units`` lists (channels, beams, powers) triples, one per unit (one
-    scheme evaluation), each with its own channels, ZF beams and a (D, N, K)
-    stack of power matrices; D must be the same for every unit.  Every
-    unit's users are concatenated to one (U, N_R, N_T) stack, each with its
-    unit's beam matrix and second moments, so the drop (or the chunk) makes
-    one batched solve.  Returns each unit's (D, N, K) gains, equal bit for
-    bit to a call on that unit alone.
+    ``units`` lists (channels, beams, powers) triples, one per stack of C
+    units (a unit is one scheme evaluation of a drop; a stack is one set-up
+    on the C drops of a chunk): the users' channels (C, K, N_R, N_T), the
+    ZF beam matrices (C, N_T, N) and D power matrices per unit
+    (C, D, N, K); D must be the same for every stack.  Each stack's second
+    moments are one ``correlation_matrix`` call, and every user of every
+    stack goes, with its unit's beam matrix and second moments, into one
+    (U, N_R, N_T) stack and one batched solve.  Returns each stack's
+    (C, D, N, K) gains, equal bit for bit to a call on one unit alone.
     """
     for channels, beams, powers in units:
-        if np.ndim(powers) != 3 or np.shape(powers)[1:] != (beams.n_beams, len(channels)):
-            raise ValueError("each unit's powers must stack its D matrices, shape (D, N, K)")
-    moments = [correlation_matrix(powers) for _, _, powers in units]
-    if len({m.shape[0] for m in moments}) != 1:
+        n_stack, n_users = channels.shape[:2]
+        shape = np.shape(powers)
+        if not (len(shape) == 4 and shape[0] == len(beams) == n_stack and shape[2:] == (beams.shape[-1], n_users)):
+            raise ValueError("each stack's powers must hold one (D, N, K) stack per unit, shape (C, D, N, K)")
+    moments = [correlation_matrix(powers) for _, _, powers in units]  # (C, D, N, N) each
+    if len({m.shape[1] for m in moments}) != 1:
         raise ValueError("every unit needs the same number of allocations")
-    sizes = [len(channels) for channels, _, _ in units]
-    owner = np.repeat(np.arange(len(units)), sizes)  # the unit of each stacked user
-    g = np.array([ch.entries for channels, _, _ in units for ch in channels])
-    f = np.array([beams.beam_matrix for _, beams, _ in units])[owner]
-    _, h = _mmse_kernel(g, f, np.stack(moments, axis=1)[:, owner], sigma2)
-    bounds = np.cumsum([0] + sizes)
-    return [np.ascontiguousarray(h[:, a:b].swapaxes(-1, -2)) for a, b in zip(bounds[:-1], bounds[1:])]
+    sizes = [channels.shape[1] for channels, _, _ in units]
+    g = np.concatenate([channels.reshape(-1, *channels.shape[2:]) for channels, _, _ in units])
+    f = np.concatenate([np.repeat(beams, k, axis=0) for (_, beams, _), k in zip(units, sizes)])
+    a = np.concatenate([np.repeat(m, k, axis=0) for m, k in zip(moments, sizes)])  # (U, D, N, N)
+    _, h = _mmse_kernel(g, f, np.ascontiguousarray(a.swapaxes(0, 1)), sigma2)
+    parts = np.split(h, np.cumsum([len(m) * k for m, k in zip(moments, sizes)])[:-1], axis=1)  # (D, C*K, N)
+    # each (D, C, K, N) -> (C, D, N, K)
+    return [
+        np.ascontiguousarray(p.reshape(len(h), len(m), k, -1).transpose(1, 0, 3, 2))
+        for p, m, k in zip(parts, moments, sizes)
+    ]
 
 
 def build_link_state(
@@ -206,5 +213,6 @@ def build_link_state(
     """Receive chain of one drop at one (N, K) power matrix: a
     ``drop_link_states`` call on that matrix alone."""
     power = np.asarray(power, dtype=float)
-    (gains,) = drop_link_states([(channels, beams, power[None])], sigma2)
-    return LinkState(gains=gains[0], power=power)
+    g = np.array([ch.entries for ch in channels])
+    (gains,) = drop_link_states([(g[None], beams.beam_matrix[None], power[None, None])], sigma2)
+    return LinkState(gains=gains[0, 0], power=power)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RngLike = "int | np.random.Generator"
-
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the given root seed and (optional) substream path.

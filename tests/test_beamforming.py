@@ -192,18 +192,25 @@ def _mixed_units(n, seed):
     return units
 
 
+def _anchor_stack(units):
+    """The (E, N, N_R, N_T) anchor channels of (channels, anchors) units."""
+    return np.array([[chans[u].entries for u in omega.users] for chans, omega in units])
+
+
 def test_stacked_zf_matches_each_unit_alone():
     for n in (2, 3, 4):
         units = _mixed_units(n, 0)
         for normalize in (True, False):
-            stacked = zf_beamformers(*zip(*units), normalize=normalize)
-            assert len(stacked) == len(units)
-            for (chans, omega), beams in zip(units, stacked):
+            composites, beam_matrices, singular = zf_beamformers(_anchor_stack(units), normalize=normalize)
+            assert len(composites) == len(beam_matrices) == len(singular) == len(units)
+            assert not singular.any()
+            for (chans, omega), *stacked in zip(units, composites, beam_matrices):
                 composite, beam_matrix = _per_unit_zf(chans, omega, normalize)
-                for got in (beams, compute_zfbf(chans, omega, normalize=normalize)):
-                    assert got.selected is omega and got.normalized == normalize
-                    assert np.array_equal(got.composite, composite)
-                    assert np.array_equal(got.beam_matrix, beam_matrix)
+                alone = compute_zfbf(chans, omega, normalize=normalize)
+                assert alone.selected is omega and alone.normalized == normalize
+                for got in (stacked, (alone.composite, alone.beam_matrix)):
+                    assert np.array_equal(got[0], composite)
+                    assert np.array_equal(got[1], beam_matrix)
 
 
 def test_stacked_zf_flags_only_the_singular_units():
@@ -219,11 +226,13 @@ def test_stacked_zf_flags_only_the_singular_units():
     units[4] = (zero, omega)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = zf_beamformers(*zip(*units))
-    assert [beams is None for beams in stacked] == [e in (1, 4) for e in range(len(units))]
-    for e, ((chans, omega), beams) in enumerate(zip(units, stacked)):
-        if beams is None:
+        composites, beam_matrices, singular = zf_beamformers(_anchor_stack(units))
+    assert singular.tolist() == [e in (1, 4) for e in range(len(units))]
+    for (chans, omega), composite, beams, flagged in zip(units, composites, beam_matrices, singular):
+        if flagged:
+            # a singular unit gets no precoder
+            assert np.isnan(composite).all() and np.isnan(beams).all()
             with pytest.raises(SingularChannelError):
                 compute_zfbf(chans, omega)
         else:
-            assert np.array_equal(beams.beam_matrix, compute_zfbf(chans, omega).beam_matrix)
+            assert np.array_equal(beams, compute_zfbf(chans, omega).beam_matrix)

@@ -6,7 +6,8 @@ import pytest
 
 from lsapdma import receiver
 
-from lsapdma.channel import CellConfig
+from lsapdma.beamforming import compute_zfbf, select_users
+from lsapdma.channel import CellConfig, ChannelMatrix
 from lsapdma.harness import (
     ConfigError,
     DropRecord,
@@ -16,6 +17,7 @@ from lsapdma.harness import (
     _anchored,
     _channels,
     _draw_drop,
+    _SetUps,
     _unit_records,
     emit_results,
     run_chunk,
@@ -23,8 +25,17 @@ from lsapdma.harness import (
     run_monte_carlo,
 )
 from lsapdma.optimizer import OptProblem, water_fill
-from lsapdma.pattern import PatternMatrix, equal_power, equal_splits, fixed_ratio_ladders, oma_pattern
+from lsapdma.pattern import (
+    PatternMatrix,
+    equal_power,
+    equal_splits,
+    fixed_ratio_ladders,
+    oma_pattern,
+    pnoma_pattern,
+    simple_beam_allocation,
+)
 from lsapdma.receiver import build_link_state, drop_link_states, pair_rates, sic_orders
+from test_golden_records import CASES, case_config
 from test_optimizer import _water_fill_reference
 from test_receiver import _beam_sinrs
 
@@ -274,32 +285,68 @@ def test_pnoma_reduction_is_exact():
 
 
 def _singular_on_first_draw(monkeypatch, first=None, pick=None):
-    """Make ``harness.zf_beamformers`` report singular every unit whose
-    channels are the draw ``first`` (and, with ``pick``, whose anchors
-    ``pick`` accepts).  The mark follows the channels, so the redraw loop's
-    fresh start sees that draw singular again and redraws once.  Without
-    ``first`` the marked draw is the first unit's in the first call."""
+    """Make ``harness.zf_beamformers`` flag singular every unit whose anchor
+    channels all belong to the draw ``first`` (and, with ``pick``, whose
+    anchor users in that draw ``pick`` accepts).  The mark follows the
+    channels, so the redraw loop's fresh start sees that draw singular
+    again and redraws once.  Without ``first`` the marked draw is the first
+    unit's anchors in the first call."""
     import lsapdma.harness as harness
 
     real = harness.zf_beamformers
-    marked = [] if first is None else [first[0].entries]
+    marked = [] if first is None else [np.array([ch.entries for ch in first])]
 
-    def fake(channel_sets, omegas, **kwargs):
+    def fake(anchors, **kwargs):
         if not marked:
-            marked.append(channel_sets[0][0].entries.copy())
-        out = real(channel_sets, omegas, **kwargs)
-        return [
-            None if np.array_equal(chans[0].entries, marked[0]) and (pick is None or pick(omega)) else beams
-            for chans, omega, beams in zip(channel_sets, omegas, out)
-        ]
+            marked.append(anchors[0].copy())
+        composite, beams, singular = real(anchors, **kwargs)
+        for e, unit in enumerate(anchors):
+            users = [next((u for u, ch in enumerate(marked[0]) if np.array_equal(block, ch)), None) for block in unit]
+            if None not in users and (pick is None or pick(tuple(users))):
+                composite[e], beams[e], singular[e] = np.nan, np.nan, True
+        return composite, beams, singular
 
     monkeypatch.setattr(harness, "zf_beamformers", fake)
+
+
+def _oracle_setup(cfg, k, pattern_policy, channels):
+    """Pattern and anchors of one set-up on one draw, built for that draw
+    alone: the policy's pattern on the draw's weakness order and
+    ``select_users`` on its hints."""
+    hints = np.array([ch.large_scale_gain for ch in channels])
+    weakest = np.argsort(hints, kind="stable")
+    pattern = {
+        "simple": lambda: simple_beam_allocation(cfg.n_beams, k, weakest),
+        "pnoma": lambda: pnoma_pattern(cfg.n_beams, weakest),
+        "oma": lambda: oma_pattern(cfg.n_beams),
+        "fixed": lambda: cfg.fixed_pattern,
+    }[pattern_policy]()
+    return pattern, select_users(channels, pattern, hints)
+
+
+def _drawn(cfg, k, pattern_policy, state):
+    """``_draw_drop``'s set-up, checked bit for bit against the per-draw
+    oracle on the draw it kept: (channels, pattern, omega, beams, redraws)."""
+    setup = _draw_drop(cfg, k, pattern_policy, state)
+    (redraws,) = setup.redraws.tolist()
+    rng = np.random.Generator(np.random.Philox(state))
+    for _ in range(redraws + 1):
+        channels = _channels(cfg, k, rng)
+    pattern, omega = _oracle_setup(cfg, k, pattern_policy, channels)
+    beams = compute_zfbf(channels, omega)
+    assert np.array_equal(setup.channels[0], [ch.entries for ch in channels])
+    assert np.array_equal(setup.entries[0], pattern.entries)
+    assert setup.anchors[0].tolist() == list(omega.users)
+    assert np.array_equal(setup.nulled[0], omega.nulled(pattern))
+    assert np.array_equal(setup.beams[0], beams.beam_matrix)
+    return channels, pattern, omega, beams, redraws
 
 
 def test_redraw_limit_raises_config_error(monkeypatch):
     import lsapdma.harness as harness
 
-    monkeypatch.setattr(harness, "zf_beamformers", lambda channel_sets, omegas: [None] * len(omegas))
+    real = harness.zf_beamformers
+    monkeypatch.setattr(harness, "zf_beamformers", lambda anchors: (*real(anchors)[:2], np.ones(len(anchors), bool)))
     cfg = _cfg(max_redraws=5)
     with pytest.raises(ConfigError, match="redraws"):
         run_drop(cfg, 0)
@@ -324,13 +371,13 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
     for seed in range(3):
         state = np.random.SeedSequence(seed)
         first = _channels(cfg, 6, np.random.Generator(np.random.Philox(state)))
-        target = _anchored(cfg, "pnoma", 6, first)[1].pairs
-        assert _anchored(cfg, "simple", 6, first)[1].pairs != target
+        target = tuple(_anchored(cfg, "pnoma", [first]).anchors[0].tolist())
+        assert tuple(_anchored(cfg, "simple", [first]).anchors[0].tolist()) != target
         plain = run_drop(cfg, state)
         with monkeypatch.context() as m:
-            _singular_on_first_draw(m, first, lambda omega: omega.pairs == target)
+            _singular_on_first_draw(m, first, lambda users: users == target)
             redrawn = run_drop(cfg, state)
-            channels, pattern, omega, beams, redraws = _draw_drop(cfg, 6, "pnoma", state)
+            channels, pattern, omega, beams, redraws = _drawn(cfg, 6, "pnoma", state)
         assert redraws == 1
         assert [r.scheme for r in redrawn] == [r.scheme for r in plain]
         for got, was in zip(redrawn, plain):
@@ -349,6 +396,42 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             )
 
 
+def test_rank_space_set_ups_equal_the_per_drop_oracle():
+    # every simple shape N <= K <= 2^N - 1 and the power-domain K = 2N, N =
+    # 2 ... 5, on log-normal hints and on hints with exact ties: the
+    # pattern, anchors and nulled pairs gathered from the rank-space triple
+    # over a stack of draws equal, draw by draw, the policy's pattern built
+    # on that draw's weakness order, select_users on its hints and
+    # SelectedUserSet.nulled
+    rng = np.random.default_rng(29)
+    cases = [(n, k, "simple") for n in (2, 3, 4, 5) for k in range(n, 2**n)]
+    cases += [(n, 2 * n, "pnoma") for n in (2, 3, 4, 5)] + [(n, n, "oma") for n in (2, 5)]
+    for n, k, policy in cases:
+        cfg = _cfg(schemes=("lsa-pdma",) if policy == "simple" else (policy,), n_beams=n, n_rx=1, n_tx=n, users=(k,))
+        hints = np.concatenate([np.exp(rng.normal(0.0, 2.3, (40, k))), rng.integers(0, 3, (40, k)) / 4.0])
+        # only the hints matter here
+        draws = [
+            [ChannelMatrix(entries=np.ones((1, n), dtype=complex), large_scale_gain=h) for h in row] for row in hints
+        ]
+        setups = _anchored(cfg, policy, draws)
+        assert setups.entries.shape == setups.nulled.shape == (len(draws), n, k)
+        for draw, entries, anchors, nulled in zip(draws, setups.entries, setups.anchors, setups.nulled):
+            pattern, omega = _oracle_setup(cfg, k, policy, draw)
+            assert np.array_equal(entries, pattern.entries), (n, k, policy)
+            assert anchors.tolist() == list(omega.users), (n, k, policy)
+            assert np.array_equal(nulled, omega.nulled(pattern)), (n, k, policy)
+    # no rank-assigned shape above needs select_users' augmenting path; a
+    # rank-space pattern that does (beams 0 and 1 take ranks 1 and 0, which
+    # exhausts beam 2) moves its anchors with the ranks all the same
+    base = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    base_anchors = np.array(select_users([None] * 3, PatternMatrix(base), np.arange(3.0)).users)
+    assert base_anchors.tolist() == [1, 2, 0]
+    for hints in np.concatenate([np.exp(rng.normal(0.0, 2.3, (20, 3))), rng.integers(0, 2, (20, 3)) / 4.0]):
+        order = np.argsort(hints, kind="stable")
+        pattern = PatternMatrix(base[:, np.argsort(order)])
+        assert select_users([None] * 3, pattern, hints).users == tuple(order[base_anchors].tolist())
+
+
 def _hexed(drops):
     """Each drop's records with the floats as ``float.hex``, so equal means
     equal bit for bit."""
@@ -357,10 +440,11 @@ def _hexed(drops):
 
 def test_drop_records_do_not_depend_on_the_chunk(monkeypatch):
     # each drop's records equal those of the drop run alone, bit for bit,
-    # whatever chunk holds it and wherever the chunk boundaries fall
+    # whatever chunk holds it and wherever the chunk boundaries fall; the
+    # presets, and the strict and fixed-pattern variants of the golden records
     configs = Path(__file__).resolve().parent.parent / "configs"
-    for preset in ("fig3", "fig4", "fig5"):
-        cfg = ExperimentConfig.from_file(configs / f"{preset}.cfg")
+    for preset in CASES:
+        cfg = case_config(preset)
         states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(9)]
         alone = _hexed(run_drop(cfg, state) for state in states)
         for sizes in ((9,), (4, 5), (1, 7, 1), (3, 3, 3)):
@@ -554,7 +638,7 @@ def test_power_policies_skip_pairs_the_anchors_null():
             cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), p_sum_db=budgets_db)
             for d in range(3):
                 state = np.random.SeedSequence(11, spawn_key=(n, k, d))
-                channels, pattern, omega, beams, _ = _draw_drop(cfg, k, "simple", state)
+                channels, pattern, omega, beams, _ = _drawn(cfg, k, "simple", state)
                 nulled = omega.nulled(pattern)
                 scale = np.sqrt([ch.large_scale_gain for ch in channels])
                 # one run per mu: a config sweeps either the budget or mu
@@ -639,14 +723,16 @@ def test_stacked_tail_matches_the_per_budget_path():
             for strict in (False, True):
                 cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), p_sum_db=(0.0, 20.0, 40.0), strict_pattern=strict)
                 keys = [(n, k, strict), (n, k, strict, 1)]
-                setups = [_draw_drop(cfg, k, "simple", np.random.SeedSequence(17, spawn_key=key)) for key in keys]
+                states = [np.random.SeedSequence(17, spawn_key=key) for key in keys]
+                setups = [_drawn(cfg, k, "simple", state) for state in states]
+                stack = _SetUps(*map(np.concatenate, zip(*(_draw_drop(cfg, k, "simple", state) for state in states))))
                 budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
                 splits, gains = [], []
                 for channels, pattern, omega, beams, _ in setups:
                     nulled = omega.nulled(pattern)
                     saw_nulled |= nulled.any()
                     splits.append(equal_splits(pattern, budgets, nulled))
-                    gains.extend(drop_link_states([(channels, beams, splits[-1])], 1.0))
+                    gains.append([build_link_state(channels, beams, split, 1.0).gains for split in splits[-1]])
                 splits, gains = np.array(splits), np.array(gains)
                 zeroed = gains.copy()
                 zeroed[:, :, 0] = 0.0
@@ -659,7 +745,7 @@ def test_stacked_tail_matches_the_per_budget_path():
                             ("optimal", k, "simple", "optimal", (None,)),
                         ]
                         for unit in units[1:2] if p0 != 1.0 else units:
-                            chunk = _unit_records(run, unit, setups, splits, h, budgets)
+                            chunk = _unit_records(run, unit, stack, splits, h, budgets)
                             assert len(chunk) == len(setups)
                             for records, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
                                 got = [r.sum_rate for r in records]
@@ -730,12 +816,12 @@ def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
     stacks = []
     real_zf, real_links = harness.zf_beamformers, harness.drop_link_states
 
-    def zf(channel_sets, omegas, **kwargs):
-        stacks.append(("zf", len(omegas)))
-        return real_zf(channel_sets, omegas, **kwargs)
+    def zf(anchors, **kwargs):
+        stacks.append(("zf", len(anchors)))
+        return real_zf(anchors, **kwargs)
 
     def links(units, sigma2):
-        stacks.append(("mmse", sum(len(channels) for channels, _, _ in units)))
+        stacks.append(("mmse", sum(np.shape(channels)[0] * np.shape(channels)[1] for channels, _, _ in units)))
         return real_links(units, sigma2)
 
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]

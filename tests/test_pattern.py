@@ -256,10 +256,11 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
 
 
 def test_power_stacks_over_patterns_equal_each_pattern_alone():
-    # a sequence of C patterns, with one nulled mask, one order stack and
-    # one anchor set each, gives the C stacks of the patterns run one at a
-    # time, bit for bit: equal splits (C, D, N, K), ladders (C, D, M, N, K)
-    # and anchor floors (C, D, N, K)
+    # a (C, N, K) stack of C patterns' entries, with one nulled mask, one
+    # order stack and one anchor set each, gives the C stacks of the
+    # patterns run one at a time, bit for bit: equal splits (C, D, N, K),
+    # ladders (C, D, M, N, K) and anchor floors (C, D, N, K), the anchor
+    # sets given as SelectedUserSets or as one (C, N, 2) array of pairs
     mus = (0.25, 0.3, 1.7, 8.0)
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     for n in (2, 3, 4):
@@ -275,10 +276,13 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone():
                     [_full_orders(patterns[-1], [rng.permutation(np.flatnonzero(row)) for row in patterns[-1].entries]) for _ in budgets]
                 )
             nulled, orders = np.array(nulled), np.array(orders)
-            splits = equal_splits(patterns, budgets, nulled)
-            ladders = fixed_ratio_ladders(patterns, 0.37, mus, orders, budgets, nulled)
+            stack = np.array([pattern.entries for pattern in patterns])
+            splits = equal_splits(stack, budgets, nulled)
+            ladders = fixed_ratio_ladders(stack, 0.37, mus, orders, budgets, nulled)
             gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
             floors = anchor_floors(gains, anchors, 1e-6 * np.array(budgets))
+            pairs = np.array([omega.pairs for omega in anchors])
+            assert np.array_equal(anchor_floors(gains, pairs, 1e-6 * np.array(budgets)), floors)
             assert splits.shape == gains.shape and ladders.shape == (3, len(budgets), len(mus), n, k)
             for c, pattern in enumerate(patterns):
                 assert np.array_equal(splits[c], equal_splits(pattern, budgets, nulled[c]))
@@ -286,7 +290,10 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone():
                 assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c], 1e-6 * np.array(budgets)))
     # a stack must list one order stack per pattern
     with pytest.raises(ValueError, match="per pattern"):
-        fixed_ratio_ladders(patterns, 0.37, mus, orders[:2], budgets, nulled)
+        fixed_ratio_ladders(stack, 0.37, mus, orders[:2], budgets, nulled)
+    # and a stack is three-dimensional
+    with pytest.raises(ValueError, match=r"\(C, N, K\)"):
+        equal_splits(stack[0], budgets)
 
 
 def test_budget_check_scales_with_the_budget():

@@ -32,6 +32,11 @@ def _setup(k=5, seed=0, n_rx=4, n_tx=16):
     return chans, pattern, beams
 
 
+def _stack(chans, beams, powers):
+    """One unit as a ``drop_link_states`` stack of one (C = 1)."""
+    return np.array([ch.entries for ch in chans])[None], beams.beam_matrix[None], np.asarray(powers)[None]
+
+
 def _kernel(chans, beams, a, sigma2):
     """Filters (D, K, N_R, N) and gains (D, N, K) of one unit's users at the
     D second moments ``a``, read from the MMSE kernel."""
@@ -79,7 +84,7 @@ def test_mmse_gains_rejects_bad_inputs():
     p = equal_power(pattern, 10.0)
     for bad_p, sigma2 in ((p[None], 0.0), (np.full((1, 3, 5), np.nan), 1.0), (p, 1.0)):
         with pytest.raises(ValueError):
-            drop_link_states([(chans, beams, bad_p)], sigma2)
+            drop_link_states([_stack(chans, beams, bad_p)], sigma2)
 
 
 def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
@@ -90,8 +95,8 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
     other = simple_beam_allocation(3, 5, range(5))
     for bad in (equal_splits(other, [10.0]), equal_splits(pattern, [10.0])[:, :2]):
         with pytest.raises(ValueError, match=r"\(D, N, K\)"):
-            drop_link_states([(chans, beams, bad)], 1.0)
-    assert drop_link_states([(chans, beams, equal_splits(pattern, [10.0]))], 1.0)[0].shape == (1, 3, 7)
+            drop_link_states([_stack(chans, beams, bad)], 1.0)
+    assert drop_link_states([_stack(chans, beams, equal_splits(pattern, [10.0]))], 1.0)[0].shape == (1, 1, 3, 7)
 
 
 def test_mmse_high_noise_limit():
@@ -217,7 +222,7 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
             splits = equal_splits(pattern, [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)], nulled)
-            (gains,) = drop_link_states([(chans, beams, splits)], 1.0)
+            ((gains,),) = drop_link_states([_stack(chans, beams, splits)], 1.0)
             covered = pattern.entries == 1
             for d, split in enumerate(splits):
                 ref = _per_user_gains(chans, beams, correlation_matrix(split), 1.0)
@@ -253,7 +258,7 @@ def test_one_matrix_seams_equal_their_stack_slices():
                 assert one.shape == (n, k)
                 assert np.array_equal(one, splits[d])
             units.append((chans, compute_zfbf(chans, omega), splits))
-        for (chans, beams, splits), gains in zip(units, drop_link_states(units, 1.0)):
+        for (chans, beams, splits), (gains,) in zip(units, drop_link_states([_stack(*u) for u in units], 1.0)):
             for d, split in enumerate(splits):
                 link = build_link_state(chans, beams, split, 1.0)
                 assert isinstance(link, LinkState)
@@ -415,7 +420,9 @@ def test_build_link_state_invariants():
 def test_drop_link_states_match_each_unit_alone():
     # mixed-K stacks, K = N and K = 2^N - 1 with the simulator's path-loss
     # spread, budgets 0-40 dB: every user's gains in the one stacked solve
-    # equal its unit's gains from a call on that unit alone bit for bit
+    # equal its unit's gains from a call on that unit alone bit for bit,
+    # whether its unit is a stack of one or shares a stack with the other
+    # unit of its K
     cell = CellConfig()
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     for n in (2, 3, 4):
@@ -427,14 +434,18 @@ def test_drop_link_states_match_each_unit_alone():
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
             units.append((chans, compute_zfbf(chans, omega), equal_splits(pattern, budgets, omega.nulled(pattern))))
-        stacked = drop_link_states(units, 1.0)
+        stacks = [_stack(*unit) for unit in units]
+        pair = tuple(np.concatenate([a, b]) for a, b in zip(stacks[0], stacks[2]))  # the two K = N units
+        *stacked, paired = drop_link_states(stacks + [pair], 1.0)
         assert len(stacked) == len(units)
-        for unit, unit_gains in zip(units, stacked):
-            (gains,) = drop_link_states([unit], 1.0)
-            assert unit_gains.shape == (len(budgets), n, len(unit[0]))
-            assert np.array_equal(unit_gains, gains)
+        for unit, unit_gains, paired_gains in zip(units, stacked, [paired[0], None, paired[1]]):
+            ((gains,),) = drop_link_states([_stack(*unit)], 1.0)
+            assert unit_gains.shape == (1, len(budgets), n, len(unit[0]))
+            assert np.array_equal(unit_gains[0], gains)
+            if paired_gains is not None:
+                assert np.array_equal(paired_gains, gains)
             _, reference = _kernel(unit[0], unit[1], correlation_matrix(unit[2]), 1.0)
             assert np.array_equal(gains, reference)
-    short = units[:2]
+    short = stacks[:2]
     with pytest.raises(ValueError, match="same number"):
-        drop_link_states([short[0], (*short[1][:2], short[1][2][:2])], 1.0)
+        drop_link_states([short[0], (*short[1][:2], short[1][2][:, :2])], 1.0)
