@@ -22,7 +22,7 @@ from .pattern import (
     simple_beam_allocation,
     validate_pattern,
 )
-from .receiver import beam_sum_rates, drop_link_states, pair_rates, sic_orders, sic_sinrs
+from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
 from .optimizer import (
     BarrierParams,
     OptProblem,

@@ -21,7 +21,8 @@ of the chunk's (C, K) hints; only a fixed pattern selects anchors drop by
 drop.  The ZF precoders of every (drop, set-up) come from one
 ``zf_beamformers`` pass, each set-up's equal splits over the chunk are one
 (C, D, N, K) stack, and every receive chain comes from one
-``drop_link_states`` solve.  A set-up whose first draw is singular falls
+``drop_link_states`` call, where one N x N ``eigh`` per user serves all
+the budgets.  A set-up whose first draw is singular falls
 back to ``_draw_drop``, which redraws it alone from the restarted stream,
 so its redraw count and its channels are those it would have run by
 itself.  Each unit's power policy then runs over all C drops and D budgets
@@ -64,7 +65,7 @@ from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, drop_users, user_channels
 from .optimizer import anchor_floors, water_fills
 from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
-from .receiver import beam_sum_rates, drop_link_states, pair_rates, sic_orders, sic_sinrs
+from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -479,8 +480,11 @@ def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
         columns[s] = _SetUps(*(np.concatenate([a[:c], b, a[c + 1 :]]) for a, b in zip(columns[s], redrawn)))
     budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
     splits = [equal_splits(setups.entries, budgets, setups.nulled) for setups in columns]
+    # an equal split's shape Pi is its 0/1 powered support at every budget
+    scales = [power_scales(split) for split in splits]
     gains = drop_link_states(
-        [(setups.channels, setups.beams, split) for setups, split in zip(columns, splits)], cfg.cell.noise_variance
+        [(setups.channels, setups.beams, pi[:, 0], s) for setups, (pi, s) in zip(columns, scales)],
+        cfg.cell.noise_variance,
     )
     records: list[list[DropRecord]] = [[] for _ in states]
     for unit in units:

@@ -7,17 +7,19 @@ are decoded in ascending order of h: a user at SIC position k sees only the
 powers of later-ordered (higher-gain) users as interference, and the
 last-ordered user decodes interference-free.
 
-The filters and gains of a chunk of drops come from one batched kernel
-over users: every unit's users (a unit is one scheme evaluation of a drop,
-with its own channels and ZF beams) are concatenated to a (U, N_R, N_T)
-stack, each with its unit's beam matrix and its D signal statistics (one
-per power matrix of the unit's (D, N, K) stack, e.g. one equal split per
-budget), and one batched Cholesky solve gives the (D, U, N_R, N) filters,
-stacked products the gains.  ``drop_link_states`` takes the units as
-stacks, one set-up on every drop of a chunk, and hands back each stack's
-(C, D, N, K) gains; ``build_link_state`` pairs one power matrix of one
-drop with its gains as a ``LinkState``.  A user's outputs do not depend on
-the users stacked beside it.
+The filters and gains of a chunk of drops come from one kernel call over
+users: every unit's users (a unit is one scheme evaluation of a drop, with
+its own channels and ZF beams) are concatenated to a (U, N_R, N_T) stack,
+each with its unit's beam matrix.  A unit's D power matrices are one shape
+Pi at D scales s (an equal split's Pi is its 0/1 powered support at every
+budget), so its signal statistics are s B with B = sqrt(Pi) sqrt(Pi)^T,
+and one N x N ``eigh`` per user gives its (D, N_R, N) filters in closed
+form (see ``_mmse_kernel``), stacked products the gains.
+``drop_link_states`` takes the units as stacks, one set-up on every drop
+of a chunk, and hands back each stack's (C, D, N, K) gains;
+``build_link_state`` is its case of one power matrix P = max(P) (P /
+max(P)) of one drop, paired with the gains as a ``LinkState``.  A user's
+outputs do not depend on the users stacked beside it.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, uncovered users masked to
@@ -31,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .beamforming import BeamformerSet
 from .channel import ChannelMatrix
@@ -48,37 +49,48 @@ class LinkState:
     power: np.ndarray
 
 
-def _mmse_kernel(g, f, a, sigma2):
-    """Filters and gains of U users, each at D second moments.
+def _sqrt_factors(b):
+    """A square factor R of each PSD statistic of a stack (..., N, N), with
+    B = R R^T: the eigenvectors scaled by the roots of the eigenvalues,
+    round-off below zero taken as zero.  A singular B gives zero columns."""
+    mu, u = np.linalg.eigh(b)
+    return u * np.sqrt(np.maximum(mu, 0.0))[..., None, :]
 
-    ``g`` (U, N_R, N_T) are the users' channels, ``f`` their beam matrices,
-    (U, N_T, N) or one (N_T, N) for all, and ``a`` the second moments of
-    the superposed beam signal, (D, U, N, N) or (D, 1, N, N) for all.  For
-    user channel G and statistic A the filter is
 
-        V = (G F A F^H G^H + sigma2 I)^(-1) G F A,
+def _mmse_kernel(g, f, root, s, sigma2):
+    """Filters and gains of U users, each at D scales of its statistic.
 
-    one batched Cholesky-based solve for all (d, u); the regularized matrix
-    is Hermitian positive definite, so the solve always succeeds.  Column n
-    of V estimates beam n's signal, and the (beam n, user) link collapses
-    to the amplitude gain
+    ``g`` (U, N_R, N_T) are the users' channels and ``f`` their beam
+    matrices, (U, N_T, N) or one (N_T, N) for all.  User u's second moment
+    of the superposed beam signal at scale d is A = s[d, u] B_u, with
+    B_u = R_u R_u^T given by its factor ``root``, (U, N, N) or one (N, N)
+    for all (see ``_sqrt_factors``); ``s`` is (D, U) or (D, 1).  With M = G F and
+    (M R)^H (M R) = W diag(lambda) W^H, one N x N ``eigh`` per user, the
+    MMSE filter
+
+        V = (M A M^H + sigma2 I)^(-1) M A
+          = M R W diag(s / (s lambda + sigma2)) W^H R^T
+
+    (the push-through identity with the scale factored out) serves all D
+    scales.  Column n of V estimates beam n's signal, and the (beam n,
+    user) link collapses to the amplitude gain
 
         h = sqrt(|v^H G f_n|^2 / (sum_{i != n} |v^H G f_i|^2 + sigma2 ||v||^2))
 
-    with v that column; a zero filter column (a beam carrying nothing
-    toward the user) yields h = 0.  Returns the filters (D, U, N_R, N) and
-    the gains (D, U, N), user u's row n being beam n's gain.  Every product
-    and the solve run slice by slice, so a user's outputs do not depend on
-    the users stacked beside it.
+    with v that column and v^H G F formed in that order; a zero filter
+    column (a beam carrying nothing toward the user) yields h = 0.  Returns
+    the filters (D, U, N_R, N) and the gains (D, U, N), user u's row n
+    being beam n's gain.  Every product and decomposition runs slice by
+    slice, so a user's outputs do not depend on the users stacked beside it.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if not (np.isfinite(g).all() and np.isfinite(a).all()):
-        raise ValueError("non-finite inputs")
-    gfa = (g @ f)[None] @ a  # (D, U, N_R, N)
-    cov = gfa @ f.conj().swapaxes(-1, -2) @ g.conj().swapaxes(-1, -2)
-    cov = cov + sigma2 * np.eye(g.shape[1])
-    v = scipy.linalg.solve(cov, gfa, assume_a="pos")
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite channels")
+    l = g @ f @ root  # (U, N_R, N)
+    lam, w = np.linalg.eigh(l.conj().swapaxes(-1, -2) @ l)
+    scale = s[..., None] / (s[..., None] * np.maximum(lam, 0.0) + sigma2)  # (D, U, N)
+    v = ((l @ w) * scale[..., None, :]) @ (w.conj().swapaxes(-1, -2) @ root.swapaxes(-1, -2))
     proj = v.conj().swapaxes(-1, -2) @ g @ f  # (D, U, N, N): row n is v_n^H G F
     powers = np.abs(proj) ** 2
     desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
@@ -170,37 +182,59 @@ def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) ->
     return total
 
 
+def power_scales(powers) -> tuple[np.ndarray, np.ndarray]:
+    """Each power matrix of a stack (..., N, K) as s * Pi, with s its
+    largest power (...) and Pi = P / s (..., N, K); a zero matrix has
+    s = 0 and Pi = 0.  An equal split's Pi is its 0/1 powered support."""
+    p = np.asarray(powers, dtype=float)
+    s = p.max(axis=(-2, -1))
+    return p / np.where(s > 0, s, 1.0)[..., None, None], s
+
+
 def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
     """Gains of stacks of units, from one MMSE kernel call.
 
-    ``units`` lists (channels, beams, powers) triples, one per stack of C
-    units (a unit is one scheme evaluation of a drop; a stack is one set-up
-    on the C drops of a chunk): the users' channels (C, K, N_R, N_T), the
-    ZF beam matrices (C, N_T, N) and D power matrices per unit
-    (C, D, N, K); D must be the same for every stack.  Each stack's second
-    moments are one ``correlation_matrix`` call, and every user of every
-    stack goes, with its unit's beam matrix and second moments, into one
-    (U, N_R, N_T) stack and one batched solve.  Returns each stack's
-    (C, D, N, K) gains, equal bit for bit to a call on one unit alone.
+    ``units`` lists (channels, beams, pi, s) stacks, one per set-up on the
+    C drops of a chunk (a unit is one scheme evaluation of a drop): the
+    users' channels (C, K, N_R, N_T), the ZF beam matrices (C, N_T, N),
+    each unit's power shape Pi (C, N, K) and its D scales s (C, D), the
+    unit's d-th power matrix being s[d] * Pi (see ``power_scales``); D must
+    be the same for every stack.  Each unit's statistic B is the sum of its
+    users' ``correlation_matrix`` terms, B = sqrt(Pi) sqrt(Pi)^T, factored
+    once per run of equal consecutive statistics (a rank-space set-up's
+    0/1 supports share one), and every user of every stack goes, with its
+    unit's beam matrix, factor and scales, into one (U, N_R, N_T) stack and
+    one kernel call.  Returns each stack's (C, D, N, K) gains, equal bit
+    for bit to a call on one unit alone.
     """
-    for channels, beams, powers in units:
+    for channels, beams, pi, s in units:
         n_stack, n_users = channels.shape[:2]
-        shape = np.shape(powers)
-        if not (len(shape) == 4 and shape[0] == len(beams) == n_stack and shape[2:] == (beams.shape[-1], n_users)):
-            raise ValueError("each stack's powers must hold one (D, N, K) stack per unit, shape (C, D, N, K)")
-    moments = [correlation_matrix(powers) for _, _, powers in units]  # (C, D, N, N) each
-    if len({m.shape[1] for m in moments}) != 1:
+        if not (n_stack and n_users and np.shape(pi) == (n_stack, beams.shape[-1], n_users) and len(beams) == n_stack):
+            raise ValueError("each stack's pi must hold one (N, K) power shape per unit, shape (C, N, K)")
+        if not (np.ndim(s) == 2 and len(s) == n_stack):
+            raise ValueError("each stack's s must hold the D scales of each unit, shape (C, D)")
+    if len({np.shape(s)[1] for *_, s in units}) != 1:
         raise ValueError("every unit needs the same number of allocations")
-    sizes = [channels.shape[1] for channels, _, _ in units]
-    g = np.concatenate([channels.reshape(-1, *channels.shape[2:]) for channels, _, _ in units])
-    f = np.concatenate([np.repeat(beams, k, axis=0) for (_, beams, _), k in zip(units, sizes)])
-    a = np.concatenate([np.repeat(m, k, axis=0) for m, k in zip(moments, sizes)])  # (U, D, N, N)
-    _, h = _mmse_kernel(g, f, np.ascontiguousarray(a.swapaxes(0, 1)), sigma2)
-    parts = np.split(h, np.cumsum([len(m) * k for m, k in zip(moments, sizes)])[:-1], axis=1)  # (D, C*K, N)
-    # each (D, C, K, N) -> (C, D, N, K)
+    counts = [len(s) for *_, s in units]
+    sizes = [channels.shape[1] for channels, *_ in units]
+    unit_size = np.repeat(sizes, counts)
+    scales = np.concatenate([s for *_, s in units], dtype=float)  # (S, D)
+    # each user's column of its unit's power shape, (U, N)
+    columns = np.concatenate([np.swapaxes(pi, -1, -2).reshape(-1, np.shape(pi)[1]) for _, _, pi, _ in units])
+    b = np.add.reduceat(correlation_matrix(columns[..., None]), np.cumsum(unit_size) - unit_size)  # (S, N, N)
+    if not (np.isfinite(b).all() and np.isfinite(scales).all() and (scales >= 0).all()):
+        raise ValueError("power shapes and scales must be finite, scales nonnegative")
+    fresh = np.concatenate([[True], (b[1:] != b[:-1]).any(axis=(1, 2))])
+    unit_user = np.repeat(np.arange(len(b)), unit_size)
+    roots = _sqrt_factors(b[fresh])[(np.cumsum(fresh) - 1)[unit_user]]
+    g = np.concatenate([channels.reshape(-1, *channels.shape[2:]) for channels, *_ in units])
+    f = np.concatenate([beams for _, beams, _, _ in units])[unit_user]
+    _, h = _mmse_kernel(g, f, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)
+    ends = np.cumsum(np.multiply(counts, sizes)).tolist()
+    # each (D, C*K, N) -> (C, D, N, K)
     return [
-        np.ascontiguousarray(p.reshape(len(h), len(m), k, -1).transpose(1, 0, 3, 2))
-        for p, m, k in zip(parts, moments, sizes)
+        np.ascontiguousarray(h[:, end - c * k : end].reshape(len(h), c, k, -1).transpose(1, 0, 3, 2))
+        for end, c, k in zip(ends, counts, sizes)
     ]
 
 
@@ -211,8 +245,9 @@ def build_link_state(
     sigma2: float,
 ) -> LinkState:
     """Receive chain of one drop at one (N, K) power matrix: a
-    ``drop_link_states`` call on that matrix alone."""
+    ``drop_link_states`` call on that matrix alone, as s * Pi."""
     power = np.asarray(power, dtype=float)
+    pi, s = power_scales(power)
     g = np.array([ch.entries for ch in channels])
-    (gains,) = drop_link_states([(g[None], beams.beam_matrix[None], power[None, None])], sigma2)
+    (gains,) = drop_link_states([(g[None], beams.beam_matrix[None], pi[None], s.reshape(1, 1))], sigma2)
     return LinkState(gains=gains[0, 0], power=power)

@@ -821,7 +821,7 @@ def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
         return real_zf(anchors, **kwargs)
 
     def links(units, sigma2):
-        stacks.append(("mmse", sum(np.shape(channels)[0] * np.shape(channels)[1] for channels, _, _ in units)))
+        stacks.append(("mmse", sum(np.shape(channels)[0] * np.shape(channels)[1] for channels, *_ in units)))
         return real_links(units, sigma2)
 
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]

@@ -1,11 +1,14 @@
+import dataclasses
 import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lsapdma.beamforming import BeamformerSet, SelectedUserSet, compute_zfbf, select_users
 from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
+from lsapdma.harness import ExperimentConfig, _draw_drop, run_monte_carlo
 from lsapdma.pattern import (
     correlation_matrix,
     equal_power,
@@ -15,9 +18,11 @@ from lsapdma.pattern import (
 from lsapdma.receiver import (
     LinkState,
     _mmse_kernel,
+    _sqrt_factors,
     build_link_state,
     drop_link_states,
     pair_rates,
+    power_scales,
     sic_orders,
     sic_sinrs,
 )
@@ -32,17 +37,66 @@ def _setup(k=5, seed=0, n_rx=4, n_tx=16):
     return chans, pattern, beams
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _stack(chans, beams, powers):
-    """One unit as a ``drop_link_states`` stack of one (C = 1)."""
-    return np.array([ch.entries for ch in chans])[None], beams.beam_matrix[None], np.asarray(powers)[None]
+    """One unit's D power matrices (D, N, K), all of one shape, as a
+    ``drop_link_states`` stack of one (C = 1), the harness's way."""
+    pi, s = power_scales(powers)
+    return np.array([ch.entries for ch in chans])[None], beams.beam_matrix[None], pi[None, 0], s[None]
 
 
-def _kernel(chans, beams, a, sigma2):
+def _kernel(chans, beams, b, s, sigma2):
     """Filters (D, K, N_R, N) and gains (D, N, K) of one unit's users at the
-    D second moments ``a``, read from the MMSE kernel."""
+    D second moments s[d] * b, read from the MMSE kernel."""
     g = np.stack([ch.entries for ch in chans])
-    v, h = _mmse_kernel(g, beams.beam_matrix, np.asarray(a, dtype=float)[:, None], sigma2)
+    root = _sqrt_factors(np.asarray(b, dtype=float))
+    v, h = _mmse_kernel(g, beams.beam_matrix, root, np.asarray(s, dtype=float)[:, None], sigma2)
     return v, h.swapaxes(-1, -2)
+
+
+def _moments(power):
+    """The (b, s) of one power matrix for ``_kernel``: its statistic at unit
+    scale, and its one scale."""
+    pi, s = power_scales(power)
+    return correlation_matrix(pi), [s]
+
+
+def _oracle_gains(channels, f, powers, sigma2):
+    """Gains (D, N, K) of one unit's users (K, N_R, N_T) under beams f at
+    each power matrix of a stack (D, N, K), at 50 digits: per user the MMSE
+    filter V = (M A M^H + sigma2 I)^(-1) M A with M = G F and
+    A_ij = sum_k sqrt(p_ik p_jk), solved as written, then each beam's
+    desired power, interference and noise from V^H M."""
+    powers = np.asarray(powers, dtype=float)
+    out = np.zeros(powers.shape)
+    with mp.workdps(50):
+        f = mp.matrix(np.asarray(f).tolist())
+        ms = [mp.matrix(np.asarray(g).tolist()) * f for g in channels]
+        for d, p in enumerate(powers):
+            root = [[mp.sqrt(x) for x in row] for row in p.tolist()]
+            a = mp.matrix([[mp.fsum(x * y for x, y in zip(ri, rj)) for rj in root] for ri in root])
+            for k, m in enumerate(ms):
+                ma = m * a
+                v = mp.inverse(ma * m.H + sigma2 * mp.eye(m.rows)) * ma
+                proj = v.H * m
+                for n in range(a.rows):
+                    inter = mp.fsum(abs(proj[n, i]) ** 2 for i in range(a.rows) if i != n)
+                    denom = inter + sigma2 * mp.fsum(abs(v[r, n]) ** 2 for r in range(v.rows))
+                    out[d, n, k] = float(mp.sqrt(abs(proj[n, n]) ** 2 / denom)) if denom else 0.0
+    return out
+
+
+def _oracle_errors(gains, ref):
+    """Per budget, the largest relative gain error over the pairs above
+    1e-8 of the unit's largest gain, and the largest gain (either side)
+    of the pairs below it, relative to that floor."""
+    floor = 1e-8 * ref.max(axis=(-2, -1), keepdims=True)
+    big = ref > floor
+    err = np.where(big, np.abs(gains - ref) / np.where(big, ref, 1.0), 0.0).max(axis=(-2, -1))
+    small = np.where(big, 0.0, np.maximum(gains, ref) / floor).max(axis=(-2, -1))
+    return err, small
 
 
 def _beam_sinrs(h, p, order):
@@ -72,29 +126,37 @@ def test_mmse_zero_signal_zero_filter():
     chans, pattern, beams = _setup()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filters, gains = _kernel(chans, beams, np.zeros((2, 3, 3)), 1.0)
-    assert np.allclose(filters, 0.0)
-    assert gains.shape == (2, 3, 5)
-    assert (gains == 0.0).all()
+        for b, s in ((np.zeros((3, 3)), [1.0, 1.0]), (np.eye(3), [0.0, 0.0])):
+            filters, gains = _kernel(chans, beams, b, s, 1.0)
+            assert np.allclose(filters, 0.0)
+            assert gains.shape == (2, 3, 5)
+            assert (gains == 0.0).all()
+        # and the zero power matrix through the one-matrix seam
+        link = build_link_state(chans, beams, np.zeros((3, 5)), 1.0)
+    assert (link.gains == 0.0).all()
 
 
 def test_mmse_gains_rejects_bad_inputs():
-    # a zero noise variance, non-finite powers, an unstacked power matrix
+    # a zero noise variance, non-finite powers, an unstacked power matrix,
+    # a negative scale
     chans, pattern, beams = _setup()
     p = equal_power(pattern, 10.0)
     for bad_p, sigma2 in ((p[None], 0.0), (np.full((1, 3, 5), np.nan), 1.0), (p, 1.0)):
         with pytest.raises(ValueError):
             drop_link_states([_stack(chans, beams, bad_p)], sigma2)
+    g, f, pi, s = _stack(chans, beams, p[None])
+    with pytest.raises(ValueError):
+        drop_link_states([(g, f, pi, -s)], 1.0)
 
 
 def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
     # the filters must be matched to the unit's own powers: a 7-user unit
-    # given another pattern's (D, 3, 5) split, or a split over too few
-    # beams, is refused rather than filtered with foreign statistics
+    # given another pattern's (3, 5) shape, or a shape over too few beams,
+    # is refused rather than filtered with foreign statistics
     chans, pattern, beams = _setup(k=7)
     other = simple_beam_allocation(3, 5, range(5))
     for bad in (equal_splits(other, [10.0]), equal_splits(pattern, [10.0])[:, :2]):
-        with pytest.raises(ValueError, match=r"\(D, N, K\)"):
+        with pytest.raises(ValueError, match=r"\(C, N, K\)"):
             drop_link_states([_stack(chans, beams, bad)], 1.0)
     assert drop_link_states([_stack(chans, beams, equal_splits(pattern, [10.0]))], 1.0)[0].shape == (1, 1, 3, 7)
 
@@ -102,11 +164,12 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
 def test_mmse_high_noise_limit():
     # V -> G F A / sigma2 to first order when noise dominates
     chans, pattern, beams = _setup(seed=1)
-    a = correlation_matrix(equal_power(pattern, 10.0))
+    p = equal_power(pattern, 10.0)
+    a = correlation_matrix(p)
     g = chans[1].entries
     cov = g @ beams.beam_matrix @ a @ beams.beam_matrix.conj().T @ g.conj().T
     sigma2 = 1e6 * np.linalg.norm(cov, 2)
-    v = _kernel(chans, beams, a[None], sigma2)[0][0, 1]
+    v = _kernel(chans, beams, *_moments(p), sigma2)[0][0, 1]
     approx = g @ beams.beam_matrix @ a / sigma2
     rel = np.linalg.norm(v - approx) / np.linalg.norm(v)
     assert rel < 0.01
@@ -115,7 +178,8 @@ def test_mmse_high_noise_limit():
 def test_mmse_minimizes_analytic_mse():
     # closed form: E||t - V^H y||^2 = tr(A) - 2 Re tr(V^H G F A) + tr(V^H R V)
     chans, pattern, beams = _setup(seed=2)
-    a = correlation_matrix(equal_power(pattern, 10.0))
+    p = equal_power(pattern, 10.0)
+    a = correlation_matrix(p)
     g = chans[2].entries
     f = beams.beam_matrix
     gfa = g @ f @ a
@@ -128,7 +192,7 @@ def test_mmse_minimizes_analytic_mse():
             + np.trace(v.conj().T @ cov @ v).real
         )
 
-    v = _kernel(chans, beams, a[None], 1.0)[0][0, 2]
+    v = _kernel(chans, beams, *_moments(p), 1.0)[0][0, 2]
     base = mse(v)
     rng = make_rng(3)
     scale = 1e-3 * np.linalg.norm(v)
@@ -142,9 +206,8 @@ def test_normalized_gain_scalar_case():
     # one beam, g = f = 1: v = a / (a + sigma2) is nonzero, and h = 1/sigma
     # whatever the signal power
     ch, beams = _scalar_beams(1)
-    a = np.array([1e-2, 1.0, 1e2]).reshape(3, 1, 1)
     for sigma2, h in ((1.0, 1.0), (4.0, 0.5)):
-        gains = _kernel([ch], beams, a, sigma2)[1]
+        gains = _kernel([ch], beams, np.ones((1, 1)), [1e-2, 1.0, 1e2], sigma2)[1]
         assert gains == pytest.approx(np.full((3, 1, 1), h))
 
 
@@ -154,7 +217,7 @@ def test_normalized_gain_zero_filter_column():
     ch, beams = _scalar_beams(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filters, gains = _kernel([ch], beams, np.diag([1.0, 0.0])[None], 1.0)
+        filters, gains = _kernel([ch], beams, np.diag([1.0, 0.0]), [1.0], 1.0)
     assert not filters[0, 0, :, 1].any()
     assert gains[0, 1, 0] == 0.0
     assert gains[0, 0, 0] == pytest.approx(1.0)
@@ -162,9 +225,8 @@ def test_normalized_gain_zero_filter_column():
 
 def test_normalized_gain_matches_independent_accumulation():
     chans, pattern, beams = _setup(seed=4)
-    a = correlation_matrix(equal_power(pattern, 10.0))
     sigma2 = 1.0
-    filters, gains = _kernel(chans, beams, a[None], sigma2)
+    filters, gains = _kernel(chans, beams, *_moments(equal_power(pattern, 10.0)), sigma2)
     for k in (0, 2, 4):
         for n in range(3):
             # separately written numerator/denominator accumulation
@@ -186,33 +248,17 @@ def test_normalized_gain_matches_independent_accumulation():
             assert gains[0, n, k] == pytest.approx(expected, rel=1e-10)
 
 
-def _per_user_gains(channels, beams, a, sigma2):
-    """One user and one beam at a time: a 2-D solve per user, then each
-    beam's projections, interference and noise summed term by term."""
-    f = beams.beam_matrix
-    n_beams = f.shape[1]
-    h = np.zeros((n_beams, len(channels)))
-    for k, ch in enumerate(channels):
-        g = ch.entries
-        gfa = g @ f @ a
-        cov = gfa @ f.conj().T @ g.conj().T + sigma2 * np.eye(g.shape[0])
-        v = scipy.linalg.solve(cov, gfa, assume_a="pos")
-        proj = v.conj().T @ g @ f
-        for n in range(n_beams):
-            if not v[:, n].any():
-                continue
-            desired = abs(proj[n, n]) ** 2
-            inter = sum(abs(proj[n, i]) ** 2 for i in range(n_beams) if i != n)
-            noise = sigma2 * sum(abs(x) ** 2 for x in v[:, n])
-            h[n, k] = np.sqrt(desired / (inter + noise))
-    return h
-
-
 def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
-    # every shape N <= K <= 2^N - 1, budgets 0-40 dB, nulled pairs present:
-    # the batched kernel against a per-user loop, and a D-budget stack
-    # against D one-allocation chains bit for bit
+    # every shape N <= K <= 2^N - 1 with unit-gain channels, budgets
+    # 0-90 dB, nulled pairs present: the batched kernel against the
+    # 50-digit per-user oracle, and a D-budget stack against D
+    # one-allocation chains bit for bit.  Every pair above 1e-8 of its
+    # unit's largest gain is within 2e-13 at 0-20 dB and 1e-9 at 40-90 dB
+    # (the high-budget pairs far below the unit's largest gain lose digits
+    # to the spread of the eigenvalues); the pairs below that floor, the
+    # nulled ones among them, stay below it
     saw_nulled = False
+    dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
     for n in (2, 3, 4):
         for k in range(n, 2**n):
             chans = [sample_channel(4, 16, 1.0, make_rng(n, k, i)) for i in range(k)]
@@ -221,12 +267,14 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             beams = compute_zfbf(chans, omega)
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
-            splits = equal_splits(pattern, [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)], nulled)
+            splits = equal_splits(pattern, 10.0 ** (dbs / 10.0), nulled)
             ((gains,),) = drop_link_states([_stack(chans, beams, splits)], 1.0)
+            ref = _oracle_gains([ch.entries for ch in chans], beams.beam_matrix, splits, 1.0)
+            err, small = _oracle_errors(gains, ref)
+            assert np.all(err <= np.where(dbs <= 20.0, 2e-13, 1e-9)), (n, k, err)
+            assert np.all(small < 1.0), (n, k, small)
             covered = pattern.entries == 1
             for d, split in enumerate(splits):
-                ref = _per_user_gains(chans, beams, correlation_matrix(split), 1.0)
-                assert np.all(np.abs(gains[d] - ref) <= 1e-13 * ref)
                 single = build_link_state(chans, beams, split, 1.0)
                 assert np.array_equal(single.gains, gains[d])
                 orders = sic_orders(single.gains, covered)
@@ -235,6 +283,56 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
                     sic_sinrs(single.gains, split, orders), sic_sinrs(gains, splits, sic_orders(gains, covered))[d]
                 )
     assert saw_nulled
+
+
+def test_preset_gains_match_a_50_digit_oracle_up_to_90_db():
+    # drops 0-7 of the fig5 preset at K = 7 on the simple pattern, the
+    # simulator's path-loss spread included: on every powered pair the
+    # gains are within 1e-12 of the 50-digit oracle at 0-90 dB
+    cfg = ExperimentConfig.from_file(ROOT / "configs" / "fig5.cfg")
+    dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
+    for i in range(8):
+        setup = _draw_drop(cfg, 7, "simple", np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        splits = equal_splits(setup.entries, 10.0 ** (dbs / 10.0), setup.nulled)[0]
+        pi, s = power_scales(splits)
+        ((gains,),) = drop_link_states([(setup.channels, setup.beams, pi[None, 0], s[None])], cfg.cell.noise_variance)
+        ref = _oracle_gains(setup.channels[0], setup.beams[0], splits, cfg.cell.noise_variance)
+        powered = splits > 0
+        assert np.all(np.abs(gains - ref)[powered] <= 1e-12 * ref[powered]), i
+
+
+def test_singular_statistics_match_the_oracle():
+    # two beams powering the same users carry one signal, so B = Pi Pi^T
+    # has rank N - 1 and the filter's factor a zero column; the gains still
+    # match the 50-digit oracle within the bounds of the unit-gain shapes
+    rng = make_rng(12)
+    chans = np.array([sample_channel(4, 16, 1.0, make_rng(12, i)).entries for i in range(4)])
+    f = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    f /= np.linalg.norm(f, axis=0)
+    shape = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    assert np.linalg.matrix_rank(correlation_matrix(shape)) == 2
+    dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
+    s = 10.0 ** (dbs / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((gains,),) = drop_link_states([(chans[None], f[None], shape[None], s[None])], 1.0)
+    err, small = _oracle_errors(gains, _oracle_gains(chans, f, s[:, None, None] * shape, 1.0))
+    assert np.all(err <= np.where(dbs <= 20.0, 2e-13, 1e-9)), err
+    assert np.all(small < 1.0), small
+
+
+def test_fig4_runs_at_90_and_120_db():
+    # the preset's chain at budgets where the noise falls below the
+    # round-off of the signal covariance: finite records, no warning
+    cfg = ExperimentConfig.from_file(ROOT / "configs" / "fig4.cfg")
+    for db in (90.0, 120.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, samples = run_monte_carlo(
+                dataclasses.replace(cfg, p_sum_db=(db,), drops=4, workers=1), collect_samples=True
+            )
+        assert table.rows and all(np.isfinite(row.mean_sum_rate) for row in table.rows)
+        assert all(len(v) == 4 and np.isfinite(v).all() for v in samples.values())
 
 
 def test_one_matrix_seams_equal_their_stack_slices():
@@ -320,7 +418,7 @@ def test_mimo_and_scalar_models_agree():
     chans, pattern, beams = _setup(seed=6)
     sigma2 = 1.0
     alloc = equal_power(pattern, 10.0)
-    filters, _ = _kernel(chans, beams, correlation_matrix(alloc)[None], sigma2)
+    filters, _ = _kernel(chans, beams, *_moments(alloc), sigma2)
     link = build_link_state(chans, beams, alloc, sigma2)
     covered = pattern.entries == 1
     orders = sic_orders(link.gains, covered)
@@ -444,8 +542,9 @@ def test_drop_link_states_match_each_unit_alone():
             assert np.array_equal(unit_gains[0], gains)
             if paired_gains is not None:
                 assert np.array_equal(paired_gains, gains)
-            _, reference = _kernel(unit[0], unit[1], correlation_matrix(unit[2]), 1.0)
+            pi, s = power_scales(unit[2])
+            _, reference = _kernel(unit[0], unit[1], correlation_matrix(pi[0]), s, 1.0)
             assert np.array_equal(gains, reference)
     short = stacks[:2]
     with pytest.raises(ValueError, match="same number"):
-        drop_link_states([short[0], (*short[1][:2], short[1][2][:, :2])], 1.0)
+        drop_link_states([short[0], (*short[1][:3], short[1][3][:, :2])], 1.0)
