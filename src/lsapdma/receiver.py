@@ -64,9 +64,9 @@ def _mmse_kernel(g, f, root, s, sigma2):
     matrices, (U, N_T, N) or one (N_T, N) for all.  User u's second moment
     of the superposed beam signal at scale d is A = s[d, u] B_u, with
     B_u = R_u R_u^T given by its factor ``root``, (U, N, N) or one (N, N)
-    for all (see ``_sqrt_factors``); ``s`` is (D, U) or (D, 1).  With M = G F and
-    (M R)^H (M R) = W diag(lambda) W^H, one N x N ``eigh`` per user, the
-    MMSE filter
+    for all (see ``_sqrt_factors``); ``s`` is (D, U) or (D, 1).  With
+    M = G F and (M R)^H (M R) = W diag(lambda) W^H, one N x N ``eigh`` per
+    user, the MMSE filter
 
         V = (M A M^H + sigma2 I)^(-1) M A
           = M R W diag(s / (s lambda + sigma2)) W^H R^T
