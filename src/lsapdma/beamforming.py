@@ -195,7 +195,11 @@ def zf_beamformers(
     and whether each unit is singular: an anchor's channel is zero or
     cond(G_C G_C^H) exceeds ``cond_limit`` (i.i.d. Gaussian draws are almost
     surely fine; the guard catches pathological draws so the caller can
-    redraw).  A singular unit's composite and beams are NaN.
+    redraw).  The condition number is the ratio of the extreme eigenvalues
+    of the Hermitian Gram, and a unit is flagged unless
+    lambda_max <= cond_limit * lambda_min, so a zero, negative or NaN
+    lambda_min flags it too.  A singular unit's composite and beams are
+    NaN.  Raises ValueError when an anchor channel is not finite.
     """
     anchors = np.asarray(anchors)
     n_units, n_beams, n_rx, n_tx = anchors.shape
@@ -207,13 +211,21 @@ def zf_beamformers(
     # many orders of magnitude would otherwise dominate the Gram's condition
     # number without any directional degeneracy.  The pseudo-inverse of the
     # raw stack is recovered exactly by rescaling columns afterwards.  Each
-    # scale is its own norm call: a stacked norm sums in another order.
-    scales = np.array([[np.linalg.norm(b) for b in unit] for unit in anchors]) / np.sqrt(n_rx * n_tx)
+    # block's squared norm is re.re + im.im over its strided real and
+    # imaginary views, the dot products ``np.linalg.norm`` takes.
+    flat = anchors.reshape(n_units * n_beams, 1, n_rx * n_tx)
+    re, im = flat.real, flat.imag
+    squares = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)).reshape(n_units, n_beams)
+    if not np.isfinite(squares).all():
+        # any NaN or infinite entry leaves its block's square NaN or infinite
+        raise ValueError("anchor channels must be finite, with finite norms")
+    scales = np.sqrt(squares) / np.sqrt(n_rx * n_tx)
     singular = (scales == 0).any(axis=1)
     row_scale = np.repeat(np.where(scales == 0, 1.0, scales), n_rx, axis=1)  # (E, N*N_R)
     g_eq = anchors.reshape(n_units, n_beams * n_rx, n_tx) / row_scale[..., None]
     gram = g_eq @ g_eq.conj().swapaxes(-1, -2)
-    singular |= np.linalg.cond(gram) > cond_limit
+    lam = np.linalg.eigvalsh(gram)  # ascending
+    singular |= ~(lam[:, -1] <= cond_limit * lam[:, 0])
     live = np.flatnonzero(~singular)
     # column-major composites, the layout the conjugate transpose gives
     composite = np.full((n_units, n_beams * n_rx, n_tx), np.nan, dtype=complex).swapaxes(-1, -2)

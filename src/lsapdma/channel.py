@@ -4,6 +4,12 @@ Users are dropped uniformly by area inside a disk cell.  The propagation
 coefficient between each transmit and receive antenna is a small-scale
 i.i.d. complex Gaussian factor scaled by a per-user large-scale factor
 (power-law path loss times log-normal shadowing).
+
+``user_channels`` gives one drop's channels user by user; ``draw_channels``
+gives C drops' channels as one (C, K, N_R, N_T) stack, one generator per
+drop.  Both turn radii and normals into gains and entries through one
+helper, so a drop's stack equals ``drop_users`` then ``user_channels`` on
+its generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -87,12 +93,17 @@ def drop_users(cfg: CellConfig, k: int, seed) -> UserDrop:
     if k < 0:
         raise ValueError("k must be nonnegative")
     rng = as_rng(seed)
-    lo2 = cfg.min_distance_m**2
-    hi2 = cfg.radius_m**2
-    r = np.sqrt(lo2 + (hi2 - lo2) * rng.random(k))
+    r = _radii(cfg, rng.random(k))
     theta = 2.0 * np.pi * rng.random(k)
     positions = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     return UserDrop(positions=positions, distances=r)
+
+
+def _radii(cfg: CellConfig, u: np.ndarray) -> np.ndarray:
+    """Distances uniform by area over the annulus, from uniforms on [0, 1)."""
+    lo2 = cfg.min_distance_m**2
+    hi2 = cfg.radius_m**2
+    return np.sqrt(lo2 + (hi2 - lo2) * u)
 
 
 def large_scale_gain(cfg: CellConfig, distance_m: float, seed) -> float:
@@ -137,22 +148,54 @@ def user_channels(cfg: CellConfig, drop: UserDrop, n_rx: int, n_tx: int, seed) -
     it holds the shadowing draw, then the real and the imaginary block of
     the small-scale entries.  That is the order in which ``large_scale_gain``
     and ``sample_channel`` called per user consume the generator, and the
-    results and the generator's state equal theirs bit for bit.
+    results and the generator's state equal theirs bit for bit.  The gains
+    and entries come from the helper ``draw_channels`` shares.
     """
     if n_rx < 1 or n_tx < 1:
         raise ValueError("n_rx and n_tx must be at least 1")
     if (drop.distances <= 0).any():
         raise ValueError("distance_m must be positive")
     rng = as_rng(seed)
+    z = rng.standard_normal((drop.n_users, 1 + 2 * n_rx * n_tx))
+    entries, gains = _gains_and_entries(cfg, drop.distances, z, n_rx, n_tx)
+    return [ChannelMatrix(entries=e, large_scale_gain=g) for e, g in zip(entries, gains.tolist())]
+
+
+def draw_channels(cfg: CellConfig, k: int, n_rx: int, n_tx: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Channels of ``k`` users on each of C drops, one generator per drop:
+    the entries (C, K, N_R, N_T) and the large-scale gains (C, K).
+
+    Each generator draws what ``drop_users`` then ``user_channels`` draw
+    from it (the radius uniforms, the angle uniforms, which nothing reads
+    here, then the normals), so drop c's channels and its generator's state
+    afterwards equal theirs bit for bit.  The radii, gains and entries are
+    computed once over the stack.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if n_rx < 1 or n_tx < 1:
+        raise ValueError("n_rx and n_tx must be at least 1")
+    u = np.empty((len(rngs), k))
+    z = np.empty((len(rngs), k, 1 + 2 * n_rx * n_tx))
+    for c, rng in enumerate(rngs):
+        rng.random(out=u[c])
+        rng.random(k)  # the angles
+        rng.standard_normal(out=z[c])
+    return _gains_and_entries(cfg, _radii(cfg, u), z, n_rx, n_tx)
+
+
+def _gains_and_entries(cfg: CellConfig, distances: np.ndarray, z: np.ndarray, n_rx: int, n_tx: int):
+    """Entries (..., N_R, N_T) and large-scale gains (...) of users at
+    ``distances`` (...), from each user's normals ``z`` (..., 1 + 2 N_R N_T):
+    the shadowing draw, then the real and the imaginary block of the
+    small-scale entries."""
     size = n_rx * n_tx
-    z = rng.standard_normal((drop.n_users, 1 + 2 * size))
     # per user, as large_scale_gain computes it: a vectorised power differs
     # from the scalar one in the last ulp on some draws
     gains = np.array([
-        _shadowed_gain(cfg, float(d), 0.0 + cfg.shadow_std_db * float(x))
-        for d, x in zip(drop.distances, z[:, 0])
-    ])
-    shape = (drop.n_users, n_rx, n_tx)
-    small = z[:, 1 : 1 + size].reshape(shape) + 1j * z[:, 1 + size :].reshape(shape)
-    entries = np.sqrt(gains / 2.0)[:, None, None] * small
-    return [ChannelMatrix(entries=e, large_scale_gain=float(g)) for e, g in zip(entries, gains)]
+        _shadowed_gain(cfg, d, 0.0 + cfg.shadow_std_db * x)
+        for d, x in zip(distances.ravel().tolist(), z[..., 0].ravel().tolist())
+    ]).reshape(distances.shape)
+    shape = z.shape[:-1] + (n_rx, n_tx)
+    small = z[..., 1 : 1 + size].reshape(shape) + 1j * z[..., 1 + size :].reshape(shape)
+    return np.sqrt(gains / 2.0)[..., None, None] * small, gains

@@ -14,7 +14,10 @@ restarts its drop's stream and the draw does not depend on the pattern, so
 the users and channels of each distinct K are drawn once per drop and
 shared, and units that also share the pattern policy share the whole
 set-up: pattern, anchors, ZF beams, equal splits and gains.  Each drop
-draws from its own stream; everything after that runs once per chunk.  A
+draws from its own generator, restarted from its saved state for each
+user count, and each user count's channels and large-scale gains over the
+chunk are one stacked draw (``channel.draw_channels``), so no per-user
+object is built; everything after the draws runs once per chunk.  A
 set-up's patterns, anchors and nulled pairs are one gather of its
 rank-space triple (``beamforming.rank_anchors``) through one stable argsort
 of the chunk's (C, K) hints; only a fixed pattern selects anchors drop by
@@ -62,7 +65,7 @@ import numpy as np
 
 from . import __version__
 from .beamforming import rank_anchors, select_users, zf_beamformers
-from .channel import CellConfig, drop_users, user_channels
+from .channel import CellConfig, draw_channels
 from .optimizer import anchor_floors, water_fills
 from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
 from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
@@ -338,9 +341,10 @@ def _scheme_runs(cfg: ExperimentConfig):
     return runs
 
 
-def _channels(cfg: ExperimentConfig, k, rng):
-    """Users and channels of one draw from ``rng``."""
-    return user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
+def _channels(cfg: ExperimentConfig, k, rngs):
+    """Channels (C, K, N_R, N_T) and large-scale gains (C, K) of one draw
+    of ``k`` users from each of the C generators ``rngs``."""
+    return draw_channels(cfg.cell, k, cfg.n_rx, cfg.n_tx, rngs)
 
 
 class _SetUps(NamedTuple):
@@ -354,16 +358,15 @@ class _SetUps(NamedTuple):
     redraws: np.ndarray | None = None  # (C,) singular draws before these
 
 
-def _anchored(cfg: ExperimentConfig, pattern_policy, draws) -> _SetUps:
-    """Pattern and anchors of one set-up on C draws (lists of channels): a
-    gather of ``rank_anchors`` through the draws' ranks, or for a fixed
-    pattern a selection per draw."""
-    channels = np.array([[ch.entries for ch in draw] for draw in draws])
-    hints = np.array([[ch.large_scale_gain for ch in draw] for draw in draws])
+def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints) -> _SetUps:
+    """Pattern and anchors of one set-up on C draws, given their channels
+    (C, K, N_R, N_T) and large-scale gains (C, K) as hints: a gather of
+    ``rank_anchors`` through the draws' ranks, or for a fixed pattern a
+    selection per draw."""
     n_draws, k = hints.shape
     if pattern_policy == "fixed":
         pattern = cfg.fixed_pattern
-        omegas = [select_users(draw, pattern, h) for draw, h in zip(draws, hints)]
+        omegas = [select_users(draw, pattern, h) for draw, h in zip(channels, hints)]
         entries = np.repeat(pattern.entries[None], n_draws, axis=0)
         nulled = np.array([omega.nulled(pattern) for omega in omegas])
         return _SetUps(channels, entries, np.array([omega.users for omega in omegas]), nulled)
@@ -390,7 +393,7 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
     rng = np.random.Generator(np.random.Philox(state))
     redraws = 0
     while True:
-        setups = _anchored(cfg, pattern_policy, [_channels(cfg, k, rng)])
+        setups = _anchored(cfg, pattern_policy, *_channels(cfg, k, [rng]))
         _, beams, singular = zf_beamformers(_anchor_channels(setups))
         if not singular[0]:
             return setups._replace(beams=beams, redraws=np.array([redraws]))
@@ -462,12 +465,16 @@ def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
     units = _scheme_runs(cfg)
     # one set-up per distinct (K, pattern policy), in order of first use
     keys = list(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
-    # each user count's first draw on every drop, shared by its set-ups
-    draws = {
-        k: [_channels(cfg, k, np.random.Generator(np.random.Philox(state))) for state in states]
-        for k in dict.fromkeys(k for k, _ in keys)
-    }
-    columns = [_anchored(cfg, pattern_policy, draws[k]) for k, pattern_policy in keys]
+    # each user count's first draw on every drop, shared by its set-ups; a
+    # generator restarted by its saved state draws what a new one would
+    rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
+    starts = [rng.bit_generator.state for rng in rngs]
+    draws = {}
+    for k in dict.fromkeys(k for k, _ in keys):
+        for rng, start in zip(rngs, starts):
+            rng.bit_generator.state = start
+        draws[k] = _channels(cfg, k, rngs)
+    columns = [_anchored(cfg, pattern_policy, *draws[k]) for k, pattern_policy in keys]
     _, beams, singular = zf_beamformers(np.concatenate([_anchor_channels(setups) for setups in columns]))
     n = len(states)
     columns = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lsapdma.beamforming import (
+    SelectedUserSet,
     SingularChannelError,
     compute_zfbf,
     select_users,
@@ -236,3 +237,74 @@ def test_stacked_zf_flags_only_the_singular_units():
                 compute_zfbf(chans, omega)
         else:
             assert np.array_equal(beams, compute_zfbf(chans, omega).beam_matrix)
+
+
+def _shapes_and_scales(rng):
+    """(E, N, N_R, N_T) anchor stacks of eight shapes, each block scaled by a
+    log-uniform factor from 1e-12 to 1e9."""
+    for n, n_rx, n_tx in ((1, 1, 1), (2, 1, 2), (3, 1, 3), (2, 3, 7), (3, 2, 8), (2, 4, 16), (3, 4, 16), (4, 4, 16)):
+        shape = (40, n, n_rx, n_tx)
+        scale = 10.0 ** rng.uniform(-12.0, 9.0, shape[:2] + (1, 1))
+        yield scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_stacked_equilibration_equals_the_per_block_norms():
+    # the stacked scales are the per-block np.linalg.norm bit for bit, so
+    # every composite and beam matrix equals the per-unit reference's
+    rng = np.random.default_rng(41)
+    for anchors in _shapes_and_scales(rng):
+        for normalize in (True, False):
+            composites, beam_matrices, singular = zf_beamformers(anchors, normalize=normalize)
+            assert not singular.any()
+            for unit, composite, beams in zip(anchors, composites, beam_matrices):
+                channels = [ChannelMatrix(entries=block, large_scale_gain=1.0) for block in unit]
+                omega = SelectedUserSet(pairs=tuple(enumerate(range(len(unit)))))
+                want = _per_unit_zf(channels, omega, normalize)
+                assert np.array_equal(composite, want[0]) and np.array_equal(beams, want[1])
+
+
+def _equilibrated_gram(unit):
+    """The Gram of one unit's anchors, each block scaled by its
+    ``np.linalg.norm`` over sqrt(N_R N_T)."""
+    g_eq = np.vstack([b / (np.linalg.norm(b) / np.sqrt(b.size)) for b in unit])
+    return g_eq @ g_eq.conj().T
+
+
+def test_condition_test_flags_as_the_svd_does():
+    # anchors G = U diag(sigma) V^H with U the unitary DFT, so every row,
+    # and so every block, has the same norm, the equilibration is one scalar
+    # and cond(gram) is (sigma_max / sigma_min)^2: 1e7 and 1e9 either side of
+    # the 1e8 limit.  Each is flagged as np.linalg.cond(gram) > 1e8 flags
+    # it, and a zero anchor is flagged too.
+    rng = np.random.default_rng(43)
+    n, n_rx, n_tx = 3, 4, 16
+    rows = n * n_rx
+    u = np.exp(-2j * np.pi * np.outer(np.arange(rows), np.arange(rows)) / rows) / np.sqrt(rows)
+    units, conds = [], []
+    for cond in (1e7, 1e9):
+        for _ in range(20):
+            v, _ = np.linalg.qr(rng.standard_normal((n_tx, rows)) + 1j * rng.standard_normal((n_tx, rows)))
+            sigma = np.geomspace(1.0, cond**-0.5, rows)[rng.permutation(rows)]
+            units.append((10.0 ** rng.uniform(-6.0, 2.0) * (u * sigma) @ v.conj().T).reshape(n, n_rx, n_tx))
+            conds.append(cond)
+    zero = units[0].copy()
+    zero[1] = 0.0
+    units.append(zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, singular = zf_beamformers(np.array(units))
+        svd = np.array([np.linalg.cond(_equilibrated_gram(unit)) for unit in units[:-1]])
+    assert np.allclose(svd, conds, rtol=1e-3)
+    assert singular.tolist() == (svd > 1e8).tolist() + [True]
+    assert singular.sum() == 21
+
+
+def test_zf_rejects_non_finite_anchors():
+    # as the MMSE kernel does, before any decomposition (a NaN or infinite
+    # anchor used to escape as "SVD did not converge")
+    anchors = _anchor_stack(_mixed_units(3, 2))
+    for bad in (np.nan, np.inf):
+        corrupt = anchors.copy()
+        corrupt[2, 1, 0, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            zf_beamformers(corrupt)

@@ -3,6 +3,7 @@ import pytest
 
 from lsapdma.channel import (
     CellConfig,
+    draw_channels,
     drop_users,
     large_scale_gain,
     sample_channel,
@@ -155,3 +156,31 @@ def test_user_channels_match_the_per_user_draws():
                         assert g.entries.shape == (n_rx, n_tx)
                         assert np.array_equal(g.entries, w.entries)
                     assert np.array_equal(rng.integers(0, 2**63, 4), ref_rng.integers(0, 2**63, 4))
+
+
+def test_draw_channels_match_the_per_drop_draws():
+    # the stack of C drops against drop_users then user_channels on a fresh
+    # generator per drop: entries, gains and the generator's state after,
+    # bit for bit; and a generator restarted by its saved state draws what
+    # a new Philox on the drop's seed sequence draws
+    for shadow in (0.0, 10.0):
+        cell = CellConfig(shadow_std_db=shadow)
+        for n_rx, n_tx in ((1, 1), (4, 16)):
+            for k in (0, 1, 3, 7):
+                states = [np.random.SeedSequence(3, spawn_key=(k, n_rx, c)) for c in range(5)]
+                rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
+                starts = [rng.bit_generator.state for rng in rngs]
+                entries, gains = draw_channels(cell, k, n_rx, n_tx, rngs)
+                assert entries.shape == (5, k, n_rx, n_tx) and gains.shape == (5, k)
+                for state, rng, drop_entries, drop_gains in zip(states, rngs, entries, gains):
+                    ref_rng = np.random.Generator(np.random.Philox(state))
+                    want = user_channels(cell, drop_users(cell, k, ref_rng), n_rx, n_tx, ref_rng)
+                    assert drop_gains.tolist() == [ch.large_scale_gain for ch in want]
+                    assert np.array_equal(drop_entries, np.array([ch.entries for ch in want]).reshape(k, n_rx, n_tx))
+                    assert np.array_equal(rng.integers(0, 2**63, 4), ref_rng.integers(0, 2**63, 4))
+                for rng, start in zip(rngs, starts):
+                    rng.bit_generator.state = start
+                again = draw_channels(cell, k, n_rx, n_tx, rngs)
+                fresh = draw_channels(cell, k, n_rx, n_tx, [np.random.Generator(np.random.Philox(s)) for s in states])
+                for got in (again, fresh):
+                    assert np.array_equal(got[0], entries) and np.array_equal(got[1], gains)

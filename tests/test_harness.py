@@ -7,7 +7,7 @@ import pytest
 from lsapdma import receiver
 
 from lsapdma.beamforming import compute_zfbf, select_users
-from lsapdma.channel import CellConfig, ChannelMatrix
+from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, user_channels
 from lsapdma.harness import (
     ConfigError,
     DropRecord,
@@ -286,15 +286,16 @@ def test_pnoma_reduction_is_exact():
 
 def _singular_on_first_draw(monkeypatch, first=None, pick=None):
     """Make ``harness.zf_beamformers`` flag singular every unit whose anchor
-    channels all belong to the draw ``first`` (and, with ``pick``, whose
-    anchor users in that draw ``pick`` accepts).  The mark follows the
-    channels, so the redraw loop's fresh start sees that draw singular
-    again and redraws once.  Without ``first`` the marked draw is the first
-    unit's anchors in the first call."""
+    channels all belong to the draw ``first``, its (K, N_R, N_T) channels
+    (and, with ``pick``, whose anchor users in that draw ``pick``
+    accepts).  The mark follows the channels, so the redraw loop's fresh
+    start sees that draw singular again and redraws once.  Without
+    ``first`` the marked draw is the first unit's anchors in the first
+    call."""
     import lsapdma.harness as harness
 
     real = harness.zf_beamformers
-    marked = [] if first is None else [np.array([ch.entries for ch in first])]
+    marked = [] if first is None else [np.asarray(first)]
 
     def fake(anchors, **kwargs):
         if not marked:
@@ -331,7 +332,7 @@ def _drawn(cfg, k, pattern_policy, state):
     (redraws,) = setup.redraws.tolist()
     rng = np.random.Generator(np.random.Philox(state))
     for _ in range(redraws + 1):
-        channels = _channels(cfg, k, rng)
+        channels = user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
     pattern, omega = _oracle_setup(cfg, k, pattern_policy, channels)
     beams = compute_zfbf(channels, omega)
     assert np.array_equal(setup.channels[0], [ch.entries for ch in channels])
@@ -370,9 +371,10 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
     cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
     for seed in range(3):
         state = np.random.SeedSequence(seed)
-        first = _channels(cfg, 6, np.random.Generator(np.random.Philox(state)))
-        target = tuple(_anchored(cfg, "pnoma", [first]).anchors[0].tolist())
-        assert tuple(_anchored(cfg, "simple", [first]).anchors[0].tolist()) != target
+        draw = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state))])
+        first = draw[0][0]
+        target = tuple(_anchored(cfg, "pnoma", *draw).anchors[0].tolist())
+        assert tuple(_anchored(cfg, "simple", *draw).anchors[0].tolist()) != target
         plain = run_drop(cfg, state)
         with monkeypatch.context() as m:
             _singular_on_first_draw(m, first, lambda users: users == target)
@@ -413,7 +415,7 @@ def test_rank_space_set_ups_equal_the_per_drop_oracle():
         draws = [
             [ChannelMatrix(entries=np.ones((1, n), dtype=complex), large_scale_gain=h) for h in row] for row in hints
         ]
-        setups = _anchored(cfg, policy, draws)
+        setups = _anchored(cfg, policy, np.ones((len(hints), k, 1, n), dtype=complex), hints)
         assert setups.entries.shape == setups.nulled.shape == (len(draws), n, k)
         for draw, entries, anchors, nulled in zip(draws, setups.entries, setups.anchors, setups.nulled):
             pattern, omega = _oracle_setup(cfg, k, policy, draw)
@@ -458,7 +460,7 @@ def test_drop_records_do_not_depend_on_the_chunk(monkeypatch):
     cfg = ExperimentConfig.from_file(configs / "fig4.cfg")
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(5)]
     plain = _hexed(run_chunk(cfg, states))
-    first = _channels(cfg, 6, np.random.Generator(np.random.Philox(states[2])))
+    first = _channels(cfg, 6, [np.random.Generator(np.random.Philox(states[2]))])[0][0]
     with monkeypatch.context() as m:
         _singular_on_first_draw(m, first)
         redrawn = _hexed(run_chunk(cfg, states))
