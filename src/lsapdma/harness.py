@@ -32,10 +32,16 @@ itself.  Each unit's power policy then runs over all C drops and D budgets
 as one array operation: the equal splits (C, D, N, K), the mu sweep's
 ladders (C, D, M, N, K) and the water-fill (C, D, N, K) are each one stack,
 and so are their SIC orders, SINRs and rates.  Every kernel computes a
-slice of its stack as it would alone, so a drop's records do not depend on
-the chunk that holds it; ``run_drop`` is the chunk of one.
+slice of its stack as it would alone, so a drop's rates do not depend on
+the chunk that holds it.
+
+A chunk's result is one rate table (``_chunk_rates``): a row per drop and
+a column per record, laid out once per config by ``_layout``.  Records
+(``DropRecord``) are built only on request: ``run_chunk`` builds them from
+the table's rows, and ``run_drop`` is the chunk of one.
 ``run_monte_carlo`` runs the drops as contiguous chunks spread over the
-workers and puts their records back in drop order.
+workers, which send back only their tables, puts the tables back in drop
+order and reads each (scheme, K, sweep value) off its column.
 
 The optimal policy is the water-filling closed form
 (``optimizer.water_fills``): the anchors keep their ZF power floors, and the
@@ -54,7 +60,7 @@ code path.
 from __future__ import annotations
 
 import configparser
-import itertools
+import functools
 import subprocess
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
@@ -291,9 +297,12 @@ def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
     return ExperimentConfig(cell=CellConfig(**cell_kwargs), **kwargs)
 
 
-@dataclass(frozen=True)
-class DropRecord:
-    """Sum rate of one scheme at one sweep point for a single drop."""
+class DropRecord(NamedTuple):
+    """Sum rate of one scheme at one sweep point for a single drop.
+
+    Built only on request, by ``run_chunk`` and ``run_drop``, from a row of
+    the chunk's rate table; ``run_monte_carlo`` reads the table itself.
+    """
 
     scheme: str
     k_users: int
@@ -402,9 +411,9 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
             raise ConfigError(f"more than {cfg.max_redraws} consecutive singular-channel redraws")
 
 
-def _unit_records(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, budgets):
-    """The records of one unit (one scheme evaluation) on each drop of a
-    chunk, across the sweep points: one list per drop.
+def _unit_rates(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, budgets) -> np.ndarray:
+    """The sum rates of one unit (one scheme evaluation) on each drop of a
+    chunk: a (C, D·M) array, each drop's (D, M) table flattened.
 
     ``setups`` is the unit's set-up on each of the C drops, ``splits`` holds
     their (C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
@@ -413,9 +422,9 @@ def _unit_records(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, b
     policy is the water-fill with the anchors' floors.  Each policy's
     powers, SINRs and rates are one stack over the drops and budgets (and
     the mu sweep): a (C, D, M) table of sum rates, M = 1 but for the
-    ladders.
+    ladders.  ``_layout`` places its columns in the records.
     """
-    label, k, _, power_policy, mus = unit
+    _, _, _, power_policy, mus = unit
     covered = (setups.entries == 1)[:, None]  # (C, 1, N, K)
     if power_policy == "equal":
         sinrs = sic_sinrs(gains, splits, sic_orders(gains, covered))
@@ -433,38 +442,53 @@ def _unit_records(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, b
             gains.reshape(matrices), np.tile(budgets, len(gains)), delta.reshape(matrices), support
         )
         rates = beam_sum_rates(gains, powers.reshape(gains.shape), sic_orders(gains))[..., None]
+    return rates.reshape(len(gains), -1)
 
+
+class _Layout(NamedTuple):
+    """Where a config's units and records sit in a chunk's rate table."""
+
+    units: tuple  # (label, K, pattern policy, power policy, mus) of each unit
+    setups: tuple  # the distinct (K, pattern policy), in order of first use
+    columns: np.ndarray  # (R,) each record's place in the units' concatenated rates
+    records: tuple  # (scheme, K, sweep value, unit index) of each record
+
+
+@functools.lru_cache
+def _layout(cfg: ExperimentConfig) -> _Layout:
+    """The record layout of ``cfg``: its units and set-ups, and for each
+    record of a drop, in record order, its column of the units' (D·M) rates
+    laid side by side and its key.  On a mu sweep the mu-independent units
+    (equal power, the power-domain baseline's fixed ratio, the optimal
+    policy) replicate as horizontal rows: one column gathered once per mu."""
+    units = tuple(_scheme_runs(cfg))
     mu_axis = cfg.sweep_axis == "mu"
-    # mu-independent runs (equal power, the power-domain baseline's fixed
-    # ratio, the optimal policy) replicate as horizontal rows on a mu sweep
-    own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
-    # (place in a drop's flattened (D, M) rates, sweep value) of each record
-    slots = [
-        (d * len(mus) + m, float(sweep))
-        for d, db in enumerate(cfg.p_sum_db)
-        for m, mu in enumerate(mus)
-        for sweep in (((mu,) if own_mu else cfg.mu) if mu_axis else (db,))
-    ]
-    return [
-        [DropRecord(scheme=label, k_users=k, sweep_value=sweep, sum_rate=row[i], redraws=redraws) for i, sweep in slots]
-        for redraws, row in zip(setups.redraws.tolist(), rates.reshape(len(gains), -1).tolist())
-    ]
+    columns, records, offset = [], [], 0
+    for u, (label, k, _, power_policy, mus) in enumerate(units):
+        own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
+        for d, db in enumerate(cfg.p_sum_db):
+            for m, mu in enumerate(mus):
+                for sweep in ((mu,) if own_mu else cfg.mu) if mu_axis else (db,):
+                    columns.append(offset + d * len(mus) + m)
+                    records.append((label, k, float(sweep), u))
+        offset += len(cfg.p_sum_db) * len(mus)
+    columns = np.array(columns)
+    columns.flags.writeable = False  # shared by every caller
+    setups = tuple(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
+    return _Layout(units, setups, columns, tuple(records))
 
 
-def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
+def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every configured unit (scheme, K, policy) on each drop of a
-    chunk, as one stack (see the module docstring); one record list per
-    drop, in the order of ``states``.
+    chunk, as one stack (see the module docstring).
 
-    Each of ``states`` is an int or a SeedSequence identifying a drop.
-    Each unit restarts its drop's stream, so units with the same user count
-    see identical channels (paired comparisons, exact reductions), and a
-    drop's records do not depend on the chunk that holds it.
+    Returns the chunk's rate table, (C, R) float64 with one row per drop in
+    the order of ``states`` and one column per record of ``_layout(cfg)``,
+    and the (C, U) singular-channel redraws of each drop's U units.
     """
     states = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in states]
-    units = _scheme_runs(cfg)
-    # one set-up per distinct (K, pattern policy), in order of first use
-    keys = list(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
+    layout = _layout(cfg)
+    keys = layout.setups
     # each user count's first draw on every drop, shared by its set-ups; a
     # generator restarted by its saved state draws what a new one would
     rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
@@ -493,12 +517,30 @@ def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
         [(setups.channels, setups.beams, pi[:, 0], s) for setups, (pi, s) in zip(columns, scales)],
         cfg.cell.noise_variance,
     )
-    records: list[list[DropRecord]] = [[] for _ in states]
-    for unit in units:
+    rates, redraws = [], []
+    for unit in layout.units:
         s = keys.index(unit[1:3])
-        for drop, unit_records in zip(records, _unit_records(cfg, unit, columns[s], splits[s], gains[s], budgets)):
-            drop.extend(unit_records)
-    return records
+        rates.append(_unit_rates(cfg, unit, columns[s], splits[s], gains[s], budgets))
+        redraws.append(columns[s].redraws)
+    return np.concatenate(rates, axis=1)[:, layout.columns], np.stack(redraws, axis=1)
+
+
+def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:
+    """The records of every configured unit on each drop of a chunk: one
+    list per drop, in the order of ``states``, built from the rows of the
+    chunk's rate table (``_chunk_rates``).
+
+    Each of ``states`` is an int or a SeedSequence identifying a drop.
+    Each unit restarts its drop's stream, so units with the same user count
+    see identical channels (paired comparisons, exact reductions), and a
+    drop's records do not depend on the chunk that holds it.
+    """
+    table, redraws = _chunk_rates(cfg, states)
+    records = _layout(cfg).records
+    return [
+        [DropRecord(scheme, k, sweep, rate, unit_redraws[u]) for (scheme, k, sweep, u), rate in zip(records, row)]
+        for row, unit_redraws in zip(table.tolist(), redraws.tolist())
+    ]
 
 
 def run_drop(cfg: ExperimentConfig, seed) -> list[DropRecord]:
@@ -523,27 +565,30 @@ def _chunks(cfg: ExperimentConfig) -> list[range]:
 
 
 def _finished_chunks(cfg: ExperimentConfig, chunks):
-    """(chunk index, per-drop records) of each chunk as it finishes, on
-    min(workers, chunks) processes."""
+    """(chunk index, (rate table, redraws)) of each chunk as it finishes,
+    on min(workers, chunks) processes; a worker sends back only the two
+    arrays of ``_chunk_rates``."""
     states = [[np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in chunk] for chunk in chunks]
     workers = min(cfg.workers, len(chunks))
     if workers == 1:
         for index, chunk_states in enumerate(states):
-            yield index, run_chunk(cfg, chunk_states)
+            yield index, _chunk_rates(cfg, chunk_states)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(run_chunk, cfg, chunk_states): index for index, chunk_states in enumerate(states)}
+        futures = {pool.submit(_chunk_rates, cfg, chunk_states): index for index, chunk_states in enumerate(states)}
         for future in as_completed(futures):
             yield futures[future], future.result()
 
 
 def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=None):
-    """Average the drops' records over independent per-drop streams.
+    """Average the drops' sum rates over independent per-drop streams.
 
-    The drops run in contiguous chunks, each one ``run_chunk`` call; the
-    chunks are spread over ``cfg.workers`` processes and their records put
-    back in drop order, so results are identical for any worker count.
-    With a text stream ``log``, each finished chunk reports the drops done.
+    The drops run in contiguous chunks, each one rate table
+    (``_chunk_rates``); the chunks are spread over ``cfg.workers``
+    processes and their tables put back in drop order, so results are
+    identical for any worker count.  No record is built: each (scheme, K,
+    sweep_value) is one column of the table.  With a text stream ``log``,
+    each finished chunk reports the drops done.
 
     Returns a ResultTable; with ``collect_samples`` also returns the raw
     per-drop sum rates keyed by (scheme, K, sweep_value), ordered by drop
@@ -551,24 +596,21 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=No
     """
     chunks = _chunks(cfg)
     per_chunk: list = [None] * len(chunks)
-    done = 0
-    for index, chunk_records in _finished_chunks(cfg, chunks):
-        per_chunk[index] = chunk_records
-        done += len(chunk_records)
+    redraws = done = 0
+    for index, (chunk_rates, chunk_redraws) in _finished_chunks(cfg, chunks):
+        per_chunk[index] = chunk_rates
+        redraws += int(chunk_redraws.sum())
+        done += len(chunk_rates)
         if log is not None:
             print(f"drops {done}/{cfg.drops}", file=log, flush=True)
 
-    samples: dict[tuple[str, int, float], list[float]] = {}
-    redraws = 0
-    for drop_records in itertools.chain.from_iterable(per_chunk):  # ordered by drop index
-        for rec in drop_records:
-            samples.setdefault((rec.scheme, rec.k_users, rec.sweep_value), []).append(rec.sum_rate)
-        # one scheme evaluation emits a record per sweep point, all with its redraws
-        redraws += sum({(rec.scheme, rec.k_users): rec.redraws for rec in drop_records}.values())
-
+    rates = np.concatenate(per_chunk)  # ordered by drop index
+    samples = {
+        (scheme, k, sweep): np.ascontiguousarray(rates[:, j])
+        for j, (scheme, k, sweep, _) in enumerate(_layout(cfg).records)
+    }
     rows = []
-    for (scheme, k, sweep), values in samples.items():
-        arr = np.asarray(values)
+    for (scheme, k, sweep), arr in samples.items():
         stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
         rows.append(
             ResultRow(
@@ -583,7 +625,7 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=No
     rows.sort(key=lambda r: (r.sweep_value, r.scheme, r.k_users))
     table = ResultTable(rows=tuple(rows), redraws=redraws)
     if collect_samples:
-        return table, {key: np.asarray(vals) for key, vals in samples.items()}
+        return table, samples
     return table
 
 

@@ -73,7 +73,7 @@ def _validate_coverage(entries: np.ndarray) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternMatrix:
     """Validated binary beam-allocation matrix (beams x users).
 
@@ -82,6 +82,10 @@ class PatternMatrix:
     beam repeated, or two users sharing each beam) necessarily duplicate
     columns, so they are built in relaxed mode, which still requires binary
     entries, full user coverage, and no idle beams.
+
+    Two patterns are equal when their shapes, entries and ``strict`` are;
+    the hash is taken over the same, so a pattern used as (part of) a key
+    must not have its entries written afterwards.
     """
 
     entries: np.ndarray
@@ -97,6 +101,14 @@ class PatternMatrix:
         if violation is not None:
             raise ValueError(f"invalid pattern: {violation}")
         object.__setattr__(self, "entries", np.asarray(entries, dtype=int))
+
+    def __eq__(self, other):
+        if not isinstance(other, PatternMatrix):
+            return NotImplemented
+        return self.strict == other.strict and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash((self.entries.shape, self.entries.tobytes(), self.strict))
 
     @property
     def n_beams(self) -> int:

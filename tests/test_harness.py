@@ -16,9 +16,11 @@ from lsapdma.harness import (
     ResultTable,
     _anchored,
     _channels,
+    _chunk_rates,
     _draw_drop,
+    _scheme_runs,
     _SetUps,
-    _unit_records,
+    _unit_rates,
     emit_results,
     run_chunk,
     run_drop,
@@ -182,6 +184,9 @@ def test_config_file_round_trip(tmp_path):
             assert dataclasses.replace(back, fixed_pattern=None, pattern_policy="simple") == dataclasses.replace(
                 cfg, fixed_pattern=None, pattern_policy="simple"
             )
+            # the pattern compares and hashes by value
+            assert back == cfg
+            assert hash(back) == hash(cfg)
     assert "p_sum_db = 12.3456789, -3.14159265" in cases[-2].to_text()
     assert "strict_pattern = True" in cases[-3].to_text()
 
@@ -516,6 +521,88 @@ def test_monte_carlo_worker_count_invariant():
                 assert [v.hex() for v in other_samples[key]] == [v.hex() for v in values]
 
 
+def _record_oracle(cfg):
+    """``run_monte_carlo``'s (table, samples) aggregated record by record
+    from ``run_drop``: each record appends its sum rate to its (scheme, K,
+    sweep value) list in drop order, and each (scheme, K) evaluation's
+    redraws count once per drop."""
+    samples, redraws = {}, 0
+    for i in range(cfg.drops):
+        drop_records = run_drop(cfg, np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        for rec in drop_records:
+            samples.setdefault((rec.scheme, rec.k_users, rec.sweep_value), []).append(rec.sum_rate)
+        redraws += sum({(rec.scheme, rec.k_users): rec.redraws for rec in drop_records}.values())
+    rows = []
+    for (scheme, k, sweep), values in samples.items():
+        arr = np.asarray(values)
+        stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+        rows.append(ResultRow(sweep, scheme, k, float(arr.mean()), stderr, len(arr)))
+    rows.sort(key=lambda r: (r.sweep_value, r.scheme, r.k_users))
+    return ResultTable(tuple(rows), redraws), {key: np.asarray(values) for key, values in samples.items()}
+
+
+def _hexed_run(table, samples):
+    """A Monte Carlo result with its floats as ``float.hex``, and each
+    sample array's dtype and layout."""
+    rows = [(r.sweep_value.hex(), r.scheme, r.k_users, r.mean_sum_rate.hex(), r.std_error.hex(), r.drops) for r in table.rows]
+    samples = [
+        (key, values.dtype, values.flags.c_contiguous, [v.hex() for v in values.tolist()]) for key, values in samples.items()
+    ]
+    return rows, table.redraws, samples
+
+
+def test_monte_carlo_equals_the_record_oracle(monkeypatch):
+    # the rate tables give, bit for bit, the rows, redraws and samples of
+    # the per-record aggregation over run_drop's records: a budget sweep and
+    # a mu sweep (whose baseline and optimal rows replicate), the optimal
+    # policy with and without strict support, and a fixed pattern, at 1, 2
+    # and 3 workers on 6 and 7 drops
+    fixed = PatternMatrix(np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]))
+    both = ("fixed-ratio", "optimal")
+    every = ("oma", "pnoma", "lsa-pdma")
+    cases = [
+        _cfg(schemes=every, users=(4, 6), policies=both, p_sum_db=(0.0, 20.0)),
+        _cfg(schemes=every, users=(5,), policies=both, mu=(0.5, 1.0, 2.0)),
+        _cfg(schemes=("lsa-pdma",), users=(6, 7), policies=("optimal",), p_sum_db=(10.0, 30.0)),
+        _cfg(schemes=("lsa-pdma",), users=(6, 7), policies=("optimal",), p_sum_db=(10.0, 30.0), strict_pattern=True),
+        _cfg(schemes=("oma", "lsa-pdma"), policies=both, pattern_policy="fixed", fixed_pattern=fixed, mu=(1.0, 2.0)),
+    ]
+    for cfg in cases:
+        for drops in (6, 7):
+            run = dataclasses.replace(cfg, drops=drops)
+            want = _hexed_run(*_record_oracle(run))
+            for workers in (1, 2, 3):
+                got = _hexed_run(*run_monte_carlo(dataclasses.replace(run, workers=workers), collect_samples=True))
+                assert got == want, (cfg, drops, workers)
+    # drop 0's K = 6 draw is singular for both the power-domain and the
+    # lsa-pdma set-up: each redraws once, whatever the mu sweep replicates
+    cfg = _cfg(schemes=("pnoma", "lsa-pdma"), users=(6,), mu=(1.0, 2.0), drops=3)
+    state = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
+    _singular_on_first_draw(monkeypatch, _channels(cfg, 6, [np.random.Generator(np.random.Philox(state))])[0][0])
+    table, samples = run_monte_carlo(cfg, collect_samples=True)
+    assert table.redraws == 2
+    assert _hexed_run(table, samples) == _hexed_run(*_record_oracle(cfg))
+
+
+def test_run_chunk_reads_its_records_off_the_rate_table(monkeypatch):
+    # a chunk is one float64 (C, R) rate table and one integer (C, U) array
+    # of each unit's redraws; run_chunk's records are the table's rows, in
+    # order, each with its unit's redraws (drop 1's OMA unit is redrawn)
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), policies=("fixed-ratio", "optimal"), mu=(1.0, 2.0))
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
+    _singular_on_first_draw(monkeypatch, _channels(cfg, 3, [np.random.Generator(np.random.Philox(states[1]))])[0][0])
+    units = [(label, k) for label, k, *_ in _scheme_runs(cfg)]
+    table, redraws = _chunk_rates(cfg, states)
+    records = run_chunk(cfg, states)
+    assert table.dtype == np.float64 and table.shape == (3, len(records[0]))
+    assert np.issubdtype(redraws.dtype, np.integer) and redraws.shape == (3, len(units))
+    assert redraws.tolist() == [[0] * len(units), [1] + [0] * (len(units) - 1), [0] * len(units)]
+    for row, unit_redraws, drop in zip(table.tolist(), redraws.tolist(), records):
+        assert all(isinstance(r, DropRecord) for r in drop)
+        assert [r.sum_rate.hex() for r in drop] == [rate.hex() for rate in row]
+        assert [r.redraws for r in drop] == [unit_redraws[units.index((r.scheme, r.k_users))] for r in drop]
+
+
 def test_monte_carlo_starts_no_more_workers_than_chunks(monkeypatch):
     # a pool process per chunk at most, and none for a single chunk; the
     # recording executor runs each chunk in this process
@@ -747,10 +834,10 @@ def test_stacked_tail_matches_the_per_budget_path():
                             ("optimal", k, "simple", "optimal", (None,)),
                         ]
                         for unit in units[1:2] if p0 != 1.0 else units:
-                            chunk = _unit_records(run, unit, stack, splits, h, budgets)
+                            chunk = _unit_rates(run, unit, stack, splits, h, budgets)
                             assert len(chunk) == len(setups)
-                            for records, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
-                                got = [r.sum_rate for r in records]
+                            for rates, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
+                                got = rates.tolist()
                                 want = [
                                     rate
                                     for row in _per_budget_rates(run, unit, pattern, omega, drop_gains)

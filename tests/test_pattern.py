@@ -371,3 +371,14 @@ def test_parse_pattern_rejects_garbage():
         parse_pattern_text("")
     with pytest.raises(ValueError):
         parse_pattern_text("1 0\n1")
+
+
+def test_patterns_compare_and_hash_by_value():
+    entries = np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]])
+    a, b = PatternMatrix(entries), PatternMatrix(entries.copy())
+    assert a == b and hash(a) == hash(b)
+    other = entries.copy()
+    other[0, 4] = 1
+    assert PatternMatrix(other) != a
+    assert PatternMatrix(entries, strict=False) != a
+    assert PatternMatrix(entries[:, :3]) != a
