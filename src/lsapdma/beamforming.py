@@ -18,12 +18,14 @@ are lost anyway, so power policies can leave them unpowered.
 ``rank_anchors`` gives a rank-assigned policy's pattern, anchors and
 nulled pairs in weakness-rank space, once per (policy, N, K).
 
-``zf_beamformers`` computes the precoders of a stack of units (one unit is
-one set-up of a drop: its anchors' channels) in one pass over the
-(E, N*N_R, N_T) anchor stack, and flags each singular unit so the caller
-can redraw that unit alone.  ``compute_zfbf`` is a thin seam over it for a
-caller holding a single unit: it raises ``SingularChannelError`` where the
-stack flags the unit.
+``zf_beamformers`` computes the beam vectors of a stack of units (one unit
+is one set-up of a drop: its anchors' channels) in one pass over the
+(E, N*N_R, N_T) anchor stack, from one solve with N right-hand sides per
+unit, and flags each singular unit so the caller can redraw that unit
+alone; it builds no composite precoder.  ``compute_zfbf`` is the seam for a
+caller holding a single unit: it takes the beams from the stacked pass,
+solves for the composite itself, and raises ``SingularChannelError`` where
+the stack flags the unit.
 """
 
 from __future__ import annotations
@@ -179,26 +181,34 @@ def zf_beamformers(
     *,
     normalize: bool = True,
     cond_limit: float = 1e8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite ZF precoders of E units in one pass: ``anchors[e, n]``,
-    shape (E, N, N_R, N_T), is the channel of unit e's anchor of beam n.
-    For each unit, F_C = G_C^H (G_C G_C^H)^(-1) for the stacked
-    (N*N_R, N_T) anchor channel G_C; each (N_T, N_R) block of F_C is
-    collapsed against the all-ones vector to get the per-beam vectors,
-    which ``normalize`` scales to unit norm so beam powers are radiated
-    powers.  The equilibration, the Gram, the condition test, the solve,
-    the collapse and the normalisation each run once over the
-    (E, N*N_R, N_T) stack, and a unit's result equals, bit for bit, that of
-    a stack holding it alone.
+) -> tuple[np.ndarray, np.ndarray]:
+    """ZF beam matrices of E units in one pass: ``anchors[e, n]``, shape
+    (E, N, N_R, N_T), is the channel of unit e's anchor of beam n.
 
-    Returns the composites (E, N_T, N*N_R), the beam matrices (E, N_T, N)
-    and whether each unit is singular: an anchor's channel is zero or
-    cond(G_C G_C^H) exceeds ``cond_limit`` (i.i.d. Gaussian draws are almost
-    surely fine; the guard catches pathological draws so the caller can
-    redraw).  The condition number is the ratio of the extreme eigenvalues
-    of the Hermitian Gram, and a unit is flagged unless
-    lambda_max <= cond_limit * lambda_min, so a zero, negative or NaN
-    lambda_min flags it too.  A singular unit's composite and beams are
+    For each unit the composite precoder is F_C = A^H (A A^H)^(-1) for the
+    raw (N*N_R, N_T) anchor stack A, and beam n's vector is the sum of the
+    N_R columns of F_C's n-th block, which ``normalize`` scales to unit
+    norm so beam powers are radiated powers.  The composite itself is never
+    built.  With D the row scales (each anchor block's norm over
+    sqrt(N_R N_T), so path-loss spreads of many orders of magnitude do not
+    dominate the condition number without any directional degeneracy) and
+    the equilibrated Gram G = D^(-1) A A^H D^(-1),
+
+        F_C E = A^H D^(-1) G^(-1) D^(-1) E,
+
+    E being the (N*N_R, N) block-ones matrix: one solve with N right-hand
+    sides and one product with the raw anchors per unit.  The Gram, the
+    condition test, the solve and the normalisation each run once over the
+    stack, and a unit's result equals, bit for bit, that of a stack holding
+    it alone.
+
+    Returns the beam matrices (E, N_T, N) and whether each unit is
+    singular: an anchor's channel is zero or cond(G) exceeds ``cond_limit``
+    (i.i.d. Gaussian draws are almost surely fine; the guard catches
+    pathological draws so the caller can redraw).  The condition number is
+    the ratio of the extreme eigenvalues of the Hermitian G, and a unit is
+    flagged unless lambda_max <= cond_limit * lambda_min, so a zero,
+    negative or NaN lambda_min flags it too.  A singular unit's beams are
     NaN.  Raises ValueError when an anchor channel is not finite.
     """
     anchors = np.asarray(anchors)
@@ -207,39 +217,35 @@ def zf_beamformers(
         raise ValueError(
             f"need n_beams*n_rx <= n_tx for zero forcing, got {n_beams}*{n_rx} > {n_tx}"
         )
-    # Equilibrate per-user block scales before inverting: path-loss spreads of
-    # many orders of magnitude would otherwise dominate the Gram's condition
-    # number without any directional degeneracy.  The pseudo-inverse of the
-    # raw stack is recovered exactly by rescaling columns afterwards.  Each
-    # block's squared norm is re.re + im.im over its strided real and
-    # imaginary views, the dot products ``np.linalg.norm`` takes.
-    flat = anchors.reshape(n_units * n_beams, 1, n_rx * n_tx)
-    re, im = flat.real, flat.imag
-    squares = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)).reshape(n_units, n_beams)
+    a = anchors.reshape(n_units, n_beams * n_rx, n_tx)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite anchor raises below
+        # the raw A A^H, each entry one conjugating dot product of two
+        # rows, so no conjugate copy of the stack is made
+        gram = np.vecdot(a[:, None], a[:, :, None])
+    # each block's squared norm, the trace of its diagonal block
+    squares = np.diagonal(gram, axis1=-2, axis2=-1).real.reshape(n_units, n_beams, n_rx).sum(axis=-1)
     if not np.isfinite(squares).all():
         # any NaN or infinite entry leaves its block's square NaN or infinite
         raise ValueError("anchor channels must be finite, with finite norms")
     scales = np.sqrt(squares) / np.sqrt(n_rx * n_tx)
     singular = (scales == 0).any(axis=1)
-    row_scale = np.repeat(np.where(scales == 0, 1.0, scales), n_rx, axis=1)  # (E, N*N_R)
-    g_eq = anchors.reshape(n_units, n_beams * n_rx, n_tx) / row_scale[..., None]
-    gram = g_eq @ g_eq.conj().swapaxes(-1, -2)
+    row_scale = np.repeat(np.where(scales == 0, 1.0, scales), n_rx, axis=1)  # (E, N*N_R), D's diagonal
+    gram /= row_scale[:, :, None]
+    gram /= row_scale[:, None, :]
     lam = np.linalg.eigvalsh(gram)  # ascending
     singular |= ~(lam[:, -1] <= cond_limit * lam[:, 0])
-    live = np.flatnonzero(~singular)
-    # column-major composites, the layout the conjugate transpose gives
-    composite = np.full((n_units, n_beams * n_rx, n_tx), np.nan, dtype=complex).swapaxes(-1, -2)
+    live = ~singular if singular.any() else slice(None)  # with every unit live, views and no copies
+    # D^(-1) G^(-1) D^(-1) E, row r of E holding a one in its beam's column
+    ones = np.arange(n_beams * n_rx)[:, None] // n_rx == np.arange(n_beams)
+    y = np.linalg.solve(gram[live], ones / row_scale[live, :, None]) / row_scale[live, :, None]
+    del gram  # the stack's largest temporary, not needed for the beams
+    # A^H y, conjugating y rather than the anchors
+    beams = (y.conj().swapaxes(-1, -2) @ a[live]).conj().swapaxes(-1, -2)
+    if normalize:
+        beams /= np.linalg.norm(beams, axis=-2, keepdims=True)
     beam_matrix = np.full((n_units, n_tx, n_beams), np.nan, dtype=complex)
-    if live.size:
-        # F_C = G^H gram^{-1}; gram is Hermitian PD for full-row-rank G.  The
-        # collapse reads each composite in its column-major layout.
-        f_c = np.linalg.solve(gram[live], g_eq[live]).conj().swapaxes(-1, -2) / row_scale[live, None, :]
-        composite[live] = f_c
-        # (E', N, N_T, N_R) views of the blocks, each collapsed by one matrix-vector product
-        blocks = f_c.reshape(len(live), n_tx, n_beams, n_rx).transpose(0, 2, 1, 3)
-        beams = np.ascontiguousarray((blocks @ np.ones(n_rx)).swapaxes(-1, -2))  # (E', N_T, N)
-        beam_matrix[live] = beams / np.linalg.norm(beams, axis=-2, keepdims=True) if normalize else beams
-    return composite, beam_matrix, singular
+    beam_matrix[live] = beams
+    return beam_matrix, singular
 
 
 def compute_zfbf(
@@ -249,14 +255,19 @@ def compute_zfbf(
     normalize: bool = True,
     cond_limit: float = 1e8,
 ) -> BeamformerSet:
-    """Composite ZF precoder from the selected users' stacked channels: a
-    ``zf_beamformers`` call on this unit alone.
+    """ZF precoder of a single unit: the beams of a ``zf_beamformers`` call
+    on this unit alone, and the composite F_C = G_C^H (G_C G_C^H)^(-1) of
+    its stacked (N*N_R, N_T) anchor channel G_C, solved with each anchor
+    block scaled by its norm over sqrt(N_R N_T).
 
     Raises SingularChannelError when an anchor's channel is zero or
     cond(G_C G_C^H) exceeds ``cond_limit``.
     """
-    anchors = np.array([[channels[u].entries for u in omega.users]])
-    composite, beam_matrix, singular = zf_beamformers(anchors, normalize=normalize, cond_limit=cond_limit)
+    blocks = [channels[u].entries for u in omega.users]
+    beam_matrix, singular = zf_beamformers(np.array([blocks]), normalize=normalize, cond_limit=cond_limit)
     if singular[0]:
         raise SingularChannelError("composite channel is zero or near rank-deficient")
-    return BeamformerSet(composite=composite[0], beam_matrix=beam_matrix[0], selected=omega, normalized=normalize)
+    row_scale = np.repeat([np.linalg.norm(b) / np.sqrt(b.size) for b in blocks], len(blocks[0]))
+    g_eq = np.vstack(blocks) / row_scale[:, None]
+    composite = np.linalg.solve(g_eq @ g_eq.conj().T, g_eq).conj().T / row_scale
+    return BeamformerSet(composite=composite, beam_matrix=beam_matrix[0], selected=omega, normalized=normalize)

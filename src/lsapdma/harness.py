@@ -40,8 +40,11 @@ a column per record, laid out once per config by ``_layout``.  Records
 (``DropRecord``) are built only on request: ``run_chunk`` builds them from
 the table's rows, and ``run_drop`` is the chunk of one.
 ``run_monte_carlo`` runs the drops as contiguous chunks spread over the
-workers, which send back only their tables, puts the tables back in drop
-order and reads each (scheme, K, sweep value) off its column.
+workers, puts the tables back in drop order and reads each (scheme, K,
+sweep value) off its column.  ``workers`` counts the calling process: it
+runs every workers-th chunk itself, and a pool of workers - 1 processes,
+which send back only their tables, runs the rest; one worker starts no
+pool.
 
 The optimal policy is the water-filling closed form
 (``optimizer.water_fills``): the anchors keep their ZF power floors, and the
@@ -403,7 +406,7 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
     redraws = 0
     while True:
         setups = _anchored(cfg, pattern_policy, *_channels(cfg, k, [rng]))
-        _, beams, singular = zf_beamformers(_anchor_channels(setups))
+        beams, singular = zf_beamformers(_anchor_channels(setups))
         if not singular[0]:
             return setups._replace(beams=beams, redraws=np.array([redraws]))
         redraws += 1
@@ -499,7 +502,7 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
             rng.bit_generator.state = start
         draws[k] = _channels(cfg, k, rngs)
     columns = [_anchored(cfg, pattern_policy, *draws[k]) for k, pattern_policy in keys]
-    _, beams, singular = zf_beamformers(np.concatenate([_anchor_channels(setups) for setups in columns]))
+    beams, singular = zf_beamformers(np.concatenate([_anchor_channels(setups) for setups in columns]))
     n = len(states)
     columns = [
         setups._replace(beams=beams[s * n : (s + 1) * n], redraws=np.zeros(n, dtype=int))
@@ -565,19 +568,30 @@ def _chunks(cfg: ExperimentConfig) -> list[range]:
 
 
 def _finished_chunks(cfg: ExperimentConfig, chunks):
-    """(chunk index, (rate table, redraws)) of each chunk as it finishes,
-    on min(workers, chunks) processes; a worker sends back only the two
-    arrays of ``_chunk_rates``."""
+    """(chunk index, (rate table, redraws)) of each chunk as it finishes.
+
+    The calling process is worker 0 of w = min(workers, chunks): it first
+    submits every chunk whose index is not a multiple of w to a pool of
+    w - 1 processes, so they start at once, then computes chunks 0, w,
+    2w, ... itself and collects the pool's as they finish.  With w = 1
+    there is no pool.  A pool process sends back only the two arrays of
+    ``_chunk_rates``.  On every exit the pool is shut down with its queued
+    chunks cancelled, so a chunk that raises surfaces without waiting for
+    the chunks not yet started.
+    """
     states = [[np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in chunk] for chunk in chunks]
     workers = min(cfg.workers, len(chunks))
-    if workers == 1:
-        for index, chunk_states in enumerate(states):
-            yield index, _chunk_rates(cfg, chunk_states)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_chunk_rates, cfg, chunk_states): index for index, chunk_states in enumerate(states)}
+    pooled = [index for index in range(len(states)) if index % workers]
+    pool = ProcessPoolExecutor(max_workers=workers - 1) if pooled else None
+    try:
+        futures = {pool.submit(_chunk_rates, cfg, states[index]): index for index in pooled}
+        for index in range(0, len(states), workers):
+            yield index, _chunk_rates(cfg, states[index])
         for future in as_completed(futures):
             yield futures[future], future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=None):
@@ -585,10 +599,11 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=No
 
     The drops run in contiguous chunks, each one rate table
     (``_chunk_rates``); the chunks are spread over ``cfg.workers``
-    processes and their tables put back in drop order, so results are
-    identical for any worker count.  No record is built: each (scheme, K,
-    sweep_value) is one column of the table.  With a text stream ``log``,
-    each finished chunk reports the drops done.
+    processes, the calling process counted as one of them (see
+    ``_finished_chunks``), and their tables put back in drop order, so
+    results are identical for any worker count.  No record is built: each
+    (scheme, K, sweep_value) is one column of the table.  With a text
+    stream ``log``, each finished chunk reports the drops done.
 
     Returns a ResultTable; with ``collect_samples`` also returns the raw
     per-drop sum rates keyed by (scheme, K, sweep_value), ordered by drop

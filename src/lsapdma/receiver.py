@@ -7,14 +7,16 @@ are decoded in ascending order of h: a user at SIC position k sees only the
 powers of later-ordered (higher-gain) users as interference, and the
 last-ordered user decodes interference-free.
 
-The filters and gains of a chunk of drops come from one kernel call over
-users: every unit's users (a unit is one scheme evaluation of a drop, with
-its own channels and ZF beams) are concatenated to a (U, N_R, N_T) stack,
-each with its unit's beam matrix.  A unit's D power matrices are one shape
-Pi at D scales s (an equal split's Pi is its 0/1 powered support at every
-budget), so its signal statistics are s B with B = sqrt(Pi) sqrt(Pi)^T,
-and one N x N ``eigh`` per user gives its (D, N_R, N) filters in closed
-form (see ``_mmse_kernel``), stacked products the gains.
+The gains of a chunk of drops come from one kernel call over users: every
+unit's users (a unit is one scheme evaluation of a drop, with its own
+channels and ZF beams) see their channels through their unit's beams,
+M = G F, and these are concatenated to a (U, N_R, N) stack.  A unit's D
+power matrices are one shape Pi at D scales s (an equal split's Pi is its
+0/1 powered support at every budget), so its signal statistics are s B
+with B = sqrt(Pi) sqrt(Pi)^T, and one N x N ``eigh`` per user of its Gram
+M^H M gives its filters at all D scales in closed form (see
+``_mmse_kernel``).  The kernel works in N x N Gram space throughout: it
+forms no (N_R, N) filter, and stacked N x N products give the gains.
 ``drop_link_states`` takes the units as stacks, one set-up on every drop
 of a chunk, and hands back each stack's (C, D, N, K) gains;
 ``build_link_state`` is its case of one power matrix P = max(P) (P /
@@ -57,50 +59,52 @@ def _sqrt_factors(b):
     return u * np.sqrt(np.maximum(mu, 0.0))[..., None, :]
 
 
-def _mmse_kernel(g, f, root, s, sigma2):
-    """Filters and gains of U users, each at D scales of its statistic.
+def _mmse_kernel(m, root, s, sigma2):
+    """Gains of U users, each at D scales of its statistic, in N x N Gram
+    space.
 
-    ``g`` (U, N_R, N_T) are the users' channels and ``f`` their beam
-    matrices, (U, N_T, N) or one (N_T, N) for all.  User u's second moment
-    of the superposed beam signal at scale d is A = s[d, u] B_u, with
-    B_u = R_u R_u^T given by its factor ``root``, (U, N, N) or one (N, N)
-    for all (see ``_sqrt_factors``); ``s`` is (D, U) or (D, 1).  With
-    M = G F and (M R)^H (M R) = W diag(lambda) W^H, one N x N ``eigh`` per
-    user, the MMSE filter
+    ``m`` (U, N_R, N) holds each user's channel seen through its beams,
+    M = G F.  User u's second moment of the superposed beam signal at scale
+    d is A = s[d, u] B_u, with B_u = R_u R_u^T given by its factor
+    ``root``, (U, N, N) or one (N, N) for all (see ``_sqrt_factors``); ``s``
+    is (D, U) or (D, 1).  With the Gram X = M^H M and
+    R^T X R = W diag(lambda) W^H, one N x N ``eigh`` per user, the MMSE
+    filter
 
-        V = (M A M^H + sigma2 I)^(-1) M A
-          = M R W diag(s / (s lambda + sigma2)) W^H R^T
+        V = (M A M^H + sigma2 I)^(-1) M A = M Q,
+        Q = R W diag(s / (s lambda + sigma2)) W^H R^T
 
     (the push-through identity with the scale factored out) serves all D
     scales.  Column n of V estimates beam n's signal, and the (beam n,
     user) link collapses to the amplitude gain
 
-        h = sqrt(|v^H G f_n|^2 / (sum_{i != n} |v^H G f_i|^2 + sigma2 ||v||^2))
+        h = sqrt(|v^H M_n|^2 / (sum_{i != n} |v^H M_i|^2 + sigma2 ||v||^2))
 
-    with v that column and v^H G F formed in that order; a zero filter
-    column (a beam carrying nothing toward the user) yields h = 0.  Returns
-    the filters (D, U, N_R, N) and the gains (D, U, N), user u's row n
-    being beam n's gain.  Every product and decomposition runs slice by
-    slice, so a user's outputs do not depend on the users stacked beside it.
+    with v that column.  No filter is formed: the projections V^H M are
+    Q X, and ||v_n||^2 = (Q X Q)_nn, so nothing after the Gram touches N_R;
+    a zero row and column of Q (a beam carrying nothing toward the user)
+    yield h = 0.  Returns Q (D, U, N, N), from which V = M Q, and the gains
+    (D, U, N), user u's row n being beam n's gain.  Every product and
+    decomposition runs slice by slice, so a user's outputs do not depend on
+    the users stacked beside it.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if not np.isfinite(g).all():
-        raise ValueError("non-finite channels")
-    l = g @ f @ root  # (U, N_R, N)
-    lam, w = np.linalg.eigh(l.conj().swapaxes(-1, -2) @ l)
+    x = m.conj().swapaxes(-1, -2) @ m  # (U, N, N)
+    lam, w = np.linalg.eigh(root.swapaxes(-1, -2) @ x @ root)
+    rw = root @ w
     scale = s[..., None] / (s[..., None] * np.maximum(lam, 0.0) + sigma2)  # (D, U, N)
-    v = ((l @ w) * scale[..., None, :]) @ (w.conj().swapaxes(-1, -2) @ root.swapaxes(-1, -2))
-    proj = v.conj().swapaxes(-1, -2) @ g @ f  # (D, U, N, N): row n is v_n^H G F
+    q = (rw * scale[..., None, :]) @ rw.conj().swapaxes(-1, -2)  # (D, U, N, N)
+    proj = q @ x  # row n is v_n^H M
     powers = np.abs(proj) ** 2
     desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
     inter = powers.sum(axis=-1) - desired
-    vnorm2 = np.sum(np.abs(v) ** 2, axis=-2)
+    vnorm2 = (proj * q.swapaxes(-1, -2)).sum(axis=-1).real  # (Q X Q)_nn
     denom = inter + sigma2 * vnorm2
     h = np.zeros_like(desired)
-    live = denom > 0  # only a zero filter column gives denom == 0
+    live = denom > 0  # only a zero row of Q gives denom == 0
     h[live] = np.sqrt(desired[live] / denom[live])
-    return v, h
+    return q, h
 
 
 def sic_orders(gains: np.ndarray, covered: np.ndarray | None = None) -> np.ndarray:
@@ -199,13 +203,15 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
     users' channels (C, K, N_R, N_T), the ZF beam matrices (C, N_T, N),
     each unit's power shape Pi (C, N, K) and its D scales s (C, D), the
     unit's d-th power matrix being s[d] * Pi (see ``power_scales``); D must
-    be the same for every stack.  Each unit's statistic B is the sum of its
-    users' ``correlation_matrix`` terms, B = sqrt(Pi) sqrt(Pi)^T, factored
-    once per run of equal consecutive statistics (a rank-space set-up's
-    0/1 supports share one), and every user of every stack goes, with its
-    unit's beam matrix, factor and scales, into one (U, N_R, N_T) stack and
-    one kernel call.  Returns each stack's (C, D, N, K) gains, equal bit
-    for bit to a call on one unit alone.
+    be the same for every stack.  Each stack's users see their channels
+    through their unit's beams as M = G F, one (C, K, N_R, N) product per
+    stack, so no channel or beam matrix is copied per user.  Each unit's
+    statistic B is the sum of its users' ``correlation_matrix`` terms,
+    B = sqrt(Pi) sqrt(Pi)^T, factored once per run of equal consecutive
+    statistics (a rank-space set-up's 0/1 supports share one), and every
+    user of every stack goes, with its M, factor and scales, into one
+    (U, N_R, N) stack and one kernel call.  Returns each stack's
+    (C, D, N, K) gains, equal bit for bit to a call on one unit alone.
     """
     for channels, beams, pi, s in units:
         n_stack, n_users = channels.shape[:2]
@@ -213,6 +219,8 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
             raise ValueError("each stack's pi must hold one (N, K) power shape per unit, shape (C, N, K)")
         if not (np.ndim(s) == 2 and len(s) == n_stack):
             raise ValueError("each stack's s must hold the D scales of each unit, shape (C, D)")
+        if not np.isfinite(channels).all():
+            raise ValueError("non-finite channels")
     if len({np.shape(s)[1] for *_, s in units}) != 1:
         raise ValueError("every unit needs the same number of allocations")
     counts = [len(s) for *_, s in units]
@@ -227,9 +235,8 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
     fresh = np.concatenate([[True], (b[1:] != b[:-1]).any(axis=(1, 2))])
     unit_user = np.repeat(np.arange(len(b)), unit_size)
     roots = _sqrt_factors(b[fresh])[(np.cumsum(fresh) - 1)[unit_user]]
-    g = np.concatenate([channels.reshape(-1, *channels.shape[2:]) for channels, *_ in units])
-    f = np.concatenate([beams for _, beams, _, _ in units])[unit_user]
-    _, h = _mmse_kernel(g, f, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)
+    m = np.concatenate([(g @ f[:, None]).reshape(-1, g.shape[2], f.shape[-1]) for g, f, _, _ in units])  # (U, N_R, N)
+    _, h = _mmse_kernel(m, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)
     ends = np.cumsum(np.multiply(counts, sizes)).tolist()
     # each (D, C*K, N) -> (C, D, N, K)
     return [

@@ -101,10 +101,14 @@ def test_zfbf_block_consistency_unnormalized():
     chans = _channels(5, seed=3)
     omega = select_users(chans, B35, np.arange(5.0))
     beams = compute_zfbf(chans, omega, normalize=False)
+    # the beams come from the N right-hand-side solve, bit for bit, and
+    # agree with the collapse of the composite's blocks to round-off
+    assert np.array_equal(beams.beam_matrix, _per_unit_zf(chans, omega, False)[1])
     ones = np.ones(4)
     for n in range(3):
         block = beams.composite[:, 4 * n : 4 * (n + 1)]
-        assert np.array_equal(beams.beam_matrix[:, n], block @ ones)
+        collapsed = block @ ones
+        assert np.abs(beams.beam_matrix[:, n] - collapsed).max() <= 1e-13 * np.abs(collapsed).max()
 
 
 def test_zfbf_normalized_columns():
@@ -160,8 +164,12 @@ def test_zf_identity_survives_user_scale_spread():
 
 
 def _per_unit_zf(channels, omega, normalize):
-    """One unit's ZF, written out: the reference the stacked pass must match
-    bit for bit."""
+    """One unit's ZF, written out: the composite F_C = G^H (G G^H)^(-1)
+    solved on the stack G with each block scaled by its ``np.linalg.norm``
+    over sqrt(N_R N_T), which ``compute_zfbf`` must match bit for bit, and
+    the beams A^H D^-1 Gram^-1 D^-1 E from the raw stack A, with D each
+    block's norm read off the diagonal of A A^H, Gram = D^-1 A A^H D^-1 and
+    E the block-ones matrix, which the stacked pass must match bit for bit."""
     blocks = [channels[u].entries for _, u in omega.pairs]
     n_rx = blocks[0].shape[0]
     scales = np.array([np.linalg.norm(b) / np.sqrt(b.size) for b in blocks])
@@ -169,10 +177,12 @@ def _per_unit_zf(channels, omega, normalize):
     g_eq = np.vstack(blocks) / row_scale[:, None]
     gram = g_eq @ g_eq.conj().T
     composite = np.linalg.solve(gram, g_eq).conj().T / row_scale[None, :]
-    ones = np.ones(n_rx)
-    beam_matrix = np.column_stack(
-        [composite[:, n * n_rx : (n + 1) * n_rx] @ ones for n in range(len(blocks))]
-    )
+    a = np.vstack(blocks)
+    raw = np.vecdot(a[None], a[:, None])  # entry (i, j) is conj(a_j) . a_i
+    d = np.repeat(np.sqrt(np.diagonal(raw).real.reshape(len(blocks), n_rx).sum(axis=1)) / np.sqrt(blocks[0].size), n_rx)
+    ones = np.kron(np.eye(len(blocks)), np.ones((n_rx, 1)))
+    y = np.linalg.solve(raw / d[:, None] / d[None, :], ones / d[:, None]) / d[:, None]
+    beam_matrix = (y.conj().T @ a).conj().T
     if normalize:
         beam_matrix = beam_matrix / np.linalg.norm(beam_matrix, axis=0, keepdims=True)
     return composite, beam_matrix
@@ -202,16 +212,16 @@ def test_stacked_zf_matches_each_unit_alone():
     for n in (2, 3, 4):
         units = _mixed_units(n, 0)
         for normalize in (True, False):
-            composites, beam_matrices, singular = zf_beamformers(_anchor_stack(units), normalize=normalize)
-            assert len(composites) == len(beam_matrices) == len(singular) == len(units)
+            beam_matrices, singular = zf_beamformers(_anchor_stack(units), normalize=normalize)
+            assert len(beam_matrices) == len(singular) == len(units)
             assert not singular.any()
-            for (chans, omega), *stacked in zip(units, composites, beam_matrices):
+            for (chans, omega), stacked in zip(units, beam_matrices):
                 composite, beam_matrix = _per_unit_zf(chans, omega, normalize)
                 alone = compute_zfbf(chans, omega, normalize=normalize)
                 assert alone.selected is omega and alone.normalized == normalize
-                for got in (stacked, (alone.composite, alone.beam_matrix)):
-                    assert np.array_equal(got[0], composite)
-                    assert np.array_equal(got[1], beam_matrix)
+                assert np.array_equal(alone.composite, composite)
+                for got in (stacked, alone.beam_matrix):
+                    assert np.array_equal(got, beam_matrix)
 
 
 def test_stacked_zf_flags_only_the_singular_units():
@@ -227,12 +237,12 @@ def test_stacked_zf_flags_only_the_singular_units():
     units[4] = (zero, omega)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        composites, beam_matrices, singular = zf_beamformers(_anchor_stack(units))
+        beam_matrices, singular = zf_beamformers(_anchor_stack(units))
     assert singular.tolist() == [e in (1, 4) for e in range(len(units))]
-    for (chans, omega), composite, beams, flagged in zip(units, composites, beam_matrices, singular):
+    for (chans, omega), beams, flagged in zip(units, beam_matrices, singular):
         if flagged:
             # a singular unit gets no precoder
-            assert np.isnan(composite).all() and np.isnan(beams).all()
+            assert np.isnan(beams).all()
             with pytest.raises(SingularChannelError):
                 compute_zfbf(chans, omega)
         else:
@@ -249,17 +259,20 @@ def _shapes_and_scales(rng):
 
 
 def test_stacked_equilibration_equals_the_per_block_norms():
-    # the stacked scales are the per-block np.linalg.norm bit for bit, so
-    # every composite and beam matrix equals the per-unit reference's
+    # the stacked scales are each block's norm read off the Gram's diagonal,
+    # so every beam matrix equals the per-unit reference's bit for bit, and
+    # compute_zfbf's composite equals its per-block np.linalg.norm
+    # reference bit for bit
     rng = np.random.default_rng(41)
     for anchors in _shapes_and_scales(rng):
         for normalize in (True, False):
-            composites, beam_matrices, singular = zf_beamformers(anchors, normalize=normalize)
+            beam_matrices, singular = zf_beamformers(anchors, normalize=normalize)
             assert not singular.any()
-            for unit, composite, beams in zip(anchors, composites, beam_matrices):
+            for unit, beams in zip(anchors, beam_matrices):
                 channels = [ChannelMatrix(entries=block, large_scale_gain=1.0) for block in unit]
                 omega = SelectedUserSet(pairs=tuple(enumerate(range(len(unit)))))
                 want = _per_unit_zf(channels, omega, normalize)
+                composite = compute_zfbf(channels, omega, normalize=normalize).composite
                 assert np.array_equal(composite, want[0]) and np.array_equal(beams, want[1])
 
 
@@ -292,7 +305,7 @@ def test_condition_test_flags_as_the_svd_does():
     units.append(zero)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, singular = zf_beamformers(np.array(units))
+        _, singular = zf_beamformers(np.array(units))
         svd = np.array([np.linalg.cond(_equilibrated_gram(unit)) for unit in units[:-1]])
     assert np.allclose(svd, conds, rtol=1e-3)
     assert singular.tolist() == (svd > 1e8).tolist() + [True]

@@ -305,12 +305,12 @@ def _singular_on_first_draw(monkeypatch, first=None, pick=None):
     def fake(anchors, **kwargs):
         if not marked:
             marked.append(anchors[0].copy())
-        composite, beams, singular = real(anchors, **kwargs)
+        beams, singular = real(anchors, **kwargs)
         for e, unit in enumerate(anchors):
             users = [next((u for u, ch in enumerate(marked[0]) if np.array_equal(block, ch)), None) for block in unit]
             if None not in users and (pick is None or pick(tuple(users))):
-                composite[e], beams[e], singular[e] = np.nan, np.nan, True
-        return composite, beams, singular
+                beams[e], singular[e] = np.nan, True
+        return beams, singular
 
     monkeypatch.setattr(harness, "zf_beamformers", fake)
 
@@ -352,7 +352,7 @@ def test_redraw_limit_raises_config_error(monkeypatch):
     import lsapdma.harness as harness
 
     real = harness.zf_beamformers
-    monkeypatch.setattr(harness, "zf_beamformers", lambda anchors: (*real(anchors)[:2], np.ones(len(anchors), bool)))
+    monkeypatch.setattr(harness, "zf_beamformers", lambda anchors: (real(anchors)[0], np.ones(len(anchors), bool)))
     cfg = _cfg(max_redraws=5)
     with pytest.raises(ConfigError, match="redraws"):
         run_drop(cfg, 0)
@@ -603,36 +603,104 @@ def test_run_chunk_reads_its_records_off_the_rate_table(monkeypatch):
         assert [r.redraws for r in drop] == [unit_redraws[units.index((r.scheme, r.k_users))] for r in drop]
 
 
-def test_monte_carlo_starts_no_more_workers_than_chunks(monkeypatch):
-    # a pool process per chunk at most, and none for a single chunk; the
-    # recording executor runs each chunk in this process
-    from concurrent.futures import Future
+def _thread_pools(monkeypatch):
+    """Stand ``harness.ProcessPoolExecutor`` in with a thread pool of this
+    process, which has the same submit and shutdown semantics; returns the
+    list of the sizes of the pools started."""
+    from concurrent.futures import ThreadPoolExecutor
 
     import lsapdma.harness as harness
 
-    started = []
+    sizes = []
 
-    class Recording:
+    class Recording(ThreadPoolExecutor):
         def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+            sizes.append(max_workers)
+            super().__init__(max_workers)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-    for drops, workers, pool in ((1, 2, []), (3, 4, [3]), (5, 2, [2])):
+    return sizes
+
+
+def _chunk_calls(monkeypatch, fail=None):
+    """Record each ``_chunk_rates`` call as (first drop, run by the calling
+    thread), in call order.  With ``fail``, the call whose first drop is
+    ``fail`` raises ConfigError, and every pool call waits up to 10 s for
+    that failure before it runs."""
+    import threading
+
+    import lsapdma.harness as harness
+
+    real, calls, failed = harness._chunk_rates, [], threading.Event()
+
+    def recorded(cfg, states):
+        first = int(states[0].spawn_key[0])
+        caller = threading.current_thread() is threading.main_thread()
+        calls.append((first, caller))
+        if first == fail:
+            failed.set()
+            raise ConfigError("chunk fails")
+        if fail is not None and not caller:
+            failed.wait(10.0)
+        return real(cfg, states)
+
+    monkeypatch.setattr(harness, "_chunk_rates", recorded)
+    return calls
+
+
+def test_monte_carlo_starts_no_more_workers_than_chunks(monkeypatch):
+    # the calling process is worker 0: the pool has workers - 1 processes,
+    # at most one per chunk besides the caller's, and one chunk starts none
+    started = _thread_pools(monkeypatch)
+    for drops, workers, pool in ((1, 2, []), (3, 4, [2]), (5, 2, [1])):
         started.clear()
         table = run_monte_carlo(_cfg(drops=drops, workers=workers))
         assert started == pool
         assert table == run_monte_carlo(_cfg(drops=drops, workers=1))
+
+
+def test_the_caller_runs_every_workers_th_chunk(monkeypatch):
+    # with one drop per chunk, the calling thread runs exactly the chunks
+    # i = 0 (mod workers) and the pool every other chunk, each once
+    import lsapdma.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK_DROPS", 1)
+    started = _thread_pools(monkeypatch)
+    calls = _chunk_calls(monkeypatch)
+    want = run_monte_carlo(_cfg(drops=7, workers=1))
+    for workers in (2, 3, 4):
+        started.clear()
+        calls.clear()
+        assert run_monte_carlo(_cfg(drops=7, workers=workers)) == want
+        assert started == [workers - 1]
+        assert sorted(first for first, _ in calls) == list(range(7))
+        assert sorted(first for first, caller in calls if caller) == list(range(0, 7, workers))
+
+
+def test_a_failing_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
+    # 6 chunks over 2 workers: the pool's one thread holds chunk 1 until
+    # the caller's chunk 2 raises; the pool's chunks 3 and 5, still queued,
+    # and the caller's chunk 4 never run
+    import lsapdma.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK_DROPS", 1)
+    _thread_pools(monkeypatch)
+    calls = _chunk_calls(monkeypatch, fail=2)
+    with pytest.raises(ConfigError, match="chunk fails"):
+        run_monte_carlo(_cfg(drops=6, workers=2))
+    assert sorted(calls) == [(0, True), (1, False), (2, True)]
+
+
+def test_monte_carlo_is_bit_identical_for_every_worker_count():
+    # real pools: rows, redraws and samples as float.hex at 1-4 workers on
+    # 1, 2, 5 and 130 drops (three chunks at one worker, four at four)
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), policies=("fixed-ratio", "optimal"))
+    for drops in (1, 2, 5, 130):
+        runs = [
+            _hexed_run(*run_monte_carlo(dataclasses.replace(cfg, drops=drops, workers=workers), collect_samples=True))
+            for workers in (1, 2, 3, 4)
+        ]
+        assert all(run == runs[0] for run in runs[1:]), drops
 
 
 def test_monte_carlo_stderr_scaling():
@@ -961,3 +1029,23 @@ def test_fig4_runs_at_high_budgets():
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
     table = run_monte_carlo(dataclasses.replace(cfg, p_sum_db=(80.0,), drops=2, workers=1))
     assert all(row.drops == 2 and row.mean_sum_rate > 0 for row in table.rows)
+
+
+def test_a_fig4_chunk_stays_within_its_working_set():
+    # the calling process runs chunks itself, so a chunk's peak memory is
+    # the caller's: 32 fig4 drops peak at 2.76 MB of traced allocations
+    # (5.62 MB before the Gram-space MMSE kernel and the N right-hand-side
+    # ZF solve); 3.5 MB leaves room for library versions, not for another
+    # stack-sized temporary
+    import tracemalloc
+
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(32)]
+    _chunk_rates(cfg, states)  # caches and first-call allocations
+    tracemalloc.start()
+    try:
+        _chunk_rates(cfg, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6, peak
