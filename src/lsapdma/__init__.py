@@ -33,7 +33,6 @@ from .optimizer import (
     gradient,
     hessian,
     objective,
-    water_fill,
     water_fills,
 )
 from .harness import ExperimentConfig, ResultTable, emit_results, run_chunk, run_drop, run_monte_carlo

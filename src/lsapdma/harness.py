@@ -49,7 +49,10 @@ pool.
 The optimal policy is the water-filling closed form
 (``optimizer.water_fills``): the anchors keep their ZF power floors, and the
 rest of the budget is water-filled across beams onto each beam's strongest
-user.  Unless ``strict_pattern`` restricts it to the pattern's pairs, that
+user.  The floors are put on the (C, D, N, K) gain stack at each drop's
+anchors, and one ``water_fills`` call takes that stack, the D budgets and,
+under ``strict_pattern``, the (C, 1, N, K) covered pairs as they are.
+Unless ``strict_pattern`` restricts it to the pattern's pairs, the served
 user is the beam's strongest whatever the pattern covers, so the policy
 then ignores the pattern.
 
@@ -75,7 +78,7 @@ import numpy as np
 from . import __version__
 from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, draw_channels
-from .optimizer import anchor_floors, water_fills
+from .optimizer import water_fills
 from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
 from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
 
@@ -178,6 +181,9 @@ class ExperimentConfig:
                 raise ConfigError("fixed pattern must have one row per beam")
             if tuple(self.users) != (self.fixed_pattern.n_users,):
                 raise ConfigError("users must match the fixed pattern's column count")
+        elif self.fixed_pattern is not None:
+            # only a fixed pattern policy reads the matrix; the echo would show it
+            raise ConfigError(f"a pattern matrix needs pattern_policy 'fixed', not {self.pattern_policy!r}")
         _check_float_range(self)
 
     @property
@@ -437,14 +443,11 @@ def _unit_rates(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, bud
         ladders = fixed_ratio_ladders(setups.entries, cfg.p0_ratio, mus, orders, budgets, setups.nulled)
         rates = beam_sum_rates(gains[:, :, None], ladders, orders[:, :, None])
     else:  # optimal
-        beam_of = np.broadcast_to(np.arange(setups.anchors.shape[1]), setups.anchors.shape)
-        delta = anchor_floors(gains, np.stack([beam_of, setups.anchors], axis=-1), cfg.epsilon_ratio * budgets)
-        matrices = (-1,) + gains.shape[2:]
-        support = np.broadcast_to(covered, gains.shape).reshape(matrices) if cfg.strict_pattern else None
-        powers = water_fills(
-            gains.reshape(matrices), np.tile(budgets, len(gains)), delta.reshape(matrices), support
-        )
-        rates = beam_sum_rates(gains, powers.reshape(gains.shape), sic_orders(gains))[..., None]
+        # each beam's anchor keeps the floor epsilon_ratio of each budget
+        delta = np.zeros_like(gains)
+        np.put_along_axis(delta, setups.anchors[:, None, :, None], (cfg.epsilon_ratio * budgets)[:, None, None], axis=-1)
+        powers = water_fills(gains, budgets, delta, covered if cfg.strict_pattern else None)
+        rates = beam_sum_rates(gains, powers, sic_orders(gains))[..., None]
     return rates.reshape(len(gains), -1)
 
 

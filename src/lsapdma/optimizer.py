@@ -6,14 +6,13 @@ decoding order turns the objective into a telescoping sum of logs of suffix
 power sums, whose Hessian has a nested nonnegative structure (rank-one
 blocks accumulating down the order).  Without per-link minimum rates the
 optimum has a closed form, water-filling over the beams' strongest users.
-``water_fills`` computes it for a whole (D, N, K) stack of gain matrices
-and budgets at once, the bend-point search included; ``water_fill`` runs
-the same kernel on the one instance of an ``OptProblem``.  With minimum
-rates, a standard log-barrier method with damped Newton centering
-(``barrier_solve``) finds the global optimum subject to the per-entry power
-floors, the total power budget and the minimum rates.  Every rate it
-evaluates, the objective's and the rate constraints', goes through the
-receiver's SIC SINR formula.
+``water_fills`` computes it for one (N, K) gain matrix or for a stack
+(..., N, K) of them and their budgets at once, the bend-point search
+included.  With minimum rates, a standard log-barrier method with damped
+Newton centering (``barrier_solve``) finds the global optimum subject to
+the per-entry power floors, the total power budget and the minimum rates.
+Every rate it evaluates, the objective's and the rate constraints', goes
+through the receiver's SIC SINR formula.
 
 One kernel, ``_rate_terms``, gives the gradient and Hessian of any
 weighted sum of the rates: the objective is the sum at weights -1, the
@@ -53,7 +52,6 @@ class OptProblem:
     gains: np.ndarray  # (N, K)
     p_sum: float
     delta: np.ndarray  # (N, K)
-    epsilon: float = 0.0
     r_min: float = 0.0
     support: np.ndarray | None = None
 
@@ -115,7 +113,6 @@ class OptProblem:
             gains=gains,
             p_sum=float(p_sum),
             delta=anchor_floors(gains, () if selected is None else selected, epsilon),
-            epsilon=float(epsilon),
             r_min=float(r_min),
             support=support,
         )
@@ -135,16 +132,16 @@ class OptProblem:
 
 
 def _check_instances(gains: np.ndarray, delta: np.ndarray, p_sum: np.ndarray) -> None:
-    """Raise unless a stack of instances (gains and floors (D, N, K), budgets
-    (D,)) has nonnegative gains, nonnegative floors of the gains' shape, and
-    positive budgets that exceed each instance's floor sum."""
+    """Raise unless a stack of instances (gains and floors (..., N, K),
+    budgets (...)) has nonnegative gains, nonnegative floors of the gains'
+    shape, and positive budgets that exceed each instance's floor sum."""
     if (gains < 0).any():
         raise ValueError("gains must be nonnegative")
     if delta.shape != gains.shape or (delta < 0).any():
         raise ValueError("delta must be a nonnegative matrix matching gains")
     if (p_sum <= 0).any():
         raise ValueError("p_sum must be positive")
-    if (delta.reshape(len(delta), -1).sum(axis=-1) >= p_sum).any():
+    if (delta.reshape(delta.shape[:-2] + (-1,)).sum(axis=-1) >= p_sum).any():
         raise ValueError("sum of power floors must stay below the budget")
 
 
@@ -156,23 +153,16 @@ def _free_entries(gains: np.ndarray, support) -> np.ndarray:
 
 def anchor_floors(gains: np.ndarray, selected, epsilon) -> np.ndarray:
     """Power floors matching a gain matrix or stack (..., N, K): ``epsilon``
-    on each selected (beam, user) pair, zero elsewhere.
+    on each selected (beam, user) pair of every matrix, zero elsewhere.
 
     ``selected`` is an iterable of (beam, user) pairs or an object with a
-    ``pairs`` attribute (the ZF anchors), or a sequence of C such sets for
-    a stack (C, ..., N, K), set c marking the matrices ``gains[c]``.
-    ``epsilon`` is one floor, or one per matrix of the stack, broadcasting
-    to ``gains.shape[:-2]``.
+    ``pairs`` attribute (the ZF anchors).  ``epsilon`` is one floor, or one
+    per matrix of the stack, broadcasting to ``gains.shape[:-2]``.
     """
-    shape = np.shape(gains)
-    pairs = np.array([getattr(s, "pairs", s) for s in getattr(selected, "pairs", selected)], dtype=int)
-    marked = np.zeros(pairs.shape[:-2] + shape[-2:], dtype=bool)
-    if pairs.size:
-        sets = (np.arange(len(pairs))[:, None],) if pairs.ndim == 3 else ()
-        marked[(*sets, pairs[..., 0], pairs[..., 1])] = True
-    # a stack of sets runs along the gains' first axis
-    marked = marked.reshape(marked.shape[:-2] + (1,) * (len(shape) - marked.ndim) + shape[-2:])
-    delta = np.zeros(shape)
+    marked = np.zeros(np.shape(gains)[-2:], dtype=bool)
+    for beam, user in getattr(selected, "pairs", selected):
+        marked[beam, user] = True
+    delta = np.zeros(np.shape(gains))
     np.copyto(delta, np.asarray(epsilon, dtype=float)[..., None, None], where=marked)
     return delta
 
@@ -186,15 +176,6 @@ class OptSolution:
     kkt_residual: float
     iterations: int
     status: str  # converged | infeasible | max-iterations
-
-
-@dataclass(frozen=True)
-class PhaseOneResult:
-    """Strictly feasible start (``p0``, user-index space), or ``None`` with
-    ``feasible`` false when no strictly feasible point exists."""
-
-    feasible: bool
-    p0: np.ndarray | None
 
 
 @dataclass
@@ -295,34 +276,19 @@ def _rate_jacobians(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
     return (u[:, :, None] * (m >= m[:, None]) - z[:, :, None] * (m > m[:, None])) / LN2
 
 
-def _gradient_pos(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
-    """Objective gradient in position space (the rate sum's at weights -1):
-    a user's power helps its own log term through every suffix sum it enters
-    and hurts every earlier-decoded user's through their interference."""
-    return _rate_terms(prob, p_pos, -1.0)[0]
-
-
 def gradient(prob: OptProblem, p: np.ndarray) -> np.ndarray:
     """Analytic gradient of the objective, in user-index space."""
     p = np.asarray(p, dtype=float)
     if p.shape != prob.gains.shape:
         raise ValueError("power matrix must match the gain shape")
-    return _to_user(prob, _gradient_pos(prob, _to_pos(prob, p)))
-
-
-def _hessian_blocks(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
-    """All per-beam Hessians, (N, K, K), position space.
-
-    Entry (i, j) equals c[min(i, j)] with the nondecreasing accumulator
-    c[m] = (sum_{l<=m} u_l^2 - sum_{l<=m-1} z_l^2)/ln2.
-    """
-    return _rate_terms(prob, p_pos, -1.0)[1]
+    return _to_user(prob, _rate_terms(prob, _to_pos(prob, p), -1.0)[0])
 
 
 def hessian(prob: OptProblem, p: np.ndarray, beam: int) -> np.ndarray:
     """One beam's objective Hessian in SIC-position space (ascending gain).
 
-    Entry (i, j) is the accumulator c[min(i, j)] of ``_hessian_blocks``.
+    Entry (i, j) is c[min(i, j)], with the accumulator c[m] = (sum_{l<=m}
+    u_l^2 - sum_{l<=m-1} z_l^2)/ln2 of ``_rate_terms`` at weights -1.
     For ascending gains c[0] >= 0 and c is nondecreasing along the order, so
     the matrix is a sum of nonnegative multiples of all-ones trailing blocks:
     symmetric positive semidefinite.
@@ -330,70 +296,59 @@ def hessian(prob: OptProblem, p: np.ndarray, beam: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != prob.gains.shape:
         raise ValueError("power matrix must match the gain shape")
-    return _hessian_blocks(prob, _to_pos(prob, p))[beam]
+    return _rate_terms(prob, _to_pos(prob, p), -1.0)[1][beam]
 
 
-def water_fill(prob: OptProblem) -> np.ndarray:
-    """Sum-rate-optimal power matrix without rate floors, in closed form.
+def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+    """Sum-rate-optimal power matrices without rate floors, in closed form,
+    for a stack of gain matrices (..., N, K) at once.
+
+    Matrix i has the gains ``gains[i]``, the budget ``p_sum[i]`` and the
+    floors ``delta[i]`` (of the gains' shape); ``p_sum`` broadcasts to the
+    stack's leading axes, so one (N, K) matrix takes one budget.
+    ``support``, if given, restricts the variables to the pattern's pairs
+    (strict mode) and broadcasts to the gains.  The checks are those of
+    ``OptProblem``, run once on the stack.
 
     Within one beam the sum rate's marginal with respect to the power at SIC
     position m is g_m = (sum_{j<=m} u_j - sum_{j<m} z_j)/ln2 (the negated
-    ``_gradient_pos``), so g_{m+1} - g_m = (1/(a_{m+1} + T_{m+1}) -
-    1/(a_m + T_{m+1}))/ln2 >= 0, because the ascending order gives
+    gradient of ``_rate_terms``), so g_{m+1} - g_m = (1/(a_{m+1} + T_{m+1})
+    - 1/(a_m + T_{m+1}))/ln2 >= 0, because the ascending order gives
     a_{m+1} <= a_m.  The marginal never decreases along the decoding order,
     so every free entry sits at its floor except the beam's last-decoded
     (strongest) free user; between equal gains the beam rate depends only
     on their total, so the index rule of the order may pick.  That user gets
     s_n = max(floor, W - L_n), where L_n is 1/h^2 plus the power pinned
     after it in the order, and the water level W makes the matrix sum to
-    ``p_sum`` (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3).
+    its budget (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3).
 
     Without floors on earlier-decoded users (so always without floors) this
     is the exact optimum, sum_n log2(1 + s_n/L_n).  Such floors take s_n as
     interference, which moves the beam's marginal by a term of the floors'
     order that W ignores; the rate lost is of second order in the floors.
     Beams with no free entry are skipped, and with none at all the floors
-    are returned.  The kernel is that of ``water_fills``, run on a stack of
-    one.
-    """
-    if prob.r_min > 0:
-        raise ValueError("water_fill has no rate floors; use barrier_solve for r_min > 0")
-    stack = (prob.gains[None], prob.delta[None], prob._var[None], prob._ord[None])
-    return _water_fill(*stack, np.array([prob.p_sum]))[0]
-
-
-def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None):
-    """``water_fill`` over a stack of D instances at once, shape (D, N, K).
-
-    Instance d has the gains ``gains[d]``, the budget ``p_sum[d]`` and the
-    floors ``delta[d]``; ``support``, if given, restricts the variables to
-    the pattern's pairs (strict mode): one (N, K) mask for every instance,
-    or one per instance, (D, N, K).  The checks are those of
-    ``OptProblem``, run once on the stack.
-    """
-    gains = np.asarray(gains, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    p_sum = np.asarray(p_sum, dtype=float)
-    if gains.ndim != 3 or p_sum.shape != gains.shape[:1]:
-        raise ValueError("gains must stack (N, K) matrices, one per budget")
-    _check_instances(gains, delta, p_sum)
-    support = None if support is None else np.asarray(support, dtype=bool)
-    return _water_fill(gains, delta, _free_entries(gains, support), sic_orders(gains), p_sum)
-
-
-def _water_fill(gains, delta, free, orders, p_sum) -> np.ndarray:
-    """The closed form of ``water_fill`` on D instances: gains, floors, free
-    entries and decoding orders (D, N, K), budgets (D,).
+    are returned.
 
     Each beam's strongest free user and its level L_n come from the orders
-    at once; a (budget, beam) with no free entry is masked out.  The bend
+    at once; a (matrix, beam) with no free entry is masked out.  The bend
     point search then evaluates the level W of every candidate segment of
-    every budget and keeps, per budget, the one the sequential search
+    every matrix and keeps, per matrix, the one the sequential search
     would stop at: the largest count m whose W reaches its m-th lowest
     bend, or m = 1 when none does.  Every sum over beams or positions runs
     left to right (a masked cumulative sum), as numpy sums fewer than 8
-    terms, so a problem gives the same powers stacked as alone.
+    terms, so a matrix gets the same powers stacked as alone.
     """
+    gains = np.asarray(gains, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if gains.ndim < 2:
+        raise ValueError("gains must be a matrix or a stack of matrices (..., N, K)")
+    shape = gains.shape
+    p_sum = np.broadcast_to(np.asarray(p_sum, dtype=float), shape[:-2])
+    _check_instances(gains, delta, p_sum)
+    free = _free_entries(gains, None if support is None else np.broadcast_to(np.asarray(support, dtype=bool), shape))
+    matrices = (-1,) + shape[-2:]
+    gains, delta, free, p_sum = gains.reshape(matrices), delta.reshape(matrices), free.reshape(matrices), p_sum.reshape(-1)
+    orders = sic_orders(gains)
     n_budgets, n_beams, n_users = gains.shape
     # flat positions of each beam's users in decoding order, and of each
     # beam's strongest free user (the last free position)
@@ -407,10 +362,10 @@ def _water_fill(gains, delta, free, orders, p_sum) -> np.ndarray:
     pinned = np.cumsum(np.where(after, delta.reshape(-1)[at], 0.0), axis=-1)[:, -1]
     h = np.where(picked, gains.reshape(-1)[served], 1.0)
     own = delta.reshape(-1)[served]
-    shape = (n_budgets, n_beams)
-    levels = (1.0 / h**2 + pinned).reshape(shape)
-    floors = np.where(picked, own, 0.0).reshape(shape)
-    picked = picked.reshape(shape)
+    per_beam = (n_budgets, n_beams)
+    levels = (1.0 / h**2 + pinned).reshape(per_beam)
+    floors = np.where(picked, own, 0.0).reshape(per_beam)
+    picked = picked.reshape(per_beam)
     budget = p_sum - delta.reshape(n_budgets, -1).sum(axis=-1) + np.cumsum(floors, axis=-1)[:, -1]
     # sum_n max(floor_n, W - L_n) grows with W and bends at L_n + floor_n:
     # the level lies on the segment where the m lowest bends are passed
@@ -427,9 +382,9 @@ def _water_fill(gains, delta, free, orders, p_sum) -> np.ndarray:
     pick = np.where(reached.any(axis=-1), n_beams - 1 - np.argmax(reached[:, ::-1], axis=-1), 0)
     level = water[np.arange(n_budgets), pick][:, None]
     p = delta.copy()
-    filled = np.where(picked, np.maximum(floors, level - levels), own.reshape(shape))
+    filled = np.where(picked, np.maximum(floors, level - levels), own.reshape(per_beam))
     p.reshape(-1)[served] = filled.reshape(-1)
-    return p
+    return p.reshape(shape)
 
 
 def check_constraints(prob: OptProblem, p: np.ndarray) -> ConstraintSlacks:
@@ -463,8 +418,9 @@ def _min_powers(prob: OptProblem, c: float, tau) -> np.ndarray:
     return p_pos
 
 
-def feasible_start(prob: OptProblem) -> PhaseOneResult:
-    """Strictly feasible starting point, or an infeasibility certificate.
+def feasible_start(prob: OptProblem) -> np.ndarray | None:
+    """Strictly feasible starting point (user-index space), or ``None`` when
+    no strictly feasible point exists.
 
     Without a minimum rate: the floors plus an equal split of half the
     remaining budget over the free entries.  With one, c = 2^r_min - 1 is
@@ -483,7 +439,7 @@ def feasible_start(prob: OptProblem) -> PhaseOneResult:
         p0 = prob.delta.copy()
         if var.any():
             p0[var] += 0.5 * (prob.p_sum - prob.delta.sum()) / int(var.sum())
-        return PhaseOneResult(feasible=True, p0=p0)
+        return p0
     c = float(np.expm1(prob.r_min * LN2))  # 2^r_min - 1, accurate at small r_min
     spare = prob.p_sum - float(_min_powers(prob, c, 0.0).sum())
     theta = 1.0
@@ -496,9 +452,9 @@ def feasible_start(prob: OptProblem) -> PhaseOneResult:
             and (p_pos > prob._delta_pos).all()
             and (_rates_pos(prob, p_pos) > prob.r_min).all()
         ):
-            return PhaseOneResult(feasible=True, p0=_to_user(prob, p_pos))
+            return _to_user(prob, p_pos)
         theta /= 2.0
-    return PhaseOneResult(feasible=False, p0=None)
+    return None
 
 
 def barrier_solve(
@@ -517,8 +473,8 @@ def barrier_solve(
     """
     if params is None:
         params = BarrierParams()
-    start = feasible_start(prob)
-    if not start.feasible:
+    p0 = feasible_start(prob)
+    if p0 is None:
         return OptSolution(
             p_matrix=None,
             objective_value=float("nan"),
@@ -529,7 +485,7 @@ def barrier_solve(
 
     var = prob._var_pos
     delta_pos = prob._delta_pos
-    p_pos = _to_pos(prob, start.p0)
+    p_pos = _to_pos(prob, p0)
     n_var = int(var.sum())
     with_rate = prob.r_min > 0
     m_constraints = n_var + 1 + (var.size if with_rate else 0)
@@ -695,7 +651,7 @@ def _kkt_residual(prob: OptProblem, p_pos: np.ndarray, t: float) -> float:
     var = prob._var_pos
     s1 = p_pos - prob._delta_pos
     s2 = prob.p_sum - p_pos.sum()
-    res = _gradient_pos(prob, p_pos)
+    res = _rate_terms(prob, p_pos, -1.0)[0]
     res[var] -= 1.0 / (t * s1[var])
     res += 1.0 / (t * s2)
     if prob.r_min > 0:

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def validate_pattern(entries: np.ndarray) -> str | None:
+def validate_pattern(entries: np.ndarray, strict: bool = True) -> str | None:
     """Check pattern invariants; return a description of the first violation.
 
     Returns None when the matrix is a valid pattern.  Rules, in the order
     checked: binary entries; K within [N, 2^N - 1]; every user covered by at
     least one beam; every beam carrying at least one user; pairwise distinct
-    columns (column weight <= N holds for any binary column).
+    columns (column weight <= N holds for any binary column).  Without
+    ``strict`` (the baseline matrices) the K range and distinct columns are
+    not required.
     """
     b = np.asarray(entries)
     if b.ndim != 2:
@@ -44,9 +46,9 @@ def validate_pattern(entries: np.ndarray) -> str | None:
     n, k = b.shape
     if not ((b == 0) | (b == 1)).all():
         return "entries must be 0 or 1"
-    if k < n:
+    if strict and k < n:
         return f"K={k} is below the beam count N={n}"
-    if k > 2**n - 1:
+    if strict and k > 2**n - 1:
         return f"K={k} exceeds 2^N - 1 = {2**n - 1}"
     if (b.sum(axis=0) == 0).any():
         u = int(np.flatnonzero(b.sum(axis=0) == 0)[0])
@@ -54,22 +56,8 @@ def validate_pattern(entries: np.ndarray) -> str | None:
     if (b.sum(axis=1) == 0).any():
         m = int(np.flatnonzero(b.sum(axis=1) == 0)[0])
         return f"unused beam {m}"
-    if len(set(map(tuple, b.T.tolist()))) != k:
+    if strict and len(set(map(tuple, b.T.tolist()))) != k:
         return "duplicate columns"
-    return None
-
-
-def _validate_coverage(entries: np.ndarray) -> str | None:
-    """Relaxed checks for baseline matrices: binary, all users covered, no idle beams."""
-    b = np.asarray(entries)
-    if b.ndim != 2:
-        return "pattern must be a 2-D matrix"
-    if not ((b == 0) | (b == 1)).all():
-        return "entries must be 0 or 1"
-    if (b.sum(axis=0) == 0).any():
-        return "uncovered user"
-    if (b.sum(axis=1) == 0).any():
-        return "unused beam"
     return None
 
 
@@ -94,10 +82,7 @@ class PatternMatrix:
     def __post_init__(self):
         # validate the values as given: casting first would truncate 0.7 to 0
         entries = np.asarray(self.entries)
-        if self.strict:
-            violation = validate_pattern(entries)
-        else:
-            violation = _validate_coverage(entries)
+        violation = validate_pattern(entries, self.strict)
         if violation is not None:
             raise ValueError(f"invalid pattern: {violation}")
         object.__setattr__(self, "entries", np.asarray(entries, dtype=int))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lsapdma.cli import main
-from lsapdma.optimizer import OptProblem, objective, water_fill
+from lsapdma.optimizer import OptProblem, objective, water_fills
 
 
 def test_validate_pattern_ok(tmp_path, capsys):
@@ -50,7 +50,7 @@ def test_solve_without_rate_floor_answers_with_the_water_fill(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "status = optimal"
     prob = OptProblem.build(gains, p_sum)
-    p = water_fill(prob)
+    p = water_fills(prob.gains, prob.p_sum, prob.delta, prob.support)
     assert out[1] == f"sum_rate = {-objective(prob, p):.6g}"
     printed = np.array([[float(v) for v in line.split()] for line in out[3:]])
     assert printed.shape == (n, k)

@@ -26,7 +26,7 @@ from lsapdma.harness import (
     run_drop,
     run_monte_carlo,
 )
-from lsapdma.optimizer import OptProblem, water_fill
+from lsapdma.optimizer import OptProblem, water_fills
 from lsapdma.pattern import (
     PatternMatrix,
     equal_power,
@@ -39,6 +39,7 @@ from lsapdma.pattern import (
 from lsapdma.receiver import build_link_state, drop_link_states, pair_rates, sic_orders
 from test_golden_records import CASES, case_config
 from test_optimizer import _water_fill_reference
+from test_pattern import _ladder_reference
 from test_receiver import _beam_sinrs
 
 FAST_CELL = CellConfig()
@@ -89,6 +90,8 @@ def test_config_validation():
         ("[power]\nr_min = 0.5\n", ("[power]", "r_min")),
         ("[experiment]\ndorps = 5\n", ("[experiment]", "dorps")),
         ("[powr]\nmu = 2\n", ("[powr]",)),
+        # a pattern matrix that the pattern policy would ignore
+        ("[pattern]\npolicy = simple\nmatrix = 1 0 0\n  0 1 0\n  0 0 1\n", ("matrix", "'simple'")),
     ):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_text(text)
@@ -857,7 +860,7 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
             p = _water_fill_reference(prob)
             every = [np.argsort(row, kind="stable") for row in h]
             out.append([sum(float(_beam_rates(h[n], p[n], every[n]).sum()) for n in range(len(h)))])
-            assert np.array_equal(water_fill(prob), p)
+            assert np.array_equal(water_fills(prob.gains, prob.p_sum, prob.delta, prob.support), p)
     return out
 
 
@@ -913,6 +916,55 @@ def test_stacked_tail_matches_the_per_budget_path():
                                 ]
                                 assert got == want, (n, k, strict, unit[0], p0)
     assert saw_nulled
+
+
+def _water_filling_bound(gains, p_sum):
+    """The sum rate of water-filling ``p_sum`` over each beam's strongest
+    user of an (N, K) gain matrix, with no floors: the most any power
+    matrix within the budget gets.  The level W solves
+    sum_n max(0, W - L_n) = p_sum, L_n = 1/h_n^2, over the m lowest L_n."""
+    levels = np.sort(1.0 / gains.max(axis=1) ** 2)
+    for m in range(len(levels), 0, -1):
+        water = (p_sum + levels[:m].sum()) / m
+        if water > levels[m - 1]:
+            break
+    return float(np.log2(water / levels[:m]).sum())
+
+
+def test_the_chain_at_five_beams_matches_the_per_user_path():
+    # N = 5 beams and K = 2^5 - 1 = 31 users at n_tx = 32, 0 and 20 dB,
+    # three drops, each rebuilt from the per-user objects: drop_users and
+    # user_channels on the drop's stream, the simple pattern and
+    # select_users on the large-scale gains, compute_zfbf, and
+    # build_link_state on the equal split.  The fixed-ratio rates, with
+    # the ladder written out beam by beam and the SIC rates taken a beam at
+    # a time, agree to 1e-12 relative; the optimal rates lie at or below
+    # the water-filling bound of the same gains (to 1e-12 relative: where
+    # each beam's anchor is its strongest user the floors do not bind and
+    # the two differ by round-off), and the anchors' floors (1e-6 of the
+    # budget) keep them within 1e-4 bits of it.
+    n, k = 5, 31
+    cfg = _cfg(
+        schemes=("lsa-pdma",), n_beams=n, users=(k,), n_tx=32, policies=("fixed-ratio", "optimal"), p_sum_db=(0.0, 20.0)
+    )
+    for i in range(3):
+        state = np.random.SeedSequence(cfg.seed, spawn_key=(i,))
+        records = {(r.scheme, r.sweep_value): r for r in run_drop(cfg, state)}
+        assert len(records) == 4 and not any(r.redraws for r in records.values())
+        rng = np.random.Generator(np.random.Philox(state))
+        channels = user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
+        pattern, omega = _oracle_setup(cfg, k, "simple", channels)
+        beams = compute_zfbf(channels, omega)
+        nulled = omega.nulled(pattern)
+        for db in cfg.p_sum_db:
+            p_sum = 10.0 ** (db / 10.0)
+            gains = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), cfg.cell.noise_variance).gains
+            orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(gains, map(np.flatnonzero, pattern.entries))]
+            ladder = _ladder_reference(pattern, cfg.p0_ratio, cfg.mu[0], orders, p_sum, nulled)
+            want = sum(float(_beam_rates(gains[b], ladder[b], orders[b]).sum()) for b in range(n))
+            assert records["lsa-pdma-simple", db].sum_rate == pytest.approx(want, rel=1e-12, abs=0.0)
+            bound = _water_filling_bound(gains, p_sum)
+            assert bound - 1e-4 <= records["lsa-pdma-optimal", db].sum_rate <= bound * (1.0 + 1e-12)
 
 
 def test_k_equals_n_fixed_ratio_matches_oma():

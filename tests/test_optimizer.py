@@ -15,7 +15,6 @@ from lsapdma.optimizer import (
     gradient,
     hessian,
     objective,
-    water_fill,
     water_fills,
     _min_powers,
     _rate_jacobians,
@@ -227,10 +226,10 @@ def test_objective_convexity_probe():
 
 def test_feasible_start_equal_split():
     prob = OptProblem.build(np.ones((3, 5)), 1.0)
-    res = feasible_start(prob)
-    assert res.feasible
-    assert np.allclose(res.p0, 1.0 / (2 * 15))
-    slacks = check_constraints(prob, res.p0)
+    p0 = feasible_start(prob)
+    assert p0 is not None
+    assert np.allclose(p0, 1.0 / (2 * 15))
+    slacks = check_constraints(prob, p0)
     assert (slacks.g1 < 0).all()
     assert slacks.g2 < 0
 
@@ -239,9 +238,9 @@ def test_feasible_start_with_selected_floors():
     h = np.ones((3, 5))
     selected = [(0, 0), (1, 1), (2, 2)]
     prob = OptProblem.build(h, 10.0, selected=selected, epsilon=1e-6)
-    res = feasible_start(prob)
-    assert res.feasible
-    slacks = check_constraints(prob, res.p0)
+    p0 = feasible_start(prob)
+    assert p0 is not None
+    slacks = check_constraints(prob, p0)
     assert (slacks.g1 < 0).all()
     assert slacks.g2 < 0
     assert (slacks.g3 < 0).all()  # r_min = 0 and strictly positive powers
@@ -249,8 +248,7 @@ def test_feasible_start_with_selected_floors():
 
 def test_feasible_start_detects_impossible_rate_floor():
     prob = OptProblem.build(np.array([[0.5, 1.0]]), 1e-3, r_min=100.0)
-    res = feasible_start(prob)
-    assert not res.feasible and res.p0 is None
+    assert feasible_start(prob) is None
     # certificate: the least powers that meet the rate floor exceed the budget
     assert _min_powers(prob, 2.0**100 - 1.0, 0.0).sum() > prob.p_sum
 
@@ -469,12 +467,15 @@ def _water_fill_reference(prob):
 
 def test_water_fill_matches_the_per_beam_loop_and_its_stack():
     # anchor floors, strict supports and zero-gain rows (a beam with no
-    # free entry), and general floor matrices: water_fill equals the loop
-    # above, and a stack of D budgets equals water_fill on each.  The
-    # kernel sums left to right, as numpy sums fewer than 8 terms; a
-    # general floor matrix with K >= 9 can pin 8 or more floors after a
-    # beam's served user, which numpy sums pairwise, so there the level
-    # (and the powers) agree to 1e-12 relative instead of bit for bit.
+    # free entry), and general floor matrices: the water-fill of one (N, K)
+    # matrix at a scalar budget equals the loop above and the stack of that
+    # one matrix; a stack of D budgets, and a (C, D, N, K) stack with the D
+    # budgets and a support per c broadcast, equal the water-fill of each
+    # matrix alone.  The kernel sums left to right, as numpy sums fewer
+    # than 8 terms; a general floor matrix with K >= 9 can pin 8 or more
+    # floors after a beam's served user, which numpy sums pairwise, so
+    # there the level (and the powers) agree to 1e-12 relative instead of
+    # bit for bit.
     rng = make_rng(14)
     for i in range(300):
         prob = _anchored_problem(rng, strict=i % 3 == 0, zero_row=i % 4 == 0)
@@ -482,7 +483,8 @@ def test_water_fill_matches_the_per_beam_loop_and_its_stack():
         if i % 2:
             delta = rng.uniform(0.0, 0.4 / (n * k), (n, k)) * prob.p_sum * (rng.random((n, k)) < 0.7)
             prob = OptProblem(gains=prob.gains, p_sum=prob.p_sum, delta=delta, support=prob.support)
-        p = water_fill(prob)
+        p = water_fills(prob.gains, prob.p_sum, prob.delta, prob.support)
+        assert np.array_equal(p, water_fills(prob.gains[None], [prob.p_sum], prob.delta[None], prob.support)[0])
         want = _water_fill_reference(prob)
         pinned = [int(np.flatnonzero(prob._var_pos[b])[-1:].sum()) for b in range(n)]
         if all(k - 1 - last < 8 for last in pinned):
@@ -497,7 +499,15 @@ def test_water_fill_matches_the_per_beam_loop_and_its_stack():
         stacked = water_fills(gains, budgets, delta, prob.support)
         for d in range(3):
             one = OptProblem(gains=gains[d], p_sum=budgets[d], delta=delta[d], support=prob.support)
-            assert np.array_equal(stacked[d], water_fill(one))
+            assert np.array_equal(stacked[d], water_fills(one.gains, one.p_sum, one.delta, one.support))
+        gains = np.stack([gains, gains[::-1]])
+        delta = np.stack([delta, delta])
+        supports = np.stack([np.ones((n, k), dtype=bool), rng.random((n, k)) < 0.5])[:, None]
+        stacked = water_fills(gains, budgets, delta, supports)
+        for c in range(2):
+            for d in range(3):
+                one = OptProblem(gains=gains[c, d], p_sum=budgets[d], delta=delta[c, d], support=supports[c, 0])
+                assert np.array_equal(stacked[c, d], water_fills(one.gains, one.p_sum, one.delta, one.support))
     with pytest.raises(ValueError, match="floors"):
         water_fills(np.ones((2, 1, 2)), [1.0, 1.0], np.full((2, 1, 2), [[[0.1, 0.1]], [[0.6, 0.6]]]))
 
@@ -506,7 +516,7 @@ def test_water_fill_never_below_the_barrier():
     rng = make_rng(11)
     for i in range(210):
         prob = _anchored_problem(rng, strict=i % 3 == 0, zero_row=i % 7 == 0)
-        p = water_fill(prob)
+        p = water_fills(prob.gains, prob.p_sum, prob.delta, prob.support)
         slacks = check_constraints(prob, p)
         assert slacks.g1.max() <= 0.0
         assert abs(slacks.g2) <= 1e-12 * prob.p_sum
@@ -533,7 +543,7 @@ def test_water_fill_without_floors_is_waterfilling_over_the_strongest_users():
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if np.maximum(0.0, mid - levels).sum() < p_sum else (lo, mid)
         want = float(np.log2(1.0 + np.maximum(0.0, lo - levels) / levels).sum())
-        assert -objective(prob, water_fill(prob)) == pytest.approx(want, rel=1e-12)
+        assert -objective(prob, water_fills(prob.gains, prob.p_sum, prob.delta, prob.support)) == pytest.approx(want, rel=1e-12)
 
 
 def test_water_fill_matches_grid_search_on_the_solver_shapes():
@@ -549,21 +559,20 @@ def test_water_fill_matches_grid_search_on_the_solver_shapes():
         else:
             p_sum = round(float(rng.uniform(0.5, 1.5)), 3)
         prob = OptProblem.build(h, p_sum)
-        assert abs(-objective(prob, water_fill(prob)) - _grid_best(h, p_sum)) <= 1e-3
+        p = water_fills(prob.gains, prob.p_sum, prob.delta, prob.support)
+        assert abs(-objective(prob, p) - _grid_best(h, p_sum)) <= 1e-3
 
 
-def test_water_fill_hand_values_support_and_rate_floor():
+def test_water_fill_hand_values_with_support():
     h = np.array([[1.0, 3.0, 2.0], [2.0, 1.0, 0.5]])
     support = np.array([[True, False, True], [False, True, True]])
     prob = OptProblem.build(h, 6.0, selected=[(0, 0), (1, 1)], epsilon=1e-6, support=support)
-    p = water_fill(prob)
+    p = water_fills(prob.gains, prob.p_sum, prob.delta, prob.support)
     # beam 0 serves user 2 (level 1/4), beam 1 its anchor, user 1 (level 1);
     # 2W - 5/4 = 6 - 1e-6 sets the water level W
     water = (6.0 - 1e-6 + 1.25) / 2.0
     want = np.array([[1e-6, 0.0, water - 0.25], [0.0, water - 1.0, 0.0]])
     assert np.allclose(p, want, rtol=1e-14, atol=0.0)
-    with pytest.raises(ValueError):
-        water_fill(OptProblem.build(h, 6.0, r_min=0.1))
 
 
 def _least_power_total(gains, delta, r_min):
@@ -602,17 +611,17 @@ def test_feasible_start_at_the_least_power_boundary():
             delta = rng.uniform(0.0, 2.0, (n, k)) * (rng.random((n, k)) < 0.5)
         least = _least_power_total(gains, delta, r_min)
         above = OptProblem(gains=gains, p_sum=least * (1 + 1e-9), delta=delta, r_min=r_min)
-        res = feasible_start(above)
-        assert res.feasible
-        _assert_strict_start(above, res.p0)
+        p0 = feasible_start(above)
+        assert p0 is not None
+        _assert_strict_start(above, p0)
         below = OptProblem(gains=gains, p_sum=least * (1 - 1e-9), delta=delta, r_min=r_min)
-        assert not feasible_start(below).feasible
+        assert feasible_start(below) is None
         assert barrier_solve(below).status == "infeasible"
 
 
 def test_feasible_start_rejects_a_zero_gain_under_a_rate_floor():
     prob = OptProblem.build(np.array([[0.0, 1.0], [1.0, 2.0]]), 100.0, r_min=0.1)
-    assert not feasible_start(prob).feasible
+    assert feasible_start(prob) is None
     assert barrier_solve(prob).status == "infeasible"
 
 
@@ -636,9 +645,9 @@ def _near_boundary_rate_floor_instance():
 def test_rate_floor_instance_an_iterative_phase_one_called_infeasible():
     gains, p_sum, r_min = _near_boundary_rate_floor_instance()
     prob = OptProblem.build(gains, p_sum, r_min=r_min)
-    res = feasible_start(prob)
-    assert res.feasible
-    _assert_strict_start(prob, res.p0)
+    p0 = feasible_start(prob)
+    assert p0 is not None
+    _assert_strict_start(prob, p0)
     sol = barrier_solve(prob)
     assert sol.status != "infeasible"
     slacks = check_constraints(prob, sol.p_matrix)

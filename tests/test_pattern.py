@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lsapdma import harness
 from lsapdma.beamforming import select_users
 from lsapdma.channel import sample_channel
-from lsapdma.harness import ExperimentConfig
-from lsapdma.optimizer import anchor_floors
+from lsapdma.harness import ExperimentConfig, _SetUps, _unit_rates
+from lsapdma.optimizer import anchor_floors, water_fills
 from lsapdma.pattern import (
     PatternMatrix,
     _check_powers,
@@ -101,11 +102,15 @@ def test_validate_pattern_reports_uncovered_user():
     bad = B35.copy()
     bad[:, 3] = 0
     assert "uncovered user" in validate_pattern(bad)
+    assert validate_pattern(bad, strict=False) == "uncovered user 3"
 
 
 def test_validate_pattern_reports_bounds():
     assert "exceeds" in validate_pattern(np.ones((3, 8), dtype=int))
     assert "below" in validate_pattern(np.array([[1, 0], [1, 1], [0, 1]]))
+    # the baseline matrices need neither bound
+    assert validate_pattern(np.ones((3, 8), dtype=int), strict=False) is None
+    assert validate_pattern(np.array([[1, 0], [1, 1], [0, 1]]), strict=False) is None
 
 
 def test_validate_pattern_reports_duplicates_and_idle_beams():
@@ -114,6 +119,8 @@ def test_validate_pattern_reports_duplicates_and_idle_beams():
     assert validate_pattern(dup) == "duplicate columns"
     idle = np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1]])
     assert "unused beam" in validate_pattern(idle)
+    assert validate_pattern(dup, strict=False) is None
+    assert validate_pattern(idle, strict=False) == "unused beam 1"
 
 
 def test_pattern_matrix_raises_on_violation():
@@ -255,12 +262,31 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
     assert saw_nulled
 
 
-def test_power_stacks_over_patterns_equal_each_pattern_alone():
+def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
+    """The (C, D, N, K) anchor floors the optimal policy of the harness
+    hands the water-fill for C patterns' entries and anchors (C, N), gains
+    (C, D, N, K) and D budgets, at an ``epsilon_ratio`` of 1e-6."""
+    seen = []
+
+    def recorded(gains, p_sum, delta, support=None):
+        seen.append(delta)
+        return water_fills(gains, p_sum, delta, support)
+
+    monkeypatch.setattr(harness, "water_fills", recorded)
+    _, n, k = entries.shape
+    cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",), epsilon_ratio=1e-6)
+    unit = ("lsa-pdma-optimal", k, "simple", "optimal", (None,))
+    _unit_rates(cfg, unit, _SetUps(None, entries, anchors, None), None, gains, budgets)
+    return seen[0]
+
+
+def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
     # a (C, N, K) stack of C patterns' entries, with one nulled mask, one
     # order stack and one anchor set each, gives the C stacks of the
     # patterns run one at a time, bit for bit: equal splits (C, D, N, K),
-    # ladders (C, D, M, N, K) and anchor floors (C, D, N, K), the anchor
-    # sets given as SelectedUserSets or as one (C, N, 2) array of pairs
+    # ladders (C, D, M, N, K) and the harness's anchor floors (C, D, N, K),
+    # each drop's floors those of its anchor set given as a SelectedUserSet
+    # or as an (N, 2) array of pairs
     mus = (0.25, 0.3, 1.7, 8.0)
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     for n in (2, 3, 4):
@@ -280,14 +306,15 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone():
             splits = equal_splits(stack, budgets, nulled)
             ladders = fixed_ratio_ladders(stack, 0.37, mus, orders, budgets, nulled)
             gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
-            floors = anchor_floors(gains, anchors, 1e-6 * np.array(budgets))
-            pairs = np.array([omega.pairs for omega in anchors])
-            assert np.array_equal(anchor_floors(gains, pairs, 1e-6 * np.array(budgets)), floors)
+            users = np.array([omega.users for omega in anchors])
+            floors = _harness_floors(monkeypatch, stack, users, gains, np.array(budgets))
             assert splits.shape == gains.shape and ladders.shape == (3, len(budgets), len(mus), n, k)
             for c, pattern in enumerate(patterns):
                 assert np.array_equal(splits[c], equal_splits(pattern, budgets, nulled[c]))
                 assert np.array_equal(ladders[c], fixed_ratio_ladders(pattern, 0.37, mus, orders[c], budgets, nulled[c]))
                 assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c], 1e-6 * np.array(budgets)))
+                pairs = np.array(anchors[c].pairs)
+                assert np.array_equal(anchor_floors(gains[c], pairs, 1e-6 * np.array(budgets)), floors[c])
     # a stack must list one order stack per pattern
     with pytest.raises(ValueError, match="per pattern"):
         fixed_ratio_ladders(stack, 0.37, mus, orders[:2], budgets, nulled)
