@@ -24,7 +24,6 @@ from .pattern import (
 )
 from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
 from .optimizer import (
-    BarrierParams,
     OptProblem,
     OptSolution,
     barrier_solve,

@@ -1,12 +1,10 @@
 """Zero-forcing beamforming over the selected users.
 
-One anchor user is selected per beam.  The composite precoder is the right
-pseudo-inverse of the stacked anchor channels, so the product of the
-composite channel and the composite precoder is the identity:
+One anchor user is selected per beam.  For the stacked anchor channels G_C,
+the right pseudo-inverse F_C = G_C^H (G_C G_C^H)^(-1) gives G_C F_C = I, so
 inter-anchor interference is nulled exactly.  Each beam's precoding vector
-is the row-sum collapse of its block of the composite precoder, optionally
-renormalized to unit norm so that allocated powers are actual per-beam
-radiated powers.
+is the row-sum collapse of its block of F_C, scaled to unit norm so that
+allocated powers are actual per-beam radiated powers.
 
 The identity has a price the pattern must pay: every beam other than m is
 nulled at beam m's anchor, so an anchor covered by several beams hears only
@@ -22,10 +20,8 @@ nulled pairs in weakness-rank space, once per (policy, N, K).
 is one set-up of a drop: its anchors' channels) in one pass over the
 (E, N*N_R, N_T) anchor stack, from one solve with N right-hand sides per
 unit, and flags each singular unit so the caller can redraw that unit
-alone; it builds no composite precoder.  ``compute_zfbf`` is the seam for a
-caller holding a single unit: it takes the beams from the stacked pass,
-solves for the composite itself, and raises ``SingularChannelError`` where
-the stack flags the unit.
+alone; F_C itself is never built.  ``compute_zfbf`` is that pass on a
+single unit, raising ``SingularChannelError`` where the pass flags it.
 """
 
 from __future__ import annotations
@@ -39,8 +35,12 @@ from .channel import ChannelMatrix
 from .pattern import PatternMatrix, oma_pattern, pnoma_pattern, simple_beam_allocation
 
 
+# a unit whose equilibrated anchor Gram has a larger condition number is singular
+COND_LIMIT = 1e8
+
+
 class SingularChannelError(RuntimeError):
-    """Composite selected-user channel too ill-conditioned; redraw the channel."""
+    """Stacked anchor channel zero or too ill-conditioned; redraw the channel."""
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,11 @@ class SelectedUserSet:
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Composite ZF precoder and the per-beam precoding vectors.
+    """The unit-norm ZF beam vectors of one unit, as the columns of
+    ``beam_matrix``, and the anchors that define them."""
 
-    ``composite`` has shape (N_T, N*N_R); its n-th (N_T, N_R) block collapsed
-    against the all-ones vector gives beam n's vector.  ``beam_matrix`` holds
-    those vectors as columns (unit-norm when ``normalized``).
-    """
-
-    composite: np.ndarray  # (N_T, N*N_R)
     beam_matrix: np.ndarray  # (N_T, N)
     selected: SelectedUserSet
-    normalized: bool
 
     @property
     def n_beams(self) -> int:
@@ -176,23 +170,18 @@ def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, n
     return triple
 
 
-def zf_beamformers(
-    anchors,
-    *,
-    normalize: bool = True,
-    cond_limit: float = 1e8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """ZF beam matrices of E units in one pass: ``anchors[e, n]``, shape
-    (E, N, N_R, N_T), is the channel of unit e's anchor of beam n.
+def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm ZF beam matrices of E units in one pass: ``anchors[e, n]``,
+    shape (E, N, N_R, N_T), is the channel of unit e's anchor of beam n.
 
     For each unit the composite precoder is F_C = A^H (A A^H)^(-1) for the
     raw (N*N_R, N_T) anchor stack A, and beam n's vector is the sum of the
-    N_R columns of F_C's n-th block, which ``normalize`` scales to unit
-    norm so beam powers are radiated powers.  The composite itself is never
-    built.  With D the row scales (each anchor block's norm over
-    sqrt(N_R N_T), so path-loss spreads of many orders of magnitude do not
-    dominate the condition number without any directional degeneracy) and
-    the equilibrated Gram G = D^(-1) A A^H D^(-1),
+    N_R columns of F_C's n-th block, scaled to unit norm so beam powers are
+    radiated powers.  The composite itself is never built.  With D the row
+    scales (each anchor block's norm over sqrt(N_R N_T), so path-loss
+    spreads of many orders of magnitude do not dominate the condition
+    number without any directional degeneracy) and the equilibrated Gram
+    G = D^(-1) A A^H D^(-1),
 
         F_C E = A^H D^(-1) G^(-1) D^(-1) E,
 
@@ -203,11 +192,11 @@ def zf_beamformers(
     it alone.
 
     Returns the beam matrices (E, N_T, N) and whether each unit is
-    singular: an anchor's channel is zero or cond(G) exceeds ``cond_limit``
+    singular: an anchor's channel is zero or cond(G) exceeds ``COND_LIMIT``
     (i.i.d. Gaussian draws are almost surely fine; the guard catches
     pathological draws so the caller can redraw).  The condition number is
     the ratio of the extreme eigenvalues of the Hermitian G, and a unit is
-    flagged unless lambda_max <= cond_limit * lambda_min, so a zero,
+    flagged unless lambda_max <= COND_LIMIT * lambda_min, so a zero,
     negative or NaN lambda_min flags it too.  A singular unit's beams are
     NaN.  Raises ValueError when an anchor channel is not finite.
     """
@@ -233,7 +222,7 @@ def zf_beamformers(
     gram /= row_scale[:, :, None]
     gram /= row_scale[:, None, :]
     lam = np.linalg.eigvalsh(gram)  # ascending
-    singular |= ~(lam[:, -1] <= cond_limit * lam[:, 0])
+    singular |= ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
     live = ~singular if singular.any() else slice(None)  # with every unit live, views and no copies
     # D^(-1) G^(-1) D^(-1) E, row r of E holding a one in its beam's column
     ones = np.arange(n_beams * n_rx)[:, None] // n_rx == np.arange(n_beams)
@@ -241,33 +230,20 @@ def zf_beamformers(
     del gram  # the stack's largest temporary, not needed for the beams
     # A^H y, conjugating y rather than the anchors
     beams = (y.conj().swapaxes(-1, -2) @ a[live]).conj().swapaxes(-1, -2)
-    if normalize:
-        beams /= np.linalg.norm(beams, axis=-2, keepdims=True)
+    beams /= np.linalg.norm(beams, axis=-2, keepdims=True)
     beam_matrix = np.full((n_units, n_tx, n_beams), np.nan, dtype=complex)
     beam_matrix[live] = beams
     return beam_matrix, singular
 
 
-def compute_zfbf(
-    channels: list[ChannelMatrix],
-    omega: SelectedUserSet,
-    *,
-    normalize: bool = True,
-    cond_limit: float = 1e8,
-) -> BeamformerSet:
-    """ZF precoder of a single unit: the beams of a ``zf_beamformers`` call
-    on this unit alone, and the composite F_C = G_C^H (G_C G_C^H)^(-1) of
-    its stacked (N*N_R, N_T) anchor channel G_C, solved with each anchor
-    block scaled by its norm over sqrt(N_R N_T).
+def compute_zfbf(channels: list[ChannelMatrix], omega: SelectedUserSet) -> BeamformerSet:
+    """The beams of ``zf_beamformers`` on a single unit, the anchors
+    ``omega`` of ``channels``.
 
-    Raises SingularChannelError when an anchor's channel is zero or
-    cond(G_C G_C^H) exceeds ``cond_limit``.
+    Raises SingularChannelError where the pass flags the unit: an anchor's
+    channel is zero or the condition test fails.
     """
-    blocks = [channels[u].entries for u in omega.users]
-    beam_matrix, singular = zf_beamformers(np.array([blocks]), normalize=normalize, cond_limit=cond_limit)
+    beam_matrix, singular = zf_beamformers(np.array([[channels[u].entries for u in omega.users]]))
     if singular[0]:
-        raise SingularChannelError("composite channel is zero or near rank-deficient")
-    row_scale = np.repeat([np.linalg.norm(b) / np.sqrt(b.size) for b in blocks], len(blocks[0]))
-    g_eq = np.vstack(blocks) / row_scale[:, None]
-    composite = np.linalg.solve(g_eq @ g_eq.conj().T, g_eq).conj().T / row_scale
-    return BeamformerSet(composite=composite, beam_matrix=beam_matrix[0], selected=omega, normalized=normalize)
+        raise SingularChannelError("stacked anchor channel is zero or near rank-deficient")
+    return BeamformerSet(beam_matrix=beam_matrix[0], selected=omega)

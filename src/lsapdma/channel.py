@@ -14,7 +14,8 @@ its generator, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,19 +41,23 @@ class CellConfig:
     reference_distance_m: float = 1000.0
 
     def __post_init__(self):
-        if self.radius_m <= 0:
+        # each test is phrased so that NaN fails it
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not self.radius_m > 0:
             raise ValueError("radius_m must be positive")
-        if self.path_loss_factor <= 0:
+        if not self.path_loss_factor > 0:
             raise ValueError("path_loss_factor must be positive")
-        if self.path_loss_exponent <= 0:
+        if not self.path_loss_exponent > 0:
             raise ValueError("path_loss_exponent must be positive")
-        if self.shadow_std_db < 0:
+        if not self.shadow_std_db >= 0:
             raise ValueError("shadow_std_db must be nonnegative")
-        if self.noise_variance <= 0:
+        if not self.noise_variance > 0:
             raise ValueError("noise_variance must be positive")
         if not 0 < self.min_distance_m < self.radius_m:
             raise ValueError("min_distance_m must lie in (0, radius_m)")
-        if self.reference_distance_m <= 0:
+        if not self.reference_distance_m > 0:
             raise ValueError("reference_distance_m must be positive")
 
 

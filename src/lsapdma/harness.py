@@ -85,6 +85,9 @@ from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
 PATTERN_POLICIES = ("simple", "oma", "pnoma", "fixed")
+# consecutive singular draws of one set-up before a drop gives up: i.i.d.
+# Gaussian draws are almost surely fine, so this many means a broken config
+MAX_REDRAWS = 100
 
 
 class ConfigError(ValueError):
@@ -104,8 +107,9 @@ class ExperimentConfig:
     The ``optimal`` policy is the water-filling closed form: with the
     default (non-strict) support it serves each beam's strongest user
     whatever the pattern; ``strict_pattern`` restricts it to the pattern's
-    pairs.  It has no per-link minimum rate; the optimizer's log-barrier
-    solver (``lsapdma solve --rmin``) handles those.
+    pairs, and so needs the ``optimal`` policy.  It has no per-link minimum
+    rate; the optimizer's log-barrier solver (``lsapdma solve --rmin``)
+    handles those.
     """
 
     cell: CellConfig = field(default_factory=CellConfig)
@@ -126,7 +130,6 @@ class ExperimentConfig:
     drops: int = 1000
     seed: int = 1
     workers: int = 1
-    max_redraws: int = 100
     output_path: str = "results"
 
     def __post_init__(self):
@@ -138,8 +141,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.max_redraws < 0:
-            raise ConfigError("max_redraws must be nonnegative")
         for name in ("p0_ratio", "pnoma_mu"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -161,6 +162,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown power policy {policy!r}")
         if self.pattern_policy not in PATTERN_POLICIES:
             raise ConfigError(f"unknown pattern policy {self.pattern_policy!r}")
+        if self.strict_pattern and "optimal" not in self.policies:
+            # only the optimal policy reads the flag; the echo would show it
+            raise ConfigError("strict_pattern needs the 'optimal' power policy")
         if "lsa-pdma" in self.schemes:
             for k in self.users:
                 if not self.n_beams <= k <= 2**self.n_beams - 1:
@@ -277,7 +281,7 @@ _CONFIG_KEYS = {
     "experiment": {
         "schemes": ("schemes", _listed(str)),
         "users": ("users", _listed(int)),
-        **{key: (key, int) for key in ("drops", "seed", "workers", "max_redraws")},
+        **{key: (key, int) for key in ("drops", "seed", "workers")},
     },
     "power": {
         "policies": ("policies", _listed(str)),
@@ -406,7 +410,8 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
     """One set-up on one drop (C = 1), ZF beams included.
 
     Redraws users and channels from the restarted stream while the anchors'
-    stacked channel is singular, counting the redraws.
+    stacked channel is singular, counting the redraws; raises ConfigError
+    after ``MAX_REDRAWS`` of them.
     """
     rng = np.random.Generator(np.random.Philox(state))
     redraws = 0
@@ -416,8 +421,8 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
         if not singular[0]:
             return setups._replace(beams=beams, redraws=np.array([redraws]))
         redraws += 1
-        if redraws > cfg.max_redraws:
-            raise ConfigError(f"more than {cfg.max_redraws} consecutive singular-channel redraws")
+        if redraws > MAX_REDRAWS:
+            raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
 
 
 def _unit_rates(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, budgets) -> np.ndarray:

@@ -38,6 +38,19 @@ from .receiver import _sic_sinr, beam_sum_rates, sic_orders
 
 LN2 = float(np.log(2.0))
 
+# log-barrier schedule: the first t, its growth per outer iteration, the
+# duality-gap bound m/t that stops it, and the outer iteration cap
+BARRIER_T0 = 1.0
+BARRIER_MU = 20.0
+BARRIER_TOL = 1e-8
+MAX_OUTER = 40
+# damped Newton centering: the decrement that ends it, the Armijo fraction
+# and backtracking factor of its line search, and the step cap per centering
+NEWTON_TOL = 1e-10
+ARMIJO = 0.01
+BACKTRACK = 0.5
+MAX_NEWTON = 200
+
 
 @dataclass(frozen=True)
 class OptProblem:
@@ -63,7 +76,7 @@ class OptProblem:
         if h.ndim != 2:
             raise ValueError("gains must be a 2-D matrix")
         _check_instances(h[None], d[None], np.array([self.p_sum]))
-        if self.r_min < 0:
+        if not self.r_min >= 0:
             raise ValueError("r_min must be nonnegative")
         if self.support is not None:
             support = np.asarray(self.support, dtype=bool)
@@ -101,10 +114,9 @@ class OptProblem:
     ) -> "OptProblem":
         """Assemble the floor matrix from the ZF selected pairs.
 
-        ``selected`` is an iterable of (beam, user) pairs (or an object with
-        a ``pairs`` attribute); each selected pair gets the floor ``epsilon``
-        (default 1e-6 of the budget) so the precoder's anchor users keep
-        nonzero power.
+        ``selected`` is an iterable of (beam, user) pairs; each selected pair
+        gets the floor ``epsilon`` (default 1e-6 of the budget) so the
+        precoder's anchor users keep nonzero power.
         """
         gains = np.asarray(gains, dtype=float)
         if epsilon is None:
@@ -133,14 +145,15 @@ class OptProblem:
 
 def _check_instances(gains: np.ndarray, delta: np.ndarray, p_sum: np.ndarray) -> None:
     """Raise unless a stack of instances (gains and floors (..., N, K),
-    budgets (...)) has nonnegative gains, nonnegative floors of the gains'
-    shape, and positive budgets that exceed each instance's floor sum."""
-    if (gains < 0).any():
-        raise ValueError("gains must be nonnegative")
-    if delta.shape != gains.shape or (delta < 0).any():
-        raise ValueError("delta must be a nonnegative matrix matching gains")
-    if (p_sum <= 0).any():
-        raise ValueError("p_sum must be positive")
+    budgets (...)) has finite nonnegative gains, finite nonnegative floors
+    of the gains' shape, and finite positive budgets that exceed each
+    instance's floor sum.  Each test is phrased so that NaN fails it."""
+    if not ((gains >= 0) & (gains < np.inf)).all():
+        raise ValueError("gains must be finite and nonnegative")
+    if delta.shape != gains.shape or not ((delta >= 0) & (delta < np.inf)).all():
+        raise ValueError("delta must be a finite nonnegative matrix matching gains")
+    if not ((p_sum > 0) & (p_sum < np.inf)).all():
+        raise ValueError("p_sum must be positive and finite")
     if (delta.reshape(delta.shape[:-2] + (-1,)).sum(axis=-1) >= p_sum).any():
         raise ValueError("sum of power floors must stay below the budget")
 
@@ -155,12 +168,12 @@ def anchor_floors(gains: np.ndarray, selected, epsilon) -> np.ndarray:
     """Power floors matching a gain matrix or stack (..., N, K): ``epsilon``
     on each selected (beam, user) pair of every matrix, zero elsewhere.
 
-    ``selected`` is an iterable of (beam, user) pairs or an object with a
-    ``pairs`` attribute (the ZF anchors).  ``epsilon`` is one floor, or one
-    per matrix of the stack, broadcasting to ``gains.shape[:-2]``.
+    ``selected`` is an iterable of (beam, user) pairs (the ZF anchors).
+    ``epsilon`` is one floor, or one per matrix of the stack, broadcasting
+    to ``gains.shape[:-2]``.
     """
     marked = np.zeros(np.shape(gains)[-2:], dtype=bool)
-    for beam, user in getattr(selected, "pairs", selected):
+    for beam, user in selected:
         marked[beam, user] = True
     delta = np.zeros(np.shape(gains))
     np.copyto(delta, np.asarray(epsilon, dtype=float)[..., None, None], where=marked)
@@ -176,20 +189,6 @@ class OptSolution:
     kkt_residual: float
     iterations: int
     status: str  # converged | infeasible | max-iterations
-
-
-@dataclass
-class BarrierParams:
-    """Log-barrier schedule and Newton/line-search controls."""
-
-    t0: float = 1.0
-    mu: float = 20.0
-    tol: float = 1e-8
-    newton_tol: float = 1e-10
-    backtrack: float = 0.5
-    armijo: float = 0.01
-    max_newton: int = 200
-    max_outer: int = 40
 
 
 @dataclass(frozen=True)
@@ -457,22 +456,19 @@ def feasible_start(prob: OptProblem) -> np.ndarray | None:
     return None
 
 
-def barrier_solve(
-    prob: OptProblem, params: BarrierParams | None = None, log=None
-) -> OptSolution:
+def barrier_solve(prob: OptProblem, log=None) -> OptSolution:
     """Log-barrier outer loop with damped Newton centering.
 
-    Minimizes t*f + phi for increasing t, where phi collects -log of the
-    power-floor slacks, the budget slack, and (when a minimum rate is set)
-    the rate slacks; stops once the duality-gap bound m/t drops below the
-    tolerance.  The Newton matrix (the per-beam objective blocks, the
-    diagonal floor curvature, the budget's rank-one coupling and, with a
-    minimum rate, the rate-slack curvature) is assembled and solved as one
-    dense system.  ``log`` receives one structured text line per outer
-    iteration.
+    Minimizes t*f + phi for t = BARRIER_T0, BARRIER_MU times that, ...,
+    where phi collects -log of the power-floor slacks, the budget slack,
+    and (when a minimum rate is set) the rate slacks; stops once the
+    duality-gap bound m/t drops below ``BARRIER_TOL``, or after
+    ``MAX_OUTER`` centerings (status ``max-iterations``).  The Newton
+    matrix (the per-beam objective blocks, the diagonal floor curvature,
+    the budget's rank-one coupling and, with a minimum rate, the rate-slack
+    curvature) is assembled and solved as one dense system.  ``log``
+    receives one structured text line per outer iteration.
     """
-    if params is None:
-        params = BarrierParams()
     p0 = feasible_start(prob)
     if p0 is None:
         return OptSolution(
@@ -531,7 +527,7 @@ def barrier_solve(
         return dx, float(-(g * dx).sum()), g
 
     def center(pp, t, max_steps, tol=None):
-        tol = params.newton_tol if tol is None else tol
+        tol = NEWTON_TOL if tol is None else tol
         steps = 0
         for _ in range(max_steps):
             dx, lam2, g = newton_direction(pp, t)
@@ -555,10 +551,10 @@ def barrier_solve(
                 trial = pp + alpha * dx
                 phi_trial = barrier_value(trial, t)
                 if np.isfinite(phi_trial) and (
-                    quad_phase or phi_trial <= phi0 + params.armijo * alpha * slope
+                    quad_phase or phi_trial <= phi0 + ARMIJO * alpha * slope
                 ):
                     break
-                alpha *= params.backtrack
+                alpha *= BACKTRACK
                 halvings += 1
             else:
                 return pp, steps, False  # line search stalled
@@ -566,11 +562,11 @@ def barrier_solve(
             steps += 1
         return pp, steps, True
 
-    t = params.t0
+    t = BARRIER_T0
     total_steps = 0
     converged_gap = False
-    for _ in range(params.max_outer):
-        p_pos, steps, ok = center(p_pos, t, params.max_newton)
+    for _ in range(MAX_OUTER):
+        p_pos, steps, ok = center(p_pos, t, MAX_NEWTON)
         total_steps += steps
         gap = m_constraints / t
         if log is not None:
@@ -580,10 +576,10 @@ def barrier_solve(
             )
         if not ok:
             break
-        if gap < params.tol:
+        if gap < BARRIER_TOL:
             converged_gap = True
             break
-        t *= params.mu
+        t *= BARRIER_MU
     residual = _kkt_residual(prob, p_pos, t)
     # polish the final centering until the stationarity certificate is met
     polish = 0

@@ -10,14 +10,13 @@ The simple and power-domain policies assign their columns by weakness
 rank, so a drop's pattern is one (N, K) matrix per policy with its columns
 permuted by the drop's ranks (see ``beamforming.rank_anchors``).  Power
 matrices are checked by one routine, ``_check_powers``, which takes a stack
-of shape (..., N, K).  The power policies build a unit's matrices for all D
-budgets at once and run it once on the stack: ``equal_splits`` gives the
-(D, N, K) equal splits and ``fixed_ratio_ladders`` the (D, M, N, K) ladders
-of a gain-factor sweep, from per-budget SIC orders.  Given a (C, N, K)
-stack of pattern entries (one per drop of a chunk) instead of one pattern,
-each builds the C stacks at once, with a leading C axis; one pattern is the
-case C = 1.  ``equal_power`` is the equal split of one budget, a checked
-(N, K) matrix.
+of shape (..., N, K).  The power policies take a (C, N, K) stack of pattern
+entries (one per drop of a chunk) and build every pattern's matrices for
+all D budgets at once, checked once as a stack: ``equal_splits`` gives the
+(C, D, N, K) equal splits and ``fixed_ratio_ladders`` the (C, D, M, N, K)
+ladders of a gain-factor sweep, from per-budget SIC orders.
+``equal_power`` is the equal split of one budget on one pattern, a checked
+(N, K) matrix: the stack of one.
 """
 
 from __future__ import annotations
@@ -255,20 +254,12 @@ def pnoma_pattern(n_beams: int, weakest_first) -> PatternMatrix:
     return PatternMatrix(entries, strict=False)
 
 
-def _pattern_stack(pattern: PatternMatrix | np.ndarray) -> tuple[np.ndarray, bool]:
-    """The entries of one pattern, or a (C, N, K) stack of pattern entries,
-    as a (C, N, K) stack, and whether one pattern was given (C = 1)."""
-    if isinstance(pattern, PatternMatrix):
-        return pattern.entries[None], True
-    entries = np.asarray(pattern)
-    if entries.ndim != 3:
-        raise ValueError("a pattern stack holds (C, N, K) entries")
-    return entries, False
-
-
 def _powered_support(entries: np.ndarray, nulled) -> np.ndarray:
     """The covered pairs of a pattern stack (C, N, K) less the nulled ones
-    (one (N, K) mask or one per pattern)."""
+    (one (N, K) mask or one per pattern); raises unless ``entries`` is
+    such a stack."""
+    if entries.ndim != 3:
+        raise ValueError("a pattern stack holds (C, N, K) entries")
     covered = entries == 1
     return covered if nulled is None else covered & ~np.asarray(nulled, dtype=bool)
 
@@ -305,22 +296,22 @@ def _budgets(p_sum) -> np.ndarray:
 
 
 def fixed_ratio_ladders(
-    pattern: PatternMatrix | np.ndarray,
+    entries: np.ndarray,
     p0: float,
     mus,
     sic_orders,
     p_sum,
     nulled: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Geometric power ladders within each beam, one per (budget, gain
-    factor), shape (D, M, N, K); for a (C, N, K) stack of patterns, one
-    such stack per pattern, shape (C, D, M, N, K).
+    """Geometric power ladders within each beam of a (C, N, K) stack of
+    pattern entries, one per (pattern, budget, gain factor), shape
+    (C, D, M, N, K).
 
-    For budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n the powered
-    users (covered and not ``nulled``), taken in the ascending-gain order
-    ``sic_orders[d, n]``, get powers p0, mu*p0, mu^2*p0, ...; one constant
-    per ladder then scales the whole matrix so its total equals the budget.
-    ``sic_orders`` has shape (D, N, K), or (C, D, N, K) with C patterns:
+    For pattern c, budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n
+    the powered users (covered and not ``nulled``), taken in the
+    ascending-gain order ``sic_orders[c, d, n]``, get powers p0, mu*p0,
+    mu^2*p0, ...; one constant per ladder then scales the whole matrix so
+    its total equals the budget.  ``sic_orders`` has shape (C, D, N, K):
     each row is a permutation of the users that lists the users covered by
     its beam first, each once (as ``receiver.sic_orders`` gives them);
     nulled users keep their place but get no power.  ``nulled`` is one
@@ -333,15 +324,14 @@ def fixed_ratio_ladders(
     if p0 <= 0 or (mus <= 0).any():
         raise ValueError("p0 and mu must be positive")
     p_sum = _budgets(p_sum)
-    b, single = _pattern_stack(pattern)
+    b = np.asarray(entries)
+    support = _powered_support(b, nulled)
     n_stack, n_beams, n_users = b.shape
     orders = np.asarray(sic_orders)
-    if single:
-        orders = orders[None]
     if orders.shape != (n_stack, len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
         raise ValueError("sic_orders must hold one (N, K) integer order stack per pattern and budget")
     # (C, 1, N, K): one pattern and one powered support for all budgets
-    b, support = b[:, None], _powered_support(b, nulled)[:, None]
+    b, support = b[:, None], support[:, None]
     # flat positions of each beam's users, in order, in the (C, N, K)
     # pattern stack and in a (C, D, N, K) stack
     in_pattern = orders + n_users * np.arange(n_stack * n_beams).reshape(n_stack, 1, n_beams, 1)
@@ -360,30 +350,28 @@ def fixed_ratio_ladders(
     ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
     ladders *= (p_sum[:, None] / ladders.sum(axis=(-2, -1)))[..., None, None]
     _check_powers(ladders, support, p_sum[:, None])
-    return ladders[0] if single else ladders
+    return ladders
 
 
-def equal_splits(
-    pattern: PatternMatrix | np.ndarray, p_sum, nulled: np.ndarray | None = None
-) -> np.ndarray:
+def equal_splits(entries: np.ndarray, p_sum, nulled: np.ndarray | None = None) -> np.ndarray:
     """Equal split of each budget ``p_sum[d]`` across the powered (beam,
-    user) pairs, shape (D, N, K); for a (C, N, K) stack of patterns, one
-    such stack per pattern, shape (C, D, N, K).  Checked once as a stack.
+    user) pairs of each pattern of a (C, N, K) stack of pattern entries,
+    shape (C, D, N, K).  Checked once as a stack.
 
     The powered pairs are the pattern's covered pairs less the ``nulled``
     ones (none by default): one (N, K) mask, or one per pattern.
     """
     p_sum = _budgets(p_sum)
-    b, single = _pattern_stack(pattern)
-    support = _powered_support(b, nulled)[:, None]  # (C, 1, N, K)
+    support = _powered_support(np.asarray(entries), nulled)[:, None]  # (C, 1, N, K)
     splits = support * (p_sum / support.sum(axis=(-2, -1)))[..., None, None]
     _check_powers(splits, support, p_sum)
-    return splits[0] if single else splits
+    return splits
 
 
 def equal_power(pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None) -> np.ndarray:
-    """The equal split of one budget, shape (N, K) (see ``equal_splits``)."""
-    return equal_splits(pattern, [p_sum], nulled)[0]
+    """The equal split of one budget on one pattern, shape (N, K) (see
+    ``equal_splits``)."""
+    return equal_splits(pattern.entries[None], [p_sum], nulled)[0, 0]
 
 
 def correlation_matrix(power) -> np.ndarray:

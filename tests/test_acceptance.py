@@ -21,6 +21,7 @@ from lsapdma.optimizer import OptProblem, barrier_solve, check_constraints, grad
 from lsapdma.pattern import simple_beam_allocation, validate_pattern
 from lsapdma.receiver import sic_orders, sic_sinrs
 from lsapdma.rng import make_rng
+from test_beamforming import _zf_identity_residual
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -203,7 +204,8 @@ def test_criterion_4_zf_identity():
         omega = SelectedUserSet(pairs=((0, 0), (1, 1), (2, 2)))
         beams = compute_zfbf(chans, omega)
         g_c = np.vstack([c.entries for c in chans])
-        worst = max(worst, float(np.abs(g_c @ beams.composite - np.eye(12)).max()))
+        # G_C B = E diag(c) on the unit-norm beams B, E the block-ones matrix
+        worst = max(worst, _zf_identity_residual(g_c, beams.beam_matrix, 4))
     ok = worst < 1e-10
     _report("criterion 4 (zero-forcing identity on 1000 channels)", ok, f"worst residual {worst:.2e}")
 

@@ -21,6 +21,19 @@ def _channels(k, n_rx=4, n_tx=16, seed=0):
     return [sample_channel(n_rx, n_tx, 1.0, make_rng(seed, i)) for i in range(k)]
 
 
+def _zf_identity_residual(g_c, beams, n_rx):
+    """How far unit-norm ZF beams B (N_T, N) are from G_C B = E diag(c), E
+    the (N*N_R, N) block-ones matrix and c_n the mean of beam n's own
+    block of G_C B: the largest |G_C B - E diag(c)| over |c|, column by
+    column.  The composite F_C with G_C F_C = I gives exactly this, with
+    c_n one over the norm of F_C's collapsed block n."""
+    product = g_c @ beams
+    n = beams.shape[1]
+    ones = np.kron(np.eye(n), np.ones((n_rx, 1)))
+    c = (product * ones).sum(axis=0) / n_rx
+    return float((np.abs(product - ones * c) / np.abs(c)).max())
+
+
 def test_select_users_single_candidate():
     chans = _channels(1, n_rx=1, n_tx=1)
     pattern = PatternMatrix(np.array([[1]]))
@@ -91,23 +104,25 @@ def test_zfbf_pseudo_inverse_identity():
     omega = select_users(chans, B35, np.arange(5.0))
     beams = compute_zfbf(chans, omega)
     g_c = np.vstack([chans[u].entries for u in omega.users])
-    residual = np.abs(g_c @ beams.composite - np.eye(12)).max()
-    assert residual < 1e-10
+    assert _zf_identity_residual(g_c, beams.beam_matrix, 4) < 1e-10
     assert beams.beam_matrix.shape == (16, 3)
-    assert beams.composite.shape == (16, 12)
 
 
-def test_zfbf_block_consistency_unnormalized():
+def test_zfbf_block_consistency():
     chans = _channels(5, seed=3)
     omega = select_users(chans, B35, np.arange(5.0))
-    beams = compute_zfbf(chans, omega, normalize=False)
+    beams = compute_zfbf(chans, omega)
     # the beams come from the N right-hand-side solve, bit for bit, and
-    # agree with the collapse of the composite's blocks to round-off
-    assert np.array_equal(beams.beam_matrix, _per_unit_zf(chans, omega, False)[1])
+    # agree to round-off with the collapse of the blocks of the composite
+    # F_C = G^H (G G^H)^(-1), scaled to unit norm
+    assert np.array_equal(beams.beam_matrix, _per_unit_zf(chans, omega))
+    g_c = np.vstack([chans[u].entries for u in omega.users])
+    composite = np.linalg.solve(g_c @ g_c.conj().T, g_c).conj().T
     ones = np.ones(4)
     for n in range(3):
-        block = beams.composite[:, 4 * n : 4 * (n + 1)]
+        block = composite[:, 4 * n : 4 * (n + 1)]
         collapsed = block @ ones
+        collapsed /= np.linalg.norm(collapsed)
         assert np.abs(beams.beam_matrix[:, n] - collapsed).max() <= 1e-13 * np.abs(collapsed).max()
 
 
@@ -115,22 +130,24 @@ def test_zfbf_normalized_columns():
     chans = _channels(5, seed=4)
     omega = select_users(chans, B35, np.arange(5.0))
     beams = compute_zfbf(chans, omega)
-    assert beams.normalized
     assert np.allclose(np.linalg.norm(beams.beam_matrix, axis=0), 1.0)
 
 
 def test_zfbf_zero_leakage_to_other_anchors():
     chans = _channels(5, seed=5)
     omega = select_users(chans, B35, np.arange(5.0))
-    beams = compute_zfbf(chans, omega, normalize=False)
+    beams = compute_zfbf(chans, omega)
     for n in range(3):
         f_n = beams.beam_matrix[:, n]
+        # the unit-norm beam is the collapse of F_C's block n over its norm,
+        # so its anchor hears the identity block's row sums times c_n
+        c_n = (chans[omega.pairs[n][1]].entries @ f_n).mean()
         for m, user in omega.pairs:
             rx = chans[user].entries @ f_n
             if m == n:
-                assert np.abs(rx - 1.0).max() < 1e-9  # identity-block row sums
+                assert np.abs(rx / c_n - 1.0).max() < 1e-9  # identity-block row sums
             else:
-                assert np.abs(rx).max() < 1e-9
+                assert np.abs(rx / c_n).max() < 1e-9
 
 
 def test_zfbf_rejects_rank_deficient_stack():
@@ -160,32 +177,23 @@ def test_zf_identity_survives_user_scale_spread():
     omega = select_users(chans, pattern, np.array([1e-2, 1.0, 1e2]))
     beams = compute_zfbf(chans, omega)
     g_c = np.vstack([chans[u].entries for u in omega.users])
-    assert np.abs(g_c @ beams.composite - np.eye(12)).max() < 1e-8
+    assert _zf_identity_residual(g_c, beams.beam_matrix, 4) < 1e-8
 
 
-def _per_unit_zf(channels, omega, normalize):
-    """One unit's ZF, written out: the composite F_C = G^H (G G^H)^(-1)
-    solved on the stack G with each block scaled by its ``np.linalg.norm``
-    over sqrt(N_R N_T), which ``compute_zfbf`` must match bit for bit, and
-    the beams A^H D^-1 Gram^-1 D^-1 E from the raw stack A, with D each
-    block's norm read off the diagonal of A A^H, Gram = D^-1 A A^H D^-1 and
-    E the block-ones matrix, which the stacked pass must match bit for bit."""
+def _per_unit_zf(channels, omega):
+    """One unit's ZF beams, written out: A^H D^-1 Gram^-1 D^-1 E from the
+    raw stack A, with D each block's norm read off the diagonal of A A^H,
+    Gram = D^-1 A A^H D^-1 and E the block-ones matrix, each column scaled
+    to unit norm, which the stacked pass must match bit for bit."""
     blocks = [channels[u].entries for _, u in omega.pairs]
     n_rx = blocks[0].shape[0]
-    scales = np.array([np.linalg.norm(b) / np.sqrt(b.size) for b in blocks])
-    row_scale = np.repeat(scales, n_rx)
-    g_eq = np.vstack(blocks) / row_scale[:, None]
-    gram = g_eq @ g_eq.conj().T
-    composite = np.linalg.solve(gram, g_eq).conj().T / row_scale[None, :]
     a = np.vstack(blocks)
     raw = np.vecdot(a[None], a[:, None])  # entry (i, j) is conj(a_j) . a_i
     d = np.repeat(np.sqrt(np.diagonal(raw).real.reshape(len(blocks), n_rx).sum(axis=1)) / np.sqrt(blocks[0].size), n_rx)
     ones = np.kron(np.eye(len(blocks)), np.ones((n_rx, 1)))
     y = np.linalg.solve(raw / d[:, None] / d[None, :], ones / d[:, None]) / d[:, None]
     beam_matrix = (y.conj().T @ a).conj().T
-    if normalize:
-        beam_matrix = beam_matrix / np.linalg.norm(beam_matrix, axis=0, keepdims=True)
-    return composite, beam_matrix
+    return beam_matrix / np.linalg.norm(beam_matrix, axis=0, keepdims=True)
 
 
 def _mixed_units(n, seed):
@@ -211,17 +219,15 @@ def _anchor_stack(units):
 def test_stacked_zf_matches_each_unit_alone():
     for n in (2, 3, 4):
         units = _mixed_units(n, 0)
-        for normalize in (True, False):
-            beam_matrices, singular = zf_beamformers(_anchor_stack(units), normalize=normalize)
-            assert len(beam_matrices) == len(singular) == len(units)
-            assert not singular.any()
-            for (chans, omega), stacked in zip(units, beam_matrices):
-                composite, beam_matrix = _per_unit_zf(chans, omega, normalize)
-                alone = compute_zfbf(chans, omega, normalize=normalize)
-                assert alone.selected is omega and alone.normalized == normalize
-                assert np.array_equal(alone.composite, composite)
-                for got in (stacked, alone.beam_matrix):
-                    assert np.array_equal(got, beam_matrix)
+        beam_matrices, singular = zf_beamformers(_anchor_stack(units))
+        assert len(beam_matrices) == len(singular) == len(units)
+        assert not singular.any()
+        for (chans, omega), stacked in zip(units, beam_matrices):
+            beam_matrix = _per_unit_zf(chans, omega)
+            alone = compute_zfbf(chans, omega)
+            assert alone.selected is omega and alone.n_beams == n
+            for got in (stacked, alone.beam_matrix):
+                assert np.array_equal(got, beam_matrix)
 
 
 def test_stacked_zf_flags_only_the_singular_units():
@@ -260,20 +266,18 @@ def _shapes_and_scales(rng):
 
 def test_stacked_equilibration_equals_the_per_block_norms():
     # the stacked scales are each block's norm read off the Gram's diagonal,
-    # so every beam matrix equals the per-unit reference's bit for bit, and
-    # compute_zfbf's composite equals its per-block np.linalg.norm
-    # reference bit for bit
+    # so every beam matrix, stacked or alone, equals the per-unit
+    # reference's bit for bit
     rng = np.random.default_rng(41)
     for anchors in _shapes_and_scales(rng):
-        for normalize in (True, False):
-            beam_matrices, singular = zf_beamformers(anchors, normalize=normalize)
-            assert not singular.any()
-            for unit, beams in zip(anchors, beam_matrices):
-                channels = [ChannelMatrix(entries=block, large_scale_gain=1.0) for block in unit]
-                omega = SelectedUserSet(pairs=tuple(enumerate(range(len(unit)))))
-                want = _per_unit_zf(channels, omega, normalize)
-                composite = compute_zfbf(channels, omega, normalize=normalize).composite
-                assert np.array_equal(composite, want[0]) and np.array_equal(beams, want[1])
+        beam_matrices, singular = zf_beamformers(anchors)
+        assert not singular.any()
+        for unit, beams in zip(anchors, beam_matrices):
+            channels = [ChannelMatrix(entries=block, large_scale_gain=1.0) for block in unit]
+            omega = SelectedUserSet(pairs=tuple(enumerate(range(len(unit)))))
+            want = _per_unit_zf(channels, omega)
+            alone = compute_zfbf(channels, omega).beam_matrix
+            assert np.array_equal(beams, want) and np.array_equal(alone, want)
 
 
 def _equilibrated_gram(unit):

@@ -85,6 +85,14 @@ def test_cell_config_validation():
         CellConfig(noise_variance=0.0)
     with pytest.raises(ValueError):
         CellConfig(min_distance_m=900.0)
+    # every field must be finite, and the error names it: NaN passed every
+    # comparison, a NaN or infinite noise ran to zero rates, an infinite
+    # reference distance divided by zero inside the first drop
+    for name in ("radius_m", "path_loss_factor", "path_loss_exponent", "shadow_std_db",
+                 "noise_variance", "min_distance_m", "reference_distance_m"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+                CellConfig(**{name: bad})
 
 
 def test_sample_channel_zero_gain():

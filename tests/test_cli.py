@@ -85,6 +85,25 @@ def test_solve_rate_floor_near_the_least_power_boundary(tmp_path, capsys):
     assert printed.sum() <= p_sum * (1 + 1e-5)
 
 
+def test_solve_rejects_non_finite_input(tmp_path, capsys):
+    # each used to print a status and powers: a NaN gain "optimal" with a
+    # NaN sum rate, an infinite budget infinite powers, a NaN rate floor
+    # "infeasible"
+    good, bad = tmp_path / "h.txt", tmp_path / "nan.txt"
+    good.write_text("1.0 2.0\n0.5 1.5\n")
+    bad.write_text("1.0 nan\n0.5 1.5\n")
+    for args, field in (
+        (["--gains", str(bad), "--psum", "10"], "gains"),
+        (["--gains", str(good), "--psum", "inf"], "p_sum"),
+        (["--gains", str(good), "--psum", "nan"], "p_sum"),
+        (["--gains", str(good), "--psum", "10", "--rmin", "nan"], "r_min"),
+    ):
+        assert main(["solve", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be")
+
+
 def test_solve_verbose_traces(tmp_path, capsys):
     path = tmp_path / "h.txt"
     path.write_text("1.0 2.0\n")
@@ -160,3 +179,12 @@ def test_simulate_bad_config(tmp_path, capsys):
     cfg.write_text("[experiment]\nschemes = nonsense\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "error" in capsys.readouterr().err
+    # a non-finite cell value is named: a NaN noise variance ran to a
+    # results.csv of zero sum rates, an infinite reference distance to a
+    # ZeroDivisionError traceback
+    for key, value in (("noise_variance", "nan"), ("reference_distance_m", "inf"), ("shadow_std_db", "nan")):
+        out = tmp_path / key
+        cfg.write_text(f"[cell]\n{key} = {value}\n\n[experiment]\nschemes = oma\ndrops = 3\n\n[output]\npath = {out}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be finite\n"
+        assert not out.exists()

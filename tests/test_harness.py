@@ -53,7 +53,7 @@ def _beam_rates(h, p, order):
 
 def _ladder(pattern, p0, mu, orders, p_sum, nulled):
     """The ladder of one gain factor at one budget, from (N, K) orders."""
-    return fixed_ratio_ladders(pattern, p0, [mu], orders[None], [p_sum], nulled)[0, 0]
+    return fixed_ratio_ladders(pattern.entries[None], p0, [mu], orders[None, None], [p_sum], nulled)[0, 0, 0]
 
 
 def _cfg(**kwargs):
@@ -88,10 +88,13 @@ def test_config_validation():
     # a removed or misspelt key, or an unknown section, is named, not ignored
     for text, names in (
         ("[power]\nr_min = 0.5\n", ("[power]", "r_min")),
+        ("[experiment]\nmax_redraws = 5\n", ("[experiment]", "max_redraws")),
         ("[experiment]\ndorps = 5\n", ("[experiment]", "dorps")),
         ("[powr]\nmu = 2\n", ("[powr]",)),
         # a pattern matrix that the pattern policy would ignore
         ("[pattern]\npolicy = simple\nmatrix = 1 0 0\n  0 1 0\n  0 0 1\n", ("matrix", "'simple'")),
+        # strict support that no policy of the run reads
+        ("[power]\npolicies = fixed-ratio\nstrict_pattern = true\n", ("strict_pattern", "'optimal'")),
     ):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_text(text)
@@ -118,7 +121,8 @@ def test_config_rejects_bad_power_and_run_parameters():
         # one anchor per beam sits on the floor: n_beams floors reach the budget
         ("epsilon_ratio", dict(epsilon_ratio=1.0 / 3.0)),
         ("workers", dict(workers=0)),
-        ("max_redraws", dict(max_redraws=-1)),
+        # only the optimal policy reads the flag
+        ("strict_pattern", dict(strict_pattern=True, policies=("fixed-ratio",))),
         # an empty list crashed the drop or ran it to an empty table
         ("schemes", dict(schemes=())),
         ("users", dict(users=())),
@@ -149,7 +153,7 @@ def test_config_rejects_bad_power_and_run_parameters():
     with pytest.raises(ConfigError, match="epsilon_ratio"):
         ExperimentConfig.from_text("[power]\npolicies = optimal\nepsilon_ratio = 0.5\n")
     # the edges that make sense still pass
-    _cfg(epsilon_ratio=0.0, max_redraws=0, n_beams=2, n_rx=4)
+    _cfg(epsilon_ratio=0.0, n_beams=2, n_rx=4)
     _cfg(schemes=("pnoma", "lsa-pdma"), users=(7,), mu=(1e50, 1e-50))
     _cfg(schemes=("pnoma", "lsa-pdma"), p0_ratio=1e-300, p_sum_db=(-3000.0, 30.0))
     _cfg(epsilon_ratio=0.49, n_beams=2)
@@ -171,7 +175,13 @@ def test_config_file_round_trip(tmp_path):
             drops=12,
             seed=99,
         ),
-        _cfg(schemes=("lsa-pdma",), pattern_policy="fixed", fixed_pattern=fixed, strict_pattern=True),
+        _cfg(
+            schemes=("lsa-pdma",),
+            policies=("fixed-ratio", "optimal"),
+            pattern_policy="fixed",
+            fixed_pattern=fixed,
+            strict_pattern=True,
+        ),
         _cfg(p_sum_db=(12.3456789, -3.14159265), mu=(0.123456789,)),
         _cfg(p_sum_db=(7.5,), mu=(0.25, 1.00000001, 2.71828183)),
     ]
@@ -356,8 +366,8 @@ def test_redraw_limit_raises_config_error(monkeypatch):
 
     real = harness.zf_beamformers
     monkeypatch.setattr(harness, "zf_beamformers", lambda anchors: (real(anchors)[0], np.ones(len(anchors), bool)))
-    cfg = _cfg(max_redraws=5)
-    with pytest.raises(ConfigError, match="redraws"):
+    cfg = _cfg()
+    with pytest.raises(ConfigError, match=f"more than {harness.MAX_REDRAWS} .* redraws"):
         run_drop(cfg, 0)
 
 
@@ -856,7 +866,7 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
             out.append(row)
         else:
             support = covered if cfg.strict_pattern else None
-            prob = OptProblem.build(h, p_sum, selected=omega, epsilon=cfg.epsilon_ratio * p_sum, support=support)
+            prob = OptProblem.build(h, p_sum, selected=omega.pairs, epsilon=cfg.epsilon_ratio * p_sum, support=support)
             p = _water_fill_reference(prob)
             every = [np.argsort(row, kind="stable") for row in h]
             out.append([sum(float(_beam_rates(h[n], p[n], every[n]).sum()) for n in range(len(h)))])
@@ -881,7 +891,14 @@ def test_stacked_tail_matches_the_per_budget_path():
     for n in (2, 3, 4):
         for k in range(n, 2**n):
             for strict in (False, True):
-                cfg = _cfg(schemes=("lsa-pdma",), n_beams=n, users=(k,), p_sum_db=(0.0, 20.0, 40.0), strict_pattern=strict)
+                cfg = _cfg(
+                    schemes=("lsa-pdma",),
+                    n_beams=n,
+                    users=(k,),
+                    policies=("fixed-ratio", "optimal"),
+                    p_sum_db=(0.0, 20.0, 40.0),
+                    strict_pattern=strict,
+                )
                 keys = [(n, k, strict), (n, k, strict, 1)]
                 states = [np.random.SeedSequence(17, spawn_key=key) for key in keys]
                 setups = [_drawn(cfg, k, "simple", state) for state in states]
@@ -891,7 +908,7 @@ def test_stacked_tail_matches_the_per_budget_path():
                 for channels, pattern, omega, beams, _ in setups:
                     nulled = omega.nulled(pattern)
                     saw_nulled |= nulled.any()
-                    splits.append(equal_splits(pattern, budgets, nulled))
+                    splits.append(equal_splits(pattern.entries[None], budgets, nulled)[0])
                     gains.append([build_link_state(channels, beams, split, 1.0).gains for split in splits[-1]])
                 splits, gains = np.array(splits), np.array(gains)
                 zeroed = gains.copy()

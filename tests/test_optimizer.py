@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from lsapdma import optimizer
 from lsapdma.optimizer import (
     LN2,
-    BarrierParams,
     OptProblem,
     barrier_solve,
     check_constraints,
@@ -322,10 +322,11 @@ def test_barrier_infeasible_status():
     assert sol.p_matrix is None
 
 
-def test_barrier_max_iterations_status():
+def test_barrier_max_iterations_status(monkeypatch):
     prob = OptProblem.build(np.array([[1.0, 2.0]]), 5.0)
-    params = BarrierParams(max_outer=1, tol=1e-12)
-    sol = barrier_solve(prob, params=params)
+    monkeypatch.setattr(optimizer, "MAX_OUTER", 1)
+    monkeypatch.setattr(optimizer, "BARRIER_TOL", 1e-12)
+    sol = barrier_solve(prob)
     assert sol.status == "max-iterations"
     assert sol.p_matrix is not None
 
@@ -416,6 +417,26 @@ def test_problem_validation():
         OptProblem.build(np.ones((1, 1)), 0.0)
     with pytest.raises(ValueError):
         OptProblem(gains=np.ones((1, 2)), p_sum=1.0, delta=np.full((1, 2), 0.6))
+    # non-finite gains, floors and budgets, and a NaN rate floor, are
+    # refused: each slipped past a check whose comparison is false for NaN
+    nan, inf = float("nan"), float("inf")
+    for gains in ([[1.0, nan]], [[inf, 1.0]]):
+        with pytest.raises(ValueError, match="gains must be finite"):
+            OptProblem.build(np.array(gains), 5.0)
+        with pytest.raises(ValueError, match="gains must be finite"):
+            water_fills(np.array(gains), 5.0, np.zeros((1, 2)))
+    for delta in ([[nan, 0.0]], [[0.0, inf]]):
+        with pytest.raises(ValueError, match="delta must be a finite"):
+            OptProblem(gains=np.ones((1, 2)), p_sum=5.0, delta=np.array(delta))
+    for p_sum in (nan, inf):
+        with pytest.raises(ValueError, match="p_sum must be positive and finite"):
+            OptProblem.build(np.ones((1, 2)), p_sum)
+        with pytest.raises(ValueError, match="p_sum must be positive and finite"):
+            water_fills(np.ones((2, 1, 2)), [5.0, p_sum], np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="r_min"):
+        OptProblem.build(np.ones((1, 2)), 5.0, r_min=nan)
+    # an infinite rate floor is a well-posed problem with no solution
+    assert barrier_solve(OptProblem.build(np.ones((1, 2)), 5.0, r_min=inf)).status == "infeasible"
 
 
 def _anchored_problem(rng, strict, zero_row):

@@ -146,9 +146,11 @@ def test_pattern_entries_are_validated_before_the_cast():
 
 
 def _ladder(pattern, p0, mu, sic_orders, p_sum, nulled=None):
-    """The ladder of one gain factor at one budget: a one-budget, one-mu
-    ``fixed_ratio_ladders`` stack, from per-beam orders of the covered users."""
-    return fixed_ratio_ladders(pattern, p0, [mu], _full_orders(pattern, sic_orders)[None], [p_sum], nulled)[0, 0]
+    """The ladder of one gain factor at one budget: a one-pattern,
+    one-budget, one-mu ``fixed_ratio_ladders`` stack, from per-beam orders
+    of the covered users."""
+    orders = _full_orders(pattern, sic_orders)[None, None]
+    return fixed_ratio_ladders(pattern.entries[None], p0, [mu], orders, [p_sum], nulled)[0, 0, 0]
 
 
 def test_fixed_ratio_equal_split_at_unit_mu():
@@ -180,15 +182,15 @@ def test_fixed_ratio_budget_and_ratios_exact():
 
 def test_fixed_ratio_rejects_bad_order():
     pattern = PatternMatrix(B35)
-    orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None]
+    orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None, None]
     # beam 1's covered user 2 is left out of its covered prefix
     bad = orders.copy()
-    bad[0, 1] = [0, 1, 3, 4, 2]
+    bad[0, 0, 1] = [0, 1, 3, 4, 2]
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(pattern, 1.0, [2.0], bad, [5.0])
+        fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], bad, [5.0])
     # an order row one user short
     with pytest.raises(ValueError):
-        fixed_ratio_ladders(pattern, 1.0, [2.0], orders[..., :-1], [5.0])
+        fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], orders[..., :-1], [5.0])
 
 
 def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
@@ -196,17 +198,17 @@ def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
     # two rungs of the ladder
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(pattern, 1.0, [2.0], np.array([[[0, 0]]]), [3.0])
+        fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], np.array([[[[0, 0]]]]), [3.0])
     # a stacked order that lists beam 0's covered users first but repeats
     # user 3 in place of the uncovered user 2
-    orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None]
-    orders[0, 0] = [0, 1, 3, 3, 4]
+    orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None, None]
+    orders[0, 0, 0] = [0, 1, 3, 3, 4]
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(PatternMatrix(B35), 1.0, [0.5, 2.0], orders, [5.0])
+        fixed_ratio_ladders(B35[None], 1.0, [0.5, 2.0], orders, [5.0])
     # an uncovered user listed ahead of a covered one
-    orders[0, 0] = [0, 2, 1, 3, 4]
+    orders[0, 0, 0] = [0, 2, 1, 3, 4]
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(PatternMatrix(B35), 1.0, [0.5, 2.0], orders, [5.0])
+        fixed_ratio_ladders(B35[None], 1.0, [0.5, 2.0], orders, [5.0])
 
 
 def _full_orders(pattern, sic_orders):
@@ -251,7 +253,7 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
             orders = [[rng.permutation(np.flatnonzero(row)) for row in pattern.entries] for _ in budgets]
             stacked = np.array([_full_orders(pattern, per_beam) for per_beam in orders])
             for p0 in (fig4.p0_ratio, 0.37):
-                ladders = fixed_ratio_ladders(pattern, p0, mus, stacked, budgets, nulled)
+                (ladders,) = fixed_ratio_ladders(pattern.entries[None], p0, mus, stacked[None], budgets, nulled)
                 assert ladders.shape == (len(budgets), len(mus), n, k)
                 for p_sum, per_beam, per_budget in zip(budgets, orders, ladders):
                     for mu, ladder in zip(mus, per_budget):
@@ -285,8 +287,8 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
     # order stack and one anchor set each, gives the C stacks of the
     # patterns run one at a time, bit for bit: equal splits (C, D, N, K),
     # ladders (C, D, M, N, K) and the harness's anchor floors (C, D, N, K),
-    # each drop's floors those of its anchor set given as a SelectedUserSet
-    # or as an (N, 2) array of pairs
+    # each drop's floors those of its anchor pairs given as a tuple or as
+    # an (N, 2) array
     mus = (0.25, 0.3, 1.7, 8.0)
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     for n in (2, 3, 4):
@@ -310,9 +312,10 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
             floors = _harness_floors(monkeypatch, stack, users, gains, np.array(budgets))
             assert splits.shape == gains.shape and ladders.shape == (3, len(budgets), len(mus), n, k)
             for c, pattern in enumerate(patterns):
-                assert np.array_equal(splits[c], equal_splits(pattern, budgets, nulled[c]))
-                assert np.array_equal(ladders[c], fixed_ratio_ladders(pattern, 0.37, mus, orders[c], budgets, nulled[c]))
-                assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c], 1e-6 * np.array(budgets)))
+                alone = pattern.entries[None]
+                assert np.array_equal(splits[c], equal_splits(alone, budgets, nulled[c])[0])
+                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, 0.37, mus, orders[c][None], budgets, nulled[c])[0])
+                assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c].pairs, 1e-6 * np.array(budgets)))
                 pairs = np.array(anchors[c].pairs)
                 assert np.array_equal(anchor_floors(gains[c], pairs, 1e-6 * np.array(budgets)), floors[c])
     # a stack must list one order stack per pattern
@@ -334,8 +337,8 @@ def test_budget_check_scales_with_the_budget():
             pattern = simple_beam_allocation(n, k, rng.permutation(k))
             orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
             mus = rng.uniform(0.1, 10.0, 4)
-            stacked = _full_orders(pattern, orders)[None]
-            ladders = fixed_ratio_ladders(pattern, rng.uniform(0.1, 2.0), mus, stacked, [p_sum])[0]
+            stacked = _full_orders(pattern, orders)[None, None]
+            ladders = fixed_ratio_ladders(pattern.entries[None], rng.uniform(0.1, 2.0), mus, stacked, [p_sum])[0, 0]
             _ladder(pattern, 1.0, float(mus[0]), orders, p_sum)
             support = pattern.entries == 1
             for entries in (ladders[0], equal_power(pattern, p_sum)):

@@ -114,10 +114,8 @@ def _scalar_beams(n):
     # n beams on an identity channel: g = f = I
     eye = np.eye(n, dtype=complex)
     return ChannelMatrix(entries=eye, large_scale_gain=1.0), BeamformerSet(
-        composite=eye,
         beam_matrix=eye,
         selected=SelectedUserSet(pairs=tuple((i, 0) for i in range(n))),
-        normalized=True,
     )
 
 
@@ -156,10 +154,11 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
     # is refused rather than filtered with foreign statistics
     chans, pattern, beams = _setup(k=7)
     other = simple_beam_allocation(3, 5, range(5))
-    for bad in (equal_splits(other, [10.0]), equal_splits(pattern, [10.0])[:, :2]):
+    splits = equal_splits(pattern.entries[None], [10.0])[0]
+    for bad in (equal_splits(other.entries[None], [10.0])[0], splits[:, :2]):
         with pytest.raises(ValueError, match=r"\(C, N, K\)"):
             drop_link_states([_stack(chans, beams, bad)], 1.0)
-    assert drop_link_states([_stack(chans, beams, equal_splits(pattern, [10.0]))], 1.0)[0].shape == (1, 1, 3, 7)
+    assert drop_link_states([_stack(chans, beams, splits)], 1.0)[0].shape == (1, 1, 3, 7)
 
 
 def test_mmse_high_noise_limit():
@@ -268,7 +267,7 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             beams = compute_zfbf(chans, omega)
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
-            splits = equal_splits(pattern, 10.0 ** (dbs / 10.0), nulled)
+            (splits,) = equal_splits(pattern.entries[None], 10.0 ** (dbs / 10.0), nulled)
             ((gains,),) = drop_link_states([_stack(chans, beams, splits)], 1.0)
             ref = _oracle_gains([ch.entries for ch in chans], beams.beam_matrix, splits, 1.0)
             err, small = _oracle_errors(gains, ref)
@@ -351,7 +350,7 @@ def test_one_matrix_seams_equal_their_stack_slices():
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
             nulled = omega.nulled(pattern)
-            splits = equal_splits(pattern, budgets, nulled)
+            (splits,) = equal_splits(pattern.entries[None], budgets, nulled)
             for d, p_sum in enumerate(budgets):
                 one = equal_power(pattern, p_sum, nulled)
                 assert one.shape == (n, k)
@@ -534,7 +533,8 @@ def test_drop_link_states_match_each_unit_alone():
             hints = np.array([ch.large_scale_gain for ch in chans])
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
-            units.append((chans, compute_zfbf(chans, omega), equal_splits(pattern, budgets, omega.nulled(pattern))))
+            (splits,) = equal_splits(pattern.entries[None], budgets, omega.nulled(pattern))
+            units.append((chans, compute_zfbf(chans, omega), splits))
         stacks = [_stack(*unit) for unit in units]
         pair = tuple(np.concatenate([a, b]) for a, b in zip(stacks[0], stacks[2]))  # the two K = N units
         *stacked, paired = drop_link_states(stacks + [pair], 1.0)
