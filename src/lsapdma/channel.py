@@ -59,6 +59,19 @@ class CellConfig:
             raise ValueError("min_distance_m must lie in (0, radius_m)")
         if not self.reference_distance_m > 0:
             raise ValueError("reference_distance_m must be positive")
+        # every user lies in [min_distance_m, radius_m], and the path loss
+        # is monotone in the distance, so the two ends bound it
+        for name in ("min_distance_m", "radius_m"):
+            try:
+                gain = _shadowed_gain(self, getattr(self, name), 0.0)
+            except OverflowError:
+                gain = math.inf
+            if not 0 < gain < math.inf:
+                raise ValueError(
+                    f"path_loss_factor = {self.path_loss_factor:g}, path_loss_exponent = "
+                    f"{self.path_loss_exponent:g} and reference_distance_m = {self.reference_distance_m:g} "
+                    f"give a path loss at {name} = {getattr(self, name):g} that is not a finite positive float"
+                )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,8 +49,22 @@ def _print_powers(p_matrix) -> None:
         print("  " + " ".join(f"{v:.6g}" for v in row))
 
 
+def _read_gains(path) -> np.ndarray:
+    """The (beams, users) gain matrix in ``path``; a file with no numbers
+    in it, or rows of unequal length, is refused with a ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "no data": refused below
+        try:
+            gains = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"cannot read the gain matrix in {path}: {exc}") from None
+    if gains.size == 0:
+        raise ValueError(f"the gain matrix in {path} is empty")
+    return gains
+
+
 def _cmd_solve(args) -> int:
-    gains = np.loadtxt(args.gains, ndmin=2)
+    gains = _read_gains(args.gains)
     prob = OptProblem.build(gains, args.psum, r_min=args.rmin)
     if prob.r_min == 0:
         # without rate (or power) floors the water-fill is the exact optimum

@@ -44,7 +44,15 @@ workers, puts the tables back in drop order and reads each (scheme, K,
 sweep value) off its column.  ``workers`` counts the calling process: it
 runs every workers-th chunk itself, and a pool of workers - 1 processes,
 which send back only their tables, runs the rest; one worker starts no
-pool.
+pool.  The pool is module state kept across calls: the first call that
+needs one starts it, later calls at the same worker count in the same
+process reuse it, a call at another count replaces it, and a call that
+raises or is left unfinished shuts it down and forgets it.  Its processes
+are forked by the call that starts the pool, so they run the module as it
+was then and do not see an attribute patched later.  Interpreter exit
+joins them, and each ends itself once its parent is gone.  The calls of a
+process share the pool, so they are made one at a time, not from several
+threads at once.
 
 The optimal policy is the water-filling closed form
 (``optimizer.water_fills``): the anchors keep their ZF power floors, and the
@@ -67,7 +75,10 @@ from __future__ import annotations
 
 import configparser
 import functools
+import os
 import subprocess
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -575,31 +586,81 @@ def _chunks(cfg: ExperimentConfig) -> list[range]:
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+class _KeptPool(NamedTuple):
+    """The pool ``_finished_chunks`` keeps across calls: the process that
+    started it, its size and the executor."""
+
+    pid: int
+    size: int
+    executor: ProcessPoolExecutor
+
+
+_kept_pool: _KeptPool | None = None
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this process once its parent is gone, so a
+    kept pool does not outlive a caller that is killed."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool(size: int) -> ProcessPoolExecutor:
+    """The kept pool of ``size`` processes; any other, or one inherited
+    from the process this one was forked from, is replaced."""
+    global _kept_pool
+    if _kept_pool is None or (_kept_pool.pid, _kept_pool.size) != (os.getpid(), size):
+        _drop_pool()
+        executor = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+        _kept_pool = _KeptPool(os.getpid(), size, executor)
+    return _kept_pool.executor
+
+
+def _drop_pool() -> None:
+    """Forget the kept pool, and shut it down with its queued chunks
+    cancelled if this process started it (a fork's copy is not its own)."""
+    global _kept_pool
+    kept, _kept_pool = _kept_pool, None
+    if kept is not None and kept.pid == os.getpid():
+        kept.executor.shutdown(cancel_futures=True)
+
+
 def _finished_chunks(cfg: ExperimentConfig, chunks):
     """(chunk index, (rate table, redraws)) of each chunk as it finishes.
 
     The calling process is worker 0 of w = min(workers, chunks): it first
-    submits every chunk whose index is not a multiple of w to a pool of
-    w - 1 processes, so they start at once, then computes chunks 0, w,
-    2w, ... itself and collects the pool's as they finish.  With w = 1
-    there is no pool.  A pool process sends back only the two arrays of
-    ``_chunk_rates``.  On every exit the pool is shut down with its queued
-    chunks cancelled, so a chunk that raises surfaces without waiting for
-    the chunks not yet started.
+    submits every chunk whose index is not a multiple of w to the kept pool
+    of w - 1 processes (``_pool``), so they start at once, then computes
+    chunks 0, w, 2w, ... itself and collects the pool's as they finish.
+    With w = 1 no pool is used.  A pool process sends back only the two
+    arrays of ``_chunk_rates``.  The pool outlives the call: the next call
+    at the same w reuses it, one at another w replaces it.  Its processes
+    are forks taken when it started, so they do not see a module attribute
+    patched since.  On any exception or early exit the pool is shut down
+    with its queued chunks cancelled, so a chunk that raises surfaces
+    without waiting for the chunks not yet started, and is dropped, so a
+    broken pool never serves the next call.
     """
     states = [[np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in chunk] for chunk in chunks]
     workers = min(cfg.workers, len(chunks))
     pooled = [index for index in range(len(states)) if index % workers]
-    pool = ProcessPoolExecutor(max_workers=workers - 1) if pooled else None
+    pool = _pool(workers - 1) if pooled else None
     try:
         futures = {pool.submit(_chunk_rates, cfg, states[index]): index for index in pooled}
         for index in range(0, len(states), workers):
             yield index, _chunk_rates(cfg, states[index])
         for future in as_completed(futures):
             yield futures[future], future.result()
-    finally:
+    except BaseException:  # GeneratorExit too: a call left unfinished
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            _drop_pool()
+        raise
 
 
 def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=None):
@@ -609,7 +670,11 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=No
     (``_chunk_rates``); the chunks are spread over ``cfg.workers``
     processes, the calling process counted as one of them (see
     ``_finished_chunks``), and their tables put back in drop order, so
-    results are identical for any worker count.  No record is built: each
+    results are identical for any worker count.  The pool of the other
+    workers is kept for the next call at the same count, replaced by a
+    call at another count and dropped by a call that raises; its
+    processes are forks taken at the call that started it, so they do not
+    see a module attribute patched later.  No record is built: each
     (scheme, K, sweep_value) is one column of the table.  With a text
     stream ``log``, each finished chunk reports the drops done.
 

@@ -93,6 +93,14 @@ def test_cell_config_validation():
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
                 CellConfig(**{name: bad})
+    # the path loss at both ends of the annulus must be a finite positive
+    # float: an overflow at the minimum distance raised OverflowError in the
+    # first drop, and an underflow at the radius gives users zero gain
+    with pytest.raises(ValueError, match=r"path loss at min_distance_m = 10 that is not a finite positive float$"):
+        CellConfig(path_loss_exponent=1000.0)
+    with pytest.raises(ValueError, match=r"path loss at radius_m = 800 that is not a finite positive float$"):
+        CellConfig(path_loss_factor=1e-300, path_loss_exponent=20.0, reference_distance_m=10.0)
+    CellConfig(path_loss_exponent=100.0)
 
 
 def test_sample_channel_zero_gain():

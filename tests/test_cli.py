@@ -104,6 +104,23 @@ def test_solve_rejects_non_finite_input(tmp_path, capsys):
         assert captured.err.startswith(f"error: {field} must be")
 
 
+def test_solve_refuses_an_empty_or_ragged_gain_file(tmp_path, capsys, recwarn):
+    # an empty file printed numpy's "no data" warning and a reshape error
+    # that did not name the gain matrix
+    for name, text, message in (
+        ("empty.txt", "", "is empty"),
+        ("comments.txt", "# beams x users\n\n", "is empty"),
+        ("ragged.txt", "1.0 2.0\n0.5\n", "the number of columns changed"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["solve", "--gains", str(path), "--psum", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "gain matrix" in captured.err and message in captured.err
+    assert len(recwarn) == 0
+
+
 def test_solve_verbose_traces(tmp_path, capsys):
     path = tmp_path / "h.txt"
     path.write_text("1.0 2.0\n")
@@ -188,3 +205,12 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {key} must be finite\n"
         assert not out.exists()
+    # a finite exponent whose path loss overflows at the minimum distance
+    # ended in an OverflowError traceback with no error line
+    out = tmp_path / "exponent"
+    cfg.write_text(f"[cell]\npath_loss_exponent = 1000\n\n[experiment]\nschemes = oma\ndrops = 3\n\n[output]\npath = {out}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: path_loss_factor = 1, path_loss_exponent = 1000 and reference_distance_m = 1000 give")
+    assert err.endswith("at min_distance_m = 10 that is not a finite positive float\n")
+    assert not out.exists()

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -619,7 +624,8 @@ def test_run_chunk_reads_its_records_off_the_rate_table(monkeypatch):
 def _thread_pools(monkeypatch):
     """Stand ``harness.ProcessPoolExecutor`` in with a thread pool of this
     process, which has the same submit and shutdown semantics; returns the
-    list of the sizes of the pools started."""
+    list of the sizes of the pools started.  A thread has no parent
+    process to watch, so the stand-in runs no initializer."""
     from concurrent.futures import ThreadPoolExecutor
 
     import lsapdma.harness as harness
@@ -627,7 +633,7 @@ def _thread_pools(monkeypatch):
     sizes = []
 
     class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
@@ -702,6 +708,132 @@ def test_a_failing_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
     with pytest.raises(ConfigError, match="chunk fails"):
         run_monte_carlo(_cfg(drops=6, workers=2))
     assert sorted(calls) == [(0, True), (1, False), (2, True)]
+
+
+def test_calls_at_one_worker_count_share_one_pool(monkeypatch):
+    # the pool outlives the call: a second 2-worker call reuses it, a
+    # 1-worker call leaves it alone, and every table is bit for bit the same
+    started = _thread_pools(monkeypatch)
+    cfg = _cfg(schemes=("oma", "lsa-pdma"), drops=5, workers=2)
+    first = _hexed_run(*run_monte_carlo(cfg, collect_samples=True))
+    second = _hexed_run(*run_monte_carlo(cfg, collect_samples=True))
+    alone = _hexed_run(*run_monte_carlo(dataclasses.replace(cfg, workers=1), collect_samples=True))
+    assert started == [1]
+    assert second == first == alone
+
+
+def test_a_call_at_another_worker_count_replaces_the_pool(monkeypatch):
+    started = _thread_pools(monkeypatch)
+    want = run_monte_carlo(_cfg(drops=7, workers=1))
+    for workers in (2, 3, 2):
+        assert run_monte_carlo(_cfg(drops=7, workers=workers)) == want
+    assert started == [1, 2, 1]
+
+
+def test_a_failing_chunk_drops_the_pool(monkeypatch):
+    # the failing call shuts its pool down and forgets it; the next call
+    # starts a fresh one and runs every chunk
+    import lsapdma.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK_DROPS", 1)
+    started = _thread_pools(monkeypatch)
+    want = run_monte_carlo(_cfg(drops=6, workers=1))
+    with monkeypatch.context() as m:
+        _chunk_calls(m, fail=2)
+        with pytest.raises(ConfigError, match="chunk fails"):
+            run_monte_carlo(_cfg(drops=6, workers=2))
+    assert harness._kept_pool is None
+    assert run_monte_carlo(_cfg(drops=6, workers=2)) == want
+    assert started == [1, 1]
+
+
+def test_a_pool_started_by_another_process_is_not_reused(monkeypatch):
+    # a forked process inherits the module's kept pool; it starts its own
+    # and leaves the inherited one running for the process that owns it
+    import lsapdma.harness as harness
+
+    started = _thread_pools(monkeypatch)
+    cfg = _cfg(drops=5, workers=2)
+    want = run_monte_carlo(cfg)
+    inherited = harness._kept_pool._replace(pid=-1)
+    harness._kept_pool = inherited
+    try:
+        assert run_monte_carlo(cfg) == want
+        assert started == [1, 1]
+        assert harness._kept_pool.pid == os.getpid()
+        assert inherited.executor.submit(int, "7").result() == 7
+    finally:
+        inherited.executor.shutdown()
+
+
+_POOL_PIDS = """
+import dataclasses, sys, time
+from lsapdma import harness
+cfg = dataclasses.replace(harness.ExperimentConfig.from_file(sys.argv[1]), drops=16, workers=2)
+for _ in range(int(sys.argv[2])):
+    harness.run_monte_carlo(cfg)
+    print(*sorted(harness._kept_pool.executor._processes), flush=True)
+time.sleep(float(sys.argv[3]))
+"""
+
+
+def _pool_pids_process(calls, linger_s):
+    """A Python process that runs ``calls`` 2-worker Monte Carlo calls on
+    16 fig5 drops, prints its pool's pids after each and then waits
+    ``linger_s`` seconds before it exits."""
+    import lsapdma
+
+    src = str(Path(lsapdma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fig5 = Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg"
+    args = [sys.executable, "-c", _POOL_PIDS, str(fig5), str(calls), str(linger_s)]
+    return subprocess.Popen(args, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def _running(pid) -> bool:
+    """Whether process ``pid`` exists and is not a zombie left for its
+    reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_no_pool_process_outlives_the_caller():
+    # two calls share one pool, and interpreter exit joins its processes
+    with _pool_pids_process(2, 0.0) as proc:
+        try:
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0
+    first, second = out.splitlines()
+    assert first == second and len(first.split()) == 1
+    for pid in map(int, first.split()):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_pool_processes_end_when_the_caller_is_killed():
+    # a caller killed by a signal runs no exit hook; its pool's processes
+    # see their parent gone and end themselves within about a second
+    with _pool_pids_process(1, 60.0) as proc:
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+    assert len(pids) == 1
+    deadline = time.monotonic() + 15.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:  # a failure leaves nothing behind either
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 def test_monte_carlo_is_bit_identical_for_every_worker_count():
