@@ -211,8 +211,8 @@ def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
         # the raw A A^H, each entry one conjugating dot product of two
         # rows, so no conjugate copy of the stack is made
         gram = np.vecdot(a[:, None], a[:, :, None])
-    # each block's squared norm, the trace of its diagonal block
-    squares = np.diagonal(gram, axis1=-2, axis2=-1).real.reshape(n_units, n_beams, n_rx).sum(axis=-1)
+        # each block's squared norm, the trace of its diagonal block
+        squares = np.diagonal(gram, axis1=-2, axis2=-1).real.reshape(n_units, n_beams, n_rx).sum(axis=-1)
     if not np.isfinite(squares).all():
         # any NaN or infinite entry leaves its block's square NaN or infinite
         raise ValueError("anchor channels must be finite, with finite norms")

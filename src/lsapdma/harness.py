@@ -28,12 +28,12 @@ drop.  The ZF precoders of every (drop, set-up) come from one
 the budgets.  A set-up whose first draw is singular falls
 back to ``_draw_drop``, which redraws it alone from the restarted stream,
 so its redraw count and its channels are those it would have run by
-itself.  Each unit's power policy then runs over all C drops and D budgets
-as one array operation: the equal splits (C, D, N, K), the mu sweep's
-ladders (C, D, M, N, K) and the water-fill (C, D, N, K) are each one stack,
-and so are their SIC orders, SINRs and rates.  Every kernel computes a
-slice of its stack as it would alone, so a drop's rates do not depend on
-the chunk that holds it.
+itself.  Each unit's power policy then gives one (C, D, M, N, K) power
+stack over all C drops, D budgets and M sweep values (M = 1 but for the mu
+sweep's ladders), and one tail, the gains' SIC orders and
+``beam_sum_rates``, turns any of them into sum rates.  Every kernel
+computes a slice of its stack as it would alone, so a drop's rates do not
+depend on the chunk that holds it.
 
 A chunk's result is one rate table (``_chunk_rates``): a row per drop and
 a column per record, laid out once per config by ``_layout``.  Records
@@ -55,26 +55,29 @@ process share the pool, so they are made one at a time, not from several
 threads at once.
 
 The optimal policy is the water-filling closed form
-(``optimizer.water_fills``): the anchors keep their ZF power floors, and the
-rest of the budget is water-filled across beams onto each beam's strongest
-user.  The floors are put on the (C, D, N, K) gain stack at each drop's
-anchors, and one ``water_fills`` call takes that stack, the D budgets and,
-under ``strict_pattern``, the (C, 1, N, K) covered pairs as they are.
+(``optimizer.water_fills``): the anchors keep their ZF power floors
+(``optimizer.ANCHOR_FLOOR`` of each budget), and the rest of the budget is
+water-filled across beams onto each beam's strongest user.  The floors are
+put on the (C, D, N, K) gain stack at each drop's anchors, and one
+``water_fills`` call takes that stack, the D budgets and, under
+``strict_pattern``, the (C, 1, N, K) covered pairs as they are.
 Unless ``strict_pattern`` restricts it to the pattern's pairs, the served
 user is the beam's strongest whatever the pattern covers, so the policy
 then ignores the pattern.
 
-Baselines run through the same evaluator: the orthogonal scheme is the
-identity pattern with equal power, and the power-domain scheme is the
-diversity-one far-near paired pattern with a fixed power ratio, so reducing
-the main scheme to either baseline is a configuration change, not a separate
-code path.
+Baselines run through the same evaluator and the same rate tail: the
+orthogonal scheme is the identity pattern with equal power, and the
+power-domain scheme is the diversity-one far-near paired pattern with a
+fixed power ratio, so reducing the main scheme to either baseline is a
+configuration change, not a separate code path, and gives the baseline's
+rates bit for bit (the orthogonal one's at p0_ratio = 1).
 """
 
 from __future__ import annotations
 
 import configparser
 import functools
+import math
 import os
 import subprocess
 import threading
@@ -89,9 +92,9 @@ import numpy as np
 from . import __version__
 from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, draw_channels
-from .optimizer import water_fills
+from .optimizer import ANCHOR_FLOOR, water_fills
 from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
-from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
+from .receiver import beam_sum_rates, drop_link_states, power_scales, sic_orders
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -118,9 +121,10 @@ class ExperimentConfig:
     The ``optimal`` policy is the water-filling closed form: with the
     default (non-strict) support it serves each beam's strongest user
     whatever the pattern; ``strict_pattern`` restricts it to the pattern's
-    pairs, and so needs the ``optimal`` policy.  It has no per-link minimum
-    rate; the optimizer's log-barrier solver (``lsapdma solve --rmin``)
-    handles those.
+    pairs, and so needs the ``optimal`` policy.  Its anchors' power floor
+    is the constant ``optimizer.ANCHOR_FLOOR`` of each budget, not an
+    option.  It has no per-link minimum rate; the optimizer's log-barrier
+    solver (``lsapdma solve --rmin``) handles those.
     """
 
     cell: CellConfig = field(default_factory=CellConfig)
@@ -136,7 +140,6 @@ class ExperimentConfig:
     mu: tuple[float, ...] = (2.0,)
     p0_ratio: float = 1.0
     pnoma_mu: float = 0.25
-    epsilon_ratio: float = 1e-6
     strict_pattern: bool = False
     drops: int = 1000
     seed: int = 1
@@ -157,10 +160,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if not all(mu > 0 for mu in self.mu):
             raise ConfigError("mu values must be positive")
-        if not (self.epsilon_ratio >= 0 and self.n_beams * self.epsilon_ratio < 1):
-            # one anchor per beam sits on the floor, so n_beams floors must
-            # leave part of the budget free
-            raise ConfigError("epsilon_ratio must lie in [0, 1/n_beams)")
         if self.n_tx < self.n_beams:
             raise ConfigError("need n_tx >= n_beams")
         if self.n_beams * self.n_rx > self.n_tx:
@@ -246,11 +245,11 @@ def _check_float_range(cfg: ExperimentConfig) -> None:
         ladders.append(("pnoma_mu", (cfg.pnoma_mu,), 2 * cfg.n_beams))
     if "lsa-pdma" in cfg.schemes and "fixed-ratio" in cfg.policies:
         ladders.append(("mu", cfg.mu, max(cfg.users)))
+    budgets = np.array([_budget(db) for db in cfg.p_sum_db])
+    for db, budget in zip(cfg.p_sum_db, budgets):
+        if not 0 < budget < np.inf:
+            raise ConfigError(f"p_sum_db = {db:g} gives a budget that is not a finite positive float")
     with np.errstate(all="ignore"):
-        budgets = np.power(10.0, np.asarray(cfg.p_sum_db, dtype=float) / 10.0)
-        for db, budget in zip(cfg.p_sum_db, budgets):
-            if not 0 < budget < np.inf:
-                raise ConfigError(f"p_sum_db = {db:g} gives a budget that is not a finite positive float")
         for name, mus, n_users in ladders:
             for mu in mus:
                 steps = cfg.p0_ratio * mu ** np.arange(n_users)
@@ -260,6 +259,15 @@ def _check_float_range(cfg: ExperimentConfig) -> None:
                         f"{name} = {mu:g} with p0_ratio = {cfg.p0_ratio:g} gives a power ladder "
                         "step that is not a finite positive float"
                     )
+
+
+def _budget(db: float) -> float:
+    """The linear budget 10^(dB/10) of a dB value as every drop computes it;
+    one past the float range, where Python's power raises, is inf."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _echo(value) -> str:
@@ -297,7 +305,7 @@ _CONFIG_KEYS = {
     "power": {
         "policies": ("policies", _listed(str)),
         **{key: (key, _listed(float)) for key in ("p_sum_db", "mu")},
-        **{key: (key, float) for key in ("p0_ratio", "pnoma_mu", "epsilon_ratio")},
+        **{key: (key, float) for key in ("p0_ratio", "pnoma_mu")},
         "strict_pattern": ("strict_pattern", _boolean),
     },
     "pattern": {"policy": ("pattern_policy", str.strip), "matrix": ("fixed_pattern", parse_pattern_text)},
@@ -444,27 +452,25 @@ def _unit_rates(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, bud
     their (C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
     (C, D, N, K) gains they give.  The equal-split and fixed-ratio policies
     power only the pattern's pairs that the anchors do not null; the optimal
-    policy is the water-fill with the anchors' floors.  Each policy's
-    powers, SINRs and rates are one stack over the drops and budgets (and
-    the mu sweep): a (C, D, M) table of sum rates, M = 1 but for the
-    ladders.  ``_layout`` places its columns in the records.
+    policy is the water-fill with the anchors' floors.  Each policy gives
+    one (C, D, M, N, K) power stack over the drops, budgets and mu sweep,
+    M = 1 but for the ladders, and one tail turns any of them into the
+    (C, D, M) sum rates: the gains' SIC orders and ``beam_sum_rates``.
+    ``_layout`` places its columns in the records.
     """
     _, _, _, power_policy, mus = unit
-    covered = (setups.entries == 1)[:, None]  # (C, 1, N, K)
+    orders = sic_orders(gains)
     if power_policy == "equal":
-        sinrs = sic_sinrs(gains, splits, sic_orders(gains, covered))
-        rates = pair_rates(sinrs).reshape(*gains.shape[:2], -1).sum(axis=-1)[..., None]
+        powers = splits[:, :, None]
     elif power_policy == "fixed-ratio":
-        orders = sic_orders(gains, covered)
-        ladders = fixed_ratio_ladders(setups.entries, cfg.p0_ratio, mus, orders, budgets, setups.nulled)
-        rates = beam_sum_rates(gains[:, :, None], ladders, orders[:, :, None])
+        powers = fixed_ratio_ladders(setups.entries, cfg.p0_ratio, mus, orders, budgets, setups.nulled)
     else:  # optimal
-        # each beam's anchor keeps the floor epsilon_ratio of each budget
+        # each beam's anchor keeps the floor ANCHOR_FLOOR of each budget
         delta = np.zeros_like(gains)
-        np.put_along_axis(delta, setups.anchors[:, None, :, None], (cfg.epsilon_ratio * budgets)[:, None, None], axis=-1)
-        powers = water_fills(gains, budgets, delta, covered if cfg.strict_pattern else None)
-        rates = beam_sum_rates(gains, powers, sic_orders(gains))[..., None]
-    return rates.reshape(len(gains), -1)
+        np.put_along_axis(delta, setups.anchors[:, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
+        covered = (setups.entries == 1)[:, None] if cfg.strict_pattern else None  # (C, 1, N, K)
+        powers = water_fills(gains, budgets, delta, covered)[:, :, None]
+    return beam_sum_rates(gains[:, :, None], powers, orders[:, :, None]).reshape(len(gains), -1)
 
 
 class _Layout(NamedTuple):
@@ -531,7 +537,7 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
         # redrawn alone, from the restarted stream, as in a chunk of one
         redrawn = _draw_drop(cfg, *keys[s], states[c])
         columns[s] = _SetUps(*(np.concatenate([a[:c], b, a[c + 1 :]]) for a, b in zip(columns[s], redrawn)))
-    budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+    budgets = np.array([_budget(db) for db in cfg.p_sum_db])
     splits = [equal_splits(setups.entries, budgets, setups.nulled) for setups in columns]
     # an equal split's shape Pi is its 0/1 powered support at every budget
     scales = [power_scales(split) for split in splits]

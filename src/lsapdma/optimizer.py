@@ -50,6 +50,8 @@ NEWTON_TOL = 1e-10
 ARMIJO = 0.01
 BACKTRACK = 0.5
 MAX_NEWTON = 200
+# each ZF anchor's power floor as a share of the budget, so anchors keep power
+ANCHOR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,12 @@ class OptProblem:
         """Assemble the floor matrix from the ZF selected pairs.
 
         ``selected`` is an iterable of (beam, user) pairs; each selected pair
-        gets the floor ``epsilon`` (default 1e-6 of the budget) so the
-        precoder's anchor users keep nonzero power.
+        gets the floor ``epsilon`` (default ``ANCHOR_FLOOR`` of the budget)
+        so the precoder's anchor users keep nonzero power.
         """
         gains = np.asarray(gains, dtype=float)
         if epsilon is None:
-            epsilon = 1e-6 * p_sum
+            epsilon = ANCHOR_FLOOR * p_sum
         return cls(
             gains=gains,
             p_sum=float(p_sum),

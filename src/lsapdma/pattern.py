@@ -311,11 +311,11 @@ def fixed_ratio_ladders(
     the powered users (covered and not ``nulled``), taken in the
     ascending-gain order ``sic_orders[c, d, n]``, get powers p0, mu*p0,
     mu^2*p0, ...; one constant per ladder then scales the whole matrix so
-    its total equals the budget.  ``sic_orders`` has shape (C, D, N, K):
-    each row is a permutation of the users that lists the users covered by
-    its beam first, each once (as ``receiver.sic_orders`` gives them);
-    nulled users keep their place but get no power.  ``nulled`` is one
-    (N, K) mask, or one per pattern.  Every ladder passes
+    its total equals the budget.  ``sic_orders`` has shape (C, D, N, K),
+    each row a permutation of the users (as ``receiver.sic_orders`` gives
+    them); a step is placed by counting only the powered users along the
+    row, so users without power may sit anywhere in it and get none.
+    ``nulled`` is one (N, K) mask, or one per pattern.  Every ladder passes
     ``_check_powers``, run once on the stack.
     """
     mus = np.asarray(mus, dtype=float)
@@ -330,23 +330,19 @@ def fixed_ratio_ladders(
     orders = np.asarray(sic_orders)
     if orders.shape != (n_stack, len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
         raise ValueError("sic_orders must hold one (N, K) integer order stack per pattern and budget")
-    # (C, 1, N, K): one pattern and one powered support for all budgets
-    b, support = b[:, None], support[:, None]
+    valid = (np.sort(orders, axis=-1) == np.arange(n_users)).all(axis=-1)
+    if not valid.all():
+        n = int(np.flatnonzero(~valid.reshape(-1, n_beams).all(axis=0))[0])
+        raise ValueError(f"sic_orders[..., {n}, :] must list each user once")
     # flat positions of each beam's users, in order, in the (C, N, K)
     # pattern stack and in a (C, D, N, K) stack
     in_pattern = orders + n_users * np.arange(n_stack * n_beams).reshape(n_stack, 1, n_beams, 1)
     at = orders + n_users * np.arange(orders.size // n_users).reshape(orders.shape[:-1] + (1,))
-    covered_first = np.arange(n_users) < b.sum(axis=-1, keepdims=True)
-    permutes = np.sort(orders, axis=-1) == np.arange(n_users)
-    valid = (permutes & ((b.reshape(-1)[in_pattern] == 1) == covered_first)).all(axis=-1)
-    if not valid.all():
-        n = int(np.flatnonzero(~valid.reshape(-1, n_beams).all(axis=0))[0])
-        raise ValueError(f"sic_orders[..., {n}, :] must list each user covered by beam {n} once, first")
     # each powered user's place among its beam's powered users, in user space
     place = np.empty(orders.shape, dtype=int)
     place.reshape(-1)[at] = np.cumsum(support.reshape(-1)[in_pattern], axis=-1) - 1
     steps = p0 * mus[:, None] ** np.arange(n_users)  # (M, K)
-    support = support[:, :, None]  # (C, 1, 1, N, K)
+    support = support[:, None, None]  # (C, 1, 1, N, K): one support for all budgets
     ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
     ladders *= (p_sum[:, None] / ladders.sum(axis=(-2, -1)))[..., None, None]
     _check_powers(ladders, support, p_sum[:, None])

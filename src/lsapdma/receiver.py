@@ -24,10 +24,11 @@ max(P)) of one drop, paired with the gains as a ``LinkState``.  A user's
 outputs do not depend on the users stacked beside it.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
-a (..., N, K) gain stack with one stable argsort, uncovered users masked to
-sort last, and ``sic_sinrs`` computes the SINRs of a power stack under
-such orders.  ``_sic_sinr`` is the one SINR formula: ``sic_sinrs`` and the
-optimizer's objective, rate constraints and barrier all reach it.
+a (..., N, K) gain stack with one stable argsort, by gain alone: a user
+with no power adds an exact zero wherever it sits, so one order serves
+every power policy.  ``sic_sinrs`` computes the SINRs of a power stack
+under such orders.  ``_sic_sinr`` is the one SINR formula: ``sic_sinrs``
+and the optimizer's objective, rate constraints and barrier all reach it.
 """
 
 from __future__ import annotations
@@ -86,38 +87,35 @@ def _mmse_kernel(m, root, s, sigma2):
     yield h = 0.  Returns Q (D, U, N, N), from which V = M Q, and the gains
     (D, U, N), user u's row n being beam n's gain.  Every product and
     decomposition runs slice by slice, so a user's outputs do not depend on
-    the users stacked beside it.
+    the users stacked beside it.  A level s lambda + sigma2, power or gain
+    past the float range (too large a path loss or budget; an infinite
+    Gram leaves lambda NaN) raises ValueError and warns of nothing.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    x = m.conj().swapaxes(-1, -2) @ m  # (U, N, N)
-    lam, w = np.linalg.eigh(root.swapaxes(-1, -2) @ x @ root)
-    rw = root @ w
-    scale = s[..., None] / (s[..., None] * np.maximum(lam, 0.0) + sigma2)  # (D, U, N)
-    q = (rw * scale[..., None, :]) @ rw.conj().swapaxes(-1, -2)  # (D, U, N, N)
-    proj = q @ x  # row n is v_n^H M
-    powers = np.abs(proj) ** 2
-    desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
-    inter = powers.sum(axis=-1) - desired
-    vnorm2 = (proj * q.swapaxes(-1, -2)).sum(axis=-1).real  # (Q X Q)_nn
-    denom = inter + sigma2 * vnorm2
-    h = np.zeros_like(desired)
-    live = denom > 0  # only a zero row of Q gives denom == 0
-    h[live] = np.sqrt(desired[live] / denom[live])
-    return q, h
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        x = m.conj().swapaxes(-1, -2) @ m  # (U, N, N)
+        lam, w = np.linalg.eigh(root.swapaxes(-1, -2) @ x @ root)
+        rw = root @ w
+        level = s[..., None] * np.maximum(lam, 0.0) + sigma2  # (D, U, N)
+        q = (rw * (s[..., None] / level)[..., None, :]) @ rw.conj().swapaxes(-1, -2)  # (D, U, N, N)
+        proj = q @ x  # row n is v_n^H M
+        powers = np.abs(proj) ** 2
+        desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
+        inter = powers.sum(axis=-1) - desired
+        vnorm2 = (proj * q.swapaxes(-1, -2)).sum(axis=-1).real  # (Q X Q)_nn
+        denom = inter + sigma2 * vnorm2  # NaN or infinite if desired is
+        h2 = np.divide(desired, denom, out=np.zeros_like(desired), where=denom > 0)  # 0 at a zero row of Q
+    if not (np.isfinite(level).all() and np.isfinite(denom).all() and np.isfinite(h2).all()):
+        raise ValueError("the link gains are not finite: the received powers overflow (is the path loss too large?)")
+    return q, np.sqrt(h2)
 
 
-def sic_orders(gains: np.ndarray, covered: np.ndarray | None = None) -> np.ndarray:
+def sic_orders(gains: np.ndarray) -> np.ndarray:
     """Decoding orders of every row of a gain stack (..., K): ascending gain,
     ties by ascending user index, from one stable argsort over the stack.
-
-    With ``covered`` (broadcasting to the gains), each row lists its
-    covered users first, in that order, and the uncovered ones after them.
-    """
-    h = np.asarray(gains, dtype=float)
-    if covered is not None:
-        h = np.where(covered, h, np.inf)
-    return np.argsort(h, axis=-1, kind="stable")
+    A user without power may sit anywhere in it (see ``sic_sinrs``)."""
+    return np.argsort(np.asarray(gains, dtype=float), axis=-1, kind="stable")
 
 
 def _sic_sinr(h2: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -143,10 +141,10 @@ def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.n
 
         gamma = h^2 p / (1 + h^2 * sum of later users' powers)
 
-    so the last-ordered user sees no intra-beam interference.  Users with
-    no power sorted last contribute nothing, so an order that lists a
-    beam's uncovered users last gives those users gamma = 0 and leaves the
-    covered ones' SINRs as if the uncovered were absent.
+    so the last-ordered user sees no intra-beam interference.  A user with
+    no power gets gamma = 0 and, wherever it sits in the order, adds an
+    exact +0.0 to the interference sums of the users before it, so the
+    powered users' SINRs are bit for bit those of an order without it.
     """
     p = np.ascontiguousarray(powers, dtype=float)
     if np.count_nonzero(p < 0):
@@ -206,11 +204,11 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
     be the same for every stack.  Each stack's users see their channels
     through their unit's beams as M = G F, one (C, K, N_R, N) product per
     stack, so no channel or beam matrix is copied per user.  Each unit's
-    statistic B is the sum of its users' ``correlation_matrix`` terms,
-    B = sqrt(Pi) sqrt(Pi)^T, factored once per run of equal consecutive
+    statistic B = sqrt(Pi) sqrt(Pi)^T is one ``correlation_matrix`` call on
+    the stack's power shapes, factored once per run of equal consecutive
     statistics (a rank-space set-up's 0/1 supports share one), and every
-    user of every stack goes, with its M, factor and scales, into one
-    (U, N_R, N) stack and one kernel call.  Returns each stack's
+    user of every stack goes, with its M, its unit's factor and scales,
+    into one (U, N_R, N) stack and one kernel call.  Returns each stack's
     (C, D, N, K) gains, equal bit for bit to a call on one unit alone.
     """
     for channels, beams, pi, s in units:
@@ -225,15 +223,12 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
         raise ValueError("every unit needs the same number of allocations")
     counts = [len(s) for *_, s in units]
     sizes = [channels.shape[1] for channels, *_ in units]
-    unit_size = np.repeat(sizes, counts)
     scales = np.concatenate([s for *_, s in units], dtype=float)  # (S, D)
-    # each user's column of its unit's power shape, (U, N)
-    columns = np.concatenate([np.swapaxes(pi, -1, -2).reshape(-1, np.shape(pi)[1]) for _, _, pi, _ in units])
-    b = np.add.reduceat(correlation_matrix(columns[..., None]), np.cumsum(unit_size) - unit_size)  # (S, N, N)
+    b = np.concatenate([correlation_matrix(pi) for _, _, pi, _ in units])  # (S, N, N)
     if not (np.isfinite(b).all() and np.isfinite(scales).all() and (scales >= 0).all()):
         raise ValueError("power shapes and scales must be finite, scales nonnegative")
     fresh = np.concatenate([[True], (b[1:] != b[:-1]).any(axis=(1, 2))])
-    unit_user = np.repeat(np.arange(len(b)), unit_size)
+    unit_user = np.repeat(np.arange(len(b)), np.repeat(sizes, counts))
     roots = _sqrt_factors(b[fresh])[(np.cumsum(fresh) - 1)[unit_user]]
     m = np.concatenate([(g @ f[:, None]).reshape(-1, g.shape[2], f.shape[-1]) for g, f, _, _ in units])  # (U, N_R, N)
     _, h = _mmse_kernel(m, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)

@@ -1,8 +1,13 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lsapdma.cli import main
 from lsapdma.optimizer import OptProblem, objective, water_fills
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_validate_pattern_ok(tmp_path, capsys):
@@ -191,11 +196,11 @@ def test_simulate_overrides(tmp_path):
     assert lines[1].endswith(",2")  # overridden drop count
 
 
-def test_simulate_bad_config(tmp_path, capsys):
+def test_simulate_bad_config(tmp_path, capfd):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[experiment]\nschemes = nonsense\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
-    assert "error" in capsys.readouterr().err
+    assert "error" in capfd.readouterr().err
     # a non-finite cell value is named: a NaN noise variance ran to a
     # results.csv of zero sum rates, an infinite reference distance to a
     # ZeroDivisionError traceback
@@ -203,14 +208,40 @@ def test_simulate_bad_config(tmp_path, capsys):
         out = tmp_path / key
         cfg.write_text(f"[cell]\n{key} = {value}\n\n[experiment]\nschemes = oma\ndrops = 3\n\n[output]\npath = {out}\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: {key} must be finite\n"
+        assert capfd.readouterr().err == f"error: {key} must be finite\n"
         assert not out.exists()
     # a finite exponent whose path loss overflows at the minimum distance
     # ended in an OverflowError traceback with no error line
     out = tmp_path / "exponent"
     cfg.write_text(f"[cell]\npath_loss_exponent = 1000\n\n[experiment]\nschemes = oma\ndrops = 3\n\n[output]\npath = {out}\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err.startswith("error: path_loss_factor = 1, path_loss_exponent = 1000 and reference_distance_m = 1000 give")
     assert err.endswith("at min_distance_m = 10 that is not a finite positive float\n")
     assert not out.exists()
+    # a path loss that passes the check but overflows the receive chain:
+    # numpy warned, and the NaN gains were taken as zero gains, so the run
+    # wrote a mean sum rate of about 1086 bit/s/Hz.  At 1e295 every drop
+    # overflows; at 1e168 drop 0 runs and drop 1 overflows, so with two
+    # workers the error comes from the pool process, which runs drop 1.
+    fig4 = (ROOT / "configs" / "fig4.cfg").read_text()
+    assert "path_loss_factor = 1.0\n" in fig4
+    assert "workers = 2\n" in fig4
+    for factor, drops in (("1e295", 50), ("1e168", 2)):
+        for workers in (1, 2):
+            out = tmp_path / f"overflow-{factor}-{workers}"
+            text = fig4.replace("path_loss_factor = 1.0\n", f"path_loss_factor = {factor}\n")
+            cfg.write_text(text.replace("workers = 2\n", f"workers = {workers}\n"))
+            args = ["simulate", "--config", str(cfg), "--scheme", "oma", "--drops", str(drops), "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(args) == 1
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: the link gains are not finite")
+            assert captured.err.count("\n") == 1
+            assert not out.exists()
+    # at 1e168 drop 0 alone runs
+    out = tmp_path / "overflow-drop-0"
+    assert main(["simulate", "--config", str(cfg), "--scheme", "oma", "--drops", "1", "--out", str(out)]) == 0
+    assert (out / "results.csv").exists()

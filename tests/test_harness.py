@@ -31,7 +31,7 @@ from lsapdma.harness import (
     run_drop,
     run_monte_carlo,
 )
-from lsapdma.optimizer import OptProblem, water_fills
+from lsapdma.optimizer import ANCHOR_FLOOR, OptProblem, water_fills
 from lsapdma.pattern import (
     PatternMatrix,
     equal_power,
@@ -94,6 +94,7 @@ def test_config_validation():
     for text, names in (
         ("[power]\nr_min = 0.5\n", ("[power]", "r_min")),
         ("[experiment]\nmax_redraws = 5\n", ("[experiment]", "max_redraws")),
+        ("[power]\nepsilon_ratio = 1e-6\n", ("[power]", "epsilon_ratio")),
         ("[experiment]\ndorps = 5\n", ("[experiment]", "dorps")),
         ("[powr]\nmu = 2\n", ("[powr]",)),
         # a pattern matrix that the pattern policy would ignore
@@ -122,9 +123,6 @@ def test_config_rejects_bad_power_and_run_parameters():
         ("mu", dict(mu=(-1.0,))),
         ("p0_ratio", dict(p0_ratio=0.0)),
         ("pnoma_mu", dict(pnoma_mu=-2.0)),
-        ("epsilon_ratio", dict(epsilon_ratio=-1e-6)),
-        # one anchor per beam sits on the floor: n_beams floors reach the budget
-        ("epsilon_ratio", dict(epsilon_ratio=1.0 / 3.0)),
         ("workers", dict(workers=0)),
         # only the optimal policy reads the flag
         ("strict_pattern", dict(strict_pattern=True, policies=("fixed-ratio",))),
@@ -155,13 +153,9 @@ def test_config_rejects_bad_power_and_run_parameters():
     for name, kwargs in cases:
         with pytest.raises(ConfigError, match=rf"\b{name}\b"):
             _cfg(**{"schemes": ("oma", "pnoma", "lsa-pdma"), "policies": ("fixed-ratio", "optimal"), **kwargs})
-    with pytest.raises(ConfigError, match="epsilon_ratio"):
-        ExperimentConfig.from_text("[power]\npolicies = optimal\nepsilon_ratio = 0.5\n")
     # the edges that make sense still pass
-    _cfg(epsilon_ratio=0.0, n_beams=2, n_rx=4)
     _cfg(schemes=("pnoma", "lsa-pdma"), users=(7,), mu=(1e50, 1e-50))
     _cfg(schemes=("pnoma", "lsa-pdma"), p0_ratio=1e-300, p_sum_db=(-3000.0, 30.0))
-    _cfg(epsilon_ratio=0.49, n_beams=2)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -285,6 +279,28 @@ def test_oma_reduction_is_exact():
             if r.scheme == "lsa-pdma-simple"
         }
         assert a == b  # bit-exact
+
+
+def test_oma_reduction_is_exact_at_every_beam_count():
+    # the orthogonal baseline and the pattern-mapped scheme on the identity
+    # pattern with the fixed-ratio ladder share one rate tail, so their
+    # records agree bit for bit at N = 2 ... 5 and 0, 10 and 20 dB (the
+    # baseline used to sum its N x N pair rates flat, which differed in the
+    # last bit from N = 4 on)
+    for n in (2, 3, 4, 5):
+        cfg = _cfg(
+            schemes=("oma", "lsa-pdma"),
+            n_beams=n,
+            n_tx=4 * n,
+            users=(n,),
+            pattern_policy="oma",
+            p_sum_db=(0.0, 10.0, 20.0),
+        )
+        for records in run_chunk(cfg, range(16)):
+            oma = {r.sweep_value: r.sum_rate for r in records if r.scheme == "oma"}
+            pdma = {r.sweep_value: r.sum_rate for r in records if r.scheme == "lsa-pdma-simple"}
+            assert len(oma) == 3
+            assert oma == pdma, n
 
 
 def test_pnoma_reduction_is_exact():
@@ -414,7 +430,7 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             p_sum = 10.0 ** (got.sweep_value / 10.0)
             nulled = omega.nulled(pattern)
             link = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), 1.0)
-            orders = sic_orders(link.gains, pattern.entries == 1)
+            orders = sic_orders(link.gains)
             alloc = _ladder(pattern, 1.0, cfg.pnoma_mu, orders, p_sum, nulled)
             assert got.sum_rate == sum(
                 float(_beam_rates(link.gains[b], alloc[b], order).sum()) for b, order in enumerate(orders)
@@ -950,7 +966,7 @@ def test_power_policies_skip_pairs_the_anchors_null():
                     equal = equal_power(pattern, p_sum, nulled)
                     link = build_link_state(channels, beams, equal, 1.0)
                     live = link.gains > 1e-8 * scale
-                    orders = sic_orders(link.gains, pattern.entries == 1)
+                    orders = sic_orders(link.gains)
                     allocs = [equal] + [_ladder(pattern, 1.0, mu, orders, p_sum, nulled) for mu in mus]
                     for alloc in allocs:
                         powered = alloc > 0
@@ -972,9 +988,9 @@ def test_power_policies_skip_pairs_the_anchors_null():
 
 def _per_budget_rates(cfg, unit, pattern, omega, gains):
     """A unit's sum rates, one budget (and one mu) at a time: the per-budget
-    path the stacked tail replaced.  Equal split: ``equal_power`` and every
-    pair's rate summed over the N x K matrix; ladders: a one-mu ladder and
-    one beam's SINR row at a time; optimal: ``OptProblem.build`` and the
+    path the stacked tail replaced.  Equal split: ``equal_power`` and one
+    beam's SINR row at a time; ladders: a one-mu ladder and one beam's SINR
+    row at a time; optimal: ``OptProblem.build`` and the
     per-beam water-fill loop, its rate one beam's row at a time in the
     all-user order.  ``gains[d]`` stands for budget d's equal-split link."""
     _, _, _, policy, mus = unit
@@ -987,8 +1003,7 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
         orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(h, cov)]
         if policy == "equal":
             p = equal_power(pattern, p_sum, nulled)
-            rates = np.vstack([_beam_rates(h[n], p[n], orders[n]) for n in range(len(h))])
-            out.append([float(rates.sum())])
+            out.append([sum(float(_beam_rates(h[n], p[n], orders[n]).sum()) for n in range(len(h)))])
         elif policy == "fixed-ratio":
             full = np.array([np.concatenate([o, np.flatnonzero(~c)]) for o, c in zip(orders, covered)])
             row = []
@@ -998,7 +1013,7 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
             out.append(row)
         else:
             support = covered if cfg.strict_pattern else None
-            prob = OptProblem.build(h, p_sum, selected=omega.pairs, epsilon=cfg.epsilon_ratio * p_sum, support=support)
+            prob = OptProblem.build(h, p_sum, selected=omega.pairs, epsilon=ANCHOR_FLOOR * p_sum, support=support)
             p = _water_fill_reference(prob)
             every = [np.argsort(row, kind="stable") for row in h]
             out.append([sum(float(_beam_rates(h[n], p[n], every[n]).sum()) for n in range(len(h)))])
@@ -1013,10 +1028,9 @@ def test_stacked_tail_matches_the_per_budget_path():
     # there), fig4's gain factors with 0.3 and 1.7, and p0 = 1 and 0.37:
     # every policy's rates on a chunk of two drops equal, drop by drop, the
     # per-budget path's bit for bit.  Every sum over beams runs in beam
-    # order on both sides, and every sum over users (or over the N x K
-    # pairs of the equal split) is numpy's sum over one contiguous row of
-    # the same length and order on both sides, so the agreement is exact
-    # even where K >= 8.
+    # order on both sides, and every sum over users is numpy's sum over one
+    # contiguous row of the same length and order on both sides, so the
+    # agreement is exact even where K >= 8.
     fig4 = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
     mus = fig4.mu + (0.3, 1.7)
     saw_nulled = False
@@ -1135,7 +1149,8 @@ def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
     # every unit computes its SINRs in one call of the receiver's SINR
     # formula over all the drops of a chunk and all its budgets (and its
     # mu sweep), so the call count grows with neither the drops nor the
-    # budgets.  The optimal policy reads only the gains of the equal
+    # budgets.  Every power stack is (C, D, M, N, K), M = 1 but for the
+    # ladders.  The optimal policy reads only the gains of the equal
     # splits: its one call carries the water-fill, whose beams each hold at
     # most one entry above the anchors' 1e-6 floor.
     calls = []
@@ -1149,17 +1164,17 @@ def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
     budgets = 10.0 ** (np.array([0.0, 20.0]) / 10.0)
     drops = [4, 5, 6]
     run_chunk(_cfg(schemes=("lsa-pdma",), users=(6,), policies=("optimal",), p_sum_db=(0.0, 20.0)), drops)
-    assert [p.shape for p in calls] == [(3, 2, 3, 6)]
-    assert ((calls[0] > 2e-6 * budgets[:, None, None]).sum(axis=-1) <= 1).all()
+    assert [p.shape for p in calls] == [(3, 2, 1, 3, 6)]
+    assert ((calls[0] > 2e-6 * budgets[:, None, None, None]).sum(axis=-1) <= 1).all()
     calls.clear()
     run_chunk(_cfg(schemes=("oma",)), drops)
-    assert [p.shape for p in calls] == [(3, 1, 3, 3)]
+    assert [p.shape for p in calls] == [(3, 1, 1, 3, 3)]
     calls.clear()
     run_chunk(_cfg(schemes=("lsa-pdma",), users=(6,), mu=(0.5, 1.0, 2.0)), drops)
     assert [p.shape for p in calls] == [(3, 1, 3, 3, 6)]
     calls.clear()
     run_drop(_cfg(schemes=("oma", "lsa-pdma"), users=(6,), mu=(0.5, 1.0, 2.0)), 4)
-    assert [p.shape for p in calls] == [(1, 1, 3, 3), (1, 1, 3, 3, 6)]
+    assert [p.shape for p in calls] == [(1, 1, 1, 3, 3), (1, 1, 3, 3, 6)]
 
 
 def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):

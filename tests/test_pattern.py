@@ -24,6 +24,7 @@ from lsapdma.pattern import (
     simple_beam_allocation,
     validate_pattern,
 )
+from lsapdma.receiver import sic_orders
 from lsapdma.rng import make_rng
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -183,11 +184,6 @@ def test_fixed_ratio_budget_and_ratios_exact():
 def test_fixed_ratio_rejects_bad_order():
     pattern = PatternMatrix(B35)
     orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None, None]
-    # beam 1's covered user 2 is left out of its covered prefix
-    bad = orders.copy()
-    bad[0, 0, 1] = [0, 1, 3, 4, 2]
-    with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], bad, [5.0])
     # an order row one user short
     with pytest.raises(ValueError):
         fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], orders[..., :-1], [5.0])
@@ -205,15 +201,51 @@ def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
     orders[0, 0, 0] = [0, 1, 3, 3, 4]
     with pytest.raises(ValueError, match="once"):
         fixed_ratio_ladders(B35[None], 1.0, [0.5, 2.0], orders, [5.0])
-    # an uncovered user listed ahead of a covered one
-    orders[0, 0, 0] = [0, 2, 1, 3, 4]
-    with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(B35[None], 1.0, [0.5, 2.0], orders, [5.0])
+
+
+def test_ladders_do_not_depend_on_where_unpowered_users_sit():
+    # a step is placed by counting the powered users along the order, so
+    # an order that lists each beam's covered users first, in ascending
+    # gain, and its uncovered users after them in any order (built here by
+    # hand) gives the ladders of the plain ascending-gain order of
+    # ``sic_orders`` bit for bit: every shape N <= K <= 2^N - 1, a
+    # (C, D, N, K) stack of random gains on a coarse grid (so ties occur)
+    # and nulled pairs present
+    mus = (0.25, 0.3, 1.7, 8.0)
+    budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
+    saw_nulled = saw_interleaved = False
+    for n in (2, 3, 4):
+        for k in range(n, 2**n):
+            rng = make_rng(n, k, 13)
+            patterns = [simple_beam_allocation(n, k, rng.permutation(k)) for _ in range(3)]
+            entries = np.array([pattern.entries for pattern in patterns])
+            nulled = np.array(
+                [
+                    select_users([sample_channel(4, 16, 1.0, rng) for _ in range(k)], pattern, rng.uniform(0.1, 1.0, k))
+                    .nulled(pattern)
+                    for pattern in patterns
+                ]
+            )
+            saw_nulled |= nulled.any()
+            gains = np.round(rng.uniform(0.0, 1.0, (len(patterns), len(budgets), n, k)), 1)
+            covered_first = np.empty(gains.shape, dtype=int)
+            for c, d, b in itertools.product(range(len(patterns)), range(len(budgets)), range(n)):
+                row = entries[c, b] == 1
+                covered = np.flatnonzero(row)
+                covered = covered[np.argsort(gains[c, d, b, covered], kind="stable")]
+                covered_first[c, d, b] = np.concatenate([covered, rng.permutation(np.flatnonzero(~row))])
+            plain = sic_orders(gains)
+            saw_interleaved |= not np.array_equal(plain, covered_first)
+            for p0 in (1.0, 0.37):
+                want = fixed_ratio_ladders(entries, p0, mus, covered_first, budgets, nulled)
+                assert np.array_equal(fixed_ratio_ladders(entries, p0, mus, plain, budgets, nulled), want)
+    assert saw_nulled and saw_interleaved
 
 
 def _full_orders(pattern, sic_orders):
-    """Per-beam orders of the covered users, each followed by the beam's
-    uncovered users: the (N, K) form ``fixed_ratio_ladders`` takes per budget."""
+    """Per-beam orders of the covered users, each completed to a
+    permutation of the users by the beam's uncovered users: the (N, K) form
+    ``fixed_ratio_ladders`` takes per budget."""
     return np.array(
         [np.concatenate([order, np.flatnonzero(row == 0)]) for order, row in zip(sic_orders, pattern.entries)]
     )
@@ -267,7 +299,8 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
 def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
     """The (C, D, N, K) anchor floors the optimal policy of the harness
     hands the water-fill for C patterns' entries and anchors (C, N), gains
-    (C, D, N, K) and D budgets, at an ``epsilon_ratio`` of 1e-6."""
+    (C, D, N, K) and D budgets, at the anchors' floor of 1e-6 of each
+    budget (``optimizer.ANCHOR_FLOOR``)."""
     seen = []
 
     def recorded(gains, p_sum, delta, support=None):
@@ -276,7 +309,7 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
 
     monkeypatch.setattr(harness, "water_fills", recorded)
     _, n, k = entries.shape
-    cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",), epsilon_ratio=1e-6)
+    cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",))
     unit = ("lsa-pdma-optimal", k, "simple", "optimal", (None,))
     _unit_rates(cfg, unit, _SetUps(None, entries, anchors, None), None, gains, budgets)
     return seen[0]

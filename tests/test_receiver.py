@@ -273,14 +273,13 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             err, small = _oracle_errors(gains, ref)
             assert np.all(err <= np.where(dbs <= 20.0, 2e-13, 1e-9)), (n, k, err)
             assert np.all(small < 1.0), (n, k, small)
-            covered = pattern.entries == 1
             for d, split in enumerate(splits):
                 single = build_link_state(chans, beams, split, 1.0)
                 assert np.array_equal(single.gains, gains[d])
-                orders = sic_orders(single.gains, covered)
-                assert np.array_equal(orders, sic_orders(gains[d], covered))
+                orders = sic_orders(single.gains)
+                assert np.array_equal(orders, sic_orders(gains[d]))
                 assert np.array_equal(
-                    sic_sinrs(single.gains, split, orders), sic_sinrs(gains, splits, sic_orders(gains, covered))[d]
+                    sic_sinrs(single.gains, split, orders), sic_sinrs(gains, splits, sic_orders(gains))[d]
                 )
     assert saw_nulled
 
@@ -366,15 +365,15 @@ def test_one_matrix_seams_equal_their_stack_slices():
 
 def test_sic_order_sorts_ascending_with_ties():
     def order(gains, covered):
-        return sic_orders(gains, covered)[: sum(covered)]
+        full = sic_orders(gains)
+        return full[np.asarray(covered)[full]]
 
     assert np.array_equal(order([3.0, 1.0, 2.0], [True] * 3), [1, 2, 0])
     assert np.array_equal(order([1.0, 1.0, 1.0], [True] * 3), [0, 1, 2])
     assert np.array_equal(order([0.1, 0.2, 0.3], [True, False, True]), [0, 2])
     # already ascending stays put
     assert np.array_equal(order([0.1, 0.2, 0.3], [True] * 3), [0, 1, 2])
-    # the uncovered users follow the covered ones; a stack orders row by row
-    assert np.array_equal(sic_orders([0.3, 0.1, 0.2], [False, True, True]), [1, 2, 0])
+    # a stack orders row by row
     stack = sic_orders(np.array([[[3.0, 1.0, 2.0], [0.1, 0.2, 0.3]]]))
     assert np.array_equal(stack, [[[1, 2, 0], [0, 1, 2]]])
 
@@ -408,7 +407,7 @@ def test_merged_and_separate_powers_agree_exactly():
     h = rng.uniform(0.1, 3.0, 5)
     b = np.array([1, 0, 1, 1, 0])
     p = rng.uniform(0.5, 2.0, 5)
-    order = sic_orders(h, b.astype(bool))
+    order = sic_orders(h)
     merged = b * p
     assert np.array_equal(sic_sinrs(h, merged, order), sic_sinrs(h, b * p, order))
 
@@ -422,8 +421,7 @@ def test_mimo_and_scalar_models_agree():
     alloc = equal_power(pattern, 10.0, beams.selected.nulled(pattern))
     filters, _ = _kernel(chans, beams, *_moments(alloc), sigma2)
     link = build_link_state(chans, beams, alloc, sigma2)
-    covered = pattern.entries == 1
-    orders = sic_orders(link.gains, covered)
+    orders = sic_orders(link.gains)
     sinrs = sic_sinrs(link.gains, alloc, orders)
     for k in range(5):
         v = filters[0, k]
@@ -432,7 +430,7 @@ def test_mimo_and_scalar_models_agree():
         for n in range(3):
             if alloc[n, k] == 0:
                 continue
-            order = orders[n, : covered[n].sum()]
+            order = orders[n]
             pos = int(np.flatnonzero(order == k)[0])
             later = order[pos + 1 :]
             desired = powers[n, n] * alloc[n, k]
@@ -448,10 +446,10 @@ def test_relabeling_invariance():
     rng = make_rng(7)
     h = rng.uniform(0.1, 5.0, (3, 6))
     p = rng.uniform(0.0, 2.0, (3, 6))
-    base = pair_rates(sic_sinrs(h, p, sic_orders(h, p > 0))).sum()
+    base = pair_rates(sic_sinrs(h, p, sic_orders(h))).sum()
     perm = rng.permutation(6)
     h2, p2 = h[:, perm], p[:, perm]
-    new = pair_rates(sic_sinrs(h2, p2, sic_orders(h2, p2 > 0))).sum()
+    new = pair_rates(sic_sinrs(h2, p2, sic_orders(h2))).sum()
     assert new == pytest.approx(base, rel=1e-12)
 
 
@@ -464,7 +462,7 @@ def test_two_user_power_domain_oracle():
     for n, (a, b) in enumerate(pairs):
         p[n, a] = rng.uniform(0.5, 2.0)
         p[n, b] = rng.uniform(0.5, 2.0)
-    gamma = sic_sinrs(h, p, sic_orders(h, p > 0))
+    gamma = sic_sinrs(h, p, sic_orders(h))
     for n, (a, b) in enumerate(pairs):
         weak, strong = (a, b) if h[n, a] <= h[n, b] else (b, a)
         expected_weak = h[n, weak] ** 2 * p[n, weak] / (1 + h[n, weak] ** 2 * p[n, strong])
@@ -507,13 +505,12 @@ def test_build_link_state_invariants():
     link = build_link_state(chans, beams, alloc, 1.0)
     assert isinstance(link, LinkState)
     assert (link.gains >= 0).all()
-    covered = pattern.entries == 1
-    orders = sic_orders(link.gains, covered)
+    orders = sic_orders(link.gains)
     sinrs = sic_sinrs(link.gains, link.power, orders)
     assert np.array_equal(pair_rates(sinrs), np.log2(1 + sinrs))
     assert (sinrs[alloc == 0] == 0).all()
     for n in range(3):
-        hs = link.gains[n, orders[n, : covered[n].sum()]]
+        hs = link.gains[n, orders[n]]
         assert (np.diff(hs) >= 0).all()
 
 
