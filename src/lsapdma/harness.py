@@ -17,23 +17,36 @@ set-up: pattern, anchors, ZF beams, equal splits and gains.  Each drop
 draws from its own generator, restarted from its saved state for each
 user count, and each user count's channels and large-scale gains over the
 chunk are one stacked draw (``channel.draw_channels``), so no per-user
-object is built; everything after the draws runs once per chunk.  A
-set-up's patterns, anchors and nulled pairs are one gather of its
-rank-space triple (``beamforming.rank_anchors``) through one stable argsort
-of the chunk's (C, K) hints; only a fixed pattern selects anchors drop by
-drop.  The ZF precoders of every (drop, set-up) come from one
-``zf_beamformers`` pass, each set-up's equal splits over the chunk are one
-(C, D, N, K) stack, and every receive chain comes from one
-``drop_link_states`` call, where one N x N ``eigh`` per user serves all
-the budgets.  A set-up whose first draw is singular falls
+object is built.  A set-up's patterns, anchors and nulled pairs are one
+gather of its rank-space triple (``beamforming.rank_anchors``) through one
+stable argsort of the chunk's (C, K) hints; only a fixed pattern selects
+anchors drop by drop.  The ZF precoders of every (drop, set-up) come from
+one ``zf_beamformers`` pass.  A set-up whose first draw is singular falls
 back to ``_draw_drop``, which redraws it alone from the restarted stream,
 so its redraw count and its channels are those it would have run by
-itself.  Each unit's power policy then gives one (C, D, M, N, K) power
-stack over all C drops, D budgets and M sweep values (M = 1 but for the mu
-sweep's ladders), and one tail, the gains' SIC orders and
-``beam_sum_rates``, turns any of them into sum rates.  Every kernel
-computes a slice of its stack as it would alone, so a drop's rates do not
-depend on the chunk that holds it.
+itself.
+
+After the ZF pass the chunk's S set-ups are one stack (``_Stack``): the
+patterns, nulled pairs and, later, the equal splits and gains are
+zero-padded to the largest user count K, shape (S, C, N, K) and
+(S, C, D, N, K).  A pad user is a column past its set-up's own K: it is
+uncovered, not nulled, and has zero power and zero gain.  It never enters
+ZF or the MMSE kernel, whose per-user work stays on real users, but it
+sits in every stack after them, so each layer runs once per chunk: one
+``equal_splits`` and one ``power_scales`` call, one statistic build and
+one kernel call in ``drop_link_states`` (one N x N ``eigh`` per user
+serves all D budgets), one ``sic_orders`` call over all the gains, one
+policy call per (power policy, mu list) and one ``beam_sum_rates`` call
+per mu count (``_tail_rates``, laid out by ``_plan``).  Each policy gives
+a (U, C, D, M, N, K) power stack over its U units, the C drops, the D
+budgets and the M sweep values (M = 1 but for the mu sweep's ladders), and
+the tail broadcasts the gains and orders over the mu axis.  A pad adds an
+exact +0.0 to every sum it enters because each such sum (a ladder's total,
+a water-fill's floor total, a beam's sum over its users, a statistic's sum
+over users) runs left to right, where numpy's pairwise sum of 8 or more
+terms would regroup with the pads.  So every kernel computes a slice of its
+stack as it would alone, and a unit's rates depend neither on the chunk
+that holds its drop nor on the other units beside it.
 
 A chunk's result is one rate table (``_chunk_rates``): a row per drop and
 a column per record, laid out once per config by ``_layout``.  Records
@@ -58,9 +71,10 @@ The optimal policy is the water-filling closed form
 (``optimizer.water_fills``): the anchors keep their ZF power floors
 (``optimizer.ANCHOR_FLOOR`` of each budget), and the rest of the budget is
 water-filled across beams onto each beam's strongest user.  The floors are
-put on the (C, D, N, K) gain stack at each drop's anchors, and one
-``water_fills`` call takes that stack, the D budgets and, under
-``strict_pattern``, the (C, 1, N, K) covered pairs as they are.
+put on the (U, C, D, N, K) gain stack of the optimal units at each drop's
+anchors, and one ``water_fills`` call takes that stack, the D budgets, the
+gains' SIC orders and, under ``strict_pattern``, the (U, C, 1, N, K)
+covered pairs as they are.
 Unless ``strict_pattern`` restricts it to the pattern's pairs, the served
 user is the beam's strongest whatever the pattern covers, so the policy
 then ignores the pattern.
@@ -399,6 +413,38 @@ class _SetUps(NamedTuple):
     redraws: np.ndarray | None = None  # (C,) singular draws before these
 
 
+class _Stack(NamedTuple):
+    """A chunk's S set-ups on its C drops as one stack, zero-padded to the
+    largest user count K: set-up s's columns from its own K_s on are pad
+    users, uncovered and not nulled."""
+
+    channels: tuple  # S arrays (C, K_s, N_R, N_T), real users only
+    entries: np.ndarray  # (S, C, N, K) pattern
+    anchors: np.ndarray  # (S, C, N)
+    nulled: np.ndarray  # (S, C, N, K)
+    beams: np.ndarray  # (S, C, N_T, N)
+    redraws: np.ndarray  # (S, C)
+
+
+def _stacked(setups) -> _Stack:
+    """The set-ups (``_SetUps``, ZF beams included) of one chunk as one
+    padded stack."""
+    n_users = max(one.entries.shape[-1] for one in setups)
+    entries = np.zeros((len(setups),) + setups[0].entries.shape[:-1] + (n_users,), dtype=int)
+    nulled = np.zeros(entries.shape, dtype=bool)
+    for s, one in enumerate(setups):
+        entries[s, ..., : one.entries.shape[-1]] = one.entries
+        nulled[s, ..., : one.nulled.shape[-1]] = one.nulled
+    return _Stack(
+        tuple(one.channels for one in setups),
+        entries,
+        np.stack([one.anchors for one in setups]),
+        nulled,
+        np.stack([one.beams for one in setups]),
+        np.stack([one.redraws for one in setups]),
+    )
+
+
 def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints) -> _SetUps:
     """Pattern and anchors of one set-up on C draws, given their channels
     (C, K, N_R, N_T) and large-scale gains (C, K) as hints: a gather of
@@ -444,66 +490,159 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
             raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
 
 
-def _unit_rates(cfg: ExperimentConfig, unit, setups: _SetUps, splits, gains, budgets) -> np.ndarray:
-    """The sum rates of one unit (one scheme evaluation) on each drop of a
-    chunk: a (C, D·M) array, each drop's (D, M) table flattened.
+def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
+    """The set-ups ``keys``, each a (K, pattern policy), on the drops of a
+    chunk, ZF beams included, as one padded stack.
 
-    ``setups`` is the unit's set-up on each of the C drops, ``splits`` holds
-    their (C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
-    (C, D, N, K) gains they give.  The equal-split and fixed-ratio policies
-    power only the pattern's pairs that the anchors do not null; the optimal
-    policy is the water-fill with the anchors' floors.  Each policy gives
-    one (C, D, M, N, K) power stack over the drops, budgets and mu sweep,
-    M = 1 but for the ladders, and one tail turns any of them into the
-    (C, D, M) sum rates: the gains' SIC orders and ``beam_sum_rates``.
-    ``_layout`` places its columns in the records.
+    Each user count's first draw on every drop is shared by its set-ups; a
+    generator restarted by its saved state draws what a new one would.  The
+    anchors of every (set-up, drop) go into one ``zf_beamformers`` pass,
+    and a (set-up, drop) whose first draw is singular is redrawn alone by
+    ``_draw_drop``, as in a chunk of one.
     """
-    _, _, _, power_policy, mus = unit
-    orders = sic_orders(gains)
-    if power_policy == "equal":
-        powers = splits[:, :, None]
-    elif power_policy == "fixed-ratio":
-        powers = fixed_ratio_ladders(setups.entries, cfg.p0_ratio, mus, orders, budgets, setups.nulled)
-    else:  # optimal
-        # each beam's anchor keeps the floor ANCHOR_FLOOR of each budget
-        delta = np.zeros_like(gains)
-        np.put_along_axis(delta, setups.anchors[:, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
-        covered = (setups.entries == 1)[:, None] if cfg.strict_pattern else None  # (C, 1, N, K)
-        powers = water_fills(gains, budgets, delta, covered)[:, :, None]
-    return beam_sum_rates(gains[:, :, None], powers, orders[:, :, None]).reshape(len(gains), -1)
+    rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
+    starts = [rng.bit_generator.state for rng in rngs]
+    draws = {}
+    for k in dict.fromkeys(k for k, _ in keys):
+        for rng, start in zip(rngs, starts):
+            rng.bit_generator.state = start
+        draws[k] = _channels(cfg, k, rngs)
+    setups = [_anchored(cfg, pattern_policy, *draws[k]) for k, pattern_policy in keys]
+    beams, singular = zf_beamformers(np.concatenate([_anchor_channels(one) for one in setups]))
+    n = len(states)
+    setups = [one._replace(beams=beams[s * n : (s + 1) * n], redraws=np.zeros(n, dtype=int)) for s, one in enumerate(setups)]
+    for s, c in zip(*np.nonzero(singular.reshape(len(keys), n))):
+        redrawn = _draw_drop(cfg, *keys[s], states[c])
+        setups[s] = _SetUps(*(np.concatenate([a[:c], b, a[c + 1 :]]) for a, b in zip(setups[s], redrawn)))
+    return _stacked(setups)
+
+
+class _Plan(NamedTuple):
+    """How a tuple of units runs through the policies and the rate tail."""
+
+    setups: tuple  # the distinct (K, pattern policy), in order of first use
+    unit_setups: np.ndarray  # (U,) each unit's set-up
+    # one per mu count M: the (power policy, mus, set-ups) of each policy
+    # call whose power stacks have that M, and the set-ups of all of them
+    groups: tuple
+    slots: tuple  # the units in the order the tail lays out their rates
+
+
+def _picker(setups):
+    """An index of the padded stack's set-up axis picking ``setups``: a
+    slice where they run consecutively, so the pick is a view, not a copy."""
+    if all(b == a + 1 for a, b in zip(setups, setups[1:])):
+        return slice(setups[0], setups[-1] + 1)
+    picker = np.array(setups)
+    picker.flags.writeable = False  # shared by every caller
+    return picker
+
+
+@functools.lru_cache
+def _plan(units) -> _Plan:
+    """The set-ups, policy calls and tail groups of ``units``: one policy
+    call per (power policy, mus), and one tail per mu count."""
+    setups = tuple(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
+    unit_setups = [setups.index(unit[1:3]) for unit in units]
+    calls = {}
+    for u, (_, _, _, power_policy, mus) in enumerate(units):
+        calls.setdefault((power_policy, mus), []).append(u)
+    groups, slots = {}, {}
+    for (power_policy, mus), members in calls.items():
+        groups.setdefault(len(mus), []).append((power_policy, mus, _picker([unit_setups[u] for u in members])))
+        slots.setdefault(len(mus), []).extend(members)
+    groups = tuple(
+        (tuple(calls), _picker([unit_setups[u] for u in slots[m]])) for m, calls in groups.items()
+    )
+    unit_setups = np.array(unit_setups)
+    unit_setups.flags.writeable = False
+    return _Plan(setups, unit_setups, groups, tuple(u for members in slots.values() for u in members))
+
+
+def _tail_rates(cfg: ExperimentConfig, units, stack: _Stack, splits, gains, budgets) -> np.ndarray:
+    """The sum rates of ``units`` on each drop of a chunk: a (C, sum of
+    D·M) table, each unit's (D, M) rates flattened in the order of
+    ``_plan(units).slots``.
+
+    ``stack`` holds the units' padded set-ups, ``splits`` their
+    (S, C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
+    (S, C, D, N, K) gains those give.  One ``sic_orders`` call orders every
+    beam of the gains.  Each policy call then covers all of its units: the
+    equal split is a gather of ``splits``, the units of one mu list share
+    one ``fixed_ratio_ladders`` call, and the optimal units one
+    ``water_fills`` call with the anchors' floors and the orders.  Each
+    gives a (U, C, D, M, N, K) power stack, M = 1 but for a mu sweep's
+    ladders, and the units of one M share one ``beam_sum_rates`` call, the
+    gains and orders broadcast over the mu axis.
+    """
+    plan = _plan(tuple(units))
+    orders = sic_orders(gains)  # (S, C, D, N, K)
+    n_drops, n_budgets, n_beams, n_users = gains.shape[1:]
+    flat = (-1, n_beams, n_users)
+    rates = []
+    for calls, group in plan.groups:
+        powers = []
+        for power_policy, mus, at in calls:
+            if power_policy == "equal":
+                powers.append(splits[at][:, :, :, None])
+            elif power_policy == "fixed-ratio":
+                ladders = fixed_ratio_ladders(
+                    stack.entries[at].reshape(flat),
+                    cfg.p0_ratio,
+                    mus,
+                    orders[at].reshape((-1, n_budgets, n_beams, n_users)),
+                    budgets,
+                    stack.nulled[at].reshape(flat),
+                )
+                powers.append(ladders.reshape((-1, n_drops) + ladders.shape[1:]))
+            else:  # optimal
+                # each beam's anchor keeps the floor ANCHOR_FLOOR of each budget
+                delta = np.zeros(gains[at].shape)
+                np.put_along_axis(delta, stack.anchors[at][:, :, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
+                covered = (stack.entries[at] == 1)[:, :, None] if cfg.strict_pattern else None  # (U, C, 1, N, K)
+                powers.append(water_fills(gains[at], budgets, delta, covered, orders[at])[:, :, :, None])
+        powers = powers[0] if len(powers) == 1 else np.concatenate(powers)
+        group = beam_sum_rates(gains[group][:, :, :, None], powers, orders[group][:, :, :, None])  # (U, C, D, M)
+        rates.append(group.swapaxes(0, 1).reshape(n_drops, -1))
+    return np.concatenate(rates, axis=1)
 
 
 class _Layout(NamedTuple):
     """Where a config's units and records sit in a chunk's rate table."""
 
     units: tuple  # (label, K, pattern policy, power policy, mus) of each unit
-    setups: tuple  # the distinct (K, pattern policy), in order of first use
-    columns: np.ndarray  # (R,) each record's place in the units' concatenated rates
+    plan: _Plan  # the units' set-ups, policy calls and tail groups
+    columns: np.ndarray  # (R,) each record's place in the tail's rates
     records: tuple  # (scheme, K, sweep value, unit index) of each record
 
 
 @functools.lru_cache
 def _layout(cfg: ExperimentConfig) -> _Layout:
-    """The record layout of ``cfg``: its units and set-ups, and for each
-    record of a drop, in record order, its column of the units' (D·M) rates
-    laid side by side and its key.  On a mu sweep the mu-independent units
+    """The record layout of ``cfg``: its units and their plan, and for each
+    record of a drop, in record order, its column of the tail's rates
+    (``_tail_rates``) and its key.  On a mu sweep the mu-independent units
     (equal power, the power-domain baseline's fixed ratio, the optimal
     policy) replicate as horizontal rows: one column gathered once per mu."""
     units = tuple(_scheme_runs(cfg))
+    plan = _plan(units)
     mu_axis = cfg.sweep_axis == "mu"
-    columns, records, offset = [], [], 0
+    n_budgets = len(cfg.p_sum_db)
+    offsets = {}  # each unit's first column of the tail's rates
+    offset = 0
+    for u in plan.slots:
+        offsets[u] = offset
+        offset += n_budgets * len(units[u][4])
+    columns, records = [], []
     for u, (label, k, _, power_policy, mus) in enumerate(units):
         own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
         for d, db in enumerate(cfg.p_sum_db):
             for m, mu in enumerate(mus):
                 for sweep in ((mu,) if own_mu else cfg.mu) if mu_axis else (db,):
-                    columns.append(offset + d * len(mus) + m)
+                    columns.append(offsets[u] + d * len(mus) + m)
                     records.append((label, k, float(sweep), u))
-        offset += len(cfg.p_sum_db) * len(mus)
     columns = np.array(columns)
     columns.flags.writeable = False  # shared by every caller
-    setups = tuple(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
-    return _Layout(units, setups, columns, tuple(records))
+    return _Layout(units, plan, columns, tuple(records))
 
 
 def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]:
@@ -516,41 +655,17 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
     """
     states = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in states]
     layout = _layout(cfg)
-    keys = layout.setups
-    # each user count's first draw on every drop, shared by its set-ups; a
-    # generator restarted by its saved state draws what a new one would
-    rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
-    starts = [rng.bit_generator.state for rng in rngs]
-    draws = {}
-    for k in dict.fromkeys(k for k, _ in keys):
-        for rng, start in zip(rngs, starts):
-            rng.bit_generator.state = start
-        draws[k] = _channels(cfg, k, rngs)
-    columns = [_anchored(cfg, pattern_policy, *draws[k]) for k, pattern_policy in keys]
-    beams, singular = zf_beamformers(np.concatenate([_anchor_channels(setups) for setups in columns]))
-    n = len(states)
-    columns = [
-        setups._replace(beams=beams[s * n : (s + 1) * n], redraws=np.zeros(n, dtype=int))
-        for s, setups in enumerate(columns)
-    ]
-    for s, c in zip(*np.nonzero(singular.reshape(len(keys), n))):
-        # redrawn alone, from the restarted stream, as in a chunk of one
-        redrawn = _draw_drop(cfg, *keys[s], states[c])
-        columns[s] = _SetUps(*(np.concatenate([a[:c], b, a[c + 1 :]]) for a, b in zip(columns[s], redrawn)))
+    stack = _chunk_set_ups(cfg, states, layout.plan.setups)
     budgets = np.array([_budget(db) for db in cfg.p_sum_db])
-    splits = [equal_splits(setups.entries, budgets, setups.nulled) for setups in columns]
+    n_setups, n_drops, n_beams, n_users = stack.entries.shape
+    flat = (-1, n_beams, n_users)
+    splits = equal_splits(stack.entries.reshape(flat), budgets, stack.nulled.reshape(flat))
+    splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])  # (S, C, D, N, K)
     # an equal split's shape Pi is its 0/1 powered support at every budget
-    scales = [power_scales(split) for split in splits]
-    gains = drop_link_states(
-        [(setups.channels, setups.beams, pi[:, 0], s) for setups, (pi, s) in zip(columns, scales)],
-        cfg.cell.noise_variance,
-    )
-    rates, redraws = [], []
-    for unit in layout.units:
-        s = keys.index(unit[1:3])
-        rates.append(_unit_rates(cfg, unit, columns[s], splits[s], gains[s], budgets))
-        redraws.append(columns[s].redraws)
-    return np.concatenate(rates, axis=1)[:, layout.columns], np.stack(redraws, axis=1)
+    pi, scales = power_scales(splits)
+    gains = drop_link_states(list(zip(stack.channels, stack.beams, pi[:, :, 0], scales)), cfg.cell.noise_variance)
+    rates = _tail_rates(cfg, layout.units, stack, splits, np.stack(gains), budgets)
+    return rates[:, layout.columns], stack.redraws[layout.plan.unit_setups].T
 
 
 def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:

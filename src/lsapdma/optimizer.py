@@ -300,7 +300,9 @@ def hessian(prob: OptProblem, p: np.ndarray, beam: int) -> np.ndarray:
     return _rate_terms(prob, _to_pos(prob, p), -1.0)[1][beam]
 
 
-def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+def water_fills(
+    gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None, orders: np.ndarray | None = None
+) -> np.ndarray:
     """Sum-rate-optimal power matrices without rate floors, in closed form,
     for a stack of gain matrices (..., N, K) at once.
 
@@ -308,8 +310,11 @@ def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray
     floors ``delta[i]`` (of the gains' shape); ``p_sum`` broadcasts to the
     stack's leading axes, so one (N, K) matrix takes one budget.
     ``support``, if given, restricts the variables to the pattern's pairs
-    (strict mode) and broadcasts to the gains.  The checks are those of
-    ``OptProblem``, run once on the stack.
+    (strict mode) and broadcasts to the gains.  ``orders``, if given, must
+    be ``receiver.sic_orders(gains)``, which a caller that already sorted
+    the stack passes so it is not sorted twice; without it the stack is
+    sorted here.  The checks are those of ``OptProblem``, run once on the
+    stack.
 
     Within one beam the sum rate's marginal with respect to the power at SIC
     position m is g_m = (sum_{j<=m} u_j - sum_{j<m} z_j)/ln2 (the negated
@@ -335,9 +340,12 @@ def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray
     point search then evaluates the level W of every candidate segment of
     every matrix and keeps, per matrix, the one the sequential search
     would stop at: the largest count m whose W reaches its m-th lowest
-    bend, or m = 1 when none does.  Every sum over beams or positions runs
-    left to right (a masked cumulative sum), as numpy sums fewer than 8
-    terms, so a matrix gets the same powers stacked as alone.
+    bend, or m = 1 when none does.  Every sum over beams, positions or
+    entries runs left to right (a masked cumulative sum), as numpy sums
+    fewer than 8 terms, so a matrix gets the same powers stacked as alone,
+    and a user appended with zero gain and no floor (a pad of the
+    harness's padded stack) is never free, adds an exact +0.0 to each sum
+    and leaves every other entry's power bit for bit as it is.
     """
     gains = np.asarray(gains, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -349,12 +357,15 @@ def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray
     free = _free_entries(gains, None if support is None else np.broadcast_to(np.asarray(support, dtype=bool), shape))
     matrices = (-1,) + shape[-2:]
     gains, delta, free, p_sum = gains.reshape(matrices), delta.reshape(matrices), free.reshape(matrices), p_sum.reshape(-1)
-    orders = sic_orders(gains)
+    if orders is None:
+        orders = sic_orders(gains)
+    elif np.shape(orders) != shape:
+        raise ValueError("orders must be the SIC orders of the gains, of their shape")
     n_budgets, n_beams, n_users = gains.shape
     # flat positions of each beam's users in decoding order, and of each
     # beam's strongest free user (the last free position)
     rows = n_budgets * n_beams
-    at = orders.reshape(rows, n_users) + n_users * np.arange(rows)[:, None]
+    at = np.reshape(orders, (rows, n_users)) + n_users * np.arange(rows)[:, None]
     free_pos = free.reshape(-1)[at]
     picked = free_pos.any(axis=-1)  # per (budget, beam): a free entry exists
     last = n_users - 1 - np.argmax(free_pos[:, ::-1], axis=-1)
@@ -367,7 +378,7 @@ def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray
     levels = (1.0 / h**2 + pinned).reshape(per_beam)
     floors = np.where(picked, own, 0.0).reshape(per_beam)
     picked = picked.reshape(per_beam)
-    budget = p_sum - delta.reshape(n_budgets, -1).sum(axis=-1) + np.cumsum(floors, axis=-1)[:, -1]
+    budget = p_sum - np.cumsum(delta.reshape(n_budgets, -1), axis=-1)[:, -1] + np.cumsum(floors, axis=-1)[:, -1]
     # sum_n max(floor_n, W - L_n) grows with W and bends at L_n + floor_n:
     # the level lies on the segment where the m lowest bends are passed
     bends = np.where(picked, levels + floors, np.inf)

@@ -317,6 +317,11 @@ def fixed_ratio_ladders(
     row, so users without power may sit anywhere in it and get none.
     ``nulled`` is one (N, K) mask, or one per pattern.  Every ladder passes
     ``_check_powers``, run once on the stack.
+
+    A ladder's total is summed left to right over its row-major entries,
+    so an uncovered user appended to a pattern (a pad of the harness's
+    padded stack) adds an exact +0.0 and leaves the other entries' powers
+    bit for bit as they are without it.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1:
@@ -344,7 +349,10 @@ def fixed_ratio_ladders(
     steps = p0 * mus[:, None] ** np.arange(n_users)  # (M, K)
     support = support[:, None, None]  # (C, 1, 1, N, K): one support for all budgets
     ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
-    ladders *= (p_sum[:, None] / ladders.sum(axis=(-2, -1)))[..., None, None]
+    # each ladder's total, left to right over the row-major matrix: a pad
+    # user adds an exact +0.0, where numpy's pairwise sum would regroup
+    total = np.cumsum(ladders.reshape(ladders.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    ladders *= (p_sum[:, None] / total)[..., None, None]
     _check_powers(ladders, support, p_sum[:, None])
     return ladders
 
@@ -375,13 +383,15 @@ def correlation_matrix(power) -> np.ndarray:
 
     Accepts a nonnegative power matrix or a stack of them, shape
     (..., N, K), giving (..., N, N).  A is symmetric positive semidefinite
-    (it is M M^T for M = sqrt of the power matrix).
+    (it is M M^T for M = sqrt of the power matrix).  The sum over k runs
+    left to right, so a user with no power appended to the matrix adds an
+    exact +0.0 and changes no bit.
     """
     p = np.asarray(power, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be nonnegative")
     m = np.sqrt(p)
-    return m @ m.swapaxes(-1, -2)
+    return np.cumsum(m[..., :, None, :] * m[..., None, :, :], axis=-1)[..., -1]
 
 
 def parse_pattern_text(text: str) -> PatternMatrix:

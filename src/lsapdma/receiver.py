@@ -18,7 +18,9 @@ M^H M gives its filters at all D scales in closed form (see
 ``_mmse_kernel``).  The kernel works in N x N Gram space throughout: it
 forms no (N_R, N) filter, and stacked N x N products give the gains.
 ``drop_link_states`` takes the units as stacks, one set-up on every drop
-of a chunk, and hands back each stack's (C, D, N, K) gains;
+of a chunk, and hands back each stack's (C, D, N, K) gains, K the width
+of its power shapes: a stack's shapes may carry pad users past its own
+users, which get zero gains and enter no filter.
 ``build_link_state`` is its case of one power matrix P = max(P) (P /
 max(P)) of one drop, paired with the gains as a ``LinkState``.  A user's
 outputs do not depend on the users stacked beside it.
@@ -175,13 +177,14 @@ def pair_rates(sinrs) -> np.ndarray:
 def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Sum rate of each power matrix of a stack (..., N, K) under SIC with
     the given orders (see ``sic_sinrs``), shape (...): each beam's rates
-    summed over its users, then the beams added in beam order."""
-    per_beam = pair_rates(sic_sinrs(gains, powers, orders)).sum(axis=-1)
-    # numpy sums 8 or more terms pairwise; this order holds for any beam count
-    total = 0.0
-    for n in range(per_beam.shape[-1]):
-        total = total + per_beam[..., n]
-    return total
+    summed over its users in user order, then the beams added in beam
+    order.  Both sums run left to right (a cumulative sum; numpy would sum
+    8 or more terms pairwise), so a user with zero gain and no power
+    appended to the stack, a pad user, adds an exact +0.0 and changes no
+    bit of the sum rate.  The gains and orders may carry a length-one axis
+    that the powers sweep (see ``sic_sinrs``)."""
+    per_beam = np.cumsum(pair_rates(sic_sinrs(gains, powers, orders)), axis=-1)[..., -1]
+    return np.cumsum(per_beam, axis=-1)[..., -1]
 
 
 def power_scales(powers) -> tuple[np.ndarray, np.ndarray]:
@@ -199,22 +202,30 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
     ``units`` lists (channels, beams, pi, s) stacks, one per set-up on the
     C drops of a chunk (a unit is one scheme evaluation of a drop): the
     users' channels (C, K, N_R, N_T), the ZF beam matrices (C, N_T, N),
-    each unit's power shape Pi (C, N, K) and its D scales s (C, D), the
+    each unit's power shape Pi (C, N, W) and its D scales s (C, D), the
     unit's d-th power matrix being s[d] * Pi (see ``power_scales``); D must
-    be the same for every stack.  Each stack's users see their channels
+    be the same for every stack.  Pi may be wider than the stack's K users:
+    its columns past K are pad users, which must carry no power, enter no
+    filter and get zero gains.  Each stack's users see their channels
     through their unit's beams as M = G F, one (C, K, N_R, N) product per
-    stack, so no channel or beam matrix is copied per user.  Each unit's
-    statistic B = sqrt(Pi) sqrt(Pi)^T is one ``correlation_matrix`` call on
-    the stack's power shapes, factored once per run of equal consecutive
-    statistics (a rank-space set-up's 0/1 supports share one), and every
-    user of every stack goes, with its M, its unit's factor and scales,
-    into one (U, N_R, N) stack and one kernel call.  Returns each stack's
-    (C, D, N, K) gains, equal bit for bit to a call on one unit alone.
+    stack, so no channel or beam matrix is copied per user.  The units'
+    statistics B = sqrt(Pi) sqrt(Pi)^T are one ``correlation_matrix`` call
+    on every stack's power shapes, zero-padded to the widest (its sum over
+    users runs left to right, so a pad changes no bit), factored once per
+    run of equal consecutive statistics (a rank-space set-up's 0/1
+    supports share one), and every user of every stack goes, with its M,
+    its unit's factor and scales, into one (U, N_R, N) stack and one kernel
+    call.  Returns each stack's (C, D, N, W) gains, equal bit for bit to a
+    call on one unit alone, pad or no pad.
     """
     for channels, beams, pi, s in units:
         n_stack, n_users = channels.shape[:2]
-        if not (n_stack and n_users and np.shape(pi) == (n_stack, beams.shape[-1], n_users) and len(beams) == n_stack):
+        shape = np.shape(pi)
+        fits = len(shape) == 3 and shape[:2] == (n_stack, beams.shape[-1]) and shape[2] >= n_users
+        if not (n_stack and n_users and fits and len(beams) == n_stack):
             raise ValueError("each stack's pi must hold one (N, K) power shape per unit, shape (C, N, K)")
+        if np.count_nonzero(pi[..., n_users:]):
+            raise ValueError("pad users past a stack's K must carry no power")
         if not (np.ndim(s) == 2 and len(s) == n_stack):
             raise ValueError("each stack's s must hold the D scales of each unit, shape (C, D)")
         if not np.isfinite(channels).all():
@@ -223,8 +234,13 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
         raise ValueError("every unit needs the same number of allocations")
     counts = [len(s) for *_, s in units]
     sizes = [channels.shape[1] for channels, *_ in units]
+    widths = [np.shape(pi)[2] for _, _, pi, _ in units]
     scales = np.concatenate([s for *_, s in units], dtype=float)  # (S, D)
-    b = np.concatenate([correlation_matrix(pi) for _, _, pi, _ in units])  # (S, N, N)
+    shapes = np.zeros((len(scales), units[0][1].shape[-1], max(widths)))  # (S, N, W)
+    starts = np.cumsum([0] + counts).tolist()
+    for start, (_, _, pi, _) in zip(starts, units):
+        shapes[start : start + len(pi), :, : pi.shape[2]] = pi
+    b = correlation_matrix(shapes)  # (S, N, N)
     if not (np.isfinite(b).all() and np.isfinite(scales).all() and (scales >= 0).all()):
         raise ValueError("power shapes and scales must be finite, scales nonnegative")
     fresh = np.concatenate([[True], (b[1:] != b[:-1]).any(axis=(1, 2))])
@@ -233,11 +249,11 @@ def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
     m = np.concatenate([(g @ f[:, None]).reshape(-1, g.shape[2], f.shape[-1]) for g, f, _, _ in units])  # (U, N_R, N)
     _, h = _mmse_kernel(m, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)
     ends = np.cumsum(np.multiply(counts, sizes)).tolist()
-    # each (D, C*K, N) -> (C, D, N, K)
-    return [
-        np.ascontiguousarray(h[:, end - c * k : end].reshape(len(h), c, k, -1).transpose(1, 0, 3, 2))
-        for end, c, k in zip(ends, counts, sizes)
-    ]
+    gains = [np.zeros((c, len(h), len(b[0]), w)) for c, w in zip(counts, widths)]
+    # each (D, C*K, N) -> (C, D, N, K), pads left zero
+    for out, end, c, k in zip(gains, ends, counts, sizes):
+        out[..., :k] = h[:, end - c * k : end].reshape(len(h), c, k, -1).transpose(1, 0, 3, 2)
+    return gains
 
 
 def build_link_state(

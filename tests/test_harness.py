@@ -25,7 +25,8 @@ from lsapdma.harness import (
     _draw_drop,
     _scheme_runs,
     _SetUps,
-    _unit_rates,
+    _stacked,
+    _tail_rates,
     emit_results,
     run_chunk,
     run_drop,
@@ -50,10 +51,11 @@ from test_receiver import _beam_sinrs
 FAST_CELL = CellConfig()
 
 
-def _beam_rates(h, p, order):
-    """A beam's per-user rates under SIC, ``order`` listing the powered
-    users weakest first (see ``_beam_sinrs``)."""
-    return pair_rates(_beam_sinrs(h, p, order))
+def _beam_rate(h, p, order):
+    """A beam's sum rate under SIC, ``order`` listing the powered users
+    weakest first (see ``_beam_sinrs``): its users' rates added left to
+    right in user order, as ``beam_sum_rates`` adds them."""
+    return float(np.cumsum(pair_rates(_beam_sinrs(h, p, order)))[-1])
 
 
 def _ladder(pattern, p0, mu, orders, p_sum, nulled):
@@ -433,7 +435,7 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             orders = sic_orders(link.gains)
             alloc = _ladder(pattern, 1.0, cfg.pnoma_mu, orders, p_sum, nulled)
             assert got.sum_rate == sum(
-                float(_beam_rates(link.gains[b], alloc[b], order).sum()) for b, order in enumerate(orders)
+                _beam_rate(link.gains[b], alloc[b], order) for b, order in enumerate(orders)
             )
 
 
@@ -524,6 +526,29 @@ def test_records_do_not_depend_on_the_scheme_order():
             a, b = run_drop(forward, seed), run_drop(backward, seed)
             assert sorted(a, key=repr) == sorted(b, key=repr)
             assert len(a) == len(set(map(repr, a)))
+    # nor on the other units: at N = 4, where the chunk pads every set-up
+    # to K = 15 and the ladders (mu = 1.5 and 3, p0 = 0.37) and the rate
+    # tail sum 8 or more terms, each (scheme, K, policy) run in a config of
+    # its own gives the records it gives in the full config, bit for bit
+    full = _cfg(
+        schemes=("oma", "pnoma", "lsa-pdma"),
+        n_beams=4,
+        n_tx=16,
+        users=(4, 9, 15),
+        policies=("fixed-ratio", "optimal"),
+        mu=(1.5, 3.0),
+        p0_ratio=0.37,
+    )
+    alone = [dataclasses.replace(full, schemes=(scheme,)) for scheme in ("oma", "pnoma")] + [
+        dataclasses.replace(full, schemes=("lsa-pdma",), users=(k,), policies=(policy,))
+        for k in full.users
+        for policy in full.policies
+    ]
+    for seed in range(4):
+        records = run_drop(full, seed)
+        parts = [run_drop(cfg, seed) for cfg in alone]
+        assert sorted(records) == sorted(r for part in parts for r in part)
+        assert len(parts) == 8 and all(parts)
 
 
 def test_monte_carlo_single_drop_zero_stderr():
@@ -975,7 +1000,7 @@ def test_power_policies_skip_pairs_the_anchors_null():
                     assert not live[nulled].any()
                     for mu, alloc in zip(mus, allocs[1:]):
                         rate = sum(
-                            float(_beam_rates(link.gains[b], alloc[b], order).sum())
+                            _beam_rate(link.gains[b], alloc[b], order)
                             for b, order in enumerate(orders)
                         )
                         record = next(records[mu])
@@ -1003,20 +1028,20 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
         orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(h, cov)]
         if policy == "equal":
             p = equal_power(pattern, p_sum, nulled)
-            out.append([sum(float(_beam_rates(h[n], p[n], orders[n]).sum()) for n in range(len(h)))])
+            out.append([sum(_beam_rate(h[n], p[n], orders[n]) for n in range(len(h)))])
         elif policy == "fixed-ratio":
             full = np.array([np.concatenate([o, np.flatnonzero(~c)]) for o, c in zip(orders, covered)])
             row = []
             for mu in mus:
                 p = _ladder(pattern, cfg.p0_ratio, mu, full, p_sum, nulled)
-                row.append(sum(float(_beam_rates(h[n], p[n], orders[n]).sum()) for n in range(len(h))))
+                row.append(sum(_beam_rate(h[n], p[n], orders[n]) for n in range(len(h))))
             out.append(row)
         else:
             support = covered if cfg.strict_pattern else None
             prob = OptProblem.build(h, p_sum, selected=omega.pairs, epsilon=ANCHOR_FLOOR * p_sum, support=support)
             p = _water_fill_reference(prob)
             every = [np.argsort(row, kind="stable") for row in h]
-            out.append([sum(float(_beam_rates(h[n], p[n], every[n]).sum()) for n in range(len(h)))])
+            out.append([sum(_beam_rate(h[n], p[n], every[n]) for n in range(len(h)))])
             assert np.array_equal(water_fills(prob.gains, prob.p_sum, prob.delta, prob.support), p)
     return out
 
@@ -1068,7 +1093,7 @@ def test_stacked_tail_matches_the_per_budget_path():
                             ("optimal", k, "simple", "optimal", (None,)),
                         ]
                         for unit in units[1:2] if p0 != 1.0 else units:
-                            chunk = _unit_rates(run, unit, stack, splits, h, budgets)
+                            chunk = _tail_rates(run, (unit,), _stacked([stack]), splits[None], h[None], budgets)
                             assert len(chunk) == len(setups)
                             for rates, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
                                 got = rates.tolist()
@@ -1124,7 +1149,7 @@ def test_the_chain_at_five_beams_matches_the_per_user_path():
             gains = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), cfg.cell.noise_variance).gains
             orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(gains, map(np.flatnonzero, pattern.entries))]
             ladder = _ladder_reference(pattern, cfg.p0_ratio, cfg.mu[0], orders, p_sum, nulled)
-            want = sum(float(_beam_rates(gains[b], ladder[b], orders[b]).sum()) for b in range(n))
+            want = sum(_beam_rate(gains[b], ladder[b], orders[b]) for b in range(n))
             assert records["lsa-pdma-simple", db].sum_rate == pytest.approx(want, rel=1e-12, abs=0.0)
             bound = _water_filling_bound(gains, p_sum)
             assert bound - 1e-4 <= records["lsa-pdma-optimal", db].sum_rate <= bound * (1.0 + 1e-12)
@@ -1146,13 +1171,14 @@ def test_k_equals_n_fixed_ratio_matches_oma():
 
 
 def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
-    # every unit computes its SINRs in one call of the receiver's SINR
-    # formula over all the drops of a chunk and all its budgets (and its
-    # mu sweep), so the call count grows with neither the drops nor the
-    # budgets.  Every power stack is (C, D, M, N, K), M = 1 but for the
-    # ladders.  The optimal policy reads only the gains of the equal
-    # splits: its one call carries the water-fill, whose beams each hold at
-    # most one entry above the anchors' 1e-6 floor.
+    # the units of a chunk compute their SINRs in one call of the
+    # receiver's SINR formula per mu count, over all the drops of the chunk
+    # and all the budgets (and the mu sweep), so the call count grows with
+    # neither the drops, the budgets nor the units.  Every power stack is
+    # (U, C, D, M, N, K), M = 1 but for a mu sweep's ladders, and K the
+    # chunk's largest user count.  The optimal policy reads only the gains
+    # of the equal splits: its call carries the water-fill, whose beams
+    # each hold at most one entry above the anchors' 1e-6 floor.
     calls = []
     real = receiver._sic_sinr
 
@@ -1164,17 +1190,28 @@ def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
     budgets = 10.0 ** (np.array([0.0, 20.0]) / 10.0)
     drops = [4, 5, 6]
     run_chunk(_cfg(schemes=("lsa-pdma",), users=(6,), policies=("optimal",), p_sum_db=(0.0, 20.0)), drops)
-    assert [p.shape for p in calls] == [(3, 2, 1, 3, 6)]
+    assert [p.shape for p in calls] == [(1, 3, 2, 1, 3, 6)]
     assert ((calls[0] > 2e-6 * budgets[:, None, None, None]).sum(axis=-1) <= 1).all()
     calls.clear()
     run_chunk(_cfg(schemes=("oma",)), drops)
-    assert [p.shape for p in calls] == [(3, 1, 1, 3, 3)]
+    assert [p.shape for p in calls] == [(1, 3, 1, 1, 3, 3)]
     calls.clear()
     run_chunk(_cfg(schemes=("lsa-pdma",), users=(6,), mu=(0.5, 1.0, 2.0)), drops)
-    assert [p.shape for p in calls] == [(3, 1, 3, 3, 6)]
+    assert [p.shape for p in calls] == [(1, 3, 1, 3, 3, 6)]
     calls.clear()
     run_drop(_cfg(schemes=("oma", "lsa-pdma"), users=(6,), mu=(0.5, 1.0, 2.0)), 4)
-    assert [p.shape for p in calls] == [(1, 1, 1, 3, 3), (1, 1, 3, 3, 6)]
+    assert [p.shape for p in calls] == [(1, 1, 1, 1, 3, 6), (1, 1, 1, 3, 3, 6)]
+    calls.clear()
+    # fig4's seven units: oma and pnoma share the one-mu call, the five
+    # ladders of K = 3 ... 7 the mu sweep's
+    run_chunk(_cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(3, 4, 5, 6, 7), mu=(0.5, 1.0, 2.0)), drops)
+    assert [p.shape for p in calls] == [(2, 3, 1, 1, 3, 7), (5, 3, 1, 3, 3, 7)]
+    calls.clear()
+    # fig5's four units at two budgets, the two optimal ones among them
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(6, 7), policies=("optimal",), p_sum_db=(0.0, 20.0))
+    run_chunk(cfg, drops)
+    assert [p.shape for p in calls] == [(4, 3, 2, 1, 3, 7)]
+    assert ((calls[0][2:] > 2e-6 * budgets[:, None, None, None]).sum(axis=-1) <= 1).all()
 
 
 def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
@@ -1229,9 +1266,10 @@ def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch)
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
     assert all(run_chunk(cfg, [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]))
     assert built == []
-    # one equal-split check per set-up (oma, pnoma, K = 6 and 7) and one
-    # ladder check (pnoma), each over every drop and budget
-    assert len(checked) == 5 and all(shape[:2] == (3, len(cfg.p_sum_db)) for shape in checked)
+    # one equal-split check over the chunk's four set-ups (oma, pnoma,
+    # K = 6 and 7) and one ladder check per mu list (pnoma's), each over
+    # every drop and budget of its set-ups
+    assert [shape[:2] for shape in checked] == [(4 * 3, len(cfg.p_sum_db)), (1 * 3, len(cfg.p_sum_db))]
     # the counters see what they should
     checked.clear()
     equal_power(oma_pattern(3), 1.0)

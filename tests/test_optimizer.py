@@ -475,7 +475,8 @@ def _water_fill_reference(prob):
         return p
     beams, users, levels = (np.array(col) for col in zip(*picks))
     floors = prob.delta[beams, users]
-    budget = prob.p_sum - prob.delta.sum() + floors.sum()
+    # the floor total left to right over the row-major matrix, as the kernel sums it
+    budget = prob.p_sum - np.cumsum(prob.delta)[-1] + floors.sum()
     bends = levels + floors
     rank = np.argsort(bends, kind="stable")
     for m in range(len(rank), 0, -1):
@@ -493,7 +494,8 @@ def test_water_fill_matches_the_per_beam_loop_and_its_stack():
     # one matrix; a stack of D budgets, and a (C, D, N, K) stack with the D
     # budgets and a support per c broadcast, equal the water-fill of each
     # matrix alone.  The kernel sums left to right, as numpy sums fewer
-    # than 8 terms; a general floor matrix with K >= 9 can pin 8 or more
+    # than 8 terms, and so does the loop's floor total; a general floor
+    # matrix with K >= 9 can pin 8 or more
     # floors after a beam's served user, which numpy sums pairwise, so
     # there the level (and the powers) agree to 1e-12 relative instead of
     # bit for bit.
@@ -531,6 +533,51 @@ def test_water_fill_matches_the_per_beam_loop_and_its_stack():
                 assert np.array_equal(stacked[c, d], water_fills(one.gains, one.p_sum, one.delta, one.support))
     with pytest.raises(ValueError, match="floors"):
         water_fills(np.ones((2, 1, 2)), [1.0, 1.0], np.full((2, 1, 2), [[[0.1, 0.1]], [[0.6, 0.6]]]))
+
+
+def test_zero_gain_pads_change_no_water_fill_power():
+    # users with zero gains and zero floors appended to a problem (outside
+    # a strict support) leave the powers of the real entries bit for bit
+    # as they are and get none: a pad is never free, and the floor total
+    # runs left to right, so it adds an exact +0.0.  General floor
+    # matrices at N * K >= 8 are where numpy's pairwise sum would regroup
+    # with the pads, which takes a few hundred instances to meet.
+    rng = make_rng(22)
+    for i in range(600):
+        prob = _anchored_problem(rng, strict=i % 3 == 0, zero_row=i % 4 == 0)
+        n, k = prob.gains.shape
+        delta = prob.delta
+        if i % 2:
+            delta = rng.uniform(0.0, 0.4 / (n * k), (n, k)) * prob.p_sum * (rng.random((n, k)) < 0.7)
+        p = water_fills(prob.gains, prob.p_sum, delta, prob.support)
+        pads = int(rng.integers(1, 9))
+        wide = ((0, 0), (0, pads))
+        support = None if prob.support is None else np.pad(prob.support, wide)
+        padded = water_fills(np.pad(prob.gains, wide), prob.p_sum, np.pad(delta, wide), support)
+        assert np.array_equal(padded[:, :k], p) and not padded[:, k:].any(), i
+
+
+def test_water_fill_takes_the_callers_sic_orders():
+    # a stack's own SIC orders passed in give the powers of the call that
+    # sorts the stack itself, bit for bit: (C, D, N, K) stacks with tied
+    # gains, zero gains and zero-gain pad users, anchor floors, with and
+    # without a strict support; orders of another shape are refused
+    rng = make_rng(23)
+    for i in range(100):
+        c, d, n, k, pads = 2, 3, int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        gains = rng.choice([0.0, 0.5, 1.0, 2.0], (c, d, n, k)) * rng.choice([1.0, 3.0], (c, 1, 1, k))
+        gains = np.concatenate([gains, np.zeros((c, d, n, pads))], axis=-1)
+        budgets = 10.0 ** (rng.uniform(0.0, 40.0, d) / 10.0)
+        delta = np.zeros(gains.shape)
+        anchors = rng.integers(0, k, (c, 1, n, 1))
+        np.put_along_axis(delta, anchors, (1e-6 * budgets)[:, None, None], axis=-1)
+        support = None
+        if i % 2:
+            support = np.concatenate([rng.random((c, 1, n, k)) < 0.6, np.zeros((c, 1, n, pads), dtype=bool)], axis=-1)
+        p = water_fills(gains, budgets, delta, support)
+        assert np.array_equal(water_fills(gains, budgets, delta, support, sic_orders(gains)), p), i
+    with pytest.raises(ValueError, match="orders"):
+        water_fills(gains, budgets, delta, support, sic_orders(gains)[0])
 
 
 def test_water_fill_never_below_the_barrier():

@@ -7,7 +7,7 @@ import pytest
 from lsapdma import harness
 from lsapdma.beamforming import select_users
 from lsapdma.channel import sample_channel
-from lsapdma.harness import ExperimentConfig, _SetUps, _unit_rates
+from lsapdma.harness import ExperimentConfig, _Stack, _tail_rates
 from lsapdma.optimizer import anchor_floors, water_fills
 from lsapdma.pattern import (
     PatternMatrix,
@@ -252,7 +252,8 @@ def _full_orders(pattern, sic_orders):
 
 
 def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
-    """One gain factor at a time, beam by beam, scaled by the matrix's sum."""
+    """One gain factor at a time, beam by beam, scaled by the matrix's sum
+    taken left to right over its row-major entries."""
     b = pattern.entries
     support = (b == 1) & ~nulled
     entries = np.zeros(b.shape, dtype=float)
@@ -260,7 +261,7 @@ def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
         order = np.asarray(sic_orders[n], dtype=int)
         powered = order[support[n, order]]
         entries[n, powered] = p0 * mu ** np.arange(len(powered))
-    entries *= p_sum / entries.sum()
+    entries *= p_sum / np.cumsum(entries)[-1]
     return entries
 
 
@@ -296,6 +297,32 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
     assert saw_nulled
 
 
+def test_uncovered_pad_users_change_no_ladder_entry():
+    # uncovered columns appended to a (C, N, K) pattern stack, their users
+    # appended to each order or put before it, leave every real entry of
+    # the ladders bit for bit as it is, at mu = 1.5 and p0 = 0.37, whose
+    # ladders do not sum exactly, for every shape with N * K >= 8: each
+    # ladder's total runs left to right, so a pad adds an exact +0.0
+    budgets = [10.0 ** (db / 10.0) for db in (0.0, 13.0, 40.0)]
+    for n in (2, 3, 4):
+        for k in range(n, 2**n):
+            if n * k < 8:
+                continue
+            rng = make_rng(31, n, k)
+            entries = np.array([simple_beam_allocation(n, k, rng.permutation(k)).entries for _ in range(3)])
+            nulled = (entries == 1) & (rng.random(entries.shape) < 0.2)
+            nulled[:, :, 0] = False  # keep powered pairs in every matrix
+            orders = np.array([[[rng.permutation(k) for _ in range(n)] for _ in budgets] for _ in range(3)])
+            ladders = fixed_ratio_ladders(entries, 0.37, [1.5], orders, budgets, nulled)
+            for pads in range(1, 9):
+                pad = np.arange(k, k + pads) + np.zeros(orders.shape[:-1] + (1,), dtype=int)
+                padded = np.concatenate([entries, np.zeros((3, n, pads), dtype=int)], axis=-1)
+                padded_nulled = np.concatenate([nulled, np.zeros((3, n, pads), dtype=bool)], axis=-1)
+                for padded_orders in (np.concatenate([orders, pad], axis=-1), np.concatenate([pad, orders], axis=-1)):
+                    got = fixed_ratio_ladders(padded, 0.37, [1.5], padded_orders, budgets, padded_nulled)
+                    assert np.array_equal(got[..., :k], ladders) and not got[..., k:].any(), (n, k, pads)
+
+
 def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
     """The (C, D, N, K) anchor floors the optimal policy of the harness
     hands the water-fill for C patterns' entries and anchors (C, N), gains
@@ -303,16 +330,16 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
     budget (``optimizer.ANCHOR_FLOOR``)."""
     seen = []
 
-    def recorded(gains, p_sum, delta, support=None):
+    def recorded(gains, p_sum, delta, support=None, orders=None):
         seen.append(delta)
-        return water_fills(gains, p_sum, delta, support)
+        return water_fills(gains, p_sum, delta, support, orders)
 
     monkeypatch.setattr(harness, "water_fills", recorded)
     _, n, k = entries.shape
     cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",))
     unit = ("lsa-pdma-optimal", k, "simple", "optimal", (None,))
-    _unit_rates(cfg, unit, _SetUps(None, entries, anchors, None), None, gains, budgets)
-    return seen[0]
+    _tail_rates(cfg, (unit,), _Stack(None, entries[None], anchors[None], None, None, None), None, gains[None], budgets)
+    return seen[0][0]
 
 
 def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):

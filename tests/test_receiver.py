@@ -19,6 +19,7 @@ from lsapdma.receiver import (
     LinkState,
     _mmse_kernel,
     _sqrt_factors,
+    beam_sum_rates,
     build_link_state,
     drop_link_states,
     pair_rates,
@@ -159,6 +160,32 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
         with pytest.raises(ValueError, match=r"\(C, N, K\)"):
             drop_link_states([_stack(chans, beams, bad)], 1.0)
     assert drop_link_states([_stack(chans, beams, splits)], 1.0)[0].shape == (1, 1, 3, 7)
+
+
+def test_drop_link_states_give_pad_users_zero_gains_and_change_no_other():
+    # power shapes wider than a stack's users, the extra columns zero (pad
+    # users), give the real users' gains of the unpadded call bit for bit,
+    # general (not 0/1) shapes included, and zero gains to the pads, alone
+    # or beside a stack of another width; a pad that carries power is
+    # refused
+    rng = make_rng(24)
+    other_chans, other_pattern, other_beams = _setup(k=4, seed=1)
+    other = _stack(other_chans, other_beams, equal_splits(other_pattern.entries[None], [1.0, 2.0])[0])
+    for k in (3, 5, 7):
+        chans, pattern, beams = _setup(k=k)
+        powers = pattern.entries * rng.uniform(0.5, 2.0, (3, k))
+        g, f, pi, s = _stack(chans, beams, np.array([powers, 3.0 * powers]))  # one shape at two scales
+        (gains,) = drop_link_states([(g, f, pi, s)], 1.0)
+        for pads in (1, 4, 9):
+            wide = np.concatenate([pi, np.zeros((1, 3, pads))], axis=-1)
+            (padded,) = drop_link_states([(g, f, wide, s)], 1.0)
+            beside = drop_link_states([other, (g, f, wide, s)], 1.0)
+            assert beside[0].shape == (1, 2, 3, 4)
+            for got in (padded, beside[1]):
+                assert np.array_equal(got[..., :k], gains) and not got[..., k:].any()
+            wide[0, 0, k] = 1.0
+            with pytest.raises(ValueError, match="pad"):
+                drop_link_states([(g, f, wide, s)], 1.0)
 
 
 def test_mmse_high_noise_limit():
@@ -376,6 +403,30 @@ def test_sic_order_sorts_ascending_with_ties():
     # a stack orders row by row
     stack = sic_orders(np.array([[[3.0, 1.0, 2.0], [0.1, 0.2, 0.3]]]))
     assert np.array_equal(stack, [[[1, 2, 0], [0, 1, 2]]])
+
+
+def test_pad_users_change_no_sinr_and_no_sum_rate():
+    # users with zero gain and no power appended to a (C, D, M, N, K) stack
+    # (the gains and orders broadcast over M, as the harness hands them)
+    # leave the real users' SINRs and every sum rate of ``beam_sum_rates``
+    # bit for bit as they are, for K = 1 ... 16 and 1 ... 16 pads, whether
+    # the pads' indices are appended to the orders or the padded gains are
+    # sorted anew (which puts the pads among the zero gains, first): every
+    # sum they enter runs left to right
+    rng = make_rng(21)
+    for k in range(1, 17):
+        for pads in range(1, 17):
+            gains = rng.lognormal(0.0, 1.0, (2, 2, 1, 3, k)) * (rng.random((2, 2, 1, 3, k)) < 0.9)
+            powers = rng.uniform(0.0, 5.0, (2, 2, 3, 3, k)) * (rng.random((2, 2, 3, 3, k)) < 0.8)
+            orders = sic_orders(gains)
+            sinrs, rates = sic_sinrs(gains, powers, orders), beam_sum_rates(gains, powers, orders)
+            padded_gains = np.concatenate([gains, np.zeros(gains.shape[:-1] + (pads,))], axis=-1)
+            padded_powers = np.concatenate([powers, np.zeros(powers.shape[:-1] + (pads,))], axis=-1)
+            appended = np.concatenate([orders, np.broadcast_to(np.arange(k, k + pads), orders.shape[:-1] + (pads,))], axis=-1)
+            for padded_orders in (appended, sic_orders(padded_gains)):
+                padded_sinrs = sic_sinrs(padded_gains, padded_powers, padded_orders)
+                assert np.array_equal(padded_sinrs[..., :k], sinrs) and not padded_sinrs[..., k:].any()
+                assert np.array_equal(beam_sum_rates(padded_gains, padded_powers, padded_orders), rates), (k, pads)
 
 
 def test_sinr_single_user():
