@@ -20,27 +20,30 @@ chunk are one stacked draw (``channel.draw_channels``), so no per-user
 object is built.  A set-up's patterns, anchors and nulled pairs are one
 gather of its rank-space triple (``beamforming.rank_anchors``) through one
 stable argsort of the chunk's (C, K) hints; only a fixed pattern selects
-anchors drop by drop.  The ZF precoders of every (drop, set-up) come from
-one ``zf_beamformers`` pass.  A set-up whose first draw is singular falls
-back to ``_draw_drop``, which redraws it alone from the restarted stream,
-so its redraw count and its channels are those it would have run by
-itself.
+anchors drop by drop.
 
-After the ZF pass the chunk's S set-ups are one stack (``_Stack``): the
-patterns, nulled pairs and, later, the equal splits and gains are
-zero-padded to the largest user count K, shape (S, C, N, K) and
-(S, C, D, N, K).  A pad user is a column past its set-up's own K: it is
-uncovered, not nulled, and has zero power and zero gain.  It never enters
-ZF or the MMSE kernel, whose per-user work stays on real users, but it
-sits in every stack after them, so each layer runs once per chunk: one
-``equal_splits`` and one ``power_scales`` call, one statistic build and
-one kernel call in ``drop_link_states`` (one N x N ``eigh`` per user
-serves all D budgets), one ``sic_orders`` call over all the gains, one
-policy call per (power policy, mu list) and one ``beam_sum_rates`` call
-per mu count (``_tail_rates``, laid out by ``_plan``).  Each policy gives
-a (U, C, D, M, N, K) power stack over its U units, the C drops, the D
-budgets and the M sweep values (M = 1 but for the mu sweep's ladders), and
-the tail broadcasts the gains and orders over the mu axis.  A pad adds an
+The chunk's S set-ups are one stack (``_Stack``) from the anchors to the
+gains: ``_chunk_set_ups`` allocates the patterns, anchors, nulled pairs
+and ZF beams once, zero-padded to the largest user count K, shape
+(S, C, N, K) and the like, and writes each set-up into its slot; the
+channels stay one (C, K_s, N_R, N_T) array per user count.  The ZF
+precoders of every (set-up, drop) come from one ``zf_beamformers`` pass.
+A (set-up, drop) whose first draw is singular is redrawn alone by
+``_draw_drop`` from the restarted stream, so its redraw count and its
+channels are those it would have run by itself, and written into its slot
+(its channels into a copy of the shared draw).  A pad user is a column
+past its set-up's own K: it is uncovered, not nulled, and has zero power
+and zero gain.  It never enters ZF or the MMSE kernel, whose per-user work
+stays on real users, but it sits in every stack after them, so each layer
+runs once per chunk: one ``equal_splits`` and one ``power_scales`` call,
+one ``drop_link_states`` call on the stack's arrays (one N x N ``eigh``
+per user serves all D budgets), one ``sic_orders`` call over all the
+gains, one policy call per (power policy, mu list) and one
+``beam_sum_rates`` call per mu count (``_tail_rates``, laid out by
+``_plan``).  Each policy gives a (U, C, D, M, N, K) power stack over its U
+units, the C drops, the D budgets and the M sweep values (M = 1 but for
+the mu sweep's ladders), and the tail broadcasts the gains and orders over
+the mu axis.  A pad adds an
 exact +0.0 to every sum it enters because each such sum (a ladder's total,
 a water-fill's floor total, a beam's sum over its users, a statistic's sum
 over users) runs left to right, where numpy's pairwise sum of 8 or more
@@ -84,7 +87,7 @@ orthogonal scheme is the identity pattern with equal power, and the
 power-domain scheme is the diversity-one far-near paired pattern with a
 fixed power ratio, so reducing the main scheme to either baseline is a
 configuration change, not a separate code path, and gives the baseline's
-rates bit for bit (the orthogonal one's at p0_ratio = 1).
+rates bit for bit.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -138,7 +141,9 @@ class ExperimentConfig:
     pairs, and so needs the ``optimal`` policy.  Its anchors' power floor
     is the constant ``optimizer.ANCHOR_FLOOR`` of each budget, not an
     option.  It has no per-link minimum rate; the optimizer's log-barrier
-    solver (``lsapdma solve --rmin``) handles those.
+    solver (``lsapdma solve --rmin``) handles those.  A fixed-ratio ladder's
+    powers are p_sum mu^j / sum_j mu^j: a first step would cancel, so it is
+    not an option either (``p0_ratio`` is a constant 1).
     """
 
     cell: CellConfig = field(default_factory=CellConfig)
@@ -152,7 +157,8 @@ class ExperimentConfig:
     fixed_pattern: PatternMatrix | None = None
     p_sum_db: tuple[float, ...] = (10.0,)
     mu: tuple[float, ...] = (2.0,)
-    p0_ratio: float = 1.0
+    # a ladder's first step, which cancels; a constant that bench/oracle.py reads
+    p0_ratio: ClassVar[float] = 1.0
     pnoma_mu: float = 0.25
     strict_pattern: bool = False
     drops: int = 1000
@@ -169,9 +175,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        for name in ("p0_ratio", "pnoma_mu"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        if not self.pnoma_mu > 0:
+            raise ConfigError("pnoma_mu must be positive")
         if not all(mu > 0 for mu in self.mu):
             raise ConfigError("mu values must be positive")
         if self.n_tx < self.n_beams:
@@ -249,7 +254,7 @@ class ExperimentConfig:
 
 
 def _check_float_range(cfg: ExperimentConfig) -> None:
-    """Raise unless every budget 10^(dB/10), every step p0*mu^j of a ladder
+    """Raise unless every budget 10^(dB/10), every step mu^j of a ladder
     the drop runs (j below its user count) and every such step scaled to a
     budget is a finite positive float, computed as the drop computes them.
     An infinite or zero step makes its scaled steps NaN or zero, so the
@@ -266,12 +271,11 @@ def _check_float_range(cfg: ExperimentConfig) -> None:
     with np.errstate(all="ignore"):
         for name, mus, n_users in ladders:
             for mu in mus:
-                steps = cfg.p0_ratio * mu ** np.arange(n_users)
+                steps = mu ** np.arange(n_users)
                 scaled = steps * (budgets[:, None] / steps.sum())
                 if not ((0 < scaled) & (scaled < np.inf)).all():
                     raise ConfigError(
-                        f"{name} = {mu:g} with p0_ratio = {cfg.p0_ratio:g} gives a power ladder "
-                        "step that is not a finite positive float"
+                        f"{name} = {mu:g} gives a power ladder step that is not a finite positive float"
                     )
 
 
@@ -319,7 +323,7 @@ _CONFIG_KEYS = {
     "power": {
         "policies": ("policies", _listed(str)),
         **{key: (key, _listed(float)) for key in ("p_sum_db", "mu")},
-        **{key: (key, float) for key in ("p0_ratio", "pnoma_mu")},
+        "pnoma_mu": ("pnoma_mu", float),
         "strict_pattern": ("strict_pattern", _boolean),
     },
     "pattern": {"policy": ("pattern_policy", str.strip), "matrix": ("fixed_pattern", parse_pattern_text)},
@@ -402,77 +406,48 @@ def _channels(cfg: ExperimentConfig, k, rngs):
     return draw_channels(cfg.cell, k, cfg.n_rx, cfg.n_tx, rngs)
 
 
-class _SetUps(NamedTuple):
-    """One set-up, a (K, pattern policy), on each of the C drops of a chunk."""
-
-    channels: np.ndarray  # (C, K, N_R, N_T)
-    entries: np.ndarray  # (C, N, K) pattern
-    anchors: np.ndarray  # (C, N) anchor user of each beam
-    nulled: np.ndarray  # (C, N, K) covered pairs the ZF beams null
-    beams: np.ndarray | None = None  # (C, N_T, N) ZF beam matrices
-    redraws: np.ndarray | None = None  # (C,) singular draws before these
-
-
 class _Stack(NamedTuple):
-    """A chunk's S set-ups on its C drops as one stack, zero-padded to the
-    largest user count K: set-up s's columns from its own K_s on are pad
-    users, uncovered and not nulled."""
+    """A chunk's S set-ups, each a (K, pattern policy), on its C drops as
+    one stack, zero-padded to the largest user count K: set-up s's columns
+    from its own K_s on are pad users, uncovered and not nulled."""
 
     channels: tuple  # S arrays (C, K_s, N_R, N_T), real users only
     entries: np.ndarray  # (S, C, N, K) pattern
-    anchors: np.ndarray  # (S, C, N)
-    nulled: np.ndarray  # (S, C, N, K)
-    beams: np.ndarray  # (S, C, N_T, N)
-    redraws: np.ndarray  # (S, C)
+    anchors: np.ndarray  # (S, C, N) anchor user of each beam
+    nulled: np.ndarray  # (S, C, N, K) covered pairs the ZF beams null
+    beams: np.ndarray  # (S, C, N_T, N) ZF beam matrices
+    redraws: np.ndarray  # (S, C) singular draws before these
 
 
-def _stacked(setups) -> _Stack:
-    """The set-ups (``_SetUps``, ZF beams included) of one chunk as one
-    padded stack."""
-    n_users = max(one.entries.shape[-1] for one in setups)
-    entries = np.zeros((len(setups),) + setups[0].entries.shape[:-1] + (n_users,), dtype=int)
-    nulled = np.zeros(entries.shape, dtype=bool)
-    for s, one in enumerate(setups):
-        entries[s, ..., : one.entries.shape[-1]] = one.entries
-        nulled[s, ..., : one.nulled.shape[-1]] = one.nulled
-    return _Stack(
-        tuple(one.channels for one in setups),
-        entries,
-        np.stack([one.anchors for one in setups]),
-        nulled,
-        np.stack([one.beams for one in setups]),
-        np.stack([one.redraws for one in setups]),
-    )
-
-
-def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints) -> _SetUps:
-    """Pattern and anchors of one set-up on C draws, given their channels
-    (C, K, N_R, N_T) and large-scale gains (C, K) as hints: a gather of
-    ``rank_anchors`` through the draws' ranks, or for a fixed pattern a
-    selection per draw."""
+def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints):
+    """Pattern entries (C, N, K), anchors (C, N) and nulled pairs (C, N, K)
+    of one set-up on C draws, given their channels (C, K, N_R, N_T) and
+    large-scale gains (C, K) as hints: a gather of ``rank_anchors``
+    through the draws' ranks, or for a fixed pattern a selection per
+    draw."""
     n_draws, k = hints.shape
     if pattern_policy == "fixed":
         pattern = cfg.fixed_pattern
         omegas = [select_users(draw, pattern, h) for draw, h in zip(channels, hints)]
-        entries = np.repeat(pattern.entries[None], n_draws, axis=0)
-        nulled = np.array([omega.nulled(pattern) for omega in omegas])
-        return _SetUps(channels, entries, np.array([omega.users for omega in omegas]), nulled)
+        anchors, nulled = np.array([omega.users for omega in omegas]), np.array([omega.nulled(pattern) for omega in omegas])
+        return np.repeat(pattern.entries[None], n_draws, axis=0), anchors, nulled
     base, anchor_ranks, base_nulled = rank_anchors(pattern_policy, cfg.n_beams, k)
     # users weakest first; the identity pattern of oma ignores the ranks
     order = np.argsort(hints, axis=1, kind="stable") if pattern_policy != "oma" else np.tile(np.arange(k), (n_draws, 1))
     # each user's column; stable like the chain's other argsorts (a process's
     # first default-kind argsort of integers costs about 0.3 MB of memory)
     rank = np.argsort(order, axis=1, kind="stable")
-    return _SetUps(channels, base[:, rank].swapaxes(0, 1), order[:, anchor_ranks], base_nulled[:, rank].swapaxes(0, 1))
+    return base[:, rank].swapaxes(0, 1), order[:, anchor_ranks], base_nulled[:, rank].swapaxes(0, 1)
 
 
-def _anchor_channels(setups: _SetUps) -> np.ndarray:
-    """The anchors' channels of each drop, (C, N, N_R, N_T)."""
-    return setups.channels[np.arange(len(setups.anchors))[:, None], setups.anchors]
+def _anchor_channels(channels, anchors) -> np.ndarray:
+    """The anchors' channels of each draw, (C, N, N_R, N_T), from the
+    draws' channels (C, K, N_R, N_T) and anchors (C, N)."""
+    return channels[np.arange(len(anchors))[:, None], anchors]
 
 
-def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
-    """One set-up on one drop (C = 1), ZF beams included.
+def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _Stack:
+    """One set-up on one drop (S = C = 1), ZF beams included.
 
     Redraws users and channels from the restarted stream while the anchors'
     stacked channel is singular, counting the redraws; raises ConfigError
@@ -481,10 +456,11 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _SetUps:
     rng = np.random.Generator(np.random.Philox(state))
     redraws = 0
     while True:
-        setups = _anchored(cfg, pattern_policy, *_channels(cfg, k, [rng]))
-        beams, singular = zf_beamformers(_anchor_channels(setups))
+        channels, hints = _channels(cfg, k, [rng])
+        entries, anchors, nulled = _anchored(cfg, pattern_policy, channels, hints)
+        beams, singular = zf_beamformers(_anchor_channels(channels, anchors))
         if not singular[0]:
-            return setups._replace(beams=beams, redraws=np.array([redraws]))
+            return _Stack((channels,), entries[None], anchors[None], nulled[None], beams[None], np.array([[redraws]]))
         redraws += 1
         if redraws > MAX_REDRAWS:
             raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
@@ -498,7 +474,7 @@ def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
     generator restarted by its saved state draws what a new one would.  The
     anchors of every (set-up, drop) go into one ``zf_beamformers`` pass,
     and a (set-up, drop) whose first draw is singular is redrawn alone by
-    ``_draw_drop``, as in a chunk of one.
+    ``_draw_drop``, as in a chunk of one, and written into its slot.
     """
     rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
     starts = [rng.bit_generator.state for rng in rngs]
@@ -507,14 +483,24 @@ def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
         for rng, start in zip(rngs, starts):
             rng.bit_generator.state = start
         draws[k] = _channels(cfg, k, rngs)
-    setups = [_anchored(cfg, pattern_policy, *draws[k]) for k, pattern_policy in keys]
-    beams, singular = zf_beamformers(np.concatenate([_anchor_channels(one) for one in setups]))
-    n = len(states)
-    setups = [one._replace(beams=beams[s * n : (s + 1) * n], redraws=np.zeros(n, dtype=int)) for s, one in enumerate(setups)]
-    for s, c in zip(*np.nonzero(singular.reshape(len(keys), n))):
-        redrawn = _draw_drop(cfg, *keys[s], states[c])
-        setups[s] = _SetUps(*(np.concatenate([a[:c], b, a[c + 1 :]]) for a, b in zip(setups[s], redrawn)))
-    return _stacked(setups)
+    entries = np.zeros((len(keys), len(states), cfg.n_beams, max(draws)), dtype=int)
+    nulled = np.zeros(entries.shape, dtype=bool)
+    anchors = np.zeros(entries.shape[:-1], dtype=int)
+    for s, (k, pattern_policy) in enumerate(keys):
+        entries[s, ..., :k], anchors[s], nulled[s, ..., :k] = _anchored(cfg, pattern_policy, *draws[k])
+    channels = [draws[k][0] for k, _ in keys]
+    beams, singular = zf_beamformers(np.concatenate([_anchor_channels(g, a) for g, a in zip(channels, anchors)]))
+    beams = beams.reshape(anchors.shape[:2] + beams.shape[1:])
+    redraws = np.zeros(anchors.shape[:2], dtype=int)
+    for s, c in zip(*np.nonzero(singular.reshape(redraws.shape))):
+        k = keys[s][0]
+        one = _draw_drop(cfg, *keys[s], states[c])
+        if channels[s] is draws[k][0]:  # the draw the other set-ups of K share
+            channels[s] = channels[s].copy()
+        channels[s][c] = one.channels[0][0]
+        entries[s, c, :, :k], anchors[s, c], nulled[s, c, :, :k] = one.entries[0, 0], one.anchors[0, 0], one.nulled[0, 0]
+        beams[s, c], redraws[s, c] = one.beams[0, 0], one.redraws[0, 0]
+    return _Stack(tuple(channels), entries, anchors, nulled, beams, redraws)
 
 
 class _Plan(NamedTuple):
@@ -588,7 +574,6 @@ def _tail_rates(cfg: ExperimentConfig, units, stack: _Stack, splits, gains, budg
             elif power_policy == "fixed-ratio":
                 ladders = fixed_ratio_ladders(
                     stack.entries[at].reshape(flat),
-                    cfg.p0_ratio,
                     mus,
                     orders[at].reshape((-1, n_budgets, n_beams, n_users)),
                     budgets,
@@ -663,8 +648,8 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
     splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])  # (S, C, D, N, K)
     # an equal split's shape Pi is its 0/1 powered support at every budget
     pi, scales = power_scales(splits)
-    gains = drop_link_states(list(zip(stack.channels, stack.beams, pi[:, :, 0], scales)), cfg.cell.noise_variance)
-    rates = _tail_rates(cfg, layout.units, stack, splits, np.stack(gains), budgets)
+    gains = drop_link_states(stack.channels, stack.beams, pi[:, :, 0], scales, cfg.cell.noise_variance)
+    rates = _tail_rates(cfg, layout.units, stack, splits, gains, budgets)
     return rates[:, layout.columns], stack.redraws[layout.plan.unit_setups].T
 
 

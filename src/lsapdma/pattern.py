@@ -297,7 +297,6 @@ def _budgets(p_sum) -> np.ndarray:
 
 def fixed_ratio_ladders(
     entries: np.ndarray,
-    p0: float,
     mus,
     sic_orders,
     p_sum,
@@ -309,8 +308,8 @@ def fixed_ratio_ladders(
 
     For pattern c, budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n
     the powered users (covered and not ``nulled``), taken in the
-    ascending-gain order ``sic_orders[c, d, n]``, get powers p0, mu*p0,
-    mu^2*p0, ...; one constant per ladder then scales the whole matrix so
+    ascending-gain order ``sic_orders[c, d, n]``, get powers 1, mu,
+    mu^2, ...; one constant per ladder then scales the whole matrix so
     its total equals the budget.  ``sic_orders`` has shape (C, D, N, K),
     each row a permutation of the users (as ``receiver.sic_orders`` gives
     them); a step is placed by counting only the powered users along the
@@ -326,8 +325,8 @@ def fixed_ratio_ladders(
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1:
         raise ValueError("mus must be a sequence of gain factors")
-    if p0 <= 0 or (mus <= 0).any():
-        raise ValueError("p0 and mu must be positive")
+    if (mus <= 0).any():
+        raise ValueError("mu must be positive")
     p_sum = _budgets(p_sum)
     b = np.asarray(entries)
     support = _powered_support(b, nulled)
@@ -346,7 +345,7 @@ def fixed_ratio_ladders(
     # each powered user's place among its beam's powered users, in user space
     place = np.empty(orders.shape, dtype=int)
     place.reshape(-1)[at] = np.cumsum(support.reshape(-1)[in_pattern], axis=-1) - 1
-    steps = p0 * mus[:, None] ** np.arange(n_users)  # (M, K)
+    steps = mus[:, None] ** np.arange(n_users)  # (M, K)
     support = support[:, None, None]  # (C, 1, 1, N, K): one support for all budgets
     ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
     # each ladder's total, left to right over the row-major matrix: a pad

@@ -17,13 +17,13 @@ with B = sqrt(Pi) sqrt(Pi)^T, and one N x N ``eigh`` per user of its Gram
 M^H M gives its filters at all D scales in closed form (see
 ``_mmse_kernel``).  The kernel works in N x N Gram space throughout: it
 forms no (N_R, N) filter, and stacked N x N products give the gains.
-``drop_link_states`` takes the units as stacks, one set-up on every drop
-of a chunk, and hands back each stack's (C, D, N, K) gains, K the width
-of its power shapes: a stack's shapes may carry pad users past its own
-users, which get zero gains and enter no filter.
-``build_link_state`` is its case of one power matrix P = max(P) (P /
-max(P)) of one drop, paired with the gains as a ``LinkState``.  A user's
-outputs do not depend on the users stacked beside it.
+``drop_link_states`` takes a chunk's S set-ups on its C drops as one
+padded stack, power shapes (S, C, N, K) with K the largest user count,
+and hands back one (S, C, D, N, K) gain array: a set-up's columns past
+its own users are pad users, which get zero gains and enter no filter.
+``build_link_state`` is its case of one set-up on one drop at one power
+matrix P = max(P) (P / max(P)), paired with the gains as a ``LinkState``.
+A user's outputs do not depend on the users stacked beside it.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, by gain alone: a user
@@ -196,63 +196,55 @@ def power_scales(powers) -> tuple[np.ndarray, np.ndarray]:
     return p / np.where(s > 0, s, 1.0)[..., None, None], s
 
 
-def drop_link_states(units, sigma2: float) -> list[np.ndarray]:
-    """Gains of stacks of units, from one MMSE kernel call.
+def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:
+    """Gains of a chunk's set-ups on its drops, from one MMSE kernel call.
 
-    ``units`` lists (channels, beams, pi, s) stacks, one per set-up on the
-    C drops of a chunk (a unit is one scheme evaluation of a drop): the
-    users' channels (C, K, N_R, N_T), the ZF beam matrices (C, N_T, N),
-    each unit's power shape Pi (C, N, W) and its D scales s (C, D), the
-    unit's d-th power matrix being s[d] * Pi (see ``power_scales``); D must
-    be the same for every stack.  Pi may be wider than the stack's K users:
-    its columns past K are pad users, which must carry no power, enter no
-    filter and get zero gains.  Each stack's users see their channels
-    through their unit's beams as M = G F, one (C, K, N_R, N) product per
-    stack, so no channel or beam matrix is copied per user.  The units'
-    statistics B = sqrt(Pi) sqrt(Pi)^T are one ``correlation_matrix`` call
-    on every stack's power shapes, zero-padded to the widest (its sum over
-    users runs left to right, so a pad changes no bit), factored once per
-    run of equal consecutive statistics (a rank-space set-up's 0/1
-    supports share one), and every user of every stack goes, with its M,
-    its unit's factor and scales, into one (U, N_R, N) stack and one kernel
-    call.  Returns each stack's (C, D, N, W) gains, equal bit for bit to a
-    call on one unit alone, pad or no pad.
+    A chunk holds S set-ups on C drops, a unit being one set-up on one
+    drop.  ``channels`` lists each set-up's users' channels
+    (C, K_s, N_R, N_T), real users only (set-ups of one user count may pass
+    one array); ``beams`` holds the ZF beam matrices (S, C, N_T, N), ``pi``
+    each unit's power shape Pi (S, C, N, K) and ``s`` its D scales
+    (S, C, D), the unit's d-th power matrix being s[d] * Pi (see
+    ``power_scales``).  The columns of set-up s past its K_s users are pad
+    users, which must carry no power, enter no filter and get zero gains.
+    Each set-up's users see their channels through their unit's beams as
+    M = G F, one (C, K_s, N_R, N) product per set-up, so no channel or beam
+    matrix is copied per user.  The units' statistics
+    B = sqrt(Pi) sqrt(Pi)^T are one ``correlation_matrix`` call on the
+    shapes (its sum over users runs left to right, so a pad changes no
+    bit), factored once per run of equal consecutive statistics (a
+    rank-space set-up's 0/1 supports share one), and every real user goes,
+    with its M, its unit's factor and scales, into one (U, N_R, N) stack
+    and one kernel call.  Returns the (S, C, D, N, K) gains, each unit's
+    equal bit for bit to a call on that unit alone, pad or no pad.
     """
-    for channels, beams, pi, s in units:
-        n_stack, n_users = channels.shape[:2]
-        shape = np.shape(pi)
-        fits = len(shape) == 3 and shape[:2] == (n_stack, beams.shape[-1]) and shape[2] >= n_users
-        if not (n_stack and n_users and fits and len(beams) == n_stack):
-            raise ValueError("each stack's pi must hold one (N, K) power shape per unit, shape (C, N, K)")
-        if np.count_nonzero(pi[..., n_users:]):
-            raise ValueError("pad users past a stack's K must carry no power")
-        if not (np.ndim(s) == 2 and len(s) == n_stack):
-            raise ValueError("each stack's s must hold the D scales of each unit, shape (C, D)")
-        if not np.isfinite(channels).all():
+    shape = np.shape(pi)
+    n_setups, n_drops, n_beams, n_users = shape if len(shape) == 4 else (0,) * 4
+    sizes = np.array([np.shape(g)[1] if np.ndim(g) == 4 and len(g) == n_drops else 0 for g in channels], dtype=int)
+    fits = len(sizes) == n_setups and np.shape(beams)[:2] + np.shape(beams)[3:] == (n_setups, n_drops, n_beams)
+    if not (n_setups and n_drops and fits and sizes.all() and (sizes <= n_users).all()):
+        raise ValueError("pi must hold one (N, K) power shape per set-up and drop, shape (S, C, N, K)")
+    real = np.arange(n_users) < sizes[:, None]  # (S, K): set-up s's users, not its pads
+    if (np.not_equal(pi, 0.0) & ~real[:, None, None]).any():
+        raise ValueError("pad users past a set-up's K must carry no power")
+    if not (np.ndim(s) == 3 and np.shape(s)[:2] == (n_setups, n_drops)):
+        raise ValueError("s must hold the D scales of each set-up and drop, shape (S, C, D)")
+    for g in {id(g): g for g in channels}.values():  # each distinct array once
+        if not np.isfinite(g).all():
             raise ValueError("non-finite channels")
-    if len({np.shape(s)[1] for *_, s in units}) != 1:
-        raise ValueError("every unit needs the same number of allocations")
-    counts = [len(s) for *_, s in units]
-    sizes = [channels.shape[1] for channels, *_ in units]
-    widths = [np.shape(pi)[2] for _, _, pi, _ in units]
-    scales = np.concatenate([s for *_, s in units], dtype=float)  # (S, D)
-    shapes = np.zeros((len(scales), units[0][1].shape[-1], max(widths)))  # (S, N, W)
-    starts = np.cumsum([0] + counts).tolist()
-    for start, (_, _, pi, _) in zip(starts, units):
-        shapes[start : start + len(pi), :, : pi.shape[2]] = pi
-    b = correlation_matrix(shapes)  # (S, N, N)
+    scales = np.asarray(s, dtype=float).reshape(n_setups * n_drops, -1)  # (S C, D)
+    b = correlation_matrix(np.reshape(pi, (-1, n_beams, n_users)))  # (S C, N, N)
     if not (np.isfinite(b).all() and np.isfinite(scales).all() and (scales >= 0).all()):
         raise ValueError("power shapes and scales must be finite, scales nonnegative")
     fresh = np.concatenate([[True], (b[1:] != b[:-1]).any(axis=(1, 2))])
-    unit_user = np.repeat(np.arange(len(b)), np.repeat(sizes, counts))
+    unit_user = np.repeat(np.arange(len(b)), np.repeat(sizes, n_drops))
     roots = _sqrt_factors(b[fresh])[(np.cumsum(fresh) - 1)[unit_user]]
-    m = np.concatenate([(g @ f[:, None]).reshape(-1, g.shape[2], f.shape[-1]) for g, f, _, _ in units])  # (U, N_R, N)
+    m = np.concatenate([(g @ f[:, None]).reshape(-1, g.shape[2], n_beams) for g, f in zip(channels, beams)])  # (U, N_R, N)
     _, h = _mmse_kernel(m, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)
-    ends = np.cumsum(np.multiply(counts, sizes)).tolist()
-    gains = [np.zeros((c, len(h), len(b[0]), w)) for c, w in zip(counts, widths)]
-    # each (D, C*K, N) -> (C, D, N, K), pads left zero
-    for out, end, c, k in zip(gains, ends, counts, sizes):
-        out[..., :k] = h[:, end - c * k : end].reshape(len(h), c, k, -1).transpose(1, 0, 3, 2)
+    gains = np.zeros((n_setups, n_drops, len(h), n_beams, n_users))
+    # the real users, in the kernel's (set-up, drop, user) order, take their
+    # (D, N) gains; the pads stay zero
+    gains.transpose(0, 1, 4, 2, 3)[np.broadcast_to(real[:, None], (n_setups, n_drops, n_users))] = h.swapaxes(0, 1)
     return gains
 
 
@@ -262,10 +254,11 @@ def build_link_state(
     power: np.ndarray,
     sigma2: float,
 ) -> LinkState:
-    """Receive chain of one drop at one (N, K) power matrix: a
-    ``drop_link_states`` call on that matrix alone, as s * Pi."""
+    """Receive chain of one drop at one (N, K) power matrix: the
+    ``drop_link_states`` call of one set-up on one drop (S = C = D = 1) at
+    that matrix, as s * Pi."""
     power = np.asarray(power, dtype=float)
     pi, s = power_scales(power)
     g = np.array([ch.entries for ch in channels])
-    (gains,) = drop_link_states([(g[None], beams.beam_matrix[None], pi[None], s.reshape(1, 1))], sigma2)
-    return LinkState(gains=gains[0, 0], power=power)
+    gains = drop_link_states([g[None]], beams.beam_matrix[None, None], pi[None, None], s.reshape(1, 1, 1), sigma2)
+    return LinkState(gains=gains[0, 0, 0], power=power)

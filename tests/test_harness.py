@@ -22,10 +22,10 @@ from lsapdma.harness import (
     _anchored,
     _channels,
     _chunk_rates,
+    _chunk_set_ups,
     _draw_drop,
+    _layout,
     _scheme_runs,
-    _SetUps,
-    _stacked,
     _tail_rates,
     emit_results,
     run_chunk,
@@ -58,9 +58,9 @@ def _beam_rate(h, p, order):
     return float(np.cumsum(pair_rates(_beam_sinrs(h, p, order)))[-1])
 
 
-def _ladder(pattern, p0, mu, orders, p_sum, nulled):
+def _ladder(pattern, mu, orders, p_sum, nulled):
     """The ladder of one gain factor at one budget, from (N, K) orders."""
-    return fixed_ratio_ladders(pattern.entries[None], p0, [mu], orders[None, None], [p_sum], nulled)[0, 0, 0]
+    return fixed_ratio_ladders(pattern.entries[None], [mu], orders[None, None], [p_sum], nulled)[0, 0, 0]
 
 
 def _cfg(**kwargs):
@@ -99,6 +99,8 @@ def test_config_validation():
         ("[power]\nepsilon_ratio = 1e-6\n", ("[power]", "epsilon_ratio")),
         ("[experiment]\ndorps = 5\n", ("[experiment]", "dorps")),
         ("[powr]\nmu = 2\n", ("[powr]",)),
+        # the ladder's first step cancels in its scaling to the budget
+        ("[power]\np0_ratio = 0.5\n", ("[power]", "p0_ratio")),
         # a pattern matrix that the pattern policy would ignore
         ("[pattern]\npolicy = simple\nmatrix = 1 0 0\n  0 1 0\n  0 0 1\n", ("matrix", "'simple'")),
         # strict support that no policy of the run reads
@@ -123,7 +125,6 @@ def test_config_rejects_bad_power_and_run_parameters():
     # without complaint); the error names the field
     cases = (
         ("mu", dict(mu=(-1.0,))),
-        ("p0_ratio", dict(p0_ratio=0.0)),
         ("pnoma_mu", dict(pnoma_mu=-2.0)),
         ("workers", dict(workers=0)),
         # only the optimal policy reads the flag
@@ -146,8 +147,6 @@ def test_config_rejects_bad_power_and_run_parameters():
         ("mu", dict(mu=(1e300,))),
         ("mu", dict(mu=(1e60,), users=(7,))),  # mu^6 overflows at K = 7
         ("mu", dict(mu=(1e-300,))),
-        ("p0_ratio", dict(p0_ratio=float("inf"))),
-        ("p0_ratio", dict(p0_ratio=1e-320)),
         ("pnoma_mu", dict(pnoma_mu=float("inf"))),
         ("p_sum_db", dict(p_sum_db=(4000.0,))),
         ("p_sum_db", dict(p_sum_db=(-4000.0,))),
@@ -157,7 +156,7 @@ def test_config_rejects_bad_power_and_run_parameters():
             _cfg(**{"schemes": ("oma", "pnoma", "lsa-pdma"), "policies": ("fixed-ratio", "optimal"), **kwargs})
     # the edges that make sense still pass
     _cfg(schemes=("pnoma", "lsa-pdma"), users=(7,), mu=(1e50, 1e-50))
-    _cfg(schemes=("pnoma", "lsa-pdma"), p0_ratio=1e-300, p_sum_db=(-3000.0, 30.0))
+    _cfg(schemes=("pnoma", "lsa-pdma"), p_sum_db=(-3000.0, 30.0))
 
 
 def test_config_file_round_trip(tmp_path):
@@ -370,17 +369,17 @@ def _drawn(cfg, k, pattern_policy, state):
     """``_draw_drop``'s set-up, checked bit for bit against the per-draw
     oracle on the draw it kept: (channels, pattern, omega, beams, redraws)."""
     setup = _draw_drop(cfg, k, pattern_policy, state)
-    (redraws,) = setup.redraws.tolist()
+    ((redraws,),) = setup.redraws.tolist()
     rng = np.random.Generator(np.random.Philox(state))
     for _ in range(redraws + 1):
         channels = user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
     pattern, omega = _oracle_setup(cfg, k, pattern_policy, channels)
     beams = compute_zfbf(channels, omega)
-    assert np.array_equal(setup.channels[0], [ch.entries for ch in channels])
-    assert np.array_equal(setup.entries[0], pattern.entries)
-    assert setup.anchors[0].tolist() == list(omega.users)
-    assert np.array_equal(setup.nulled[0], omega.nulled(pattern))
-    assert np.array_equal(setup.beams[0], beams.beam_matrix)
+    assert np.array_equal(setup.channels[0][0], [ch.entries for ch in channels])
+    assert np.array_equal(setup.entries[0, 0], pattern.entries)
+    assert setup.anchors[0, 0].tolist() == list(omega.users)
+    assert np.array_equal(setup.nulled[0, 0], omega.nulled(pattern))
+    assert np.array_equal(setup.beams[0, 0], beams.beam_matrix)
     return channels, pattern, omega, beams, redraws
 
 
@@ -414,8 +413,8 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
         state = np.random.SeedSequence(seed)
         draw = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state))])
         first = draw[0][0]
-        target = tuple(_anchored(cfg, "pnoma", *draw).anchors[0].tolist())
-        assert tuple(_anchored(cfg, "simple", *draw).anchors[0].tolist()) != target
+        target = tuple(_anchored(cfg, "pnoma", *draw)[1][0].tolist())
+        assert tuple(_anchored(cfg, "simple", *draw)[1][0].tolist()) != target
         plain = run_drop(cfg, state)
         with monkeypatch.context() as m:
             _singular_on_first_draw(m, first, lambda users: users == target)
@@ -433,10 +432,34 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             nulled = omega.nulled(pattern)
             link = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), 1.0)
             orders = sic_orders(link.gains)
-            alloc = _ladder(pattern, 1.0, cfg.pnoma_mu, orders, p_sum, nulled)
+            alloc = _ladder(pattern, cfg.pnoma_mu, orders, p_sum, nulled)
             assert got.sum_rate == sum(
                 _beam_rate(link.gains[b], alloc[b], order) for b, order in enumerate(orders)
             )
+
+
+def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
+    # a chunk of three drops whose power-domain set-up (K = 6) is singular
+    # on its first draw at drop 1: the lsa-pdma K = 6 set-up keeps the
+    # shared first draw bit for bit at every drop, and the power-domain
+    # set-up's channels differ from it at drop 1 only, where they are the
+    # draw that drop's set-up redraws alone
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
+    shared = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state)) for state in states])
+    keys = _layout(cfg).plan.setups
+    pnoma, lsa = keys.index((6, "pnoma")), keys.index((6, "simple"))
+    target = tuple(_anchored(cfg, "pnoma", *shared)[1][1].tolist())
+    with monkeypatch.context() as m:
+        _singular_on_first_draw(m, shared[0][1], lambda users: users == target)
+        stack = _chunk_set_ups(cfg, states, keys)
+        alone = _draw_drop(cfg, 6, "pnoma", states[1])
+    assert stack.redraws[pnoma].tolist() == [0, 1, 0] and not stack.redraws[lsa].any()
+    assert np.array_equal(stack.channels[lsa], shared[0])
+    got = stack.channels[pnoma]
+    assert [np.array_equal(a, b) for a, b in zip(got, shared[0])] == [True, False, True]
+    assert np.array_equal(got[1], alone.channels[0][0])
+    assert np.array_equal(stack.beams[pnoma, 1], alone.beams[0, 0])
 
 
 def test_rank_space_set_ups_equal_the_per_drop_oracle():
@@ -457,8 +480,8 @@ def test_rank_space_set_ups_equal_the_per_drop_oracle():
             [ChannelMatrix(entries=np.ones((1, n), dtype=complex), large_scale_gain=h) for h in row] for row in hints
         ]
         setups = _anchored(cfg, policy, np.ones((len(hints), k, 1, n), dtype=complex), hints)
-        assert setups.entries.shape == setups.nulled.shape == (len(draws), n, k)
-        for draw, entries, anchors, nulled in zip(draws, setups.entries, setups.anchors, setups.nulled):
+        assert setups[0].shape == setups[2].shape == (len(draws), n, k)
+        for draw, entries, anchors, nulled in zip(draws, *setups):
             pattern, omega = _oracle_setup(cfg, k, policy, draw)
             assert np.array_equal(entries, pattern.entries), (n, k, policy)
             assert anchors.tolist() == list(omega.users), (n, k, policy)
@@ -527,17 +550,17 @@ def test_records_do_not_depend_on_the_scheme_order():
             assert sorted(a, key=repr) == sorted(b, key=repr)
             assert len(a) == len(set(map(repr, a)))
     # nor on the other units: at N = 4, where the chunk pads every set-up
-    # to K = 15 and the ladders (mu = 1.5 and 3, p0 = 0.37) and the rate
-    # tail sum 8 or more terms, each (scheme, K, policy) run in a config of
-    # its own gives the records it gives in the full config, bit for bit
+    # to K = 15 and the ladders (mu = 1.3 and 0.7, which unlike 1.5 and 3
+    # do not sum exactly) and the rate tail sum 8 or more terms, each
+    # (scheme, K, policy) run in a config of its own gives the records it
+    # gives in the full config, bit for bit
     full = _cfg(
         schemes=("oma", "pnoma", "lsa-pdma"),
         n_beams=4,
         n_tx=16,
         users=(4, 9, 15),
         policies=("fixed-ratio", "optimal"),
-        mu=(1.5, 3.0),
-        p0_ratio=0.37,
+        mu=(1.3, 0.7),
     )
     alone = [dataclasses.replace(full, schemes=(scheme,)) for scheme in ("oma", "pnoma")] + [
         dataclasses.replace(full, schemes=("lsa-pdma",), users=(k,), policies=(policy,))
@@ -992,7 +1015,7 @@ def test_power_policies_skip_pairs_the_anchors_null():
                     link = build_link_state(channels, beams, equal, 1.0)
                     live = link.gains > 1e-8 * scale
                     orders = sic_orders(link.gains)
-                    allocs = [equal] + [_ladder(pattern, 1.0, mu, orders, p_sum, nulled) for mu in mus]
+                    allocs = [equal] + [_ladder(pattern, mu, orders, p_sum, nulled) for mu in mus]
                     for alloc in allocs:
                         powered = alloc > 0
                         assert live[powered].all()
@@ -1033,7 +1056,7 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
             full = np.array([np.concatenate([o, np.flatnonzero(~c)]) for o, c in zip(orders, covered)])
             row = []
             for mu in mus:
-                p = _ladder(pattern, cfg.p0_ratio, mu, full, p_sum, nulled)
+                p = _ladder(pattern, mu, full, p_sum, nulled)
                 row.append(sum(_beam_rate(h[n], p[n], orders[n]) for n in range(len(h))))
             out.append(row)
         else:
@@ -1050,9 +1073,9 @@ def test_stacked_tail_matches_the_per_budget_path():
     # every shape N <= K <= 2^N - 1, budgets 0, 20 and 40 dB, strict and
     # non-strict support, nulled pairs present, and the gains as given or
     # with beam 0's row zeroed (so the optimal policy finds no free entry
-    # there), fig4's gain factors with 0.3 and 1.7, and p0 = 1 and 0.37:
-    # every policy's rates on a chunk of two drops equal, drop by drop, the
-    # per-budget path's bit for bit.  Every sum over beams runs in beam
+    # there), and fig4's gain factors with 0.3 and 1.7: every policy's
+    # rates on a chunk of two drops equal, drop by drop, the per-budget
+    # path's bit for bit.  Every sum over beams runs in beam
     # order on both sides, and every sum over users is numpy's sum over one
     # contiguous row of the same length and order on both sides, so the
     # agreement is exact even where K >= 8.
@@ -1073,7 +1096,7 @@ def test_stacked_tail_matches_the_per_budget_path():
                 keys = [(n, k, strict), (n, k, strict, 1)]
                 states = [np.random.SeedSequence(17, spawn_key=key) for key in keys]
                 setups = [_drawn(cfg, k, "simple", state) for state in states]
-                stack = _SetUps(*map(np.concatenate, zip(*(_draw_drop(cfg, k, "simple", state) for state in states))))
+                stack = _chunk_set_ups(cfg, states, [(k, "simple")])
                 budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
                 splits, gains = [], []
                 for channels, pattern, omega, beams, _ in setups:
@@ -1085,24 +1108,20 @@ def test_stacked_tail_matches_the_per_budget_path():
                 zeroed = gains.copy()
                 zeroed[:, :, 0] = 0.0
                 for h in (gains, zeroed):
-                    for p0 in (1.0, 0.37):
-                        run = dataclasses.replace(cfg, p0_ratio=p0)
-                        units = [
-                            ("equal", k, "simple", "equal", (None,)),
-                            ("ladders", k, "simple", "fixed-ratio", mus),
-                            ("optimal", k, "simple", "optimal", (None,)),
-                        ]
-                        for unit in units[1:2] if p0 != 1.0 else units:
-                            chunk = _tail_rates(run, (unit,), _stacked([stack]), splits[None], h[None], budgets)
-                            assert len(chunk) == len(setups)
-                            for rates, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
-                                got = rates.tolist()
-                                want = [
-                                    rate
-                                    for row in _per_budget_rates(run, unit, pattern, omega, drop_gains)
-                                    for rate in row
-                                ]
-                                assert got == want, (n, k, strict, unit[0], p0)
+                    units = [
+                        ("equal", k, "simple", "equal", (None,)),
+                        ("ladders", k, "simple", "fixed-ratio", mus),
+                        ("optimal", k, "simple", "optimal", (None,)),
+                    ]
+                    for unit in units:
+                        chunk = _tail_rates(cfg, (unit,), stack, splits[None], h[None], budgets)
+                        assert len(chunk) == len(setups)
+                        for rates, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
+                            got = rates.tolist()
+                            want = [
+                                rate for row in _per_budget_rates(cfg, unit, pattern, omega, drop_gains) for rate in row
+                            ]
+                            assert got == want, (n, k, strict, unit[0])
     assert saw_nulled
 
 
@@ -1148,7 +1167,7 @@ def test_the_chain_at_five_beams_matches_the_per_user_path():
             p_sum = 10.0 ** (db / 10.0)
             gains = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), cfg.cell.noise_variance).gains
             orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(gains, map(np.flatnonzero, pattern.entries))]
-            ladder = _ladder_reference(pattern, cfg.p0_ratio, cfg.mu[0], orders, p_sum, nulled)
+            ladder = _ladder_reference(pattern, cfg.mu[0], orders, p_sum, nulled)
             want = sum(_beam_rate(gains[b], ladder[b], orders[b]) for b in range(n))
             assert records["lsa-pdma-simple", db].sum_rate == pytest.approx(want, rel=1e-12, abs=0.0)
             bound = _water_filling_bound(gains, p_sum)
@@ -1230,9 +1249,9 @@ def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
         stacks.append(("zf", len(anchors)))
         return real_zf(anchors, **kwargs)
 
-    def links(units, sigma2):
-        stacks.append(("mmse", sum(np.shape(channels)[0] * np.shape(channels)[1] for channels, *_ in units)))
-        return real_links(units, sigma2)
+    def links(channels, beams, pi, s, sigma2):
+        stacks.append(("mmse", sum(g.shape[0] * g.shape[1] for g in channels)))
+        return real_links(channels, beams, pi, s, sigma2)
 
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
     with monkeypatch.context() as m:

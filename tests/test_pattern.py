@@ -146,18 +146,18 @@ def test_pattern_entries_are_validated_before_the_cast():
     assert np.array_equal(PatternMatrix(np.eye(3, dtype=bool), strict=False).entries, np.eye(3))
 
 
-def _ladder(pattern, p0, mu, sic_orders, p_sum, nulled=None):
+def _ladder(pattern, mu, sic_orders, p_sum, nulled=None):
     """The ladder of one gain factor at one budget: a one-pattern,
     one-budget, one-mu ``fixed_ratio_ladders`` stack, from per-beam orders
     of the covered users."""
     orders = _full_orders(pattern, sic_orders)[None, None]
-    return fixed_ratio_ladders(pattern.entries[None], p0, [mu], orders, [p_sum], nulled)[0, 0, 0]
+    return fixed_ratio_ladders(pattern.entries[None], [mu], orders, [p_sum], nulled)[0, 0, 0]
 
 
 def test_fixed_ratio_equal_split_at_unit_mu():
     pattern = PatternMatrix(B35)
     orders = [np.flatnonzero(row) for row in B35]
-    alloc = _ladder(pattern, 1.0, 1.0, orders, 9.0)
+    alloc = _ladder(pattern, 1.0, orders, 9.0)
     assert np.allclose(alloc[B35 == 1], 1.0)
     assert alloc.sum() == pytest.approx(9.0, rel=1e-15)
 
@@ -165,7 +165,7 @@ def test_fixed_ratio_equal_split_at_unit_mu():
 def test_fixed_ratio_two_user_ladder():
     # single beam, two users, ratio 1:2 rescaled to total 3
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
-    alloc = _ladder(pattern, 1.0, 2.0, [np.array([0, 1])], 3.0)
+    alloc = _ladder(pattern, 2.0, [np.array([0, 1])], 3.0)
     assert np.allclose(alloc, [[1.0, 2.0]])
 
 
@@ -174,7 +174,7 @@ def test_fixed_ratio_budget_and_ratios_exact():
     rng = make_rng(5)
     orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
     for mu in (0.25, 1.7, 8.0):
-        alloc = _ladder(pattern, 0.37, mu, orders, 12.5)
+        alloc = _ladder(pattern, mu, orders, 12.5)
         assert abs(alloc.sum() - 12.5) / 12.5 < 1e-12
         for n, order in enumerate(orders):
             ladder = alloc[n, order]
@@ -186,7 +186,7 @@ def test_fixed_ratio_rejects_bad_order():
     orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None, None]
     # an order row one user short
     with pytest.raises(ValueError):
-        fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], orders[..., :-1], [5.0])
+        fixed_ratio_ladders(pattern.entries[None], [2.0], orders[..., :-1], [5.0])
 
 
 def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
@@ -194,13 +194,13 @@ def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
     # two rungs of the ladder
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(pattern.entries[None], 1.0, [2.0], np.array([[[[0, 0]]]]), [3.0])
+        fixed_ratio_ladders(pattern.entries[None], [2.0], np.array([[[[0, 0]]]]), [3.0])
     # a stacked order that lists beam 0's covered users first but repeats
     # user 3 in place of the uncovered user 2
     orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None, None]
     orders[0, 0, 0] = [0, 1, 3, 3, 4]
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(B35[None], 1.0, [0.5, 2.0], orders, [5.0])
+        fixed_ratio_ladders(B35[None], [0.5, 2.0], orders, [5.0])
 
 
 def test_ladders_do_not_depend_on_where_unpowered_users_sit():
@@ -236,9 +236,8 @@ def test_ladders_do_not_depend_on_where_unpowered_users_sit():
                 covered_first[c, d, b] = np.concatenate([covered, rng.permutation(np.flatnonzero(~row))])
             plain = sic_orders(gains)
             saw_interleaved |= not np.array_equal(plain, covered_first)
-            for p0 in (1.0, 0.37):
-                want = fixed_ratio_ladders(entries, p0, mus, covered_first, budgets, nulled)
-                assert np.array_equal(fixed_ratio_ladders(entries, p0, mus, plain, budgets, nulled), want)
+            want = fixed_ratio_ladders(entries, mus, covered_first, budgets, nulled)
+            assert np.array_equal(fixed_ratio_ladders(entries, mus, plain, budgets, nulled), want)
     assert saw_nulled and saw_interleaved
 
 
@@ -251,7 +250,7 @@ def _full_orders(pattern, sic_orders):
     )
 
 
-def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
+def _ladder_reference(pattern, mu, sic_orders, p_sum, nulled):
     """One gain factor at a time, beam by beam, scaled by the matrix's sum
     taken left to right over its row-major entries."""
     b = pattern.entries
@@ -260,7 +259,7 @@ def _ladder_reference(pattern, p0, mu, sic_orders, p_sum, nulled):
     for n in range(b.shape[0]):
         order = np.asarray(sic_orders[n], dtype=int)
         powered = order[support[n, order]]
-        entries[n, powered] = p0 * mu ** np.arange(len(powered))
+        entries[n, powered] = mu ** np.arange(len(powered))
     entries *= p_sum / np.cumsum(entries)[-1]
     return entries
 
@@ -285,23 +284,22 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
             saw_nulled |= nulled.any()
             orders = [[rng.permutation(np.flatnonzero(row)) for row in pattern.entries] for _ in budgets]
             stacked = np.array([_full_orders(pattern, per_beam) for per_beam in orders])
-            for p0 in (fig4.p0_ratio, 0.37):
-                (ladders,) = fixed_ratio_ladders(pattern.entries[None], p0, mus, stacked[None], budgets, nulled)
-                assert ladders.shape == (len(budgets), len(mus), n, k)
-                for p_sum, per_beam, per_budget in zip(budgets, orders, ladders):
-                    for mu, ladder in zip(mus, per_budget):
-                        ref = _ladder_reference(pattern, p0, mu, per_beam, p_sum, nulled)
-                        assert np.array_equal(ladder, ref)
-                        one = _ladder(pattern, p0, mu, per_beam, p_sum, nulled)
-                        assert np.array_equal(one, ref)
+            (ladders,) = fixed_ratio_ladders(pattern.entries[None], mus, stacked[None], budgets, nulled)
+            assert ladders.shape == (len(budgets), len(mus), n, k)
+            for p_sum, per_beam, per_budget in zip(budgets, orders, ladders):
+                for mu, ladder in zip(mus, per_budget):
+                    ref = _ladder_reference(pattern, mu, per_beam, p_sum, nulled)
+                    assert np.array_equal(ladder, ref)
+                    one = _ladder(pattern, mu, per_beam, p_sum, nulled)
+                    assert np.array_equal(one, ref)
     assert saw_nulled
 
 
 def test_uncovered_pad_users_change_no_ladder_entry():
     # uncovered columns appended to a (C, N, K) pattern stack, their users
     # appended to each order or put before it, leave every real entry of
-    # the ladders bit for bit as it is, at mu = 1.5 and p0 = 0.37, whose
-    # ladders do not sum exactly, for every shape with N * K >= 8: each
+    # the ladders bit for bit as it is, at mu = 1.7, whose ladders do not
+    # sum exactly (mu = 1.5's do), for every shape with N * K >= 8: each
     # ladder's total runs left to right, so a pad adds an exact +0.0
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 13.0, 40.0)]
     for n in (2, 3, 4):
@@ -313,13 +311,13 @@ def test_uncovered_pad_users_change_no_ladder_entry():
             nulled = (entries == 1) & (rng.random(entries.shape) < 0.2)
             nulled[:, :, 0] = False  # keep powered pairs in every matrix
             orders = np.array([[[rng.permutation(k) for _ in range(n)] for _ in budgets] for _ in range(3)])
-            ladders = fixed_ratio_ladders(entries, 0.37, [1.5], orders, budgets, nulled)
+            ladders = fixed_ratio_ladders(entries, [1.7], orders, budgets, nulled)
             for pads in range(1, 9):
                 pad = np.arange(k, k + pads) + np.zeros(orders.shape[:-1] + (1,), dtype=int)
                 padded = np.concatenate([entries, np.zeros((3, n, pads), dtype=int)], axis=-1)
                 padded_nulled = np.concatenate([nulled, np.zeros((3, n, pads), dtype=bool)], axis=-1)
                 for padded_orders in (np.concatenate([orders, pad], axis=-1), np.concatenate([pad, orders], axis=-1)):
-                    got = fixed_ratio_ladders(padded, 0.37, [1.5], padded_orders, budgets, padded_nulled)
+                    got = fixed_ratio_ladders(padded, [1.7], padded_orders, budgets, padded_nulled)
                     assert np.array_equal(got[..., :k], ladders) and not got[..., k:].any(), (n, k, pads)
 
 
@@ -366,7 +364,7 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
             nulled, orders = np.array(nulled), np.array(orders)
             stack = np.array([pattern.entries for pattern in patterns])
             splits = equal_splits(stack, budgets, nulled)
-            ladders = fixed_ratio_ladders(stack, 0.37, mus, orders, budgets, nulled)
+            ladders = fixed_ratio_ladders(stack, mus, orders, budgets, nulled)
             gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
             users = np.array([omega.users for omega in anchors])
             floors = _harness_floors(monkeypatch, stack, users, gains, np.array(budgets))
@@ -374,13 +372,13 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
             for c, pattern in enumerate(patterns):
                 alone = pattern.entries[None]
                 assert np.array_equal(splits[c], equal_splits(alone, budgets, nulled[c])[0])
-                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, 0.37, mus, orders[c][None], budgets, nulled[c])[0])
+                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, mus, orders[c][None], budgets, nulled[c])[0])
                 assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c].pairs, 1e-6 * np.array(budgets)))
                 pairs = np.array(anchors[c].pairs)
                 assert np.array_equal(anchor_floors(gains[c], pairs, 1e-6 * np.array(budgets)), floors[c])
     # a stack must list one order stack per pattern
     with pytest.raises(ValueError, match="per pattern"):
-        fixed_ratio_ladders(stack, 0.37, mus, orders[:2], budgets, nulled)
+        fixed_ratio_ladders(stack, mus, orders[:2], budgets, nulled)
     # and a stack is three-dimensional
     with pytest.raises(ValueError, match=r"\(C, N, K\)"):
         equal_splits(stack[0], budgets)
@@ -398,8 +396,8 @@ def test_budget_check_scales_with_the_budget():
             orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
             mus = rng.uniform(0.1, 10.0, 4)
             stacked = _full_orders(pattern, orders)[None, None]
-            ladders = fixed_ratio_ladders(pattern.entries[None], rng.uniform(0.1, 2.0), mus, stacked, [p_sum])[0, 0]
-            _ladder(pattern, 1.0, float(mus[0]), orders, p_sum)
+            ladders = fixed_ratio_ladders(pattern.entries[None], mus, stacked, [p_sum])[0, 0]
+            _ladder(pattern, float(mus[0]), orders, p_sum)
             support = pattern.entries == 1
             for entries in (ladders[0], equal_power(pattern, p_sum)):
                 _check_powers(entries, support, p_sum)

@@ -42,10 +42,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _stack(chans, beams, powers):
-    """One unit's D power matrices (D, N, K), all of one shape, as a
-    ``drop_link_states`` stack of one (C = 1), the harness's way."""
+    """One unit's D power matrices (D, N, K), all of one shape, as the
+    (channels, beams, pi, s) of a ``drop_link_states`` call on one set-up
+    on one drop (S = C = 1), the harness's way."""
     pi, s = power_scales(powers)
-    return np.array([ch.entries for ch in chans])[None], beams.beam_matrix[None], pi[None, 0], s[None]
+    return [np.array([ch.entries for ch in chans])[None]], beams.beam_matrix[None, None], pi[None, None, 0], s[None, None]
+
+
+def _joined(*stacks):
+    """Stacks of one drop count as the set-ups of one ``drop_link_states``
+    call: their power shapes zero-padded to the widest, the harness's way."""
+    width = max(pi.shape[-1] for _, _, pi, _ in stacks)
+    return (
+        [g for channels, *_ in stacks for g in channels],
+        np.concatenate([f for _, f, _, _ in stacks]),
+        np.concatenate([np.pad(pi, [(0, 0)] * 3 + [(0, width - pi.shape[-1])]) for _, _, pi, _ in stacks]),
+        np.concatenate([s for *_, s in stacks]),
+    )
 
 
 def _kernel(chans, beams, b, s, sigma2):
@@ -143,10 +156,10 @@ def test_mmse_gains_rejects_bad_inputs():
     p = equal_power(pattern, 10.0)
     for bad_p, sigma2 in ((p[None], 0.0), (np.full((1, 3, 5), np.nan), 1.0), (p, 1.0)):
         with pytest.raises(ValueError):
-            drop_link_states([_stack(chans, beams, bad_p)], sigma2)
+            drop_link_states(*_stack(chans, beams, bad_p), sigma2)
     g, f, pi, s = _stack(chans, beams, p[None])
     with pytest.raises(ValueError):
-        drop_link_states([(g, f, pi, -s)], 1.0)
+        drop_link_states(g, f, pi, -s, 1.0)
 
 
 def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
@@ -157,9 +170,9 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
     other = simple_beam_allocation(3, 5, range(5))
     splits = equal_splits(pattern.entries[None], [10.0])[0]
     for bad in (equal_splits(other.entries[None], [10.0])[0], splits[:, :2]):
-        with pytest.raises(ValueError, match=r"\(C, N, K\)"):
-            drop_link_states([_stack(chans, beams, bad)], 1.0)
-    assert drop_link_states([_stack(chans, beams, splits)], 1.0)[0].shape == (1, 1, 3, 7)
+        with pytest.raises(ValueError, match=r"\(S, C, N, K\)"):
+            drop_link_states(*_stack(chans, beams, bad), 1.0)
+    assert drop_link_states(*_stack(chans, beams, splits), 1.0).shape == (1, 1, 1, 3, 7)
 
 
 def test_drop_link_states_give_pad_users_zero_gains_and_change_no_other():
@@ -175,17 +188,17 @@ def test_drop_link_states_give_pad_users_zero_gains_and_change_no_other():
         chans, pattern, beams = _setup(k=k)
         powers = pattern.entries * rng.uniform(0.5, 2.0, (3, k))
         g, f, pi, s = _stack(chans, beams, np.array([powers, 3.0 * powers]))  # one shape at two scales
-        (gains,) = drop_link_states([(g, f, pi, s)], 1.0)
+        (gains,) = drop_link_states(g, f, pi, s, 1.0)
         for pads in (1, 4, 9):
-            wide = np.concatenate([pi, np.zeros((1, 3, pads))], axis=-1)
-            (padded,) = drop_link_states([(g, f, wide, s)], 1.0)
-            beside = drop_link_states([other, (g, f, wide, s)], 1.0)
-            assert beside[0].shape == (1, 2, 3, 4)
+            wide = np.concatenate([pi, np.zeros((1, 1, 3, pads))], axis=-1)
+            (padded,) = drop_link_states(g, f, wide, s, 1.0)
+            beside = drop_link_states(*_joined(other, (g, f, wide, s)), 1.0)
+            assert beside.shape == (2, 1, 2, 3, max(4, k + pads))
             for got in (padded, beside[1]):
                 assert np.array_equal(got[..., :k], gains) and not got[..., k:].any()
-            wide[0, 0, k] = 1.0
+            wide[0, 0, 0, k] = 1.0
             with pytest.raises(ValueError, match="pad"):
-                drop_link_states([(g, f, wide, s)], 1.0)
+                drop_link_states(g, f, wide, s, 1.0)
 
 
 def test_mmse_high_noise_limit():
@@ -295,7 +308,7 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
             (splits,) = equal_splits(pattern.entries[None], 10.0 ** (dbs / 10.0), nulled)
-            ((gains,),) = drop_link_states([_stack(chans, beams, splits)], 1.0)
+            ((gains,),) = drop_link_states(*_stack(chans, beams, splits), 1.0)
             ref = _oracle_gains([ch.entries for ch in chans], beams.beam_matrix, splits, 1.0)
             err, small = _oracle_errors(gains, ref)
             assert np.all(err <= np.where(dbs <= 20.0, 2e-13, 1e-9)), (n, k, err)
@@ -319,10 +332,10 @@ def test_preset_gains_match_a_50_digit_oracle_up_to_90_db():
     dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
     for i in range(8):
         setup = _draw_drop(cfg, 7, "simple", np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        splits = equal_splits(setup.entries, 10.0 ** (dbs / 10.0), setup.nulled)[0]
+        splits = equal_splits(setup.entries[0], 10.0 ** (dbs / 10.0), setup.nulled[0])[0]
         pi, s = power_scales(splits)
-        ((gains,),) = drop_link_states([(setup.channels, setup.beams, pi[None, 0], s[None])], cfg.cell.noise_variance)
-        ref = _oracle_gains(setup.channels[0], setup.beams[0], splits, cfg.cell.noise_variance)
+        ((gains,),) = drop_link_states(setup.channels, setup.beams, pi[None, None, 0], s[None, None], cfg.cell.noise_variance)
+        ref = _oracle_gains(setup.channels[0][0], setup.beams[0, 0], splits, cfg.cell.noise_variance)
         powered = splits > 0
         assert np.all(np.abs(gains - ref)[powered] <= 1e-12 * ref[powered]), i
 
@@ -341,7 +354,7 @@ def test_singular_statistics_match_the_oracle():
     s = 10.0 ** (dbs / 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ((gains,),) = drop_link_states([(chans[None], f[None], shape[None], s[None])], 1.0)
+        ((gains,),) = drop_link_states([chans[None]], f[None, None], shape[None, None], s[None, None], 1.0)
     err, small = _oracle_errors(gains, _oracle_gains(chans, f, s[:, None, None] * shape, 1.0))
     assert np.all(err <= np.where(dbs <= 20.0, 2e-13, 1e-9)), err
     assert np.all(small < 1.0), small
@@ -382,12 +395,12 @@ def test_one_matrix_seams_equal_their_stack_slices():
                 assert one.shape == (n, k)
                 assert np.array_equal(one, splits[d])
             units.append((chans, compute_zfbf(chans, omega), splits))
-        for (chans, beams, splits), (gains,) in zip(units, drop_link_states([_stack(*u) for u in units], 1.0)):
+        for (chans, beams, splits), (gains,) in zip(units, drop_link_states(*_joined(*(_stack(*u) for u in units)), 1.0)):
             for d, split in enumerate(splits):
                 link = build_link_state(chans, beams, split, 1.0)
                 assert isinstance(link, LinkState)
                 assert np.array_equal(link.power, split)
-                assert np.array_equal(link.gains, gains[d])
+                assert np.array_equal(link.gains, gains[d, :, : len(chans)])
 
 
 def test_sic_order_sorts_ascending_with_ties():
@@ -566,11 +579,11 @@ def test_build_link_state_invariants():
 
 
 def test_drop_link_states_match_each_unit_alone():
-    # mixed-K stacks, K = N and K = 2^N - 1 with the simulator's path-loss
+    # mixed-K set-ups, K = N and K = 2^N - 1 with the simulator's path-loss
     # spread, budgets 0-40 dB: every user's gains in the one stacked solve
     # equal its unit's gains from a call on that unit alone bit for bit,
-    # whether its unit is a stack of one or shares a stack with the other
-    # unit of its K
+    # whether its unit is a set-up of its own, padded beside the others, or
+    # one of the two drops of a set-up that holds both units of K = N
     cell = CellConfig()
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     for n in (2, 3, 4):
@@ -584,18 +597,37 @@ def test_drop_link_states_match_each_unit_alone():
             (splits,) = equal_splits(pattern.entries[None], budgets, omega.nulled(pattern))
             units.append((chans, compute_zfbf(chans, omega), splits))
         stacks = [_stack(*unit) for unit in units]
-        pair = tuple(np.concatenate([a, b]) for a, b in zip(stacks[0], stacks[2]))  # the two K = N units
-        *stacked, paired = drop_link_states(stacks + [pair], 1.0)
-        assert len(stacked) == len(units)
+        # the two K = N units as one set-up on two drops
+        pair = ([np.concatenate(stacks[0][0] + stacks[2][0])],) + tuple(
+            np.concatenate([a, b], axis=1) for a, b in zip(stacks[0][1:], stacks[2][1:])
+        )
+        stacked, (paired,) = drop_link_states(*_joined(*stacks), 1.0), drop_link_states(*pair, 1.0)
+        assert stacked.shape == (len(units), 1, len(budgets), n, 2**n - 1)
         for unit, unit_gains, paired_gains in zip(units, stacked, [paired[0], None, paired[1]]):
-            ((gains,),) = drop_link_states([_stack(*unit)], 1.0)
-            assert unit_gains.shape == (1, len(budgets), n, len(unit[0]))
-            assert np.array_equal(unit_gains[0], gains)
+            ((gains,),) = drop_link_states(*_stack(*unit), 1.0)
+            k = len(unit[0])
+            assert np.array_equal(unit_gains[0, ..., :k], gains) and not unit_gains[..., k:].any()
             if paired_gains is not None:
                 assert np.array_equal(paired_gains, gains)
             pi, s = power_scales(unit[2])
             _, reference = _kernel(unit[0], unit[1], correlation_matrix(pi[0]), s, 1.0)
             assert np.array_equal(gains, reference)
-    short = stacks[:2]
-    with pytest.raises(ValueError, match="same number"):
-        drop_link_states([short[0], (*short[1][:3], short[1][3][:, :2])], 1.0)
+    g, f, pi, s = stacks[0]
+    with pytest.raises(ValueError, match=r"\(S, C, D\)"):
+        drop_link_states(g, f, pi, s[0], 1.0)
+
+
+def test_drop_link_states_refuse_non_finite_shared_and_redrawn_channels():
+    # two set-ups on two drops, as the harness passes them: both pass the
+    # one draw they share, or the second a copy of it with a drop redrawn.
+    # A NaN in the shared draw, or only in the redrawn copy, is refused
+    chans, pattern, beams = _setup()
+    g, f, pi, s = _stack(chans, beams, equal_splits(pattern.entries[None], [1.0])[0])
+    shared = np.concatenate(g + g)  # (C = 2, K, N_R, N_T)
+    f, pi, s = np.tile(f, (2, 2, 1, 1)), np.tile(pi, (2, 2, 1, 1)), np.tile(s, (2, 2, 1))
+    assert drop_link_states([shared, shared], f, pi, s, 1.0).shape == (2, 2, 1, 3, 5)
+    poisoned = shared.copy()
+    poisoned[1, 0, 0, 0] = np.nan
+    for channels in ([poisoned, poisoned], [shared, poisoned]):
+        with pytest.raises(ValueError, match="non-finite channels"):
+            drop_link_states(channels, f, pi, s, 1.0)
