@@ -37,6 +37,10 @@ from .pattern import PatternMatrix, oma_pattern, pnoma_pattern, simple_beam_allo
 
 # a unit whose equilibrated anchor Gram has a larger condition number is singular
 COND_LIMIT = 1e8
+# units per Cholesky certificate of the condition test: this bounds the
+# factors' temporary (74 kB at 12 x 12), which at a whole chunk's stack
+# would raise the process's peak memory
+CERTIFIED_UNITS = 32
 
 
 class SingularChannelError(RuntimeError):
@@ -170,6 +174,33 @@ def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, n
     return triple
 
 
+def _ill_conditioned(gram) -> np.ndarray:
+    """Whether each Hermitian G of a stack (E, n, n) fails the condition
+    test of ``zf_beamformers``, certified a block of ``CERTIFIED_UNITS``
+    units at a time: one Cholesky factorisation of the block shifted by
+    t = 2 tr(G) / COND_LIMIT, and ``eigvalsh`` only for a block the shift
+    cannot factor.  The shift is made on ``gram``'s diagonal in place and
+    the saved diagonal written back, so ``gram`` is left as it was, bit
+    for bit, and no copy of the stack is made.
+    """
+    flags = np.zeros(len(gram), dtype=bool)
+    for start in range(0, len(gram), CERTIFIED_UNITS):
+        block = gram[start : start + CERTIFIED_UNITS]
+        diagonal = np.einsum("...ii->...i", block)  # a writable view
+        saved = diagonal.copy()
+        diagonal -= 2.0 * saved.real.sum(axis=1, keepdims=True) / COND_LIMIT
+        try:
+            np.linalg.cholesky(block)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            diagonal[...] = saved
+        lam = np.linalg.eigvalsh(block)  # ascending
+        flags[start : start + len(block)] = ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
+    return flags
+
+
 def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm ZF beam matrices of E units in one pass: ``anchors[e, n]``,
     shape (E, N, N_R, N_T), is the channel of unit e's anchor of beam n.
@@ -187,18 +218,28 @@ def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
 
     E being the (N*N_R, N) block-ones matrix: one solve with N right-hand
     sides and one product with the raw anchors per unit.  The Gram, the
-    condition test, the solve and the normalisation each run once over the
-    stack, and a unit's result equals, bit for bit, that of a stack holding
-    it alone.
+    solve and the normalisation each run once over the stack, the
+    condition test once per block of ``CERTIFIED_UNITS`` units, and a
+    unit's result equals, bit for bit, that of a stack holding it alone.
 
     Returns the beam matrices (E, N_T, N) and whether each unit is
     singular: an anchor's channel is zero or cond(G) exceeds ``COND_LIMIT``
     (i.i.d. Gaussian draws are almost surely fine; the guard catches
     pathological draws so the caller can redraw).  The condition number is
-    the ratio of the extreme eigenvalues of the Hermitian G, and a unit is
-    flagged unless lambda_max <= COND_LIMIT * lambda_min, so a zero,
-    negative or NaN lambda_min flags it too.  A singular unit's beams are
-    NaN.  Raises ValueError when an anchor channel is not finite.
+    the ratio of the extreme eigenvalues of the Hermitian G, as
+    ``eigvalsh`` gives them, and a unit is flagged unless
+    lambda_max <= COND_LIMIT * lambda_min, so a zero, negative or NaN
+    lambda_min flags it too.  The eigenvalues are rarely computed: a
+    Cholesky factorisation of G - t I with t = 2 tr(G) / COND_LIMIT
+    certifies a unit first.  Where it succeeds, lambda_min(G) exceeds t up
+    to O(n eps tr G) (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., ch. 10; Rump, "Verification of positive
+    definiteness", BIT 46, 2006), and lambda_max <= tr G since G is
+    positive definite, so the eigenvalues, each within about 1e-14 tr G of
+    the truth, pass the test with a margin of two.  Only where the
+    certificate fails does ``eigvalsh`` run, so the flags are exactly those
+    of the eigenvalues (see ``_ill_conditioned``).  A singular unit's beams
+    are NaN.  Raises ValueError when an anchor channel is not finite.
     """
     anchors = np.asarray(anchors)
     n_units, n_beams, n_rx, n_tx = anchors.shape
@@ -221,8 +262,7 @@ def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
     row_scale = np.repeat(np.where(scales == 0, 1.0, scales), n_rx, axis=1)  # (E, N*N_R), D's diagonal
     gram /= row_scale[:, :, None]
     gram /= row_scale[:, None, :]
-    lam = np.linalg.eigvalsh(gram)  # ascending
-    singular |= ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
+    singular |= _ill_conditioned(gram)
     live = ~singular if singular.any() else slice(None)  # with every unit live, views and no copies
     # D^(-1) G^(-1) D^(-1) E, row r of E holding a one in its beam's column
     ones = np.arange(n_beams * n_rx)[:, None] // n_rx == np.arange(n_beams)

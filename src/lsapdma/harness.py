@@ -799,23 +799,16 @@ def run_monte_carlo(cfg: ExperimentConfig, collect_samples: bool = False, log=No
             print(f"drops {done}/{cfg.drops}", file=log, flush=True)
 
     rates = np.concatenate(per_chunk)  # ordered by drop index
-    samples = {
-        (scheme, k, sweep): np.ascontiguousarray(rates[:, j])
-        for j, (scheme, k, sweep, _) in enumerate(_layout(cfg).records)
-    }
-    rows = []
-    for (scheme, k, sweep), arr in samples.items():
-        stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        rows.append(
-            ResultRow(
-                sweep_value=sweep,
-                scheme=scheme,
-                k_users=k,
-                mean_sum_rate=float(arr.mean()),
-                std_error=stderr,
-                drops=len(arr),
-            )
-        )
+    # each record's samples as one contiguous row, so one row-wise pass
+    # gives every mean and standard deviation, bit for bit those of
+    # per-record calls
+    by_record = np.ascontiguousarray(rates.T)
+    drops = len(rates)
+    means = by_record.mean(axis=1).tolist()
+    stderrs = (by_record.std(axis=1, ddof=1) / np.sqrt(drops)).tolist() if drops > 1 else [0.0] * len(by_record)
+    columns = {(scheme, k, sweep): j for j, (scheme, k, sweep, _) in enumerate(_layout(cfg).records)}
+    samples = {key: by_record[j] for key, j in columns.items()}
+    rows = [ResultRow(sweep, scheme, k, means[j], stderrs[j], drops) for (scheme, k, sweep), j in columns.items()]
     rows.sort(key=lambda r: (r.sweep_value, r.scheme, r.k_users))
     table = ResultTable(rows=tuple(rows), redraws=redraws)
     if collect_samples:

@@ -10,20 +10,24 @@ last-ordered user decodes interference-free.
 The gains of a chunk of drops come from one kernel call over users: every
 unit's users (a unit is one scheme evaluation of a drop, with its own
 channels and ZF beams) see their channels through their unit's beams,
-M = G F, and these are concatenated to a (U, N_R, N) stack.  A unit's D
-power matrices are one shape Pi at D scales s (an equal split's Pi is its
-0/1 powered support at every budget), so its signal statistics are s B
-with B = sqrt(Pi) sqrt(Pi)^T, and one N x N ``eigh`` per user of its Gram
-M^H M gives its filters at all D scales in closed form (see
-``_mmse_kernel``).  The kernel works in N x N Gram space throughout: it
-forms no (N_R, N) filter, and stacked N x N products give the gains.
+M = G F, one (K N_R, N_T) @ (N_T, N) product per unit, and these are
+concatenated to a (U, N_R, N) stack.  A unit's D power matrices are one
+shape Pi at D scales s (an equal split's Pi is its 0/1 powered support at
+every budget), so its signal statistics are s B with B = sqrt(Pi)
+sqrt(Pi)^T, and one N x N ``eigh`` per user of its Gram M^H M gives its
+filters at all D scales in closed form (see ``_mmse_kernel``).  The kernel
+works in N x N Gram space throughout: it forms no (N_R, N) filter, and a
+user's D filters and their projections are the row blocks of one
+(D N, N) product each, so the products per user do not grow with D.
 ``drop_link_states`` takes a chunk's S set-ups on its C drops as one
 padded stack, power shapes (S, C, N, K) with K the largest user count,
 and hands back one (S, C, D, N, K) gain array: a set-up's columns past
 its own users are pad users, which get zero gains and enter no filter.
 ``build_link_state`` is its case of one set-up on one drop at one power
 matrix P = max(P) (P / max(P)), paired with the gains as a ``LinkState``.
-A user's outputs do not depend on the users stacked beside it.
+Every product and decomposition runs unit by unit or user by user, never
+across drops, so a user's outputs do not depend on the users stacked
+beside it, nor a unit's gains on the chunk that holds it.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, by gain alone: a user
@@ -68,9 +72,9 @@ def _mmse_kernel(m, root, s, sigma2):
 
     ``m`` (U, N_R, N) holds each user's channel seen through its beams,
     M = G F.  User u's second moment of the superposed beam signal at scale
-    d is A = s[d, u] B_u, with B_u = R_u R_u^T given by its factor
+    d is A = s[u, d] B_u, with B_u = R_u R_u^T given by its factor
     ``root``, (U, N, N) or one (N, N) for all (see ``_sqrt_factors``); ``s``
-    is (D, U) or (D, 1).  With the Gram X = M^H M and
+    is (U, D) or (1, D).  With the Gram X = M^H M and
     R^T X R = W diag(lambda) W^H, one N x N ``eigh`` per user, the MMSE
     filter
 
@@ -86,12 +90,16 @@ def _mmse_kernel(m, root, s, sigma2):
     with v that column.  No filter is formed: the projections V^H M are
     Q X, and ||v_n||^2 = (Q X Q)_nn, so nothing after the Gram touches N_R;
     a zero row and column of Q (a beam carrying nothing toward the user)
-    yield h = 0.  Returns Q (D, U, N, N), from which V = M Q, and the gains
-    (D, U, N), user u's row n being beam n's gain.  Every product and
-    decomposition runs slice by slice, so a user's outputs do not depend on
-    the users stacked beside it.  A level s lambda + sigma2, power or gain
-    past the float range (too large a path loss or budget; an infinite
-    Gram leaves lambda NaN) raises ValueError and warns of nothing.
+    yield h = 0.  A user's D matrices Q are the D row blocks of one
+    (D N, N) product, and so are its D projections Q X: two products per
+    user whatever D, each entry the same length-N dot product as one block
+    alone would give.  Returns Q (U, D, N, N), from which V = M Q, and the
+    gains (U, D, N), row n of user u's block d being beam n's gain.  Every
+    product and decomposition runs user by user, so a user's outputs do
+    not depend on the users stacked beside it.  A level s lambda + sigma2,
+    power or gain past the float range (too large a path loss or budget;
+    an infinite Gram leaves lambda NaN) raises ValueError and warns of
+    nothing.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -99,9 +107,12 @@ def _mmse_kernel(m, root, s, sigma2):
         x = m.conj().swapaxes(-1, -2) @ m  # (U, N, N)
         lam, w = np.linalg.eigh(root.swapaxes(-1, -2) @ x @ root)
         rw = root @ w
-        level = s[..., None] * np.maximum(lam, 0.0) + sigma2  # (D, U, N)
-        q = (rw * (s[..., None] / level)[..., None, :]) @ rw.conj().swapaxes(-1, -2)  # (D, U, N, N)
-        proj = q @ x  # row n is v_n^H M
+        n_users, n_beams = rw.shape[0], rw.shape[-1]
+        level = s[..., None] * np.maximum(lam, 0.0)[:, None] + sigma2  # (U, D, N)
+        ratio = (s[..., None] / level)[..., None, :]
+        q = (rw[:, None] * ratio).reshape(n_users, -1, n_beams) @ rw.conj().swapaxes(-1, -2)  # (U, D N, N)
+        proj = (q @ x).reshape(level.shape + (n_beams,))  # row n of block d is v_n^H M
+        q = q.reshape(proj.shape)  # (U, D, N, N)
         powers = np.abs(proj) ** 2
         desired = np.diagonal(powers, axis1=-2, axis2=-1).copy()
         inter = powers.sum(axis=-1) - desired
@@ -208,8 +219,9 @@ def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:
     ``power_scales``).  The columns of set-up s past its K_s users are pad
     users, which must carry no power, enter no filter and get zero gains.
     Each set-up's users see their channels through their unit's beams as
-    M = G F, one (C, K_s, N_R, N) product per set-up, so no channel or beam
-    matrix is copied per user.  The units' statistics
+    M = G F, one (K_s N_R, N_T) @ (N_T, N) product per unit (each entry the
+    same length-N_T dot product as a user's own product would give), so no
+    channel or beam matrix is copied per user.  The units' statistics
     B = sqrt(Pi) sqrt(Pi)^T are one ``correlation_matrix`` call on the
     shapes (its sum over users runs left to right, so a pad changes no
     bit), factored once per run of equal consecutive statistics (a
@@ -239,12 +251,12 @@ def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:
     fresh = np.concatenate([[True], (b[1:] != b[:-1]).any(axis=(1, 2))])
     unit_user = np.repeat(np.arange(len(b)), np.repeat(sizes, n_drops))
     roots = _sqrt_factors(b[fresh])[(np.cumsum(fresh) - 1)[unit_user]]
-    m = np.concatenate([(g @ f[:, None]).reshape(-1, g.shape[2], n_beams) for g, f in zip(channels, beams)])  # (U, N_R, N)
-    _, h = _mmse_kernel(m, roots, np.ascontiguousarray(scales[unit_user].T), sigma2)
-    gains = np.zeros((n_setups, n_drops, len(h), n_beams, n_users))
+    m = np.concatenate([(g.reshape(n_drops, -1, g.shape[3]) @ f).reshape(-1, g.shape[2], n_beams) for g, f in zip(channels, beams)])  # (U, N_R, N)
+    _, h = _mmse_kernel(m, roots, scales[unit_user], sigma2)
+    gains = np.zeros((n_setups, n_drops, scales.shape[1], n_beams, n_users))
     # the real users, in the kernel's (set-up, drop, user) order, take their
     # (D, N) gains; the pads stay zero
-    gains.transpose(0, 1, 4, 2, 3)[np.broadcast_to(real[:, None], (n_setups, n_drops, n_users))] = h.swapaxes(0, 1)
+    gains.transpose(0, 1, 4, 2, 3)[np.broadcast_to(real[:, None], (n_setups, n_drops, n_users))] = h
     return gains
 
 

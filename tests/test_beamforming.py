@@ -1,9 +1,12 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lsapdma.beamforming import (
+    CERTIFIED_UNITS,
+    COND_LIMIT,
     SelectedUserSet,
     SingularChannelError,
     compute_zfbf,
@@ -11,6 +14,7 @@ from lsapdma.beamforming import (
     zf_beamformers,
 )
 from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
+from lsapdma.harness import ExperimentConfig, _chunk_rates
 from lsapdma.pattern import PatternMatrix, simple_beam_allocation
 from lsapdma.rng import make_rng
 
@@ -287,33 +291,98 @@ def _equilibrated_gram(unit):
     return g_eq @ g_eq.conj().T
 
 
-def test_condition_test_flags_as_the_svd_does():
-    # anchors G = U diag(sigma) V^H with U the unitary DFT, so every row,
-    # and so every block, has the same norm, the equilibration is one scalar
-    # and cond(gram) is (sigma_max / sigma_min)^2: 1e7 and 1e9 either side of
-    # the 1e8 limit.  Each is flagged as np.linalg.cond(gram) > 1e8 flags
-    # it, and a zero anchor is flagged too.
-    rng = np.random.default_rng(43)
-    n, n_rx, n_tx = 3, 4, 16
+def _conditioned_units(rng, cond, count, n=3, n_rx=4, n_tx=16):
+    """``count`` anchor stacks (n, n_rx, n_tx) whose equilibrated Gram has
+    condition number ``cond``: G = U diag(sigma) V^H with U the unitary
+    DFT, so every row, and so every block, has the same norm, the
+    equilibration is one scalar and cond(gram) is (sigma_max / sigma_min)^2."""
     rows = n * n_rx
     u = np.exp(-2j * np.pi * np.outer(np.arange(rows), np.arange(rows)) / rows) / np.sqrt(rows)
-    units, conds = [], []
-    for cond in (1e7, 1e9):
-        for _ in range(20):
-            v, _ = np.linalg.qr(rng.standard_normal((n_tx, rows)) + 1j * rng.standard_normal((n_tx, rows)))
-            sigma = np.geomspace(1.0, cond**-0.5, rows)[rng.permutation(rows)]
-            units.append((10.0 ** rng.uniform(-6.0, 2.0) * (u * sigma) @ v.conj().T).reshape(n, n_rx, n_tx))
-            conds.append(cond)
+    units = []
+    for _ in range(count):
+        v, _ = np.linalg.qr(rng.standard_normal((n_tx, rows)) + 1j * rng.standard_normal((n_tx, rows)))
+        sigma = np.geomspace(1.0, cond**-0.5, rows)[rng.permutation(rows)]
+        units.append((10.0 ** rng.uniform(-6.0, 2.0) * (u * sigma) @ v.conj().T).reshape(n, n_rx, n_tx))
+    return units
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Patch ``np.linalg.eigvalsh`` to record the eigenvalues of each call."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(real(a, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_condition_test_flags_as_the_svd_does(monkeypatch):
+    # condition numbers either side of the 1e8 limit (1e7 and 1e9) and
+    # either side of the Cholesky certificate's margin (3e7 and 6e7: with
+    # these spectra the shift 2 tr(G) / 1e8 factors below about 4e7).  Each
+    # unit is flagged as np.linalg.cond(gram) > 1e8 flags it, and a zero
+    # anchor is flagged too, alone or in one stack; only a stack the
+    # certificate cannot clear runs eigvalsh.
+    rng = np.random.default_rng(43)
+    groups = {cond: _conditioned_units(rng, cond, 20) for cond in (1e7, 3e7, 6e7, 1e9)}
+    units = [unit for group in groups.values() for unit in group]
+    conds = [cond for cond, group in groups.items() for _ in group]
     zero = units[0].copy()
     zero[1] = 0.0
     units.append(zero)
+    calls = _counting_eigvalsh(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, singular = zf_beamformers(np.array(units))
         svd = np.array([np.linalg.cond(_equilibrated_gram(unit)) for unit in units[:-1]])
-    assert np.allclose(svd, conds, rtol=1e-3)
-    assert singular.tolist() == (svd > 1e8).tolist() + [True]
-    assert singular.sum() == 21
+        assert np.allclose(svd, conds, rtol=1e-3)
+        assert singular.tolist() == (svd > 1e8).tolist() + [True]
+        assert singular.sum() == 21
+        for cond, group in groups.items():
+            before = len(calls)
+            _, alone = zf_beamformers(np.array(group))
+            assert alone.tolist() == [cond > 1e8] * len(group)
+            assert len(calls) - before == (cond > 4e7)
+
+
+def test_preset_stacks_run_no_eigvalsh(monkeypatch):
+    # every ZF stack of a preset chunk is certified by its Cholesky shift,
+    # so the eigenvalues are never computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("fig3", "fig4", "fig5"):
+        cfg = ExperimentConfig.from_file(configs / f"{name}.cfg")
+        _, redraws = _chunk_rates(cfg, [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)])
+        assert not redraws.any()
+
+
+def test_a_stack_the_certificate_fails_gets_the_eigvalsh_flags(monkeypatch):
+    # condition numbers around the limit, a zero anchor and a repeated
+    # anchor: the certificate factors no block of the stack, so each flag
+    # is that of the unit's eigenvalues, lambda_max <= 1e8 lambda_min
+    # failed (a zero anchor leaves lambda_min = 0)
+    rng = np.random.default_rng(44)
+    units = [unit for cond in (5e7, 0.99e8, 1.01e8, 2e8) for unit in _conditioned_units(rng, cond, 10)]
+    units += list(_anchor_stack(_mixed_units(3, 3)))
+    zero, twin = units[0].copy(), units[-1].copy()
+    zero[2] = 0.0
+    twin[1] = twin[0]
+    units += [zero, twin]
+    calls = _counting_eigvalsh(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, singular = zf_beamformers(np.array(units))
+    lam = np.concatenate(calls)  # one call per block of CERTIFIED_UNITS units
+    assert len(lam) == len(units) > CERTIFIED_UNITS
+    want = ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
+    assert singular.tolist() == want.tolist()
+    assert singular.tolist() == [False] * 20 + [True] * 20 + [False] * 6 + [True] * 2
 
 
 def test_zf_rejects_non_finite_anchors():

@@ -603,6 +603,20 @@ def test_monte_carlo_worker_count_invariant():
                 assert [v.hex() for v in other_samples[key]] == [v.hex() for v in values]
 
 
+def test_result_rows_equal_the_per_record_reductions():
+    # one row-wise pass over the (records, drops) table gives each row, bit
+    # for bit, its samples' mean() and std(ddof=1) / sqrt(drops), taken
+    # record by record; one drop has no standard error
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
+    for drops in (1, 2, 7, 300):
+        table, samples = run_monte_carlo(dataclasses.replace(cfg, drops=drops), collect_samples=True)
+        assert len(table.rows) == len(samples)
+        for row in table.rows:
+            arr = samples[(row.scheme, row.k_users, row.sweep_value)]
+            stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if drops > 1 else 0.0
+            assert (row.mean_sum_rate.hex(), row.std_error.hex(), row.drops) == (float(arr.mean()).hex(), stderr.hex(), drops)
+
+
 def _record_oracle(cfg):
     """``run_monte_carlo``'s (table, samples) aggregated record by record
     from ``run_drop``: each record appends its sum rate to its (scheme, K,

@@ -67,8 +67,8 @@ def _kernel(chans, beams, b, s, sigma2):
     V = M Q, with M = G F and the kernel's Q."""
     m = np.stack([ch.entries for ch in chans]) @ beams.beam_matrix
     root = _sqrt_factors(np.asarray(b, dtype=float))
-    q, h = _mmse_kernel(m, root, np.asarray(s, dtype=float)[:, None], sigma2)
-    return m @ q, h.swapaxes(-1, -2)
+    q, h = _mmse_kernel(m, root, np.asarray(s, dtype=float)[None], sigma2)
+    return (m[:, None] @ q).swapaxes(0, 1), h.transpose(1, 2, 0)
 
 
 def _moments(power):
@@ -440,6 +440,27 @@ def test_pad_users_change_no_sinr_and_no_sum_rate():
                 padded_sinrs = sic_sinrs(padded_gains, padded_powers, padded_orders)
                 assert np.array_equal(padded_sinrs[..., :k], sinrs) and not padded_sinrs[..., k:].any()
                 assert np.array_equal(beam_sum_rates(padded_gains, padded_powers, padded_orders), rates), (k, pads)
+
+
+def test_sum_rates_add_left_to_right():
+    # with 8 or more terms numpy's sum would regroup them pairwise: each
+    # beam's 15 pair rates and the 9 beam rates must add up in a Python
+    # loop's order, bit for bit
+    rng = make_rng(22)
+    gains = rng.lognormal(0.0, 1.0, (5, 9, 15))
+    powers = rng.uniform(0.1, 5.0, (5, 9, 15))
+    orders = sic_orders(gains)
+    rates = pair_rates(sic_sinrs(gains, powers, orders)).tolist()
+    want = []
+    for stack in rates:
+        total = 0.0
+        for beam in stack:
+            beam_rate = beam[0]
+            for rate in beam[1:]:
+                beam_rate += rate
+            total += beam_rate
+        want.append(total.hex())
+    assert [rate.hex() for rate in beam_sum_rates(gains, powers, orders).tolist()] == want
 
 
 def test_sinr_single_user():
