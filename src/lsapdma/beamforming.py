@@ -14,7 +14,8 @@ lowest index), and ``SelectedUserSet.nulled`` names the covered pairs that
 are lost anyway, so power policies can leave them unpowered.
 
 ``rank_anchors`` gives a rank-assigned policy's pattern, anchors and
-nulled pairs in weakness-rank space, once per (policy, N, K).
+powered support (the covered pairs less the nulled ones) in weakness-rank
+space, once per (policy, N, K).
 
 ``zf_beamformers`` computes the beam vectors of a stack of units (one unit
 is one set-up of a drop: its anchors' channels) in one pass over the
@@ -71,6 +72,11 @@ class SelectedUserSet:
             mask[:, u] = pattern.entries[:, u] == 1
             mask[m, u] = False
         return mask
+
+    def powered(self, pattern: PatternMatrix) -> np.ndarray:
+        """The powered support Pi of ``pattern``: its covered pairs less
+        the ``nulled`` ones, the pairs the power policies feed."""
+        return (pattern.entries == 1) & ~self.nulled(pattern)
 
 
 @dataclass(frozen=True)
@@ -154,9 +160,10 @@ def select_users(
 @functools.lru_cache(maxsize=64)
 def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The validated (N, K) pattern of ``simple``, ``pnoma`` or ``oma``, its
-    (N,) anchors and (N, K) ``nulled`` mask, read-only, column r belonging
-    to the user of weakness rank r.  A drop whose users sorted weakest first
-    are ``order`` has the pattern and mask with column r moved to user
+    (N,) anchors and (N, K) powered support, the covered pairs less those
+    ``SelectedUserSet.nulled`` names, read-only, column r belonging to the
+    user of weakness rank r.  A drop whose users sorted weakest first are
+    ``order`` has the pattern and support with column r moved to user
     ``order[r]`` and the anchors ``order[anchors]`` (see ``select_users``);
     ``oma`` is the identity pattern whatever the ranks.
     """
@@ -168,7 +175,7 @@ def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, n
     }[policy]()
     # the channels enter the selection only through their count
     omega = select_users([None] * n_users, pattern, np.arange(n_users))
-    triple = (pattern.entries, np.array(omega.users), omega.nulled(pattern))
+    triple = (pattern.entries, np.array(omega.users), omega.powered(pattern))
     for array in triple:
         array.setflags(write=False)
     return triple

@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rng import as_rng
-
 
 @dataclass(frozen=True)
 class CellConfig:
@@ -93,24 +91,15 @@ class ChannelMatrix:
     entries: np.ndarray  # (N_R, N_T) complex
     large_scale_gain: float
 
-    @property
-    def n_rx(self) -> int:
-        return self.entries.shape[0]
 
-    @property
-    def n_tx(self) -> int:
-        return self.entries.shape[1]
-
-
-def drop_users(cfg: CellConfig, k: int, seed) -> UserDrop:
+def drop_users(cfg: CellConfig, k: int, rng: np.random.Generator) -> UserDrop:
     """Drop ``k`` users uniformly by area over the annulus [min_distance, radius].
 
     Uniform-by-area means the squared radius is uniform on
-    (min_distance^2, radius^2).  Deterministic for a given seed/generator.
+    (min_distance^2, radius^2).  Deterministic for a given generator state.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rng = as_rng(seed)
     r = _radii(cfg, rng.random(k))
     theta = 2.0 * np.pi * rng.random(k)
     positions = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
@@ -124,7 +113,7 @@ def _radii(cfg: CellConfig, u: np.ndarray) -> np.ndarray:
     return np.sqrt(lo2 + (hi2 - lo2) * u)
 
 
-def large_scale_gain(cfg: CellConfig, distance_m: float, seed) -> float:
+def large_scale_gain(cfg: CellConfig, distance_m: float, rng: np.random.Generator) -> float:
     """Large-scale power gain: c * (d/d_ref)^(-eta) * 10^(X/10), X ~ N(0, shadow_std^2).
 
     The path-loss factor is the gain at the reference distance (1 km by
@@ -135,7 +124,6 @@ def large_scale_gain(cfg: CellConfig, distance_m: float, seed) -> float:
     """
     if distance_m <= 0:
         raise ValueError("distance_m must be positive")
-    rng = as_rng(seed)
     return _shadowed_gain(cfg, distance_m, rng.normal(0.0, cfg.shadow_std_db))
 
 
@@ -146,20 +134,19 @@ def _shadowed_gain(cfg: CellConfig, distance_m: float, shadow_db: float) -> floa
     )
 
 
-def sample_channel(n_rx: int, n_tx: int, large_scale: float, seed) -> ChannelMatrix:
+def sample_channel(n_rx: int, n_tx: int, large_scale: float, rng: np.random.Generator) -> ChannelMatrix:
     """i.i.d. CN(0, 1) small-scale entries scaled by sqrt(large_scale)."""
     if n_rx < 1 or n_tx < 1:
         raise ValueError("n_rx and n_tx must be at least 1")
     if large_scale < 0:
         raise ValueError("large_scale must be nonnegative")
-    rng = as_rng(seed)
     re = rng.standard_normal((n_rx, n_tx))
     im = rng.standard_normal((n_rx, n_tx))
     entries = np.sqrt(large_scale / 2.0) * (re + 1j * im)
     return ChannelMatrix(entries=entries, large_scale_gain=float(large_scale))
 
 
-def user_channels(cfg: CellConfig, drop: UserDrop, n_rx: int, n_tx: int, seed) -> list[ChannelMatrix]:
+def user_channels(cfg: CellConfig, drop: UserDrop, n_rx: int, n_tx: int, rng: np.random.Generator) -> list[ChannelMatrix]:
     """Per-user channels for one drop: shadowed large-scale gain + small-scale draw.
 
     One call draws every normal of the drop; user by user, in user order,
@@ -173,7 +160,6 @@ def user_channels(cfg: CellConfig, drop: UserDrop, n_rx: int, n_tx: int, seed) -
         raise ValueError("n_rx and n_tx must be at least 1")
     if (drop.distances <= 0).any():
         raise ValueError("distance_m must be positive")
-    rng = as_rng(seed)
     z = rng.standard_normal((drop.n_users, 1 + 2 * n_rx * n_tx))
     entries, gains = _gains_and_entries(cfg, drop.distances, z, n_rx, n_tx)
     return [ChannelMatrix(entries=e, large_scale_gain=g) for e, g in zip(entries, gains.tolist())]

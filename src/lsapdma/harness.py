@@ -5,8 +5,8 @@ user selection, ZF precoding, MMSE filtering and gain extraction, the power
 policy (equal split, fixed-ratio ladder, or the optimum), and the resulting
 sum rate.  Equivalent gains are computed once per drop from an equal-power
 allocation and held fixed while the policy sets the powers.  The equal and
-fixed-ratio policies leave unpowered the covered pairs that the ZF anchors
-null by construction.
+fixed-ratio policies feed only the powered support Pi: the covered pairs
+less those the ZF anchors null by construction.
 
 A drop evaluates its units, one per configured (scheme, K, policy), and a
 chunk of drops (``run_chunk``) evaluates them as one stack.  Every unit
@@ -17,14 +17,14 @@ set-up: pattern, anchors, ZF beams, equal splits and gains.  Each drop
 draws from its own generator, restarted from its saved state for each
 user count, and each user count's channels and large-scale gains over the
 chunk are one stacked draw (``channel.draw_channels``), so no per-user
-object is built.  A set-up's patterns, anchors and nulled pairs are one
-gather of its rank-space triple (``beamforming.rank_anchors``) through one
-stable argsort of the chunk's (C, K) hints; only a fixed pattern selects
-anchors drop by drop.
+object is built.  A set-up's patterns, anchors and powered supports are
+one gather of its rank-space triple (``beamforming.rank_anchors``) through
+one stable argsort of the chunk's (C, K) hints; only a fixed pattern
+selects anchors drop by drop.
 
 The chunk's S set-ups are one stack (``_Stack``) from the anchors to the
-gains: ``_chunk_set_ups`` allocates the patterns, anchors, nulled pairs
-and ZF beams once, zero-padded to the largest user count K, shape
+gains: ``_chunk_set_ups`` allocates the patterns, anchors, powered
+supports and ZF beams once, zero-padded to the largest user count K, shape
 (S, C, N, K) and the like, and writes each set-up into its slot; the
 channels stay one (C, K_s, N_R, N_T) array per user count.  The ZF
 precoders of every (set-up, drop) come from one ``zf_beamformers`` pass.
@@ -32,24 +32,22 @@ A (set-up, drop) whose first draw is singular is redrawn alone by
 ``_draw_drop`` from the restarted stream, so its redraw count and its
 channels are those it would have run by itself, and written into its slot
 (its channels into a copy of the shared draw).  A pad user is a column
-past its set-up's own K: it is uncovered, not nulled, and has zero power
-and zero gain.  It never enters ZF or the MMSE kernel, whose per-user work
+past its set-up's own K: it is uncovered and unpowered, and has zero
+gain.  It never enters ZF or the MMSE kernel, whose per-user work
 stays on real users, but it sits in every stack after them, so each layer
-runs once per chunk: one ``equal_splits`` and one ``power_scales`` call,
-one ``drop_link_states`` call on the stack's arrays (one N x N ``eigh``
-per user serves all D budgets), one ``sic_orders`` call over all the
-gains, one policy call per (power policy, mu list) and one
-``beam_sum_rates`` call per mu count (``_tail_rates``, laid out by
-``_plan``).  Each policy gives a (U, C, D, M, N, K) power stack over its U
-units, the C drops, the D budgets and the M sweep values (M = 1 but for
-the mu sweep's ladders), and the tail broadcasts the gains and orders over
-the mu axis.  A pad adds an
-exact +0.0 to every sum it enters because each such sum (a ladder's total,
-a water-fill's floor total, a beam's sum over its users, a statistic's sum
-over users) runs left to right, where numpy's pairwise sum of 8 or more
-terms would regroup with the pads.  So every kernel computes a slice of its
-stack as it would alone, and a unit's rates depend neither on the chunk
-that holds its drop nor on the other units beside it.
+runs once per chunk: one ``equal_splits`` call on the stack's Pi, one
+``drop_link_states`` call on the stack's arrays with Pi as the power shape
+and the splits' largest powers as its scales (one N x N ``eigh`` per user
+serves all D budgets), one ``sic_orders`` call over all the gains, one
+policy call per (power policy, mu list) and one ``beam_sum_rates`` call
+per mu count (``_tail_rates``, laid out by ``_layout``).  Each policy
+gives a (U, C, D, M, N, K) power stack over its U units, the C drops, the
+D budgets and the M sweep values (M = 1 but for the mu sweep's ladders),
+and the tail broadcasts the gains and orders over the mu axis.  Every sum
+a pad enters is a ``pattern.left_sum``, to which it adds an exact +0.0, so
+every kernel computes a slice of its stack as it would alone, and a unit's
+rates depend neither on the chunk that holds its drop nor on the other
+units beside it.
 
 A chunk's result is one rate table (``_chunk_rates``): a row per drop and
 a column per record, laid out once per config by ``_layout``.  Records
@@ -93,6 +91,7 @@ rates bit for bit.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import functools
 import math
 import os
@@ -111,7 +110,7 @@ from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, draw_channels
 from .optimizer import ANCHOR_FLOOR, water_fills
 from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
-from .receiver import beam_sum_rates, drop_link_states, power_scales, sic_orders
+from .receiver import beam_sum_rates, drop_link_states, sic_orders
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -226,7 +225,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        read = cp.read(path)
+        with _syntax_errors():
+            read = cp.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         return _config_from_parser(cp)
@@ -234,7 +234,8 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        cp.read_string(text)
+        with _syntax_errors():
+            cp.read_string(text)
         return _config_from_parser(cp)
 
     def to_text(self) -> str:
@@ -331,19 +332,36 @@ _CONFIG_KEYS = {
 }
 
 
+@contextlib.contextmanager
+def _syntax_errors():
+    """Raise a ``configparser`` error as a ConfigError on one line, which
+    names the section and key, or the line, that it is about."""
+    try:
+        yield
+    except configparser.Error as exc:
+        where = f"[{exc.section}] {exc.option}: " if isinstance(exc, configparser.InterpolationError) else ""
+        raise ConfigError(where + " ".join(str(exc).split())) from None
+
+
 def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
     """Build the config from the parsed sections, rejecting any unknown
-    section or key (a typo must not fall back to a default silently)."""
+    section or key (a typo must not fall back to a default silently) and
+    naming the section and key of a value that does not parse."""
     kwargs, cell_kwargs = {}, {}
     for section in cp.sections():
         if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         known = _CONFIG_KEYS[section]
-        for key, value in cp.items(section):
+        with _syntax_errors():
+            items = cp.items(section)
+        for key, value in items:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in config section [{section}]")
             name, parse = known[key]
-            (cell_kwargs if section == "cell" else kwargs)[name] = parse(value)
+            try:
+                (cell_kwargs if section == "cell" else kwargs)[name] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
     return ExperimentConfig(cell=CellConfig(**cell_kwargs), **kwargs)
 
 
@@ -409,35 +427,35 @@ def _channels(cfg: ExperimentConfig, k, rngs):
 class _Stack(NamedTuple):
     """A chunk's S set-ups, each a (K, pattern policy), on its C drops as
     one stack, zero-padded to the largest user count K: set-up s's columns
-    from its own K_s on are pad users, uncovered and not nulled."""
+    from its own K_s on are pad users, uncovered and unpowered."""
 
     channels: tuple  # S arrays (C, K_s, N_R, N_T), real users only
     entries: np.ndarray  # (S, C, N, K) pattern
     anchors: np.ndarray  # (S, C, N) anchor user of each beam
-    nulled: np.ndarray  # (S, C, N, K) covered pairs the ZF beams null
+    powered: np.ndarray  # (S, C, N, K) Pi: covered pairs the ZF beams do not null
     beams: np.ndarray  # (S, C, N_T, N) ZF beam matrices
     redraws: np.ndarray  # (S, C) singular draws before these
 
 
 def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints):
-    """Pattern entries (C, N, K), anchors (C, N) and nulled pairs (C, N, K)
-    of one set-up on C draws, given their channels (C, K, N_R, N_T) and
-    large-scale gains (C, K) as hints: a gather of ``rank_anchors``
-    through the draws' ranks, or for a fixed pattern a selection per
-    draw."""
+    """Pattern entries (C, N, K), anchors (C, N) and powered supports
+    (C, N, K) of one set-up on C draws, given their channels
+    (C, K, N_R, N_T) and large-scale gains (C, K) as hints: a gather of
+    ``rank_anchors`` through the draws' ranks, or for a fixed pattern a
+    selection per draw."""
     n_draws, k = hints.shape
     if pattern_policy == "fixed":
         pattern = cfg.fixed_pattern
         omegas = [select_users(draw, pattern, h) for draw, h in zip(channels, hints)]
-        anchors, nulled = np.array([omega.users for omega in omegas]), np.array([omega.nulled(pattern) for omega in omegas])
-        return np.repeat(pattern.entries[None], n_draws, axis=0), anchors, nulled
-    base, anchor_ranks, base_nulled = rank_anchors(pattern_policy, cfg.n_beams, k)
+        anchors, powered = np.array([omega.users for omega in omegas]), np.array([omega.powered(pattern) for omega in omegas])
+        return np.repeat(pattern.entries[None], n_draws, axis=0), anchors, powered
+    base, anchor_ranks, base_powered = rank_anchors(pattern_policy, cfg.n_beams, k)
     # users weakest first; the identity pattern of oma ignores the ranks
     order = np.argsort(hints, axis=1, kind="stable") if pattern_policy != "oma" else np.tile(np.arange(k), (n_draws, 1))
     # each user's column; stable like the chain's other argsorts (a process's
     # first default-kind argsort of integers costs about 0.3 MB of memory)
     rank = np.argsort(order, axis=1, kind="stable")
-    return base[:, rank].swapaxes(0, 1), order[:, anchor_ranks], base_nulled[:, rank].swapaxes(0, 1)
+    return base[:, rank].swapaxes(0, 1), order[:, anchor_ranks], base_powered[:, rank].swapaxes(0, 1)
 
 
 def _anchor_channels(channels, anchors) -> np.ndarray:
@@ -457,10 +475,10 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _Stack:
     redraws = 0
     while True:
         channels, hints = _channels(cfg, k, [rng])
-        entries, anchors, nulled = _anchored(cfg, pattern_policy, channels, hints)
+        entries, anchors, powered = _anchored(cfg, pattern_policy, channels, hints)
         beams, singular = zf_beamformers(_anchor_channels(channels, anchors))
         if not singular[0]:
-            return _Stack((channels,), entries[None], anchors[None], nulled[None], beams[None], np.array([[redraws]]))
+            return _Stack((channels,), entries[None], anchors[None], powered[None], beams[None], np.array([[redraws]]))
         redraws += 1
         if redraws > MAX_REDRAWS:
             raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
@@ -484,10 +502,10 @@ def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
             rng.bit_generator.state = start
         draws[k] = _channels(cfg, k, rngs)
     entries = np.zeros((len(keys), len(states), cfg.n_beams, max(draws)), dtype=int)
-    nulled = np.zeros(entries.shape, dtype=bool)
+    powered = np.zeros(entries.shape, dtype=bool)
     anchors = np.zeros(entries.shape[:-1], dtype=int)
     for s, (k, pattern_policy) in enumerate(keys):
-        entries[s, ..., :k], anchors[s], nulled[s, ..., :k] = _anchored(cfg, pattern_policy, *draws[k])
+        entries[s, ..., :k], anchors[s], powered[s, ..., :k] = _anchored(cfg, pattern_policy, *draws[k])
     channels = [draws[k][0] for k, _ in keys]
     beams, singular = zf_beamformers(np.concatenate([_anchor_channels(g, a) for g, a in zip(channels, anchors)]))
     beams = beams.reshape(anchors.shape[:2] + beams.shape[1:])
@@ -498,20 +516,16 @@ def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
         if channels[s] is draws[k][0]:  # the draw the other set-ups of K share
             channels[s] = channels[s].copy()
         channels[s][c] = one.channels[0][0]
-        entries[s, c, :, :k], anchors[s, c], nulled[s, c, :, :k] = one.entries[0, 0], one.anchors[0, 0], one.nulled[0, 0]
+        entries[s, c, :, :k], anchors[s, c], powered[s, c, :, :k] = one.entries[0, 0], one.anchors[0, 0], one.powered[0, 0]
         beams[s, c], redraws[s, c] = one.beams[0, 0], one.redraws[0, 0]
-    return _Stack(tuple(channels), entries, anchors, nulled, beams, redraws)
+    return _Stack(tuple(channels), entries, anchors, powered, beams, redraws)
 
 
-class _Plan(NamedTuple):
-    """How a tuple of units runs through the policies and the rate tail."""
-
-    setups: tuple  # the distinct (K, pattern policy), in order of first use
-    unit_setups: np.ndarray  # (U,) each unit's set-up
-    # one per mu count M: the (power policy, mus, set-ups) of each policy
-    # call whose power stacks have that M, and the set-ups of all of them
-    groups: tuple
-    slots: tuple  # the units in the order the tail lays out their rates
+def _shared(values) -> np.ndarray:
+    """``values`` as a read-only array, shared by every caller."""
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 def _picker(setups):
@@ -519,36 +533,13 @@ def _picker(setups):
     slice where they run consecutively, so the pick is a view, not a copy."""
     if all(b == a + 1 for a, b in zip(setups, setups[1:])):
         return slice(setups[0], setups[-1] + 1)
-    picker = np.array(setups)
-    picker.flags.writeable = False  # shared by every caller
-    return picker
+    return _shared(setups)
 
 
-@functools.lru_cache
-def _plan(units) -> _Plan:
-    """The set-ups, policy calls and tail groups of ``units``: one policy
-    call per (power policy, mus), and one tail per mu count."""
-    setups = tuple(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
-    unit_setups = [setups.index(unit[1:3]) for unit in units]
-    calls = {}
-    for u, (_, _, _, power_policy, mus) in enumerate(units):
-        calls.setdefault((power_policy, mus), []).append(u)
-    groups, slots = {}, {}
-    for (power_policy, mus), members in calls.items():
-        groups.setdefault(len(mus), []).append((power_policy, mus, _picker([unit_setups[u] for u in members])))
-        slots.setdefault(len(mus), []).extend(members)
-    groups = tuple(
-        (tuple(calls), _picker([unit_setups[u] for u in slots[m]])) for m, calls in groups.items()
-    )
-    unit_setups = np.array(unit_setups)
-    unit_setups.flags.writeable = False
-    return _Plan(setups, unit_setups, groups, tuple(u for members in slots.values() for u in members))
-
-
-def _tail_rates(cfg: ExperimentConfig, units, stack: _Stack, splits, gains, budgets) -> np.ndarray:
-    """The sum rates of ``units`` on each drop of a chunk: a (C, sum of
-    D·M) table, each unit's (D, M) rates flattened in the order of
-    ``_plan(units).slots``.
+def _tail_rates(cfg: ExperimentConfig, stack: _Stack, splits, gains, budgets) -> np.ndarray:
+    """The sum rates of the units of ``cfg`` on each drop of a chunk: a
+    (C, sum of D·M) table, each unit's (D, M) rates flattened, the units in
+    the order of ``_layout(cfg).groups``.
 
     ``stack`` holds the units' padded set-ups, ``splits`` their
     (S, C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
@@ -561,23 +552,20 @@ def _tail_rates(cfg: ExperimentConfig, units, stack: _Stack, splits, gains, budg
     ladders, and the units of one M share one ``beam_sum_rates`` call, the
     gains and orders broadcast over the mu axis.
     """
-    plan = _plan(tuple(units))
     orders = sic_orders(gains)  # (S, C, D, N, K)
     n_drops, n_budgets, n_beams, n_users = gains.shape[1:]
-    flat = (-1, n_beams, n_users)
     rates = []
-    for calls, group in plan.groups:
+    for calls, group in _layout(cfg).groups:
         powers = []
         for power_policy, mus, at in calls:
             if power_policy == "equal":
                 powers.append(splits[at][:, :, :, None])
             elif power_policy == "fixed-ratio":
                 ladders = fixed_ratio_ladders(
-                    stack.entries[at].reshape(flat),
+                    stack.powered[at].reshape((-1, n_beams, n_users)),
                     mus,
                     orders[at].reshape((-1, n_budgets, n_beams, n_users)),
                     budgets,
-                    stack.nulled[at].reshape(flat),
                 )
                 powers.append(ladders.reshape((-1, n_drops) + ladders.shape[1:]))
             else:  # optimal
@@ -593,30 +581,44 @@ def _tail_rates(cfg: ExperimentConfig, units, stack: _Stack, splits, gains, budg
 
 
 class _Layout(NamedTuple):
-    """Where a config's units and records sit in a chunk's rate table."""
+    """How a config's units run through a chunk, and where their records
+    sit in its rate table."""
 
-    units: tuple  # (label, K, pattern policy, power policy, mus) of each unit
-    plan: _Plan  # the units' set-ups, policy calls and tail groups
+    setups: tuple  # the distinct (K, pattern policy), in order of first use
+    unit_setups: np.ndarray  # (U,) each unit's set-up
+    # one per mu count M: the (power policy, mus, set-ups) of each policy
+    # call whose power stacks have that M, and the set-ups of all of them
+    groups: tuple
     columns: np.ndarray  # (R,) each record's place in the tail's rates
     records: tuple  # (scheme, K, sweep value, unit index) of each record
 
 
 @functools.lru_cache
 def _layout(cfg: ExperimentConfig) -> _Layout:
-    """The record layout of ``cfg``: its units and their plan, and for each
-    record of a drop, in record order, its column of the tail's rates
-    (``_tail_rates``) and its key.  On a mu sweep the mu-independent units
-    (equal power, the power-domain baseline's fixed ratio, the optimal
-    policy) replicate as horizontal rows: one column gathered once per mu."""
-    units = tuple(_scheme_runs(cfg))
-    plan = _plan(units)
-    mu_axis = cfg.sweep_axis == "mu"
-    n_budgets = len(cfg.p_sum_db)
+    """The layout of the units of ``cfg`` (``_scheme_runs``): their
+    set-ups, one policy call per (power policy, mus) and one tail group per
+    mu count, and for each record of a drop, in record order, its column
+    of the tail's rates (``_tail_rates``) and its key.  On a mu sweep the
+    mu-independent units (equal power, the power-domain baseline's fixed
+    ratio, the optimal policy) replicate as horizontal rows: one column
+    gathered once per mu."""
+    units = _scheme_runs(cfg)
+    setups = tuple(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
+    unit_setups = [setups.index(unit[1:3]) for unit in units]
+    calls = {}
+    for u, (_, _, _, power_policy, mus) in enumerate(units):
+        calls.setdefault((power_policy, mus), []).append(u)
+    groups, slots = {}, {}
+    for (power_policy, mus), members in calls.items():
+        groups.setdefault(len(mus), []).append((power_policy, mus, _picker([unit_setups[u] for u in members])))
+        slots.setdefault(len(mus), []).extend(members)
+    groups = tuple((tuple(calls), _picker([unit_setups[u] for u in slots[m]])) for m, calls in groups.items())
     offsets = {}  # each unit's first column of the tail's rates
     offset = 0
-    for u in plan.slots:
+    for u in (u for members in slots.values() for u in members):
         offsets[u] = offset
-        offset += n_budgets * len(units[u][4])
+        offset += len(cfg.p_sum_db) * len(units[u][4])
+    mu_axis = cfg.sweep_axis == "mu"
     columns, records = [], []
     for u, (label, k, _, power_policy, mus) in enumerate(units):
         own_mu = power_policy == "fixed-ratio" and label.startswith("lsa-pdma")
@@ -625,9 +627,7 @@ def _layout(cfg: ExperimentConfig) -> _Layout:
                 for sweep in ((mu,) if own_mu else cfg.mu) if mu_axis else (db,):
                     columns.append(offsets[u] + d * len(mus) + m)
                     records.append((label, k, float(sweep), u))
-    columns = np.array(columns)
-    columns.flags.writeable = False  # shared by every caller
-    return _Layout(units, plan, columns, tuple(records))
+    return _Layout(setups, _shared(unit_setups), groups, _shared(columns), tuple(records))
 
 
 def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]:
@@ -640,17 +640,15 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
     """
     states = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in states]
     layout = _layout(cfg)
-    stack = _chunk_set_ups(cfg, states, layout.plan.setups)
+    stack = _chunk_set_ups(cfg, states, layout.setups)
     budgets = np.array([_budget(db) for db in cfg.p_sum_db])
-    n_setups, n_drops, n_beams, n_users = stack.entries.shape
-    flat = (-1, n_beams, n_users)
-    splits = equal_splits(stack.entries.reshape(flat), budgets, stack.nulled.reshape(flat))
+    n_setups, n_drops, n_beams, n_users = stack.powered.shape
+    splits = equal_splits(stack.powered.reshape((-1, n_beams, n_users)), budgets)
     splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])  # (S, C, D, N, K)
-    # an equal split's shape Pi is its 0/1 powered support at every budget
-    pi, scales = power_scales(splits)
-    gains = drop_link_states(stack.channels, stack.beams, pi[:, :, 0], scales, cfg.cell.noise_variance)
-    rates = _tail_rates(cfg, layout.units, stack, splits, gains, budgets)
-    return rates[:, layout.columns], stack.redraws[layout.plan.unit_setups].T
+    # each equal split is its largest power times the powered support Pi
+    gains = drop_link_states(stack.channels, stack.beams, stack.powered, splits.max(axis=(-2, -1)), cfg.cell.noise_variance)
+    rates = _tail_rates(cfg, stack, splits, gains, budgets)
+    return rates[:, layout.columns], stack.redraws[layout.unit_setups].T
 
 
 def run_chunk(cfg: ExperimentConfig, states) -> list[list[DropRecord]]:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pattern import flat_rows, left_sum
 from .receiver import _sic_sinr, beam_sum_rates, sic_orders
 
 LN2 = float(np.log(2.0))
@@ -340,12 +341,11 @@ def water_fills(
     point search then evaluates the level W of every candidate segment of
     every matrix and keeps, per matrix, the one the sequential search
     would stop at: the largest count m whose W reaches its m-th lowest
-    bend, or m = 1 when none does.  Every sum over beams, positions or
-    entries runs left to right (a masked cumulative sum), as numpy sums
-    fewer than 8 terms, so a matrix gets the same powers stacked as alone,
-    and a user appended with zero gain and no floor (a pad of the
-    harness's padded stack) is never free, adds an exact +0.0 to each sum
-    and leaves every other entry's power bit for bit as it is.
+    bend, or m = 1 when none does.  Every total over beams, positions or
+    entries is a masked ``left_sum``, so a matrix gets the same powers
+    stacked as alone, and a user appended with zero gain and no floor (a
+    pad of the harness's padded stack) is never free and leaves every
+    other entry's power bit for bit as it is.
     """
     gains = np.asarray(gains, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -365,20 +365,20 @@ def water_fills(
     # flat positions of each beam's users in decoding order, and of each
     # beam's strongest free user (the last free position)
     rows = n_budgets * n_beams
-    at = np.reshape(orders, (rows, n_users)) + n_users * np.arange(rows)[:, None]
+    at = flat_rows(np.reshape(orders, (rows, n_users)), (rows, n_users))
     free_pos = free.reshape(-1)[at]
     picked = free_pos.any(axis=-1)  # per (budget, beam): a free entry exists
     last = n_users - 1 - np.argmax(free_pos[:, ::-1], axis=-1)
     served = at[np.arange(len(at)), last]
     after = np.arange(n_users) > last[:, None]
-    pinned = np.cumsum(np.where(after, delta.reshape(-1)[at], 0.0), axis=-1)[:, -1]
+    pinned = left_sum(np.where(after, delta.reshape(-1)[at], 0.0))
     h = np.where(picked, gains.reshape(-1)[served], 1.0)
     own = delta.reshape(-1)[served]
     per_beam = (n_budgets, n_beams)
     levels = (1.0 / h**2 + pinned).reshape(per_beam)
     floors = np.where(picked, own, 0.0).reshape(per_beam)
     picked = picked.reshape(per_beam)
-    budget = p_sum - np.cumsum(delta.reshape(n_budgets, -1), axis=-1)[:, -1] + np.cumsum(floors, axis=-1)[:, -1]
+    budget = p_sum - left_sum(delta.reshape(n_budgets, -1)) + left_sum(floors)
     # sum_n max(floor_n, W - L_n) grows with W and bends at L_n + floor_n:
     # the level lies on the segment where the m lowest bends are passed
     bends = np.where(picked, levels + floors, np.inf)
@@ -388,7 +388,7 @@ def water_fills(
     below = np.cumsum(levels[ranked], axis=-1)  # levels of the m lowest bends
     # floors of the bends above the m lowest (beams with no free entry add 0)
     beyond = np.arange(n_beams) >= m[:, None]
-    above = np.cumsum(np.where(beyond, floors[ranked][:, None], 0.0), axis=-1)[..., -1]
+    above = left_sum(np.where(beyond, floors[ranked][:, None], 0.0))
     water = (budget[:, None] - above + below) / m  # (D, m)
     reached = water >= bends[ranked]  # never at an infinite bend
     pick = np.where(reached.any(axis=-1), n_beams - 1 - np.argmax(reached[:, ::-1], axis=-1), 0)

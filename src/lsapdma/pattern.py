@@ -10,13 +10,17 @@ The simple and power-domain policies assign their columns by weakness
 rank, so a drop's pattern is one (N, K) matrix per policy with its columns
 permuted by the drop's ranks (see ``beamforming.rank_anchors``).  Power
 matrices are checked by one routine, ``_check_powers``, which takes a stack
-of shape (..., N, K).  The power policies take a (C, N, K) stack of pattern
-entries (one per drop of a chunk) and build every pattern's matrices for
-all D budgets at once, checked once as a stack: ``equal_splits`` gives the
-(C, D, N, K) equal splits and ``fixed_ratio_ladders`` the (C, D, M, N, K)
-ladders of a gain-factor sweep, from per-budget SIC orders.
-``equal_power`` is the equal split of one budget on one pattern, a checked
-(N, K) matrix: the stack of one.
+of shape (..., N, K).  The power policies take a (C, N, K) stack of powered
+supports Pi (one per drop of a chunk: the covered pairs less those the ZF
+anchors null) and build every matrix for all D budgets at once, checked
+once as a stack: ``equal_splits`` gives the (C, D, N, K) equal splits and
+``fixed_ratio_ladders`` the (C, D, M, N, K) ladders of a gain-factor sweep,
+from per-budget SIC orders.  ``equal_power`` is the equal split of one
+budget on one pattern, a checked (N, K) matrix: the stack of one.
+
+Every total over a stack's last axis that a pad user may enter is taken by
+``left_sum``, and every gather of a stack's rows along SIC orders goes
+through ``flat_rows``; the receiver and the optimizer use both.
 """
 
 from __future__ import annotations
@@ -101,14 +105,6 @@ class PatternMatrix:
     @property
     def n_users(self) -> int:
         return self.entries.shape[1]
-
-    def diversity(self) -> np.ndarray:
-        """Per-user column weights."""
-        return self.entries.sum(axis=0)
-
-    def overlap(self) -> np.ndarray:
-        """Per-beam row weights."""
-        return self.entries.sum(axis=1)
 
 
 def _columns_by_weight(n: int) -> dict[int, list[tuple[int, ...]]]:
@@ -254,14 +250,32 @@ def pnoma_pattern(n_beams: int, weakest_first) -> PatternMatrix:
     return PatternMatrix(entries, strict=False)
 
 
-def _powered_support(entries: np.ndarray, nulled) -> np.ndarray:
-    """The covered pairs of a pattern stack (C, N, K) less the nulled ones
-    (one (N, K) mask or one per pattern); raises unless ``entries`` is
-    such a stack."""
-    if entries.ndim != 3:
-        raise ValueError("a pattern stack holds (C, N, K) entries")
-    covered = entries == 1
-    return covered if nulled is None else covered & ~np.asarray(nulled, dtype=bool)
+def left_sum(x) -> np.ndarray:
+    """The sum over the last axis of a stack (..., L), run left to right.
+
+    numpy sums 8 or more terms pairwise, so appending a zero (a pad user
+    of the harness's padded stack) would regroup the other terms; run
+    left to right, a pad adds an exact +0.0 and the sum keeps every bit it
+    has without it (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., ch. 4).
+    """
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def flat_rows(orders, shape) -> np.ndarray:
+    """Flat positions, in a C-ordered array of ``shape`` (..., K), of each
+    row's K entries in the order its row of ``orders`` lists them; the
+    orders broadcast to ``shape``."""
+    rows = shape[:-1]
+    return orders + shape[-1] * np.arange(math.prod(rows)).reshape(rows + (1,))
+
+
+def _powered_stack(powered) -> np.ndarray:
+    """``powered`` as a checked (C, N, K) boolean stack."""
+    powered = np.asarray(powered)
+    if powered.ndim != 3 or powered.dtype != bool:
+        raise ValueError("a powered support stack holds (C, N, K) boolean entries")
+    return powered
 
 
 def _check_powers(p: np.ndarray, support: np.ndarray, p_sum) -> None:
@@ -295,32 +309,21 @@ def _budgets(p_sum) -> np.ndarray:
     return p_sum
 
 
-def fixed_ratio_ladders(
-    entries: np.ndarray,
-    mus,
-    sic_orders,
-    p_sum,
-    nulled: np.ndarray | None = None,
-) -> np.ndarray:
+def fixed_ratio_ladders(powered: np.ndarray, mus, sic_orders, p_sum) -> np.ndarray:
     """Geometric power ladders within each beam of a (C, N, K) stack of
-    pattern entries, one per (pattern, budget, gain factor), shape
+    powered supports, one per (support, budget, gain factor), shape
     (C, D, M, N, K).
 
-    For pattern c, budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n
-    the powered users (covered and not ``nulled``), taken in the
-    ascending-gain order ``sic_orders[c, d, n]``, get powers 1, mu,
-    mu^2, ...; one constant per ladder then scales the whole matrix so
-    its total equals the budget.  ``sic_orders`` has shape (C, D, N, K),
-    each row a permutation of the users (as ``receiver.sic_orders`` gives
-    them); a step is placed by counting only the powered users along the
-    row, so users without power may sit anywhere in it and get none.
-    ``nulled`` is one (N, K) mask, or one per pattern.  Every ladder passes
+    For support c, budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n
+    the powered users (``powered[c, n]``), taken in the ascending-gain
+    order ``sic_orders[c, d, n]``, get powers 1, mu, mu^2, ...; one
+    constant per ladder then scales the whole matrix so its total, a
+    ``left_sum`` over its row-major entries, equals the budget.
+    ``sic_orders`` has shape (C, D, N, K), each row a permutation of the
+    users (as ``receiver.sic_orders`` gives them); a step is placed by
+    counting only the powered users along the row, so users without power
+    may sit anywhere in it and get none.  Every ladder passes
     ``_check_powers``, run once on the stack.
-
-    A ladder's total is summed left to right over its row-major entries,
-    so an uncovered user appended to a pattern (a pad of the harness's
-    padded stack) adds an exact +0.0 and leaves the other entries' powers
-    bit for bit as they are without it.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1:
@@ -328,53 +331,46 @@ def fixed_ratio_ladders(
     if (mus <= 0).any():
         raise ValueError("mu must be positive")
     p_sum = _budgets(p_sum)
-    b = np.asarray(entries)
-    support = _powered_support(b, nulled)
-    n_stack, n_beams, n_users = b.shape
+    support = _powered_stack(powered)
+    n_stack, n_beams, n_users = support.shape
     orders = np.asarray(sic_orders)
     if orders.shape != (n_stack, len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
-        raise ValueError("sic_orders must hold one (N, K) integer order stack per pattern and budget")
+        raise ValueError("sic_orders must hold one (N, K) integer order stack per support and budget")
     valid = (np.sort(orders, axis=-1) == np.arange(n_users)).all(axis=-1)
     if not valid.all():
         n = int(np.flatnonzero(~valid.reshape(-1, n_beams).all(axis=0))[0])
         raise ValueError(f"sic_orders[..., {n}, :] must list each user once")
-    # flat positions of each beam's users, in order, in the (C, N, K)
-    # pattern stack and in a (C, D, N, K) stack
-    in_pattern = orders + n_users * np.arange(n_stack * n_beams).reshape(n_stack, 1, n_beams, 1)
-    at = orders + n_users * np.arange(orders.size // n_users).reshape(orders.shape[:-1] + (1,))
     # each powered user's place among its beam's powered users, in user space
     place = np.empty(orders.shape, dtype=int)
-    place.reshape(-1)[at] = np.cumsum(support.reshape(-1)[in_pattern], axis=-1) - 1
+    in_support = support.reshape(-1)[flat_rows(orders, (n_stack, 1, n_beams, n_users))]
+    place.reshape(-1)[flat_rows(orders, orders.shape)] = np.cumsum(in_support, axis=-1) - 1
     steps = mus[:, None] ** np.arange(n_users)  # (M, K)
     support = support[:, None, None]  # (C, 1, 1, N, K): one support for all budgets
     ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
-    # each ladder's total, left to right over the row-major matrix: a pad
-    # user adds an exact +0.0, where numpy's pairwise sum would regroup
-    total = np.cumsum(ladders.reshape(ladders.shape[:-2] + (-1,)), axis=-1)[..., -1]
-    ladders *= (p_sum[:, None] / total)[..., None, None]
+    ladders *= (p_sum[:, None] / left_sum(ladders.reshape(ladders.shape[:-2] + (-1,))))[..., None, None]
     _check_powers(ladders, support, p_sum[:, None])
     return ladders
 
 
-def equal_splits(entries: np.ndarray, p_sum, nulled: np.ndarray | None = None) -> np.ndarray:
+def equal_splits(powered: np.ndarray, p_sum) -> np.ndarray:
     """Equal split of each budget ``p_sum[d]`` across the powered (beam,
-    user) pairs of each pattern of a (C, N, K) stack of pattern entries,
-    shape (C, D, N, K).  Checked once as a stack.
-
-    The powered pairs are the pattern's covered pairs less the ``nulled``
-    ones (none by default): one (N, K) mask, or one per pattern.
-    """
+    user) pairs of each support of a (C, N, K) boolean stack, shape
+    (C, D, N, K).  Checked once as a stack."""
     p_sum = _budgets(p_sum)
-    support = _powered_support(np.asarray(entries), nulled)[:, None]  # (C, 1, N, K)
+    support = _powered_stack(powered)[:, None]  # (C, 1, N, K)
     splits = support * (p_sum / support.sum(axis=(-2, -1)))[..., None, None]
     _check_powers(splits, support, p_sum)
     return splits
 
 
 def equal_power(pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None) -> np.ndarray:
-    """The equal split of one budget on one pattern, shape (N, K) (see
+    """The equal split of one budget on one pattern, shape (N, K), over its
+    covered pairs less the ``nulled`` ones (none by default; see
     ``equal_splits``)."""
-    return equal_splits(pattern.entries[None], [p_sum], nulled)[0, 0]
+    powered = pattern.entries == 1
+    if nulled is not None:
+        powered &= ~np.asarray(nulled, dtype=bool)
+    return equal_splits(powered[None], [p_sum])[0, 0]
 
 
 def correlation_matrix(power) -> np.ndarray:
@@ -382,15 +378,15 @@ def correlation_matrix(power) -> np.ndarray:
 
     Accepts a nonnegative power matrix or a stack of them, shape
     (..., N, K), giving (..., N, N).  A is symmetric positive semidefinite
-    (it is M M^T for M = sqrt of the power matrix).  The sum over k runs
-    left to right, so a user with no power appended to the matrix adds an
-    exact +0.0 and changes no bit.
+    (it is M M^T for M = sqrt of the power matrix).  The sum over k is a
+    ``left_sum``, so a user with no power appended to the matrix changes no
+    bit.
     """
     p = np.asarray(power, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be nonnegative")
     m = np.sqrt(p)
-    return np.cumsum(m[..., :, None, :] * m[..., None, :, :], axis=-1)[..., -1]
+    return left_sum(m[..., :, None, :] * m[..., None, :, :])
 
 
 def parse_pattern_text(text: str) -> PatternMatrix:

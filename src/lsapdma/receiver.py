@@ -45,17 +45,15 @@ import numpy as np
 
 from .beamforming import BeamformerSet
 from .channel import ChannelMatrix
-from .pattern import correlation_matrix
+from .pattern import correlation_matrix, flat_rows, left_sum
 
 
 @dataclass(frozen=True)
 class LinkState:
     """Scalarized link of one drop at one power matrix: ``gains`` holds the
-    noise-normalized amplitude gains h (beams x users) and ``power`` the
-    (N, K) powers whose signal statistics the filters were matched to."""
+    noise-normalized amplitude gains h (beams x users)."""
 
     gains: np.ndarray
-    power: np.ndarray
 
 
 def _sqrt_factors(b):
@@ -166,10 +164,9 @@ def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.n
     orders = np.asarray(orders)
     if h.shape != orders.shape:
         raise ValueError("gains and orders must share one shape")
-    k = p.shape[-1]
     # flat positions of each row's users, in decoding order
-    own = orders + k * np.arange(orders.size // k).reshape(orders.shape[:-1] + (1,))
-    at = orders + k * np.arange(p.size // k).reshape(p.shape[:-1] + (1,))
+    own = flat_rows(orders, orders.shape)
+    at = flat_rows(orders, p.shape)
     if at.shape != p.shape:
         raise ValueError("gains and orders must broadcast to the powers' shape")
     out = np.empty(p.size)
@@ -189,13 +186,11 @@ def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) ->
     """Sum rate of each power matrix of a stack (..., N, K) under SIC with
     the given orders (see ``sic_sinrs``), shape (...): each beam's rates
     summed over its users in user order, then the beams added in beam
-    order.  Both sums run left to right (a cumulative sum; numpy would sum
-    8 or more terms pairwise), so a user with zero gain and no power
-    appended to the stack, a pad user, adds an exact +0.0 and changes no
-    bit of the sum rate.  The gains and orders may carry a length-one axis
-    that the powers sweep (see ``sic_sinrs``)."""
-    per_beam = np.cumsum(pair_rates(sic_sinrs(gains, powers, orders)), axis=-1)[..., -1]
-    return np.cumsum(per_beam, axis=-1)[..., -1]
+    order, both by ``left_sum``, so a user with zero gain and no power
+    appended to the stack, a pad user, changes no bit of the sum rate.
+    The gains and orders may carry a length-one axis that the powers sweep
+    (see ``sic_sinrs``)."""
+    return left_sum(left_sum(pair_rates(sic_sinrs(gains, powers, orders))))
 
 
 def power_scales(powers) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +218,7 @@ def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:
     same length-N_T dot product as a user's own product would give), so no
     channel or beam matrix is copied per user.  The units' statistics
     B = sqrt(Pi) sqrt(Pi)^T are one ``correlation_matrix`` call on the
-    shapes (its sum over users runs left to right, so a pad changes no
+    shapes (its sum over users is a ``left_sum``, so a pad changes no
     bit), factored once per run of equal consecutive statistics (a
     rank-space set-up's 0/1 supports share one), and every real user goes,
     with its M, its unit's factor and scales, into one (U, N_R, N) stack
@@ -273,4 +268,4 @@ def build_link_state(
     pi, s = power_scales(power)
     g = np.array([ch.entries for ch in channels])
     gains = drop_link_states([g[None]], beams.beam_matrix[None, None], pi[None, None], s.reshape(1, 1, 1), sigma2)
-    return LinkState(gains=gains[0, 0, 0], power=power)
+    return LinkState(gains=gains[0, 0, 0])

@@ -1,10 +1,10 @@
 """Reproducible random streams.
 
-All stochastic operations in this package take an explicit generator (or an
-integer seed); there is no hidden global RNG.  Streams are built on the
-counter-based Philox bit generator so that independent substreams can be
-derived from a root seed by spawn key, which keeps parallel Monte Carlo
-drops reproducible regardless of scheduling.
+All stochastic operations in this package take an explicit generator;
+there is no hidden global RNG.  Streams are built on the counter-based
+Philox bit generator so that independent substreams can be derived from a
+root seed by spawn key, which keeps parallel Monte Carlo drops
+reproducible regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -19,10 +19,3 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     independent for ``i != j`` and bit-reproducible across runs.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream)))
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Coerce an int seed (or pass through a Generator) to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return make_rng(int(seed))

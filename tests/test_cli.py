@@ -210,6 +210,25 @@ def test_simulate_bad_config(tmp_path, capfd):
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert capfd.readouterr().err == f"error: {key} must be finite\n"
         assert not out.exists()
+    # a key before any section header, a repeated key and a line without
+    # "=" ended in a configparser traceback with no error line, and a value
+    # that does not parse was not named: each gives one error line that
+    # names what it is about, and writes no output directory
+    out = tmp_path / "syntax"
+    head = f"[output]\npath = {out}\n\n"
+    for text, named in (
+        ("schemes = oma\n" + head, ("no section headers", "line: 1")),
+        (head + "[experiment]\nschemes = oma\nschemes = oma\n", ("'schemes'", "'experiment'", "line 6")),
+        (head + "[experiment]\nschemes\n", ("parsing errors", "line 5")),
+        (head + "[power]\nmu = 2, x\n", ("[power] mu:", "'x'")),
+        (head + "[experiment]\ndrops = 1.5\n", ("[experiment] drops:", "'1.5'")),
+    ):
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(part in err for part in named), err
+        assert not out.exists()
     # a finite exponent whose path loss overflows at the minimum distance
     # ended in an OverflowError traceback with no error line
     out = tmp_path / "exponent"

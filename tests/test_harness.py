@@ -42,7 +42,7 @@ from lsapdma.pattern import (
     pnoma_pattern,
     simple_beam_allocation,
 )
-from lsapdma.receiver import build_link_state, drop_link_states, pair_rates, sic_orders
+from lsapdma.receiver import build_link_state, drop_link_states, pair_rates, power_scales, sic_orders
 from test_golden_records import CASES, case_config
 from test_optimizer import _water_fill_reference
 from test_pattern import _ladder_reference
@@ -60,7 +60,8 @@ def _beam_rate(h, p, order):
 
 def _ladder(pattern, mu, orders, p_sum, nulled):
     """The ladder of one gain factor at one budget, from (N, K) orders."""
-    return fixed_ratio_ladders(pattern.entries[None], [mu], orders[None, None], [p_sum], nulled)[0, 0, 0]
+    powered = (pattern.entries == 1) & ~nulled
+    return fixed_ratio_ladders(powered[None], [mu], orders[None, None], [p_sum])[0, 0, 0]
 
 
 def _cfg(**kwargs):
@@ -378,7 +379,7 @@ def _drawn(cfg, k, pattern_policy, state):
     assert np.array_equal(setup.channels[0][0], [ch.entries for ch in channels])
     assert np.array_equal(setup.entries[0, 0], pattern.entries)
     assert setup.anchors[0, 0].tolist() == list(omega.users)
-    assert np.array_equal(setup.nulled[0, 0], omega.nulled(pattern))
+    assert np.array_equal(setup.powered[0, 0], (pattern.entries == 1) & ~omega.nulled(pattern))
     assert np.array_equal(setup.beams[0, 0], beams.beam_matrix)
     return channels, pattern, omega, beams, redraws
 
@@ -447,7 +448,7 @@ def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
     cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
     shared = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state)) for state in states])
-    keys = _layout(cfg).plan.setups
+    keys = _layout(cfg).setups
     pnoma, lsa = keys.index((6, "pnoma")), keys.index((6, "simple"))
     target = tuple(_anchored(cfg, "pnoma", *shared)[1][1].tolist())
     with monkeypatch.context() as m:
@@ -462,13 +463,50 @@ def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
     assert np.array_equal(stack.beams[pnoma, 1], alone.beams[0, 0])
 
 
+def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
+    # _chunk_rates hands drop_link_states the stack's boolean powered
+    # support as the power shape Pi and the equal splits' largest powers as
+    # the scales: bit for bit the (Pi, s) that power_scales takes from
+    # those splits at every budget, on a chunk of each shipped preset and
+    # on a fig4 chunk whose first set-up is singular on its first draw
+    import lsapdma.harness as harness
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for preset, singular in (("fig3", False), ("fig4", False), ("fig5", False), ("fig4", True)):
+        cfg = ExperimentConfig.from_file(configs / f"{preset}.cfg")
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(6)]
+        seen = {}
+
+        def splits(powered, p_sum, real=harness.equal_splits):
+            seen["splits"] = real(powered, p_sum)
+            return seen["splits"]
+
+        def links(channels, beams, pi, s, sigma2, real=harness.drop_link_states):
+            seen["pi"], seen["s"] = pi, s
+            return real(channels, beams, pi, s, sigma2)
+
+        with monkeypatch.context() as m:
+            if singular:
+                _singular_on_first_draw(m)
+            m.setattr(harness, "equal_splits", splits)
+            m.setattr(harness, "drop_link_states", links)
+            _, redraws = _chunk_rates(cfg, states)
+        assert redraws.any() == singular, preset
+        n_setups, n_drops, n_budgets = seen["s"].shape
+        pi, s = power_scales(seen["splits"].reshape((n_setups, n_drops) + seen["splits"].shape[1:]))
+        assert seen["pi"].dtype == bool and seen["pi"].shape[:2] == (n_setups, n_drops)
+        assert np.array_equal(seen["s"], s), preset
+        for d in range(n_budgets):
+            assert np.array_equal(pi[:, :, d], seen["pi"].astype(float)), (preset, d)
+
+
 def test_rank_space_set_ups_equal_the_per_drop_oracle():
     # every simple shape N <= K <= 2^N - 1 and the power-domain K = 2N, N =
     # 2 ... 5, on log-normal hints and on hints with exact ties: the
-    # pattern, anchors and nulled pairs gathered from the rank-space triple
-    # over a stack of draws equal, draw by draw, the policy's pattern built
-    # on that draw's weakness order, select_users on its hints and
-    # SelectedUserSet.nulled
+    # pattern, anchors and powered supports gathered from the rank-space
+    # triple over a stack of draws equal, draw by draw, the policy's
+    # pattern built on that draw's weakness order, select_users on its
+    # hints and the covered pairs less SelectedUserSet.nulled
     rng = np.random.default_rng(29)
     cases = [(n, k, "simple") for n in (2, 3, 4, 5) for k in range(n, 2**n)]
     cases += [(n, 2 * n, "pnoma") for n in (2, 3, 4, 5)] + [(n, n, "oma") for n in (2, 5)]
@@ -481,11 +519,11 @@ def test_rank_space_set_ups_equal_the_per_drop_oracle():
         ]
         setups = _anchored(cfg, policy, np.ones((len(hints), k, 1, n), dtype=complex), hints)
         assert setups[0].shape == setups[2].shape == (len(draws), n, k)
-        for draw, entries, anchors, nulled in zip(draws, *setups):
+        for draw, entries, anchors, powered in zip(draws, *setups):
             pattern, omega = _oracle_setup(cfg, k, policy, draw)
             assert np.array_equal(entries, pattern.entries), (n, k, policy)
             assert anchors.tolist() == list(omega.users), (n, k, policy)
-            assert np.array_equal(nulled, omega.nulled(pattern)), (n, k, policy)
+            assert np.array_equal(powered, (pattern.entries == 1) & ~omega.nulled(pattern)), (n, k, policy)
     # no rank-assigned shape above needs select_users' augmenting path; a
     # rank-space pattern that does (beams 0 and 1 take ranks 1 and 0, which
     # exhausts beam 2) moves its anchors with the ranks all the same
@@ -1116,11 +1154,20 @@ def test_stacked_tail_matches_the_per_budget_path():
                 for channels, pattern, omega, beams, _ in setups:
                     nulled = omega.nulled(pattern)
                     saw_nulled |= nulled.any()
-                    splits.append(equal_splits(pattern.entries[None], budgets, nulled)[0])
+                    splits.append(equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)[0])
                     gains.append([build_link_state(channels, beams, split, 1.0).gains for split in splits[-1]])
                 splits, gains = np.array(splits), np.array(gains)
                 zeroed = gains.copy()
                 zeroed[:, :, 0] = 0.0
+                # the tail runs the units of its config's layout at the D
+                # budgets it is given, so a config whose one unit has the
+                # policy (and mus) stands for each unit; a mu list needs a
+                # config of one budget
+                tails = {
+                    "equal": dataclasses.replace(cfg, schemes=("oma",)),
+                    "ladders": dataclasses.replace(cfg, policies=("fixed-ratio",), mu=mus, p_sum_db=(0.0,), strict_pattern=False),
+                    "optimal": dataclasses.replace(cfg, policies=("optimal",)),
+                }
                 for h in (gains, zeroed):
                     units = [
                         ("equal", k, "simple", "equal", (None,)),
@@ -1128,7 +1175,9 @@ def test_stacked_tail_matches_the_per_budget_path():
                         ("optimal", k, "simple", "optimal", (None,)),
                     ]
                     for unit in units:
-                        chunk = _tail_rates(cfg, (unit,), stack, splits[None], h[None], budgets)
+                        tail = tails[unit[0]]
+                        assert [call[:2] for calls, _ in _layout(tail).groups for call in calls] == [unit[3:]]
+                        chunk = _tail_rates(tail, stack, splits[None], h[None], budgets)
                         assert len(chunk) == len(setups)
                         for rates, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
                             got = rates.tolist()
@@ -1153,10 +1202,11 @@ def _water_filling_bound(gains, p_sum):
 
 
 def test_the_chain_at_five_beams_matches_the_per_user_path():
-    # N = 5 beams and K = 2^5 - 1 = 31 users at n_tx = 32, 0 and 20 dB,
-    # three drops, each rebuilt from the per-user objects: drop_users and
-    # user_channels on the drop's stream, the simple pattern and
-    # select_users on the large-scale gains, compute_zfbf, and
+    # N = 5 beams and K = 2^5 - 1 = 31 users at n_tx = 32, and N = 8 beams
+    # with K = 16 and K = 2^8 - 1 = 255 users at n_tx = 128, at 0 and
+    # 20 dB, three drops each, each rebuilt from the per-user objects:
+    # drop_users and user_channels on the drop's stream, the simple pattern
+    # and select_users on the large-scale gains, compute_zfbf, and
     # build_link_state on the equal split.  The fixed-ratio rates, with
     # the ladder written out beam by beam and the SIC rates taken a beam at
     # a time, agree to 1e-12 relative; the optimal rates lie at or below
@@ -1164,28 +1214,28 @@ def test_the_chain_at_five_beams_matches_the_per_user_path():
     # each beam's anchor is its strongest user the floors do not bind and
     # the two differ by round-off), and the anchors' floors (1e-6 of the
     # budget) keep them within 1e-4 bits of it.
-    n, k = 5, 31
-    cfg = _cfg(
-        schemes=("lsa-pdma",), n_beams=n, users=(k,), n_tx=32, policies=("fixed-ratio", "optimal"), p_sum_db=(0.0, 20.0)
-    )
-    for i in range(3):
-        state = np.random.SeedSequence(cfg.seed, spawn_key=(i,))
-        records = {(r.scheme, r.sweep_value): r for r in run_drop(cfg, state)}
-        assert len(records) == 4 and not any(r.redraws for r in records.values())
-        rng = np.random.Generator(np.random.Philox(state))
-        channels = user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
-        pattern, omega = _oracle_setup(cfg, k, "simple", channels)
-        beams = compute_zfbf(channels, omega)
-        nulled = omega.nulled(pattern)
-        for db in cfg.p_sum_db:
-            p_sum = 10.0 ** (db / 10.0)
-            gains = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), cfg.cell.noise_variance).gains
-            orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(gains, map(np.flatnonzero, pattern.entries))]
-            ladder = _ladder_reference(pattern, cfg.mu[0], orders, p_sum, nulled)
-            want = sum(_beam_rate(gains[b], ladder[b], orders[b]) for b in range(n))
-            assert records["lsa-pdma-simple", db].sum_rate == pytest.approx(want, rel=1e-12, abs=0.0)
-            bound = _water_filling_bound(gains, p_sum)
-            assert bound - 1e-4 <= records["lsa-pdma-optimal", db].sum_rate <= bound * (1.0 + 1e-12)
+    for n, k, n_tx in ((5, 31, 32), (8, 16, 128), (8, 255, 128)):
+        cfg = _cfg(
+            schemes=("lsa-pdma",), n_beams=n, users=(k,), n_tx=n_tx, policies=("fixed-ratio", "optimal"), p_sum_db=(0.0, 20.0)
+        )
+        for i in range(3):
+            state = np.random.SeedSequence(cfg.seed, spawn_key=(i,))
+            records = {(r.scheme, r.sweep_value): r for r in run_drop(cfg, state)}
+            assert len(records) == 4 and not any(r.redraws for r in records.values())
+            rng = np.random.Generator(np.random.Philox(state))
+            channels = user_channels(cfg.cell, drop_users(cfg.cell, k, rng), cfg.n_rx, cfg.n_tx, rng)
+            pattern, omega = _oracle_setup(cfg, k, "simple", channels)
+            beams = compute_zfbf(channels, omega)
+            nulled = omega.nulled(pattern)
+            for db in cfg.p_sum_db:
+                p_sum = 10.0 ** (db / 10.0)
+                gains = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), cfg.cell.noise_variance).gains
+                orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(gains, map(np.flatnonzero, pattern.entries))]
+                ladder = _ladder_reference(pattern, cfg.mu[0], orders, p_sum, nulled)
+                want = sum(_beam_rate(gains[b], ladder[b], orders[b]) for b in range(n))
+                assert records["lsa-pdma-simple", db].sum_rate == pytest.approx(want, rel=1e-12, abs=0.0), (n, k, i, db)
+                bound = _water_filling_bound(gains, p_sum)
+                assert bound - 1e-4 <= records["lsa-pdma-optimal", db].sum_rate <= bound * (1.0 + 1e-12), (n, k, i, db)
 
 
 def test_k_equals_n_fixed_ratio_matches_oma():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from lsapdma.pattern import (
     equal_splits,
     fixed_ratio_ladders,
     format_pattern_text,
+    left_sum,
     oma_pattern,
     parse_pattern_text,
     pnoma_pattern,
@@ -52,7 +54,7 @@ def test_simple_allocation_full_house():
     cols = {tuple(c) for c in got.entries.T}
     assert cols == {c for c in itertools.product((0, 1), repeat=3) if any(c)}
     assert np.array_equal(got.entries[:, 0], [1, 1, 1])
-    d = got.diversity()
+    d = got.entries.sum(axis=0)
     assert all(d[i] >= d[i + 1] for i in range(6))
 
 
@@ -61,7 +63,7 @@ def test_simple_allocation_exhaustive_validity():
         for k in range(n, 2**n):
             got = simple_beam_allocation(n, k, range(k))
             assert validate_pattern(got.entries) is None
-            d = got.diversity()
+            d = got.entries.sum(axis=0)
             assert all(d[i] >= d[i + 1] for i in range(k - 1))
 
 
@@ -91,8 +93,8 @@ def test_pnoma_pattern_far_near_pairing():
     assert np.array_equal(np.flatnonzero(got.entries[0]), sorted([5, 3]))
     assert np.array_equal(np.flatnonzero(got.entries[1]), sorted([1, 4]))
     assert np.array_equal(np.flatnonzero(got.entries[2]), sorted([0, 2]))
-    assert (got.diversity() == 1).all()
-    assert (got.overlap() == 2).all()
+    assert (got.entries.sum(axis=0) == 1).all()
+    assert (got.entries.sum(axis=1) == 2).all()
 
 
 def test_validate_pattern_accepts_canonical():
@@ -146,12 +148,19 @@ def test_pattern_entries_are_validated_before_the_cast():
     assert np.array_equal(PatternMatrix(np.eye(3, dtype=bool), strict=False).entries, np.eye(3))
 
 
+def _powered(pattern, nulled=None):
+    """The (1, N, K) powered support of one pattern: its covered pairs
+    less the ``nulled`` ones (none by default)."""
+    covered = pattern.entries == 1
+    return (covered if nulled is None else covered & ~nulled)[None]
+
+
 def _ladder(pattern, mu, sic_orders, p_sum, nulled=None):
     """The ladder of one gain factor at one budget: a one-pattern,
     one-budget, one-mu ``fixed_ratio_ladders`` stack, from per-beam orders
     of the covered users."""
     orders = _full_orders(pattern, sic_orders)[None, None]
-    return fixed_ratio_ladders(pattern.entries[None], [mu], orders, [p_sum], nulled)[0, 0, 0]
+    return fixed_ratio_ladders(_powered(pattern, nulled), [mu], orders, [p_sum])[0, 0, 0]
 
 
 def test_fixed_ratio_equal_split_at_unit_mu():
@@ -186,7 +195,7 @@ def test_fixed_ratio_rejects_bad_order():
     orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None, None]
     # an order row one user short
     with pytest.raises(ValueError):
-        fixed_ratio_ladders(pattern.entries[None], [2.0], orders[..., :-1], [5.0])
+        fixed_ratio_ladders(_powered(pattern), [2.0], orders[..., :-1], [5.0])
 
 
 def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
@@ -194,13 +203,13 @@ def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
     # two rungs of the ladder
     pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(pattern.entries[None], [2.0], np.array([[[[0, 0]]]]), [3.0])
+        fixed_ratio_ladders(_powered(pattern), [2.0], np.array([[[[0, 0]]]]), [3.0])
     # a stacked order that lists beam 0's covered users first but repeats
     # user 3 in place of the uncovered user 2
     orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None, None]
     orders[0, 0, 0] = [0, 1, 3, 3, 4]
     with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(B35[None], [0.5, 2.0], orders, [5.0])
+        fixed_ratio_ladders(B35[None] == 1, [0.5, 2.0], orders, [5.0])
 
 
 def test_ladders_do_not_depend_on_where_unpowered_users_sit():
@@ -236,8 +245,9 @@ def test_ladders_do_not_depend_on_where_unpowered_users_sit():
                 covered_first[c, d, b] = np.concatenate([covered, rng.permutation(np.flatnonzero(~row))])
             plain = sic_orders(gains)
             saw_interleaved |= not np.array_equal(plain, covered_first)
-            want = fixed_ratio_ladders(entries, mus, covered_first, budgets, nulled)
-            assert np.array_equal(fixed_ratio_ladders(entries, mus, plain, budgets, nulled), want)
+            powered = (entries == 1) & ~nulled
+            want = fixed_ratio_ladders(powered, mus, covered_first, budgets)
+            assert np.array_equal(fixed_ratio_ladders(powered, mus, plain, budgets), want)
     assert saw_nulled and saw_interleaved
 
 
@@ -284,7 +294,7 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
             saw_nulled |= nulled.any()
             orders = [[rng.permutation(np.flatnonzero(row)) for row in pattern.entries] for _ in budgets]
             stacked = np.array([_full_orders(pattern, per_beam) for per_beam in orders])
-            (ladders,) = fixed_ratio_ladders(pattern.entries[None], mus, stacked[None], budgets, nulled)
+            (ladders,) = fixed_ratio_ladders(_powered(pattern, nulled), mus, stacked[None], budgets)
             assert ladders.shape == (len(budgets), len(mus), n, k)
             for p_sum, per_beam, per_budget in zip(budgets, orders, ladders):
                 for mu, ladder in zip(mus, per_budget):
@@ -311,13 +321,13 @@ def test_uncovered_pad_users_change_no_ladder_entry():
             nulled = (entries == 1) & (rng.random(entries.shape) < 0.2)
             nulled[:, :, 0] = False  # keep powered pairs in every matrix
             orders = np.array([[[rng.permutation(k) for _ in range(n)] for _ in budgets] for _ in range(3)])
-            ladders = fixed_ratio_ladders(entries, [1.7], orders, budgets, nulled)
+            powered = (entries == 1) & ~nulled
+            ladders = fixed_ratio_ladders(powered, [1.7], orders, budgets)
             for pads in range(1, 9):
                 pad = np.arange(k, k + pads) + np.zeros(orders.shape[:-1] + (1,), dtype=int)
-                padded = np.concatenate([entries, np.zeros((3, n, pads), dtype=int)], axis=-1)
-                padded_nulled = np.concatenate([nulled, np.zeros((3, n, pads), dtype=bool)], axis=-1)
+                padded = np.concatenate([powered, np.zeros((3, n, pads), dtype=bool)], axis=-1)
                 for padded_orders in (np.concatenate([orders, pad], axis=-1), np.concatenate([pad, orders], axis=-1)):
-                    got = fixed_ratio_ladders(padded, [1.7], padded_orders, budgets, padded_nulled)
+                    got = fixed_ratio_ladders(padded, [1.7], padded_orders, budgets)
                     assert np.array_equal(got[..., :k], ladders) and not got[..., k:].any(), (n, k, pads)
 
 
@@ -334,9 +344,9 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
 
     monkeypatch.setattr(harness, "water_fills", recorded)
     _, n, k = entries.shape
+    # the one unit of this config is the optimal policy's
     cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",))
-    unit = ("lsa-pdma-optimal", k, "simple", "optimal", (None,))
-    _tail_rates(cfg, (unit,), _Stack(None, entries[None], anchors[None], None, None, None), None, gains[None], budgets)
+    _tail_rates(cfg, _Stack(None, entries[None], anchors[None], None, None, None), None, gains[None], budgets)
     return seen[0][0]
 
 
@@ -363,25 +373,79 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
                 )
             nulled, orders = np.array(nulled), np.array(orders)
             stack = np.array([pattern.entries for pattern in patterns])
-            splits = equal_splits(stack, budgets, nulled)
-            ladders = fixed_ratio_ladders(stack, mus, orders, budgets, nulled)
+            powered = (stack == 1) & ~nulled
+            splits = equal_splits(powered, budgets)
+            ladders = fixed_ratio_ladders(powered, mus, orders, budgets)
             gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
             users = np.array([omega.users for omega in anchors])
             floors = _harness_floors(monkeypatch, stack, users, gains, np.array(budgets))
             assert splits.shape == gains.shape and ladders.shape == (3, len(budgets), len(mus), n, k)
             for c, pattern in enumerate(patterns):
-                alone = pattern.entries[None]
-                assert np.array_equal(splits[c], equal_splits(alone, budgets, nulled[c])[0])
-                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, mus, orders[c][None], budgets, nulled[c])[0])
+                alone = _powered(pattern, nulled[c])
+                assert np.array_equal(splits[c], equal_splits(alone, budgets)[0])
+                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, mus, orders[c][None], budgets)[0])
                 assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c].pairs, 1e-6 * np.array(budgets)))
                 pairs = np.array(anchors[c].pairs)
                 assert np.array_equal(anchor_floors(gains[c], pairs, 1e-6 * np.array(budgets)), floors[c])
-    # a stack must list one order stack per pattern
-    with pytest.raises(ValueError, match="per pattern"):
-        fixed_ratio_ladders(stack, mus, orders[:2], budgets, nulled)
-    # and a stack is three-dimensional
-    with pytest.raises(ValueError, match=r"\(C, N, K\)"):
-        equal_splits(stack[0], budgets)
+    # a stack must list one order stack per support
+    with pytest.raises(ValueError, match="per support"):
+        fixed_ratio_ladders(powered, mus, orders[:2], budgets)
+    # and a stack is three-dimensional and boolean: a pattern's 0/1 entries
+    # are not its powered support
+    for bad in (powered[0], stack):
+        with pytest.raises(ValueError, match=r"\(C, N, K\) boolean"):
+            equal_splits(bad, budgets)
+        with pytest.raises(ValueError, match=r"\(C, N, K\) boolean"):
+            fixed_ratio_ladders(bad, mus, orders, budgets)
+
+
+def test_left_sum_adds_from_the_left():
+    # bit for bit the total of a Python loop adding a row from the left,
+    # on stacks of rows whose terms span many orders of magnitude, at K = 7
+    # and at K = 8 and 15, where numpy's pairwise sum regroups the terms
+    # and, on these rows, gives other totals (so a switch to it fails)
+    rng = make_rng(41)
+    for k in (7, 8, 15):
+        x = rng.normal(0.0, 1.0, (4, 50, k)) * np.exp(rng.normal(0.0, 6.0, (4, 50, k)))
+        want = []
+        for row in x.reshape(-1, k).tolist():
+            total = row[0]
+            for term in row[1:]:
+                total += term
+            want.append(total)
+        got = left_sum(x)
+        assert got.shape == (4, 50)
+        assert got.reshape(-1).tolist() == want
+        assert (np.sum(x, axis=-1).reshape(-1).tolist() != want) == (k >= 8)
+
+
+def _cumsum_totals(path):
+    """(function, line) of each ``np.cumsum(...)`` indexed with a last
+    index of -1 (a total over its axis) in the module at ``path``."""
+    tree = ast.parse(path.read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)):
+            continue
+        if ast.unparse(node.value.func) != "np.cumsum":
+            continue
+        last = node.slice.elts[-1] if isinstance(node.slice, ast.Tuple) else node.slice
+        if ast.unparse(last) == "-1":
+            owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append((max(owners, key=lambda f: f.lineno).name if owners else "<module>", node.lineno))
+    return found
+
+
+def test_the_left_to_right_total_is_written_once():
+    # a total over the last axis that a pad may enter is taken by
+    # left_sum, so ``np.cumsum(...)[..., -1]`` appears in the package only
+    # there; the suffix sums of the SIC formula index otherwise
+    found = {}
+    for path in sorted((CONFIGS.parent / "src" / "lsapdma").glob("*.py")):
+        for name, line in _cumsum_totals(path):
+            found.setdefault(name, []).append(f"{path.name}:{line}")
+    assert list(found) == ["left_sum"] and len(found["left_sum"]) == 1, found
 
 
 def test_budget_check_scales_with_the_budget():
@@ -396,7 +460,7 @@ def test_budget_check_scales_with_the_budget():
             orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
             mus = rng.uniform(0.1, 10.0, 4)
             stacked = _full_orders(pattern, orders)[None, None]
-            ladders = fixed_ratio_ladders(pattern.entries[None], mus, stacked, [p_sum])[0, 0]
+            ladders = fixed_ratio_ladders(_powered(pattern), mus, stacked, [p_sum])[0, 0]
             _ladder(pattern, float(mus[0]), orders, p_sum)
             support = pattern.entries == 1
             for entries in (ladders[0], equal_power(pattern, p_sum)):

@@ -168,8 +168,8 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
     # is refused rather than filtered with foreign statistics
     chans, pattern, beams = _setup(k=7)
     other = simple_beam_allocation(3, 5, range(5))
-    splits = equal_splits(pattern.entries[None], [10.0])[0]
-    for bad in (equal_splits(other.entries[None], [10.0])[0], splits[:, :2]):
+    splits = equal_splits(pattern.entries[None] == 1, [10.0])[0]
+    for bad in (equal_splits(other.entries[None] == 1, [10.0])[0], splits[:, :2]):
         with pytest.raises(ValueError, match=r"\(S, C, N, K\)"):
             drop_link_states(*_stack(chans, beams, bad), 1.0)
     assert drop_link_states(*_stack(chans, beams, splits), 1.0).shape == (1, 1, 1, 3, 7)
@@ -183,7 +183,7 @@ def test_drop_link_states_give_pad_users_zero_gains_and_change_no_other():
     # refused
     rng = make_rng(24)
     other_chans, other_pattern, other_beams = _setup(k=4, seed=1)
-    other = _stack(other_chans, other_beams, equal_splits(other_pattern.entries[None], [1.0, 2.0])[0])
+    other = _stack(other_chans, other_beams, equal_splits(other_pattern.entries[None] == 1, [1.0, 2.0])[0])
     for k in (3, 5, 7):
         chans, pattern, beams = _setup(k=k)
         powers = pattern.entries * rng.uniform(0.5, 2.0, (3, k))
@@ -307,7 +307,7 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             beams = compute_zfbf(chans, omega)
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
-            (splits,) = equal_splits(pattern.entries[None], 10.0 ** (dbs / 10.0), nulled)
+            (splits,) = equal_splits(((pattern.entries == 1) & ~nulled)[None], 10.0 ** (dbs / 10.0))
             ((gains,),) = drop_link_states(*_stack(chans, beams, splits), 1.0)
             ref = _oracle_gains([ch.entries for ch in chans], beams.beam_matrix, splits, 1.0)
             err, small = _oracle_errors(gains, ref)
@@ -332,7 +332,7 @@ def test_preset_gains_match_a_50_digit_oracle_up_to_90_db():
     dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
     for i in range(8):
         setup = _draw_drop(cfg, 7, "simple", np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        splits = equal_splits(setup.entries[0], 10.0 ** (dbs / 10.0), setup.nulled[0])[0]
+        splits = equal_splits(setup.powered[0], 10.0 ** (dbs / 10.0))[0]
         pi, s = power_scales(splits)
         ((gains,),) = drop_link_states(setup.channels, setup.beams, pi[None, None, 0], s[None, None], cfg.cell.noise_variance)
         ref = _oracle_gains(setup.channels[0][0], setup.beams[0, 0], splits, cfg.cell.noise_variance)
@@ -389,7 +389,7 @@ def test_one_matrix_seams_equal_their_stack_slices():
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
             nulled = omega.nulled(pattern)
-            (splits,) = equal_splits(pattern.entries[None], budgets, nulled)
+            (splits,) = equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)
             for d, p_sum in enumerate(budgets):
                 one = equal_power(pattern, p_sum, nulled)
                 assert one.shape == (n, k)
@@ -399,7 +399,6 @@ def test_one_matrix_seams_equal_their_stack_slices():
             for d, split in enumerate(splits):
                 link = build_link_state(chans, beams, split, 1.0)
                 assert isinstance(link, LinkState)
-                assert np.array_equal(link.power, split)
                 assert np.array_equal(link.gains, gains[d, :, : len(chans)])
 
 
@@ -591,7 +590,7 @@ def test_build_link_state_invariants():
     assert isinstance(link, LinkState)
     assert (link.gains >= 0).all()
     orders = sic_orders(link.gains)
-    sinrs = sic_sinrs(link.gains, link.power, orders)
+    sinrs = sic_sinrs(link.gains, alloc, orders)
     assert np.array_equal(pair_rates(sinrs), np.log2(1 + sinrs))
     assert (sinrs[alloc == 0] == 0).all()
     for n in range(3):
@@ -615,7 +614,7 @@ def test_drop_link_states_match_each_unit_alone():
             hints = np.array([ch.large_scale_gain for ch in chans])
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
-            (splits,) = equal_splits(pattern.entries[None], budgets, omega.nulled(pattern))
+            (splits,) = equal_splits(((pattern.entries == 1) & ~omega.nulled(pattern))[None], budgets)
             units.append((chans, compute_zfbf(chans, omega), splits))
         stacks = [_stack(*unit) for unit in units]
         # the two K = N units as one set-up on two drops
@@ -643,7 +642,7 @@ def test_drop_link_states_refuse_non_finite_shared_and_redrawn_channels():
     # one draw they share, or the second a copy of it with a drop redrawn.
     # A NaN in the shared draw, or only in the redrawn copy, is refused
     chans, pattern, beams = _setup()
-    g, f, pi, s = _stack(chans, beams, equal_splits(pattern.entries[None], [1.0])[0])
+    g, f, pi, s = _stack(chans, beams, equal_splits(pattern.entries[None] == 1, [1.0])[0])
     shared = np.concatenate(g + g)  # (C = 2, K, N_R, N_T)
     f, pi, s = np.tile(f, (2, 2, 1, 1)), np.tile(pi, (2, 2, 1, 1)), np.tile(s, (2, 2, 1))
     assert drop_link_states([shared, shared], f, pi, s, 1.0).shape == (2, 2, 1, 3, 5)
