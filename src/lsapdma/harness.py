@@ -2,22 +2,21 @@
 
 One drop runs the full link: user geometry, channels, pattern construction,
 user selection, ZF precoding, MMSE filtering and gain extraction, the power
-policy (equal split, fixed-ratio ladder, or the optimum), and the resulting
-sum rate.  Equivalent gains are computed once per drop from an equal-power
-allocation and held fixed while the policy sets the powers.  The equal and
-fixed-ratio policies feed only the powered support Pi: the covered pairs
-less those the ZF anchors null by construction.
+policy (fixed-ratio ladder or the optimum), and the resulting sum rate.
+Equivalent gains are computed once per drop from an equal-power allocation
+and held fixed while the policy sets the powers.  The equal split and the
+ladders power only the powered support Pi: the covered pairs less those
+the ZF anchors null by construction.
 
 A drop evaluates its units, one per configured (scheme, K, policy), and a
 chunk of drops (``run_chunk``) evaluates them as one stack.  Every unit
 restarts its drop's stream and the draw does not depend on the pattern, so
 the users and channels of each distinct K are drawn once per drop and
 shared, and units that also share the pattern policy share the whole
-set-up: pattern, anchors, ZF beams, equal splits and gains.  Each drop
-draws from its own generator, restarted from its saved state for each
-user count, and each user count's channels and large-scale gains over the
-chunk are one stacked draw (``channel.draw_channels``), so no per-user
-object is built.  A set-up's patterns, anchors and powered supports are
+set-up: pattern, anchors, ZF beams and gains.  Each drop draws from its
+own generator, restarted from its saved state for each user count, and
+each user count's channels and large-scale gains over the chunk are one
+stacked draw (``channel.draw_channels``), so no per-user object is built.  A set-up's patterns, anchors and powered supports are
 one gather of its rank-space triple (``beamforming.rank_anchors``) through
 one stable argsort of the chunk's (C, K) hints; only a fixed pattern
 selects anchors drop by drop.
@@ -35,12 +34,12 @@ channels are those it would have run by itself, and written into its slot
 past its set-up's own K: it is uncovered and unpowered, and has zero
 gain.  It never enters ZF or the MMSE kernel, whose per-user work
 stays on real users, but it sits in every stack after them, so each layer
-runs once per chunk: one ``equal_splits`` call on the stack's Pi, one
-``drop_link_states`` call on the stack's arrays with Pi as the power shape
-and the splits' largest powers as its scales (one N x N ``eigh`` per user
-serves all D budgets), one ``sic_orders`` call over all the gains, one
-policy call per (power policy, mu list) and one ``beam_sum_rates`` call
-per mu count (``_tail_rates``, laid out by ``_layout``).  Each policy
+runs once per chunk: one ``drop_link_states`` call on the stack's arrays
+with Pi as the power shape and each budget over Pi's count, the equal
+split's largest power, as its scales (one N x N ``eigh`` per user serves
+all D budgets), one ``sic_orders`` call over all the gains, and one policy
+call per (power policy, mu list), each with its own ``beam_sum_rates``
+call (``_tail_rates``, laid out by ``_layout``).  Each policy
 gives a (U, C, D, M, N, K) power stack over its U units, the C drops, the
 D budgets and the M sweep values (M = 1 but for the mu sweep's ladders),
 and the tail broadcasts the gains and orders over the mu axis.  Every sum
@@ -80,10 +79,12 @@ Unless ``strict_pattern`` restricts it to the pattern's pairs, the served
 user is the beam's strongest whatever the pattern covers, so the policy
 then ignores the pattern.
 
-Baselines run through the same evaluator and the same rate tail: the
-orthogonal scheme is the identity pattern with equal power, and the
-power-domain scheme is the diversity-one far-near paired pattern with a
-fixed power ratio, so reducing the main scheme to either baseline is a
+Baselines run through the same evaluator and the same rate tail, both as
+fixed-ratio ladders at the power-domain ratio ``pnoma_mu``, so they share
+one ladder call: the power-domain scheme is the diversity-one far-near
+paired pattern, and the orthogonal scheme the identity pattern, whose one
+user per beam takes the step mu^0 = 1, so its ladder is the equal split
+whatever the ratio.  Reducing the main scheme to either baseline is a
 configuration change, not a separate code path, and gives the baseline's
 rates bit for bit.
 """
@@ -91,7 +92,6 @@ rates bit for bit.
 from __future__ import annotations
 
 import configparser
-import contextlib
 import functools
 import math
 import os
@@ -109,7 +109,7 @@ from . import __version__
 from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, draw_channels
 from .optimizer import ANCHOR_FLOOR, water_fills
-from .pattern import PatternMatrix, equal_splits, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
+from .pattern import PatternMatrix, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
 from .receiver import beam_sum_rates, drop_link_states, sic_orders
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
@@ -132,7 +132,8 @@ class ExperimentConfig:
     list is the sweep axis of the emitted table.  The values of ``users``,
     ``p_sum_db`` and ``mu`` must be distinct.  For the baselines the user
     count is forced (N for oma, 2N for pnoma); ``users`` applies to the
-    pattern-mapped scheme.
+    pattern-mapped scheme.  Both baselines run the fixed-ratio ladder at
+    ``pnoma_mu``; with one user per beam, oma never applies it.
 
     The ``optimal`` policy is the water-filling closed form: with the
     default (non-strict) support it serves each beam's strongest user
@@ -224,18 +225,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        with _syntax_errors():
-            read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        return _config_from_parser(cp)
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError):
+            raise ConfigError(f"cannot read config file {path}") from None
+        return cls.from_text(text)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        with _syntax_errors():
+        """The config of a key = value text; a ``%`` in a value is itself,
+        so every ``to_text`` echo reads back."""
+        cp = configparser.ConfigParser(interpolation=None)
+        try:
             cp.read_string(text)
+        except configparser.Error as exc:  # one line, which names the line it is about
+            raise ConfigError(" ".join(str(exc).split())) from None
         return _config_from_parser(cp)
 
     def to_text(self) -> str:
@@ -332,17 +336,6 @@ _CONFIG_KEYS = {
 }
 
 
-@contextlib.contextmanager
-def _syntax_errors():
-    """Raise a ``configparser`` error as a ConfigError on one line, which
-    names the section and key, or the line, that it is about."""
-    try:
-        yield
-    except configparser.Error as exc:
-        where = f"[{exc.section}] {exc.option}: " if isinstance(exc, configparser.InterpolationError) else ""
-        raise ConfigError(where + " ".join(str(exc).split())) from None
-
-
 def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
     """Build the config from the parsed sections, rejecting any unknown
     section or key (a typo must not fall back to a default silently) and
@@ -352,9 +345,7 @@ def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         known = _CONFIG_KEYS[section]
-        with _syntax_errors():
-            items = cp.items(section)
-        for key, value in items:
+        for key, value in cp.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in config section [{section}]")
             name, parse = known[key]
@@ -400,11 +391,15 @@ class ResultTable:
 
 def _scheme_runs(cfg: ExperimentConfig):
     """Expand the config into its units: one (label, K, pattern policy,
-    power policy, mus) per (scheme, K, policy) evaluation of a drop."""
+    power policy, mus) per (scheme, K, policy) evaluation of a drop.  The
+    baselines run the fixed-ratio ladder at ``pnoma_mu``."""
     runs = []
     for scheme in cfg.schemes:
         if scheme == "oma":
-            runs.append(("oma", cfg.n_beams, "oma", "equal", (None,)))
+            # one user per beam: every step of the ladder is mu^0 = 1, the
+            # equal split, whatever the ratio; pnoma's puts both baselines
+            # into one ladder call
+            runs.append(("oma", cfg.n_beams, "oma", "fixed-ratio", (cfg.pnoma_mu,)))
         elif scheme == "pnoma":
             # the baseline's power ratio is fixed; on a mu sweep its rows are
             # replicated as a horizontal reference
@@ -536,47 +531,41 @@ def _picker(setups):
     return _shared(setups)
 
 
-def _tail_rates(cfg: ExperimentConfig, stack: _Stack, splits, gains, budgets) -> np.ndarray:
+def _tail_rates(cfg: ExperimentConfig, stack: _Stack, gains, budgets) -> np.ndarray:
     """The sum rates of the units of ``cfg`` on each drop of a chunk: a
     (C, sum of D·M) table, each unit's (D, M) rates flattened, the units in
-    the order of ``_layout(cfg).groups``.
+    the order of ``_layout(cfg).calls``.
 
-    ``stack`` holds the units' padded set-ups, ``splits`` their
-    (S, C, D, N, K) equal splits of the D ``budgets`` and ``gains`` the
-    (S, C, D, N, K) gains those give.  One ``sic_orders`` call orders every
-    beam of the gains.  Each policy call then covers all of its units: the
-    equal split is a gather of ``splits``, the units of one mu list share
-    one ``fixed_ratio_ladders`` call, and the optimal units one
-    ``water_fills`` call with the anchors' floors and the orders.  Each
-    gives a (U, C, D, M, N, K) power stack, M = 1 but for a mu sweep's
-    ladders, and the units of one M share one ``beam_sum_rates`` call, the
-    gains and orders broadcast over the mu axis.
+    ``stack`` holds the units' padded set-ups and ``gains`` the
+    (S, C, D, N, K) gains of their equal splits of the D ``budgets``.  One
+    ``sic_orders`` call orders every beam of the gains.  Each policy call
+    then covers all of its units: the units of one mu list share one
+    ``fixed_ratio_ladders`` call, and the optimal units one ``water_fills``
+    call with the anchors' floors and the orders.  Each gives a
+    (U, C, D, M, N, K) power stack, M = 1 but for a mu sweep's ladders, and
+    one ``beam_sum_rates`` call, the gains and orders broadcast over the mu
+    axis.
     """
     orders = sic_orders(gains)  # (S, C, D, N, K)
     n_drops, n_budgets, n_beams, n_users = gains.shape[1:]
     rates = []
-    for calls, group in _layout(cfg).groups:
-        powers = []
-        for power_policy, mus, at in calls:
-            if power_policy == "equal":
-                powers.append(splits[at][:, :, :, None])
-            elif power_policy == "fixed-ratio":
-                ladders = fixed_ratio_ladders(
-                    stack.powered[at].reshape((-1, n_beams, n_users)),
-                    mus,
-                    orders[at].reshape((-1, n_budgets, n_beams, n_users)),
-                    budgets,
-                )
-                powers.append(ladders.reshape((-1, n_drops) + ladders.shape[1:]))
-            else:  # optimal
-                # each beam's anchor keeps the floor ANCHOR_FLOOR of each budget
-                delta = np.zeros(gains[at].shape)
-                np.put_along_axis(delta, stack.anchors[at][:, :, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
-                covered = (stack.entries[at] == 1)[:, :, None] if cfg.strict_pattern else None  # (U, C, 1, N, K)
-                powers.append(water_fills(gains[at], budgets, delta, covered, orders[at])[:, :, :, None])
-        powers = powers[0] if len(powers) == 1 else np.concatenate(powers)
-        group = beam_sum_rates(gains[group][:, :, :, None], powers, orders[group][:, :, :, None])  # (U, C, D, M)
-        rates.append(group.swapaxes(0, 1).reshape(n_drops, -1))
+    for power_policy, mus, at in _layout(cfg).calls:
+        if power_policy == "fixed-ratio":
+            powers = fixed_ratio_ladders(
+                stack.powered[at].reshape((-1, n_beams, n_users)),
+                mus,
+                orders[at].reshape((-1, n_budgets, n_beams, n_users)),
+                budgets,
+            )
+            powers = powers.reshape((-1, n_drops) + powers.shape[1:])
+        else:  # optimal
+            # each beam's anchor keeps the floor ANCHOR_FLOOR of each budget
+            delta = np.zeros(gains[at].shape)
+            np.put_along_axis(delta, stack.anchors[at][:, :, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
+            covered = (stack.entries[at] == 1)[:, :, None] if cfg.strict_pattern else None  # (U, C, 1, N, K)
+            powers = water_fills(gains[at], budgets, delta, covered, orders[at])[:, :, :, None]
+        unit_rates = beam_sum_rates(gains[at][:, :, :, None], powers, orders[at][:, :, :, None])  # (U, C, D, M)
+        rates.append(unit_rates.swapaxes(0, 1).reshape(n_drops, -1))
     return np.concatenate(rates, axis=1)
 
 
@@ -586,9 +575,7 @@ class _Layout(NamedTuple):
 
     setups: tuple  # the distinct (K, pattern policy), in order of first use
     unit_setups: np.ndarray  # (U,) each unit's set-up
-    # one per mu count M: the (power policy, mus, set-ups) of each policy
-    # call whose power stacks have that M, and the set-ups of all of them
-    groups: tuple
+    calls: tuple  # (power policy, mus, set-ups) of each policy call
     columns: np.ndarray  # (R,) each record's place in the tail's rates
     records: tuple  # (scheme, K, sweep value, unit index) of each record
 
@@ -596,28 +583,23 @@ class _Layout(NamedTuple):
 @functools.lru_cache
 def _layout(cfg: ExperimentConfig) -> _Layout:
     """The layout of the units of ``cfg`` (``_scheme_runs``): their
-    set-ups, one policy call per (power policy, mus) and one tail group per
-    mu count, and for each record of a drop, in record order, its column
-    of the tail's rates (``_tail_rates``) and its key.  On a mu sweep the
-    mu-independent units (equal power, the power-domain baseline's fixed
-    ratio, the optimal policy) replicate as horizontal rows: one column
-    gathered once per mu."""
+    set-ups, one policy call per (power policy, mus), and for each record
+    of a drop, in record order, its column of the tail's rates
+    (``_tail_rates``) and its key.  On a mu sweep the mu-independent units
+    (the baselines' fixed ratio, the optimal policy) replicate as
+    horizontal rows: one column gathered once per mu."""
     units = _scheme_runs(cfg)
     setups = tuple(dict.fromkeys((k, pattern_policy) for _, k, pattern_policy, _, _ in units))
     unit_setups = [setups.index(unit[1:3]) for unit in units]
-    calls = {}
+    calls = {}  # (power policy, mus) -> its units
     for u, (_, _, _, power_policy, mus) in enumerate(units):
         calls.setdefault((power_policy, mus), []).append(u)
-    groups, slots = {}, {}
-    for (power_policy, mus), members in calls.items():
-        groups.setdefault(len(mus), []).append((power_policy, mus, _picker([unit_setups[u] for u in members])))
-        slots.setdefault(len(mus), []).extend(members)
-    groups = tuple((tuple(calls), _picker([unit_setups[u] for u in slots[m]])) for m, calls in groups.items())
     offsets = {}  # each unit's first column of the tail's rates
     offset = 0
-    for u in (u for members in slots.values() for u in members):
+    for u in (u for members in calls.values() for u in members):
         offsets[u] = offset
         offset += len(cfg.p_sum_db) * len(units[u][4])
+    calls = tuple((*key, _picker([unit_setups[u] for u in members])) for key, members in calls.items())
     mu_axis = cfg.sweep_axis == "mu"
     columns, records = [], []
     for u, (label, k, _, power_policy, mus) in enumerate(units):
@@ -627,7 +609,7 @@ def _layout(cfg: ExperimentConfig) -> _Layout:
                 for sweep in ((mu,) if own_mu else cfg.mu) if mu_axis else (db,):
                     columns.append(offsets[u] + d * len(mus) + m)
                     records.append((label, k, float(sweep), u))
-    return _Layout(setups, _shared(unit_setups), groups, _shared(columns), tuple(records))
+    return _Layout(setups, _shared(unit_setups), calls, _shared(columns), tuple(records))
 
 
 def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]:
@@ -642,12 +624,11 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
     layout = _layout(cfg)
     stack = _chunk_set_ups(cfg, states, layout.setups)
     budgets = np.array([_budget(db) for db in cfg.p_sum_db])
-    n_setups, n_drops, n_beams, n_users = stack.powered.shape
-    splits = equal_splits(stack.powered.reshape((-1, n_beams, n_users)), budgets)
-    splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])  # (S, C, D, N, K)
-    # each equal split is its largest power times the powered support Pi
-    gains = drop_link_states(stack.channels, stack.beams, stack.powered, splits.max(axis=(-2, -1)), cfg.cell.noise_variance)
-    rates = _tail_rates(cfg, stack, splits, gains, budgets)
+    # each equal split is the powered support Pi times the budget over Pi's
+    # count, which is the split's largest power: (S, C, D)
+    scales = budgets / stack.powered.sum(axis=(-2, -1))[..., None]
+    gains = drop_link_states(stack.channels, stack.beams, stack.powered, scales, cfg.cell.noise_variance)
+    rates = _tail_rates(cfg, stack, gains, budgets)
     return rates[:, layout.columns], stack.redraws[layout.unit_setups].T
 
 

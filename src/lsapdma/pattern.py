@@ -322,7 +322,9 @@ def fixed_ratio_ladders(powered: np.ndarray, mus, sic_orders, p_sum) -> np.ndarr
     ``sic_orders`` has shape (C, D, N, K), each row a permutation of the
     users (as ``receiver.sic_orders`` gives them); a step is placed by
     counting only the powered users along the row, so users without power
-    may sit anywhere in it and get none.  Every ladder passes
+    may sit anywhere in it and get none.  Only the steps some beam of the
+    stack places are computed, so a ratio whose powers past them leave the
+    float range still gives finite ladders.  Every ladder passes
     ``_check_powers``, run once on the stack.
     """
     mus = np.asarray(mus, dtype=float)
@@ -344,7 +346,9 @@ def fixed_ratio_ladders(powered: np.ndarray, mus, sic_orders, p_sum) -> np.ndarr
     place = np.empty(orders.shape, dtype=int)
     in_support = support.reshape(-1)[flat_rows(orders, (n_stack, 1, n_beams, n_users))]
     place.reshape(-1)[flat_rows(orders, orders.shape)] = np.cumsum(in_support, axis=-1) - 1
-    steps = mus[:, None] ** np.arange(n_users)  # (M, K)
+    # only the steps mu^j the stack places: j below its beams' largest powered
+    # count (one step at least)
+    steps = mus[:, None] ** np.arange(support.sum(axis=-1).max(initial=1))  # (M, J)
     support = support[:, None, None]  # (C, 1, 1, N, K): one support for all budgets
     ladders = np.where(support, steps[np.arange(len(mus))[:, None, None], place[:, :, None]], 0.0)
     ladders *= (p_sum[:, None] / left_sum(ladders.reshape(ladders.shape[:-2] + (-1,))))[..., None, None]

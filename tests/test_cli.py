@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lsapdma.cli import main
+from lsapdma.harness import ExperimentConfig
 from lsapdma.optimizer import OptProblem, objective, water_fills
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +170,17 @@ def test_simulate_verbose_reports_each_chunk(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--verbose"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("drops ")] == ["drops 43/130", "drops 86/130", "drops 130/130"]
+
+
+def test_simulate_echoes_a_percent_sign_that_reads_back(tmp_path):
+    # the echo of an output path holding "%" in summary.txt could not be
+    # read back while the reader took "%" for an interpolation
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nschemes = oma\ndrops = 2\n")
+    out = tmp_path / "50%"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = (out / "summary.txt").read_text().split("[config]\n", 1)[1]
+    assert ExperimentConfig.from_text(echo) == replace(ExperimentConfig.from_file(cfg), output_path=str(out))
 
 
 def test_simulate_overrides(tmp_path):

@@ -42,7 +42,7 @@ from lsapdma.pattern import (
     pnoma_pattern,
     simple_beam_allocation,
 )
-from lsapdma.receiver import build_link_state, drop_link_states, pair_rates, power_scales, sic_orders
+from lsapdma.receiver import beam_sum_rates, build_link_state, drop_link_states, pair_rates, power_scales, sic_orders
 from test_golden_records import CASES, case_config
 from test_optimizer import _water_fill_reference
 from test_pattern import _ladder_reference
@@ -158,11 +158,20 @@ def test_config_rejects_bad_power_and_run_parameters():
     # the edges that make sense still pass
     _cfg(schemes=("pnoma", "lsa-pdma"), users=(7,), mu=(1e50, 1e-50))
     _cfg(schemes=("pnoma", "lsa-pdma"), p_sum_db=(-3000.0, 30.0))
+    # and run: a ladder computes only the steps its beams place, so a ratio
+    # whose step at the padded stack's last column overflows (mu^6 at
+    # K = 7) runs a drop with no warning.  oma runs at pnoma's ratio, which
+    # it never applies, so even one no other ladder could take passes
+    fig4 = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
+    for changes in (dict(pnoma_mu=1e60), dict(users=(3,), mu=(1e100,)), dict(schemes=("oma",), pnoma_mu=1e200)):
+        records = run_drop(dataclasses.replace(fig4, **changes), 0)
+        assert records and all(0 < r.sum_rate < np.inf for r in records), changes
 
 
 def test_config_file_round_trip(tmp_path):
     # the echo reads back to an equal config: the presets, a fixed pattern,
-    # strict support, and sweep values of 9 significant digits
+    # strict support, sweep values of 9 significant digits, and a value
+    # holding "%", which is read as it is
     configs = Path(__file__).resolve().parent.parent / "configs"
     presets = [ExperimentConfig.from_file(configs / f"fig{i}.cfg") for i in (3, 4, 5)]
     fixed = PatternMatrix(np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]))
@@ -185,6 +194,7 @@ def test_config_file_round_trip(tmp_path):
         ),
         _cfg(p_sum_db=(12.3456789, -3.14159265), mu=(0.123456789,)),
         _cfg(p_sum_db=(7.5,), mu=(0.25, 1.00000001, 2.71828183)),
+        ExperimentConfig(output_path="runs/50%"),
     ]
     for i, cfg in enumerate(cases):
         path = tmp_path / f"exp{i}.cfg"
@@ -201,8 +211,10 @@ def test_config_file_round_trip(tmp_path):
             # the pattern compares and hashes by value
             assert back == cfg
             assert hash(back) == hash(cfg)
-    assert "p_sum_db = 12.3456789, -3.14159265" in cases[-2].to_text()
-    assert "strict_pattern = True" in cases[-3].to_text()
+    assert "p_sum_db = 12.3456789, -3.14159265" in cases[-3].to_text()
+    assert "strict_pattern = True" in cases[-4].to_text()
+    # so "%%" is two characters
+    assert ExperimentConfig.from_text("[output]\npath = runs/%%(x)s\n").output_path == "runs/%%(x)s"
 
 
 def test_config_file_with_pattern_block(tmp_path):
@@ -467,8 +479,9 @@ def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
     # _chunk_rates hands drop_link_states the stack's boolean powered
     # support as the power shape Pi and the equal splits' largest powers as
     # the scales: bit for bit the (Pi, s) that power_scales takes from
-    # those splits at every budget, on a chunk of each shipped preset and
-    # on a fig4 chunk whose first set-up is singular on its first draw
+    # equal_splits of the stack's Pi at every budget, on a chunk of each
+    # shipped preset and on a fig4 chunk whose first set-up is singular on
+    # its first draw
     import lsapdma.harness as harness
 
     configs = Path(__file__).resolve().parent.parent / "configs"
@@ -477,9 +490,9 @@ def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
         states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(6)]
         seen = {}
 
-        def splits(powered, p_sum, real=harness.equal_splits):
-            seen["splits"] = real(powered, p_sum)
-            return seen["splits"]
+        def set_ups(cfg, states, keys, real=harness._chunk_set_ups):
+            seen["stack"] = real(cfg, states, keys)
+            return seen["stack"]
 
         def links(channels, beams, pi, s, sigma2, real=harness.drop_link_states):
             seen["pi"], seen["s"] = pi, s
@@ -488,16 +501,49 @@ def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
         with monkeypatch.context() as m:
             if singular:
                 _singular_on_first_draw(m)
-            m.setattr(harness, "equal_splits", splits)
+            m.setattr(harness, "_chunk_set_ups", set_ups)
             m.setattr(harness, "drop_link_states", links)
             _, redraws = _chunk_rates(cfg, states)
         assert redraws.any() == singular, preset
         n_setups, n_drops, n_budgets = seen["s"].shape
-        pi, s = power_scales(seen["splits"].reshape((n_setups, n_drops) + seen["splits"].shape[1:]))
+        powered = seen["stack"].powered
+        splits = equal_splits(powered.reshape((-1,) + powered.shape[2:]), [10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+        pi, s = power_scales(splits.reshape((n_setups, n_drops) + splits.shape[1:]))
         assert seen["pi"].dtype == bool and seen["pi"].shape[:2] == (n_setups, n_drops)
         assert np.array_equal(seen["s"], s), preset
         for d in range(n_budgets):
             assert np.array_equal(pi[:, :, d], seen["pi"].astype(float)), (preset, d)
+
+
+def test_the_orthogonal_baseline_runs_the_equal_split():
+    # oma's records are, bit for bit, the sum rates of the equal split of
+    # each budget over its powered support: beam_sum_rates of equal_splits
+    # of the chunk's own Pi, on the gains drop_link_states gives for those
+    # splits, in their SIC orders.  On chunks of fig4 (a mu sweep, whose
+    # oma record repeats per mu) and fig5 (two budgets), each a K = 7 stack
+    # that pads oma's three users with four, and of fig5 at pnoma_mu = 0.7,
+    # where a ladder of one step mu^1 per beam, rescaled to the budget,
+    # misses the equal split by an ulp at some of the budgets
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for preset, changes in (("fig4", {}), ("fig5", {}), ("fig5", {"pnoma_mu": 0.7})):
+        cfg = dataclasses.replace(ExperimentConfig.from_file(configs / f"{preset}.cfg"), **changes)
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(40)]
+        layout = _layout(cfg)
+        stack = _chunk_set_ups(cfg, states, layout.setups)
+        budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+        n_setups, n_drops, n_beams, n_users = stack.powered.shape
+        assert n_users == 7
+        splits = equal_splits(stack.powered.reshape((-1, n_beams, n_users)), budgets)
+        splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])
+        gains = drop_link_states(stack.channels, stack.beams, stack.powered, splits.max(axis=(-2, -1)), cfg.cell.noise_variance)
+        oma = layout.setups.index((cfg.n_beams, "oma"))
+        want = beam_sum_rates(gains[oma], splits[oma], sic_orders(gains[oma]))  # (C, D)
+        table, _ = _chunk_rates(cfg, states)
+        columns = [(j, sweep) for j, (scheme, _, sweep, _) in enumerate(layout.records) if scheme == "oma"]
+        assert len(columns) == len(cfg.mu) * len(cfg.p_sum_db)
+        for j, sweep in columns:
+            d = cfg.p_sum_db.index(sweep) if cfg.sweep_axis == "p_sum_db" else 0
+            assert np.array_equal(table[:, j], want[:, d]), (preset, changes, sweep)
 
 
 def test_rank_space_set_ups_equal_the_per_drop_oracle():
@@ -1088,9 +1134,8 @@ def test_power_policies_skip_pairs_the_anchors_null():
 
 def _per_budget_rates(cfg, unit, pattern, omega, gains):
     """A unit's sum rates, one budget (and one mu) at a time: the per-budget
-    path the stacked tail replaced.  Equal split: ``equal_power`` and one
-    beam's SINR row at a time; ladders: a one-mu ladder and one beam's SINR
-    row at a time; optimal: ``OptProblem.build`` and the
+    path the stacked tail replaced.  Ladders: a one-mu ladder and one
+    beam's SINR row at a time; optimal: ``OptProblem.build`` and the
     per-beam water-fill loop, its rate one beam's row at a time in the
     all-user order.  ``gains[d]`` stands for budget d's equal-split link."""
     _, _, _, policy, mus = unit
@@ -1101,10 +1146,7 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
         p_sum = 10.0 ** (db / 10.0)
         cov = [np.flatnonzero(row) for row in covered]
         orders = [idx[np.argsort(row[idx], kind="stable")] for row, idx in zip(h, cov)]
-        if policy == "equal":
-            p = equal_power(pattern, p_sum, nulled)
-            out.append([sum(_beam_rate(h[n], p[n], orders[n]) for n in range(len(h)))])
-        elif policy == "fixed-ratio":
+        if policy == "fixed-ratio":
             full = np.array([np.concatenate([o, np.flatnonzero(~c)]) for o, c in zip(orders, covered)])
             row = []
             for mu in mus:
@@ -1150,34 +1192,35 @@ def test_stacked_tail_matches_the_per_budget_path():
                 setups = [_drawn(cfg, k, "simple", state) for state in states]
                 stack = _chunk_set_ups(cfg, states, [(k, "simple")])
                 budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
-                splits, gains = [], []
+                gains = []
                 for channels, pattern, omega, beams, _ in setups:
                     nulled = omega.nulled(pattern)
                     saw_nulled |= nulled.any()
-                    splits.append(equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)[0])
-                    gains.append([build_link_state(channels, beams, split, 1.0).gains for split in splits[-1]])
-                splits, gains = np.array(splits), np.array(gains)
+                    splits = equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)[0]
+                    gains.append([build_link_state(channels, beams, split, 1.0).gains for split in splits])
+                gains = np.array(gains)
                 zeroed = gains.copy()
                 zeroed[:, :, 0] = 0.0
                 # the tail runs the units of its config's layout at the D
                 # budgets it is given, so a config whose one unit has the
                 # policy (and mus) stands for each unit; a mu list needs a
-                # config of one budget
+                # config of one budget.  oma's one unit is the ladder at
+                # pnoma's ratio, here run on the simple pattern's stack
                 tails = {
-                    "equal": dataclasses.replace(cfg, schemes=("oma",)),
+                    "oma": dataclasses.replace(cfg, schemes=("oma",)),
                     "ladders": dataclasses.replace(cfg, policies=("fixed-ratio",), mu=mus, p_sum_db=(0.0,), strict_pattern=False),
                     "optimal": dataclasses.replace(cfg, policies=("optimal",)),
                 }
                 for h in (gains, zeroed):
                     units = [
-                        ("equal", k, "simple", "equal", (None,)),
+                        ("oma", k, "simple", "fixed-ratio", (cfg.pnoma_mu,)),
                         ("ladders", k, "simple", "fixed-ratio", mus),
                         ("optimal", k, "simple", "optimal", (None,)),
                     ]
                     for unit in units:
                         tail = tails[unit[0]]
-                        assert [call[:2] for calls, _ in _layout(tail).groups for call in calls] == [unit[3:]]
-                        chunk = _tail_rates(tail, stack, splits[None], h[None], budgets)
+                        assert [call[:2] for call in _layout(tail).calls] == [unit[3:]]
+                        chunk = _tail_rates(tail, stack, h[None], budgets)
                         assert len(chunk) == len(setups)
                         for rates, (_, pattern, omega, _, _), drop_gains in zip(chunk, setups, h):
                             got = rates.tolist()
@@ -1255,9 +1298,9 @@ def test_k_equals_n_fixed_ratio_matches_oma():
 
 def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
     # the units of a chunk compute their SINRs in one call of the
-    # receiver's SINR formula per mu count, over all the drops of the chunk
-    # and all the budgets (and the mu sweep), so the call count grows with
-    # neither the drops, the budgets nor the units.  Every power stack is
+    # receiver's SINR formula per policy call, over all the drops of the
+    # chunk and all the budgets (and the mu sweep), so the call count grows
+    # with neither the drops, the budgets nor the units.  Every power stack is
     # (U, C, D, M, N, K), M = 1 but for a mu sweep's ladders, and K the
     # chunk's largest user count.  The optimal policy reads only the gains
     # of the equal splits: its call carries the water-fill, whose beams
@@ -1290,11 +1333,12 @@ def test_each_policy_computes_its_sinrs_as_one_stack(monkeypatch):
     run_chunk(_cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(3, 4, 5, 6, 7), mu=(0.5, 1.0, 2.0)), drops)
     assert [p.shape for p in calls] == [(2, 3, 1, 1, 3, 7), (5, 3, 1, 3, 3, 7)]
     calls.clear()
-    # fig5's four units at two budgets, the two optimal ones among them
+    # fig5's four units at two budgets: the baselines' ladder call, then
+    # the two optimal ones
     cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(6, 7), policies=("optimal",), p_sum_db=(0.0, 20.0))
     run_chunk(cfg, drops)
-    assert [p.shape for p in calls] == [(4, 3, 2, 1, 3, 7)]
-    assert ((calls[0][2:] > 2e-6 * budgets[:, None, None, None]).sum(axis=-1) <= 1).all()
+    assert [p.shape for p in calls] == [(2, 3, 2, 1, 3, 7), (2, 3, 2, 1, 3, 7)]
+    assert ((calls[1] > 2e-6 * budgets[:, None, None, None]).sum(axis=-1) <= 1).all()
 
 
 def test_units_that_share_k_and_pattern_share_one_setup(monkeypatch):
@@ -1349,10 +1393,9 @@ def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch)
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
     assert all(run_chunk(cfg, [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]))
     assert built == []
-    # one equal-split check over the chunk's four set-ups (oma, pnoma,
-    # K = 6 and 7) and one ladder check per mu list (pnoma's), each over
-    # every drop and budget of its set-ups
-    assert [shape[:2] for shape in checked] == [(4 * 3, len(cfg.p_sum_db)), (1 * 3, len(cfg.p_sum_db))]
+    # one ladder check over both baselines' set-ups (oma and pnoma share
+    # pnoma's ratio), over every drop and budget of them
+    assert [shape[:2] for shape in checked] == [(2 * 3, len(cfg.p_sum_db))]
     # the counters see what they should
     checked.clear()
     equal_power(oma_pattern(3), 1.0)

@@ -346,7 +346,7 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
     _, n, k = entries.shape
     # the one unit of this config is the optimal policy's
     cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",))
-    _tail_rates(cfg, _Stack(None, entries[None], anchors[None], None, None, None), None, gains[None], budgets)
+    _tail_rates(cfg, _Stack(None, entries[None], anchors[None], None, None, None), gains[None], budgets)
     return seen[0][0]
 
 
