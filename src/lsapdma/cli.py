@@ -112,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.set_defaults(func=_cmd_simulate)
 
-    solve = sub.add_parser("solve", help="optimize a power mapping for a gain matrix file")
+    solve = sub.add_parser(
+        "solve", help="optimize a power mapping for a gain matrix file (exit code 2: infeasible or max-iterations)"
+    )
     solve.add_argument("--gains", required=True, help="plain-text gain matrix (beams x users)")
     solve.add_argument("--psum", type=float, required=True, help="total power budget (linear)")
     solve.add_argument(

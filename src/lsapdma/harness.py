@@ -229,18 +229,13 @@ class ExperimentConfig:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError):
             raise ConfigError(f"cannot read config file {path}") from None
-        return cls.from_text(text)
+        return _config_from_text(text, str(path))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         """The config of a key = value text; a ``%`` in a value is itself,
         so every ``to_text`` echo reads back."""
-        cp = configparser.ConfigParser(interpolation=None)
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:  # one line, which names the line it is about
-            raise ConfigError(" ".join(str(exc).split())) from None
-        return _config_from_parser(cp)
+        return _config_from_text(text, "<string>")
 
     def to_text(self) -> str:
         """Canonical key = value echo of the resolved configuration, one
@@ -259,29 +254,34 @@ class ExperimentConfig:
 
 
 def _check_float_range(cfg: ExperimentConfig) -> None:
-    """Raise unless every budget 10^(dB/10), every step mu^j of a ladder
-    the drop runs (j below its user count) and every such step scaled to a
-    budget is a finite positive float, computed as the drop computes them.
-    An infinite or zero step makes its scaled steps NaN or zero, so the
-    scaled steps are the ones checked."""
-    ladders = []  # (field, gain factors, user count)
-    if "pnoma" in cfg.schemes:
-        ladders.append(("pnoma_mu", (cfg.pnoma_mu,), 2 * cfg.n_beams))
-    if "lsa-pdma" in cfg.schemes and "fixed-ratio" in cfg.policies:
-        ladders.append(("mu", cfg.mu, max(cfg.users)))
+    """Raise unless every budget 10^(dB/10) is a finite positive float and
+    each fixed-ratio call of ``_layout(cfg)`` passes ``fixed_ratio_ladders``
+    on its set-ups' rank-space powered supports, as a chunk runs it; a fixed
+    pattern, whose anchors vary by draw, on its covered pairs."""
     budgets = np.array([_budget(db) for db in cfg.p_sum_db])
     for db, budget in zip(cfg.p_sum_db, budgets):
         if not 0 < budget < np.inf:
             raise ConfigError(f"p_sum_db = {db:g} gives a budget that is not a finite positive float")
-    with np.errstate(all="ignore"):
-        for name, mus, n_users in ladders:
-            for mu in mus:
-                steps = mu ** np.arange(n_users)
-                scaled = steps * (budgets[:, None] / steps.sum())
-                if not ((0 < scaled) & (scaled < np.inf)).all():
-                    raise ConfigError(
-                        f"{name} = {mu:g} gives a power ladder step that is not a finite positive float"
-                    )
+    layout = _layout(cfg)
+    k_max = max(k for k, _ in layout.setups)
+    powered = np.zeros((len(layout.setups), cfg.n_beams, k_max), dtype=bool)
+    for s, (k, policy) in enumerate(layout.setups):
+        powered[s, :, :k] = cfg.fixed_pattern.entries == 1 if policy == "fixed" else rank_anchors(policy, cfg.n_beams, k)[2]
+
+    def fits(at, mus):
+        orders = np.broadcast_to(np.arange(k_max), (len(powered[at]), len(budgets), cfg.n_beams, k_max))
+        try:
+            with np.errstate(all="ignore"):
+                fixed_ratio_ladders(powered[at], mus, orders, budgets)
+        except ValueError:
+            return False
+        return True
+
+    for power_policy, mus, at in layout.calls:
+        if power_policy == "fixed-ratio" and not fits(at, mus):
+            mu = next(mu for mu in mus if not fits(at, (mu,)))
+            name = "mu" if mus == cfg.mu else "pnoma_mu"
+            raise ConfigError(f"{name} = {mu:g} gives a power ladder step that is not a finite positive float")
 
 
 def _budget(db: float) -> float:
@@ -336,10 +336,16 @@ _CONFIG_KEYS = {
 }
 
 
-def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
-    """Build the config from the parsed sections, rejecting any unknown
+def _config_from_text(text: str, source: str) -> ExperimentConfig:
+    """Build the config from a key = value text read from ``source``,
+    which a syntax error names with its line, rejecting any unknown
     section or key (a typo must not fall back to a default silently) and
     naming the section and key of a value that does not parse."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text, source)
+    except configparser.Error as exc:  # one line, which names the line it is about
+        raise ConfigError(" ".join(str(exc).split())) from None
     kwargs, cell_kwargs = {}, {}
     for section in cp.sections():
         if section not in _CONFIG_KEYS:

@@ -29,6 +29,10 @@ Every product and decomposition runs unit by unit or user by user, never
 across drops, so a user's outputs do not depend on the users stacked
 beside it, nor a unit's gains on the chunk that holds it.
 
+(P, sigma^2) -> (cP, c sigma^2) is not an invariance of the gains: the
+MMSE gain counts every other beam at unit power, whatever the powers, a
+convention ``test_mimo_and_scalar_models_agree`` pins.
+
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, by gain alone: a user
 with no power adds an exact zero wherever it sits, so one order serves

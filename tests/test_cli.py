@@ -92,6 +92,21 @@ def test_solve_rate_floor_near_the_least_power_boundary(tmp_path, capsys):
     assert printed.sum() <= p_sum * (1 + 1e-5)
 
 
+def test_solve_rate_floor_exits_zero_when_the_barrier_converges(tmp_path, capsys):
+    # rate-floor instances at 0, 10 and 20 dB that the barrier solves to its
+    # duality gap; exit code 2 is kept for infeasible and max-iterations
+    from test_optimizer import _rate_floor_instance
+
+    rng = np.random.default_rng(3)
+    path = tmp_path / "h.txt"
+    for i in range(3):
+        prob, _ = _rate_floor_instance(rng, 3, 5, 10.0 * i, anchored=False)
+        np.savetxt(path, prob.gains, fmt="%.17g")
+        code = main(["solve", "--gains", str(path), "--psum", repr(prob.p_sum), "--rmin", repr(prob.r_min)])
+        assert capsys.readouterr().out.splitlines()[0] == "status = converged", i
+        assert code == 0, i
+
+
 def test_solve_rejects_non_finite_input(tmp_path, capsys):
     # each used to print a status and powers: a NaN gain "optimal" with a
     # NaN sum rate, an infinite budget infinite powers, a NaN rate floor
@@ -226,13 +241,15 @@ def test_simulate_bad_config(tmp_path, capfd):
     # a key before any section header, a repeated key and a line without
     # "=" ended in a configparser traceback with no error line, and a value
     # that does not parse was not named: each gives one error line that
-    # names what it is about, and writes no output directory
+    # names what it is about (a syntax error the file and the line), and
+    # writes no output directory
     out = tmp_path / "syntax"
     head = f"[output]\npath = {out}\n\n"
+    source = f"'{cfg}'"
     for text, named in (
-        ("schemes = oma\n" + head, ("no section headers", "line: 1")),
-        (head + "[experiment]\nschemes = oma\nschemes = oma\n", ("'schemes'", "'experiment'", "line 6")),
-        (head + "[experiment]\nschemes\n", ("parsing errors", "line 5")),
+        ("schemes = oma\n" + head, ("no section headers", source, "line: 1")),
+        (head + "[experiment]\nschemes = oma\nschemes = oma\n", ("'schemes'", "'experiment'", source, "line 6")),
+        (head + "[experiment]\nschemes\n", ("parsing errors", source, "line 5")),
         (head + "[power]\nmu = 2, x\n", ("[power] mu:", "'x'")),
         (head + "[experiment]\ndrops = 1.5\n", ("[experiment] drops:", "'1.5'")),
     ):

@@ -1,17 +1,20 @@
 import dataclasses
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import gamma, kstest
 
-from lsapdma import receiver
+from lsapdma import harness, receiver
 
-from lsapdma.beamforming import compute_zfbf, select_users
+from lsapdma.beamforming import compute_zfbf, select_users, zf_beamformers
 from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, user_channels
 from lsapdma.harness import (
     ConfigError,
@@ -62,6 +65,9 @@ def _ladder(pattern, mu, orders, p_sum, nulled):
     """The ladder of one gain factor at one budget, from (N, K) orders."""
     powered = (pattern.entries == 1) & ~nulled
     return fixed_ratio_ladders(powered[None], [mu], orders[None, None], [p_sum])[0, 0, 0]
+
+
+B35 = PatternMatrix(np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]))
 
 
 def _cfg(**kwargs):
@@ -121,7 +127,7 @@ def test_config_rejects_repeated_sweep_values():
         ExperimentConfig.from_text("[experiment]\nusers = 5, 5\n")
 
 
-def test_config_rejects_bad_power_and_run_parameters():
+def test_config_rejects_bad_power_and_run_parameters(monkeypatch):
     # each used to pass the config and fail inside the first drop (or run
     # without complaint); the error names the field
     cases = (
@@ -146,7 +152,9 @@ def test_config_rejects_bad_power_and_run_parameters():
         # step or a budget overflows, or underflows to zero
         ("mu", dict(mu=(float("inf"),))),
         ("mu", dict(mu=(1e300,))),
-        ("mu", dict(mu=(1e60,), users=(7,))),  # mu^6 overflows at K = 7
+        ("mu", dict(mu=(1e120,), users=(7,))),  # mu^3 overflows: K = 7 powers 4 users a beam
+        # a fixed pattern is checked on its covered pairs, 3 a beam here
+        ("mu", dict(mu=(1e200,), users=(5,), pattern_policy="fixed", fixed_pattern=B35)),
         ("mu", dict(mu=(1e-300,))),
         ("pnoma_mu", dict(pnoma_mu=float("inf"))),
         ("p_sum_db", dict(p_sum_db=(4000.0,))),
@@ -166,6 +174,29 @@ def test_config_rejects_bad_power_and_run_parameters():
     for changes in (dict(pnoma_mu=1e60), dict(users=(3,), mu=(1e100,)), dict(schemes=("oma",), pnoma_mu=1e200)):
         records = run_drop(dataclasses.replace(fig4, **changes), 0)
         assert records and all(0 < r.sum_rate < np.inf for r in records), changes
+    # the check computes each ladder as the drop does, on the unit's powered
+    # support: pnoma places mu^0 and mu^1, K = 3 at most mu^1 and K = 7 at
+    # most mu^3, so these pass and run a drop with no warning, and a drop
+    # of the refused mu^3 = 1e360 overflows once the check is bypassed
+    for changes in (
+        dict(schemes=("pnoma",), pnoma_mu=1e100),
+        dict(schemes=("pnoma",), pnoma_mu=1e300),
+        dict(users=(3,), mu=(1e200,)),
+        dict(users=(7,), mu=(1e100,)),
+        dict(users=(7,), mu=(1e60,)),
+        dict(users=(5,), mu=(1e100,), pattern_policy="fixed", fixed_pattern=B35),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_drop(_cfg(**{"schemes": ("pnoma", "lsa-pdma"), **changes}), 0)
+        assert records and all(0 < r.sum_rate < np.inf for r in records), changes
+    overflowing = dict(schemes=("lsa-pdma",), users=(7,), mu=(1e120,))
+    with pytest.raises(ConfigError, match="mu = 1e\\+120"):
+        _cfg(**overflowing)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_check_float_range", lambda cfg: None)
+        with pytest.raises(RuntimeWarning):
+            run_drop(_cfg(**overflowing), 0)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -251,6 +282,16 @@ matrix = 1 1 0 1 0
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file("/nonexistent/exp.cfg")
+
+
+def test_config_syntax_error_names_its_source(tmp_path):
+    text = "[experiment]\nschemes = oma\nschemes = pnoma\n"
+    path = tmp_path / "dup.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"While reading from '{path}' [line 3]: option 'schemes'")):
+        ExperimentConfig.from_file(path)
+    with pytest.raises(ConfigError, match=r"While reading from '<string>' \[line 3\]: option 'schemes'"):
+        ExperimentConfig.from_text(text)
 
 
 def test_run_drop_deterministic():
@@ -1388,9 +1429,10 @@ def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch)
         checked.append(p.shape)
         real_check(p, support, p_sum)
 
+    # built first: its range check runs each unit's ladder once
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
     monkeypatch.setattr(OptProblem, "__post_init__", counted)
     monkeypatch.setattr(pattern_module, "_check_powers", check)
-    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
     assert all(run_chunk(cfg, [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]))
     assert built == []
     # one ladder check over both baselines' set-ups (oma and pnoma share
@@ -1429,3 +1471,67 @@ def test_a_fig4_chunk_stays_within_its_working_set():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6, peak
+
+
+def test_oma_anchor_gains_follow_the_zf_snr_law():
+    # ZF nulls every other beam at an anchor, so the anchor's gain is
+    # h^2 = beta G / sigma^2 with G ~ Gamma(N_T - N N_R + 1, 1), the ZF
+    # output SNR law (Winters, Salz & Gitlin, IEEE Trans. Commun. 42, 1994),
+    # a check of the channel draw, ZF and the MMSE gains with no reference
+    # implementation.  Beam 0's anchor, one per drop, keeps the samples
+    # independent; the KS statistic stays below 1.95/sqrt(n), alpha = 1e-3
+    for n_beams, n_rx, n_tx, drops in ((3, 4, 16, 2000), (8, 4, 128, 1000)):
+        cfg = _cfg(n_beams=n_beams, n_rx=n_rx, n_tx=n_tx)
+        samples = []
+        for first in range(0, drops, 250):
+            states = [np.random.SeedSequence(2027, spawn_key=(i,)) for i in range(first, first + 250)]
+            stack = _chunk_set_ups(cfg, states, ((n_beams, "oma"),))
+            assert not stack.redraws.any()
+            scales = np.ones(stack.anchors.shape[:2] + (1,))
+            gains = drop_link_states(stack.channels, stack.beams, stack.powered, scales, cfg.cell.noise_variance)
+            # the large-scale gains of the drops' restarted generators
+            _, beta = _channels(cfg, n_beams, [np.random.Generator(np.random.Philox(s)) for s in states])
+            drop, anchor = np.arange(len(states)), stack.anchors[0, :, 0]
+            samples.append(gains[0, drop, 0, 0, anchor] ** 2 * cfg.cell.noise_variance / beta[drop, anchor])
+        d = kstest(np.concatenate(samples), gamma(n_tx - n_beams * n_rx + 1).cdf).statistic
+        assert d < 1.95 / np.sqrt(drops), (n_beams, d)
+
+
+def _rebuilt_rates(cfg, stack, channels, sigma2):
+    """A chunk's rate table rebuilt from its set-ups ``stack``, with ZF, the
+    gains and the rate tail computed again on ``channels`` at noise
+    ``sigma2``."""
+    anchors = np.concatenate([ch[np.arange(len(a))[:, None], a] for ch, a in zip(channels, stack.anchors)])
+    beams, singular = zf_beamformers(anchors)
+    assert not singular.any()
+    beams = beams.reshape(stack.anchors.shape[:2] + beams.shape[1:])
+    budgets = np.array([harness._budget(db) for db in cfg.p_sum_db])
+    scales = budgets / stack.powered.sum(axis=(-2, -1))[..., None]
+    gains = drop_link_states(channels, beams, stack.powered, scales, sigma2)
+    return _tail_rates(cfg, stack, gains, budgets)[:, _layout(cfg).columns]
+
+
+def test_records_do_not_depend_on_the_transmit_basis_or_the_units():
+    # whole-chain invariants (Chen et al., "Metamorphic Testing", ACM CSUR
+    # 51(1), 2018): ZF recomputed on H U, U a Haar unitary per drop, sees
+    # the same composite channels, and H -> aH with sigma^2 -> a^2 sigma^2
+    # scales every SINR's numerator and denominator alike.  Records move by
+    # round-off only (the receive side and (P, sigma^2) -> (cP, c sigma^2)
+    # are not invariances: see the receiver module's docstring)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    rng = np.random.default_rng(12)
+    a = 7.3
+    for name in ("fig3", "fig4", "fig5"):
+        cfg = ExperimentConfig.from_file(configs / f"{name}.cfg")
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
+        stack = _chunk_set_ups(cfg, states, _layout(cfg).setups)
+        sigma2 = cfg.cell.noise_variance
+        rates = _rebuilt_rates(cfg, stack, stack.channels, sigma2)
+        assert np.array_equal(rates, _chunk_rates(cfg, states)[0]), name
+        q, r = np.linalg.qr(rng.normal(size=(64, cfg.n_tx, cfg.n_tx)) + 1j * rng.normal(size=(64, cfg.n_tx, cfg.n_tx)))
+        phases = np.diagonal(r, axis1=1, axis2=2)
+        haar = q * (phases / np.abs(phases))[:, None, :]  # Mezzadri, Notices AMS 54(5), 2007
+        rotated = _rebuilt_rates(cfg, stack, tuple(ch @ haar[:, None] for ch in stack.channels), sigma2)
+        scaled = _rebuilt_rates(cfg, stack, tuple(a * ch for ch in stack.channels), a**2 * sigma2)
+        for moved in (rotated, scaled):
+            assert np.abs(moved / rates - 1.0).max() <= 1e-12, name

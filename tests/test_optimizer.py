@@ -324,8 +324,14 @@ def test_barrier_infeasible_status():
 
 def test_barrier_max_iterations_status(monkeypatch):
     prob = OptProblem.build(np.array([[1.0, 2.0]]), 5.0)
-    monkeypatch.setattr(optimizer, "MAX_OUTER", 1)
-    monkeypatch.setattr(optimizer, "BARRIER_TOL", 1e-12)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "MAX_OUTER", 1)
+        patch.setattr(optimizer, "BARRIER_TOL", 1e-12)
+        sol = barrier_solve(prob)
+    assert sol.status == "max-iterations"
+    assert sol.p_matrix is not None
+    # a centering cut short by the step cap did not end on its test
+    monkeypatch.setattr(optimizer, "MAX_NEWTON", 1)
     sol = barrier_solve(prob)
     assert sol.status == "max-iterations"
     assert sol.p_matrix is not None
@@ -392,6 +398,75 @@ def test_barrier_phase_one_start_has_budget_slack_in_solver_order():
     )
     assert ref.success
     assert abs(sol.objective_value - -ref.fun) <= 1e-6
+
+
+def _rate_floor_instance(rng, n, k, budget_db, anchored=True):
+    """Log-normal gains (N, K), a budget of ``budget_db``, and (when
+    ``anchored``) a distinct anchor per beam with a floor of 1e-6 of the
+    budget; the rate floor is 0.6 of the smallest rate at the start that
+    adds half the budget left by the floors, split equally over all pairs,
+    so that start meets every constraint strictly."""
+    gains = np.exp(rng.normal(0.0, 1.0, (n, k)))
+    p_sum = 10.0 ** (budget_db / 10.0)
+    anchors = [(b, int(u)) for b, u in enumerate(rng.permutation(k)[:n])] if anchored else []
+    delta = OptProblem.build(gains, p_sum, selected=anchors).delta
+    start = delta + 0.5 * (p_sum - delta.sum()) / delta.size
+    r_min = 0.6 * float(_sic_rates(gains, start).min())
+    return OptProblem.build(gains, p_sum, selected=anchors, r_min=r_min), start
+
+
+def _sic_rate_jacobian(gains, p):
+    """d rate(n, k) / d p(n, j) of ``_sic_rates``, flattened row-major into
+    an (NK, NK) matrix: with a = 1/h^2 and T_j the power decoded from SIC
+    position j on, rate_j = log2((a_j + T_j)/(a_j + T_{j+1}))."""
+    n, k = gains.shape
+    jac = np.zeros((n, k, n, k))
+    later = np.arange(k) >= np.arange(k)[:, None]  # [j, m]: m at or after j
+    for b in range(n):
+        order = np.lexsort((np.arange(k), gains[b]))
+        a = 1.0 / gains[b, order] ** 2
+        t = np.cumsum(p[b, order][::-1])[::-1]
+        t_next = np.append(t[1:], 0.0)
+        d = (later / (a + t)[:, None] - np.triu(later, 1) / (a + t_next)[:, None]) / np.log(2.0)
+        jac[b, order[:, None], b, order[None, :]] = d
+    return jac.reshape(n * k, n * k)
+
+
+def test_barrier_converges_on_rate_floor_instances():
+    # the barrier stops on its own certificate, the duality gap with every
+    # centering ended on its Newton decrement, so a solve that reaches the
+    # optimum is labelled converged: every shape N <= 4, N <= K <= 2^N - 1
+    # at 0, 10 and 20 dB in turn, two draws each, against SLSQP from the
+    # equal start
+    rng = np.random.default_rng(2026)
+    shapes = [(n, k) for n in (2, 3, 4) for k in range(n, 2**n)]
+    for i, (n, k) in enumerate(shapes * 2):
+        prob, start = _rate_floor_instance(rng, n, k, 10.0 * (i % 3))
+        sol = barrier_solve(prob)
+        assert sol.status == "converged", (n, k, i)
+        slacks = check_constraints(prob, sol.p_matrix)
+        assert slacks.g1.max() < 0.0 and slacks.g3.max() < 0.0
+        assert slacks.g2 <= 1e-12 * prob.p_sum
+        gains = prob.gains
+        ref = minimize(
+            lambda x: -_sic_rates(gains, x.reshape(n, k)).sum(),
+            start.ravel(),
+            jac=lambda x: -_sic_rate_jacobian(gains, x.reshape(n, k)).sum(axis=0),
+            method="SLSQP",
+            bounds=[(d, None) for d in prob.delta.ravel()],
+            constraints=[
+                {
+                    "type": "ineq",
+                    "fun": lambda x: _sic_rates(gains, x.reshape(n, k)).ravel() - prob.r_min,
+                    "jac": lambda x: _sic_rate_jacobian(gains, x.reshape(n, k)),
+                },
+                {"type": "ineq", "fun": lambda x: prob.p_sum - x.sum(), "jac": lambda x: -np.ones_like(x)},
+            ],
+            # at 1e-14 SLSQP stops some 0 dB instances on a failed line search
+            options={"maxiter": 1000, "ftol": 1e-12},
+        )
+        assert ref.success, (n, k, i)
+        assert sol.objective_value >= -ref.fun - 1e-6, (n, k, i)
 
 
 def test_strict_support_pins_excluded_entries():
@@ -591,6 +666,7 @@ def test_water_fill_never_below_the_barrier():
         if prob.support is not None:
             assert (p[~prob.support] == 0.0).all()
         sol = barrier_solve(prob)
+        assert sol.status == "converged", i
         assert -objective(prob, p) >= sol.objective_value - 1e-9
 
 
