@@ -132,8 +132,9 @@ class ExperimentConfig:
     list is the sweep axis of the emitted table.  The values of ``users``,
     ``p_sum_db`` and ``mu`` must be distinct.  For the baselines the user
     count is forced (N for oma, 2N for pnoma); ``users`` applies to the
-    pattern-mapped scheme.  Both baselines run the fixed-ratio ladder at
-    ``pnoma_mu``; with one user per beam, oma never applies it.
+    pattern-mapped scheme, and must be that same count when its pattern
+    policy is ``oma`` or ``pnoma``.  Both baselines run the fixed-ratio
+    ladder at ``pnoma_mu``; with one user per beam, oma never applies it.
 
     The ``optimal`` policy is the water-filling closed form: with the
     default (non-strict) support it serves each beam's strongest user
@@ -195,10 +196,17 @@ class ExperimentConfig:
             # only the optimal policy reads the flag; the echo would show it
             raise ConfigError("strict_pattern needs the 'optimal' power policy")
         if "lsa-pdma" in self.schemes:
+            # the oma and pnoma patterns cover exactly N and 2N users
+            forced = {"oma": self.n_beams, "pnoma": 2 * self.n_beams}.get(self.pattern_policy)
             for k in self.users:
                 if not self.n_beams <= k <= 2**self.n_beams - 1:
                     raise ConfigError(
                         f"lsa-pdma needs N <= K <= 2^N - 1, got K={k} for N={self.n_beams}"
+                    )
+                if forced is not None and k != forced:
+                    raise ConfigError(
+                        f"pattern_policy {self.pattern_policy!r} needs users = {forced}, "
+                        f"its K for N={self.n_beams}, got users = {k}"
                     )
         for name in ("users", "p_sum_db", "mu"):
             values = getattr(self, name)

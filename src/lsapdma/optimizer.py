@@ -11,19 +11,25 @@ optimum has a closed form, water-filling over the beams' strongest users.
 included.  With minimum rates, a standard log-barrier method with damped
 Newton centering (``barrier_solve``) finds the global optimum subject to
 the per-entry power floors, the total power budget and the minimum rates.
-Every rate it evaluates, the objective's and the rate constraints', goes
-through the receiver's SIC SINR formula.
 
-One kernel, ``_rate_terms``, gives the gradient and Hessian of any
-weighted sum of the rates: the objective is the sum at weights -1, and a
-Newton step of the barrier takes t times it together with the rate barrier
-as one sum at weights -t - 1/slack, plus a Gauss-Newton term from the rate
-Jacobians.  Phase I is exact: the least-power SIC allocation
-(``_min_powers``) meets every rate floor and no feasible point spends less,
-so it certifies infeasibility and, raised slightly, gives the start.  The
-solver's status rests on the barrier method's own certificate alone: the
-duality-gap bound m/t, reached with every centering ended on its Newton
-decrement (Boyd & Vandenberghe, Convex Optimization, secs. 9.5 and 11.3).
+Every constraint is linear in the SIC-position powers.  A rate floor
+rate_j >= r_min is the SINR floor p_j >= c*(a_j + T_{j+1}), c = 2^r_min - 1,
+a_j = 1/h_j^2 and T_{j+1} the power decoded after position j (Zhu et al.,
+IEEE JSAC 2017), so floors, budget and SINR floors form one system
+G x <= h (``_constraints``), from which the slack, the barrier's value,
+gradient and Newton curvature and the step cap all come.  The rate itself
+is not concave in the powers (in (T_{j+1}, p_j) its Hessian has a negative
+determinant at every position but the last), so it is never a barrier
+argument.  One kernel, ``_rate_terms``, gives the objective's gradient and
+per-beam Hessian blocks.  Phase I is exact: the least-power SIC allocation
+(``_min_powers``) meets every rate floor and no feasible point spends
+less, so it certifies infeasibility and, raised slightly, gives the start.
+The solver's status rests on the barrier method's own certificate alone:
+with a convex objective and linear constraints the central point at t is
+within m/t of the optimum, and the last centering runs to round-off with
+every centering ended on its Newton decrement (Boyd & Vandenberghe, Convex
+Optimization, secs. 9.5, 11.2.2 and 11.3).  The objective's rates go
+through the receiver's SIC SINR formula.
 
 Conventions: the gain matrix is (beams x users); each beam's entries are
 internally reindexed by SIC position (ascending gain, index tie-break,
@@ -193,7 +199,9 @@ class OptSolution:
 
     ``kkt_residual`` is reported, not tested: the max-norm of the barrier
     gradient over t on the free entries at the returned point, in absolute
-    units, so it can read 1e-2 on a ``converged`` rate-floor solve."""
+    units.  On ``converged`` solves it reads up to about 1e-4 for N <= 4
+    and K < 2^N, rate-floor instances included, and 5e-3 at N = 6,
+    K = 40."""
 
     p_matrix: np.ndarray | None
     objective_value: float
@@ -257,7 +265,8 @@ def _objective_pos(prob: OptProblem, p_pos: np.ndarray) -> float:
 
 def _rate_terms(prob: OptProblem, p_pos: np.ndarray, w):
     """Gradient (N, K) and per-beam Hessian blocks (N, K, K) of the rate
-    sum sum_j w_j rate_j, position space; ``w`` is a scalar or (N, K).
+    sum sum_j w_j rate_j, position space; ``w`` is a scalar or (N, K), and
+    the solver calls it with the scalar weights -1 (the objective) and -t.
 
     rate_j = log2((a_j + T_j)/(a_j + T_{j+1})) has the gradient
     (u_j [m >= j] - z_j [m >= j+1])/ln2 in p_m and the Hessian
@@ -276,14 +285,6 @@ def _rate_terms(prob: OptProblem, p_pos: np.ndarray, w):
     acc /= -LN2
     k = p_pos.shape[1]
     return grad, acc[:, np.minimum.outer(np.arange(k), np.arange(k))]
-
-
-def _rate_jacobians(prob: OptProblem, p_pos: np.ndarray) -> np.ndarray:
-    """Per-beam rate Jacobians (N, K, K), position space: entry [n, j, m] is
-    d rate_j / d p_m = (u_j [m >= j] - z_j [m >= j+1])/ln2 on beam n."""
-    u, z = _suffix_terms(prob, p_pos)
-    m = np.arange(p_pos.shape[1])
-    return (u[:, :, None] * (m >= m[:, None]) - z[:, :, None] * (m > m[:, None])) / LN2
 
 
 def gradient(prob: OptProblem, p: np.ndarray) -> np.ndarray:
@@ -438,6 +439,27 @@ def _min_powers(prob: OptProblem, c: float, tau) -> np.ndarray:
     return p_pos
 
 
+def _constraints(prob: OptProblem):
+    """Every constraint of the barrier as one linear system G x <= h over
+    the position-space powers x (the (N, K) matrix flattened row-major).
+
+    The rows, in order: a floor delta_j - p_j <= 0 for each free entry; the
+    budget sum(p) <= p_sum; and with a minimum rate, for every pair, the
+    SINR floor -p_j + c*T_{j+1} <= -c*a_j, c = 2^r_min - 1, which is
+    rate_j >= r_min multiplied out (per beam, row j of I - c*(strictly upper
+    ones), negated).  ``len(h)`` is the constraint count m of the gap m/t.
+    """
+    n, k = prob._a_pos.shape
+    var = prob._var_pos.ravel()
+    rows = [-np.eye(n * k)[var], np.ones((1, n * k))]
+    h = [-prob._delta_pos.ravel()[var], [prob.p_sum]]
+    if prob.r_min > 0:
+        c = float(np.expm1(prob.r_min * LN2))  # 2^r_min - 1, accurate at small r_min
+        rows.append(np.kron(np.eye(n), c * np.triu(np.ones((k, k)), 1) - np.eye(k)))
+        h.append(-c * prob._a_pos.ravel())
+    return np.concatenate(rows), np.concatenate(h)
+
+
 def feasible_start(prob: OptProblem) -> np.ndarray | None:
     """Strictly feasible starting point (user-index space), or ``None`` when
     no strictly feasible point exists.
@@ -450,9 +472,8 @@ def feasible_start(prob: OptProblem) -> np.ndarray | None:
     makes it infinite).  Otherwise the start is the recursion at c*(1 +
     theta), each power raised by theta times its floor plus the spare
     budget over 2NK, so every margin is relative to what it must clear,
-    with theta halved until every slack is positive as ``barrier_solve``
-    sums it: the budget's in SIC-position order, where a point on the
-    budget to round-off can have a zero slack that is positive in user order.
+    with theta halved until every slack h - G x of ``_constraints`` is
+    positive, the slack ``barrier_solve`` divides by.
     """
     if prob.r_min == 0:
         var = prob._var
@@ -462,16 +483,15 @@ def feasible_start(prob: OptProblem) -> np.ndarray | None:
         return p0
     c = float(np.expm1(prob.r_min * LN2))  # 2^r_min - 1, accurate at small r_min
     spare = prob.p_sum - float(_min_powers(prob, c, 0.0).sum())
+    if not spare > 0:
+        return None
+    g_mat, h = _constraints(prob)
     theta = 1.0
     # a budget within round-off of the least total leaves no strictly
     # feasible float point; theta stops once it cannot move the target
-    while spare > 0 and c * theta > np.spacing(c):
+    while c * theta > np.spacing(c):
         p_pos = _min_powers(prob, c * (1.0 + theta), theta * (prob._delta_pos + spare / (2 * prob.gains.size)))
-        if (
-            prob.p_sum - p_pos.sum() > 0
-            and (p_pos > prob._delta_pos).all()
-            and (_rates_pos(prob, p_pos) > prob.r_min).all()
-        ):
+        if (h - g_mat @ p_pos.ravel() > 0).all():
             return _to_user(prob, p_pos)
         theta /= 2.0
     return None
@@ -480,12 +500,16 @@ def feasible_start(prob: OptProblem) -> np.ndarray | None:
 def barrier_solve(prob: OptProblem, log=None) -> OptSolution:
     """Log-barrier outer loop with damped Newton centering.
 
-    Minimizes t*f + phi for t = BARRIER_T0, BARRIER_MU times that, ...,
-    where phi collects -log of the power-floor slacks, the budget slack,
-    and (when a minimum rate is set) the rate slacks.  The Newton matrix
-    (the per-beam objective blocks, the diagonal floor curvature, the
-    budget's rank-one coupling and, with a minimum rate, the rate-slack
-    curvature) is assembled and solved as one dense system.
+    Minimizes t*f - sum log s for t = BARRIER_T0, BARRIER_MU times that,
+    ..., where s = h - G x are the slacks of the linear system of
+    ``_constraints``: the power floors, the budget and (with a minimum
+    rate) the SINR floors.  Its gradient is t grad f + G^T (1/s), and its
+    Newton matrix the per-beam objective blocks on the block diagonal plus
+    G^T diag(1/s^2) G, solved over the free entries as one dense system.
+    Every constraint is linear and f is convex, so the central point at t
+    is within m/t of the optimum, m = len(h) (Boyd & Vandenberghe, Convex
+    Optimization, sec. 11.2.2), and the step cap is one ratio test over
+    G dx.
 
     A centering ends on its Newton decrement: once lambda^2/2 <=
     ``NEWTON_TOL``, or once lambda^2 stops falling in the quadratic phase
@@ -508,84 +532,62 @@ def barrier_solve(prob: OptProblem, log=None) -> OptSolution:
             status="infeasible",
         )
 
-    var = prob._var_pos
-    delta_pos = prob._delta_pos
+    g_mat, h = _constraints(prob)
+    m_constraints = len(h)
+    n, k = prob._var_pos.shape
+    live = np.flatnonzero(prob._var_pos.ravel())
+    g_live = g_mat[:, live]
     p_pos = _to_pos(prob, p0)
-    n_var = int(var.sum())
-    with_rate = prob.r_min > 0
-    m_constraints = n_var + 1 + (var.size if with_rate else 0)
-
-    def slacks(pp):
-        s1 = pp - delta_pos
-        s2 = prob.p_sum - pp.sum()
-        return s1, s2
 
     def barrier_value(pp, t):
-        s1, s2 = slacks(pp)
-        if s2 <= 0 or (s1[var] <= 0).any():
+        s = h - g_mat @ pp.ravel()
+        if not (s > 0).all():
             return np.inf
-        val = t * _objective_pos(prob, pp) - np.log(s1[var]).sum() - np.log(s2)
-        if with_rate:
-            s3 = _rates_pos(prob, pp) - prob.r_min
-            if (s3 <= 0).any():
-                return np.inf
-            val -= np.log(s3).sum()
-        return float(val)
+        return float(t * _objective_pos(prob, pp) - np.log(s).sum())
 
-    def newton_direction(pp, t):
+    def newton_direction(pp, s, t):
         """Newton step, decrement and gradient of the barrier objective; the
         gradient is zero off the free entries."""
-        s1, s2 = slacks(pp)
-        # t*f - sum log s3 has the derivatives of the rate sum at weights
-        # -t - 1/s3, and each -log s3_j adds to its Hessian the Gauss-Newton
-        # term grad(rate_j) grad(rate_j)^T/s3_j^2
-        w = -t
-        if with_rate:
-            s3 = _rates_pos(prob, pp) - prob.r_min
-            w = -t - 1.0 / s3
-        g, blocks = _rate_terms(prob, pp, w)
-        g[var] -= 1.0 / s1[var]
-        g += 1.0 / s2
-        if with_rate:
-            jac = _rate_jacobians(prob, pp) / s3[:, :, None]
-            blocks += np.swapaxes(jac, 1, 2) @ jac
-        g[~var] = 0.0
-        diag = np.zeros_like(pp)
-        diag[var] = 1.0 / s1[var] ** 2
-        dx = _dense_direction(prob, g, blocks, diag, 1.0 / s2**2)
-        return dx, float(-(g * dx).sum()), g
+        grad, blocks = _rate_terms(prob, pp, -t)
+        g = np.zeros(n * k)
+        g[live] = grad.ravel()[live] + g_live.T @ (1.0 / s)
+        hess = np.zeros((n, k, n, k))
+        hess[np.arange(n), :, np.arange(n), :] = blocks
+        scaled = g_live / s[:, None]
+        hess = hess.reshape(n * k, n * k)[np.ix_(live, live)] + scaled.T @ scaled
+        dx = np.zeros(n * k)
+        dx[live] = _dense_direction(hess, g[live])
+        return dx.reshape(n, k), float(-(g @ dx)), g.reshape(n, k)
 
     def center(pp, t, tol):
-        """Damped Newton on t*f + phi from ``pp`` (see above for its test):
-        the point, the steps taken, the barrier gradient there, and whether
-        the centering ended on its test."""
+        """Damped Newton on t*f - sum log s from ``pp`` (see above for its
+        test): the point, the steps taken, the barrier gradient there, and
+        whether the centering ended on its test."""
         last = np.inf
         for steps in range(MAX_NEWTON + 1):
-            dx, lam2, g = newton_direction(pp, t)
+            s = h - g_mat @ pp.ravel()
+            dx, lam2, g = newton_direction(pp, s, t)
             quad_phase = lam2 / 2.0 <= 0.1
             if lam2 / 2.0 <= tol or (quad_phase and lam2 >= last):
                 return pp, steps, g, True
             if steps == MAX_NEWTON:
                 break  # the step cap
             last = lam2
-            # largest step keeping the floor and budget slacks positive
+            # largest step keeping every slack positive
             alpha = 1.0
-            neg = dx < 0
-            if neg.any():
-                alpha = min(alpha, 0.99 * float(((pp - delta_pos)[neg] / -dx[neg]).min()))
-            climb = float(dx.sum())
-            if climb > 0:
-                alpha = min(alpha, 0.99 * (prob.p_sum - float(pp.sum())) / climb)
+            gdx = g_mat @ dx.ravel()
+            up = gdx > 0
+            if up.any():
+                alpha = min(alpha, 0.99 * float((s[up] / gdx[up]).min()))
             # in the quadratic phase the true decrease falls below the float
             # granularity of t*f, so only feasibility is checked there
             phi0 = None if quad_phase else barrier_value(pp, t)
-            slope = float((g * dx).sum())
             halvings = 0
             while halvings < 60:
                 trial = pp + alpha * dx
                 phi_trial = barrier_value(trial, t)
                 if np.isfinite(phi_trial) and (
-                    quad_phase or phi_trial <= phi0 + ARMIJO * alpha * slope
+                    quad_phase or phi_trial <= phi0 - ARMIJO * alpha * lam2
                 ):
                     break
                 alpha *= BACKTRACK
@@ -621,36 +623,21 @@ def barrier_solve(prob: OptProblem, log=None) -> OptSolution:
     )
 
 
-def _dense_direction(prob, g, blocks, diag, sigma):
-    """Solve the Newton system over the free entries: the per-beam blocks
-    (N, K, K) on the block diagonal, plus ``diag`` (N, K) on the diagonal and
-    the budget's rank-one coupling ``sigma`` everywhere, against the
-    gradient ``g``."""
-    var = prob._var_pos
-    n, k = var.shape
-    live_idx = np.flatnonzero(var.ravel())
-    h_full = np.zeros((n, k, n, k))
-    h_full[np.arange(n), :, np.arange(n), :] = blocks + diag[:, :, None] * np.eye(k)
-    # the budget's coupling goes straight into the dense system; eliminating
-    # it by a low-rank update cancels catastrophically once the budget
-    # constraint is strongly active
-    h_live = (h_full.reshape(n * k, n * k) + sigma)[np.ix_(live_idx, live_idx)]
-    rhs = -g.ravel()[live_idx]
+def _dense_direction(hess, g):
+    """Solve the Newton system ``hess dx = -g`` over the free entries."""
     # Jacobi scaling keeps the solve usable when near-active constraints
     # drive the barrier curvature many orders above the objective's
-    scale = np.sqrt(np.abs(np.diag(h_live)))
+    scale = np.sqrt(np.abs(np.diag(hess)))
     scale[scale == 0] = 1.0
-    h_scaled = h_live / scale[:, None] / scale[None, :]
-    rhs_scaled = rhs / scale
+    h_scaled = hess / scale[:, None] / scale[None, :]
+    rhs_scaled = -g / scale
+    # equal gains within a beam make its objective block rank one, and once
+    # t drives that block far above the barrier's curvature the solve can
+    # meet an exactly singular pivot: a ridge then steps in
     ridge = 0.0
     for _ in range(6):
         try:
-            sol = np.linalg.solve(h_scaled + ridge * np.eye(live_idx.size), rhs_scaled) / scale
-            break
+            return np.linalg.solve(h_scaled + ridge * np.eye(len(g)), rhs_scaled) / scale
         except np.linalg.LinAlgError:
             ridge = max(1e-10, ridge * 100 if ridge else 1e-10)
-    else:
-        sol = np.linalg.lstsq(h_scaled, rhs_scaled, rcond=None)[0] / scale
-    dx = np.zeros(n * k)
-    dx[live_idx] = sol
-    return dx.reshape(n, k)
+    return np.linalg.lstsq(h_scaled, rhs_scaled, rcond=None)[0] / scale

@@ -29,16 +29,35 @@ Every product and decomposition runs unit by unit or user by user, never
 across drops, so a user's outputs do not depend on the users stacked
 beside it, nor a unit's gains on the chunk that holds it.
 
+A unitary V on one user's receive antennas, V G with the beams held fixed,
+leaves that user's gains as they are, since the filter works in the
+user's receive space:
+``test_gains_do_not_depend_on_the_receive_basis_with_fixed_beams``.  With
+ZF recomputed on the turned channels it is no invariance, since ZF beam n
+sums the N_R composite columns of its anchor, which depend on the
+anchor's receive basis.
+
 (P, sigma^2) -> (cP, c sigma^2) is not an invariance of the gains: the
 MMSE gain counts every other beam at unit power, whatever the powers, a
-convention ``test_mimo_and_scalar_models_agree`` pins.
+convention ``test_mimo_and_scalar_models_agree`` pins.  Two more
+conventions concern a user covered by several beams.  Its beams carry one
+symbol, so their signals are correlated in B: B_ij = sum_k sqrt(Pi_ik
+Pi_jk) (``pattern.correlation_matrix``), of rank one for a user alone on
+two beams, as ``test_correlation_matrix_shared_user_rank_one`` and
+``test_singular_statistics_match_the_oracle`` pin.  Yet its rate is the
+sum of its per-beam pair rates, each from its own filter column and SIC
+stage as if the beams carried independent data, with no combining across
+beams: ``beam_sum_rates`` adds every pair rate, as
+``test_sum_rates_add_left_to_right`` pins.
 
 The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
 a (..., N, K) gain stack with one stable argsort, by gain alone: a user
 with no power adds an exact zero wherever it sits, so one order serves
 every power policy.  ``sic_sinrs`` computes the SINRs of a power stack
 under such orders.  ``_sic_sinr`` is the one SINR formula: ``sic_sinrs``
-and the optimizer's objective, rate constraints and barrier all reach it.
+and the optimizer's objective and constraint check all reach it; the
+barrier's rate floors are that SINR's floor multiplied out into linear
+rows.
 """
 
 from __future__ import annotations

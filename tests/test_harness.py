@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 from scipy.stats import gamma, kstest
 
 from lsapdma import harness, receiver
@@ -116,6 +117,31 @@ def test_config_validation():
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_text(text)
         assert all(name in str(err.value) for name in names)
+
+
+def test_config_rejects_a_user_count_the_baseline_pattern_cannot_cover(tmp_path, capfd):
+    # the oma pattern covers N users and the pnoma pattern 2N; another K
+    # under either power policy ended in a plain ValueError from the pattern
+    # code, not a ConfigError naming the pattern policy and the K it needs
+    from lsapdma.cli import main
+
+    for pattern_policy, need in (("oma", 3), ("pnoma", 6)):
+        for policy in ("fixed-ratio", "optimal"):
+            with pytest.raises(ConfigError) as err:
+                _cfg(schemes=("lsa-pdma",), pattern_policy=pattern_policy, users=(5,), policies=(policy,))
+            message = str(err.value)
+            assert "pattern_policy" in message and f"users = {need}" in message and "users = 5" in message
+            _cfg(schemes=("lsa-pdma",), pattern_policy=pattern_policy, users=(need,), policies=(policy,))  # accepted
+        out = tmp_path / pattern_policy
+        cfg = tmp_path / f"{pattern_policy}.cfg"
+        cfg.write_text(
+            f"[experiment]\nschemes = lsa-pdma\nusers = 5\ndrops = 3\n\n[pattern]\npolicy = {pattern_policy}\n\n"
+            f"[output]\npath = {out}\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capfd.readouterr().err
+        assert err == f"error: pattern_policy '{pattern_policy}' needs users = {need}, its K for N=3, got users = 5\n"
+        assert not out.exists()
 
 
 def test_config_rejects_repeated_sweep_values():
@@ -1497,6 +1523,27 @@ def test_oma_anchor_gains_follow_the_zf_snr_law():
         assert d < 1.95 / np.sqrt(drops), (n_beams, d)
 
 
+def test_oma_records_match_their_analytic_mean():
+    # by the ZF output SNR law above, an OMA record given the drop's
+    # large-scale gains beta has the mean sum_n E[log2(1 + (P/N) beta_n G /
+    # sigma^2)], G ~ Gamma(N_T - N N_R + 1, 1): a 60-node generalised
+    # Gauss-Laguerre sum per beam.  On fig5's shape and budgets the drops'
+    # records minus their means average within 3 paired SE of zero
+    cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
+    cfg = dataclasses.replace(cfg, schemes=("oma",), drops=2000, workers=1)
+    table, samples = run_monte_carlo(cfg, collect_samples=True)
+    assert table.redraws == 0  # each drop's first draw is its channels
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.drops)]
+    _, beta = _channels(cfg, cfg.n_beams, [np.random.Generator(np.random.Philox(s)) for s in states])
+    nodes, weights = roots_genlaguerre(60, cfg.n_tx - cfg.n_beams * cfg.n_rx)
+    weights = weights / weights.sum()
+    for db in cfg.p_sum_db:
+        snr = harness._budget(db) / cfg.n_beams * beta / cfg.cell.noise_variance  # (drops, N)
+        mean = (np.log2(1.0 + snr[..., None] * nodes) @ weights).sum(axis=1)
+        gap = samples[("oma", cfg.n_beams, db)] - mean
+        assert abs(gap.mean()) <= 3.0 * gap.std(ddof=1) / np.sqrt(cfg.drops), db
+
+
 def _rebuilt_rates(cfg, stack, channels, sigma2):
     """A chunk's rate table rebuilt from its set-ups ``stack``, with ZF, the
     gains and the rate tail computed again on ``channels`` at noise
@@ -1511,13 +1558,21 @@ def _rebuilt_rates(cfg, stack, channels, sigma2):
     return _tail_rates(cfg, stack, gains, budgets)[:, _layout(cfg).columns]
 
 
+def _haar(rng, shape, n):
+    """Haar unitaries (*shape, n, n) (Mezzadri, Notices AMS 54(5), 2007)."""
+    q, r = np.linalg.qr(rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n)))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def test_records_do_not_depend_on_the_transmit_basis_or_the_units():
     # whole-chain invariants (Chen et al., "Metamorphic Testing", ACM CSUR
     # 51(1), 2018): ZF recomputed on H U, U a Haar unitary per drop, sees
     # the same composite channels, and H -> aH with sigma^2 -> a^2 sigma^2
     # scales every SINR's numerator and denominator alike.  Records move by
-    # round-off only (the receive side and (P, sigma^2) -> (cP, c sigma^2)
-    # are not invariances: see the receiver module's docstring)
+    # round-off only (the receive side with ZF recomputed and (P, sigma^2)
+    # -> (cP, c sigma^2) are not invariances: see the receiver module's
+    # docstring)
     configs = Path(__file__).resolve().parent.parent / "configs"
     rng = np.random.default_rng(12)
     a = 7.3
@@ -1528,10 +1583,33 @@ def test_records_do_not_depend_on_the_transmit_basis_or_the_units():
         sigma2 = cfg.cell.noise_variance
         rates = _rebuilt_rates(cfg, stack, stack.channels, sigma2)
         assert np.array_equal(rates, _chunk_rates(cfg, states)[0]), name
-        q, r = np.linalg.qr(rng.normal(size=(64, cfg.n_tx, cfg.n_tx)) + 1j * rng.normal(size=(64, cfg.n_tx, cfg.n_tx)))
-        phases = np.diagonal(r, axis1=1, axis2=2)
-        haar = q * (phases / np.abs(phases))[:, None, :]  # Mezzadri, Notices AMS 54(5), 2007
+        haar = _haar(rng, (64,), cfg.n_tx)
         rotated = _rebuilt_rates(cfg, stack, tuple(ch @ haar[:, None] for ch in stack.channels), sigma2)
         scaled = _rebuilt_rates(cfg, stack, tuple(a * ch for ch in stack.channels), a**2 * sigma2)
         for moved in (rotated, scaled):
             assert np.abs(moved / rates - 1.0).max() <= 1e-12, name
+
+
+def test_gains_do_not_depend_on_the_receive_basis_with_fixed_beams():
+    # each user's channel turned by its own Haar unitary V (N_R x N_R),
+    # V H, with the chunk's ZF beams kept: the MMSE filter works in the
+    # user's receive space, so its gains move by round-off only.  Powered
+    # pairs (the gains a record reads) stay within 1e-12 relative, the
+    # records' bound; the other gains, down to the round-off of pairs the
+    # ZF beams null, within 1e-12 of their unit's largest gain
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    rng = np.random.default_rng(13)
+    for name in ("fig3", "fig4", "fig5"):
+        cfg = ExperimentConfig.from_file(configs / f"{name}.cfg")
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
+        stack = _chunk_set_ups(cfg, states, _layout(cfg).setups)
+        budgets = np.array([harness._budget(db) for db in cfg.p_sum_db])
+        scales = budgets / stack.powered.sum(axis=(-2, -1))[..., None]
+        sigma2 = cfg.cell.noise_variance
+        gains = drop_link_states(stack.channels, stack.beams, stack.powered, scales, sigma2)
+        turned = tuple(_haar(rng, ch.shape[:2], cfg.n_rx) @ ch for ch in stack.channels)
+        moved = drop_link_states(turned, stack.beams, stack.powered, scales, sigma2)
+        powered = np.broadcast_to(stack.powered[:, :, None], gains.shape)
+        assert np.abs(moved[powered] / gains[powered] - 1.0).max() <= 1e-12, name
+        largest = gains.max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(moved - gains) <= 1e-12 * largest).all(), name
