@@ -15,14 +15,13 @@ from .beamforming import (
 from .pattern import (
     PatternMatrix,
     correlation_matrix,
-    equal_splits,
     fixed_ratio_ladders,
     oma_pattern,
     pnoma_pattern,
     simple_beam_allocation,
     validate_pattern,
 )
-from .receiver import beam_sum_rates, drop_link_states, pair_rates, power_scales, sic_orders, sic_sinrs
+from .receiver import beam_sum_rates, drop_link_states, sic_orders, sic_sinrs
 from .optimizer import (
     OptProblem,
     OptSolution,

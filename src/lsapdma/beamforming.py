@@ -13,9 +13,9 @@ the least coverage (lowest diversity first, then the weakest, then the
 lowest index), and ``SelectedUserSet.nulled`` names the covered pairs that
 are lost anyway, so power policies can leave them unpowered.
 
-``rank_anchors`` gives a rank-assigned policy's pattern, anchors and
-powered support (the covered pairs less the nulled ones) in weakness-rank
-space, once per (policy, N, K).
+``rank_anchors`` gives a rank-assigned policy's anchors and powered
+support Pi (the covered pairs less the nulled ones) in weakness-rank space,
+once per (policy, N, K).
 
 ``zf_beamformers`` computes the beam vectors of a stack of units (one unit
 is one set-up of a drop: its anchors' channels) in one pass over the
@@ -158,14 +158,14 @@ def select_users(
 
 
 @functools.lru_cache(maxsize=64)
-def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated (N, K) pattern of ``simple``, ``pnoma`` or ``oma``, its
-    (N,) anchors and (N, K) powered support, the covered pairs less those
-    ``SelectedUserSet.nulled`` names, read-only, column r belonging to the
-    user of weakness rank r.  A drop whose users sorted weakest first are
-    ``order`` has the pattern and support with column r moved to user
-    ``order[r]`` and the anchors ``order[anchors]`` (see ``select_users``);
-    ``oma`` is the identity pattern whatever the ranks.
+def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N,) anchors and (N, K) powered support Pi of the validated
+    pattern of ``simple``, ``pnoma`` or ``oma``, Pi being the covered pairs
+    less those ``SelectedUserSet.nulled`` names, read-only, column r
+    belonging to the user of weakness rank r.  A drop whose users sorted
+    weakest first are ``order`` has the support with column r moved to
+    user ``order[r]`` and the anchors ``order[anchors]`` (see
+    ``select_users``); ``oma`` is the identity pattern whatever the ranks.
     """
     ranks = range(n_users)
     pattern = {
@@ -175,10 +175,10 @@ def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, n
     }[policy]()
     # the channels enter the selection only through their count
     omega = select_users([None] * n_users, pattern, np.arange(n_users))
-    triple = (pattern.entries, np.array(omega.users), omega.powered(pattern))
-    for array in triple:
+    pair = (np.array(omega.users), omega.powered(pattern))
+    for array in pair:
         array.setflags(write=False)
-    return triple
+    return pair
 
 
 def _ill_conditioned(gram) -> np.ndarray:

@@ -24,6 +24,9 @@ def _cmd_simulate(args) -> int:
         overrides["seed"] = args.seed
     if args.scheme is not None:
         overrides["schemes"] = (args.scheme,)
+        if args.scheme != "lsa-pdma":
+            # only lsa-pdma reads the pattern keys; the echo would show them
+            overrides.update(pattern_policy=ExperimentConfig.pattern_policy, fixed_pattern=None)
     if args.out is not None:
         overrides["output_path"] = args.out
     if overrides:

@@ -16,14 +16,16 @@ shared, and units that also share the pattern policy share the whole
 set-up: pattern, anchors, ZF beams and gains.  Each drop draws from its
 own generator, restarted from its saved state for each user count, and
 each user count's channels and large-scale gains over the chunk are one
-stacked draw (``channel.draw_channels``), so no per-user object is built.  A set-up's patterns, anchors and powered supports are
-one gather of its rank-space triple (``beamforming.rank_anchors``) through
-one stable argsort of the chunk's (C, K) hints; only a fixed pattern
-selects anchors drop by drop.
+stacked draw (``channel.draw_channels``), so no per-user object is built.
+A set-up's anchors and powered supports Pi are one gather of its
+rank-space pair (``beamforming.rank_anchors``) through one stable argsort
+of the chunk's (C, K) hints; only a fixed pattern selects anchors drop by
+drop.  Pi is the only support a set-up carries from its anchors to its
+rates: the stack holds no pattern.
 
 The chunk's S set-ups are one stack (``_Stack``) from the anchors to the
-gains: ``_chunk_set_ups`` allocates the patterns, anchors, powered
-supports and ZF beams once, zero-padded to the largest user count K, shape
+gains: ``_chunk_set_ups`` allocates the anchors, powered supports and ZF
+beams once, zero-padded to the largest user count K, shape
 (S, C, N, K) and the like, and writes each set-up into its slot; the
 channels stay one (C, K_s, N_R, N_T) array per user count.  The ZF
 precoders of every (set-up, drop) come from one ``zf_beamformers`` pass.
@@ -73,11 +75,13 @@ The optimal policy is the water-filling closed form
 water-filled across beams onto each beam's strongest user.  The floors are
 put on the (U, C, D, N, K) gain stack of the optimal units at each drop's
 anchors, and one ``water_fills`` call takes that stack, the D budgets, the
-gains' SIC orders and, under ``strict_pattern``, the (U, C, 1, N, K)
-covered pairs as they are.
-Unless ``strict_pattern`` restricts it to the pattern's pairs, the served
-user is the beam's strongest whatever the pattern covers, so the policy
-then ignores the pattern.
+gains' SIC orders and, under ``strict_pattern``, the units' (U, C, 1, N, K)
+powered supports Pi.  Pi is the pattern less the pairs the anchors null,
+and each beam keeps its own anchor in it; a nulled pair's gain is
+round-off, never a beam's strongest, and carries no floor, so Pi gives the
+powers the covered pairs would.  Unless ``strict_pattern`` restricts it to
+Pi, the served user is the beam's strongest whatever the pattern covers,
+so the policy then ignores the pattern.
 
 Baselines run through the same evaluator and the same rate tail, both as
 fixed-ratio ladders at the power-domain ratio ``pnoma_mu``, so they share
@@ -129,12 +133,14 @@ class ExperimentConfig:
     """One experiment: cell, array, schemes, sweeps, and output destination.
 
     Exactly one of ``p_sum_db`` / ``mu`` may hold more than one value; that
-    list is the sweep axis of the emitted table.  The values of ``users``,
-    ``p_sum_db`` and ``mu`` must be distinct.  For the baselines the user
-    count is forced (N for oma, 2N for pnoma); ``users`` applies to the
-    pattern-mapped scheme, and must be that same count when its pattern
-    policy is ``oma`` or ``pnoma``.  Both baselines run the fixed-ratio
-    ladder at ``pnoma_mu``; with one user per beam, oma never applies it.
+    list is the sweep axis of the emitted table.  The values of each list
+    (``schemes``, ``users``, ``policies``, ``p_sum_db``, ``mu``) must be
+    distinct.  For the baselines the user count is forced (N for oma, 2N
+    for pnoma); ``users`` applies to the pattern-mapped scheme, and must be
+    that same count when its pattern policy is ``oma`` or ``pnoma``.  Only
+    that scheme reads a ``fixed`` pattern, so such a pattern needs it.
+    Both baselines run the fixed-ratio ladder at ``pnoma_mu``; with one
+    user per beam, oma never applies it.
 
     The ``optimal`` policy is the water-filling closed form: with the
     default (non-strict) support it serves each beam's strongest user
@@ -208,11 +214,11 @@ class ExperimentConfig:
                         f"pattern_policy {self.pattern_policy!r} needs users = {forced}, "
                         f"its K for N={self.n_beams}, got users = {k}"
                     )
-        for name in ("users", "p_sum_db", "mu"):
+        for name in ("schemes", "users", "policies", "p_sum_db", "mu"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 # two evaluations of one drop would land in one result row
-                raise ConfigError(f"{name} repeats a value: {', '.join(f'{v:g}' for v in values)}")
+                raise ConfigError(f"{name} repeats a value: {_echo(values)}")
         if len(self.p_sum_db) > 1 and len(self.mu) > 1:
             raise ConfigError("only one of p_sum_db and mu may sweep")
         if self.pattern_policy == "fixed":
@@ -222,6 +228,9 @@ class ExperimentConfig:
                 raise ConfigError("fixed pattern must have one row per beam")
             if tuple(self.users) != (self.fixed_pattern.n_users,):
                 raise ConfigError("users must match the fixed pattern's column count")
+            if "lsa-pdma" not in self.schemes:
+                # only lsa-pdma reads the matrix; the echo would show it
+                raise ConfigError(f"pattern_policy 'fixed' needs the 'lsa-pdma' scheme, not schemes = {_echo(self.schemes)}")
         elif self.fixed_pattern is not None:
             # only a fixed pattern policy reads the matrix; the echo would show it
             raise ConfigError(f"a pattern matrix needs pattern_policy 'fixed', not {self.pattern_policy!r}")
@@ -274,7 +283,7 @@ def _check_float_range(cfg: ExperimentConfig) -> None:
     k_max = max(k for k, _ in layout.setups)
     powered = np.zeros((len(layout.setups), cfg.n_beams, k_max), dtype=bool)
     for s, (k, policy) in enumerate(layout.setups):
-        powered[s, :, :k] = cfg.fixed_pattern.entries == 1 if policy == "fixed" else rank_anchors(policy, cfg.n_beams, k)[2]
+        powered[s, :, :k] = cfg.fixed_pattern.entries == 1 if policy == "fixed" else rank_anchors(policy, cfg.n_beams, k)[1]
 
     def fits(at, mus):
         orders = np.broadcast_to(np.arange(k_max), (len(powered[at]), len(budgets), cfg.n_beams, k_max))
@@ -439,7 +448,6 @@ class _Stack(NamedTuple):
     from its own K_s on are pad users, uncovered and unpowered."""
 
     channels: tuple  # S arrays (C, K_s, N_R, N_T), real users only
-    entries: np.ndarray  # (S, C, N, K) pattern
     anchors: np.ndarray  # (S, C, N) anchor user of each beam
     powered: np.ndarray  # (S, C, N, K) Pi: covered pairs the ZF beams do not null
     beams: np.ndarray  # (S, C, N_T, N) ZF beam matrices
@@ -447,24 +455,22 @@ class _Stack(NamedTuple):
 
 
 def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints):
-    """Pattern entries (C, N, K), anchors (C, N) and powered supports
-    (C, N, K) of one set-up on C draws, given their channels
-    (C, K, N_R, N_T) and large-scale gains (C, K) as hints: a gather of
-    ``rank_anchors`` through the draws' ranks, or for a fixed pattern a
-    selection per draw."""
+    """Anchors (C, N) and powered supports Pi (C, N, K) of one set-up on C
+    draws, given their channels (C, K, N_R, N_T) and large-scale gains
+    (C, K) as hints: a gather of ``rank_anchors`` through the draws' ranks,
+    or for a fixed pattern a selection per draw."""
     n_draws, k = hints.shape
     if pattern_policy == "fixed":
         pattern = cfg.fixed_pattern
         omegas = [select_users(draw, pattern, h) for draw, h in zip(channels, hints)]
-        anchors, powered = np.array([omega.users for omega in omegas]), np.array([omega.powered(pattern) for omega in omegas])
-        return np.repeat(pattern.entries[None], n_draws, axis=0), anchors, powered
-    base, anchor_ranks, base_powered = rank_anchors(pattern_policy, cfg.n_beams, k)
+        return np.array([omega.users for omega in omegas]), np.array([omega.powered(pattern) for omega in omegas])
+    anchor_ranks, base_powered = rank_anchors(pattern_policy, cfg.n_beams, k)
     # users weakest first; the identity pattern of oma ignores the ranks
     order = np.argsort(hints, axis=1, kind="stable") if pattern_policy != "oma" else np.tile(np.arange(k), (n_draws, 1))
     # each user's column; stable like the chain's other argsorts (a process's
     # first default-kind argsort of integers costs about 0.3 MB of memory)
     rank = np.argsort(order, axis=1, kind="stable")
-    return base[:, rank].swapaxes(0, 1), order[:, anchor_ranks], base_powered[:, rank].swapaxes(0, 1)
+    return order[:, anchor_ranks], base_powered[:, rank].swapaxes(0, 1)
 
 
 def _anchor_channels(channels, anchors) -> np.ndarray:
@@ -484,10 +490,10 @@ def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _Stack:
     redraws = 0
     while True:
         channels, hints = _channels(cfg, k, [rng])
-        entries, anchors, powered = _anchored(cfg, pattern_policy, channels, hints)
+        anchors, powered = _anchored(cfg, pattern_policy, channels, hints)
         beams, singular = zf_beamformers(_anchor_channels(channels, anchors))
         if not singular[0]:
-            return _Stack((channels,), entries[None], anchors[None], powered[None], beams[None], np.array([[redraws]]))
+            return _Stack((channels,), anchors[None], powered[None], beams[None], np.array([[redraws]]))
         redraws += 1
         if redraws > MAX_REDRAWS:
             raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
@@ -510,11 +516,10 @@ def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
         for rng, start in zip(rngs, starts):
             rng.bit_generator.state = start
         draws[k] = _channels(cfg, k, rngs)
-    entries = np.zeros((len(keys), len(states), cfg.n_beams, max(draws)), dtype=int)
-    powered = np.zeros(entries.shape, dtype=bool)
-    anchors = np.zeros(entries.shape[:-1], dtype=int)
+    powered = np.zeros((len(keys), len(states), cfg.n_beams, max(draws)), dtype=bool)
+    anchors = np.zeros(powered.shape[:-1], dtype=int)
     for s, (k, pattern_policy) in enumerate(keys):
-        entries[s, ..., :k], anchors[s], powered[s, ..., :k] = _anchored(cfg, pattern_policy, *draws[k])
+        anchors[s], powered[s, ..., :k] = _anchored(cfg, pattern_policy, *draws[k])
     channels = [draws[k][0] for k, _ in keys]
     beams, singular = zf_beamformers(np.concatenate([_anchor_channels(g, a) for g, a in zip(channels, anchors)]))
     beams = beams.reshape(anchors.shape[:2] + beams.shape[1:])
@@ -525,9 +530,9 @@ def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
         if channels[s] is draws[k][0]:  # the draw the other set-ups of K share
             channels[s] = channels[s].copy()
         channels[s][c] = one.channels[0][0]
-        entries[s, c, :, :k], anchors[s, c], powered[s, c, :, :k] = one.entries[0, 0], one.anchors[0, 0], one.powered[0, 0]
+        anchors[s, c], powered[s, c, :, :k] = one.anchors[0, 0], one.powered[0, 0]
         beams[s, c], redraws[s, c] = one.beams[0, 0], one.redraws[0, 0]
-    return _Stack(tuple(channels), entries, anchors, powered, beams, redraws)
+    return _Stack(tuple(channels), anchors, powered, beams, redraws)
 
 
 def _shared(values) -> np.ndarray:
@@ -535,14 +540,6 @@ def _shared(values) -> np.ndarray:
     array = np.array(values)
     array.flags.writeable = False
     return array
-
-
-def _picker(setups):
-    """An index of the padded stack's set-up axis picking ``setups``: a
-    slice where they run consecutively, so the pick is a view, not a copy."""
-    if all(b == a + 1 for a, b in zip(setups, setups[1:])):
-        return slice(setups[0], setups[-1] + 1)
-    return _shared(setups)
 
 
 def _tail_rates(cfg: ExperimentConfig, stack: _Stack, gains, budgets) -> np.ndarray:
@@ -555,30 +552,32 @@ def _tail_rates(cfg: ExperimentConfig, stack: _Stack, gains, budgets) -> np.ndar
     ``sic_orders`` call orders every beam of the gains.  Each policy call
     then covers all of its units: the units of one mu list share one
     ``fixed_ratio_ladders`` call, and the optimal units one ``water_fills``
-    call with the anchors' floors and the orders.  Each gives a
-    (U, C, D, M, N, K) power stack, M = 1 but for a mu sweep's ladders, and
-    one ``beam_sum_rates`` call, the gains and orders broadcast over the mu
-    axis.
+    call with the anchors' floors, the orders and, under
+    ``strict_pattern``, their powered supports Pi as the support.  Each
+    gives a (U, C, D, M, N, K) power stack, M = 1 but for a mu sweep's
+    ladders, and one ``beam_sum_rates`` call, the gains and orders
+    broadcast over the mu axis.
     """
     orders = sic_orders(gains)  # (S, C, D, N, K)
     n_drops, n_budgets, n_beams, n_users = gains.shape[1:]
     rates = []
     for power_policy, mus, at in _layout(cfg).calls:
+        unit_gains, unit_orders = gains[at], orders[at]  # (U, C, D, N, K)
         if power_policy == "fixed-ratio":
             powers = fixed_ratio_ladders(
                 stack.powered[at].reshape((-1, n_beams, n_users)),
                 mus,
-                orders[at].reshape((-1, n_budgets, n_beams, n_users)),
+                unit_orders.reshape((-1, n_budgets, n_beams, n_users)),
                 budgets,
             )
             powers = powers.reshape((-1, n_drops) + powers.shape[1:])
         else:  # optimal
             # each beam's anchor keeps the floor ANCHOR_FLOOR of each budget
-            delta = np.zeros(gains[at].shape)
+            delta = np.zeros(unit_gains.shape)
             np.put_along_axis(delta, stack.anchors[at][:, :, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
-            covered = (stack.entries[at] == 1)[:, :, None] if cfg.strict_pattern else None  # (U, C, 1, N, K)
-            powers = water_fills(gains[at], budgets, delta, covered, orders[at])[:, :, :, None]
-        unit_rates = beam_sum_rates(gains[at][:, :, :, None], powers, orders[at][:, :, :, None])  # (U, C, D, M)
+            support = stack.powered[at][:, :, None] if cfg.strict_pattern else None  # (U, C, 1, N, K)
+            powers = water_fills(unit_gains, budgets, delta, support, unit_orders)[:, :, :, None]
+        unit_rates = beam_sum_rates(unit_gains[:, :, :, None], powers, unit_orders[:, :, :, None])  # (U, C, D, M)
         rates.append(unit_rates.swapaxes(0, 1).reshape(n_drops, -1))
     return np.concatenate(rates, axis=1)
 
@@ -613,7 +612,7 @@ def _layout(cfg: ExperimentConfig) -> _Layout:
     for u in (u for members in calls.values() for u in members):
         offsets[u] = offset
         offset += len(cfg.p_sum_db) * len(units[u][4])
-    calls = tuple((*key, _picker([unit_setups[u] for u in members])) for key, members in calls.items())
+    calls = tuple((*key, _shared([unit_setups[u] for u in members])) for key, members in calls.items())
     mu_axis = cfg.sweep_axis == "mu"
     columns, records = [], []
     for u, (label, k, _, power_policy, mus) in enumerate(units):

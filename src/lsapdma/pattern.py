@@ -13,9 +13,10 @@ matrices are checked by one routine, ``_check_powers``, which takes a stack
 of shape (..., N, K).  The power policies take a (C, N, K) stack of powered
 supports Pi (one per drop of a chunk: the covered pairs less those the ZF
 anchors null) and build every matrix for all D budgets at once, checked
-once as a stack: ``equal_splits`` gives the (C, D, N, K) equal splits and
-``fixed_ratio_ladders`` the (C, D, M, N, K) ladders of a gain-factor sweep,
-from per-budget SIC orders.  ``equal_power`` is the equal split of one
+once as a stack.  ``fixed_ratio_ladders`` is the one split rule: it gives
+the (C, D, M, N, K) ladders of a gain-factor sweep, from per-budget SIC
+orders.  The equal split is its ladder at mu = 1, every step 1 and each
+power the budget over Pi's count; ``equal_power`` is that ladder of one
 budget on one pattern, a checked (N, K) matrix: the stack of one.
 
 Every total over a stack's last axis that a pad user may enter is taken by
@@ -356,25 +357,17 @@ def fixed_ratio_ladders(powered: np.ndarray, mus, sic_orders, p_sum) -> np.ndarr
     return ladders
 
 
-def equal_splits(powered: np.ndarray, p_sum) -> np.ndarray:
-    """Equal split of each budget ``p_sum[d]`` across the powered (beam,
-    user) pairs of each support of a (C, N, K) boolean stack, shape
-    (C, D, N, K).  Checked once as a stack."""
-    p_sum = _budgets(p_sum)
-    support = _powered_stack(powered)[:, None]  # (C, 1, N, K)
-    splits = support * (p_sum / support.sum(axis=(-2, -1)))[..., None, None]
-    _check_powers(splits, support, p_sum)
-    return splits
-
-
 def equal_power(pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None = None) -> np.ndarray:
     """The equal split of one budget on one pattern, shape (N, K), over its
-    covered pairs less the ``nulled`` ones (none by default; see
-    ``equal_splits``)."""
+    covered pairs less the ``nulled`` ones (none by default): the
+    ``fixed_ratio_ladders`` ladder at mu = 1, whose steps are all 1, so
+    each powered pair gets the budget over their count, which ``left_sum``
+    counts exactly, whatever the SIC order."""
     powered = pattern.entries == 1
     if nulled is not None:
         powered &= ~np.asarray(nulled, dtype=bool)
-    return equal_splits(powered[None], [p_sum])[0, 0]
+    orders = np.broadcast_to(np.arange(pattern.n_users), (1, 1) + powered.shape)
+    return fixed_ratio_ladders(powered[None], [1.0], orders, [p_sum])[0, 0, 0]
 
 
 def correlation_matrix(power) -> np.ndarray:

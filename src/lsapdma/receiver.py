@@ -197,32 +197,16 @@ def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.n
     return out.reshape(p.shape)
 
 
-def pair_rates(sinrs) -> np.ndarray:
-    """Per-pair rates log2(1 + gamma) of an SINR array of any shape."""
-    gammas = np.asarray(sinrs, dtype=float)
-    if np.count_nonzero(gammas < 0):
-        raise ValueError("SINRs must be nonnegative")
-    return np.log2(1.0 + gammas)
-
-
 def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Sum rate of each power matrix of a stack (..., N, K) under SIC with
     the given orders (see ``sic_sinrs``), shape (...): each beam's rates
     summed over its users in user order, then the beams added in beam
     order, both by ``left_sum``, so a user with zero gain and no power
     appended to the stack, a pad user, changes no bit of the sum rate.
-    The gains and orders may carry a length-one axis that the powers sweep
-    (see ``sic_sinrs``)."""
-    return left_sum(left_sum(pair_rates(sic_sinrs(gains, powers, orders))))
-
-
-def power_scales(powers) -> tuple[np.ndarray, np.ndarray]:
-    """Each power matrix of a stack (..., N, K) as s * Pi, with s its
-    largest power (...) and Pi = P / s (..., N, K); a zero matrix has
-    s = 0 and Pi = 0.  An equal split's Pi is its 0/1 powered support."""
-    p = np.asarray(powers, dtype=float)
-    s = p.max(axis=(-2, -1))
-    return p / np.where(s > 0, s, 1.0)[..., None, None], s
+    Each pair's rate is log2(1 + gamma), gamma >= 0 since ``sic_sinrs``
+    refuses negative powers.  The gains and orders may carry a length-one
+    axis that the powers sweep (see ``sic_sinrs``)."""
+    return left_sum(left_sum(np.log2(1.0 + sic_sinrs(gains, powers, orders))))
 
 
 def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:
@@ -233,8 +217,7 @@ def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:
     (C, K_s, N_R, N_T), real users only (set-ups of one user count may pass
     one array); ``beams`` holds the ZF beam matrices (S, C, N_T, N), ``pi``
     each unit's power shape Pi (S, C, N, K) and ``s`` its D scales
-    (S, C, D), the unit's d-th power matrix being s[d] * Pi (see
-    ``power_scales``).  The columns of set-up s past its K_s users are pad
+    (S, C, D), the unit's d-th power matrix being s[d] * Pi.  The columns of set-up s past its K_s users are pad
     users, which must carry no power, enter no filter and get zero gains.
     Each set-up's users see their channels through their unit's beams as
     M = G F, one (K_s N_R, N_T) @ (N_T, N) product per unit (each entry the
@@ -286,9 +269,12 @@ def build_link_state(
 ) -> LinkState:
     """Receive chain of one drop at one (N, K) power matrix: the
     ``drop_link_states`` call of one set-up on one drop (S = C = D = 1) at
-    that matrix, as s * Pi."""
+    that matrix as s * Pi, with s its largest power and Pi = P / s (a zero
+    matrix has s = 0 and Pi = 0; an equal split's Pi is its 0/1 powered
+    support)."""
     power = np.asarray(power, dtype=float)
-    pi, s = power_scales(power)
+    s = power.max()
+    pi = power / (s if s > 0 else 1.0)
     g = np.array([ch.entries for ch in channels])
-    gains = drop_link_states([g[None]], beams.beam_matrix[None, None], pi[None, None], s.reshape(1, 1, 1), sigma2)
+    gains = drop_link_states([g[None]], beams.beam_matrix[None, None], pi[None, None], np.reshape(s, (1, 1, 1)), sigma2)
     return LinkState(gains=gains[0, 0, 0])

@@ -40,17 +40,16 @@ from lsapdma.optimizer import ANCHOR_FLOOR, OptProblem, water_fills
 from lsapdma.pattern import (
     PatternMatrix,
     equal_power,
-    equal_splits,
     fixed_ratio_ladders,
     oma_pattern,
     pnoma_pattern,
     simple_beam_allocation,
 )
-from lsapdma.receiver import beam_sum_rates, build_link_state, drop_link_states, pair_rates, power_scales, sic_orders
+from lsapdma.receiver import beam_sum_rates, build_link_state, drop_link_states, sic_orders
 from test_golden_records import CASES, case_config
 from test_optimizer import _water_fill_reference
 from test_pattern import _ladder_reference
-from test_receiver import _beam_sinrs
+from test_receiver import _beam_sinrs, _equal_splits, _power_scales
 
 FAST_CELL = CellConfig()
 
@@ -59,7 +58,7 @@ def _beam_rate(h, p, order):
     """A beam's sum rate under SIC, ``order`` listing the powered users
     weakest first (see ``_beam_sinrs``): its users' rates added left to
     right in user order, as ``beam_sum_rates`` adds them."""
-    return float(np.cumsum(pair_rates(_beam_sinrs(h, p, order)))[-1])
+    return float(np.cumsum(np.log2(1.0 + _beam_sinrs(h, p, order)))[-1])
 
 
 def _ladder(pattern, mu, orders, p_sum, nulled):
@@ -145,12 +144,53 @@ def test_config_rejects_a_user_count_the_baseline_pattern_cannot_cover(tmp_path,
 
 
 def test_config_rejects_repeated_sweep_values():
-    # a repeat would put two evaluations of each drop into one result row
-    for field, values in (("users", (5, 5)), ("p_sum_db", (10.0, 10.0)), ("mu", (1.0, 1.0, 2.0))):
+    # a repeat would put two evaluations of each drop into one result row:
+    # a repeated scheme or power policy gave two records under one
+    # (scheme, K, sweep) key, and run_monte_carlo kept only the last column
+    for field, values in (
+        ("users", (5, 5)),
+        ("p_sum_db", (10.0, 10.0)),
+        ("mu", (1.0, 1.0, 2.0)),
+        ("schemes", ("oma", "oma")),
+        ("policies", ("optimal", "optimal")),
+    ):
         with pytest.raises(ConfigError, match=field):
-            _cfg(schemes=("lsa-pdma",), **{field: values})
+            _cfg(**{"schemes": ("lsa-pdma",), field: values})
     with pytest.raises(ConfigError, match="users"):
         ExperimentConfig.from_text("[experiment]\nusers = 5, 5\n")
+    for text, message in (
+        ("[experiment]\nschemes = oma, oma\n", "schemes repeats a value: oma, oma"),
+        ("[power]\npolicies = optimal, optimal\n", "policies repeats a value: optimal, optimal"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_text(text)
+        assert str(err.value) == message
+
+
+def test_a_pattern_matrix_needs_the_pattern_mapped_scheme(tmp_path):
+    # only lsa-pdma reads a fixed pattern; a run without it echoed a
+    # matrix that never ran into summary.txt
+    for schemes in (("oma",), ("oma", "pnoma")):
+        with pytest.raises(ConfigError) as err:
+            _cfg(schemes=schemes, users=(5,), pattern_policy="fixed", fixed_pattern=B35)
+        assert "pattern_policy" in str(err.value) and "'lsa-pdma'" in str(err.value)
+    _cfg(schemes=("oma", "lsa-pdma"), users=(5,), pattern_policy="fixed", fixed_pattern=B35)  # accepted
+    # a single-baseline run of a fixed-pattern config resets the pattern
+    # keys it does not read
+    from lsapdma.cli import main
+
+    cfg = tmp_path / "fixed.cfg"
+    matrix = "\n  ".join(" ".join(map(str, row)) for row in B35.entries)
+    cfg.write_text(f"[experiment]\nschemes = lsa-pdma\nusers = 5\ndrops = 2\n\n[pattern]\npolicy = fixed\nmatrix = {matrix}\n")
+    for scheme in ("oma", "pnoma", "lsa-pdma"):
+        out = tmp_path / scheme
+        assert main(["simulate", "--config", str(cfg), "--scheme", scheme, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert f"schemes = {scheme}" in summary
+        if scheme == "lsa-pdma":
+            assert "policy = fixed" in summary and "matrix = " in summary
+        else:
+            assert "policy = simple" in summary and "matrix = " not in summary
 
 
 def test_config_rejects_bad_power_and_run_parameters(monkeypatch):
@@ -456,7 +496,6 @@ def _drawn(cfg, k, pattern_policy, state):
     pattern, omega = _oracle_setup(cfg, k, pattern_policy, channels)
     beams = compute_zfbf(channels, omega)
     assert np.array_equal(setup.channels[0][0], [ch.entries for ch in channels])
-    assert np.array_equal(setup.entries[0, 0], pattern.entries)
     assert setup.anchors[0, 0].tolist() == list(omega.users)
     assert np.array_equal(setup.powered[0, 0], (pattern.entries == 1) & ~omega.nulled(pattern))
     assert np.array_equal(setup.beams[0, 0], beams.beam_matrix)
@@ -493,8 +532,8 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
         state = np.random.SeedSequence(seed)
         draw = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state))])
         first = draw[0][0]
-        target = tuple(_anchored(cfg, "pnoma", *draw)[1][0].tolist())
-        assert tuple(_anchored(cfg, "simple", *draw)[1][0].tolist()) != target
+        target = tuple(_anchored(cfg, "pnoma", *draw)[0][0].tolist())
+        assert tuple(_anchored(cfg, "simple", *draw)[0][0].tolist()) != target
         plain = run_drop(cfg, state)
         with monkeypatch.context() as m:
             _singular_on_first_draw(m, first, lambda users: users == target)
@@ -529,7 +568,7 @@ def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
     shared = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state)) for state in states])
     keys = _layout(cfg).setups
     pnoma, lsa = keys.index((6, "pnoma")), keys.index((6, "simple"))
-    target = tuple(_anchored(cfg, "pnoma", *shared)[1][1].tolist())
+    target = tuple(_anchored(cfg, "pnoma", *shared)[0][1].tolist())
     with monkeypatch.context() as m:
         _singular_on_first_draw(m, shared[0][1], lambda users: users == target)
         stack = _chunk_set_ups(cfg, states, keys)
@@ -545,8 +584,9 @@ def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
 def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
     # _chunk_rates hands drop_link_states the stack's boolean powered
     # support as the power shape Pi and the equal splits' largest powers as
-    # the scales: bit for bit the (Pi, s) that power_scales takes from
-    # equal_splits of the stack's Pi at every budget, on a chunk of each
+    # the scales: bit for bit the (Pi, s), largest power and the matrix
+    # over it, of the equal splits (the mu = 1 ladders) of the stack's Pi at
+    # every budget, on a chunk of each
     # shipped preset and on a fig4 chunk whose first set-up is singular on
     # its first draw
     import lsapdma.harness as harness
@@ -574,8 +614,8 @@ def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
         assert redraws.any() == singular, preset
         n_setups, n_drops, n_budgets = seen["s"].shape
         powered = seen["stack"].powered
-        splits = equal_splits(powered.reshape((-1,) + powered.shape[2:]), [10.0 ** (db / 10.0) for db in cfg.p_sum_db])
-        pi, s = power_scales(splits.reshape((n_setups, n_drops) + splits.shape[1:]))
+        splits = _equal_splits(powered.reshape((-1,) + powered.shape[2:]), [10.0 ** (db / 10.0) for db in cfg.p_sum_db])
+        pi, s = _power_scales(splits.reshape((n_setups, n_drops) + splits.shape[1:]))
         assert seen["pi"].dtype == bool and seen["pi"].shape[:2] == (n_setups, n_drops)
         assert np.array_equal(seen["s"], s), preset
         for d in range(n_budgets):
@@ -584,8 +624,8 @@ def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
 
 def test_the_orthogonal_baseline_runs_the_equal_split():
     # oma's records are, bit for bit, the sum rates of the equal split of
-    # each budget over its powered support: beam_sum_rates of equal_splits
-    # of the chunk's own Pi, on the gains drop_link_states gives for those
+    # each budget over its powered support: beam_sum_rates of the mu = 1
+    # ladders of the chunk's own Pi, on the gains drop_link_states gives for those
     # splits, in their SIC orders.  On chunks of fig4 (a mu sweep, whose
     # oma record repeats per mu) and fig5 (two budgets), each a K = 7 stack
     # that pads oma's three users with four, and of fig5 at pnoma_mu = 0.7,
@@ -600,7 +640,7 @@ def test_the_orthogonal_baseline_runs_the_equal_split():
         budgets = np.array([10.0 ** (db / 10.0) for db in cfg.p_sum_db])
         n_setups, n_drops, n_beams, n_users = stack.powered.shape
         assert n_users == 7
-        splits = equal_splits(stack.powered.reshape((-1, n_beams, n_users)), budgets)
+        splits = _equal_splits(stack.powered.reshape((-1, n_beams, n_users)), budgets)
         splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])
         gains = drop_link_states(stack.channels, stack.beams, stack.powered, splits.max(axis=(-2, -1)), cfg.cell.noise_variance)
         oma = layout.setups.index((cfg.n_beams, "oma"))
@@ -616,10 +656,10 @@ def test_the_orthogonal_baseline_runs_the_equal_split():
 def test_rank_space_set_ups_equal_the_per_drop_oracle():
     # every simple shape N <= K <= 2^N - 1 and the power-domain K = 2N, N =
     # 2 ... 5, on log-normal hints and on hints with exact ties: the
-    # pattern, anchors and powered supports gathered from the rank-space
-    # triple over a stack of draws equal, draw by draw, the policy's
-    # pattern built on that draw's weakness order, select_users on its
-    # hints and the covered pairs less SelectedUserSet.nulled
+    # anchors and powered supports gathered from the rank-space pair over
+    # a stack of draws equal, draw by draw, select_users on that draw's
+    # hints for the policy's pattern built on its weakness order, and the
+    # covered pairs less SelectedUserSet.nulled
     rng = np.random.default_rng(29)
     cases = [(n, k, "simple") for n in (2, 3, 4, 5) for k in range(n, 2**n)]
     cases += [(n, 2 * n, "pnoma") for n in (2, 3, 4, 5)] + [(n, n, "oma") for n in (2, 5)]
@@ -631,10 +671,9 @@ def test_rank_space_set_ups_equal_the_per_drop_oracle():
             [ChannelMatrix(entries=np.ones((1, n), dtype=complex), large_scale_gain=h) for h in row] for row in hints
         ]
         setups = _anchored(cfg, policy, np.ones((len(hints), k, 1, n), dtype=complex), hints)
-        assert setups[0].shape == setups[2].shape == (len(draws), n, k)
-        for draw, entries, anchors, powered in zip(draws, *setups):
+        assert setups[0].shape == (len(draws), n) and setups[1].shape == (len(draws), n, k)
+        for draw, anchors, powered in zip(draws, *setups):
             pattern, omega = _oracle_setup(cfg, k, policy, draw)
-            assert np.array_equal(entries, pattern.entries), (n, k, policy)
             assert anchors.tolist() == list(omega.users), (n, k, policy)
             assert np.array_equal(powered, (pattern.entries == 1) & ~omega.nulled(pattern)), (n, k, policy)
     # no rank-assigned shape above needs select_users' augmenting path; a
@@ -1263,7 +1302,7 @@ def test_stacked_tail_matches_the_per_budget_path():
                 for channels, pattern, omega, beams, _ in setups:
                     nulled = omega.nulled(pattern)
                     saw_nulled |= nulled.any()
-                    splits = equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)[0]
+                    splits = _equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)[0]
                     gains.append([build_link_state(channels, beams, split, 1.0).gains for split in splits])
                 gains = np.array(gains)
                 zeroed = gains.copy()
@@ -1468,7 +1507,7 @@ def test_a_fig5_drop_builds_no_problem_and_no_per_budget_allocation(monkeypatch)
     checked.clear()
     equal_power(oma_pattern(3), 1.0)
     OptProblem.build(np.ones((1, 1)), 1.0)
-    assert checked == [(1, 1, 3, 3)] and built == ["OptProblem"]
+    assert checked == [(1, 1, 1, 3, 3)] and built == ["OptProblem"]
 
 
 def test_fig4_runs_at_high_budgets():
@@ -1588,6 +1627,47 @@ def test_records_do_not_depend_on_the_transmit_basis_or_the_units():
         scaled = _rebuilt_rates(cfg, stack, tuple(a * ch for ch in stack.channels), a**2 * sigma2)
         for moved in (rotated, scaled):
             assert np.abs(moved / rates - 1.0).max() <= 1e-12, name
+
+
+def test_records_do_not_depend_on_the_user_labels(monkeypatch):
+    # the whole chain on each drop's users relabelled by a seeded
+    # permutation, channels and large-scale gains together.  The simple and
+    # power-domain patterns give each user its column by weakness rank, and
+    # select_users anchors by (diversity, rank), so every user keeps its
+    # column, anchor role, gains and powers under its new label; the oma
+    # pattern ignores the ranks, so relabelling its users only relabels its
+    # beams.  Only the order of the sums over users and beams moves, so
+    # records move by round-off only (measured: at most 2.9e-15 on the
+    # presets, 4.5e-16 at N = 8), on chunks of the presets and at N = 8,
+    # n_tx = 128 with every scheme and both policies
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cases = [ExperimentConfig.from_file(configs / f"{name}.cfg") for name in ("fig3", "fig4", "fig5")]
+    cases.append(
+        ExperimentConfig(
+            n_beams=8,
+            n_tx=128,
+            schemes=("oma", "pnoma", "lsa-pdma"),
+            users=(16, 32),
+            policies=("fixed-ratio", "optimal"),
+            p_sum_db=(0.0, 20.0),
+        )
+    )
+
+    def relabelled(cfg, k, rngs, real=harness._channels):
+        channels, hints = real(cfg, k, rngs)
+        labels = np.argsort(np.random.default_rng(k).random((len(rngs), k)), axis=1)
+        assert (labels != np.arange(k)).any()
+        drops = np.arange(len(rngs))[:, None]
+        return channels[drops, labels], hints[drops, labels]
+
+    for cfg in cases:
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
+        rates, redraws = _chunk_rates(cfg, states)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_channels", relabelled)
+            moved, moved_redraws = _chunk_rates(cfg, states)
+        assert np.array_equal(moved_redraws, redraws)
+        assert np.abs(moved / rates - 1.0).max() <= 1e-13, cfg.n_beams
 
 
 def test_gains_do_not_depend_on_the_receive_basis_with_fixed_beams():

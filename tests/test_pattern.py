@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from lsapdma.pattern import (
     _simple_columns,
     correlation_matrix,
     equal_power,
-    equal_splits,
     fixed_ratio_ladders,
     format_pattern_text,
     left_sum,
@@ -346,15 +346,15 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
     _, n, k = entries.shape
     # the one unit of this config is the optimal policy's
     cfg = ExperimentConfig(n_beams=n, users=(k,), policies=("optimal",))
-    _tail_rates(cfg, _Stack(None, entries[None], anchors[None], None, None, None), gains[None], budgets)
+    _tail_rates(cfg, _Stack(None, anchors[None], None, None, None), gains[None], budgets)
     return seen[0][0]
 
 
 def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
     # a (C, N, K) stack of C patterns' entries, with one nulled mask, one
     # order stack and one anchor set each, gives the C stacks of the
-    # patterns run one at a time, bit for bit: equal splits (C, D, N, K),
-    # ladders (C, D, M, N, K) and the harness's anchor floors (C, D, N, K),
+    # patterns run one at a time, bit for bit: ladders (C, D, M, N, K) and
+    # the harness's anchor floors (C, D, N, K),
     # each drop's floors those of its anchor pairs given as a tuple or as
     # an (N, 2) array
     mus = (0.25, 0.3, 1.7, 8.0)
@@ -374,15 +374,13 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
             nulled, orders = np.array(nulled), np.array(orders)
             stack = np.array([pattern.entries for pattern in patterns])
             powered = (stack == 1) & ~nulled
-            splits = equal_splits(powered, budgets)
             ladders = fixed_ratio_ladders(powered, mus, orders, budgets)
             gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
             users = np.array([omega.users for omega in anchors])
             floors = _harness_floors(monkeypatch, stack, users, gains, np.array(budgets))
-            assert splits.shape == gains.shape and ladders.shape == (3, len(budgets), len(mus), n, k)
+            assert ladders.shape == (3, len(budgets), len(mus), n, k)
             for c, pattern in enumerate(patterns):
                 alone = _powered(pattern, nulled[c])
-                assert np.array_equal(splits[c], equal_splits(alone, budgets)[0])
                 assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, mus, orders[c][None], budgets)[0])
                 assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c].pairs, 1e-6 * np.array(budgets)))
                 pairs = np.array(anchors[c].pairs)
@@ -394,9 +392,56 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
     # are not its powered support
     for bad in (powered[0], stack):
         with pytest.raises(ValueError, match=r"\(C, N, K\) boolean"):
-            equal_splits(bad, budgets)
-        with pytest.raises(ValueError, match=r"\(C, N, K\) boolean"):
             fixed_ratio_ladders(bad, mus, orders, budgets)
+
+
+def test_the_strict_optimal_policy_reads_the_powered_support(monkeypatch):
+    # under strict_pattern the optimal policy's water-fill takes the
+    # stack's powered support Pi as its support: on every (set-up, drop) a
+    # subset of the drop's pattern, the covered pairs less those the ZF
+    # anchors null, that keeps each beam's own anchor.  A nulled pair's
+    # gain is round-off, never a beam's strongest, so the powers are those
+    # of the covered pairs (test_stacked_tail_matches_the_per_budget_path).
+    # On chunks of fig5 and of a fixed pattern under both policies
+    fig5 = ExperimentConfig.from_file(CONFIGS / "fig5.cfg")
+    fixed = dict(schemes=("lsa-pdma",), users=(5,), policies=("fixed-ratio", "optimal"), pattern_policy="fixed")
+    saw_nulled = False
+    for cfg in (
+        dataclasses.replace(fig5, strict_pattern=True),
+        dataclasses.replace(fig5, **fixed, fixed_pattern=PatternMatrix(B35), strict_pattern=True),
+    ):
+        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
+        seen = {}
+
+        def set_ups(cfg, states, keys, real=harness._chunk_set_ups):
+            seen["stack"] = real(cfg, states, keys)
+            return seen["stack"]
+
+        def recorded(gains, p_sum, delta, support=None, orders=None):
+            seen["support"] = support
+            return water_fills(gains, p_sum, delta, support, orders)
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_chunk_set_ups", set_ups)
+            m.setattr(harness, "water_fills", recorded)
+            _, redraws = harness._chunk_rates(cfg, states)
+        assert not redraws.any()
+        layout, stack = harness._layout(cfg), seen["stack"]
+        ((_, _, at),) = [call for call in layout.calls if call[0] == "optimal"]
+        assert np.array_equal(seen["support"], stack.powered[at][:, :, None])
+        for s in at:
+            k, pattern_policy = layout.setups[s]
+            _, hints = harness._channels(cfg, k, [np.random.Generator(np.random.Philox(state)) for state in states])
+            for c, drop_hints in enumerate(hints):
+                if pattern_policy == "fixed":
+                    covered = cfg.fixed_pattern.entries == 1
+                else:
+                    covered = simple_beam_allocation(cfg.n_beams, k, np.argsort(drop_hints, kind="stable")).entries == 1
+                powered = stack.powered[s, c]
+                assert not powered[:, k:].any() and (powered[:, :k] <= covered).all(), (s, c)
+                assert powered[np.arange(cfg.n_beams), stack.anchors[s, c]].all(), (s, c)
+                saw_nulled |= (powered[:, :k] != covered).any()
+    assert saw_nulled
 
 
 def test_left_sum_adds_from_the_left():

@@ -12,7 +12,7 @@ from lsapdma.harness import ExperimentConfig, _draw_drop, run_monte_carlo
 from lsapdma.pattern import (
     correlation_matrix,
     equal_power,
-    equal_splits,
+    fixed_ratio_ladders,
     simple_beam_allocation,
 )
 from lsapdma.receiver import (
@@ -22,8 +22,6 @@ from lsapdma.receiver import (
     beam_sum_rates,
     build_link_state,
     drop_link_states,
-    pair_rates,
-    power_scales,
     sic_orders,
     sic_sinrs,
 )
@@ -41,11 +39,29 @@ def _setup(k=5, seed=0, n_rx=4, n_tx=16):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _equal_splits(powered, p_sum):
+    """The equal splits (C, D, N, K) of each budget over each support of a
+    (C, N, K) powered stack: its ``fixed_ratio_ladders`` at mu = 1, whose
+    steps are all 1, in any SIC order."""
+    n_stack, n_beams, n_users = np.shape(powered)
+    orders = np.broadcast_to(np.arange(n_users), (n_stack, len(p_sum), n_beams, n_users))
+    return fixed_ratio_ladders(powered, [1.0], orders, p_sum)[:, :, 0]
+
+
+def _power_scales(powers):
+    """Each power matrix of a stack (..., N, K) as (Pi, s): s its largest
+    power (...) and Pi = P / s (..., N, K), a zero matrix having s = 0 and
+    Pi = 0, so an equal split's Pi is its 0/1 powered support."""
+    p = np.asarray(powers, dtype=float)
+    s = p.max(axis=(-2, -1))
+    return p / np.where(s > 0, s, 1.0)[..., None, None], s
+
+
 def _stack(chans, beams, powers):
     """One unit's D power matrices (D, N, K), all of one shape, as the
     (channels, beams, pi, s) of a ``drop_link_states`` call on one set-up
     on one drop (S = C = 1), the harness's way."""
-    pi, s = power_scales(powers)
+    pi, s = _power_scales(powers)
     return [np.array([ch.entries for ch in chans])[None]], beams.beam_matrix[None, None], pi[None, None, 0], s[None, None]
 
 
@@ -74,7 +90,7 @@ def _kernel(chans, beams, b, s, sigma2):
 def _moments(power):
     """The (b, s) of one power matrix for ``_kernel``: its statistic at unit
     scale, and its one scale."""
-    pi, s = power_scales(power)
+    pi, s = _power_scales(power)
     return correlation_matrix(pi), [s]
 
 
@@ -168,8 +184,8 @@ def test_drop_link_states_rejects_powers_that_do_not_fit_the_unit():
     # is refused rather than filtered with foreign statistics
     chans, pattern, beams = _setup(k=7)
     other = simple_beam_allocation(3, 5, range(5))
-    splits = equal_splits(pattern.entries[None] == 1, [10.0])[0]
-    for bad in (equal_splits(other.entries[None] == 1, [10.0])[0], splits[:, :2]):
+    splits = _equal_splits(pattern.entries[None] == 1, [10.0])[0]
+    for bad in (_equal_splits(other.entries[None] == 1, [10.0])[0], splits[:, :2]):
         with pytest.raises(ValueError, match=r"\(S, C, N, K\)"):
             drop_link_states(*_stack(chans, beams, bad), 1.0)
     assert drop_link_states(*_stack(chans, beams, splits), 1.0).shape == (1, 1, 1, 3, 7)
@@ -183,7 +199,7 @@ def test_drop_link_states_give_pad_users_zero_gains_and_change_no_other():
     # refused
     rng = make_rng(24)
     other_chans, other_pattern, other_beams = _setup(k=4, seed=1)
-    other = _stack(other_chans, other_beams, equal_splits(other_pattern.entries[None] == 1, [1.0, 2.0])[0])
+    other = _stack(other_chans, other_beams, _equal_splits(other_pattern.entries[None] == 1, [1.0, 2.0])[0])
     for k in (3, 5, 7):
         chans, pattern, beams = _setup(k=k)
         powers = pattern.entries * rng.uniform(0.5, 2.0, (3, k))
@@ -307,7 +323,7 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             beams = compute_zfbf(chans, omega)
             nulled = omega.nulled(pattern)
             saw_nulled |= nulled.any()
-            (splits,) = equal_splits(((pattern.entries == 1) & ~nulled)[None], 10.0 ** (dbs / 10.0))
+            (splits,) = _equal_splits(((pattern.entries == 1) & ~nulled)[None], 10.0 ** (dbs / 10.0))
             ((gains,),) = drop_link_states(*_stack(chans, beams, splits), 1.0)
             ref = _oracle_gains([ch.entries for ch in chans], beams.beam_matrix, splits, 1.0)
             err, small = _oracle_errors(gains, ref)
@@ -332,8 +348,8 @@ def test_preset_gains_match_a_50_digit_oracle_up_to_90_db():
     dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
     for i in range(8):
         setup = _draw_drop(cfg, 7, "simple", np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        splits = equal_splits(setup.powered[0], 10.0 ** (dbs / 10.0))[0]
-        pi, s = power_scales(splits)
+        splits = _equal_splits(setup.powered[0], 10.0 ** (dbs / 10.0))[0]
+        pi, s = _power_scales(splits)
         ((gains,),) = drop_link_states(setup.channels, setup.beams, pi[None, None, 0], s[None, None], cfg.cell.noise_variance)
         ref = _oracle_gains(setup.channels[0][0], setup.beams[0, 0], splits, cfg.cell.noise_variance)
         powered = splits > 0
@@ -376,7 +392,7 @@ def test_fig4_runs_at_90_and_120_db():
 
 def test_one_matrix_seams_equal_their_stack_slices():
     # equal_power and build_link_state, which a caller holding one budget
-    # uses, give the (N, K) slices of equal_splits and drop_link_states
+    # uses, give the (N, K) slices of the mu = 1 ladders and drop_link_states
     # bit for bit, at every shape N <= K <= 2^N - 1 and 0, 20 and 40 dB
     cell = CellConfig()
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
@@ -389,7 +405,7 @@ def test_one_matrix_seams_equal_their_stack_slices():
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
             nulled = omega.nulled(pattern)
-            (splits,) = equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)
+            (splits,) = _equal_splits(((pattern.entries == 1) & ~nulled)[None], budgets)
             for d, p_sum in enumerate(budgets):
                 one = equal_power(pattern, p_sum, nulled)
                 assert one.shape == (n, k)
@@ -449,7 +465,7 @@ def test_sum_rates_add_left_to_right():
     gains = rng.lognormal(0.0, 1.0, (5, 9, 15))
     powers = rng.uniform(0.1, 5.0, (5, 9, 15))
     orders = sic_orders(gains)
-    rates = pair_rates(sic_sinrs(gains, powers, orders)).tolist()
+    rates = np.log2(1.0 + sic_sinrs(gains, powers, orders)).tolist()
     want = []
     for stack in rates:
         total = 0.0
@@ -530,10 +546,10 @@ def test_relabeling_invariance():
     rng = make_rng(7)
     h = rng.uniform(0.1, 5.0, (3, 6))
     p = rng.uniform(0.0, 2.0, (3, 6))
-    base = pair_rates(sic_sinrs(h, p, sic_orders(h))).sum()
+    base = np.log2(1.0 + sic_sinrs(h, p, sic_orders(h))).sum()
     perm = rng.permutation(6)
     h2, p2 = h[:, perm], p[:, perm]
-    new = pair_rates(sic_sinrs(h2, p2, sic_orders(h2))).sum()
+    new = np.log2(1.0 + sic_sinrs(h2, p2, sic_orders(h2))).sum()
     assert new == pytest.approx(base, rel=1e-12)
 
 
@@ -568,7 +584,10 @@ def test_last_user_rate_monotone_in_power():
 
 def test_sum_rate_values():
     def sum_of_rates(gammas):
-        return float(pair_rates(gammas).sum())
+        # one user per beam at unit gain decodes free of intra-beam
+        # interference, so its SINR is its power
+        p = np.reshape(gammas, (-1, 1))
+        return float(beam_sum_rates(np.ones(p.shape), p, np.zeros(p.shape, dtype=int)))
 
     assert sum_of_rates(np.zeros((3, 5))) == 0.0
     assert sum_of_rates(np.ones((3, 5))) == pytest.approx(15.0)
@@ -591,7 +610,6 @@ def test_build_link_state_invariants():
     assert (link.gains >= 0).all()
     orders = sic_orders(link.gains)
     sinrs = sic_sinrs(link.gains, alloc, orders)
-    assert np.array_equal(pair_rates(sinrs), np.log2(1 + sinrs))
     assert (sinrs[alloc == 0] == 0).all()
     for n in range(3):
         hs = link.gains[n, orders[n]]
@@ -614,7 +632,7 @@ def test_drop_link_states_match_each_unit_alone():
             hints = np.array([ch.large_scale_gain for ch in chans])
             pattern = simple_beam_allocation(n, k, np.argsort(hints, kind="stable"))
             omega = select_users(chans, pattern, hints)
-            (splits,) = equal_splits(((pattern.entries == 1) & ~omega.nulled(pattern))[None], budgets)
+            (splits,) = _equal_splits(((pattern.entries == 1) & ~omega.nulled(pattern))[None], budgets)
             units.append((chans, compute_zfbf(chans, omega), splits))
         stacks = [_stack(*unit) for unit in units]
         # the two K = N units as one set-up on two drops
@@ -629,7 +647,7 @@ def test_drop_link_states_match_each_unit_alone():
             assert np.array_equal(unit_gains[0, ..., :k], gains) and not unit_gains[..., k:].any()
             if paired_gains is not None:
                 assert np.array_equal(paired_gains, gains)
-            pi, s = power_scales(unit[2])
+            pi, s = _power_scales(unit[2])
             _, reference = _kernel(unit[0], unit[1], correlation_matrix(pi[0]), s, 1.0)
             assert np.array_equal(gains, reference)
     g, f, pi, s = stacks[0]
@@ -642,7 +660,7 @@ def test_drop_link_states_refuse_non_finite_shared_and_redrawn_channels():
     # one draw they share, or the second a copy of it with a drop redrawn.
     # A NaN in the shared draw, or only in the redrawn copy, is refused
     chans, pattern, beams = _setup()
-    g, f, pi, s = _stack(chans, beams, equal_splits(pattern.entries[None] == 1, [1.0])[0])
+    g, f, pi, s = _stack(chans, beams, _equal_splits(pattern.entries[None] == 1, [1.0])[0])
     shared = np.concatenate(g + g)  # (C = 2, K, N_R, N_T)
     f, pi, s = np.tile(f, (2, 2, 1, 1)), np.tile(pi, (2, 2, 1, 1)), np.tile(s, (2, 2, 1))
     assert drop_link_states([shared, shared], f, pi, s, 1.0).shape == (2, 2, 1, 3, 5)
