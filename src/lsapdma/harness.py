@@ -29,10 +29,12 @@ beams once, zero-padded to the largest user count K, shape
 (S, C, N, K) and the like, and writes each set-up into its slot; the
 channels stay one (C, K_s, N_R, N_T) array per user count.  The ZF
 precoders of every (set-up, drop) come from one ``zf_beamformers`` pass.
-A (set-up, drop) whose first draw is singular is redrawn alone by
-``_draw_drop`` from the restarted stream, so its redraw count and its
-channels are those it would have run by itself, and written into its slot
-(its channels into a copy of the shared draw).  A pad user is a column
+A (set-up, drop) whose first draw is singular is the same pass on a chunk
+of that set-up and drop alone, one draw further along the restarted
+stream (and so on while that draw is singular), so its redraw count and
+its channels are those it would have run by itself, and it is written into
+its slot (its channels into a copy of the shared draw).  ``_chunk_set_ups``
+is the only path from a draw to its ZF beams.  A pad user is a column
 past its set-up's own K: it is uncovered and unpowered, and has zero
 gain.  It never enters ZF or the MMSE kernel, whose per-user work
 stays on real users, but it sits in every stack after them, so each layer
@@ -138,7 +140,7 @@ class ExperimentConfig:
     distinct.  For the baselines the user count is forced (N for oma, 2N
     for pnoma); ``users`` applies to the pattern-mapped scheme, and must be
     that same count when its pattern policy is ``oma`` or ``pnoma``.  Only
-    that scheme reads a ``fixed`` pattern, so such a pattern needs it.
+    that scheme reads the pattern policy, so any but ``simple`` needs it.
     Both baselines run the fixed-ratio ladder at ``pnoma_mu``; with one
     user per beam, oma never applies it.
 
@@ -186,8 +188,6 @@ class ExperimentConfig:
             raise ConfigError("pnoma_mu must be positive")
         if not all(mu > 0 for mu in self.mu):
             raise ConfigError("mu values must be positive")
-        if self.n_tx < self.n_beams:
-            raise ConfigError("need n_tx >= n_beams")
         if self.n_beams * self.n_rx > self.n_tx:
             raise ConfigError("zero forcing needs n_beams * n_rx <= n_tx")
         for scheme in self.schemes:
@@ -198,6 +198,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown power policy {policy!r}")
         if self.pattern_policy not in PATTERN_POLICIES:
             raise ConfigError(f"unknown pattern policy {self.pattern_policy!r}")
+        if self.pattern_policy != "simple" and "lsa-pdma" not in self.schemes:
+            # only lsa-pdma reads the pattern policy; the echo would show it
+            raise ConfigError(
+                f"pattern_policy {self.pattern_policy!r} needs the 'lsa-pdma' scheme, not schemes = {_echo(self.schemes)}"
+            )
         if self.strict_pattern and "optimal" not in self.policies:
             # only the optimal policy reads the flag; the echo would show it
             raise ConfigError("strict_pattern needs the 'optimal' power policy")
@@ -228,9 +233,6 @@ class ExperimentConfig:
                 raise ConfigError("fixed pattern must have one row per beam")
             if tuple(self.users) != (self.fixed_pattern.n_users,):
                 raise ConfigError("users must match the fixed pattern's column count")
-            if "lsa-pdma" not in self.schemes:
-                # only lsa-pdma reads the matrix; the echo would show it
-                raise ConfigError(f"pattern_policy 'fixed' needs the 'lsa-pdma' scheme, not schemes = {_echo(self.schemes)}")
         elif self.fixed_pattern is not None:
             # only a fixed pattern policy reads the matrix; the echo would show it
             raise ConfigError(f"a pattern matrix needs pattern_policy 'fixed', not {self.pattern_policy!r}")
@@ -436,12 +438,6 @@ def _scheme_runs(cfg: ExperimentConfig):
     return runs
 
 
-def _channels(cfg: ExperimentConfig, k, rngs):
-    """Channels (C, K, N_R, N_T) and large-scale gains (C, K) of one draw
-    of ``k`` users from each of the C generators ``rngs``."""
-    return draw_channels(cfg.cell, k, cfg.n_rx, cfg.n_tx, rngs)
-
-
 class _Stack(NamedTuple):
     """A chunk's S set-ups, each a (K, pattern policy), on its C drops as
     one stack, zero-padded to the largest user count K: set-up s's columns
@@ -451,7 +447,7 @@ class _Stack(NamedTuple):
     anchors: np.ndarray  # (S, C, N) anchor user of each beam
     powered: np.ndarray  # (S, C, N, K) Pi: covered pairs the ZF beams do not null
     beams: np.ndarray  # (S, C, N_T, N) ZF beam matrices
-    redraws: np.ndarray  # (S, C) singular draws before these
+    redraws: np.ndarray  # (S, C) draws passed over, each singular, before these
 
 
 def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints):
@@ -473,60 +469,40 @@ def _anchored(cfg: ExperimentConfig, pattern_policy, channels, hints):
     return order[:, anchor_ranks], base_powered[:, rank].swapaxes(0, 1)
 
 
-def _anchor_channels(channels, anchors) -> np.ndarray:
-    """The anchors' channels of each draw, (C, N, N_R, N_T), from the
-    draws' channels (C, K, N_R, N_T) and anchors (C, N)."""
-    return channels[np.arange(len(anchors))[:, None], anchors]
-
-
-def _draw_drop(cfg: ExperimentConfig, k, pattern_policy, state) -> _Stack:
-    """One set-up on one drop (S = C = 1), ZF beams included.
-
-    Redraws users and channels from the restarted stream while the anchors'
-    stacked channel is singular, counting the redraws; raises ConfigError
-    after ``MAX_REDRAWS`` of them.
-    """
-    rng = np.random.Generator(np.random.Philox(state))
-    redraws = 0
-    while True:
-        channels, hints = _channels(cfg, k, [rng])
-        anchors, powered = _anchored(cfg, pattern_policy, channels, hints)
-        beams, singular = zf_beamformers(_anchor_channels(channels, anchors))
-        if not singular[0]:
-            return _Stack((channels,), anchors[None], powered[None], beams[None], np.array([[redraws]]))
-        redraws += 1
-        if redraws > MAX_REDRAWS:
-            raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
-
-
-def _chunk_set_ups(cfg: ExperimentConfig, states, keys) -> _Stack:
+def _chunk_set_ups(cfg: ExperimentConfig, states, keys, skip=0) -> _Stack:
     """The set-ups ``keys``, each a (K, pattern policy), on the drops of a
-    chunk, ZF beams included, as one padded stack.
+    chunk, ZF beams included, as one padded stack, from each drop's draw
+    ``skip`` (its draws 0 ... skip - 1 are passed over).
 
-    Each user count's first draw on every drop is shared by its set-ups; a
+    Each user count's draw on every drop is shared by its set-ups; a
     generator restarted by its saved state draws what a new one would.  The
     anchors of every (set-up, drop) go into one ``zf_beamformers`` pass,
-    and a (set-up, drop) whose first draw is singular is redrawn alone by
-    ``_draw_drop``, as in a chunk of one, and written into its slot.
+    and a (set-up, drop) whose draw is singular is this pass on a chunk of
+    that set-up and drop alone, one draw further, written into its slot.
+    Raises ConfigError past ``MAX_REDRAWS`` redraws.
     """
+    if skip > MAX_REDRAWS:
+        raise ConfigError(f"more than {MAX_REDRAWS} consecutive singular-channel redraws")
     rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
     starts = [rng.bit_generator.state for rng in rngs]
     draws = {}
     for k in dict.fromkeys(k for k, _ in keys):
         for rng, start in zip(rngs, starts):
             rng.bit_generator.state = start
-        draws[k] = _channels(cfg, k, rngs)
+        for _ in range(skip + 1):
+            draws[k] = draw_channels(cfg.cell, k, cfg.n_rx, cfg.n_tx, rngs)
     powered = np.zeros((len(keys), len(states), cfg.n_beams, max(draws)), dtype=bool)
     anchors = np.zeros(powered.shape[:-1], dtype=int)
     for s, (k, pattern_policy) in enumerate(keys):
         anchors[s], powered[s, ..., :k] = _anchored(cfg, pattern_policy, *draws[k])
     channels = [draws[k][0] for k, _ in keys]
-    beams, singular = zf_beamformers(np.concatenate([_anchor_channels(g, a) for g, a in zip(channels, anchors)]))
+    drops = np.arange(len(states))[:, None]
+    beams, singular = zf_beamformers(np.concatenate([g[drops, a] for g, a in zip(channels, anchors)]))
     beams = beams.reshape(anchors.shape[:2] + beams.shape[1:])
-    redraws = np.zeros(anchors.shape[:2], dtype=int)
+    redraws = np.full(anchors.shape[:2], skip)
     for s, c in zip(*np.nonzero(singular.reshape(redraws.shape))):
         k = keys[s][0]
-        one = _draw_drop(cfg, *keys[s], states[c])
+        one = _chunk_set_ups(cfg, states[c : c + 1], keys[s : s + 1], skip + 1)
         if channels[s] is draws[k][0]:  # the draw the other set-ups of K share
             channels[s] = channels[s].copy()
         channels[s][c] = one.channels[0][0]
@@ -633,7 +609,6 @@ def _chunk_rates(cfg: ExperimentConfig, states) -> tuple[np.ndarray, np.ndarray]
     the order of ``states`` and one column per record of ``_layout(cfg)``,
     and the (C, U) singular-channel redraws of each drop's U units.
     """
-    states = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s) for s in states]
     layout = _layout(cfg)
     stack = _chunk_set_ups(cfg, states, layout.setups)
     budgets = np.array([_budget(db) for db in cfg.p_sum_db])

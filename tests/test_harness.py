@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import re
@@ -16,7 +17,7 @@ from scipy.stats import gamma, kstest
 from lsapdma import harness, receiver
 
 from lsapdma.beamforming import compute_zfbf, select_users, zf_beamformers
-from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, user_channels
+from lsapdma.channel import CellConfig, ChannelMatrix, draw_channels, drop_users, user_channels
 from lsapdma.harness import (
     ConfigError,
     DropRecord,
@@ -24,10 +25,8 @@ from lsapdma.harness import (
     ResultRow,
     ResultTable,
     _anchored,
-    _channels,
     _chunk_rates,
     _chunk_set_ups,
-    _draw_drop,
     _layout,
     _scheme_runs,
     _tail_rates,
@@ -88,7 +87,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(drops=0)
     with pytest.raises(ConfigError):
-        _cfg(n_tx=2)  # fewer antennas than beams
+        _cfg(n_tx=2)  # fewer antennas than beams: n_beams * n_rx > n_tx
     with pytest.raises(ConfigError):
         _cfg(n_tx=8)  # zero forcing needs n_beams * n_rx <= n_tx
     with pytest.raises(ConfigError):
@@ -169,11 +168,13 @@ def test_config_rejects_repeated_sweep_values():
 
 def test_a_pattern_matrix_needs_the_pattern_mapped_scheme(tmp_path):
     # only lsa-pdma reads a fixed pattern; a run without it echoed a
-    # matrix that never ran into summary.txt
+    # matrix that never ran into summary.txt; nor does a baseline read the
+    # identity or power-domain pattern policy
     for schemes in (("oma",), ("oma", "pnoma")):
-        with pytest.raises(ConfigError) as err:
-            _cfg(schemes=schemes, users=(5,), pattern_policy="fixed", fixed_pattern=B35)
-        assert "pattern_policy" in str(err.value) and "'lsa-pdma'" in str(err.value)
+        for pattern_policy, matrix in (("fixed", B35), ("oma", None), ("pnoma", None)):
+            with pytest.raises(ConfigError) as err:
+                _cfg(schemes=schemes, users=(5,), pattern_policy=pattern_policy, fixed_pattern=matrix)
+            assert "pattern_policy" in str(err.value) and "'lsa-pdma'" in str(err.value), pattern_policy
     _cfg(schemes=("oma", "lsa-pdma"), users=(5,), pattern_policy="fixed", fixed_pattern=B35)  # accepted
     # a single-baseline run of a fixed-pattern config resets the pattern
     # keys it does not read
@@ -446,25 +447,27 @@ def test_pnoma_reduction_is_exact():
 
 def _singular_on_first_draw(monkeypatch, first=None, pick=None):
     """Make ``harness.zf_beamformers`` flag singular every unit whose anchor
-    channels all belong to the draw ``first``, its (K, N_R, N_T) channels
-    (and, with ``pick``, whose anchor users in that draw ``pick``
-    accepts).  The mark follows the channels, so the redraw loop's fresh
-    start sees that draw singular again and redraws once.  Without
-    ``first`` the marked draw is the first unit's anchors in the first
-    call."""
+    channels all belong to the draw ``first``, its (K, N_R, N_T) channels,
+    or to one of a stack (R, K, N_R, N_T) of such draws (and, with
+    ``pick``, whose anchor users in that draw ``pick`` accepts).  The mark
+    follows the channels, so a unit redraws once per marked draw it meets:
+    its redraw, one draw further, is fresh unless that draw is marked too.
+    Without ``first`` the marked draw is the first unit's anchors in the
+    first call."""
     import lsapdma.harness as harness
 
     real = harness.zf_beamformers
-    marked = [] if first is None else [np.asarray(first)]
+    marked = [] if first is None else list(np.reshape(first, (-1,) + np.shape(first)[-3:]))
 
     def fake(anchors, **kwargs):
         if not marked:
             marked.append(anchors[0].copy())
         beams, singular = real(anchors, **kwargs)
         for e, unit in enumerate(anchors):
-            users = [next((u for u, ch in enumerate(marked[0]) if np.array_equal(block, ch)), None) for block in unit]
-            if None not in users and (pick is None or pick(tuple(users))):
-                beams[e], singular[e] = np.nan, True
+            for draw in marked:
+                users = [next((u for u, ch in enumerate(draw) if np.array_equal(block, ch)), None) for block in unit]
+                if None not in users and (pick is None or pick(tuple(users))):
+                    beams[e], singular[e] = np.nan, True
         return beams, singular
 
     monkeypatch.setattr(harness, "zf_beamformers", fake)
@@ -485,10 +488,17 @@ def _oracle_setup(cfg, k, pattern_policy, channels):
     return pattern, select_users(channels, pattern, hints)
 
 
+def _first_draws(cfg, k, states):
+    """Channels (C, K, N_R, N_T) and large-scale gains (C, K) of the first
+    draw of ``k`` users on each drop of ``states``."""
+    return draw_channels(cfg.cell, k, cfg.n_rx, cfg.n_tx, [np.random.Generator(np.random.Philox(s)) for s in states])
+
+
 def _drawn(cfg, k, pattern_policy, state):
-    """``_draw_drop``'s set-up, checked bit for bit against the per-draw
-    oracle on the draw it kept: (channels, pattern, omega, beams, redraws)."""
-    setup = _draw_drop(cfg, k, pattern_policy, state)
+    """The set-up of a chunk of one, checked bit for bit against the
+    per-draw oracle on the draw it kept: (channels, pattern, omega, beams,
+    redraws)."""
+    setup = _chunk_set_ups(cfg, [state], [(k, pattern_policy)])
     ((redraws,),) = setup.redraws.tolist()
     rng = np.random.Generator(np.random.Philox(state))
     for _ in range(redraws + 1):
@@ -530,7 +540,7 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
     cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
     for seed in range(3):
         state = np.random.SeedSequence(seed)
-        draw = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state))])
+        draw = _first_draws(cfg, 6, [state])
         first = draw[0][0]
         target = tuple(_anchored(cfg, "pnoma", *draw)[0][0].tolist())
         assert tuple(_anchored(cfg, "simple", *draw)[0][0].tolist()) != target
@@ -557,6 +567,56 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             )
 
 
+def test_a_unit_singular_on_two_draws_takes_its_third(monkeypatch):
+    # drop 1's power-domain set-up (K = 6) is singular on its first and its
+    # second draw: its slot holds, bit for bit, the per-user oracle's set-up
+    # on that drop's third draw, with two redraws, and every other slot of
+    # the chunk is as it was
+    cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
+    keys = _layout(cfg).setups
+    pnoma = keys.index((6, "pnoma"))
+    rng = np.random.Generator(np.random.Philox(states[1]))
+    draws = [draw_channels(cfg.cell, 6, cfg.n_rx, cfg.n_tx, [rng]) for _ in range(2)]
+    targets = [tuple(_anchored(cfg, "pnoma", *draw)[0][0].tolist()) for draw in draws]
+    assert tuple(_anchored(cfg, "simple", *draws[0])[0][0].tolist()) not in targets
+    plain = _chunk_set_ups(cfg, states, keys)
+    with monkeypatch.context() as m:
+        _singular_on_first_draw(m, np.array([draw[0][0] for draw in draws]), lambda users: users in targets)
+        stack = _chunk_set_ups(cfg, states, keys)
+        channels, pattern, omega, beams, redraws = _drawn(cfg, 6, "pnoma", states[1])
+    assert redraws == 2
+    want = plain.redraws.copy()
+    want[pnoma, 1] = 2
+    assert np.array_equal(stack.redraws, want) and not plain.redraws.any()
+    assert np.array_equal(stack.channels[pnoma][1], [ch.entries for ch in channels])
+    assert stack.anchors[pnoma, 1].tolist() == list(omega.users)
+    assert np.array_equal(stack.powered[pnoma, 1, :, :6], (pattern.entries == 1) & ~omega.nulled(pattern))
+    assert np.array_equal(stack.beams[pnoma, 1], beams.beam_matrix)
+    for s in range(len(keys)):
+        for c in range(len(states)):
+            if (s, c) != (pnoma, 1):
+                assert np.array_equal(stack.channels[s][c], plain.channels[s][c]), (s, c)
+                assert np.array_equal(stack.anchors[s, c], plain.anchors[s, c]), (s, c)
+                assert np.array_equal(stack.powered[s, c], plain.powered[s, c]), (s, c)
+                assert np.array_equal(stack.beams[s, c], plain.beams[s, c]), (s, c)
+
+
+def test_only_the_chunk_pass_draws_and_beamforms():
+    # _chunk_set_ups is the one path from a draw to its ZF beams: no other
+    # code of the harness names draw_channels or zf_beamformers, so a
+    # second, per-unit chain cannot come back beside it
+    tree = ast.parse(Path(harness.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    owners = {}
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in ("draw_channels", "zf_beamformers"):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owners.setdefault(name, set()).add(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    assert owners == {"draw_channels": {"_chunk_set_ups"}, "zf_beamformers": {"_chunk_set_ups"}}
+
+
 def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
     # a chunk of three drops whose power-domain set-up (K = 6) is singular
     # on its first draw at drop 1: the lsa-pdma K = 6 set-up keeps the
@@ -565,14 +625,14 @@ def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
     # draw that drop's set-up redraws alone
     cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), p_sum_db=(0.0, 20.0))
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
-    shared = _channels(cfg, 6, [np.random.Generator(np.random.Philox(state)) for state in states])
+    shared = _first_draws(cfg, 6, states)
     keys = _layout(cfg).setups
     pnoma, lsa = keys.index((6, "pnoma")), keys.index((6, "simple"))
     target = tuple(_anchored(cfg, "pnoma", *shared)[0][1].tolist())
     with monkeypatch.context() as m:
         _singular_on_first_draw(m, shared[0][1], lambda users: users == target)
         stack = _chunk_set_ups(cfg, states, keys)
-        alone = _draw_drop(cfg, 6, "pnoma", states[1])
+        alone = _chunk_set_ups(cfg, states[1:2], [(6, "pnoma")])
     assert stack.redraws[pnoma].tolist() == [0, 1, 0] and not stack.redraws[lsa].any()
     assert np.array_equal(stack.channels[lsa], shared[0])
     got = stack.channels[pnoma]
@@ -597,9 +657,12 @@ def test_the_chunk_shapes_its_links_by_the_powered_support(monkeypatch):
         states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(6)]
         seen = {}
 
-        def set_ups(cfg, states, keys, real=harness._chunk_set_ups):
-            seen["stack"] = real(cfg, states, keys)
-            return seen["stack"]
+        def set_ups(cfg, states, keys, skip=0, real=harness._chunk_set_ups):
+            # a redraw is a call one draw further; only the chunk's own is seen
+            stack = real(cfg, states, keys, skip)
+            if not skip:
+                seen["stack"] = stack
+            return stack
 
         def links(channels, beams, pi, s, sigma2, real=harness.drop_link_states):
             seen["pi"], seen["s"] = pi, s
@@ -714,7 +777,7 @@ def test_drop_records_do_not_depend_on_the_chunk(monkeypatch):
     cfg = ExperimentConfig.from_file(configs / "fig4.cfg")
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(5)]
     plain = _hexed(run_chunk(cfg, states))
-    first = _channels(cfg, 6, [np.random.Generator(np.random.Philox(states[2]))])[0][0]
+    first = _first_draws(cfg, 6, states[2:3])[0][0]
     with monkeypatch.context() as m:
         _singular_on_first_draw(m, first)
         redrawn = _hexed(run_chunk(cfg, states))
@@ -864,7 +927,7 @@ def test_monte_carlo_equals_the_record_oracle(monkeypatch):
     # lsa-pdma set-up: each redraws once, whatever the mu sweep replicates
     cfg = _cfg(schemes=("pnoma", "lsa-pdma"), users=(6,), mu=(1.0, 2.0), drops=3)
     state = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
-    _singular_on_first_draw(monkeypatch, _channels(cfg, 6, [np.random.Generator(np.random.Philox(state))])[0][0])
+    _singular_on_first_draw(monkeypatch, _first_draws(cfg, 6, [state])[0][0])
     table, samples = run_monte_carlo(cfg, collect_samples=True)
     assert table.redraws == 2
     assert _hexed_run(table, samples) == _hexed_run(*_record_oracle(cfg))
@@ -876,7 +939,7 @@ def test_run_chunk_reads_its_records_off_the_rate_table(monkeypatch):
     # order, each with its unit's redraws (drop 1's OMA unit is redrawn)
     cfg = _cfg(schemes=("oma", "pnoma", "lsa-pdma"), users=(4, 6), policies=("fixed-ratio", "optimal"), mu=(1.0, 2.0))
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(3)]
-    _singular_on_first_draw(monkeypatch, _channels(cfg, 3, [np.random.Generator(np.random.Philox(states[1]))])[0][0])
+    _singular_on_first_draw(monkeypatch, _first_draws(cfg, 3, states[1:2])[0][0])
     units = [(label, k) for label, k, *_ in _scheme_runs(cfg)]
     table, redraws = _chunk_rates(cfg, states)
     records = run_chunk(cfg, states)
@@ -1555,7 +1618,7 @@ def test_oma_anchor_gains_follow_the_zf_snr_law():
             scales = np.ones(stack.anchors.shape[:2] + (1,))
             gains = drop_link_states(stack.channels, stack.beams, stack.powered, scales, cfg.cell.noise_variance)
             # the large-scale gains of the drops' restarted generators
-            _, beta = _channels(cfg, n_beams, [np.random.Generator(np.random.Philox(s)) for s in states])
+            _, beta = _first_draws(cfg, n_beams, states)
             drop, anchor = np.arange(len(states)), stack.anchors[0, :, 0]
             samples.append(gains[0, drop, 0, 0, anchor] ** 2 * cfg.cell.noise_variance / beta[drop, anchor])
         d = kstest(np.concatenate(samples), gamma(n_tx - n_beams * n_rx + 1).cdf).statistic
@@ -1573,7 +1636,7 @@ def test_oma_records_match_their_analytic_mean():
     table, samples = run_monte_carlo(cfg, collect_samples=True)
     assert table.redraws == 0  # each drop's first draw is its channels
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.drops)]
-    _, beta = _channels(cfg, cfg.n_beams, [np.random.Generator(np.random.Philox(s)) for s in states])
+    _, beta = _first_draws(cfg, cfg.n_beams, states)
     nodes, weights = roots_genlaguerre(60, cfg.n_tx - cfg.n_beams * cfg.n_rx)
     weights = weights / weights.sum()
     for db in cfg.p_sum_db:
@@ -1604,6 +1667,22 @@ def _haar(rng, shape, n):
     return q * (phases / np.abs(phases))[..., None, :]
 
 
+def _basis_and_unit_moves(cfg, rng, a=7.3):
+    """The relative moves (C, R) of a 64-drop chunk's records, rebuilt on
+    H U (U a Haar unitary per drop, drawn from ``rng``) and on a H with
+    sigma^2 -> a^2 sigma^2, after checking the rebuild of H itself against
+    ``_chunk_rates`` bit for bit."""
+    states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
+    stack = _chunk_set_ups(cfg, states, _layout(cfg).setups)
+    sigma2 = cfg.cell.noise_variance
+    rates = _rebuilt_rates(cfg, stack, stack.channels, sigma2)
+    assert np.array_equal(rates, _chunk_rates(cfg, states)[0])
+    haar = _haar(rng, (64,), cfg.n_tx)
+    rotated = _rebuilt_rates(cfg, stack, tuple(ch @ haar[:, None] for ch in stack.channels), sigma2)
+    scaled = _rebuilt_rates(cfg, stack, tuple(a * ch for ch in stack.channels), a**2 * sigma2)
+    return np.abs(rotated / rates - 1.0), np.abs(scaled / rates - 1.0)
+
+
 def test_records_do_not_depend_on_the_transmit_basis_or_the_units():
     # whole-chain invariants (Chen et al., "Metamorphic Testing", ACM CSUR
     # 51(1), 2018): ZF recomputed on H U, U a Haar unitary per drop, sees
@@ -1614,19 +1693,31 @@ def test_records_do_not_depend_on_the_transmit_basis_or_the_units():
     # docstring)
     configs = Path(__file__).resolve().parent.parent / "configs"
     rng = np.random.default_rng(12)
-    a = 7.3
     for name in ("fig3", "fig4", "fig5"):
         cfg = ExperimentConfig.from_file(configs / f"{name}.cfg")
-        states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
-        stack = _chunk_set_ups(cfg, states, _layout(cfg).setups)
-        sigma2 = cfg.cell.noise_variance
-        rates = _rebuilt_rates(cfg, stack, stack.channels, sigma2)
-        assert np.array_equal(rates, _chunk_rates(cfg, states)[0]), name
-        haar = _haar(rng, (64,), cfg.n_tx)
-        rotated = _rebuilt_rates(cfg, stack, tuple(ch @ haar[:, None] for ch in stack.channels), sigma2)
-        scaled = _rebuilt_rates(cfg, stack, tuple(a * ch for ch in stack.channels), a**2 * sigma2)
-        for moved in (rotated, scaled):
-            assert np.abs(moved / rates - 1.0).max() <= 1e-12, name
+        for moved in _basis_and_unit_moves(cfg, rng):
+            assert moved.max() <= 1e-12, name
+
+
+@pytest.mark.xfail(strict=True, reason="pnoma K = 16 records at N = 8 move by up to 3.2e-9 under H -> HU")
+def test_records_do_not_depend_on_the_transmit_basis_or_the_units_at_eight_beams():
+    # the invariants above at N = 8, n_tx = 128, every scheme and both
+    # policies, at the presets' 1e-12 bound.  Measured: every record but
+    # the power-domain baseline's (K = 16) holds within 2.4e-13; that
+    # baseline's move by up to 3.2e-9 relative under H -> HU (32 of 64
+    # drops) and 2.8e-10 under the unit scaling (31 of 64).  Its
+    # non-anchor users' gains move by up to 5.1e-7: their Gram M^H M has
+    # rank N_R = 4 < N, with round-off eigenvalues up to 6e-9 against 5e7
+    cfg = ExperimentConfig(
+        n_beams=8,
+        n_tx=128,
+        schemes=("oma", "pnoma", "lsa-pdma"),
+        users=(16, 32),
+        policies=("fixed-ratio", "optimal"),
+        p_sum_db=(0.0, 20.0),
+    )
+    for moved in _basis_and_unit_moves(cfg, np.random.default_rng(12)):
+        assert moved.max() <= 1e-12
 
 
 def test_records_do_not_depend_on_the_user_labels(monkeypatch):
@@ -1653,8 +1744,8 @@ def test_records_do_not_depend_on_the_user_labels(monkeypatch):
         )
     )
 
-    def relabelled(cfg, k, rngs, real=harness._channels):
-        channels, hints = real(cfg, k, rngs)
+    def relabelled(cell, k, n_rx, n_tx, rngs, real=harness.draw_channels):
+        channels, hints = real(cell, k, n_rx, n_tx, rngs)
         labels = np.argsort(np.random.default_rng(k).random((len(rngs), k)), axis=1)
         assert (labels != np.arange(k)).any()
         drops = np.arange(len(rngs))[:, None]
@@ -1664,7 +1755,7 @@ def test_records_do_not_depend_on_the_user_labels(monkeypatch):
         states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
         rates, redraws = _chunk_rates(cfg, states)
         with monkeypatch.context() as m:
-            m.setattr(harness, "_channels", relabelled)
+            m.setattr(harness, "draw_channels", relabelled)
             moved, moved_redraws = _chunk_rates(cfg, states)
         assert np.array_equal(moved_redraws, redraws)
         assert np.abs(moved / rates - 1.0).max() <= 1e-13, cfg.n_beams

@@ -413,9 +413,12 @@ def test_the_strict_optimal_policy_reads_the_powered_support(monkeypatch):
         states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(64)]
         seen = {}
 
-        def set_ups(cfg, states, keys, real=harness._chunk_set_ups):
-            seen["stack"] = real(cfg, states, keys)
-            return seen["stack"]
+        def set_ups(cfg, states, keys, skip=0, real=harness._chunk_set_ups):
+            # a redraw is a call one draw further; only the chunk's own is seen
+            stack = real(cfg, states, keys, skip)
+            if not skip:
+                seen["stack"] = stack
+            return stack
 
         def recorded(gains, p_sum, delta, support=None, orders=None):
             seen["support"] = support
@@ -431,7 +434,8 @@ def test_the_strict_optimal_policy_reads_the_powered_support(monkeypatch):
         assert np.array_equal(seen["support"], stack.powered[at][:, :, None])
         for s in at:
             k, pattern_policy = layout.setups[s]
-            _, hints = harness._channels(cfg, k, [np.random.Generator(np.random.Philox(state)) for state in states])
+            rngs = [np.random.Generator(np.random.Philox(state)) for state in states]
+            _, hints = harness.draw_channels(cfg.cell, k, cfg.n_rx, cfg.n_tx, rngs)
             for c, drop_hints in enumerate(hints):
                 if pattern_policy == "fixed":
                     covered = cfg.fixed_pattern.entries == 1

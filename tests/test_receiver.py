@@ -8,7 +8,7 @@ import pytest
 
 from lsapdma.beamforming import BeamformerSet, SelectedUserSet, compute_zfbf, select_users
 from lsapdma.channel import CellConfig, ChannelMatrix, drop_users, sample_channel, user_channels
-from lsapdma.harness import ExperimentConfig, _draw_drop, run_monte_carlo
+from lsapdma.harness import ExperimentConfig, _chunk_set_ups, run_monte_carlo
 from lsapdma.pattern import (
     correlation_matrix,
     equal_power,
@@ -347,7 +347,7 @@ def test_preset_gains_match_a_50_digit_oracle_up_to_90_db():
     cfg = ExperimentConfig.from_file(ROOT / "configs" / "fig5.cfg")
     dbs = np.array([0.0, 20.0, 40.0, 60.0, 90.0])
     for i in range(8):
-        setup = _draw_drop(cfg, 7, "simple", np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        setup = _chunk_set_ups(cfg, [np.random.SeedSequence(cfg.seed, spawn_key=(i,))], [(7, "simple")])
         splits = _equal_splits(setup.powered[0], 10.0 ** (dbs / 10.0))[0]
         pi, s = _power_scales(splits)
         ((gains,),) = drop_link_states(setup.channels, setup.beams, pi[None, None, 0], s[None, None], cfg.cell.noise_variance)
