@@ -38,10 +38,6 @@ from .pattern import PatternMatrix, oma_pattern, pnoma_pattern, simple_beam_allo
 
 # a unit whose equilibrated anchor Gram has a larger condition number is singular
 COND_LIMIT = 1e8
-# units per Cholesky certificate of the condition test: this bounds the
-# factors' temporary (74 kB at 12 x 12), which at a whole chunk's stack
-# would raise the process's peak memory
-CERTIFIED_UNITS = 32
 
 
 class SingularChannelError(RuntimeError):
@@ -183,29 +179,26 @@ def rank_anchors(policy: str, n_beams: int, n_users: int) -> tuple[np.ndarray, n
 
 def _ill_conditioned(gram) -> np.ndarray:
     """Whether each Hermitian G of a stack (E, n, n) fails the condition
-    test of ``zf_beamformers``, certified a block of ``CERTIFIED_UNITS``
-    units at a time: one Cholesky factorisation of the block shifted by
-    t = 2 tr(G) / COND_LIMIT, and ``eigvalsh`` only for a block the shift
-    cannot factor.  The shift is made on ``gram``'s diagonal in place and
+    test of ``zf_beamformers``: one Cholesky factorisation of the stack
+    shifted by t = 2 tr(G) / COND_LIMIT certifies every unit, and
+    ``eigvalsh`` runs only where the shift cannot factor some unit.  Both
+    run matrix by matrix, so a unit's flag does not depend on the stack
+    that holds it.  The shift is made on ``gram``'s diagonal in place and
     the saved diagonal written back, so ``gram`` is left as it was, bit
     for bit, and no copy of the stack is made.
     """
-    flags = np.zeros(len(gram), dtype=bool)
-    for start in range(0, len(gram), CERTIFIED_UNITS):
-        block = gram[start : start + CERTIFIED_UNITS]
-        diagonal = np.einsum("...ii->...i", block)  # a writable view
-        saved = diagonal.copy()
-        diagonal -= 2.0 * saved.real.sum(axis=1, keepdims=True) / COND_LIMIT
-        try:
-            np.linalg.cholesky(block)
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        finally:
-            diagonal[...] = saved
-        lam = np.linalg.eigvalsh(block)  # ascending
-        flags[start : start + len(block)] = ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
-    return flags
+    diagonal = np.einsum("...ii->...i", gram)  # a writable view
+    saved = diagonal.copy()
+    diagonal -= 2.0 * saved.real.sum(axis=1, keepdims=True) / COND_LIMIT
+    try:
+        np.linalg.cholesky(gram)
+        return np.zeros(len(gram), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    finally:
+        diagonal[...] = saved
+    lam = np.linalg.eigvalsh(gram)  # ascending
+    return ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
 
 
 def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
@@ -225,9 +218,9 @@ def zf_beamformers(anchors) -> tuple[np.ndarray, np.ndarray]:
 
     E being the (N*N_R, N) block-ones matrix: one solve with N right-hand
     sides and one product with the raw anchors per unit.  The Gram, the
-    solve and the normalisation each run once over the stack, the
-    condition test once per block of ``CERTIFIED_UNITS`` units, and a
-    unit's result equals, bit for bit, that of a stack holding it alone.
+    solve, the condition test and the normalisation each run once over the
+    stack, and a unit's result equals, bit for bit, that of a stack holding
+    it alone.
 
     Returns the beam matrices (E, N_T, N) and whether each unit is
     singular: an anchor's channel is zero or cond(G) exceeds ``COND_LIMIT``

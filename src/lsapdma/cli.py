@@ -25,8 +25,9 @@ def _cmd_simulate(args) -> int:
     if args.scheme is not None:
         overrides["schemes"] = (args.scheme,)
         if args.scheme != "lsa-pdma":
-            # only lsa-pdma reads the pattern keys; the echo would show them
-            overrides.update(pattern_policy=ExperimentConfig.pattern_policy, fixed_pattern=None)
+            # only lsa-pdma reads the user counts and the pattern keys; the
+            # echo would show them
+            overrides.update(users=ExperimentConfig.users, pattern_policy=ExperimentConfig.pattern_policy, fixed_pattern=None)
     if args.out is not None:
         overrides["output_path"] = args.out
     if overrides:

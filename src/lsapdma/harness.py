@@ -41,13 +41,14 @@ stays on real users, but it sits in every stack after them, so each layer
 runs once per chunk: one ``drop_link_states`` call on the stack's arrays
 with Pi as the power shape and each budget over Pi's count, the equal
 split's largest power, as its scales (one N x N ``eigh`` per user serves
-all D budgets), one ``sic_orders`` call over all the gains, and one policy
-call per (power policy, mu list), each with its own ``beam_sum_rates``
-call (``_tail_rates``, laid out by ``_layout``).  Each policy
-gives a (U, C, D, M, N, K) power stack over its U units, the C drops, the
-D budgets and the M sweep values (M = 1 but for the mu sweep's ladders),
-and the tail broadcasts the gains and orders over the mu axis.  Every sum
-a pad enters is a ``pattern.left_sum``, to which it adds an exact +0.0, so
+all D budgets), and one policy call per (power policy, mu list), each
+with its own ``beam_sum_rates`` call (``_tail_rates``, laid out by
+``_layout``).  The tail hands each kernel gains, never SIC orders: every
+kernel sorts the gains it is given.  Each policy gives a
+(U, C, D, M, N, K) power stack over its U units, the C drops, the D
+budgets and the M sweep values (M = 1 but for the mu sweep's ladders),
+and the tail broadcasts the gains over the mu axis.  Every sum a pad
+enters is a ``pattern.left_sum``, to which it adds an exact +0.0, so
 every kernel computes a slice of its stack as it would alone, and a unit's
 rates depend neither on the chunk that holds its drop nor on the other
 units beside it.
@@ -76,14 +77,14 @@ The optimal policy is the water-filling closed form
 (``optimizer.ANCHOR_FLOOR`` of each budget), and the rest of the budget is
 water-filled across beams onto each beam's strongest user.  The floors are
 put on the (U, C, D, N, K) gain stack of the optimal units at each drop's
-anchors, and one ``water_fills`` call takes that stack, the D budgets, the
-gains' SIC orders and, under ``strict_pattern``, the units' (U, C, 1, N, K)
-powered supports Pi.  Pi is the pattern less the pairs the anchors null,
-and each beam keeps its own anchor in it; a nulled pair's gain is
-round-off, never a beam's strongest, and carries no floor, so Pi gives the
-powers the covered pairs would.  Unless ``strict_pattern`` restricts it to
-Pi, the served user is the beam's strongest whatever the pattern covers,
-so the policy then ignores the pattern.
+anchors, and one ``water_fills`` call takes that stack, the D budgets and,
+under ``strict_pattern``, the units' (U, C, 1, N, K) powered supports Pi.
+Pi is the pattern less the pairs the anchors null, and each beam keeps its
+own anchor in it; a nulled pair's gain is round-off, never a beam's
+strongest, and carries no floor, so Pi gives the powers the covered pairs
+would.  Unless ``strict_pattern`` restricts it to Pi, the served user is
+the beam's strongest whatever the pattern covers, so the policy then
+ignores the pattern.
 
 Baselines run through the same evaluator and the same rate tail, both as
 fixed-ratio ladders at the power-domain ratio ``pnoma_mu``, so they share
@@ -116,7 +117,7 @@ from .beamforming import rank_anchors, select_users, zf_beamformers
 from .channel import CellConfig, draw_channels
 from .optimizer import ANCHOR_FLOOR, water_fills
 from .pattern import PatternMatrix, fixed_ratio_ladders, format_pattern_text, parse_pattern_text
-from .receiver import beam_sum_rates, drop_link_states, sic_orders
+from .receiver import beam_sum_rates, drop_link_states
 
 SCHEMES = ("oma", "pnoma", "lsa-pdma")
 POLICIES = ("fixed-ratio", "optimal")
@@ -140,7 +141,8 @@ class ExperimentConfig:
     distinct.  For the baselines the user count is forced (N for oma, 2N
     for pnoma); ``users`` applies to the pattern-mapped scheme, and must be
     that same count when its pattern policy is ``oma`` or ``pnoma``.  Only
-    that scheme reads the pattern policy, so any but ``simple`` needs it.
+    that scheme reads ``users`` and the pattern policy, so any but their
+    defaults needs it.
     Both baselines run the fixed-ratio ladder at ``pnoma_mu``; with one
     user per beam, oma never applies it.
 
@@ -198,11 +200,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown power policy {policy!r}")
         if self.pattern_policy not in PATTERN_POLICIES:
             raise ConfigError(f"unknown pattern policy {self.pattern_policy!r}")
-        if self.pattern_policy != "simple" and "lsa-pdma" not in self.schemes:
-            # only lsa-pdma reads the pattern policy; the echo would show it
-            raise ConfigError(
-                f"pattern_policy {self.pattern_policy!r} needs the 'lsa-pdma' scheme, not schemes = {_echo(self.schemes)}"
-            )
+        if "lsa-pdma" not in self.schemes:
+            # only lsa-pdma reads the pattern policy and the user counts; the
+            # echo would show them
+            for name, value in (("pattern_policy", self.pattern_policy), ("users", tuple(self.users))):
+                if value != getattr(type(self), name):
+                    raise ConfigError(
+                        f"{name} = {_echo(value)} needs the 'lsa-pdma' scheme, not schemes = {_echo(self.schemes)}"
+                    )
         if self.strict_pattern and "optimal" not in self.policies:
             # only the optimal policy reads the flag; the echo would show it
             raise ConfigError("strict_pattern needs the 'optimal' power policy")
@@ -288,10 +293,10 @@ def _check_float_range(cfg: ExperimentConfig) -> None:
         powered[s, :, :k] = cfg.fixed_pattern.entries == 1 if policy == "fixed" else rank_anchors(policy, cfg.n_beams, k)[1]
 
     def fits(at, mus):
-        orders = np.broadcast_to(np.arange(k_max), (len(powered[at]), len(budgets), cfg.n_beams, k_max))
         try:
             with np.errstate(all="ignore"):
-                fixed_ratio_ladders(powered[at], mus, orders, budgets)
+                # gains 0, 1, ..., K - 1: the identity SIC order
+                fixed_ratio_ladders(powered[at], mus, np.arange(k_max), budgets)
         except ValueError:
             return False
         return True
@@ -524,26 +529,23 @@ def _tail_rates(cfg: ExperimentConfig, stack: _Stack, gains, budgets) -> np.ndar
     the order of ``_layout(cfg).calls``.
 
     ``stack`` holds the units' padded set-ups and ``gains`` the
-    (S, C, D, N, K) gains of their equal splits of the D ``budgets``.  One
-    ``sic_orders`` call orders every beam of the gains.  Each policy call
-    then covers all of its units: the units of one mu list share one
+    (S, C, D, N, K) gains of their equal splits of the D ``budgets``.  Each
+    policy call covers all of its units: the units of one mu list share one
     ``fixed_ratio_ladders`` call, and the optimal units one ``water_fills``
-    call with the anchors' floors, the orders and, under
-    ``strict_pattern``, their powered supports Pi as the support.  Each
-    gives a (U, C, D, M, N, K) power stack, M = 1 but for a mu sweep's
-    ladders, and one ``beam_sum_rates`` call, the gains and orders
-    broadcast over the mu axis.
+    call with the anchors' floors and, under ``strict_pattern``, their
+    powered supports Pi as the support.  Each gives a (U, C, D, M, N, K)
+    power stack, M = 1 but for a mu sweep's ladders, and one
+    ``beam_sum_rates`` call, the gains broadcast over the mu axis.
     """
-    orders = sic_orders(gains)  # (S, C, D, N, K)
     n_drops, n_budgets, n_beams, n_users = gains.shape[1:]
     rates = []
     for power_policy, mus, at in _layout(cfg).calls:
-        unit_gains, unit_orders = gains[at], orders[at]  # (U, C, D, N, K)
+        unit_gains = gains[at]  # (U, C, D, N, K)
         if power_policy == "fixed-ratio":
             powers = fixed_ratio_ladders(
                 stack.powered[at].reshape((-1, n_beams, n_users)),
                 mus,
-                unit_orders.reshape((-1, n_budgets, n_beams, n_users)),
+                unit_gains.reshape((-1, n_budgets, n_beams, n_users)),
                 budgets,
             )
             powers = powers.reshape((-1, n_drops) + powers.shape[1:])
@@ -552,8 +554,8 @@ def _tail_rates(cfg: ExperimentConfig, stack: _Stack, gains, budgets) -> np.ndar
             delta = np.zeros(unit_gains.shape)
             np.put_along_axis(delta, stack.anchors[at][:, :, None, :, None], (ANCHOR_FLOOR * budgets)[:, None, None], axis=-1)
             support = stack.powered[at][:, :, None] if cfg.strict_pattern else None  # (U, C, 1, N, K)
-            powers = water_fills(unit_gains, budgets, delta, support, unit_orders)[:, :, :, None]
-        unit_rates = beam_sum_rates(unit_gains[:, :, :, None], powers, unit_orders[:, :, :, None])  # (U, C, D, M)
+            powers = water_fills(unit_gains, budgets, delta, support)[:, :, :, None]
+        unit_rates = beam_sum_rates(unit_gains[:, :, :, None], powers)  # (U, C, D, M)
         rates.append(unit_rates.swapaxes(0, 1).reshape(n_drops, -1))
     return np.concatenate(rates, axis=1)
 

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pattern import flat_rows, left_sum
-from .receiver import _sic_sinr, beam_sum_rates, sic_orders
+from .pattern import flat_rows, left_sum, sic_orders
+from .receiver import _sic_sinr, beam_sum_rates
 
 LN2 = float(np.log(2.0))
 
@@ -255,7 +255,7 @@ def objective(prob: OptProblem, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != prob.gains.shape:
         raise ValueError("power matrix must match the gain shape")
-    return -float(beam_sum_rates(prob.gains, p, prob._ord))
+    return -float(beam_sum_rates(prob.gains, p))
 
 
 def _objective_pos(prob: OptProblem, p_pos: np.ndarray) -> float:
@@ -310,9 +310,7 @@ def hessian(prob: OptProblem, p: np.ndarray, beam: int) -> np.ndarray:
     return _rate_terms(prob, _to_pos(prob, p), -1.0)[1][beam]
 
 
-def water_fills(
-    gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None, orders: np.ndarray | None = None
-) -> np.ndarray:
+def water_fills(gains: np.ndarray, p_sum, delta: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
     """Sum-rate-optimal power matrices without rate floors, in closed form,
     for a stack of gain matrices (..., N, K) at once.
 
@@ -320,11 +318,9 @@ def water_fills(
     floors ``delta[i]`` (of the gains' shape); ``p_sum`` broadcasts to the
     stack's leading axes, so one (N, K) matrix takes one budget.
     ``support``, if given, restricts the variables to the pattern's pairs
-    (strict mode) and broadcasts to the gains.  ``orders``, if given, must
-    be ``receiver.sic_orders(gains)``, which a caller that already sorted
-    the stack passes so it is not sorted twice; without it the stack is
-    sorted here.  The checks are those of ``OptProblem``, run once on the
-    stack.
+    (strict mode) and broadcasts to the gains.  Each beam's SIC order is
+    that of its gains (``sic_orders``), sorted here for the whole stack at
+    once.  The checks are those of ``OptProblem``, run once on the stack.
 
     Within one beam the sum rate's marginal with respect to the power at SIC
     position m is g_m = (sum_{j<=m} u_j - sum_{j<m} z_j)/ln2 (the negated
@@ -345,16 +341,16 @@ def water_fills(
     Beams with no free entry are skipped, and with none at all the floors
     are returned.
 
-    Each beam's strongest free user and its level L_n come from the orders
-    at once; a (matrix, beam) with no free entry is masked out.  The bend
-    point search then evaluates the level W of every candidate segment of
-    every matrix and keeps, per matrix, the one the sequential search
-    would stop at: the largest count m whose W reaches its m-th lowest
-    bend, or m = 1 when none does.  Every total over beams, positions or
-    entries is a masked ``left_sum``, so a matrix gets the same powers
-    stacked as alone, and a user appended with zero gain and no floor (a
-    pad of the harness's padded stack) is never free and leaves every
-    other entry's power bit for bit as it is.
+    Each beam's strongest free user and its level L_n come from the
+    stack's orders at once; a (matrix, beam) with no free entry is masked
+    out.  The bend point search then evaluates the level W of every
+    candidate segment of every matrix and keeps, per matrix, the one the
+    sequential search would stop at: the largest count m whose W reaches
+    its m-th lowest bend, or m = 1 when none does.  Every total over beams,
+    positions or entries is a masked ``left_sum``, so a matrix gets the
+    same powers stacked as alone, and a user appended with zero gain and
+    no floor (a pad of the harness's padded stack) is never free and
+    leaves every other entry's power bit for bit as it is.
     """
     gains = np.asarray(gains, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -366,15 +362,11 @@ def water_fills(
     free = _free_entries(gains, None if support is None else np.broadcast_to(np.asarray(support, dtype=bool), shape))
     matrices = (-1,) + shape[-2:]
     gains, delta, free, p_sum = gains.reshape(matrices), delta.reshape(matrices), free.reshape(matrices), p_sum.reshape(-1)
-    if orders is None:
-        orders = sic_orders(gains)
-    elif np.shape(orders) != shape:
-        raise ValueError("orders must be the SIC orders of the gains, of their shape")
     n_budgets, n_beams, n_users = gains.shape
     # flat positions of each beam's users in decoding order, and of each
     # beam's strongest free user (the last free position)
     rows = n_budgets * n_beams
-    at = flat_rows(np.reshape(orders, (rows, n_users)), (rows, n_users))
+    at = flat_rows(sic_orders(gains).reshape(rows, n_users), (rows, n_users))
     free_pos = free.reshape(-1)[at]
     picked = free_pos.any(axis=-1)  # per (budget, beam): a free entry exists
     last = n_users - 1 - np.argmax(free_pos[:, ::-1], axis=-1)

@@ -14,14 +14,18 @@ of shape (..., N, K).  The power policies take a (C, N, K) stack of powered
 supports Pi (one per drop of a chunk: the covered pairs less those the ZF
 anchors null) and build every matrix for all D budgets at once, checked
 once as a stack.  ``fixed_ratio_ladders`` is the one split rule: it gives
-the (C, D, M, N, K) ladders of a gain-factor sweep, from per-budget SIC
-orders.  The equal split is its ladder at mu = 1, every step 1 and each
-power the budget over Pi's count; ``equal_power`` is that ladder of one
-budget on one pattern, a checked (N, K) matrix: the stack of one.
+the (C, D, M, N, K) ladders of a gain-factor sweep, each beam's steps in
+the SIC order of its per-budget gains.  The equal split is its ladder at
+mu = 1, every step 1 and each power the budget over Pi's count;
+``equal_power`` is that ladder of one budget on one pattern, a checked
+(N, K) matrix: the stack of one.
 
-Every total over a stack's last axis that a pad user may enter is taken by
+The SIC order of a beam is a function of its gains (``sic_orders``), so
+every kernel that needs it, here, in the receiver and in the optimizer,
+sorts the gains it is given and takes no order from its caller.  Every
+total over a stack's last axis that a pad user may enter is taken by
 ``left_sum``, and every gather of a stack's rows along SIC orders goes
-through ``flat_rows``; the receiver and the optimizer use both.
+through ``flat_rows``; the receiver and the optimizer use all three.
 """
 
 from __future__ import annotations
@@ -263,6 +267,14 @@ def left_sum(x) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
+def sic_orders(gains) -> np.ndarray:
+    """Decoding orders of every row of a gain stack (..., K): ascending gain,
+    ties by ascending user index, from one stable argsort over the stack.
+    A user without power may sit anywhere in it (see
+    ``receiver.sic_sinrs``)."""
+    return np.argsort(np.asarray(gains, dtype=float), axis=-1, kind="stable")
+
+
 def flat_rows(orders, shape) -> np.ndarray:
     """Flat positions, in a C-ordered array of ``shape`` (..., K), of each
     row's K entries in the order its row of ``orders`` lists them; the
@@ -310,23 +322,23 @@ def _budgets(p_sum) -> np.ndarray:
     return p_sum
 
 
-def fixed_ratio_ladders(powered: np.ndarray, mus, sic_orders, p_sum) -> np.ndarray:
+def fixed_ratio_ladders(powered: np.ndarray, mus, gains, p_sum) -> np.ndarray:
     """Geometric power ladders within each beam of a (C, N, K) stack of
     powered supports, one per (support, budget, gain factor), shape
     (C, D, M, N, K).
 
     For support c, budget ``p_sum[d]`` and ``mus[m]`` = mu, within beam n
-    the powered users (``powered[c, n]``), taken in the ascending-gain
-    order ``sic_orders[c, d, n]``, get powers 1, mu, mu^2, ...; one
-    constant per ladder then scales the whole matrix so its total, a
-    ``left_sum`` over its row-major entries, equals the budget.
-    ``sic_orders`` has shape (C, D, N, K), each row a permutation of the
-    users (as ``receiver.sic_orders`` gives them); a step is placed by
-    counting only the powered users along the row, so users without power
-    may sit anywhere in it and get none.  Only the steps some beam of the
-    stack places are computed, so a ratio whose powers past them leave the
-    float range still gives finite ladders.  Every ladder passes
-    ``_check_powers``, run once on the stack.
+    the powered users (``powered[c, n]``), taken in the SIC order of the
+    gains ``gains[c, d, n]`` (``sic_orders``: ascending gain, ties by
+    index), get powers 1, mu, mu^2, ...; one constant per ladder then
+    scales the whole matrix so its total, a ``left_sum`` over its
+    row-major entries, equals the budget.  ``gains`` broadcasts to
+    (C, D, N, K); a step is placed by counting only the powered users
+    along the order, so users without power may sit anywhere in it and
+    get none.  Only the steps some beam of the stack places are computed,
+    so a ratio whose powers past them leave the float range still gives
+    finite ladders.  Every ladder passes ``_check_powers``, run once on
+    the stack.
     """
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1:
@@ -336,13 +348,11 @@ def fixed_ratio_ladders(powered: np.ndarray, mus, sic_orders, p_sum) -> np.ndarr
     p_sum = _budgets(p_sum)
     support = _powered_stack(powered)
     n_stack, n_beams, n_users = support.shape
-    orders = np.asarray(sic_orders)
-    if orders.shape != (n_stack, len(p_sum), n_beams, n_users) or orders.dtype.kind not in "iu":
-        raise ValueError("sic_orders must hold one (N, K) integer order stack per support and budget")
-    valid = (np.sort(orders, axis=-1) == np.arange(n_users)).all(axis=-1)
-    if not valid.all():
-        n = int(np.flatnonzero(~valid.reshape(-1, n_beams).all(axis=0))[0])
-        raise ValueError(f"sic_orders[..., {n}, :] must list each user once")
+    try:
+        gains = np.broadcast_to(np.asarray(gains, dtype=float), (n_stack, len(p_sum), n_beams, n_users))
+    except ValueError:
+        raise ValueError("gains must broadcast to one (N, K) gain matrix per support and budget") from None
+    orders = sic_orders(gains)
     # each powered user's place among its beam's powered users, in user space
     place = np.empty(orders.shape, dtype=int)
     in_support = support.reshape(-1)[flat_rows(orders, (n_stack, 1, n_beams, n_users))]
@@ -362,12 +372,12 @@ def equal_power(pattern: PatternMatrix, p_sum: float, nulled: np.ndarray | None 
     covered pairs less the ``nulled`` ones (none by default): the
     ``fixed_ratio_ladders`` ladder at mu = 1, whose steps are all 1, so
     each powered pair gets the budget over their count, which ``left_sum``
-    counts exactly, whatever the SIC order."""
+    counts exactly, whatever the SIC order; the gains 0, 1, ..., K - 1 give
+    the identity order."""
     powered = pattern.entries == 1
     if nulled is not None:
         powered &= ~np.asarray(nulled, dtype=bool)
-    orders = np.broadcast_to(np.arange(pattern.n_users), (1, 1) + powered.shape)
-    return fixed_ratio_ladders(powered[None], [1.0], orders, [p_sum])[0, 0, 0]
+    return fixed_ratio_ladders(powered[None], [1.0], np.arange(pattern.n_users), [p_sum])[0, 0, 0]
 
 
 def correlation_matrix(power) -> np.ndarray:

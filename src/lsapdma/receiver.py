@@ -50,14 +50,15 @@ stage as if the beams carried independent data, with no combining across
 beams: ``beam_sum_rates`` adds every pair rate, as
 ``test_sum_rates_add_left_to_right`` pins.
 
-The SIC stage runs on stacks as well.  ``sic_orders`` orders every beam of
-a (..., N, K) gain stack with one stable argsort, by gain alone: a user
-with no power adds an exact zero wherever it sits, so one order serves
-every power policy.  ``sic_sinrs`` computes the SINRs of a power stack
-under such orders.  ``_sic_sinr`` is the one SINR formula: ``sic_sinrs``
-and the optimizer's objective and constraint check all reach it; the
-barrier's rate floors are that SINR's floor multiplied out into linear
-rows.
+The SIC stage runs on stacks as well.  A beam's decoding order is a
+function of its gains: ``sic_sinrs`` and ``beam_sum_rates`` take gains and
+powers only, and order every beam of the gain stack with one stable
+argsort (``pattern.sic_orders``, also importable from here), by gain
+alone: a user with no power adds an exact zero wherever it sits, so one
+order serves every power policy.  ``_sic_sinr`` is the one SINR formula,
+on rows already in decoding order: ``sic_sinrs`` and the optimizer's
+objective and constraint check all reach it; the barrier's rate floors
+are that SINR's floor multiplied out into linear rows.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 
 from .beamforming import BeamformerSet
 from .channel import ChannelMatrix
-from .pattern import correlation_matrix, flat_rows, left_sum
+from .pattern import correlation_matrix, flat_rows, left_sum, sic_orders
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,6 @@ def _mmse_kernel(m, root, s, sigma2):
     return q, np.sqrt(h2)
 
 
-def sic_orders(gains: np.ndarray) -> np.ndarray:
-    """Decoding orders of every row of a gain stack (..., K): ascending gain,
-    ties by ascending user index, from one stable argsort over the stack.
-    A user without power may sit anywhere in it (see ``sic_sinrs``)."""
-    return np.argsort(np.asarray(gains, dtype=float), axis=-1, kind="stable")
-
-
 def _sic_sinr(h2: np.ndarray, p: np.ndarray) -> np.ndarray:
     """SINRs along decoding orders: ``h2`` and ``p`` hold the squared gains
     and the powers of each order's users, position by position, shape
@@ -162,16 +156,15 @@ def _sic_sinr(h2: np.ndarray, p: np.ndarray) -> np.ndarray:
     return h2 * p / (1.0 + h2 * suffix)
 
 
-def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def sic_sinrs(gains: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """SINRs of a power stack under SIC, in user space.
 
-    ``gains`` and ``orders`` are stacks (..., K) of one shape: gain rows and
-    their decoding orders, each order a permutation of the users (see
-    ``sic_orders``).  ``powers`` holds the power rows, in a shape the other
-    two broadcast to (a sweep of ladders adds an axis); the SINRs have that
-    shape.  The user at SIC position k is decoded treating earlier (weaker,
-    already-cancelled) users as absent and later (stronger) users' powers
-    as interference:
+    ``gains`` is a stack (..., K) of gain rows, each decoded in its
+    ``sic_orders`` order: ascending gain, ties by ascending user index.
+    ``powers`` holds the power rows, in a shape the gains broadcast to (a
+    sweep of ladders adds an axis); the SINRs have that shape.  The user at
+    SIC position k is decoded treating earlier (weaker, already-cancelled)
+    users as absent and later (stronger) users' powers as interference:
 
         gamma = h^2 p / (1 + h^2 * sum of later users' powers)
 
@@ -184,29 +177,27 @@ def sic_sinrs(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.n
     if np.count_nonzero(p < 0):
         raise ValueError("powers must be nonnegative")
     h = np.asarray(gains, dtype=float)
-    orders = np.asarray(orders)
-    if h.shape != orders.shape:
-        raise ValueError("gains and orders must share one shape")
+    orders = sic_orders(h)
     # flat positions of each row's users, in decoding order
     own = flat_rows(orders, orders.shape)
     at = flat_rows(orders, p.shape)
     if at.shape != p.shape:
-        raise ValueError("gains and orders must broadcast to the powers' shape")
+        raise ValueError("the gains must broadcast to the powers' shape")
     out = np.empty(p.size)
     out[at] = _sic_sinr(h.reshape(-1)[own] ** 2, p.reshape(-1)[at])
     return out.reshape(p.shape)
 
 
-def beam_sum_rates(gains: np.ndarray, powers: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Sum rate of each power matrix of a stack (..., N, K) under SIC with
-    the given orders (see ``sic_sinrs``), shape (...): each beam's rates
-    summed over its users in user order, then the beams added in beam
-    order, both by ``left_sum``, so a user with zero gain and no power
-    appended to the stack, a pad user, changes no bit of the sum rate.
-    Each pair's rate is log2(1 + gamma), gamma >= 0 since ``sic_sinrs``
-    refuses negative powers.  The gains and orders may carry a length-one
-    axis that the powers sweep (see ``sic_sinrs``)."""
-    return left_sum(left_sum(np.log2(1.0 + sic_sinrs(gains, powers, orders))))
+def beam_sum_rates(gains: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Sum rate of each power matrix of a stack (..., N, K) under SIC (see
+    ``sic_sinrs``), shape (...): each beam's rates summed over its users in
+    user order, then the beams added in beam order, both by ``left_sum``,
+    so a user with zero gain and no power appended to the stack, a pad
+    user, changes no bit of the sum rate.  Each pair's rate is
+    log2(1 + gamma), gamma >= 0 since ``sic_sinrs`` refuses negative
+    powers.  The gains may carry a length-one axis that the powers sweep
+    (see ``sic_sinrs``)."""
+    return left_sum(left_sum(np.log2(1.0 + sic_sinrs(gains, powers))))
 
 
 def drop_link_states(channels, beams, pi, s, sigma2: float) -> np.ndarray:

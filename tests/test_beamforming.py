@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lsapdma.beamforming import (
-    CERTIFIED_UNITS,
     COND_LIMIT,
     SelectedUserSet,
     SingularChannelError,
@@ -364,7 +363,7 @@ def test_preset_stacks_run_no_eigvalsh(monkeypatch):
 
 def test_a_stack_the_certificate_fails_gets_the_eigvalsh_flags(monkeypatch):
     # condition numbers around the limit, a zero anchor and a repeated
-    # anchor: the certificate factors no block of the stack, so each flag
+    # anchor: the certificate cannot factor the stack, so each flag
     # is that of the unit's eigenvalues, lambda_max <= 1e8 lambda_min
     # failed (a zero anchor leaves lambda_min = 0)
     rng = np.random.default_rng(44)
@@ -378,8 +377,8 @@ def test_a_stack_the_certificate_fails_gets_the_eigvalsh_flags(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, singular = zf_beamformers(np.array(units))
-    lam = np.concatenate(calls)  # one call per block of CERTIFIED_UNITS units
-    assert len(lam) == len(units) > CERTIFIED_UNITS
+    (lam,) = calls  # one call on the whole stack
+    assert len(lam) == len(units)
     want = ~(lam[:, -1] <= COND_LIMIT * lam[:, 0])
     assert singular.tolist() == want.tolist()
     assert singular.tolist() == [False] * 20 + [True] * 20 + [False] * 6 + [True] * 2

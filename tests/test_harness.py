@@ -14,7 +14,7 @@ import pytest
 from scipy.special import roots_genlaguerre
 from scipy.stats import gamma, kstest
 
-from lsapdma import harness, receiver
+from lsapdma import harness, optimizer, pattern, receiver
 
 from lsapdma.beamforming import compute_zfbf, select_users, zf_beamformers
 from lsapdma.channel import CellConfig, ChannelMatrix, draw_channels, drop_users, user_channels
@@ -60,10 +60,11 @@ def _beam_rate(h, p, order):
     return float(np.cumsum(np.log2(1.0 + _beam_sinrs(h, p, order)))[-1])
 
 
-def _ladder(pattern, mu, orders, p_sum, nulled):
-    """The ladder of one gain factor at one budget, from (N, K) orders."""
+def _ladder(pattern, mu, gains, p_sum, nulled):
+    """The ladder of one gain factor at one budget, in the SIC order of the
+    (N, K) ``gains``."""
     powered = (pattern.entries == 1) & ~nulled
-    return fixed_ratio_ladders(powered[None], [mu], orders[None, None], [p_sum])[0, 0, 0]
+    return fixed_ratio_ladders(powered[None], [mu], gains, [p_sum])[0, 0, 0]
 
 
 B35 = PatternMatrix(np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]))
@@ -72,7 +73,6 @@ B35 = PatternMatrix(np.array([[1, 1, 0, 1, 0], [1, 1, 1, 0, 0], [1, 0, 1, 0, 1]]
 def _cfg(**kwargs):
     defaults = dict(
         schemes=("oma",),
-        users=(5,),
         policies=("fixed-ratio",),
         p_sum_db=(10.0,),
         mu=(2.0,),
@@ -80,6 +80,9 @@ def _cfg(**kwargs):
         seed=5,
     )
     defaults.update(kwargs)
+    if "lsa-pdma" in defaults["schemes"]:
+        # only the pattern-mapped scheme reads the user counts
+        defaults.setdefault("users", (5,))
     return ExperimentConfig(**defaults)
 
 
@@ -98,6 +101,12 @@ def test_config_validation():
         _cfg(p_sum_db=(0.0, 10.0), mu=(1.0, 2.0))
     with pytest.raises(ConfigError):
         _cfg(pattern_policy="fixed")
+    # only lsa-pdma reads the user counts, so the baselines take the default
+    for schemes in (("oma",), ("pnoma",), ("oma", "pnoma")):
+        with pytest.raises(ConfigError) as err:
+            _cfg(schemes=schemes, users=(5,))
+        assert "users = 5" in str(err.value) and "'lsa-pdma'" in str(err.value), schemes
+        _cfg(schemes=schemes, users=ExperimentConfig.users)  # accepted
     # a removed or misspelt key, or an unknown section, is named, not ignored
     for text, names in (
         ("[power]\nr_min = 0.5\n", ("[power]", "r_min")),
@@ -173,11 +182,11 @@ def test_a_pattern_matrix_needs_the_pattern_mapped_scheme(tmp_path):
     for schemes in (("oma",), ("oma", "pnoma")):
         for pattern_policy, matrix in (("fixed", B35), ("oma", None), ("pnoma", None)):
             with pytest.raises(ConfigError) as err:
-                _cfg(schemes=schemes, users=(5,), pattern_policy=pattern_policy, fixed_pattern=matrix)
+                _cfg(schemes=schemes, pattern_policy=pattern_policy, fixed_pattern=matrix)
             assert "pattern_policy" in str(err.value) and "'lsa-pdma'" in str(err.value), pattern_policy
     _cfg(schemes=("oma", "lsa-pdma"), users=(5,), pattern_policy="fixed", fixed_pattern=B35)  # accepted
-    # a single-baseline run of a fixed-pattern config resets the pattern
-    # keys it does not read
+    # a single-baseline run of a fixed-pattern config resets the user
+    # counts and the pattern keys it does not read
     from lsapdma.cli import main
 
     cfg = tmp_path / "fixed.cfg"
@@ -189,9 +198,9 @@ def test_a_pattern_matrix_needs_the_pattern_mapped_scheme(tmp_path):
         summary = (out / "summary.txt").read_text()
         assert f"schemes = {scheme}" in summary
         if scheme == "lsa-pdma":
-            assert "policy = fixed" in summary and "matrix = " in summary
+            assert "users = 5" in summary and "policy = fixed" in summary and "matrix = " in summary
         else:
-            assert "policy = simple" in summary and "matrix = " not in summary
+            assert "users = 7" in summary and "policy = simple" in summary and "matrix = " not in summary
 
 
 def test_config_rejects_bad_power_and_run_parameters(monkeypatch):
@@ -238,7 +247,7 @@ def test_config_rejects_bad_power_and_run_parameters(monkeypatch):
     # K = 7) runs a drop with no warning.  oma runs at pnoma's ratio, which
     # it never applies, so even one no other ladder could take passes
     fig4 = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig4.cfg")
-    for changes in (dict(pnoma_mu=1e60), dict(users=(3,), mu=(1e100,)), dict(schemes=("oma",), pnoma_mu=1e200)):
+    for changes in (dict(pnoma_mu=1e60), dict(users=(3,), mu=(1e100,)), dict(schemes=("oma",), users=ExperimentConfig.users, pnoma_mu=1e200)):
         records = run_drop(dataclasses.replace(fig4, **changes), 0)
         assert records and all(0 < r.sum_rate < np.inf for r in records), changes
     # the check computes each ladder as the drop does, on the unit's powered
@@ -561,7 +570,7 @@ def test_a_singular_unit_is_redrawn_alone(monkeypatch):
             nulled = omega.nulled(pattern)
             link = build_link_state(channels, beams, equal_power(pattern, p_sum, nulled), 1.0)
             orders = sic_orders(link.gains)
-            alloc = _ladder(pattern, cfg.pnoma_mu, orders, p_sum, nulled)
+            alloc = _ladder(pattern, cfg.pnoma_mu, link.gains, p_sum, nulled)
             assert got.sum_rate == sum(
                 _beam_rate(link.gains[b], alloc[b], order) for b, order in enumerate(orders)
             )
@@ -615,6 +624,28 @@ def test_only_the_chunk_pass_draws_and_beamforms():
             around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
             owners.setdefault(name, set()).add(max(around, key=lambda f: f.lineno).name if around else "<module>")
     assert owners == {"draw_channels": {"_chunk_set_ups"}, "zf_beamformers": {"_chunk_set_ups"}}
+
+
+def test_no_kernel_takes_a_sic_order():
+    # a beam's SIC order is a function of its gains, so every kernel sorts
+    # the gains it is given: in pattern, receiver and optimizer only
+    # flat_rows (which gathers along orders it is handed) has a parameter
+    # named orders or sic_orders, and the harness never names sic_orders,
+    # so no caller sorts once and threads the result through the tail
+    takers = set()
+    for module in (pattern, receiver, optimizer):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if names & {"orders", "sic_orders"}:
+                    takers.add(f"{module.__name__}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == {"lsapdma.pattern.flat_rows"}
+    tree = ast.parse(Path(harness.__file__).read_text())
+    named = [node.lineno for node in ast.walk(tree) if "sic_orders" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    named += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.alias) and "sic_orders" in (node.name, node.asname)]
+    assert not named
 
 
 def test_a_redraw_inside_a_chunk_changes_only_its_own_slot(monkeypatch):
@@ -707,7 +738,7 @@ def test_the_orthogonal_baseline_runs_the_equal_split():
         splits = splits.reshape((n_setups, n_drops) + splits.shape[1:])
         gains = drop_link_states(stack.channels, stack.beams, stack.powered, splits.max(axis=(-2, -1)), cfg.cell.noise_variance)
         oma = layout.setups.index((cfg.n_beams, "oma"))
-        want = beam_sum_rates(gains[oma], splits[oma], sic_orders(gains[oma]))  # (C, D)
+        want = beam_sum_rates(gains[oma], splits[oma])  # (C, D)
         table, _ = _chunk_rates(cfg, states)
         columns = [(j, sweep) for j, (scheme, _, sweep, _) in enumerate(layout.records) if scheme == "oma"]
         assert len(columns) == len(cfg.mu) * len(cfg.p_sum_db)
@@ -727,7 +758,8 @@ def test_rank_space_set_ups_equal_the_per_drop_oracle():
     cases = [(n, k, "simple") for n in (2, 3, 4, 5) for k in range(n, 2**n)]
     cases += [(n, 2 * n, "pnoma") for n in (2, 3, 4, 5)] + [(n, n, "oma") for n in (2, 5)]
     for n, k, policy in cases:
-        cfg = _cfg(schemes=("lsa-pdma",) if policy == "simple" else (policy,), n_beams=n, n_rx=1, n_tx=n, users=(k,))
+        simple = policy == "simple"
+        cfg = _cfg(schemes=("lsa-pdma",) if simple else (policy,), n_beams=n, n_rx=1, n_tx=n, users=(k,) if simple else ExperimentConfig.users)
         hints = np.concatenate([np.exp(rng.normal(0.0, 2.3, (40, k))), rng.integers(0, 3, (40, k)) / 4.0])
         # only the hints matter here
         draws = [
@@ -815,7 +847,7 @@ def test_records_do_not_depend_on_the_scheme_order():
         policies=("fixed-ratio", "optimal"),
         mu=(1.3, 0.7),
     )
-    alone = [dataclasses.replace(full, schemes=(scheme,)) for scheme in ("oma", "pnoma")] + [
+    alone = [dataclasses.replace(full, schemes=(scheme,), users=ExperimentConfig.users) for scheme in ("oma", "pnoma")] + [
         dataclasses.replace(full, schemes=("lsa-pdma",), users=(k,), policies=(policy,))
         for k in full.users
         for policy in full.policies
@@ -1282,7 +1314,7 @@ def test_power_policies_skip_pairs_the_anchors_null():
                     link = build_link_state(channels, beams, equal, 1.0)
                     live = link.gains > 1e-8 * scale
                     orders = sic_orders(link.gains)
-                    allocs = [equal] + [_ladder(pattern, mu, orders, p_sum, nulled) for mu in mus]
+                    allocs = [equal] + [_ladder(pattern, mu, link.gains, p_sum, nulled) for mu in mus]
                     for alloc in allocs:
                         powered = alloc > 0
                         assert live[powered].all()
@@ -1319,7 +1351,8 @@ def _per_budget_rates(cfg, unit, pattern, omega, gains):
             full = np.array([np.concatenate([o, np.flatnonzero(~c)]) for o, c in zip(orders, covered)])
             row = []
             for mu in mus:
-                p = _ladder(pattern, mu, full, p_sum, nulled)
+                # the gains argsort(full) sort to the covered-first order full
+                p = _ladder(pattern, mu, np.argsort(full, axis=-1), p_sum, nulled)
                 row.append(sum(_beam_rate(h[n], p[n], orders[n]) for n in range(len(h))))
             out.append(row)
         else:
@@ -1376,7 +1409,7 @@ def test_stacked_tail_matches_the_per_budget_path():
                 # config of one budget.  oma's one unit is the ladder at
                 # pnoma's ratio, here run on the simple pattern's stack
                 tails = {
-                    "oma": dataclasses.replace(cfg, schemes=("oma",)),
+                    "oma": dataclasses.replace(cfg, schemes=("oma",), users=ExperimentConfig.users),
                     "ladders": dataclasses.replace(cfg, policies=("fixed-ratio",), mu=mus, p_sum_db=(0.0,), strict_pattern=False),
                     "optimal": dataclasses.replace(cfg, policies=("optimal",)),
                 }
@@ -1632,7 +1665,7 @@ def test_oma_records_match_their_analytic_mean():
     # Gauss-Laguerre sum per beam.  On fig5's shape and budgets the drops'
     # records minus their means average within 3 paired SE of zero
     cfg = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "fig5.cfg")
-    cfg = dataclasses.replace(cfg, schemes=("oma",), drops=2000, workers=1)
+    cfg = dataclasses.replace(cfg, schemes=("oma",), users=ExperimentConfig.users, drops=2000, workers=1)
     table, samples = run_monte_carlo(cfg, collect_samples=True)
     assert table.redraws == 0  # each drop's first draw is its channels
     states = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.drops)]

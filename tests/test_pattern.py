@@ -157,10 +157,17 @@ def _powered(pattern, nulled=None):
 
 def _ladder(pattern, mu, sic_orders, p_sum, nulled=None):
     """The ladder of one gain factor at one budget: a one-pattern,
-    one-budget, one-mu ``fixed_ratio_ladders`` stack, from per-beam orders
-    of the covered users."""
-    orders = _full_orders(pattern, sic_orders)[None, None]
-    return fixed_ratio_ladders(_powered(pattern, nulled), [mu], orders, [p_sum])[0, 0, 0]
+    one-budget, one-mu ``fixed_ratio_ladders`` stack, on gains whose SIC
+    order lists each beam's covered users as ``sic_orders`` does."""
+    gains = _gains_of(_full_orders(pattern, sic_orders))
+    return fixed_ratio_ladders(_powered(pattern, nulled), [mu], gains, [p_sum])[0, 0, 0]
+
+
+def _gains_of(orders):
+    """Gains (..., K) whose SIC order is each row of the permutation stack
+    ``orders``: a permutation's argsort is its inverse, so the gains'
+    stable ascending sort gives the order back."""
+    return np.argsort(orders, axis=-1)
 
 
 def test_fixed_ratio_equal_split_at_unit_mu():
@@ -192,34 +199,20 @@ def test_fixed_ratio_budget_and_ratios_exact():
 
 def test_fixed_ratio_rejects_bad_order():
     pattern = PatternMatrix(B35)
-    orders = _full_orders(pattern, [np.flatnonzero(row) for row in B35])[None, None]
-    # an order row one user short
-    with pytest.raises(ValueError):
-        fixed_ratio_ladders(_powered(pattern), [2.0], orders[..., :-1], [5.0])
-
-
-def test_fixed_ratio_rejects_a_repeated_user_in_an_order():
-    # [0, 0] names user 0 twice and user 1 never, which would give user 0
-    # two rungs of the ladder
-    pattern = PatternMatrix(np.array([[1, 1]]), strict=False)
-    with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(_powered(pattern), [2.0], np.array([[[[0, 0]]]]), [3.0])
-    # a stacked order that lists beam 0's covered users first but repeats
-    # user 3 in place of the uncovered user 2
-    orders = _full_orders(PatternMatrix(B35), [np.flatnonzero(row) for row in B35])[None, None]
-    orders[0, 0, 0] = [0, 1, 3, 3, 4]
-    with pytest.raises(ValueError, match="once"):
-        fixed_ratio_ladders(B35[None] == 1, [0.5, 2.0], orders, [5.0])
+    gains = _gains_of(_full_orders(pattern, [np.flatnonzero(row) for row in B35]))[None, None]
+    # a gain row, and so its order, one user short
+    with pytest.raises(ValueError, match="per support"):
+        fixed_ratio_ladders(_powered(pattern), [2.0], gains[..., :-1], [5.0])
 
 
 def test_ladders_do_not_depend_on_where_unpowered_users_sit():
     # a step is placed by counting the powered users along the order, so
     # an order that lists each beam's covered users first, in ascending
     # gain, and its uncovered users after them in any order (built here by
-    # hand) gives the ladders of the plain ascending-gain order of
-    # ``sic_orders`` bit for bit: every shape N <= K <= 2^N - 1, a
-    # (C, D, N, K) stack of random gains on a coarse grid (so ties occur)
-    # and nulled pairs present
+    # hand and given as the gains that sort to it) gives the ladders of the
+    # plain ascending-gain order of ``sic_orders`` bit for bit: every shape
+    # N <= K <= 2^N - 1, a (C, D, N, K) stack of random gains on a coarse
+    # grid (so ties occur) and nulled pairs present
     mus = (0.25, 0.3, 1.7, 8.0)
     budgets = [10.0 ** (db / 10.0) for db in (0.0, 20.0, 40.0)]
     saw_nulled = saw_interleaved = False
@@ -246,8 +239,8 @@ def test_ladders_do_not_depend_on_where_unpowered_users_sit():
             plain = sic_orders(gains)
             saw_interleaved |= not np.array_equal(plain, covered_first)
             powered = (entries == 1) & ~nulled
-            want = fixed_ratio_ladders(powered, mus, covered_first, budgets)
-            assert np.array_equal(fixed_ratio_ladders(powered, mus, plain, budgets), want)
+            want = fixed_ratio_ladders(powered, mus, _gains_of(covered_first), budgets)
+            assert np.array_equal(fixed_ratio_ladders(powered, mus, gains, budgets), want)
     assert saw_nulled and saw_interleaved
 
 
@@ -294,7 +287,7 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
             saw_nulled |= nulled.any()
             orders = [[rng.permutation(np.flatnonzero(row)) for row in pattern.entries] for _ in budgets]
             stacked = np.array([_full_orders(pattern, per_beam) for per_beam in orders])
-            (ladders,) = fixed_ratio_ladders(_powered(pattern, nulled), mus, stacked[None], budgets)
+            (ladders,) = fixed_ratio_ladders(_powered(pattern, nulled), mus, _gains_of(stacked[None]), budgets)
             assert ladders.shape == (len(budgets), len(mus), n, k)
             for p_sum, per_beam, per_budget in zip(budgets, orders, ladders):
                 for mu, ladder in zip(mus, per_budget):
@@ -307,7 +300,8 @@ def test_fixed_ratio_ladders_match_a_per_mu_reference():
 
 def test_uncovered_pad_users_change_no_ladder_entry():
     # uncovered columns appended to a (C, N, K) pattern stack, their users
-    # appended to each order or put before it, leave every real entry of
+    # appended to each order or put before it (the orders given as the
+    # gains that sort to them), leave every real entry of
     # the ladders bit for bit as it is, at mu = 1.7, whose ladders do not
     # sum exactly (mu = 1.5's do), for every shape with N * K >= 8: each
     # ladder's total runs left to right, so a pad adds an exact +0.0
@@ -322,12 +316,12 @@ def test_uncovered_pad_users_change_no_ladder_entry():
             nulled[:, :, 0] = False  # keep powered pairs in every matrix
             orders = np.array([[[rng.permutation(k) for _ in range(n)] for _ in budgets] for _ in range(3)])
             powered = (entries == 1) & ~nulled
-            ladders = fixed_ratio_ladders(powered, [1.7], orders, budgets)
+            ladders = fixed_ratio_ladders(powered, [1.7], _gains_of(orders), budgets)
             for pads in range(1, 9):
                 pad = np.arange(k, k + pads) + np.zeros(orders.shape[:-1] + (1,), dtype=int)
                 padded = np.concatenate([powered, np.zeros((3, n, pads), dtype=bool)], axis=-1)
                 for padded_orders in (np.concatenate([orders, pad], axis=-1), np.concatenate([pad, orders], axis=-1)):
-                    got = fixed_ratio_ladders(padded, [1.7], padded_orders, budgets)
+                    got = fixed_ratio_ladders(padded, [1.7], _gains_of(padded_orders), budgets)
                     assert np.array_equal(got[..., :k], ladders) and not got[..., k:].any(), (n, k, pads)
 
 
@@ -338,9 +332,9 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
     budget (``optimizer.ANCHOR_FLOOR``)."""
     seen = []
 
-    def recorded(gains, p_sum, delta, support=None, orders=None):
+    def recorded(gains, p_sum, delta, support=None):
         seen.append(delta)
-        return water_fills(gains, p_sum, delta, support, orders)
+        return water_fills(gains, p_sum, delta, support)
 
     monkeypatch.setattr(harness, "water_fills", recorded)
     _, n, k = entries.shape
@@ -352,7 +346,8 @@ def _harness_floors(monkeypatch, entries, anchors, gains, budgets):
 
 def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
     # a (C, N, K) stack of C patterns' entries, with one nulled mask, one
-    # order stack and one anchor set each, gives the C stacks of the
+    # order stack (given as the gains that sort to it) and one anchor set
+    # each, gives the C stacks of the
     # patterns run one at a time, bit for bit: ladders (C, D, M, N, K) and
     # the harness's anchor floors (C, D, N, K),
     # each drop's floors those of its anchor pairs given as a tuple or as
@@ -374,25 +369,25 @@ def test_power_stacks_over_patterns_equal_each_pattern_alone(monkeypatch):
             nulled, orders = np.array(nulled), np.array(orders)
             stack = np.array([pattern.entries for pattern in patterns])
             powered = (stack == 1) & ~nulled
-            ladders = fixed_ratio_ladders(powered, mus, orders, budgets)
+            ladders = fixed_ratio_ladders(powered, mus, _gains_of(orders), budgets)
             gains = rng.uniform(0.1, 1.0, (3, len(budgets), n, k))
             users = np.array([omega.users for omega in anchors])
             floors = _harness_floors(monkeypatch, stack, users, gains, np.array(budgets))
             assert ladders.shape == (3, len(budgets), len(mus), n, k)
             for c, pattern in enumerate(patterns):
                 alone = _powered(pattern, nulled[c])
-                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, mus, orders[c][None], budgets)[0])
+                assert np.array_equal(ladders[c], fixed_ratio_ladders(alone, mus, _gains_of(orders[c][None]), budgets)[0])
                 assert np.array_equal(floors[c], anchor_floors(gains[c], anchors[c].pairs, 1e-6 * np.array(budgets)))
                 pairs = np.array(anchors[c].pairs)
                 assert np.array_equal(anchor_floors(gains[c], pairs, 1e-6 * np.array(budgets)), floors[c])
-    # a stack must list one order stack per support
+    # a stack must hold one gain stack per support
     with pytest.raises(ValueError, match="per support"):
-        fixed_ratio_ladders(powered, mus, orders[:2], budgets)
+        fixed_ratio_ladders(powered, mus, _gains_of(orders[:2]), budgets)
     # and a stack is three-dimensional and boolean: a pattern's 0/1 entries
     # are not its powered support
     for bad in (powered[0], stack):
         with pytest.raises(ValueError, match=r"\(C, N, K\) boolean"):
-            fixed_ratio_ladders(bad, mus, orders, budgets)
+            fixed_ratio_ladders(bad, mus, _gains_of(orders), budgets)
 
 
 def test_the_strict_optimal_policy_reads_the_powered_support(monkeypatch):
@@ -420,9 +415,9 @@ def test_the_strict_optimal_policy_reads_the_powered_support(monkeypatch):
                 seen["stack"] = stack
             return stack
 
-        def recorded(gains, p_sum, delta, support=None, orders=None):
+        def recorded(gains, p_sum, delta, support=None):
             seen["support"] = support
-            return water_fills(gains, p_sum, delta, support, orders)
+            return water_fills(gains, p_sum, delta, support)
 
         with monkeypatch.context() as m:
             m.setattr(harness, "_chunk_set_ups", set_ups)
@@ -509,7 +504,7 @@ def test_budget_check_scales_with_the_budget():
             orders = [rng.permutation(np.flatnonzero(row)) for row in pattern.entries]
             mus = rng.uniform(0.1, 10.0, 4)
             stacked = _full_orders(pattern, orders)[None, None]
-            ladders = fixed_ratio_ladders(_powered(pattern), mus, stacked, [p_sum])[0, 0]
+            ladders = fixed_ratio_ladders(_powered(pattern), mus, _gains_of(stacked), [p_sum])[0, 0]
             _ladder(pattern, float(mus[0]), orders, p_sum)
             support = pattern.entries == 1
             for entries in (ladders[0], equal_power(pattern, p_sum)):

@@ -18,6 +18,7 @@ from lsapdma.pattern import (
 from lsapdma.receiver import (
     LinkState,
     _mmse_kernel,
+    _sic_sinr,
     _sqrt_factors,
     beam_sum_rates,
     build_link_state,
@@ -43,9 +44,7 @@ def _equal_splits(powered, p_sum):
     """The equal splits (C, D, N, K) of each budget over each support of a
     (C, N, K) powered stack: its ``fixed_ratio_ladders`` at mu = 1, whose
     steps are all 1, in any SIC order."""
-    n_stack, n_beams, n_users = np.shape(powered)
-    orders = np.broadcast_to(np.arange(n_users), (n_stack, len(p_sum), n_beams, n_users))
-    return fixed_ratio_ladders(powered, [1.0], orders, p_sum)[:, :, 0]
+    return fixed_ratio_ladders(powered, [1.0], np.arange(np.shape(powered)[-1]), p_sum)[:, :, 0]
 
 
 def _power_scales(powers):
@@ -131,13 +130,17 @@ def _oracle_errors(gains, ref):
 
 
 def _beam_sinrs(h, p, order):
-    """One beam's SINRs under a decoding order of some of its users, as a
-    one-row stack: the users left out are ordered last and carry no power."""
+    """One beam's SINRs, in user space, under a decoding order of some of
+    its users, which need not ascend in gain: the one SINR formula,
+    ``_sic_sinr``, on the beam's rows put in that order.  The users left
+    out carry no power and get SINR 0."""
     h, p = np.asarray(h, dtype=float), np.asarray(p, dtype=float)
     order = np.asarray(order, dtype=int)
     rest = np.setdiff1d(np.arange(len(h)), order)
     assert not p[rest].any()
-    return sic_sinrs(h[None], p[None], np.concatenate([order, rest])[None])[0]
+    out = np.zeros(len(h))
+    out[order] = _sic_sinr(h[order] ** 2, p[order])
+    return out
 
 
 def _scalar_beams(n):
@@ -332,11 +335,7 @@ def test_mmse_gains_match_a_per_user_reference_and_single_allocations():
             for d, split in enumerate(splits):
                 single = build_link_state(chans, beams, split, 1.0)
                 assert np.array_equal(single.gains, gains[d])
-                orders = sic_orders(single.gains)
-                assert np.array_equal(orders, sic_orders(gains[d]))
-                assert np.array_equal(
-                    sic_sinrs(single.gains, split, orders), sic_sinrs(gains, splits, sic_orders(gains))[d]
-                )
+                assert np.array_equal(sic_sinrs(single.gains, split), sic_sinrs(gains, splits)[d])
     assert saw_nulled
 
 
@@ -435,26 +434,22 @@ def test_sic_order_sorts_ascending_with_ties():
 
 def test_pad_users_change_no_sinr_and_no_sum_rate():
     # users with zero gain and no power appended to a (C, D, M, N, K) stack
-    # (the gains and orders broadcast over M, as the harness hands them)
-    # leave the real users' SINRs and every sum rate of ``beam_sum_rates``
-    # bit for bit as they are, for K = 1 ... 16 and 1 ... 16 pads, whether
-    # the pads' indices are appended to the orders or the padded gains are
-    # sorted anew (which puts the pads among the zero gains, first): every
-    # sum they enter runs left to right
+    # (the gains broadcast over M, as the harness hands them) leave the
+    # real users' SINRs and every sum rate of ``beam_sum_rates`` bit for
+    # bit as they are, for K = 1 ... 16 and 1 ... 16 pads, though the
+    # padded gains sort the pads among the zero gains, first: every sum
+    # they enter runs left to right
     rng = make_rng(21)
     for k in range(1, 17):
         for pads in range(1, 17):
             gains = rng.lognormal(0.0, 1.0, (2, 2, 1, 3, k)) * (rng.random((2, 2, 1, 3, k)) < 0.9)
             powers = rng.uniform(0.0, 5.0, (2, 2, 3, 3, k)) * (rng.random((2, 2, 3, 3, k)) < 0.8)
-            orders = sic_orders(gains)
-            sinrs, rates = sic_sinrs(gains, powers, orders), beam_sum_rates(gains, powers, orders)
+            sinrs, rates = sic_sinrs(gains, powers), beam_sum_rates(gains, powers)
             padded_gains = np.concatenate([gains, np.zeros(gains.shape[:-1] + (pads,))], axis=-1)
             padded_powers = np.concatenate([powers, np.zeros(powers.shape[:-1] + (pads,))], axis=-1)
-            appended = np.concatenate([orders, np.broadcast_to(np.arange(k, k + pads), orders.shape[:-1] + (pads,))], axis=-1)
-            for padded_orders in (appended, sic_orders(padded_gains)):
-                padded_sinrs = sic_sinrs(padded_gains, padded_powers, padded_orders)
-                assert np.array_equal(padded_sinrs[..., :k], sinrs) and not padded_sinrs[..., k:].any()
-                assert np.array_equal(beam_sum_rates(padded_gains, padded_powers, padded_orders), rates), (k, pads)
+            padded_sinrs = sic_sinrs(padded_gains, padded_powers)
+            assert np.array_equal(padded_sinrs[..., :k], sinrs) and not padded_sinrs[..., k:].any()
+            assert np.array_equal(beam_sum_rates(padded_gains, padded_powers), rates), (k, pads)
 
 
 def test_sum_rates_add_left_to_right():
@@ -464,8 +459,7 @@ def test_sum_rates_add_left_to_right():
     rng = make_rng(22)
     gains = rng.lognormal(0.0, 1.0, (5, 9, 15))
     powers = rng.uniform(0.1, 5.0, (5, 9, 15))
-    orders = sic_orders(gains)
-    rates = np.log2(1.0 + sic_sinrs(gains, powers, orders)).tolist()
+    rates = np.log2(1.0 + sic_sinrs(gains, powers)).tolist()
     want = []
     for stack in rates:
         total = 0.0
@@ -475,7 +469,7 @@ def test_sum_rates_add_left_to_right():
                 beam_rate += rate
             total += beam_rate
         want.append(total.hex())
-    assert [rate.hex() for rate in beam_sum_rates(gains, powers, orders).tolist()] == want
+    assert [rate.hex() for rate in beam_sum_rates(gains, powers).tolist()] == want
 
 
 def test_sinr_single_user():
@@ -494,7 +488,7 @@ def test_sinr_zero_power():
     gamma = _beam_sinrs(np.array([1.0, 2.0]), np.zeros(2), np.array([0, 1]))
     assert np.all(gamma == 0.0)
     with pytest.raises(ValueError):
-        _beam_sinrs(np.array([1.0]), np.array([-1.0]), np.array([0]))
+        sic_sinrs(np.array([1.0]), np.array([-1.0]))
 
 
 def test_sinr_uncovered_users_get_zero():
@@ -507,9 +501,8 @@ def test_merged_and_separate_powers_agree_exactly():
     h = rng.uniform(0.1, 3.0, 5)
     b = np.array([1, 0, 1, 1, 0])
     p = rng.uniform(0.5, 2.0, 5)
-    order = sic_orders(h)
     merged = b * p
-    assert np.array_equal(sic_sinrs(h, merged, order), sic_sinrs(h, b * p, order))
+    assert np.array_equal(sic_sinrs(h, merged), sic_sinrs(h, b * p))
 
 
 def test_mimo_and_scalar_models_agree():
@@ -522,7 +515,7 @@ def test_mimo_and_scalar_models_agree():
     filters, _ = _kernel(chans, beams, *_moments(alloc), sigma2)
     link = build_link_state(chans, beams, alloc, sigma2)
     orders = sic_orders(link.gains)
-    sinrs = sic_sinrs(link.gains, alloc, orders)
+    sinrs = sic_sinrs(link.gains, alloc)
     for k in range(5):
         v = filters[0, k]
         proj = v.conj().T @ chans[k].entries @ beams.beam_matrix
@@ -546,10 +539,10 @@ def test_relabeling_invariance():
     rng = make_rng(7)
     h = rng.uniform(0.1, 5.0, (3, 6))
     p = rng.uniform(0.0, 2.0, (3, 6))
-    base = np.log2(1.0 + sic_sinrs(h, p, sic_orders(h))).sum()
+    base = np.log2(1.0 + sic_sinrs(h, p)).sum()
     perm = rng.permutation(6)
     h2, p2 = h[:, perm], p[:, perm]
-    new = np.log2(1.0 + sic_sinrs(h2, p2, sic_orders(h2))).sum()
+    new = np.log2(1.0 + sic_sinrs(h2, p2)).sum()
     assert new == pytest.approx(base, rel=1e-12)
 
 
@@ -562,7 +555,7 @@ def test_two_user_power_domain_oracle():
     for n, (a, b) in enumerate(pairs):
         p[n, a] = rng.uniform(0.5, 2.0)
         p[n, b] = rng.uniform(0.5, 2.0)
-    gamma = sic_sinrs(h, p, sic_orders(h))
+    gamma = sic_sinrs(h, p)
     for n, (a, b) in enumerate(pairs):
         weak, strong = (a, b) if h[n, a] <= h[n, b] else (b, a)
         expected_weak = h[n, weak] ** 2 * p[n, weak] / (1 + h[n, weak] ** 2 * p[n, strong])
@@ -572,13 +565,12 @@ def test_two_user_power_domain_oracle():
 
 
 def test_last_user_rate_monotone_in_power():
-    h = np.array([0.5, 1.0, 2.0])
-    order = np.array([0, 1, 2])
+    h = np.array([0.5, 1.0, 2.0])  # decoded in index order
     base = np.array([1.0, 1.0, 1.0])
-    r0 = np.log2(1 + sic_sinrs(h, base, order))[2]
+    r0 = np.log2(1 + sic_sinrs(h, base))[2]
     bigger = base.copy()
     bigger[2] = 2.0
-    r1 = np.log2(1 + sic_sinrs(h, bigger, order))[2]
+    r1 = np.log2(1 + sic_sinrs(h, bigger))[2]
     assert r1 > r0
 
 
@@ -587,7 +579,7 @@ def test_sum_rate_values():
         # one user per beam at unit gain decodes free of intra-beam
         # interference, so its SINR is its power
         p = np.reshape(gammas, (-1, 1))
-        return float(beam_sum_rates(np.ones(p.shape), p, np.zeros(p.shape, dtype=int)))
+        return float(beam_sum_rates(np.ones(p.shape), p))
 
     assert sum_of_rates(np.zeros((3, 5))) == 0.0
     assert sum_of_rates(np.ones((3, 5))) == pytest.approx(15.0)
@@ -609,7 +601,7 @@ def test_build_link_state_invariants():
     assert isinstance(link, LinkState)
     assert (link.gains >= 0).all()
     orders = sic_orders(link.gains)
-    sinrs = sic_sinrs(link.gains, alloc, orders)
+    sinrs = sic_sinrs(link.gains, alloc)
     assert (sinrs[alloc == 0] == 0).all()
     for n in range(3):
         hs = link.gains[n, orders[n]]
